@@ -32,8 +32,6 @@
 //!   CRC-checked, atomically-written generations plus the manifest-based
 //!   latest-valid selection the kill–resume chaos harness exercises.
 
-#[cfg(feature = "chk")]
-pub mod broken_queue;
 pub mod checkpoint;
 pub mod driver;
 pub mod faults;

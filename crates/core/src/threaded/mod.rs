@@ -1,0 +1,258 @@
+//! A real multi-threaded factored runtime.
+//!
+//! The co-simulations in [`crate::runtime`] model the paper's *timing* on
+//! simulated GPUs; this module is the paper's *architecture* as an actual
+//! concurrent program: Sampler threads pull mini-batches from a dynamic
+//! global scheduler (a shared claim book over the epoch's batch indices,
+//! §5.2), sample for real, and enqueue whole samples into the bounded
+//! host-memory [`GlobalQueue`](crate::queue::GlobalQueue); Trainer threads block on the queue (no
+//! busy-spinning) and train real model replicas, publishing gradients to a
+//! shared parameter server with bounded staleness ("GNNLab updates model
+//! gradients with bounded staleness … which effectively mitigates the
+//! convergence problem", §5.2).
+//!
+//! Dynamic executor switching (§5.3) runs live: every executor feeds EWMA
+//! estimates of `T_s`, `T_t` and `T_t'` from its recorded batch times, and
+//! a Sampler that finishes its share of the epoch flips into a standby
+//! Trainer whenever the profit metric `P = M_r·T_t/N_t − T_t'` is
+//! positive, training until the queue drains.
+//!
+//! # Fault tolerance
+//!
+//! Failure behavior is driven by the run's fault plan
+//! ([`ThreadedConfig::faults`], a [`crate::faults::FaultPlan`]):
+//!
+//! * **Leases** — consumers dequeue under a lease and confirm each batch
+//!   after training; when a consumer dies the supervisor reclaims its
+//!   leases and the batches are replayed by survivors, so a crash loses
+//!   no work and every batch still trains exactly once (injected crashes
+//!   fire while the lease is held, *before* the batch trains).
+//! * **Supervision** — a crashed executor's panic handler runs the
+//!   recovery protocol: replay in-flight work, then either *respawn* a
+//!   replacement on the same slot or *reassign* the role to survivors,
+//!   decided by re-running the §5.2 allocation rule on the live EWMA
+//!   stage times. Each absorbed crash consumes one unit of
+//!   [`FaultPlan::max_respawns`](crate::faults::FaultPlan); past the
+//!   budget the queue is poisoned and [`run_threaded`] fails fast — with
+//!   the default empty plan (budget 0) any organic panic still unblocks
+//!   every thread and surfaces as a [`ThreadedError`] in bounded time
+//!   instead of deadlocking.
+//! * **Retries** — seeded transient Extract/Train errors retry in place
+//!   with capped exponential backoff plus deterministic jitter; a batch
+//!   that exceeds [`crate::faults::RetryPolicy::max_attempts`] is
+//!   unrecoverable and fails the run through the poison path (it does
+//!   not consume respawn budget).
+//! * **Stragglers** — per-slot slowdown factors stretch an executor's
+//!   batch times; the EWMAs observe the stretched times, so the
+//!   allocation rule and the switching metric see the straggler.
+//!
+//! Everything recovery does is counted in the run's
+//! [`RecoveryReport`] and published under the `faults.*`, `recovery.*`
+//! and `retry.*` metric names.
+//!
+//! # File map
+//!
+//! * `config` — [`ThreadedConfig`], [`ThreadedError`] and its exit codes,
+//!   the result and report structs.
+//! * `shared` — the run state every executor borrows: parameter server,
+//!   live EWMAs, RNG stream seeds, fault/recovery counters, cache-store
+//!   construction.
+//! * `book` — `SamplerBook`, the dynamic global scheduler's claim book: a
+//!   thread-free state machine with its crash transitions unit-tested.
+//! * `gate` — the checkpoint quiesce gate: park, validate, write; assemble
+//!   and resume.
+//! * `supervisor` — spawning under `catch_unwind` and the two crash
+//!   handlers (replay, then respawn or reassign).
+//! * `sampler` — the Sampler executor's claim → G → M → C loop.
+//! * `consumer` — the one lease → Extract → Train loop Trainers and
+//!   standbys share, and the §5.3 switching decision.
+//! * this file — [`run_threaded`] / [`run_threaded_obs`]: plan memory,
+//!   build the shared state, resume, run the scope, evaluate.
+
+mod book;
+mod config;
+mod consumer;
+mod gate;
+mod sampler;
+mod shared;
+mod supervisor;
+
+pub use config::{
+    ExecutorCacheReport, RecoveryReport, ThreadedConfig, ThreadedError, ThreadedErrorKind,
+    ThreadedResult,
+};
+
+use crate::sync::Ordering;
+use crate::train_real::sampler_for;
+use gate::CkptRuntime;
+use gnnlab_cache::CacheStats;
+use gnnlab_graph::gen::SbmGraph;
+use gnnlab_graph::VertexId;
+use gnnlab_obs::{Executor, Obs, Telemetry};
+use gnnlab_tensor::loss::accuracy;
+use gnnlab_tensor::{Matrix, ModelKind};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use shared::{stream_seed, Shared, StreamRole};
+use std::collections::HashSet;
+use std::sync::Arc;
+use supervisor::{spawn_sampler, spawn_trainer};
+
+/// Runs the factored architecture with real threads on real data.
+///
+/// Training vertices are the first half of the graph (deterministic
+/// split); accuracy is evaluated on the second half after all epochs.
+/// Records into a private wall-clock [`Obs`]; use [`run_threaded_obs`] to
+/// keep the spans and metrics.
+///
+/// # Errors
+///
+/// Returns a [`ThreadedError`] if an executor panic exceeds the fault
+/// plan's respawn budget, or a transient fault exhausts its retries: the
+/// poisoned queue unblocks every thread, so the error surfaces in bounded
+/// time instead of hanging the run. Crashes within the budget are
+/// recovered (replay + respawn/reassignment) and reported in
+/// [`ThreadedResult::recovery`] instead.
+pub fn run_threaded(
+    graph: &SbmGraph,
+    kind: ModelKind,
+    cfg: &ThreadedConfig,
+) -> Result<ThreadedResult, ThreadedError> {
+    run_threaded_obs(graph, kind, cfg, &Arc::new(Obs::wall()))
+}
+
+/// [`run_threaded`] with a caller-supplied observability hub: every
+/// Sampler/Trainer records wall-clock spans (feeding the `stage.*.ns`
+/// latency histograms), the global queue keeps a `queue.depth` gauge
+/// plus blocked time, the live EWMA stage-time estimates publish under
+/// `scheduler.ewma_*` and per-executor `executor.ewma.*` gauges, the
+/// Trainers' cache statistics are published under `cache.*`, and fault
+/// handling under `faults.*` / `recovery.*` / `retry.*`. A telemetry
+/// thread ([`ThreadedConfig::telemetry`]) samples gauges into
+/// bounded series on a wall-clock interval and evaluates the alert
+/// rules; alerts land in the registry (`alerts.*` counters + structured
+/// events in the snapshot).
+///
+/// # Errors
+///
+/// See [`run_threaded`].
+pub fn run_threaded_obs(
+    graph: &SbmGraph,
+    kind: ModelKind,
+    cfg: &ThreadedConfig,
+    obs: &Arc<Obs>,
+) -> Result<ThreadedResult, ThreadedError> {
+    assert!(
+        cfg.num_samplers >= 1 && cfg.num_trainers >= 1,
+        "need executors"
+    );
+    let n = graph.csr.num_vertices();
+    let train_set: Vec<VertexId> = gnnlab_graph::trainset::random_train_set(
+        n,
+        n / 2,
+        stream_seed(cfg.seed, StreamRole::Split, 0),
+    );
+    let in_train: HashSet<VertexId> = train_set.iter().copied().collect();
+    let test_set: Vec<VertexId> = (0..n as VertexId)
+        .filter(|v| !in_train.contains(v))
+        .collect();
+
+    let shared = Shared::new(graph, kind, cfg, obs, &train_set);
+    // Live telemetry for the whole run: periodic gauge→series sampling
+    // and alert evaluation. Stopped explicitly after the final cache
+    // publish so the closing evaluation sees the complete end state
+    // (dropped — and thus still joined — on the early error return).
+    let telemetry = Telemetry::start(Arc::clone(obs), cfg.telemetry);
+
+    let resumed_from = shared.resume_latest()?;
+
+    std::thread::scope(|scope| {
+        let sh = &shared;
+        for s in 0..cfg.num_samplers {
+            spawn_sampler(scope, sh, s);
+        }
+        for t in 0..cfg.num_trainers {
+            spawn_trainer(scope, sh, t);
+        }
+    });
+
+    if let Some(err) = shared.first_error.lock().take() {
+        return Err(err);
+    }
+
+    // Evaluate the master model on the held-out half. The lock is held
+    // only for the clone; evaluation runs on the snapshot. Eval feature
+    // gathers route through a two-tier store shaped like a dedicated
+    // Trainer's (the mark table's layout, the same host tier), so
+    // held-out traffic is counted in the `cache.*` stats instead of
+    // bypassing the cache via a raw host gather — the served bytes are
+    // identical either way, so accuracy is unchanged.
+    let mut master = shared.server.lock().master.clone();
+    let algo = sampler_for(kind);
+    let (eval_store, eval_refresh_ns) = shared.fill_store(shared.mark_table.clone());
+    let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(cfg.seed, StreamRole::Eval, 0));
+    let mut correct = 0.0f64;
+    let mut total = 0usize;
+    for chunk in test_set.chunks(cfg.batch_size.max(1)) {
+        let sample = algo.sample(&graph.csr, chunk, &mut rng);
+        let raw = eval_store.extract(sample.input_nodes());
+        let feats = Matrix::from_vec(sample.num_input_nodes(), graph.feat_dim, raw);
+        let logits = master.forward(&sample, &feats);
+        let labels: Vec<u32> = chunk.iter().map(|&v| graph.labels[v as usize]).collect();
+        correct += accuracy(&logits, &labels) * chunk.len() as f64;
+        total += chunk.len();
+    }
+    shared.cache_reports.lock().push(ExecutorCacheReport {
+        role: Executor::Host,
+        slot: 0,
+        alpha: eval_store.table().alpha(),
+        rows: eval_store.table().len(),
+        refresh_ns: eval_refresh_ns,
+        stats: eval_store.stats(),
+    });
+
+    // Per-executor stores already streamed `cache.<role>.<slot>.*`; here
+    // their end states roll up into the aggregate `cache.*` totals.
+    let mut caches = std::mem::take(&mut *shared.cache_reports.lock());
+    // Trainers, then standbys, then the end-of-run eval store (and
+    // anything else host-side) last: `Executor`'s own order.
+    caches.sort_by_key(|c| (c.role, c.slot));
+    let mut cache_stats = CacheStats::default();
+    for c in &caches {
+        cache_stats.add(&c.stats);
+    }
+    cache_stats.publish(&obs.metrics);
+    telemetry.stop();
+    let mut history = std::mem::take(&mut *shared.history.lock());
+    history.sort_by_key(|r| r.id);
+    // The master's flattened parameters, in stable layer order — the
+    // chaos harness compares these bit-for-bit across kill–resume runs.
+    let final_params: Vec<f32> = master
+        .params_mut()
+        .iter()
+        .flat_map(|p| p.value.data().iter().copied())
+        .collect();
+    let recovery = *shared.recovery.lock();
+    Ok(ThreadedResult {
+        batches_trained: shared.trained.load(Ordering::Relaxed),
+        samples_produced: shared.produced.load(Ordering::Relaxed),
+        final_accuracy: if total == 0 {
+            0.0
+        } else {
+            correct / total as f64
+        },
+        peak_queue_depth: shared.queue.peak_depth(),
+        cache_hit_rate: cache_stats.hit_rate(),
+        caches,
+        switches: shared.switches.load(Ordering::Relaxed),
+        queue_blocked_ns: shared.queue.blocked_ns(),
+        recovery,
+        history,
+        final_params,
+        checkpoints_written: shared.ckpt.as_ref().map_or(0, CkptRuntime::writes),
+        resumed_from,
+    })
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,139 @@
+//! The Sampler executor: claim batch indices from the shared book, sample
+//! (G), mark (M), and enqueue (C) — §5.2.
+
+use super::book::Claim;
+use super::shared::{BatchClock, Shared, TrainTask};
+use crate::faults::ExecutorRole;
+use crate::sync::Ordering;
+use crate::train_real::sampler_for;
+use gnnlab_graph::VertexId;
+use gnnlab_obs::{names, Executor, Stage};
+use gnnlab_sampling::{presample_rng, MinibatchIter, SampleBuffers};
+use std::time::Instant;
+
+/// How many batches a Sampler claims and enqueues per round when the run
+/// is pipelined (`pipeline_depth > 0`): one `enqueue_many` lock/condvar
+/// round-trip moves the whole burst. Small enough that a burst never
+/// outlives the default queue capacity, large enough to amortize the
+/// handoff.
+const SAMPLER_BURST: usize = 4;
+
+/// One Sampler's main loop: claim the next batch indices from the shared
+/// book (one at pipeline depth 0, a burst of [`SAMPLER_BURST`] otherwise),
+/// sample and mark each, then enqueue the burst in one round-trip
+/// (blocking at the queue's capacity). Finding nothing left to claim
+/// retires it from the book in the same step; it exits after closing the
+/// queue if it was the last producer out.
+pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
+    let cfg = sh.cfg;
+    let algo = sampler_for(sh.kind);
+    let device = slot as u32;
+    let crash = cfg.faults.crash_for(ExecutorRole::Sampler, slot);
+    let who = format!("Sampler {slot}");
+    let obs = &*sh.obs;
+    let mut cached_epoch = usize::MAX;
+    let mut batches: Vec<Vec<VertexId>> = Vec::new();
+    let mut sampled = 0usize;
+    let mut clock = BatchClock::new(
+        &sh.t_sample,
+        names::SCHEDULER_EWMA_T_SAMPLE,
+        names::executor_ewma("sampler", slot),
+        cfg.faults.slowdown(ExecutorRole::Sampler, slot),
+    );
+    // Reusable sampling scratch: one set per Sampler thread, so the hot
+    // loop allocates no per-batch intermediates.
+    let mut bufs = SampleBuffers::new();
+    // At pipeline depth 0 each round moves exactly one batch (the serial
+    // reference path); pipelined runs amortize the queue handoff into one
+    // enqueue_many round-trip per burst.
+    let burst = if cfg.pipeline_depth == 0 {
+        1
+    } else {
+        SAMPLER_BURST
+    };
+    loop {
+        // Quiesce before claiming: a parked Sampler holds no claim, so
+        // the checkpoint's cursor is exact.
+        if sh.ckpt_requested() {
+            sh.ckpt_park(true);
+        }
+        // (Bound first, so the book lock is released before the match.)
+        let claim = sh.book.lock().next_claims(exec, burst);
+        let claims = match claim {
+            Claim::Burst(claims) => claims,
+            // Finished sampling; the last producer out closes the queue
+            // so blocked consumers drain what remains and exit instead of
+            // spinning.
+            Claim::Retired { close } => {
+                if close {
+                    sh.queue.close();
+                }
+                return;
+            }
+        };
+        let mut tasks = Vec::with_capacity(claims.len());
+        for &i in &claims {
+            // If the injected crash fires here the whole burst's claims
+            // stay registered: the supervisor orphans them all and
+            // survivors re-sample each batch (nothing sampled here was
+            // enqueued yet, so exactly-once holds).
+            sh.crash_point(crash, sampled + tasks.len(), &who);
+            let epoch = i / sh.batches_per_epoch;
+            if epoch != cached_epoch {
+                // Every Sampler derives the same shuffle for a given
+                // epoch, so the global index space is consistent across
+                // threads.
+                batches =
+                    MinibatchIter::new(sh.train_set, cfg.batch_size, sh.shuffle_seed, epoch as u64)
+                        .collect();
+                cached_epoch = epoch;
+            }
+            let batch = &batches[i % sh.batches_per_epoch];
+            let id = i as u64;
+            // Per-batch domain-tagged RNG: the sampler's random state is a
+            // pure function of (seed, epoch, batch), so the batch cursor
+            // IS the RNG position — resume replays nothing and skips
+            // nothing, and it doesn't matter which executor samples which
+            // batch (or in which burst).
+            let mut rng = presample_rng(cfg.seed, epoch as u64, (i % sh.batches_per_epoch) as u64);
+            let work_started = Instant::now();
+            let mut sample = {
+                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, id);
+                algo.sample_with(&sh.graph.csr, batch, &mut rng, &mut bufs)
+            };
+            // The M step (§5.2): the Sampler marks which input vertices
+            // the Trainers' cache holds, so Trainers need no second
+            // membership pass.
+            {
+                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleM, id);
+                sample.cache_mask = Some(sh.mark_table.mark(sample.input_nodes()));
+            }
+            // T_s counts sampling *work* (G + M, stretched by any
+            // straggler factor); the C step below may block on
+            // backpressure, which is waiting, not work.
+            clock.record(work_started.elapsed().as_secs_f64(), obs);
+            let labels = batch.iter().map(|&v| sh.graph.labels[v as usize]).collect();
+            tasks.push(TrainTask { id, sample, labels });
+        }
+        let n = tasks.len();
+        let first_id = tasks[0].id;
+        let enqueued = {
+            let _g = obs.start_span(device, Executor::Sampler, Stage::SampleC, first_id);
+            sh.queue.enqueue_many(tasks)
+        };
+        match enqueued {
+            Ok(()) => {
+                sh.book.lock().complete_claims(exec);
+                sh.produced.fetch_add(n, Ordering::Relaxed);
+                sampled += n;
+                obs.metrics
+                    .counter_add(names::THREADED_SAMPLES_PRODUCED, n as f64);
+            }
+            // Poisoned (a peer crashed beyond recovery): stop producing.
+            Err(_) => {
+                sh.book.lock().complete_claims(exec);
+                return;
+            }
+        }
+    }
+}

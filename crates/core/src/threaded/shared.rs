@@ -1,0 +1,601 @@
+//! State every executor and the supervisor share for one run — the
+//! parameter server, the live stage-time EWMAs, per-executor RNG stream
+//! seeds, the fault/recovery counters — and the helpers built on it.
+
+use super::book::SamplerBook;
+use super::config::{
+    ExecutorCacheReport, RecoveryReport, ThreadedConfig, ThreadedError, ThreadedErrorKind,
+};
+use super::gate::CkptRuntime;
+use crate::checkpoint::BatchRecord;
+use crate::faults::splitmix64;
+use crate::memory::{
+    live_sample_workspace_bytes, live_train_workspace_bytes, plan_live_run, LiveCachePlan,
+    LiveGraphBytes,
+};
+use crate::queue::GlobalQueue;
+use crate::schedule::num_samplers;
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::train_real::sampler_for;
+use gnnlab_cache::{load_cache_topk, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
+use gnnlab_graph::gen::SbmGraph;
+use gnnlab_graph::{FeatureStore, VertexId};
+use gnnlab_obs::{names, Executor, Obs, Stage};
+use gnnlab_par::ThreadPool;
+use gnnlab_sampling::Sample;
+use gnnlab_tensor::{Adam, GnnModel, Matrix, ModelConfig, ModelKind, Optimizer};
+use std::collections::HashSet;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One task flowing through the global queue.
+pub(super) struct TrainTask {
+    /// Global schedule index (the span `batch` id).
+    pub id: u64,
+    pub sample: Sample,
+    pub labels: Vec<u32>,
+}
+
+/// The shared parameter server: master weights plus the optimizer state.
+pub(super) struct ParamServer {
+    pub master: GnnModel,
+    pub opt: Adam,
+}
+
+impl ParamServer {
+    /// A copy of every master parameter value, in `params_mut()` order —
+    /// what a Trainer pulls and what a checkpoint persists.
+    pub(super) fn values(&mut self) -> Vec<Matrix> {
+        self.master
+            .params_mut()
+            .iter()
+            .map(|p| p.value.clone())
+            .collect()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per-executor RNG streams.
+// ---------------------------------------------------------------------------
+
+/// The independent RNG consumers of a threaded run. Each `(role, index)`
+/// pair gets its own stream; the seed's raw value is never used directly
+/// (the old `seed ^ (index << 17)` scheme made Sampler 0, the model init
+/// and the shuffle all share `cfg.seed`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum StreamRole {
+    /// Master model initialization.
+    Model = 1,
+    // 2 was a Sampler's per-*executor* stream. Batch sampling now draws
+    // from per-*batch* domain-tagged streams (`sampling::presample_rng`
+    // over `(seed, epoch, batch)`), so the sampling RNG "position" is a
+    // pure function of the batch cursor: checkpoints persist the cursor
+    // and resume replays the exact same draws, no matter which executor
+    // samples which batch before or after the restart. It also puts
+    // PreSC's pre-sampled epoch 0 in exact lockstep with the trained one.
+    /// A Trainer replica's initialization.
+    Trainer = 3,
+    /// A standby Trainer replica's initialization.
+    Standby = 4,
+    /// Held-out evaluation sampling.
+    Eval = 5,
+    /// The train/test vertex split.
+    Split = 6,
+    /// The per-epoch mini-batch shuffle (shared by all Samplers).
+    Shuffle = 7,
+}
+
+/// Derives the RNG stream for `(seed, role, index)`. Respawned executors
+/// pass their unique executor id as `index`, so a replacement never
+/// replays its predecessor's stream.
+pub(super) fn stream_seed(seed: u64, role: StreamRole, index: u64) -> u64 {
+    splitmix64(splitmix64(splitmix64(seed) ^ role as u64) ^ index)
+}
+
+// ---------------------------------------------------------------------------
+// Live stage-time estimates (EWMA over recorded batch times).
+// ---------------------------------------------------------------------------
+
+/// EWMA smoothing factor for the live stage-time estimates.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// A lock-free EWMA cell (f64 bits in an atomic; NaN = no samples yet).
+#[derive(Debug)]
+pub(super) struct AtomicEwma(AtomicU64);
+
+impl AtomicEwma {
+    pub(super) fn new() -> Self {
+        AtomicEwma(AtomicU64::new(f64::NAN.to_bits()))
+    }
+
+    /// Overwrites the cell with a checkpointed estimate (`None` = the
+    /// cell had never been updated).
+    pub(super) fn set(&self, value: Option<f64>) {
+        self.0
+            .store(value.unwrap_or(f64::NAN).to_bits(), Ordering::Relaxed);
+    }
+
+    /// Folds one observation in and returns the new estimate.
+    pub(super) fn update(&self, x: f64) -> f64 {
+        let mut cur = self.0.load(Ordering::Relaxed);
+        loop {
+            let old = f64::from_bits(cur);
+            let new = if old.is_nan() {
+                x
+            } else {
+                old + EWMA_ALPHA * (x - old)
+            };
+            match self.0.compare_exchange_weak(
+                cur,
+                new.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return new,
+                Err(seen) => cur = seen,
+            }
+        }
+    }
+
+    pub(super) fn get(&self) -> Option<f64> {
+        let v = f64::from_bits(self.0.load(Ordering::Relaxed));
+        (!v.is_nan()).then_some(v)
+    }
+}
+
+/// One executor's feed into the live estimates: where its per-batch work
+/// times go.
+pub(super) struct BatchClock<'a> {
+    /// The scheduler EWMA this executor's role feeds, and its obs series.
+    cell: &'a AtomicEwma,
+    series: &'static str,
+    /// The slot's straggler factor (1.0 = healthy).
+    slowdown: f64,
+    /// This executor's own batch-time EWMA, published as a gauge so the
+    /// straggler alert can compare it against its fleet's median.
+    own: Option<f64>,
+    gauge: String,
+}
+
+impl<'a> BatchClock<'a> {
+    pub(super) fn new(
+        cell: &'a AtomicEwma,
+        series: &'static str,
+        gauge: String,
+        slowdown: f64,
+    ) -> Self {
+        BatchClock {
+            cell,
+            series,
+            slowdown,
+            own: None,
+            gauge,
+        }
+    }
+
+    /// Records one batch that took `secs` of work. A straggling device
+    /// first stretches the batch to `slowdown` times its natural duration
+    /// (a real sleep); the stretched time is what both EWMAs observe, so
+    /// the allocation rule and the switching metric see the straggler.
+    pub(super) fn record(&mut self, mut secs: f64, obs: &Obs) {
+        if self.slowdown > 1.0 {
+            std::thread::sleep(Duration::from_secs_f64(secs * (self.slowdown - 1.0)));
+            secs *= self.slowdown;
+        }
+        let est = self.cell.update(secs);
+        obs.metrics.sample(self.series, obs.now_ns(), est);
+        let own = self
+            .own
+            .map_or(secs, |prev| prev + EWMA_ALPHA * (secs - prev));
+        self.own = Some(own);
+        obs.metrics.gauge_set(&self.gauge, own);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Helpers.
+// ---------------------------------------------------------------------------
+
+/// The hotness policy ranking vertices for every per-executor cache:
+/// PreSC#1, the paper's.
+const CACHE_POLICY: PolicyKind = PolicyKind::PreSC { k: 1 };
+
+/// A cache table of the `rows` hottest vertices (empty without a hotness
+/// map or rows to spend).
+pub(super) fn plan_table(hotness: Option<&Vec<f64>>, rows: usize, n: usize) -> CacheTable {
+    match hotness {
+        Some(h) if rows > 0 => load_cache_topk(h, rows, n),
+        _ => CacheTable::empty(n),
+    }
+}
+
+/// How much more extraction traffic the standby's planned cache misses
+/// relative to a dedicated Trainer's, estimated from the hotness mass
+/// each planned cache captures: `(1 + miss_s) / (1 + miss_t)` where
+/// `miss_r` is role r's expected miss fraction (hotness is proportional
+/// to expected visits, so captured mass approximates the hit rate).
+/// Always ≥ 1; exactly 1 with no hotness or equal shapes. Seeds the
+/// standby `T_t'` estimate before any standby has run.
+pub(super) fn planned_miss_ratio(
+    hotness: Option<&Vec<f64>>,
+    trainer_rows: usize,
+    standby_rows: usize,
+) -> f64 {
+    let Some(h) = hotness else { return 1.0 };
+    let total: f64 = h.iter().sum();
+    if total <= 0.0 {
+        return 1.0;
+    }
+    let mut sorted = h.clone();
+    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+    let mass = |rows: usize| sorted.iter().take(rows).sum::<f64>() / total;
+    let miss_t = 1.0 - mass(trainer_rows);
+    let miss_s = 1.0 - mass(standby_rows);
+    ((1.0 + miss_s) / (1.0 + miss_t)).max(1.0)
+}
+
+/// Copies master parameter values into a replica (the Trainer's pull).
+pub(super) fn pull_params(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
+    // The lock is held only for the copy, not the assignment.
+    let masters = server.lock().values();
+    for (p, m) in replica.params_mut().into_iter().zip(masters) {
+        p.value = m;
+    }
+}
+
+/// Pushes a replica's gradients into the master and steps the optimizer
+/// (asynchronous update; staleness is bounded by the number of in-flight
+/// Trainers).
+pub(super) fn push_grads(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
+    let grads: Vec<Matrix> = replica
+        .params_mut()
+        .iter()
+        .map(|p| p.grad.clone())
+        .collect();
+    replica.zero_grad();
+    let mut guard = server.lock();
+    let ParamServer { master, opt } = &mut *guard;
+    let mut params = master.params_mut();
+    for (p, g) in params.iter_mut().zip(grads) {
+        p.grad.add_assign(&g);
+    }
+    opt.step(&mut params);
+}
+
+/// Builds a model of the run's shape initialized from `(role, index)`'s
+/// own RNG stream: the master (`Model`, 0) and every consumer's replica
+/// (`Trainer`/`Standby`, its executor id).
+pub(super) fn new_model(
+    graph: &SbmGraph,
+    kind: ModelKind,
+    cfg: &ThreadedConfig,
+    role: StreamRole,
+    index: u64,
+) -> GnnModel {
+    GnnModel::new(ModelConfig {
+        kind,
+        in_dim: graph.feat_dim,
+        hidden_dim: cfg.hidden_dim,
+        num_classes: graph.num_classes,
+        seed: stream_seed(cfg.seed, role, index),
+    })
+}
+
+/// Renders a caught panic payload as text.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared run state.
+// ---------------------------------------------------------------------------
+
+/// Everything the executors and the supervisor share for one run. Lives on
+/// the caller's stack outside the thread scope so respawned threads can
+/// borrow it (`&'env Shared`).
+pub(super) struct Shared<'a> {
+    pub cfg: &'a ThreadedConfig,
+    pub kind: ModelKind,
+    pub graph: &'a SbmGraph,
+    pub train_set: &'a [VertexId],
+    pub shuffle_seed: u64,
+    pub batches_per_epoch: usize,
+    pub queue: GlobalQueue<TrainTask>,
+    pub obs: Arc<Obs>,
+    /// The shared host feature tier every executor-owned store reads on a
+    /// miss; materialized once per run.
+    pub host_store: Arc<FeatureStore>,
+    /// Shared PreSC hotness map the per-executor tables rank by; `None`
+    /// when no planned role affords cache rows (α = 0 skips the pass).
+    pub hotness: Option<Vec<f64>>,
+    /// The per-role memory plans (§3 capacity accounting): Trainer budget
+    /// minus train workspace; standby budget minus topology + sampling
+    /// workspace + train workspace.
+    pub plan: LiveCachePlan,
+    /// The table the Samplers' M step marks against. Per-executor stores
+    /// built at trainer rows share this exact layout; a standby's table is
+    /// a prefix of it, so the mask stays a sound hint (it only feeds a
+    /// length debug-assert plus the Sampler-side mark accounting).
+    pub mark_table: CacheTable,
+    /// The data-parallel pool behind Extract, pre-sampling and cache
+    /// fills.
+    pub pool: Arc<ThreadPool>,
+    /// Planned standby/trainer extraction-traffic ratio (≥ 1), the
+    /// `T_t'` seed before any standby has run.
+    pub standby_miss_ratio: f64,
+    /// EWMA of measured cache-refresh seconds, amortized into the `T_t'`
+    /// seed.
+    pub refresh_secs: AtomicEwma,
+    /// One report per executor-owned store, pushed when its consume loop
+    /// exits.
+    pub cache_reports: Mutex<Vec<ExecutorCacheReport>>,
+    pub server: Mutex<ParamServer>,
+    /// Live `T_s`/`T_t`/`T_t'` estimates plus the active-Trainer count,
+    /// shared by every executor of the run.
+    pub t_sample: AtomicEwma,
+    pub t_train: AtomicEwma,
+    pub t_standby: AtomicEwma,
+    pub active_trainers: AtomicUsize,
+    pub book: Mutex<SamplerBook>,
+    /// Executor ids currently consuming (Trainers + switched standbys);
+    /// the supervisor respawns a Trainer when a crash empties this set
+    /// with work still queued.
+    pub consuming: Mutex<HashSet<usize>>,
+    /// Unique executor ids (also the lease owner ids and respawn RNG
+    /// stream indices).
+    pub next_exec: AtomicUsize,
+    /// One fired flag per [`FaultPlan::crashes`](crate::faults::FaultPlan)
+    /// entry, so each injected crash fires exactly once across respawns.
+    pub crash_fired: Vec<AtomicBool>,
+    pub first_error: Mutex<Option<ThreadedError>>,
+    pub produced: AtomicUsize,
+    pub trained: AtomicUsize,
+    pub switches: AtomicUsize,
+    /// Per-batch training history, pushed by every consumer as batches
+    /// train (preloaded with the checkpointed prefix on resume).
+    pub history: Mutex<Vec<BatchRecord>>,
+    /// Checkpoint runtime; `None` when the policy is disabled (executors
+    /// then run the exact pre-checkpoint code paths).
+    pub ckpt: Option<CkptRuntime>,
+    /// Units of [`FaultPlan::max_respawns`](crate::faults::FaultPlan) spent so far.
+    pub respawns_used: AtomicUsize,
+    /// The cumulative recovery report (also the end-of-run report).
+    /// Recovery events are rare — a crash, a retry — so one leaf lock
+    /// keeps the report a single value that checkpoints copy out and
+    /// resume copies back whole.
+    pub recovery: Mutex<RecoveryReport>,
+}
+
+impl<'a> Shared<'a> {
+    /// Plans memory, ranks the cache, and builds the run's shared state
+    /// around `train_set` — everything short of spawning an executor.
+    pub(super) fn new(
+        graph: &'a SbmGraph,
+        kind: ModelKind,
+        cfg: &'a ThreadedConfig,
+        obs: &Arc<Obs>,
+        train_set: &'a [VertexId],
+    ) -> Self {
+        let n = graph.csr.num_vertices();
+        let batches_per_epoch = train_set.len().div_ceil(cfg.batch_size);
+        // The data-parallel pool behind Extract and pre-sampling; shared by
+        // every Trainer through the feature store.
+        let pool = Arc::new(ThreadPool::new(cfg.threads));
+        obs.metrics
+            .gauge_set(names::EXTRACT_PAR_THREADS, pool.threads() as f64);
+        obs.metrics
+            .gauge_set(names::FAULTS_RESPAWN_BUDGET, cfg.faults.max_respawns as f64);
+        // The §3 memory plan: one role-appropriate cache budget per consumer.
+        // Trainers spend budget minus the train workspace on cache rows; a
+        // standby's device additionally keeps topology and the sampling
+        // workspace, so its cache is strictly smaller.
+        let live = LiveGraphBytes::new(n, graph.csr.num_edges(), graph.feat_dim);
+        let sample_ws = live_sample_workspace_bytes(kind, cfg.batch_size, n);
+        let train_ws = live_train_workspace_bytes(
+            kind,
+            cfg.batch_size,
+            graph.feat_dim,
+            cfg.hidden_dim,
+            graph.num_classes,
+            n,
+        );
+        // No explicit device budget: it is derived from `cache_alpha` so the
+        // dedicated Trainers land exactly on that ratio.
+        let plan = plan_live_run(None, cfg.cache_alpha, &live, sample_ws, train_ws);
+        obs.metrics
+            .gauge_set(names::CACHE_TRAINER_ALPHA, plan.trainer.cache_alpha);
+        obs.metrics
+            .gauge_set(names::CACHE_STANDBY_ALPHA, plan.standby.cache_alpha);
+        // The shared hotness map every per-executor cache ranks by
+        // (pre-sampling fans out over `pool`). Skipped when no planned role
+        // affords a single cache row: the α = 0 path used to pay a full
+        // pre-sampling epoch for a cache nothing would ever populate.
+        let hotness = (plan.trainer_rows > 0 || plan.standby_rows > 0).then(|| {
+            CachePolicy::hotness_with_pool(
+                CACHE_POLICY,
+                &graph.csr,
+                train_set,
+                sampler_for(kind).as_ref(),
+                cfg.batch_size,
+                cfg.seed,
+                &pool,
+            )
+            .hotness
+        });
+        Shared {
+            cfg,
+            kind,
+            graph,
+            train_set,
+            shuffle_seed: stream_seed(cfg.seed, StreamRole::Shuffle, 0),
+            batches_per_epoch,
+            queue: GlobalQueue::bounded_with_obs(cfg.queue_capacity, Arc::clone(obs)),
+            obs: Arc::clone(obs),
+            host_store: Arc::new(FeatureStore::materialized(
+                n,
+                graph.feat_dim,
+                graph.features.clone(),
+            )),
+            standby_miss_ratio: planned_miss_ratio(
+                hotness.as_ref(),
+                plan.trainer_rows,
+                plan.standby_rows,
+            ),
+            mark_table: plan_table(hotness.as_ref(), plan.trainer_rows, n),
+            hotness,
+            plan,
+            pool,
+            refresh_secs: AtomicEwma::new(),
+            cache_reports: Mutex::new(Vec::new()),
+            server: Mutex::new(ParamServer {
+                master: new_model(graph, kind, cfg, StreamRole::Model, 0),
+                opt: Adam::new(cfg.lr),
+            }),
+            t_sample: AtomicEwma::new(),
+            t_train: AtomicEwma::new(),
+            t_standby: AtomicEwma::new(),
+            active_trainers: AtomicUsize::new(cfg.num_trainers),
+            book: Mutex::new(SamplerBook::new(batches_per_epoch * cfg.epochs)),
+            consuming: Mutex::new(HashSet::new()),
+            next_exec: AtomicUsize::new(0),
+            crash_fired: cfg
+                .faults
+                .crashes
+                .iter()
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            first_error: Mutex::new(None),
+            produced: AtomicUsize::new(0),
+            trained: AtomicUsize::new(0),
+            switches: AtomicUsize::new(0),
+            history: Mutex::new(Vec::new()),
+            ckpt: cfg
+                .checkpoint
+                .enabled()
+                .then(|| CkptRuntime::new(cfg.checkpoint.clone(), batches_per_epoch)),
+            respawns_used: AtomicUsize::new(0),
+            recovery: Mutex::new(RecoveryReport::default()),
+        }
+    }
+}
+
+impl Shared<'_> {
+    /// Records `err` (first crash wins) and poisons the queue so every
+    /// blocked executor unwinds promptly.
+    pub(super) fn fail_fatal(&self, err: ThreadedError) {
+        let mut slot = self.first_error.lock();
+        if slot.is_none() {
+            *slot = Some(err.clone());
+        }
+        drop(slot);
+        self.queue.poison(&err.to_string());
+    }
+
+    /// [`Shared::fail_fatal`] from a caught panic payload. A panic is
+    /// fatal either because the run has no respawn budget at all, or
+    /// because the budget ran out — the kinds (and exit codes) differ.
+    pub(super) fn fail(&self, who: String, payload: Box<dyn std::any::Any + Send>) {
+        let kind = if self.cfg.faults.max_respawns > 0 {
+            ThreadedErrorKind::RespawnBudgetExhausted
+        } else {
+            ThreadedErrorKind::ExecutorPanic
+        };
+        self.fail_fatal(ThreadedError::new(kind, who, panic_text(payload)));
+    }
+
+    /// The injected-crash point: panics — at most once per
+    /// [`FaultPlan::crashes`](crate::faults::FaultPlan) entry, across
+    /// respawns — once `who` has finished the entry's batch count.
+    pub(super) fn crash_point(&self, crash: Option<(usize, usize)>, done: usize, who: &str) {
+        if let Some((ci, after)) = crash {
+            if done >= after && !self.crash_fired[ci].swap(true, Ordering::AcqRel) {
+                self.note_fault();
+                panic!("injected fault: {who} after {after} batches");
+            }
+        }
+    }
+
+    /// Counts one injected fault.
+    pub(super) fn note_fault(&self) {
+        self.recovery.lock().faults_injected += 1;
+        self.obs.metrics.counter_inc(names::FAULTS_INJECTED);
+    }
+
+    /// Tries to consume one unit of the respawn budget; `false` means the
+    /// budget is exhausted and the crash must fail the run.
+    pub(super) fn try_consume_budget(&self) -> bool {
+        self.respawns_used
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |used| {
+                (used < self.cfg.faults.max_respawns).then_some(used + 1)
+            })
+            .is_ok()
+    }
+
+    /// Whether the queue has nothing left for consumers, now or ever.
+    pub(super) fn queue_drained(&self) -> bool {
+        self.queue.is_closed() && self.queue.remaining() == 0 && self.queue.leased_count() == 0
+    }
+
+    /// Books `elapsed` as supervisor downtime for one absorbed crash.
+    pub(super) fn note_downtime(&self, elapsed: Duration) {
+        // Recovery is fast enough that a coarse clock can read 0; floor at
+        // 1ns so "downtime was accounted" stays observable.
+        let ns = (elapsed.as_nanos() as u64).max(1);
+        self.recovery.lock().downtime_ns += ns;
+        self.obs
+            .metrics
+            .counter_add(names::RECOVERY_DOWNTIME_NS, ns as f64);
+    }
+
+    /// Fills a fresh two-tier store over the shared host tier with
+    /// `table`'s feature rows; returns it with the fill's measured wall
+    /// nanoseconds.
+    pub(super) fn fill_store(&self, table: CacheTable) -> (CachedFeatureStore, u64) {
+        let started = Instant::now();
+        let (store, _) = CachedFeatureStore::shared_with_pool(
+            Arc::clone(&self.host_store),
+            table,
+            Arc::clone(&self.pool),
+        );
+        // Tiny fills can round to 0 on a coarse clock; floor at 1ns so
+        // "the refresh was measured" stays observable per store.
+        (store, (started.elapsed().as_nanos() as u64).max(1))
+    }
+
+    /// The span-instrumented cache-refresh stage: fills a fresh
+    /// executor-owned store with its planned `rows` hottest feature rows,
+    /// measuring the cost into the `cache.refresh_ns` histogram and the
+    /// refresh EWMA that amortizes into the `T_t'` seed. Returns the
+    /// store and its measured refresh nanoseconds.
+    pub(super) fn build_store(
+        &self,
+        rows: usize,
+        device: u32,
+        role: Executor,
+    ) -> (CachedFeatureStore, u64) {
+        let table = plan_table(self.hotness.as_ref(), rows, self.graph.csr.num_vertices());
+        let (store, ns) = {
+            let _g = self
+                .obs
+                .start_span(device, role, Stage::LoadCache, u64::MAX);
+            self.fill_store(table)
+        };
+        self.obs.metrics.observe(names::CACHE_REFRESH_NS, ns as f64);
+        self.refresh_secs.update(ns as f64 / 1e9);
+        (store, ns)
+    }
+
+    /// The §5.2 allocation rule on live estimates: with `n_g` devices,
+    /// how many should currently train.
+    pub(super) fn ideal_trainers(&self, n_g: usize) -> usize {
+        let t_s = self.t_sample.get().unwrap_or(1e-3).max(1e-9);
+        let t_t = self.t_train.get().unwrap_or(t_s).max(1e-9);
+        n_g - num_samplers(n_g, t_s, t_t)
+    }
+}

@@ -1,0 +1,573 @@
+//! End-to-end unit tests of the threaded runtime (moved verbatim from the
+//! old single-file `threaded.rs`).
+
+use super::shared::{stream_seed, StreamRole};
+use super::*;
+use crate::faults::{ExecutorRole, FaultPlan};
+use gnnlab_graph::gen::{sbm, SbmParams};
+use gnnlab_obs::names;
+use gnnlab_sampling::presample_rng;
+use std::time::{Duration, Instant};
+
+fn graph() -> SbmGraph {
+    sbm(&SbmParams {
+        num_vertices: 600,
+        num_classes: 4,
+        avg_degree: 10.0,
+        intra_prob: 0.9,
+        feat_dim: 8,
+        noise: 0.6,
+        seed: 3,
+    })
+    .unwrap()
+}
+
+#[test]
+fn threaded_run_trains_every_batch_exactly_once() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 3,
+        epochs: 4,
+        batch_size: 25,
+        ..Default::default()
+    };
+    let res = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap();
+    let batches_per_epoch = (300usize).div_ceil(25);
+    assert_eq!(res.samples_produced, batches_per_epoch * 4);
+    assert_eq!(res.batches_trained, res.samples_produced);
+    assert_eq!(res.recovery, RecoveryReport::default());
+}
+
+#[test]
+fn threaded_training_learns() {
+    let g = graph();
+    let res = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &ThreadedConfig {
+            epochs: 12,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(
+        res.final_accuracy > 0.7,
+        "threaded accuracy {:.3}",
+        res.final_accuracy
+    );
+}
+
+#[test]
+fn two_tier_extraction_serves_hits() {
+    let g = graph();
+    let res = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &ThreadedConfig {
+            epochs: 2,
+            cache_alpha: 0.5,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(
+        res.cache_hit_rate > 0.3,
+        "hit rate {:.3} too low for a 50% cache",
+        res.cache_hit_rate
+    );
+    let uncached = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &ThreadedConfig {
+            epochs: 2,
+            cache_alpha: 0.0,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(uncached.cache_hit_rate, 0.0);
+}
+
+#[test]
+fn threaded_run_populates_observability() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        epochs: 2,
+        cache_alpha: 0.5,
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+
+    // The telemetry thread sampled the depth gauge into a series (at
+    // least the final stop-time tick), and the capacity gauge
+    // reflects the bound.
+    assert!(
+        obs.metrics.series_len("queue.depth") > 0,
+        "no depth samples"
+    );
+    assert!(obs.metrics.gauge("queue.depth").is_some());
+    assert_eq!(
+        obs.metrics.gauge("queue.capacity").unwrap().last,
+        cfg.queue_capacity as f64
+    );
+    assert_eq!(
+        obs.metrics.counter("queue.enqueued") as usize,
+        res.samples_produced
+    );
+    assert_eq!(
+        obs.metrics.counter("queue.dequeued") as usize,
+        res.batches_trained
+    );
+    // Live stage-time estimates were published.
+    assert!(obs.metrics.series_len("scheduler.ewma_t_sample") > 0);
+    assert!(obs.metrics.series_len("scheduler.ewma_t_train") > 0);
+    // Per-executor batch-time EWMAs (straggler-alert inputs): one
+    // gauge per sampler and trainer slot.
+    for s in 0..cfg.num_samplers {
+        assert!(
+            obs.metrics
+                .gauge(&names::executor_ewma("sampler", s))
+                .is_some(),
+            "missing sampler {s} EWMA gauge"
+        );
+    }
+    for t in 0..cfg.num_trainers {
+        assert!(
+            obs.metrics
+                .gauge(&names::executor_ewma("trainer", t))
+                .is_some(),
+            "missing trainer {t} EWMA gauge"
+        );
+    }
+    // Span recording fed the per-stage latency histograms, with live
+    // quantiles.
+    let train_ns = obs.metrics.histogram("stage.train.ns").unwrap();
+    assert!(train_ns.count > 0);
+    assert!(train_ns.p99().unwrap() >= train_ns.p50().unwrap());
+    // The respawn budget is visible to the alert engine even on a
+    // healthy run.
+    assert!(obs.metrics.gauge(names::FAULTS_RESPAWN_BUDGET).is_some());
+    // Cache hit/miss totals were published by the executors' stores.
+    assert!(obs.metrics.counter("cache.lookups") > 0.0);
+    assert!(obs.metrics.counter("cache.hits") > 0.0);
+    assert!(obs.metrics.counter("cache.misses") > 0.0);
+    // Each Trainer streamed its own per-executor cache family, and the
+    // aggregate equals the sum of the per-executor counters.
+    let mut lookup_sum = 0.0;
+    for t in 0..cfg.num_trainers {
+        let lk = obs
+            .metrics
+            .counter(&names::executor_cache("trainer", t, "lookups"));
+        assert!(lk > 0.0, "trainer {t} published no cache lookups");
+        assert!(
+            obs.metrics
+                .gauge(&names::executor_cache("trainer", t, "hit_rate"))
+                .is_some(),
+            "trainer {t} missing hit-rate gauge"
+        );
+        lookup_sum += lk;
+    }
+    // The aggregate rolls up every per-executor store (standby
+    // families join the trainer ones when a switch happened).
+    assert!(lookup_sum <= obs.metrics.counter("cache.lookups"));
+    assert_eq!(
+        res.caches.iter().map(|c| c.stats.lookups).sum::<u64>() as f64,
+        obs.metrics.counter("cache.lookups")
+    );
+    // Every Trainer's cache fill was measured into the refresh
+    // histogram, and the plan gauges carry the per-role ratios.
+    let refresh = obs.metrics.histogram(names::CACHE_REFRESH_NS).unwrap();
+    assert!(refresh.count >= cfg.num_trainers as u64);
+    assert!(refresh.sum > 0.0);
+    assert_eq!(
+        obs.metrics.gauge(names::CACHE_TRAINER_ALPHA).unwrap().last,
+        0.5
+    );
+    // One report per dedicated Trainer (no switch happened here or it
+    // adds standby entries after the trainers).
+    assert!(res.caches.len() >= cfg.num_trainers);
+    for (t, c) in res.caches.iter().take(cfg.num_trainers).enumerate() {
+        assert_eq!(c.role, Executor::Trainer);
+        assert_eq!(c.slot, t);
+        assert!(c.refresh_ns > 0);
+    }
+    // Every executor recorded wall-clock spans; none overlap on a lane.
+    assert!(obs.span_count() > 0);
+    assert!(gnnlab_obs::find_overlap(&obs.spans()).is_none());
+}
+
+#[test]
+fn single_executor_degenerate_case_works() {
+    let g = graph();
+    let res = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &ThreadedConfig {
+            num_samplers: 1,
+            num_trainers: 1,
+            epochs: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert!(res.batches_trained > 0);
+}
+
+#[test]
+fn stream_seeds_are_pairwise_distinct() {
+    // Regression: `seed ^ (0 << 17) == seed` made Sampler 0 share its
+    // stream with the model init and the shuffle. Every (role, index)
+    // stream must be unique, and none may equal the raw seed.
+    for seed in [0u64, 1, 42, u64::MAX] {
+        let mut seen = std::collections::HashSet::new();
+        seen.insert(seed);
+        for role in [
+            StreamRole::Model,
+            StreamRole::Trainer,
+            StreamRole::Standby,
+            StreamRole::Eval,
+            StreamRole::Split,
+            StreamRole::Shuffle,
+        ] {
+            for index in 0..8u64 {
+                assert!(
+                    seen.insert(stream_seed(seed, role, index)),
+                    "stream collision at seed={seed} role={role:?} index={index}"
+                );
+            }
+        }
+        // Per-batch sampling streams live in their own domain: none
+        // may collide with any executor stream or the raw seed.
+        for epoch in 0..4u64 {
+            for batch in 0..4u64 {
+                let mut rng = presample_rng(seed, epoch, batch);
+                let draw: u64 = rand::Rng::r#gen(&mut rng);
+                assert!(
+                    seen.insert(draw),
+                    "sampling stream collision at seed={seed} epoch={epoch} batch={batch}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn slow_trainers_block_samplers_at_queue_capacity() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 1,
+        epochs: 2,
+        batch_size: 25,
+        queue_capacity: 4,
+        trainer_delay: Some(Duration::from_millis(3)),
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    assert_eq!(res.batches_trained, res.samples_produced);
+    // Backpressure: the queue filled to exactly its capacity and the
+    // Samplers spent real time blocked.
+    assert_eq!(res.peak_queue_depth, 4, "queue never hit its bound");
+    // The gauge's max catches the peak exactly (the sampled series
+    // may miss the instant the queue was full).
+    assert_eq!(obs.metrics.gauge("queue.depth").unwrap().max, 4.0);
+    assert!(res.queue_blocked_ns > 0, "no blocked time recorded");
+    assert!(obs.metrics.counter("queue.blocked_ns") > 0.0);
+}
+
+#[test]
+fn backlog_at_sampler_finish_triggers_standby_switch() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 1,
+        epochs: 3,
+        batch_size: 25,
+        queue_capacity: 128,
+        trainer_delay: Some(Duration::from_millis(3)),
+        dynamic_switching: true,
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    // Slow Trainers leave a backlog when sampling ends, so the profit
+    // metric wakes at least one standby Trainer — and every batch is
+    // still trained exactly once.
+    assert!(res.switches >= 1, "no standby switch despite backlog");
+    assert_eq!(
+        obs.metrics.counter("scheduler.switches") as usize,
+        res.switches
+    );
+    assert_eq!(res.batches_trained, res.samples_produced);
+    let batches_per_epoch = (300usize).div_ceil(25);
+    assert_eq!(res.samples_produced, batches_per_epoch * 3);
+    // The standby recorded spans under its own executor role.
+    assert!(obs.spans().iter().any(|s| s.executor == Executor::Standby));
+}
+
+/// Satellite: under skewed hotness a switched standby's *measured*
+/// hit rate sits strictly below a dedicated Trainer's — its memory
+/// plan keeps topology and the sampling workspace, so it affords
+/// fewer cache rows — and every switch measured a cache refresh.
+#[test]
+fn standby_cache_is_smaller_and_hits_less_than_a_trainers() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 1,
+        epochs: 3,
+        batch_size: 25,
+        cache_alpha: 0.5,
+        queue_capacity: 128,
+        trainer_delay: Some(Duration::from_millis(3)),
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    assert!(res.switches >= 1, "no standby switch despite backlog");
+    let trainer = res
+        .caches
+        .iter()
+        .find(|c| c.role == Executor::Trainer)
+        .expect("a dedicated Trainer report");
+    let standby = res
+        .caches
+        .iter()
+        .find(|c| c.role == Executor::Standby && c.stats.lookups > 0)
+        .expect("a switched standby that trained batches");
+    assert!(
+        standby.rows < trainer.rows,
+        "standby rows {} not below trainer rows {}",
+        standby.rows,
+        trainer.rows
+    );
+    assert!(standby.alpha < trainer.alpha);
+    assert!(
+        standby.stats.hit_rate() < trainer.stats.hit_rate(),
+        "standby hit rate {:.3} not strictly below trainer {:.3}",
+        standby.stats.hit_rate(),
+        trainer.stats.hit_rate()
+    );
+    // Every switched standby's refresh was measured (trainer fills +
+    // one per standby store built).
+    let refresh = obs.metrics.histogram(names::CACHE_REFRESH_NS).unwrap();
+    assert!(refresh.count >= (cfg.num_trainers + res.switches) as u64);
+    for c in &res.caches {
+        assert!(c.refresh_ns > 0, "{:?} has unmeasured refresh", c.role);
+    }
+    // Exactly-once training still holds through the switch.
+    assert_eq!(res.batches_trained, res.samples_produced);
+}
+
+#[test]
+fn switching_disabled_never_switches() {
+    let g = graph();
+    let res = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &ThreadedConfig {
+            num_samplers: 2,
+            num_trainers: 1,
+            epochs: 2,
+            trainer_delay: Some(Duration::from_millis(2)),
+            dynamic_switching: false,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(res.switches, 0);
+    assert_eq!(res.batches_trained, res.samples_produced);
+}
+
+// --- Fault injection and recovery -------------------------------------
+
+#[test]
+fn trainer_crash_without_budget_fails_the_run_in_bounded_time() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 1,
+        epochs: 4,
+        batch_size: 25,
+        // A tiny queue so Samplers are deep in blocked enqueues when
+        // the only Trainer dies — the old unbounded/spinning runtime
+        // would hang here.
+        queue_capacity: 2,
+        faults: FaultPlan::crash_trainer(0, 3).with_max_respawns(0),
+        ..Default::default()
+    };
+    let started = Instant::now();
+    let err = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap_err();
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "tear-down took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(err.executor, "Trainer 0");
+    assert!(err.message.contains("injected fault"), "{err}");
+}
+
+#[test]
+fn sampler_crash_without_budget_fails_the_run() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 2,
+        epochs: 2,
+        faults: FaultPlan::crash_sampler(1, 2).with_max_respawns(0),
+        ..Default::default()
+    };
+    let err = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap_err();
+    assert_eq!(err.executor, "Sampler 1");
+    assert!(err.message.contains("injected fault"), "{err}");
+}
+
+#[test]
+fn trainer_crash_within_budget_recovers_and_trains_every_batch() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 2,
+        epochs: 3,
+        batch_size: 25,
+        faults: FaultPlan::crash_trainer(0, 2),
+        ..Default::default()
+    };
+    let res = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap();
+    let batches_per_epoch = (300usize).div_ceil(25);
+    assert_eq!(res.samples_produced, batches_per_epoch * 3);
+    assert_eq!(
+        res.batches_trained, res.samples_produced,
+        "exactly-once violated"
+    );
+    assert_eq!(res.recovery.faults_injected, 1);
+    assert!(
+        res.recovery.replayed_batches >= 1,
+        "the crash fired while a lease was held: {:?}",
+        res.recovery
+    );
+    assert!(res.recovery.recovered() >= 1, "{:?}", res.recovery);
+    assert!(res.recovery.downtime_ns > 0);
+}
+
+#[test]
+fn sole_trainer_crash_forces_a_respawn() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 1,
+        num_trainers: 1,
+        epochs: 2,
+        batch_size: 25,
+        dynamic_switching: false,
+        faults: FaultPlan::crash_trainer(0, 1),
+        ..Default::default()
+    };
+    let res = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap();
+    assert_eq!(res.batches_trained, res.samples_produced);
+    // With zero surviving consumers the supervisor must respawn, or
+    // the producers would block forever.
+    assert_eq!(res.recovery.respawns, 1, "{:?}", res.recovery);
+    assert!(res.recovery.replayed_batches >= 1);
+}
+
+#[test]
+fn sampler_crash_within_budget_recovers_every_batch() {
+    let g = graph();
+    for samplers in [1usize, 2] {
+        let cfg = ThreadedConfig {
+            num_samplers: samplers,
+            num_trainers: 2,
+            epochs: 2,
+            batch_size: 25,
+            faults: FaultPlan::crash_sampler(0, 2),
+            ..Default::default()
+        };
+        let res = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap();
+        let batches_per_epoch = (300usize).div_ceil(25);
+        assert_eq!(
+            res.samples_produced,
+            batches_per_epoch * 2,
+            "lost batches with {samplers} samplers: {:?}",
+            res.recovery
+        );
+        assert_eq!(res.batches_trained, res.samples_produced);
+        assert!(res.recovery.recovered() >= 1);
+        // The sole-sampler case must respawn; the two-sampler case may
+        // reassign to the survivor.
+        if samplers == 1 {
+            assert_eq!(res.recovery.respawns, 1, "{:?}", res.recovery);
+        }
+    }
+}
+
+#[test]
+fn transient_faults_retry_in_place_and_still_train_everything() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 2,
+        epochs: 2,
+        batch_size: 25,
+        // max_consecutive (2) ≤ max_attempts (4): always recoverable.
+        faults: FaultPlan::none().with_transients(0.5, 2).with_seed(11),
+        ..Default::default()
+    };
+    let res = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap();
+    assert_eq!(res.batches_trained, res.samples_produced);
+    assert!(res.recovery.retries > 0, "p=0.5 must trigger retries");
+    assert_eq!(res.recovery.faults_injected, res.recovery.retries);
+    assert_eq!(res.recovery.recovered(), 0, "retries are not crashes");
+}
+
+#[test]
+fn unrecoverable_transient_fault_fails_fast() {
+    let g = graph();
+    let mut faults = FaultPlan::none().with_transients(1.0, 10).with_seed(5);
+    faults.retry.max_attempts = 2;
+    let cfg = ThreadedConfig {
+        num_samplers: 1,
+        num_trainers: 1,
+        epochs: 1,
+        batch_size: 50,
+        faults,
+        ..Default::default()
+    };
+    let err = run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap_err();
+    assert!(
+        err.message.contains("unrecoverable transient fault"),
+        "{err}"
+    );
+}
+
+#[test]
+fn stragglers_stretch_the_observed_stage_times() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        num_samplers: 1,
+        num_trainers: 1,
+        epochs: 1,
+        batch_size: 25,
+        dynamic_switching: false,
+        faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    assert_eq!(res.batches_trained, res.samples_produced);
+    // The straggling Trainer's EWMA saw the stretched times.
+    let t_t = obs
+        .metrics
+        .series_max(names::SCHEDULER_EWMA_T_TRAIN)
+        .unwrap();
+    let t_s = obs
+        .metrics
+        .series_max(names::SCHEDULER_EWMA_T_SAMPLE)
+        .unwrap();
+    assert!(
+        t_t > t_s * 2.0,
+        "straggler not visible: T_t={t_t:.6} vs T_s={t_s:.6}"
+    );
+}

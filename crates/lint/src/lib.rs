@@ -397,8 +397,10 @@ fn looks_like_metric_name(s: &str) -> bool {
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     // Whole-file scopes.
+    // `foo/tests.rs` is the out-of-line body of a `#[cfg(test)] mod tests;`.
     let in_tests_dir = path.starts_with("tests/")
         || path.contains("/tests/")
+        || path.ends_with("/tests.rs")
         || path.contains("/benches/")
         || path.contains("/examples/");
     let is_facade = FACADE_FILES.contains(&path);
@@ -699,6 +701,7 @@ mod tests {
         let src = "fn f() { x.unwrap(); }";
         assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
         assert!(lint_source("tests/foo.rs", src).is_empty());
+        assert!(lint_source("crates/core/src/threaded/tests.rs", src).is_empty());
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Deliberately defective queue variants proving the model checker's
-//! teeth (compiled only under the `chk` feature, never in production).
+//! teeth (test-tree only: no production crate compiles them).
 //!
 //! Each [`Defect`] plants one classic concurrency bug in an otherwise
-//! idiomatic bounded-queue skeleton built from the same `crate::sync`
-//! façade the real [`GlobalQueue`](crate::queue::GlobalQueue) uses. The
-//! regression tests in `tests/model_check.rs` assert that
-//! `gnnlab_chk::check` *finds* these bugs — if a refactor of the checker
-//! ever stops catching them, that suite fails, not a production run.
+//! idiomatic bounded-queue skeleton built from the same
+//! `gnnlab_core::sync` façade the real
+//! [`GlobalQueue`](gnnlab_core::queue::GlobalQueue) uses (the root
+//! package's dev-dependency enables core's `chk` feature, so the façade
+//! resolves to the checker's model types). The regression tests in
+//! `main.rs` assert that `gnnlab_chk::check` *finds* these bugs — if a
+//! refactor of the checker ever stops catching them, that suite fails,
+//! not a production run.
 
-use crate::sync::{Condvar, Mutex};
+use gnnlab_core::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
 
 /// Which bug to plant.

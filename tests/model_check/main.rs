@@ -14,8 +14,10 @@
 //! If a checker refactor ever stops detecting either, this fails — the
 //! canary for the canary.
 
+mod broken_queue;
+
+use broken_queue::{BrokenQueue, Defect};
 use gnnlab_chk::{check, Config, ModelError};
-use gnnlab_core::broken_queue::{BrokenQueue, Defect};
 use std::sync::Arc;
 
 fn cfg() -> Config {
