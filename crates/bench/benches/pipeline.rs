@@ -177,6 +177,16 @@ fn bench_matmul_blocked(c: &mut Criterion) {
         });
         bch.iter(|| a.matmul_transb(&bt));
     });
+    group.bench_function("blocked_transa", |bch| {
+        // The weight gradient `Xᵀ·G`: the tall block against a 32-column
+        // output gradient of as many rows.
+        let g = Matrix::from_vec(
+            1024,
+            32,
+            (0..1024 * 32).map(|i| (i % 97) as f32 * 0.03).collect(),
+        );
+        bch.iter(|| a.transa_matmul(&g));
+    });
     group.finish();
 }
 

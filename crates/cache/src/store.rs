@@ -176,11 +176,10 @@ impl CachedFeatureStore {
     /// two recycled buffers alternate between "being extracted into" and
     /// "being trained on".
     pub fn extract_to_buffer(&self, ids: &[VertexId], buf: &mut Vec<f32>) {
-        let want = ids.len() * self.dim;
-        // Dropping stale contents before resize keeps the grow path a
-        // plain fill (no copy of old data into a larger allocation).
-        buf.clear();
-        buf.resize(want, 0.0);
+        // The previous batch's contents stay: `extract_into` overwrites
+        // every row, so only a grown tail is ever filled — clearing first
+        // would memset the whole buffer per batch, which `extract` avoids.
+        buf.resize(ids.len() * self.dim, 0.0);
         self.extract_into(ids, buf);
     }
 
@@ -274,6 +273,18 @@ mod tests {
         s.extract_to_buffer(&ids[..2], &mut buf);
         assert_eq!(buf.len(), 2 * s.dim());
         assert_eq!(buf.capacity(), cap);
+    }
+
+    #[test]
+    fn extract_to_buffer_overwrites_stale_contents_of_any_length() {
+        let s = store(0.5);
+        let ids = vec![3, 0, 5, 1];
+        let owned = s.extract(&ids);
+        for stale_len in [ids.len() * s.dim() + 6, 3] {
+            let mut buf = vec![f32::NAN; stale_len];
+            s.extract_to_buffer(&ids, &mut buf);
+            assert_eq!(owned, buf, "stale length {stale_len}");
+        }
     }
 
     #[test]

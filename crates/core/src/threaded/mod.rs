@@ -193,14 +193,20 @@ pub fn run_threaded_obs(
     let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(cfg.seed, StreamRole::Eval, 0));
     let mut correct = 0.0f64;
     let mut total = 0usize;
+    // One feature buffer and one label buffer, recycled across chunks as
+    // the consumers recycle theirs.
+    let mut feat_buf = Vec::new();
+    let mut labels = Vec::new();
     for chunk in test_set.chunks(cfg.batch_size.max(1)) {
         let sample = algo.sample(&graph.csr, chunk, &mut rng);
-        let raw = eval_store.extract(sample.input_nodes());
-        let feats = Matrix::from_vec(sample.num_input_nodes(), graph.feat_dim, raw);
+        eval_store.extract_to_buffer(sample.input_nodes(), &mut feat_buf);
+        let feats = Matrix::from_vec(sample.num_input_nodes(), graph.feat_dim, feat_buf);
         let logits = master.forward(&sample, &feats);
-        let labels: Vec<u32> = chunk.iter().map(|&v| graph.labels[v as usize]).collect();
+        labels.clear();
+        labels.extend(chunk.iter().map(|&v| graph.labels[v as usize]));
         correct += accuracy(&logits, &labels) * chunk.len() as f64;
         total += chunk.len();
+        feat_buf = feats.into_vec();
     }
     shared.cache_reports.lock().push(ExecutorCacheReport {
         role: Executor::Host,

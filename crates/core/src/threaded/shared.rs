@@ -44,7 +44,7 @@ pub(super) struct ParamServer {
 
 impl ParamServer {
     /// A copy of every master parameter value, in `params_mut()` order —
-    /// what a Trainer pulls and what a checkpoint persists.
+    /// what a checkpoint persists.
     pub(super) fn values(&mut self) -> Vec<Matrix> {
         self.master
             .params_mut()
@@ -234,32 +234,34 @@ pub(super) fn planned_miss_ratio(
     ((1.0 + miss_s) / (1.0 + miss_t)).max(1.0)
 }
 
-/// Copies master parameter values into a replica (the Trainer's pull).
+/// Copies master parameter values into a replica (the Trainer's pull),
+/// straight into the replica's existing buffers under the lock.
 pub(super) fn pull_params(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
-    // The lock is held only for the copy, not the assignment.
-    let masters = server.lock().values();
-    for (p, m) in replica.params_mut().into_iter().zip(masters) {
-        p.value = m;
+    let params = replica.params_mut();
+    let mut guard = server.lock();
+    for (p, m) in params.into_iter().zip(guard.master.params_mut()) {
+        p.value.data_mut().copy_from_slice(m.value.data());
     }
 }
 
 /// Pushes a replica's gradients into the master and steps the optimizer
 /// (asynchronous update; staleness is bounded by the number of in-flight
-/// Trainers).
+/// Trainers). The gradients are added from the replica's own buffers and
+/// zeroed there once the lock is released.
 pub(super) fn push_grads(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
-    let grads: Vec<Matrix> = replica
-        .params_mut()
-        .iter()
-        .map(|p| p.grad.clone())
-        .collect();
-    replica.zero_grad();
-    let mut guard = server.lock();
-    let ParamServer { master, opt } = &mut *guard;
-    let mut params = master.params_mut();
-    for (p, g) in params.iter_mut().zip(grads) {
-        p.grad.add_assign(&g);
+    let mut grads = replica.params_mut();
+    {
+        let mut guard = server.lock();
+        let ParamServer { master, opt } = &mut *guard;
+        let mut params = master.params_mut();
+        for (p, r) in params.iter_mut().zip(&grads) {
+            p.grad.add_assign(&r.grad);
+        }
+        opt.step(&mut params);
     }
-    opt.step(&mut params);
+    for r in &mut grads {
+        r.zero_grad();
+    }
 }
 
 /// Builds a model of the run's shape initialized from `(role, index)`'s

@@ -3,6 +3,7 @@
 use crate::matrix::Matrix;
 use gnnlab_sampling::LayerBlock;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// A trainable parameter: value plus accumulated gradient.
 #[derive(Debug, Clone)]
@@ -26,74 +27,68 @@ impl Param {
     }
 }
 
-/// Mean aggregation: `out[dst] = mean over edges (src_local -> dst) of
-/// x[src_local]`. Blocks always contain a self-edge per dst, so degrees
-/// are ≥ 1.
-pub fn mean_aggregate(block: &LayerBlock, x: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(block.dst_count, x.cols());
-    let mut deg = vec![0u32; block.dst_count];
-    for &(s, d) in &block.edges {
+/// Mean aggregation into columns `col..col + x.cols()` of `out`, which
+/// must be zero there: `out[dst] = mean over edges (src_local -> dst) of
+/// x[src_local]`. `deg` is overwritten with each dst's edge count (the
+/// divisor; blocks always contain a self-edge per dst, so it is ≥ 1).
+fn mean_aggregate_into(
+    edges: &[(u32, u32)],
+    x: &Matrix,
+    out: &mut Matrix,
+    col: usize,
+    deg: &mut Vec<u32>,
+) {
+    let cols = col..col + x.cols();
+    deg.clear();
+    deg.resize(out.rows(), 0);
+    for &(s, d) in edges {
         deg[d as usize] += 1;
-        // `x` and `out` are distinct matrices, so the immutable row view
-        // coexists with the mutable one — no per-edge copies needed.
-        let (src, dst) = (s as usize, d as usize);
-        let src_row: &[f32] = x.row(src);
-        for (o, v) in out.row_mut(dst).iter_mut().zip(src_row) {
+        let dst = &mut out.row_mut(d as usize)[cols.clone()];
+        for (o, v) in dst.iter_mut().zip(x.row(s as usize)) {
             *o += v;
         }
     }
     for (d, &count) in deg.iter().enumerate() {
         let k = count.max(1) as f32;
-        for o in out.row_mut(d) {
+        for o in &mut out.row_mut(d)[cols.clone()] {
             *o /= k;
         }
     }
-    out
 }
 
-/// Backward of [`mean_aggregate`]: scatters `grad_out[dst] / deg(dst)` to
-/// each contributing src row.
-pub fn mean_aggregate_backward(block: &LayerBlock, grad_out: &Matrix, src_count: usize) -> Matrix {
-    let mut deg = vec![0u32; block.dst_count];
-    for &(_, d) in &block.edges {
-        deg[d as usize] += 1;
-    }
-    let mut grad_in = Matrix::zeros(src_count, grad_out.cols());
-    for &(s, d) in &block.edges {
+/// Backward of [`mean_aggregate_into`]: adds `grad_out[dst][cols] /
+/// deg(dst)` to each contributing src row of `grad_in`.
+fn mean_aggregate_backward_into(
+    edges: &[(u32, u32)],
+    deg: &[u32],
+    grad_out: &Matrix,
+    cols: Range<usize>,
+    grad_in: &mut Matrix,
+) {
+    for &(s, d) in edges {
         let k = deg[d as usize].max(1) as f32;
-        let g_row: &[f32] = grad_out.row(d as usize);
+        let g_row = &grad_out.row(d as usize)[cols.clone()];
         for (gi, &g) in grad_in.row_mut(s as usize).iter_mut().zip(g_row) {
             *gi += g / k;
         }
     }
-    grad_in
 }
 
-/// Slimmed-down block context a layer keeps for backward.
-#[derive(Debug, Clone)]
-struct BlockCtx {
-    edges: Vec<(u32, u32)>,
-    dst_count: usize,
-    src_count: usize,
-}
-
-impl BlockCtx {
-    fn of(block: &LayerBlock) -> Self {
-        BlockCtx {
-            edges: block.edges.clone(),
-            dst_count: block.dst_count,
-            src_count: block.src_count(),
-        }
-    }
-
-    fn as_block(&self) -> LayerBlock {
-        LayerBlock {
-            // Global ids are irrelevant for aggregation arithmetic.
-            src_globals: vec![0; self.src_count],
-            dst_count: self.dst_count,
-            edges: self.edges.clone(),
-        }
-    }
+/// Adds this batch's gradients of `out = input @ w + b` to `w.grad` and
+/// `b.grad`. Each is formed in `scratch` first and added whole, so a
+/// `Param::grad` that already holds accumulated gradient sees the same
+/// additions as ever.
+fn linear_param_grads(
+    input: &Matrix,
+    d_out: &Matrix,
+    w: &mut Param,
+    b: &mut Param,
+    scratch: &mut Matrix,
+) {
+    input.transa_matmul_into(d_out, scratch);
+    w.grad.add_assign(scratch);
+    d_out.col_sum_into(scratch);
+    b.grad.add_assign(scratch);
 }
 
 /// Which GNN layer arithmetic to use.
@@ -116,23 +111,46 @@ pub struct GnnLayer {
     out_dim: usize,
     /// Final layers skip the output ReLU (they produce logits).
     activate: bool,
+    /// Whether `backward` produces `d loss / d x`. A model's first layer
+    /// has nobody to hand it to, and it costs as much as the forward
+    /// matmul plus a scatter over every edge, so [`crate::GnnModel`]
+    /// switches it off there.
+    pub(crate) input_grad: bool,
     w: Param,
     b: Param,
     /// PinSAGE-only neighbor transform.
     wn: Option<Param>,
     bn: Option<Param>,
-    ctx: Option<ForwardCtx>,
+    ws: Workspace,
 }
 
-#[derive(Debug, Clone)]
-struct ForwardCtx {
-    block: BlockCtx,
-    x: Matrix,
-    /// Input to the final linear op (agg or concat).
+/// Buffers a layer keeps across batches: what `forward` leaves for
+/// `backward`, and `backward`'s temporaries. Each is cleared and resized
+/// per batch, so a steady-state train step allocates nothing here.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Set by `forward`, consumed by `backward`.
+    ready: bool,
+    /// Input to the final linear op: `agg`, or `[x_self | agg]`.
     lin_in: Matrix,
-    relu_mask: Option<Vec<bool>>,
-    /// PinSAGE: neighbor-transform activations and mask.
-    q_mask: Option<Vec<bool>>,
+    /// Edges per dst vertex — the mean's divisor.
+    deg: Vec<u32>,
+    relu_mask: Vec<bool>,
+    /// The block's edges and src count, kept only when `backward` will
+    /// scatter along them.
+    edges: Vec<(u32, u32)>,
+    src_count: usize,
+    /// PinSAGE: the layer input (for `wn`'s gradient), the neighbor
+    /// transform's activations and their mask.
+    x: Matrix,
+    q: Matrix,
+    q_mask: Vec<bool>,
+    /// `d loss / d lin_in`; its column ranges are `d_self` and `d_agg`.
+    d_lin_in: Matrix,
+    /// PinSAGE: `d loss / d q`.
+    dq: Matrix,
+    /// [`linear_param_grads`]' scratch.
+    d_param: Matrix,
 }
 
 impl GnnLayer {
@@ -162,11 +180,12 @@ impl GnnLayer {
             in_dim,
             out_dim,
             activate,
+            input_grad: true,
             w: Param::new(Matrix::xavier(lin_in_dim, out_dim, rng)),
             b: Param::new(Matrix::zeros(1, out_dim)),
             wn,
             bn,
-            ctx: None,
+            ws: Workspace::default(),
         }
     }
 
@@ -180,41 +199,66 @@ impl GnnLayer {
         self.in_dim
     }
 
+    /// The column of `lin_in` where the aggregate starts: GCN's `lin_in`
+    /// is the aggregate alone, the other two put `x_self` in front of it.
+    fn agg_col(&self) -> usize {
+        match self.kind {
+            LayerKind::GraphConv => 0,
+            LayerKind::SageConv | LayerKind::PinSageConv => self.in_dim,
+        }
+    }
+
     /// Forward pass: `x` is `block.src_count() x in_dim`; returns
     /// `block.dst_count x out_dim`. Stores context for backward.
     pub fn forward(&mut self, block: &LayerBlock, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.forward_into(block, x, &mut out);
+        out
+    }
+
+    /// [`GnnLayer::forward`] into `out`'s storage.
+    pub(crate) fn forward_into(&mut self, block: &LayerBlock, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.rows(), block.src_count(), "input row mismatch");
         assert_eq!(x.cols(), self.in_dim, "input dim mismatch");
-        let mut q_mask = None;
-        let lin_in = match self.kind {
-            LayerKind::GraphConv => mean_aggregate(block, x),
-            LayerKind::SageConv => {
-                let self_x = x.top_rows(block.dst_count);
-                let agg = mean_aggregate(block, x);
-                self_x.hconcat(&agg)
+        let agg_col = self.agg_col();
+        let pinsage = self.kind == LayerKind::PinSageConv;
+        let ws = &mut self.ws;
+        ws.lin_in.reset(block.dst_count, self.w.value.rows());
+        if agg_col > 0 {
+            // Dst vertices come first among the srcs: `x_self` is x's top rows.
+            for r in 0..block.dst_count {
+                ws.lin_in.row_mut(r)[..agg_col].copy_from_slice(x.row(r));
             }
-            LayerKind::PinSageConv => {
-                let wn = self.wn.as_ref().expect("pinsage has wn");
-                let bn = self.bn.as_ref().expect("pinsage has bn");
-                let mut q = x.matmul(&wn.value);
-                q.add_row_broadcast(&bn.value);
-                q_mask = Some(q.relu_inplace());
-                let agg = mean_aggregate(block, &q);
-                let self_x = x.top_rows(block.dst_count);
-                self_x.hconcat(&agg)
-            }
+        }
+        let neighbors = if pinsage {
+            let wn = self.wn.as_ref().expect("pinsage has wn");
+            let bn = self.bn.as_ref().expect("pinsage has bn");
+            x.matmul_into(&wn.value, &mut ws.q);
+            ws.q.add_row_broadcast(&bn.value);
+            ws.q.relu_inplace(&mut ws.q_mask);
+            ws.x.copy_from(x);
+            &ws.q
+        } else {
+            x
         };
-        let mut out = lin_in.matmul(&self.w.value);
+        mean_aggregate_into(
+            &block.edges,
+            neighbors,
+            &mut ws.lin_in,
+            agg_col,
+            &mut ws.deg,
+        );
+        ws.lin_in.matmul_into(&self.w.value, out);
         out.add_row_broadcast(&self.b.value);
-        let relu_mask = self.activate.then(|| out.relu_inplace());
-        self.ctx = Some(ForwardCtx {
-            block: BlockCtx::of(block),
-            x: x.clone(),
-            lin_in,
-            relu_mask,
-            q_mask,
-        });
-        out
+        if self.activate {
+            out.relu_inplace(&mut ws.relu_mask);
+        }
+        if self.input_grad || pinsage {
+            ws.edges.clear();
+            ws.edges.extend_from_slice(&block.edges);
+            ws.src_count = block.src_count();
+        }
+        ws.ready = true;
     }
 
     /// Backward pass: takes `d loss / d output`, accumulates parameter
@@ -224,47 +268,49 @@ impl GnnLayer {
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let ctx = self.ctx.take().expect("backward before forward");
         let mut grad = grad_out.clone();
-        if let Some(mask) = &ctx.relu_mask {
-            grad.relu_backward_inplace(mask);
+        let mut dx = Matrix::default();
+        self.backward_into(&mut grad, &mut dx);
+        dx
+    }
+
+    /// [`GnnLayer::backward`] on caller-owned buffers: `grad` is
+    /// `d loss / d output` and is masked by the output ReLU in place; `dx`
+    /// receives `d loss / d x`, or is left alone when `input_grad` is off.
+    pub(crate) fn backward_into(&mut self, grad: &mut Matrix, dx: &mut Matrix) {
+        let agg_col = self.agg_col();
+        let ws = &mut self.ws;
+        assert!(std::mem::take(&mut ws.ready), "backward before forward");
+        if self.activate {
+            grad.relu_backward_inplace(&ws.relu_mask);
         }
         // Linear: out = lin_in @ W + b.
-        self.w.grad.add_assign(&ctx.lin_in.transa_matmul(&grad));
-        self.b.grad.add_assign(&grad.col_sum());
-        let d_lin_in = grad.matmul_transb(&self.w.value);
-        let block = ctx.block.as_block();
+        linear_param_grads(&ws.lin_in, grad, &mut self.w, &mut self.b, &mut ws.d_param);
 
-        match self.kind {
-            LayerKind::GraphConv => mean_aggregate_backward(&block, &d_lin_in, ctx.block.src_count),
-            LayerKind::SageConv => {
-                let (d_self, d_agg) = d_lin_in.hsplit(self.in_dim);
-                let mut dx = mean_aggregate_backward(&block, &d_agg, ctx.block.src_count);
-                for r in 0..ctx.block.dst_count {
-                    let row = d_self.row(r).to_vec();
-                    for (a, b) in dx.row_mut(r).iter_mut().zip(row) {
-                        *a += b;
-                    }
-                }
-                dx
+        let neighbor_params = self.wn.as_mut().zip(self.bn.as_mut());
+        if !self.input_grad && neighbor_params.is_none() {
+            return;
+        }
+        grad.matmul_transb_into(&self.w.value, &mut ws.d_lin_in);
+        let d_agg = agg_col..ws.d_lin_in.cols();
+        if let Some((wn, bn)) = neighbor_params {
+            ws.dq.reset(ws.src_count, d_agg.len());
+            mean_aggregate_backward_into(&ws.edges, &ws.deg, &ws.d_lin_in, d_agg, &mut ws.dq);
+            ws.dq.relu_backward_inplace(&ws.q_mask);
+            // q = x @ Wn + bn.
+            linear_param_grads(&ws.x, &ws.dq, wn, bn, &mut ws.d_param);
+            if !self.input_grad {
+                return;
             }
-            LayerKind::PinSageConv => {
-                let (d_self, d_agg) = d_lin_in.hsplit(self.in_dim);
-                let mut dq = mean_aggregate_backward(&block, &d_agg, ctx.block.src_count);
-                dq.relu_backward_inplace(ctx.q_mask.as_ref().expect("pinsage mask"));
-                // q = x @ Wn + bn.
-                let wn = self.wn.as_mut().expect("pinsage has wn");
-                let bn = self.bn.as_mut().expect("pinsage has bn");
-                wn.grad.add_assign(&ctx.x.transa_matmul(&dq));
-                bn.grad.add_assign(&dq.col_sum());
-                let mut dx = dq.matmul_transb(&wn.value);
-                for r in 0..ctx.block.dst_count {
-                    let row = d_self.row(r).to_vec();
-                    for (a, b) in dx.row_mut(r).iter_mut().zip(row) {
-                        *a += b;
-                    }
-                }
-                dx
+            ws.dq.matmul_transb_into(&wn.value, dx);
+        } else {
+            dx.reset(ws.src_count, d_agg.len());
+            mean_aggregate_backward_into(&ws.edges, &ws.deg, &ws.d_lin_in, d_agg, dx);
+        }
+        // `x_self` is x's top rows: their gradient adds onto dx's.
+        for r in 0..ws.d_lin_in.rows() {
+            for (a, &b) in dx.row_mut(r).iter_mut().zip(&ws.d_lin_in.row(r)[..agg_col]) {
+                *a += b;
             }
         }
     }
@@ -297,21 +343,26 @@ mod tests {
     }
 
     #[test]
-    fn mean_aggregate_averages() {
+    fn mean_aggregate_averages_into_a_column_range() {
         let b = tiny_block();
         let x = Matrix::from_vec(4, 2, vec![1., 2., 3., 4., 5., 6., 7., 8.]);
-        let agg = mean_aggregate(&b, &x);
+        let mut out = Matrix::zeros(2, 3);
+        // A stale, longer degree buffer must be overwritten.
+        let mut deg = vec![7; 5];
+        mean_aggregate_into(&b.edges, &x, &mut out, 1, &mut deg);
+        assert_eq!(deg, vec![3, 1]);
         // dst0 = mean of rows 0,2,3 = ((1+5+7)/3, (2+6+8)/3).
-        assert!((agg.get(0, 0) - 13.0 / 3.0).abs() < 1e-6);
-        assert!((agg.get(0, 1) - 16.0 / 3.0).abs() < 1e-6);
-        assert_eq!(agg.row(1), &[3., 4.]);
+        assert!((out.get(0, 1) - 13.0 / 3.0).abs() < 1e-6);
+        assert!((out.get(0, 2) - 16.0 / 3.0).abs() < 1e-6);
+        assert_eq!(out.row(1), &[0., 3., 4.]);
     }
 
     #[test]
-    fn mean_aggregate_backward_scatters() {
+    fn mean_aggregate_backward_scatters_a_column_range() {
         let b = tiny_block();
-        let g = Matrix::from_vec(2, 1, vec![3.0, 5.0]);
-        let gin = mean_aggregate_backward(&b, &g, 4);
+        let g = Matrix::from_vec(2, 2, vec![9.0, 3.0, 9.0, 5.0]);
+        let mut gin = Matrix::zeros(4, 1);
+        mean_aggregate_backward_into(&b.edges, &[3, 1], &g, 1..2, &mut gin);
         assert!((gin.get(0, 0) - 1.0).abs() < 1e-6);
         assert!((gin.get(2, 0) - 1.0).abs() < 1e-6);
         assert!((gin.get(3, 0) - 1.0).abs() < 1e-6);
@@ -400,5 +451,45 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut layer = GnnLayer::new(LayerKind::GraphConv, 2, 2, true, &mut rng);
         let _ = layer.backward(&Matrix::zeros(1, 2));
+    }
+
+    /// Two forward/backward rounds of one layer with the input gradient
+    /// on or off; returns every parameter gradient's bits.
+    fn param_grad_bits(kind: LayerKind, input_grad: bool) -> Vec<Vec<u32>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let block = tiny_block();
+        let mut layer = GnnLayer::new(kind, 5, 19, true, &mut rng);
+        layer.input_grad = input_grad;
+        let mut x = Matrix::xavier(4, 5, &mut rng);
+        x.set(2, 3, 0.0);
+        let mut dx = Matrix::default();
+        for _ in 0..2 {
+            let out = layer.forward(&block, &x);
+            let mut grad = Matrix::xavier(out.rows(), out.cols(), &mut rng);
+            layer.backward_into(&mut grad, &mut dx);
+        }
+        assert_eq!(dx.rows(), if input_grad { 4 } else { 0 }, "{kind:?}");
+        layer
+            .params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn eliding_the_input_gradient_leaves_parameter_gradients_bit_identical() {
+        for kind in [
+            LayerKind::GraphConv,
+            LayerKind::SageConv,
+            LayerKind::PinSageConv,
+        ] {
+            let with = param_grad_bits(kind, true);
+            assert_eq!(with, param_grad_bits(kind, false), "{kind:?}");
+            // PinSAGE's neighbor transform sits *below* the aggregation:
+            // its gradients need `dq` even when `dx` is elided.
+            for grad in &with {
+                assert!(grad.iter().any(|&g| f32::from_bits(g) != 0.0), "{kind:?}");
+            }
+        }
     }
 }

@@ -1,32 +1,34 @@
 //! Row-major `f32` matrices with the operations GNN layers need.
 //!
 //! The three matmul variants are data-parallel over disjoint *output* rows:
-//! each output row's accumulation runs in the exact sequential order
+//! each output element's accumulation runs in the exact sequential order
 //! (ascending `k`), so results are bit-identical at every thread count —
 //! parallelism changes which thread computes a row, never the float-add
 //! order within it. The plain methods consult [`gnnlab_par::global_threads`]
 //! and only fan out when a multi-thread pool is configured and the product
 //! is large enough to amortize dispatch.
 //!
-//! The row kernels are column-blocked: each inner loop keeps
-//! [`COL_BLOCK`] output accumulators in registers and walks `k` once per
-//! block instead of once per element, which cuts the per-iteration
-//! load/store traffic without touching the float-add order — every output
-//! element still accumulates over ascending `k` with the same `a == 0`
-//! skips, so blocking is invisible to the bit-identity contract.
+//! The kernels walk the output columns in register tiles (see
+//! [`for_col_tiles`]): `matmul` and `matmul_transb` keep a tile of output
+//! accumulators in registers and walk `k` once per tile; `transa_matmul`
+//! is `k`-outer — it reads each row of both operands once and adds
+//! `a · b_row` tile by tile into an output that stays cache-resident.
+//! Neither touches the float-add order: every output element still
+//! accumulates over ascending `k` with the same `a == 0` skips, so tiling
+//! is invisible to the bit-identity contract.
+//!
+//! Each variant also has a crate-private `*_into` form that writes into a
+//! caller-owned matrix, which is how the layers keep their buffers across
+//! batches.
 
 use gnnlab_par::ThreadPool;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Minimum `rows * inner * cols` product worth fanning out; below this the
 /// chunk-dispatch overhead exceeds the multiply itself.
 const PAR_MIN_FLOPS: usize = 64 * 1024;
-
-/// Output columns each register-tiled kernel iteration produces. Four f32
-/// accumulators fit comfortably in registers on every target; the
-/// remainder columns (`cols % COL_BLOCK`) fall back to the scalar loop.
-const COL_BLOCK: usize = 4;
 
 fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
     if gnnlab_par::global_threads() > 1 && flops >= PAR_MIN_FLOPS {
@@ -36,8 +38,73 @@ fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
     }
 }
 
+/// Runs `$kernel::<N>(args.., j)` over output columns `j..j + N`, taking
+/// 16 columns while at least 16 remain (four SSE registers of
+/// accumulators), then 4, then 1 — so no kernel needs a separate scalar
+/// remainder loop.
+macro_rules! for_col_tiles {
+    ($cols:expr, $kernel:ident($($arg:expr),*)) => {{
+        let cols: usize = $cols;
+        let mut j = 0;
+        while cols - j >= 16 {
+            $kernel::<16>($($arg,)* j);
+            j += 16;
+        }
+        while cols - j >= 4 {
+            $kernel::<4>($($arg,)* j);
+            j += 4;
+        }
+        while j < cols {
+            $kernel::<1>($($arg,)* j);
+            j += 1;
+        }
+    }};
+}
+
+/// Columns `j..j + N` of one `matmul` output row:
+/// `out_row[c] += Σ_k a_row[k] · b[k][c]`, ascending `k`, skipping
+/// `a == 0`.
+#[inline(always)]
+fn matmul_tile<const N: usize>(a_row: &[f32], b: &Matrix, out_row: &mut [f32], j: usize) {
+    let mut acc = [0.0f32; N];
+    acc.copy_from_slice(&out_row[j..j + N]);
+    for (&a, b_row) in a_row.iter().zip(b.data.chunks_exact(b.cols)) {
+        if a == 0.0 {
+            continue;
+        }
+        for (acc, &b) in acc.iter_mut().zip(&b_row[j..j + N]) {
+            *acc += a * b;
+        }
+    }
+    out_row[j..j + N].copy_from_slice(&acc);
+}
+
+/// Columns `j..j + N` of one `matmul_transb` output row: `N` dot products
+/// `a_row · b[c]` advancing together over one pass of `a_row`, each over
+/// ascending `k` from zero.
+#[inline(always)]
+fn transb_tile<const N: usize>(a_row: &[f32], b: &Matrix, out_row: &mut [f32], j: usize) {
+    let b_rows: [&[f32]; N] = std::array::from_fn(|c| &b.row(j + c)[..a_row.len()]);
+    let mut acc = [0.0f32; N];
+    for (k, &a) in a_row.iter().enumerate() {
+        for (acc, b_row) in acc.iter_mut().zip(&b_rows) {
+            *acc += a * b_row[k];
+        }
+    }
+    out_row[j..j + N].copy_from_slice(&acc);
+}
+
+/// Columns `j..j + N` of one `transa_matmul` rank-1 update:
+/// `out_row[c] += a · b_row[c]`.
+#[inline(always)]
+fn axpy_tile<const N: usize>(a: f32, b_row: &[f32], out_row: &mut [f32], j: usize) {
+    for (o, &b) in out_row[j..j + N].iter_mut().zip(&b_row[j..j + N]) {
+        *o += a * b;
+    }
+}
+
 /// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -127,220 +194,165 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// A new matrix containing the first `n` rows.
-    pub fn top_rows(&self, n: usize) -> Matrix {
-        assert!(n <= self.rows, "top_rows out of range");
-        Matrix {
-            rows: n,
-            cols: self.cols,
-            data: self.data[..n * self.cols].to_vec(),
-        }
+    /// Reshapes to an all-zero `rows × cols`, keeping the allocation: a
+    /// buffer that lives across batches stops allocating once it has
+    /// grown to the largest batch.
+    pub(crate) fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Becomes a copy of `other`, keeping the allocation.
+    pub(crate) fn copy_from(&mut self, other: &Matrix) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
     }
 
     /// `self @ other` (ikj loop order for cache friendliness). Fans out
     /// over the global pool when one is configured and the product is
     /// large; see [`Matrix::matmul_with`].
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.cols) {
-            return self.matmul_with(other, &pool);
-        }
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            Self::matmul_row(self.row(i), other, out.row_mut(i));
-        }
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
         out
     }
 
     /// `self @ other` with output rows fanned across `pool`. Bit-identical
     /// to the sequential [`Matrix::matmul`] at every pool size.
     pub fn matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = other.cols;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                Self::matmul_row(self.row(i), other, out_row);
-            }
-        });
+        let mut out = Matrix::default();
+        self.matmul_on(other, Some(pool), &mut out);
         out
     }
 
-    /// One output row of `matmul`: `out_row += a_row @ other`.
-    ///
-    /// Column-blocked: [`COL_BLOCK`] output accumulators stay in
-    /// registers while `k` ascends once per block. Each element's add
-    /// sequence (ascending `k`, skipping `a == 0`) is exactly the scalar
-    /// kernel's, so the result is bit-identical.
-    #[inline]
-    fn matmul_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let mut acc = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b = &other.row(k)[j..j + COL_BLOCK];
-                acc[0] += a * b[0];
-                acc[1] += a * b[1];
-                acc[2] += a * b[2];
-                acc[3] += a * b[3];
-            }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
-        }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = *out;
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                acc += a * other.row(k)[jj];
-            }
-            *out = acc;
-        }
+    /// [`Matrix::matmul`] into `out`'s storage.
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        let pool = par_pool(self.rows * self.cols * other.cols);
+        self.matmul_on(other, pool.as_deref(), out);
+    }
+
+    fn matmul_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+        out.reset(self.rows, other.cols);
+        out.for_each_row(pool, |i, out_row| {
+            for_col_tiles!(out_row.len(), matmul_tile(self.row(i), other, out_row));
+        });
     }
 
     /// `self @ other.T`. Fans out like [`Matrix::matmul`].
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.rows) {
-            return self.matmul_transb_with(other, &pool);
-        }
-        assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            Self::matmul_transb_row(self.row(i), other, out.row_mut(i));
-        }
+        let mut out = Matrix::default();
+        self.matmul_transb_into(other, &mut out);
         out
     }
 
     /// `self @ other.T` with output rows fanned across `pool`.
     pub fn matmul_transb_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        if out.data.is_empty() {
-            return out;
-        }
-        let cols = other.rows;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                Self::matmul_transb_row(self.row(i), other, out_row);
-            }
-        });
+        let mut out = Matrix::default();
+        self.matmul_transb_on(other, Some(pool), &mut out);
         out
     }
 
-    /// One output row of `matmul_transb`: `out_row[j] = a_row · other[j]`.
-    ///
-    /// Column-blocked like [`Matrix::matmul_row`]: four dot products
-    /// advance together over one pass of `a_row`, each accumulating over
-    /// ascending `k` exactly as the scalar loop does.
-    #[inline]
-    fn matmul_transb_row(a_row: &[f32], other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let (r0, r1, r2, r3) = (
-                other.row(j),
-                other.row(j + 1),
-                other.row(j + 2),
-                other.row(j + 3),
-            );
-            let mut acc = [0.0f32; COL_BLOCK];
-            for (k, &a) in a_row.iter().enumerate() {
-                acc[0] += a * r0[k];
-                acc[1] += a * r1[k];
-                acc[2] += a * r2[k];
-                acc[3] += a * r3[k];
-            }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
-        }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = 0.0f32;
-            for (&a, &b) in a_row.iter().zip(other.row(jj)) {
-                acc += a * b;
-            }
-            *out = acc;
-        }
+    /// [`Matrix::matmul_transb`] into `out`'s storage.
+    pub(crate) fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
+        let pool = par_pool(self.rows * self.cols * other.rows);
+        self.matmul_transb_on(other, pool.as_deref(), out);
+    }
+
+    fn matmul_transb_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
+        assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
+        out.reset(self.rows, other.rows);
+        out.for_each_row(pool, |i, out_row| {
+            for_col_tiles!(out_row.len(), transb_tile(self.row(i), other, out_row));
+        });
     }
 
     /// `self.T @ other`. Fans out like [`Matrix::matmul`].
     pub fn transa_matmul(&self, other: &Matrix) -> Matrix {
-        if let Some(pool) = par_pool(self.rows * self.cols * other.cols) {
-            return self.transa_matmul_with(other, &pool);
-        }
-        assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.cols {
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            self.transa_matmul_row(i, other, out_row);
-        }
+        let mut out = Matrix::default();
+        self.transa_matmul_into(other, &mut out);
         out
     }
 
-    /// `self.T @ other` with output rows fanned across `pool`.
-    ///
-    /// Each output row `i` (column `i` of `self`) accumulates over `k` in
-    /// the same ascending order — with the same `a == 0` skips — as the
-    /// sequential k-outer loop, so every output element sees the identical
-    /// float-add sequence and the result is bit-identical.
+    /// `self.T @ other` with output rows fanned across `pool`: each chunk
+    /// runs the same `k`-outer loop restricted to its output rows, so
+    /// every output element sees the identical float-add sequence and the
+    /// result is bit-identical.
     pub fn transa_matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
+        let mut out = Matrix::default();
+        self.transa_matmul_on(other, Some(pool), &mut out);
+        out
+    }
+
+    /// [`Matrix::transa_matmul`] into `out`'s storage.
+    pub(crate) fn transa_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        let pool = par_pool(self.rows * self.cols * other.cols);
+        self.transa_matmul_on(other, pool.as_deref(), out);
+    }
+
+    fn transa_matmul_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        if out.data.is_empty() {
-            return out;
+        out.reset(self.cols, other.cols);
+        out.for_row_chunks(pool, |rows, chunk| {
+            self.transa_matmul_rows(rows, other, chunk)
+        });
+    }
+
+    /// Output rows `rows` of `self.T @ other`, added into `out`
+    /// (`rows.len() × other.cols`, row-major). `k`-outer: row `k` of both
+    /// operands is read once, and output row `i` gains
+    /// `self[k][i] · other[k]` — ascending `k` per output element, with
+    /// the `a == 0` skip, exactly as a per-row walk down column `i` adds
+    /// them, but streaming `self` instead of striding through it.
+    fn transa_matmul_rows(&self, rows: Range<usize>, other: &Matrix, out: &mut [f32]) {
+        for (a_row, b_row) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(other.data.chunks_exact(other.cols))
+        {
+            for (&a, out_row) in a_row[rows.clone()]
+                .iter()
+                .zip(out.chunks_exact_mut(other.cols))
+            {
+                if a == 0.0 {
+                    continue;
+                }
+                for_col_tiles!(b_row.len(), axpy_tile(a, b_row, out_row));
+            }
         }
-        let cols = other.cols;
-        pool.par_chunks_mut(&mut out.data, cols, |_, rows, chunk| {
-            for (i, out_row) in rows.clone().zip(chunk.chunks_exact_mut(cols)) {
-                self.transa_matmul_row(i, other, out_row);
+    }
+
+    /// Calls `f(i, row_i)` for every row, fanned across `pool` when one is
+    /// given.
+    fn for_each_row(&mut self, pool: Option<&ThreadPool>, f: impl Fn(usize, &mut [f32]) + Sync) {
+        let cols = self.cols;
+        self.for_row_chunks(pool, |rows, chunk| {
+            for (i, row) in rows.zip(chunk.chunks_exact_mut(cols)) {
+                f(i, row);
             }
         });
-        out
     }
 
-    /// One output row of `transa_matmul`: `out_row += self[:, i].T @ other`.
-    /// Column-blocked with the same ascending-`k`, `a == 0`-skipping
-    /// accumulation per element as the sequential k-outer loop.
-    #[inline]
-    fn transa_matmul_row(&self, i: usize, other: &Matrix, out_row: &mut [f32]) {
-        let cols = out_row.len();
-        let blocked = cols - cols % COL_BLOCK;
-        let mut j = 0;
-        while j < blocked {
-            let mut acc = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-            for k in 0..self.rows {
-                let a = self.data[k * self.cols + i];
-                if a == 0.0 {
-                    continue;
-                }
-                let b = &other.row(k)[j..j + COL_BLOCK];
-                acc[0] += a * b[0];
-                acc[1] += a * b[1];
-                acc[2] += a * b[2];
-                acc[3] += a * b[3];
-            }
-            out_row[j..j + COL_BLOCK].copy_from_slice(&acc);
-            j += COL_BLOCK;
+    /// Calls `f(row_range, those_rows)` on disjoint row chunks covering the
+    /// matrix: one chunk per `pool` worker, or the whole matrix at once
+    /// without a pool. Nothing to do for an empty matrix.
+    fn for_row_chunks(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        f: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    ) {
+        if self.data.is_empty() {
+            return;
         }
-        for (jj, out) in out_row.iter_mut().enumerate().skip(blocked) {
-            let mut acc = *out;
-            for k in 0..self.rows {
-                let a = self.data[k * self.cols + i];
-                if a == 0.0 {
-                    continue;
-                }
-                acc += a * other.row(k)[jj];
-            }
-            *out = acc;
+        match pool {
+            Some(pool) => pool.par_chunks_mut(&mut self.data, self.cols, |_, rows, chunk| {
+                f(rows, chunk);
+            }),
+            None => f(0..self.rows, &mut self.data),
         }
     }
 
@@ -379,19 +391,17 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
-    /// In-place ReLU; returns the activation mask for backprop.
-    pub fn relu_inplace(&mut self) -> Vec<bool> {
-        self.data
-            .iter_mut()
-            .map(|a| {
-                if *a > 0.0 {
-                    true
-                } else {
-                    *a = 0.0;
-                    false
-                }
-            })
-            .collect()
+    /// In-place ReLU; `mask` is overwritten with the activation mask for
+    /// backprop (its allocation is reused).
+    pub fn relu_inplace(&mut self, mask: &mut Vec<bool>) {
+        mask.clear();
+        mask.extend(self.data.iter_mut().map(|a| {
+            let active = *a > 0.0;
+            if !active {
+                *a = 0.0;
+            }
+            active
+        }));
     }
 
     /// Applies the stored ReLU mask to a gradient (in place).
@@ -404,39 +414,14 @@ impl Matrix {
         }
     }
 
-    /// Horizontal concatenation `[self | other]`.
-    pub fn hconcat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hconcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        out
-    }
-
-    /// Splits a `[left | right]` matrix back into halves of width
-    /// `left_cols` and the remainder.
-    pub fn hsplit(&self, left_cols: usize) -> (Matrix, Matrix) {
-        assert!(left_cols <= self.cols, "hsplit out of range");
-        let mut left = Matrix::zeros(self.rows, left_cols);
-        let mut right = Matrix::zeros(self.rows, self.cols - left_cols);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..left_cols]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[left_cols..]);
-        }
-        (left, right)
-    }
-
-    /// Column-wise sum as a 1×cols matrix (bias gradient).
-    pub fn col_sum(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
+    /// Column-wise sum into `out` as a 1×cols matrix (bias gradient).
+    pub fn col_sum_into(&self, out: &mut Matrix) {
+        out.reset(1, self.cols);
         for r in 0..self.rows {
             for (o, &a) in out.data.iter_mut().zip(self.row(r)) {
                 *o += a;
             }
         }
-        out
     }
 
     /// Frobenius norm (used in gradient tests).
@@ -478,7 +463,9 @@ mod tests {
     #[test]
     fn relu_roundtrip() {
         let mut m = Matrix::from_vec(1, 4, vec![-1., 2., -3., 4.]);
-        let mask = m.relu_inplace();
+        // A stale, longer mask must be overwritten, not appended to.
+        let mut mask = vec![true; 9];
+        m.relu_inplace(&mut mask);
         assert_eq!(m.data(), &[0., 2., 0., 4.]);
         assert_eq!(mask, vec![false, true, false, true]);
         let mut g = Matrix::from_vec(1, 4, vec![1., 1., 1., 1.]);
@@ -487,24 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_hsplit_roundtrip() {
-        let a = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = Matrix::from_vec(2, 1, vec![5., 6.]);
-        let c = a.hconcat(&b);
-        assert_eq!(c.cols(), 3);
-        assert_eq!(c.row(1), &[3., 4., 6.]);
-        let (l, r) = c.hsplit(2);
-        assert_eq!(l.data(), a.data());
-        assert_eq!(r.data(), b.data());
-    }
-
-    #[test]
     fn bias_broadcast_and_colsum() {
         let mut m = Matrix::zeros(2, 3);
         let bias = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
         m.add_row_broadcast(&bias);
         assert_eq!(m.row(0), &[1., 2., 3.]);
-        assert_eq!(m.col_sum().data(), &[2., 4., 6.]);
+        // A stale scratch of another shape is reshaped and zeroed first.
+        let mut sum = Matrix::from_vec(2, 1, vec![9., 9.]);
+        m.col_sum_into(&mut sum);
+        assert_eq!((sum.rows(), sum.data()), (1, &[2., 4., 6.][..]));
     }
 
     #[test]
@@ -519,10 +497,14 @@ mod tests {
     }
 
     #[test]
-    fn top_rows_takes_prefix() {
-        let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let t = m.top_rows(2);
-        assert_eq!(t.data(), &[1., 2., 3., 4.]);
+    fn reset_and_copy_from_reuse_the_allocation() {
+        let mut m = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
+        let ptr = m.data().as_ptr();
+        m.reset(3, 1);
+        assert_eq!((m.rows(), m.cols(), m.data()), (3, 1, &[0., 0., 0.][..]));
+        m.copy_from(&Matrix::from_vec(1, 2, vec![7., 8.]));
+        assert_eq!((m.rows(), m.cols(), m.data()), (1, 2, &[7., 8.][..]));
+        assert_eq!(m.data().as_ptr(), ptr);
     }
 
     #[test]
@@ -536,35 +518,35 @@ mod tests {
     #[test]
     fn pooled_matmuls_are_bit_identical_to_sequential() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        // Odd sizes so chunks split unevenly; some zeros to hit the skips.
+        // Odd row counts so chunks split unevenly (`transa`'s 19 output
+        // rows never divide across 2, 4 or 8 workers); some zeros to hit
+        // the skips; output widths covering the 16-wide tile alone, with
+        // 4-wide and scalar remainders, and twice over.
         let mut a = Matrix::xavier(37, 19, &mut rng);
-        let b = Matrix::xavier(19, 23, &mut rng);
-        let c = Matrix::xavier(37, 19, &mut rng);
         for v in a.data_mut().iter_mut().step_by(7) {
             *v = 0.0;
         }
-        let mm = a.matmul(&b);
-        let tb = a.matmul_transb(&c);
-        let ta = a.transa_matmul(&c);
-        for threads in [1, 2, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(a.matmul_with(&b, &pool).data(), mm.data(), "{threads}");
-            assert_eq!(
-                a.matmul_transb_with(&c, &pool).data(),
-                tb.data(),
-                "{threads}"
-            );
-            assert_eq!(
-                a.transa_matmul_with(&c, &pool).data(),
-                ta.data(),
-                "{threads}"
-            );
+        for width in [16usize, 17, 19, 23, 32, 35] {
+            let b = Matrix::xavier(19, width, &mut rng);
+            let bt = Matrix::xavier(width, 19, &mut rng);
+            let wide = Matrix::xavier(37, width, &mut rng);
+            let mm = a.matmul(&b);
+            let tb = a.matmul_transb(&bt);
+            let ta = a.transa_matmul(&wide);
+            for threads in [1, 2, 4, 8] {
+                let pool = ThreadPool::new(threads);
+                let at = format!("width {width}, {threads} threads");
+                assert_eq!(a.matmul_with(&b, &pool).data(), mm.data(), "{at}");
+                assert_eq!(a.matmul_transb_with(&bt, &pool).data(), tb.data(), "{at}");
+                assert_eq!(a.transa_matmul_with(&wide, &pool).data(), ta.data(), "{at}");
+            }
         }
     }
 
-    /// The blocked kernels against straightforward scalar references —
-    /// bit-for-bit, across widths that exercise full blocks, remainders
-    /// of 1–3, and widths below one block.
+    /// The tiled kernels against straightforward scalar references —
+    /// bit-for-bit, across widths below one 4-wide tile, 4-wide tiles with
+    /// scalar remainders, and one or two 16-wide tiles with 4-wide and
+    /// scalar remainders.
     #[test]
     fn blocked_kernels_match_scalar_reference_bitwise() {
         let scalar_matmul = |a: &Matrix, b: &Matrix| {
@@ -611,7 +593,7 @@ mod tests {
         };
         let bits = |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for cols in [1usize, 2, 3, 4, 5, 7, 8, 11, 16, 23] {
+        for cols in [1usize, 2, 3, 4, 5, 7, 8, 11, 16, 17, 19, 23, 32, 35] {
             let mut a = Matrix::xavier(9, 13, &mut rng);
             for v in a.data_mut().iter_mut().step_by(5) {
                 *v = 0.0;

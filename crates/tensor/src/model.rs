@@ -70,6 +70,13 @@ pub struct ModelConfig {
 pub struct GnnModel {
     config: ModelConfig,
     layers: Vec<GnnLayer>,
+    /// The hidden activations, one per layer below the last, and
+    /// `backward`'s two gradient buffers (the one a layer reads and masks
+    /// in place, the one it writes its input gradient to) — all kept
+    /// across batches.
+    hidden: Vec<Matrix>,
+    grad: Matrix,
+    dx: Matrix,
 }
 
 impl GnnModel {
@@ -97,7 +104,15 @@ impl GnnModel {
                 &mut rng,
             ));
         }
-        GnnModel { config, layers }
+        // Nothing consumes the first layer's input gradient.
+        layers[0].input_grad = false;
+        GnnModel {
+            config,
+            layers,
+            hidden: vec![Matrix::default(); l - 1],
+            grad: Matrix::default(),
+            dx: Matrix::default(),
+        }
     }
 
     /// The configuration this model was built with.
@@ -117,19 +132,26 @@ impl GnnModel {
             self.layers.len(),
             "sample layer count mismatch"
         );
-        let mut h = in_feats.clone();
-        for (layer, block) in self.layers.iter_mut().zip(&sample.blocks) {
-            h = layer.forward(block, &h);
+        let (last, below) = self
+            .layers
+            .split_last_mut()
+            .expect("a model has at least one layer");
+        let mut h = in_feats;
+        for ((layer, block), out) in below.iter_mut().zip(&sample.blocks).zip(&mut self.hidden) {
+            layer.forward_into(block, h, out);
+            h = out;
         }
-        h
+        last.forward(&sample.blocks[below.len()], h)
     }
 
     /// Backward pass from the logits gradient; accumulates parameter
-    /// gradients and discards the input gradient.
+    /// gradients. The gradient w.r.t. `in_feats` has no consumer and is
+    /// never computed (the first layer's `input_grad` is off).
     pub fn backward(&mut self, grad_logits: &Matrix) {
-        let mut g = grad_logits.clone();
+        self.grad.copy_from(grad_logits);
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+            layer.backward_into(&mut self.grad, &mut self.dx);
+            std::mem::swap(&mut self.grad, &mut self.dx);
         }
     }
 

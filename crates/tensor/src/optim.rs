@@ -28,9 +28,9 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
         for p in params.iter_mut() {
-            let mut delta = p.grad.clone();
-            delta.scale(-self.lr);
-            p.value.add_assign(&delta);
+            for (v, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
+                *v += g * -self.lr;
+            }
             p.zero_grad();
         }
     }
@@ -126,7 +126,7 @@ impl Optimizer for Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
         for (i, p) in params.iter_mut().enumerate() {
-            let g = p.grad.data().to_vec();
+            let g = p.grad.data();
             let m = self.m[i].data_mut();
             let v = self.v[i].data_mut();
             let val = p.value.data_mut();
