@@ -50,10 +50,12 @@ pub struct ThreadedConfig {
     /// the supervisor's recovery budget. [`FaultPlan::none`] (the default)
     /// injects nothing and fails fast on any organic panic.
     pub faults: FaultPlan,
-    /// Data-parallel width of the Extract path: feature gathering (and the
-    /// PreSC pre-sampling during preprocessing) fans out over a pool of
-    /// this many threads. 1 (the default) runs fully inline. Results are
-    /// bit-identical at every width.
+    /// Data-parallel width of the Extract path: feature gathering and
+    /// cache fills fan out over a pool of this many threads. 1 (the
+    /// default) runs fully inline. Results are bit-identical at every
+    /// width. (PreSC pre-sampling and the held-out evaluation do not use
+    /// this pool: they run `num_samplers + num_trainers` wide, on the
+    /// fleet that is idle before and after the executor scope.)
     pub threads: usize,
     /// Live-telemetry configuration: the wall-clock gauge-sampling
     /// interval and the alert-rule thresholds. Every run gets a telemetry

@@ -89,12 +89,13 @@ use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
 use gnnlab_obs::{Executor, Obs, Telemetry};
-use gnnlab_tensor::loss::accuracy;
-use gnnlab_tensor::{Matrix, ModelKind};
+use gnnlab_par::ThreadPool;
+use gnnlab_sampling::{Sample, SampleBuffers};
+use gnnlab_tensor::loss::correct_predictions;
+use gnnlab_tensor::{GnnModel, Matrix, ModelKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use shared::{stream_seed, Shared, StreamRole};
-use std::collections::HashSet;
 use std::sync::Arc;
 use supervisor::{spawn_sampler, spawn_trainer};
 
@@ -146,16 +147,7 @@ pub fn run_threaded_obs(
         cfg.num_samplers >= 1 && cfg.num_trainers >= 1,
         "need executors"
     );
-    let n = graph.csr.num_vertices();
-    let train_set: Vec<VertexId> = gnnlab_graph::trainset::random_train_set(
-        n,
-        n / 2,
-        stream_seed(cfg.seed, StreamRole::Split, 0),
-    );
-    let in_train: HashSet<VertexId> = train_set.iter().copied().collect();
-    let test_set: Vec<VertexId> = (0..n as VertexId)
-        .filter(|v| !in_train.contains(v))
-        .collect();
+    let (train_set, test_set) = split(graph.csr.num_vertices(), cfg.seed);
 
     let shared = Shared::new(graph, kind, cfg, obs, &train_set);
     // Live telemetry for the whole run: periodic gauge→series sampling
@@ -180,42 +172,10 @@ pub fn run_threaded_obs(
         return Err(err);
     }
 
-    // Evaluate the master model on the held-out half. The lock is held
-    // only for the clone; evaluation runs on the snapshot. Eval feature
-    // gathers route through a two-tier store shaped like a dedicated
-    // Trainer's (the mark table's layout, the same host tier), so
-    // held-out traffic is counted in the `cache.*` stats instead of
-    // bypassing the cache via a raw host gather — the served bytes are
-    // identical either way, so accuracy is unchanged.
+    // The lock is held only for the clone; evaluation runs on the snapshot.
     let mut master = shared.server.lock().master.clone();
-    let algo = sampler_for(kind);
-    let (eval_store, eval_refresh_ns) = shared.fill_store(shared.mark_table.clone());
-    let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(cfg.seed, StreamRole::Eval, 0));
-    let mut correct = 0.0f64;
-    let mut total = 0usize;
-    // One feature buffer and one label buffer, recycled across chunks as
-    // the consumers recycle theirs.
-    let mut feat_buf = Vec::new();
-    let mut labels = Vec::new();
-    for chunk in test_set.chunks(cfg.batch_size.max(1)) {
-        let sample = algo.sample(&graph.csr, chunk, &mut rng);
-        eval_store.extract_to_buffer(sample.input_nodes(), &mut feat_buf);
-        let feats = Matrix::from_vec(sample.num_input_nodes(), graph.feat_dim, feat_buf);
-        let logits = master.forward(&sample, &feats);
-        labels.clear();
-        labels.extend(chunk.iter().map(|&v| graph.labels[v as usize]));
-        correct += accuracy(&logits, &labels) * chunk.len() as f64;
-        total += chunk.len();
-        feat_buf = feats.into_vec();
-    }
-    shared.cache_reports.lock().push(ExecutorCacheReport {
-        role: Executor::Host,
-        slot: 0,
-        alpha: eval_store.table().alpha(),
-        rows: eval_store.table().len(),
-        refresh_ns: eval_refresh_ns,
-        stats: eval_store.stats(),
-    });
+    let (correct, eval_report) = evaluate(&shared, &master, &test_set, &shared.bookends);
+    shared.cache_reports.lock().push(eval_report);
 
     // Per-executor stores already streamed `cache.<role>.<slot>.*`; here
     // their end states roll up into the aggregate `cache.*` totals.
@@ -242,10 +202,10 @@ pub fn run_threaded_obs(
     Ok(ThreadedResult {
         batches_trained: shared.trained.load(Ordering::Relaxed),
         samples_produced: shared.produced.load(Ordering::Relaxed),
-        final_accuracy: if total == 0 {
+        final_accuracy: if test_set.is_empty() {
             0.0
         } else {
-            correct / total as f64
+            correct as f64 / test_set.len() as f64
         },
         peak_queue_depth: shared.queue.peak_depth(),
         cache_hit_rate: cache_stats.hit_rate(),
@@ -258,6 +218,84 @@ pub fn run_threaded_obs(
         checkpoints_written: shared.ckpt.as_ref().map_or(0, CkptRuntime::writes),
         resumed_from,
     })
+}
+
+/// The run's deterministic vertex split: a random training half drawn from
+/// the seed's `Split` stream, and the held-out rest in id order.
+fn split(n: usize, seed: u64) -> (Vec<VertexId>, Vec<VertexId>) {
+    let train_set =
+        gnnlab_graph::trainset::random_train_set(n, n / 2, stream_seed(seed, StreamRole::Split, 0));
+    let mut in_train = vec![false; n];
+    for &v in &train_set {
+        in_train[v as usize] = true;
+    }
+    let test_set = (0..n as VertexId)
+        .filter(|&v| !in_train[v as usize])
+        .collect();
+    (train_set, test_set)
+}
+
+/// Evaluates `master` on the held-out `test_set`, fanning its
+/// `batch_size` chunks out over `pool`; returns the number of correct
+/// predictions and the eval store's [`Executor::Host`] cache report.
+///
+/// Both are the same at every pool width: chunk `i` samples from its own
+/// `(seed, Eval, i)` stream whichever worker runs it, correct predictions
+/// are counted as integers, and the one store all workers read through
+/// keeps its statistics in integer atomics. Each worker owns a
+/// forward-only clone of the model and recycles one set of sample,
+/// feature and label buffers across its chunks, as the consumers recycle
+/// theirs.
+///
+/// Feature gathers route through a two-tier store shaped like a dedicated
+/// Trainer's (the mark table's layout, the same host tier), so held-out
+/// traffic is counted in the `cache.*` stats instead of bypassing the
+/// cache via a raw host gather — the served bytes are identical either
+/// way, so accuracy is unchanged.
+fn evaluate(
+    shared: &Shared<'_>,
+    master: &GnnModel,
+    test_set: &[VertexId],
+    pool: &ThreadPool,
+) -> (usize, ExecutorCacheReport) {
+    let (graph, cfg) = (shared.graph, shared.cfg);
+    let algo = sampler_for(shared.kind);
+    let (store, refresh_ns) = shared.fill_store(shared.mark_table.clone());
+    let chunks: Vec<&[VertexId]> = test_set.chunks(cfg.batch_size.max(1)).collect();
+    let correct: usize = pool
+        .map_ranges(chunks.len(), |_, range| {
+            let mut model = master.clone();
+            let mut bufs = SampleBuffers::new();
+            let mut sample = Sample::default();
+            let mut feat_buf = Vec::new();
+            let mut labels = Vec::new();
+            let mut correct = 0;
+            for i in range {
+                let chunk = chunks[i];
+                let seed = stream_seed(cfg.seed, StreamRole::Eval, i as u64);
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                algo.sample_into(&graph.csr, chunk, &mut rng, &mut bufs, &mut sample);
+                store.extract_to_buffer(sample.input_nodes(), &mut feat_buf);
+                let feats = Matrix::from_vec(sample.num_input_nodes(), graph.feat_dim, feat_buf);
+                let logits = model.forward(&sample, &feats);
+                labels.clear();
+                labels.extend(chunk.iter().map(|&v| graph.labels[v as usize]));
+                correct += correct_predictions(&logits, &labels);
+                feat_buf = feats.into_vec();
+            }
+            correct
+        })
+        .into_iter()
+        .sum();
+    let report = ExecutorCacheReport {
+        role: Executor::Host,
+        slot: 0,
+        alpha: store.table().alpha(),
+        rows: store.table().len(),
+        refresh_ns,
+        stats: store.stats(),
+    };
+    (correct, report)
 }
 
 #[cfg(test)]

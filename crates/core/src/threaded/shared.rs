@@ -325,9 +325,15 @@ pub(super) struct Shared<'a> {
     /// a prefix of it, so the mask stays a sound hint (it only feeds a
     /// length debug-assert plus the Sampler-side mark accounting).
     pub mark_table: CacheTable,
-    /// The data-parallel pool behind Extract, pre-sampling and cache
-    /// fills.
+    /// The data-parallel pool behind Extract and cache fills,
+    /// [`ThreadedConfig::threads`] wide.
     pub pool: Arc<ThreadPool>,
+    /// The pool behind the run's two bookends — PreSC pre-sampling before
+    /// the executor scope opens, held-out evaluation after it joins — as
+    /// wide as the fleet (`num_samplers + num_trainers`), whose devices
+    /// have nothing else to do in either phase. Both results are
+    /// identical at every width.
+    pub bookends: ThreadPool,
     /// Planned standby/trainer extraction-traffic ratio (≥ 1), the
     /// `T_t'` seed before any standby has run.
     pub standby_miss_ratio: f64,
@@ -386,9 +392,10 @@ impl<'a> Shared<'a> {
     ) -> Self {
         let n = graph.csr.num_vertices();
         let batches_per_epoch = train_set.len().div_ceil(cfg.batch_size);
-        // The data-parallel pool behind Extract and pre-sampling; shared by
-        // every Trainer through the feature store.
+        // The data-parallel pool behind Extract; shared by every Trainer
+        // through the feature store.
         let pool = Arc::new(ThreadPool::new(cfg.threads));
+        let bookends = ThreadPool::new(cfg.num_samplers + cfg.num_trainers);
         obs.metrics
             .gauge_set(names::EXTRACT_PAR_THREADS, pool.threads() as f64);
         obs.metrics
@@ -414,10 +421,13 @@ impl<'a> Shared<'a> {
             .gauge_set(names::CACHE_TRAINER_ALPHA, plan.trainer.cache_alpha);
         obs.metrics
             .gauge_set(names::CACHE_STANDBY_ALPHA, plan.standby.cache_alpha);
-        // The shared hotness map every per-executor cache ranks by
-        // (pre-sampling fans out over `pool`). Skipped when no planned role
-        // affords a single cache row: the α = 0 path used to pay a full
-        // pre-sampling epoch for a cache nothing would ever populate.
+        // The shared hotness map every per-executor cache ranks by.
+        // Pre-sampling fans out over `bookends` (the paper's Samplers
+        // amortise it, Table 6 row P3); each batch draws from its own
+        // stream and visit counts are integer sums, so the map is the same
+        // at any width. Skipped when no planned role affords a single
+        // cache row: the α = 0 path used to pay a full pre-sampling epoch
+        // for a cache nothing would ever populate.
         let hotness = (plan.trainer_rows > 0 || plan.standby_rows > 0).then(|| {
             CachePolicy::hotness_with_pool(
                 CACHE_POLICY,
@@ -426,7 +436,7 @@ impl<'a> Shared<'a> {
                 sampler_for(kind).as_ref(),
                 cfg.batch_size,
                 cfg.seed,
-                &pool,
+                &bookends,
             )
             .hotness
         });
@@ -453,6 +463,7 @@ impl<'a> Shared<'a> {
             hotness,
             plan,
             pool,
+            bookends,
             refresh_secs: AtomicEwma::new(),
             cache_reports: Mutex::new(Vec::new()),
             server: Mutex::new(ParamServer {

@@ -1,7 +1,7 @@
 //! End-to-end unit tests of the threaded runtime (moved verbatim from the
 //! old single-file `threaded.rs`).
 
-use super::shared::{stream_seed, StreamRole};
+use super::shared::{stream_seed, Shared, StreamRole};
 use super::*;
 use crate::faults::{ExecutorRole, FaultPlan};
 use gnnlab_graph::gen::{sbm, SbmParams};
@@ -570,4 +570,66 @@ fn stragglers_stretch_the_observed_stage_times() {
         t_t > t_s * 2.0,
         "straggler not visible: T_t={t_t:.6} vs T_s={t_s:.6}"
     );
+}
+
+#[test]
+fn evaluation_is_identical_at_every_width() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        batch_size: 25,
+        cache_alpha: 0.3,
+        seed: 4,
+        ..Default::default()
+    };
+    let (train, test) = split(g.csr.num_vertices(), cfg.seed);
+    let obs = Arc::new(Obs::wall());
+    for kind in [ModelKind::Gcn, ModelKind::PinSage] {
+        let shared = Shared::new(&g, kind, &cfg, &obs, &train);
+        let master = shared.server.lock().master.clone();
+        let at = |width: usize| {
+            let (correct, report) = evaluate(&shared, &master, &test, &ThreadPool::new(width));
+            (correct, report.rows, report.stats)
+        };
+        let serial = at(1);
+        assert!(
+            serial.0 > 0 && serial.0 < test.len(),
+            "{kind:?}: {serial:?}"
+        );
+        assert!(serial.2.hits > 0, "{kind:?}: {serial:?}");
+        // 12 chunks: 5 workers get uneven ranges, 2 and 3 even ones.
+        for width in [2, 3, 5] {
+            assert_eq!(at(width), serial, "{kind:?} at width {width}");
+        }
+    }
+}
+
+#[test]
+fn presampling_is_identical_at_every_fleet_width() {
+    let g = graph();
+    let (train, _) = split(g.csr.num_vertices(), 4);
+    let obs = Arc::new(Obs::wall());
+    let build = |num_samplers: usize, num_trainers: usize, cache_alpha: f64| {
+        let cfg = ThreadedConfig {
+            num_samplers,
+            num_trainers,
+            batch_size: 25,
+            cache_alpha,
+            seed: 4,
+            ..Default::default()
+        };
+        let shared = Shared::new(&g, ModelKind::Gcn, &cfg, &obs, &train);
+        assert_eq!(shared.bookends.threads(), num_samplers + num_trainers);
+        let bits = shared
+            .hotness
+            .as_ref()
+            .map(|h| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        (bits, shared.mark_table.cached_vertices().to_vec())
+    };
+    let narrow = build(1, 1, 0.3);
+    assert!(narrow.0.as_ref().is_some_and(|h| h.iter().any(|&b| b != 0)));
+    assert!(!narrow.1.is_empty());
+    assert_eq!(build(2, 1, 0.3), narrow);
+    assert_eq!(build(2, 4, 0.3), narrow);
+    // No cache row to rank for: the pass is skipped at any width.
+    assert_eq!(build(2, 4, 0.0), (None, Vec::new()));
 }

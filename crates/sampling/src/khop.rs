@@ -1,6 +1,6 @@
 //! K-hop neighborhood sampling with Fisher–Yates and Reservoir kernels.
 
-use crate::sample::{dedup_remap_into, LayerBlock, ProbeSet, Sample, SampleBuffers, SampleWork};
+use crate::sample::{ProbeSet, Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
 use rand::Rng;
@@ -242,26 +242,8 @@ impl SamplingAlgorithm for KHop {
         out: &mut Sample,
     ) {
         let hops = self.fanouts.len();
-        out.work = SampleWork::default();
-        out.cache_mask = None;
-        out.seeds.clear();
-        out.seeds.extend_from_slice(seeds);
-        out.visit_list.clear();
-        out.visit_list.extend_from_slice(seeds);
-        out.blocks.truncate(hops);
-        while out.blocks.len() < hops {
-            out.blocks.push(LayerBlock {
-                src_globals: Vec::new(),
-                dst_count: 0,
-                edges: Vec::new(),
-            });
-        }
-
-        bufs.frontier.clear();
-        bufs.frontier.extend_from_slice(seeds);
+        bufs.begin(seeds, hops, out);
         for (hop, &fanout) in self.fanouts.iter().enumerate() {
-            bufs.selected.clear();
-            bufs.ranges.clear();
             for i in 0..bufs.frontier.len() {
                 let v = bufs.frontier[i];
                 let start = bufs.selected.len();
@@ -277,30 +259,10 @@ impl SamplingAlgorithm for KHop {
                 );
                 bufs.ranges.push((start, bufs.selected.len()));
             }
-            out.visit_list.extend_from_slice(&bufs.selected);
             out.work.kernel_launches += 1;
-
             // Hop `h` outward is block `hops - 1 - h`: blocks are stored
-            // innermost first (what the old build-then-reverse produced).
-            let block = &mut out.blocks[hops - 1 - hop];
-            dedup_remap_into(
-                &bufs.frontier,
-                &bufs.selected,
-                &mut bufs.remap,
-                &mut block.src_globals,
-            );
-            block.dst_count = bufs.frontier.len();
-            block.edges.clear();
-            for (dst_local, &(s, e)) in bufs.ranges.iter().enumerate() {
-                // Self-connection so isolated dsts still aggregate.
-                block.edges.push((dst_local as u32, dst_local as u32));
-                for &nbr in &bufs.selected[s..e] {
-                    let local = bufs.remap.get(nbr).expect("selected vertex was remapped");
-                    block.edges.push((local, dst_local as u32));
-                }
-            }
-            bufs.frontier.clear();
-            bufs.frontier.extend_from_slice(&block.src_globals);
+            // innermost first.
+            bufs.finish_hop(&mut out.blocks[hops - 1 - hop], &mut out.visit_list);
         }
     }
 

@@ -1,6 +1,6 @@
 //! PinSAGE-style random-walk neighbor selection.
 
-use crate::sample::{dedup_remap, LayerBlock, Sample, SampleWork};
+use crate::sample::{Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
 use rand::Rng;
@@ -52,7 +52,8 @@ impl RandomWalk {
         RandomWalk::new(3, 4, 3, 5)
     }
 
-    /// Walks from `v`, returning the top visited vertices (excluding `v`).
+    /// Walks from `v`, appending the top visited vertices (excluding `v`)
+    /// to `out`.
     fn select(
         &self,
         csr: &Csr,
@@ -60,7 +61,8 @@ impl RandomWalk {
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
         visits: &mut HashMap<VertexId, u32>,
-    ) -> Vec<VertexId> {
+        out: &mut Vec<VertexId>,
+    ) {
         visits.clear();
         for _ in 0..self.num_walks {
             let mut cur = v;
@@ -85,56 +87,52 @@ impl RandomWalk {
         ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(self.neighbors_per_layer);
         work.sampled_vertices += ranked.len() as u64;
-        ranked.into_iter().map(|(k, _)| k).collect()
+        out.extend(ranked.into_iter().map(|(k, _)| k));
     }
 }
 
 impl SamplingAlgorithm for RandomWalk {
     fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample {
-        let mut work = SampleWork::default();
-        let mut visit_list = seeds.to_vec();
-        let mut blocks_outward = Vec::with_capacity(self.layers);
-        let mut frontier: Vec<VertexId> = seeds.to_vec();
-        let mut scratch: HashMap<VertexId, u32> = HashMap::new();
+        self.sample_with(csr, seeds, rng, &mut SampleBuffers::new())
+    }
 
-        for _ in 0..self.layers {
-            let mut selected = Vec::with_capacity(frontier.len() * self.neighbors_per_layer);
-            let mut ranges = Vec::with_capacity(frontier.len());
-            for &v in &frontier {
-                let start = selected.len();
-                let sel = self.select(csr, v, rng, &mut work, &mut scratch);
-                selected.extend(sel);
-                ranges.push((start, selected.len()));
+    fn sample_with(
+        &self,
+        csr: &Csr,
+        seeds: &[VertexId],
+        rng: &mut ChaCha8Rng,
+        bufs: &mut SampleBuffers,
+    ) -> Sample {
+        let mut out = Sample::default();
+        self.sample_into(csr, seeds, rng, bufs, &mut out);
+        out
+    }
+
+    /// The one real code path, as in [`crate::KHop`].
+    fn sample_into(
+        &self,
+        csr: &Csr,
+        seeds: &[VertexId],
+        rng: &mut ChaCha8Rng,
+        bufs: &mut SampleBuffers,
+        out: &mut Sample,
+    ) {
+        let mut visits: HashMap<VertexId, u32> = HashMap::new();
+        bufs.begin(seeds, self.layers, out);
+        for layer in 0..self.layers {
+            for i in 0..bufs.frontier.len() {
+                let v = bufs.frontier[i];
+                let start = bufs.selected.len();
+                self.select(csr, v, rng, &mut out.work, &mut visits, &mut bufs.selected);
+                bufs.ranges.push((start, bufs.selected.len()));
             }
-            visit_list.extend_from_slice(&selected);
             // A walk layer launches one kernel per walk step plus the
             // top-k reduction — PinSAGE's "more complex access pattern"
             // that amplifies per-launch overheads (§7.3).
-            work.kernel_launches += self.walk_len as u64 + 1;
-
-            let (table, map) = dedup_remap(&frontier, &selected);
-            let mut edges = Vec::with_capacity(selected.len() + frontier.len());
-            for (dst_local, &(s, e)) in ranges.iter().enumerate() {
-                edges.push((dst_local as u32, dst_local as u32));
-                for &nbr in &selected[s..e] {
-                    edges.push((map[&nbr], dst_local as u32));
-                }
-            }
-            blocks_outward.push(LayerBlock {
-                dst_count: frontier.len(),
-                src_globals: table.clone(),
-                edges,
-            });
-            frontier = table;
-        }
-
-        blocks_outward.reverse();
-        Sample {
-            seeds: seeds.to_vec(),
-            blocks: blocks_outward,
-            visit_list,
-            work,
-            cache_mask: None,
+            out.work.kernel_launches += self.walk_len as u64 + 1;
+            // Blocks are stored innermost first.
+            let block = &mut out.blocks[self.layers - 1 - layer];
+            bufs.finish_hop(block, &mut out.visit_list);
         }
     }
 

@@ -186,55 +186,6 @@ impl Sample {
     }
 }
 
-/// Deduplicates `dsts ∪ selected` assigning consecutive local ids with the
-/// dsts first (ids `0..dsts.len()`), returning the global-id table and a
-/// lookup from global id to local id for the selected vertices.
-///
-/// This is the paper's "deduplicated and reassigned with consecutive IDs
-/// (starting from 0)" step (Fig. 1). `dsts` must itself be duplicate-free.
-pub fn dedup_remap(
-    dsts: &[VertexId],
-    selected: &[VertexId],
-) -> (Vec<VertexId>, std::collections::HashMap<VertexId, u32>) {
-    let mut table: Vec<VertexId> = Vec::with_capacity(dsts.len() + selected.len());
-    let mut map = std::collections::HashMap::with_capacity(dsts.len() + selected.len());
-    for &v in dsts {
-        let prev = map.insert(v, table.len() as u32);
-        debug_assert!(prev.is_none(), "dsts must be duplicate-free");
-        table.push(v);
-    }
-    for &v in selected {
-        map.entry(v).or_insert_with(|| {
-            table.push(v);
-            (table.len() - 1) as u32
-        });
-    }
-    (table, map)
-}
-
-/// Zero-alloc [`dedup_remap`]: same dedup order and local-id assignment,
-/// but the id table is written into `table_out` and the lookup lives in a
-/// reusable open-addressing [`RemapTable`] instead of a fresh `HashMap`.
-pub fn dedup_remap_into(
-    dsts: &[VertexId],
-    selected: &[VertexId],
-    map: &mut RemapTable,
-    table_out: &mut Vec<VertexId>,
-) {
-    map.reset(dsts.len() + selected.len());
-    table_out.clear();
-    for &v in dsts {
-        let prev = map.insert_if_absent(v, table_out.len() as u32);
-        debug_assert!(prev.is_none(), "dsts must be duplicate-free");
-        table_out.push(v);
-    }
-    for &v in selected {
-        if map.insert_if_absent(v, table_out.len() as u32).is_none() {
-            table_out.push(v);
-        }
-    }
-}
-
 /// Finalizer-style 32-bit mixer (murmur3) for the open-addressing tables.
 #[inline]
 fn mix32(x: u32) -> u32 {
@@ -248,7 +199,7 @@ fn mix32(x: u32) -> u32 {
 
 /// A reusable open-addressing `u32 → u32` map with generation stamps:
 /// `reset` is O(1) (a generation bump), so the per-hop remap of
-/// [`dedup_remap_into`] allocates nothing after warm-up.
+/// [`SampleBuffers::finish_hop`] allocates nothing after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct RemapTable {
     keys: Vec<u32>,
@@ -293,23 +244,6 @@ impl RemapTable {
                 self.stamps[slot] = self.generation;
                 self.keys[slot] = key;
                 self.vals[slot] = val;
-                return None;
-            }
-            if self.keys[slot] == key {
-                return Some(self.vals[slot]);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
-
-    /// Looks up `key`.
-    pub fn get(&self, key: u32) -> Option<u32> {
-        if self.keys.is_empty() {
-            return None;
-        }
-        let mut slot = mix32(key) as usize & self.mask;
-        loop {
-            if self.stamps[slot] != self.generation {
                 return None;
             }
             if self.keys[slot] == key {
@@ -391,39 +325,115 @@ impl SampleBuffers {
     pub fn new() -> Self {
         SampleBuffers::default()
     }
+
+    /// Resets `out` to an empty `layers`-block sample of `seeds`, keeping
+    /// every vector's capacity, and makes the seeds the first frontier of
+    /// an empty selection list.
+    pub(crate) fn begin(&mut self, seeds: &[VertexId], layers: usize, out: &mut Sample) {
+        out.work = SampleWork::default();
+        out.cache_mask = None;
+        out.seeds.clear();
+        out.seeds.extend_from_slice(seeds);
+        out.visit_list.clear();
+        out.visit_list.extend_from_slice(seeds);
+        out.blocks.resize_with(layers, || LayerBlock {
+            src_globals: Vec::new(),
+            dst_count: 0,
+            edges: Vec::new(),
+        });
+        self.frontier.clear();
+        self.frontier.extend_from_slice(seeds);
+        self.selected.clear();
+        self.ranges.clear();
+    }
+
+    /// Closes a hop whose frontier vertex `i` selected
+    /// `selected[ranges[i]]`: records the visits, writes the hop's block —
+    /// the paper's "deduplicated and reassigned with consecutive IDs
+    /// (starting from 0)" step (Fig. 1) — and makes the block's inputs the
+    /// next frontier. The (duplicate-free) frontier takes local ids
+    /// `0..dst_count`; every other vertex takes the next id where the
+    /// selection list first names it, in the same probe that emits its
+    /// `(src_local, dst_local)` edge. Every dst also gets an explicit
+    /// self-connection, so an isolated one still aggregates itself. The
+    /// selection list is left empty for the next hop.
+    pub(crate) fn finish_hop(&mut self, block: &mut LayerBlock, visit_list: &mut Vec<VertexId>) {
+        visit_list.extend_from_slice(&self.selected);
+        self.remap.reset(self.frontier.len() + self.selected.len());
+        block.src_globals.clear();
+        block.src_globals.extend_from_slice(&self.frontier);
+        for (local, &v) in self.frontier.iter().enumerate() {
+            let prev = self.remap.insert_if_absent(v, local as u32);
+            debug_assert!(prev.is_none(), "the frontier is duplicate-free");
+        }
+        block.dst_count = self.frontier.len();
+        block.edges.clear();
+        for (dst, &(start, end)) in self.ranges.iter().enumerate() {
+            let dst = dst as u32;
+            block.edges.push((dst, dst));
+            for &nbr in &self.selected[start..end] {
+                let next = block.src_globals.len() as u32;
+                let local = self.remap.insert_if_absent(nbr, next).unwrap_or_else(|| {
+                    block.src_globals.push(nbr);
+                    next
+                });
+                block.edges.push((local, dst));
+            }
+        }
+        self.frontier.clear();
+        self.frontier.extend_from_slice(&block.src_globals);
+        self.selected.clear();
+        self.ranges.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn dedup_remap_puts_dsts_first() {
-        let (table, map) = dedup_remap(&[10, 20], &[30, 10, 30, 40]);
-        assert_eq!(table, vec![10, 20, 30, 40]);
-        assert_eq!(map[&10], 0);
-        assert_eq!(map[&20], 1);
-        assert_eq!(map[&30], 2);
-        assert_eq!(map[&40], 3);
+    /// One hop over `frontier` where vertex `i` selected `picks[i]`.
+    fn hop(bufs: &mut SampleBuffers, frontier: &[VertexId], picks: &[&[VertexId]]) -> LayerBlock {
+        let mut out = Sample::default();
+        bufs.begin(frontier, 1, &mut out);
+        for p in picks {
+            let start = bufs.selected.len();
+            bufs.selected.extend_from_slice(p);
+            bufs.ranges.push((start, bufs.selected.len()));
+        }
+        let Sample {
+            blocks, visit_list, ..
+        } = &mut out;
+        bufs.finish_hop(&mut blocks[0], visit_list);
+        let picked: usize = picks.iter().map(|p| p.len()).sum();
+        assert_eq!(out.visit_list.len(), frontier.len() + picked);
+        out.blocks.remove(0)
     }
 
     #[test]
-    fn dedup_remap_into_matches_hashmap_path() {
-        let dsts = vec![10, 20];
-        let selected = vec![30, 10, 30, 40, 20, 50];
-        let (table, map) = dedup_remap(&dsts, &selected);
-        let mut rt = RemapTable::new();
-        let mut out = Vec::new();
-        dedup_remap_into(&dsts, &selected, &mut rt, &mut out);
-        assert_eq!(out, table);
-        for (&global, &local) in &map {
-            assert_eq!(rt.get(global), Some(local));
-        }
-        // Reuse across calls: a second fill sees none of the first.
-        dedup_remap_into(&[1], &[2, 1, 3], &mut rt, &mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(rt.get(10), None);
-        assert_eq!(rt.get(2), Some(1));
+    fn finish_hop_numbers_dsts_first_then_first_appearance() {
+        let mut bufs = SampleBuffers::new();
+        let block = hop(&mut bufs, &[10, 20], &[&[30, 10, 30], &[40, 20, 50, 30]]);
+        assert_eq!(block.src_globals, vec![10, 20, 30, 40, 50]);
+        assert_eq!(block.dst_count, 2);
+        assert_eq!(
+            block.edges,
+            vec![
+                (0, 0),
+                (2, 0),
+                (0, 0),
+                (2, 0),
+                (1, 1),
+                (3, 1),
+                (1, 1),
+                (4, 1),
+                (2, 1)
+            ]
+        );
+        assert_eq!(bufs.frontier, block.src_globals);
+        // Reuse across hops: a second block sees none of the first's ids.
+        let block = hop(&mut bufs, &[1], &[&[2, 1, 3, 10]]);
+        assert_eq!(block.src_globals, vec![1, 2, 3, 10]);
+        assert_eq!(block.edges, vec![(0, 0), (1, 0), (0, 0), (2, 0), (3, 0)]);
     }
 
     #[test]
@@ -441,21 +451,12 @@ mod tests {
     fn remap_table_survives_generation_wrap() {
         let mut rt = RemapTable::new();
         rt.reset(2);
+        assert_eq!(rt.insert_if_absent(5, 9), None);
         rt.generation = u32::MAX; // force the next reset to wrap
         rt.reset(2);
         assert_eq!(rt.generation, 1);
-        assert_eq!(rt.get(5), None);
-        assert_eq!(rt.insert_if_absent(5, 0), None);
-        assert_eq!(rt.get(5), Some(0));
-    }
-
-    #[test]
-    fn dedup_remap_is_bijective_on_table() {
-        let (table, map) = dedup_remap(&[5], &[1, 2, 1, 5, 3]);
-        assert_eq!(map.len(), table.len());
-        for (local, &global) in table.iter().enumerate() {
-            assert_eq!(map[&global] as usize, local);
-        }
+        assert_eq!(rt.insert_if_absent(5, 0), None, "wrap must clear");
+        assert_eq!(rt.insert_if_absent(5, 7), Some(0));
     }
 
     #[test]

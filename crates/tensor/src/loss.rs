@@ -37,12 +37,10 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
     ((loss / n as f64) as f32, grad)
 }
 
-/// Fraction of rows whose argmax equals the label.
-pub fn accuracy(logits: &Matrix, labels: &[u32]) -> f64 {
+/// Number of rows whose argmax equals the label — an integer, so counts
+/// from separately evaluated chunks sum exactly in any order.
+pub fn correct_predictions(logits: &Matrix, labels: &[u32]) -> usize {
     assert_eq!(logits.rows(), labels.len(), "label count mismatch");
-    if labels.is_empty() {
-        return 0.0;
-    }
     let mut correct = 0usize;
     for (i, &label) in labels.iter().enumerate() {
         let row = logits.row(i);
@@ -55,6 +53,15 @@ pub fn accuracy(logits: &Matrix, labels: &[u32]) -> f64 {
         if argmax == label {
             correct += 1;
         }
+    }
+    correct
+}
+
+/// Fraction of rows whose argmax equals the label.
+pub fn accuracy(logits: &Matrix, labels: &[u32]) -> f64 {
+    let correct = correct_predictions(logits, labels);
+    if labels.is_empty() {
+        return 0.0;
     }
     correct as f64 / labels.len() as f64
 }
@@ -113,6 +120,7 @@ mod tests {
     fn accuracy_counts_argmax() {
         let logits = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 0.]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(correct_predictions(&logits, &[0, 1, 1]), 2);
         assert_eq!(accuracy(&Matrix::zeros(0, 2), &[]), 0.0);
     }
 

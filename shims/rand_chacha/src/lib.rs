@@ -128,6 +128,48 @@ mod tests {
         assert_eq!(same, 0);
     }
 
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Known answers per seed: FNV-1a of the first 4 096 `next_u32` words
+    /// (256 blocks, so the counter carries), and of 1 000 `gen_range(0..=j)`
+    /// draws with `j` cycling through 1..=61 (the k-hop kernels' call).
+    /// Captured before any change to `refill`, equal in debug and
+    /// `--release`: every sampled vertex in the workspace hangs off this
+    /// stream, so a faster block function must reproduce it word for word.
+    const KNOWN: [(u64, u64, u64); 3] = [
+        (0, 0xe5ea_efcb_0009_d17a, 0x0f91_a3bd_00a2_4685),
+        (7, 0x8c23_5d2f_27a8_c63e, 0xc5d2_2a60_87b7_6bec),
+        (
+            0xDEAD_BEEF_0BAD_CAFE,
+            0x97b9_8863_93ee_ae90,
+            0x0fb6_995c_a85b_b3c8,
+        ),
+    ];
+
+    #[test]
+    fn known_answers_hold() {
+        for (seed, words, ranges) in KNOWN {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let got_words = fnv((0..4096).map(|_| u64::from(rng.next_u32())));
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let got_ranges =
+                fnv((0..1000usize).map(|i| rng.gen_range(0..=1 + (i * 7) % 61) as u64));
+            assert_eq!(
+                (got_words, got_ranges),
+                (words, ranges),
+                "seed {seed:#x}: got ({got_words:#018x}, {got_ranges:#018x})"
+            );
+        }
+    }
+
     #[test]
     fn stream_looks_uniform() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);

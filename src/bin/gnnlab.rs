@@ -13,7 +13,8 @@
 //!
 //! ```text
 //! --samplers N --trainers N --epochs N --batch-size N --capacity N --seed S
-//! --threads N                 data-parallel width of Extract/pre-sampling
+//! --threads N                 data-parallel width of Extract (pre-sampling and
+//!                             evaluation run samplers + trainers wide)
 //! --pipeline-depth 0|1        0 = serial consumer loop (reference path);
 //!                             1 = double-buffered extract prefetch +
 //!                             burst queue handoff (default)
