@@ -4,9 +4,7 @@
 
 use super::config::{ExecutorCacheReport, ThreadedError, ThreadedErrorKind};
 use super::gate::CKPT_POLL;
-use super::shared::{
-    new_model, pull_params, push_grads, BatchClock, Shared, StreamRole, TrainTask,
-};
+use super::shared::{new_model, BatchClock, Shared, StreamRole, TrainTask};
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
 use crate::queue::Lease;
@@ -32,7 +30,10 @@ pub(super) fn trainer_phase(
 /// The §5.3 switching decision a Sampler takes once its sampling work is
 /// done: evaluate the live profit metric and, if positive, pay the
 /// replica-init and cache-refresh cost, re-check, and train as a standby
-/// Trainer until the queue drains.
+/// Trainer until the queue drains. For as long as it trains, the
+/// parameter server takes updates in rounds (see
+/// [`ParamServer`](super::shared::ParamServer)): the switch may only buy
+/// time, not move what the run converges to.
 pub(super) fn standby_phase(
     sh: &Shared<'_>,
     slot: usize,
@@ -89,7 +90,11 @@ pub(super) fn standby_phase(
     }
     obs.metrics.counter_inc(names::SCHEDULER_SWITCHES);
     sh.switches.fetch_add(1, Ordering::Relaxed);
+    // Rounds stay on if this standby unwinds instead of returning: the
+    // safe side, and what is left of the run is its tail.
+    sh.server.lock().standbys += 1;
     let res = consumer.run();
+    sh.server.lock().standbys -= 1;
     sh.active_trainers.fetch_sub(1, Ordering::Relaxed);
     res
 }
@@ -457,7 +462,7 @@ impl<'a> Consumer<'a> {
         let feats = Matrix::from_vec(rows, sh.graph.feat_dim, buf);
         let train_start = sh.obs.now_ns();
         let started = Instant::now();
-        pull_params(&mut self.replica, &sh.server);
+        let pulled = sh.pull_params(&mut self.replica);
         {
             let (device, role) = (self.ext.device, self.ext.role);
             let _g = sh.obs.start_span(device, role, Stage::Train, task.id);
@@ -465,7 +470,7 @@ impl<'a> Consumer<'a> {
                 std::thread::sleep(d);
             }
             let (loss, acc) = self.replica.train_batch(&task.sample, &feats, &task.labels);
-            push_grads(&mut self.replica, &sh.server);
+            pulled.push_grads(&mut self.replica);
             sh.history.lock().push(BatchRecord {
                 id: task.id,
                 loss,

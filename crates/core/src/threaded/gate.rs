@@ -360,7 +360,7 @@ impl Shared<'_> {
         }
         {
             let mut guard = self.server.lock();
-            let ParamServer { master, opt } = &mut *guard;
+            let ParamServer { master, opt, .. } = &mut *guard;
             let mut params = master.params_mut();
             if params.len() != state.params.len() {
                 return refuse(format!(

@@ -15,7 +15,11 @@
 //! estimates of `T_s`, `T_t` and `T_t'` from its recorded batch times, and
 //! a Sampler that finishes its share of the epoch flips into a standby
 //! Trainer whenever the profit metric `P = M_r·T_t/N_t − T_t'` is
-//! positive, training until the queue drains.
+//! positive, training until the queue drains. The switch buys time and
+//! must not cost accuracy: while a standby consumes, the parameter server
+//! takes updates in rounds — one optimizer step per set of overlapping
+//! consumers, on their mean gradient — so no gradient is applied to
+//! parameters it was not computed on (`shared::ParamServer` has the why).
 //!
 //! # Fault tolerance
 //!

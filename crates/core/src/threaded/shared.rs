@@ -15,7 +15,7 @@ use crate::memory::{
 };
 use crate::queue::GlobalQueue;
 use crate::schedule::num_samplers;
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::train_real::sampler_for;
 use gnnlab_cache::{load_cache_topk, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
 use gnnlab_graph::gen::SbmGraph;
@@ -23,7 +23,7 @@ use gnnlab_graph::{FeatureStore, VertexId};
 use gnnlab_obs::{names, Executor, Obs, Stage};
 use gnnlab_par::ThreadPool;
 use gnnlab_sampling::Sample;
-use gnnlab_tensor::{Adam, GnnModel, Matrix, ModelConfig, ModelKind, Optimizer};
+use gnnlab_tensor::{Adam, GnnModel, Matrix, ModelConfig, ModelKind};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,13 +36,53 @@ pub(super) struct TrainTask {
     pub labels: Vec<u32>,
 }
 
-/// The shared parameter server: master weights plus the optimizer state.
+/// How often a consumer waiting for its round's step re-checks it — the
+/// queue's guard against a lost wakeup, here too.
+const ROUND_WAIT: Duration = Duration::from_millis(50);
+
+/// The shared parameter server: master weights plus the optimizer state,
+/// and the book of who holds a copy of the parameters.
+///
+/// Dedicated Trainers update asynchronously: each push steps the
+/// optimizer at once, so a gradient is at most as many versions stale as
+/// there are peers in flight (§5.2's bounded staleness). A switched
+/// standby may only buy time, not change what the run converges to, and
+/// a stale gradient does: fed back through Adam's first moment, one
+/// version of delay cuts the step length the loop tolerates about
+/// forty-fold, and a learning rate a serial run is comfortable with
+/// oscillates (DESIGN §4c has the measurements). So while a standby
+/// consumes, updates go in **rounds**: a push only adds its gradient to
+/// the master's, the pusher waits, and when the last consumer in flight
+/// has pushed, the optimizer takes one step on the round's mean gradient
+/// — as many times as long as the round has gradients, the linear scaling
+/// rule, so a batch moves the model as far as it did alone — and everyone
+/// pulls the new parameters. No gradient is applied to parameters it was
+/// not computed on.
 pub(super) struct ParamServer {
     pub master: GnnModel,
     pub opt: Adam,
+    /// Switched standbys consuming right now; rounds are on while any is.
+    pub standbys: usize,
+    /// Consumers between their pull and their push.
+    in_flight: usize,
+    /// Gradients summed into the master's since the last step.
+    pending: usize,
+    /// Steps taken; a pusher waiting for its round's step watches it move.
+    round: u64,
 }
 
 impl ParamServer {
+    pub(super) fn new(master: GnnModel, opt: Adam) -> Self {
+        ParamServer {
+            master,
+            opt,
+            standbys: 0,
+            in_flight: 0,
+            pending: 0,
+            round: 0,
+        }
+    }
+
     /// A copy of every master parameter value, in `params_mut()` order —
     /// what a checkpoint persists.
     pub(super) fn values(&mut self) -> Vec<Matrix> {
@@ -51,6 +91,21 @@ impl ParamServer {
             .iter()
             .map(|p| p.value.clone())
             .collect()
+    }
+
+    /// Steps the optimizer on the mean of the `pending` gradients summed
+    /// into the master's, `pending` times as long. One pending gradient —
+    /// every step outside a round — is the plain step, bit for bit.
+    fn step(&mut self) {
+        let n = std::mem::take(&mut self.pending);
+        let mut params = self.master.params_mut();
+        if n > 1 {
+            for p in &mut params {
+                p.grad.scale(1.0 / n as f32);
+            }
+        }
+        self.opt.step_scaled(&mut params, n as f32);
+        self.round += 1;
     }
 }
 
@@ -234,33 +289,76 @@ pub(super) fn planned_miss_ratio(
     ((1.0 + miss_s) / (1.0 + miss_t)).max(1.0)
 }
 
-/// Copies master parameter values into a replica (the Trainer's pull),
-/// straight into the replica's existing buffers under the lock.
-pub(super) fn pull_params(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
-    let params = replica.params_mut();
-    let mut guard = server.lock();
-    for (p, m) in params.into_iter().zip(guard.master.params_mut()) {
-        p.value.data_mut().copy_from_slice(m.value.data());
+/// A consumer between its pull and its push: the server counts it in
+/// flight, and a round waits for it. Dropped without a push — the
+/// consumer panicked mid-train — it leaves the round all the same, so
+/// its peers are not left waiting for a gradient that will never come.
+pub(super) struct Pulled<'s, 'a> {
+    sh: &'s Shared<'a>,
+    pushed: bool,
+}
+
+impl<'a> Shared<'a> {
+    /// Copies master parameter values into a replica (the consumer's
+    /// pull), straight into the replica's existing buffers under the lock.
+    pub(super) fn pull_params(&self, replica: &mut GnnModel) -> Pulled<'_, 'a> {
+        let params = replica.params_mut();
+        let mut guard = self.server.lock();
+        for (p, m) in params.into_iter().zip(guard.master.params_mut()) {
+            p.value.data_mut().copy_from_slice(m.value.data());
+        }
+        guard.in_flight += 1;
+        Pulled {
+            sh: self,
+            pushed: false,
+        }
     }
 }
 
-/// Pushes a replica's gradients into the master and steps the optimizer
-/// (asynchronous update; staleness is bounded by the number of in-flight
-/// Trainers). The gradients are added from the replica's own buffers and
-/// zeroed there once the lock is released.
-pub(super) fn push_grads(replica: &mut GnnModel, server: &Mutex<ParamServer>) {
-    let mut grads = replica.params_mut();
-    {
-        let mut guard = server.lock();
-        let ParamServer { master, opt } = &mut *guard;
-        let mut params = master.params_mut();
-        for (p, r) in params.iter_mut().zip(&grads) {
-            p.grad.add_assign(&r.grad);
+impl Pulled<'_, '_> {
+    /// Pushes a replica's gradients into the master: added from the
+    /// replica's own buffers and zeroed there once the lock is released.
+    /// Outside a round the optimizer steps at once; in one (see
+    /// [`ParamServer`]) it steps when the last consumer in flight has
+    /// pushed, and this call returns after that step.
+    pub(super) fn push_grads(mut self, replica: &mut GnnModel) {
+        self.pushed = true;
+        let sh = self.sh;
+        let mut grads = replica.params_mut();
+        {
+            let mut guard = sh.server.lock();
+            for (p, r) in guard.master.params_mut().iter_mut().zip(&grads) {
+                p.grad.add_assign(&r.grad);
+            }
+            guard.pending += 1;
+            guard.in_flight -= 1;
+            if guard.standbys == 0 || guard.in_flight == 0 {
+                guard.step();
+                sh.round_stepped.notify_all();
+            } else {
+                let round = guard.round;
+                while guard.round == round {
+                    sh.round_stepped.wait_for(&mut guard, ROUND_WAIT);
+                }
+            }
         }
-        opt.step(&mut params);
+        for r in &mut grads {
+            r.zero_grad();
+        }
     }
-    for r in &mut grads {
-        r.zero_grad();
+}
+
+impl Drop for Pulled<'_, '_> {
+    fn drop(&mut self) {
+        if self.pushed {
+            return;
+        }
+        let mut guard = self.sh.server.lock();
+        guard.in_flight -= 1;
+        if guard.in_flight == 0 && guard.pending > 0 {
+            guard.step();
+            self.sh.round_stepped.notify_all();
+        }
     }
 }
 
@@ -344,6 +442,9 @@ pub(super) struct Shared<'a> {
     /// exits.
     pub cache_reports: Mutex<Vec<ExecutorCacheReport>>,
     pub server: Mutex<ParamServer>,
+    /// Signalled after every optimizer step; consumers waiting for their
+    /// round's step sleep on it.
+    pub round_stepped: Condvar,
     /// Live `T_s`/`T_t`/`T_t'` estimates plus the active-Trainer count,
     /// shared by every executor of the run.
     pub t_sample: AtomicEwma,
@@ -466,10 +567,11 @@ impl<'a> Shared<'a> {
             bookends,
             refresh_secs: AtomicEwma::new(),
             cache_reports: Mutex::new(Vec::new()),
-            server: Mutex::new(ParamServer {
-                master: new_model(graph, kind, cfg, StreamRole::Model, 0),
-                opt: Adam::new(cfg.lr),
-            }),
+            server: Mutex::new(ParamServer::new(
+                new_model(graph, kind, cfg, StreamRole::Model, 0),
+                Adam::new(cfg.lr),
+            )),
+            round_stepped: Condvar::new(),
             t_sample: AtomicEwma::new(),
             t_train: AtomicEwma::new(),
             t_standby: AtomicEwma::new(),

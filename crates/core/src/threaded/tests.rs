@@ -633,3 +633,116 @@ fn presampling_is_identical_at_every_fleet_width() {
     // No cache row to rank for: the pass is skipped at any width.
     assert_eq!(build(2, 4, 0.0), (None, Vec::new()));
 }
+
+/// What the parameter-server tests below share: a run's shared state, two
+/// replicas holding the constant gradients `g[0]` and `g[1]`, and the
+/// master's starting values.
+fn server_fixture<'a>(
+    g: &'a SbmGraph,
+    cfg: &'a ThreadedConfig,
+    train: &'a [VertexId],
+    grads: [f32; 2],
+) -> (Shared<'a>, [GnnModel; 2], GnnModel) {
+    let shared = Shared::new(g, ModelKind::Gcn, cfg, &Arc::new(Obs::wall()), train);
+    let start = shared.server.lock().master.clone();
+    let replicas = grads.map(|value| {
+        let mut replica = start.clone();
+        for p in replica.params_mut() {
+            p.grad.data_mut().fill(value);
+        }
+        replica
+    });
+    (shared, replicas, start)
+}
+
+fn adam_steps(shared: &Shared<'_>) -> i32 {
+    shared.server.lock().opt.export_state().t
+}
+
+fn value_bits(model: &mut GnnModel) -> Vec<u32> {
+    let params = model.params_mut();
+    let values = params.iter().flat_map(|p| p.value.data());
+    values.map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn without_a_standby_every_push_steps_at_once() {
+    let (g, cfg) = (graph(), ThreadedConfig::default());
+    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
+    let (shared, [mut a, mut b], mut start) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
+    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
+    pa.push_grads(&mut a);
+    assert_eq!(adam_steps(&shared), 1);
+    pb.push_grads(&mut b);
+    assert_eq!(adam_steps(&shared), 2);
+    // Exactly the two plain steps a lone optimizer takes.
+    let mut opt = gnnlab_tensor::Adam::new(cfg.lr);
+    for value in [0.5, -0.25] {
+        let mut params = start.params_mut();
+        for p in &mut params {
+            p.grad.data_mut().fill(value);
+        }
+        gnnlab_tensor::Optimizer::step(&mut opt, &mut params);
+    }
+    assert_eq!(
+        value_bits(&mut shared.server.lock().master),
+        value_bits(&mut start)
+    );
+}
+
+#[test]
+fn a_round_steps_once_on_the_mean_gradient_when_its_last_consumer_pushes() {
+    let (g, cfg) = (graph(), ThreadedConfig::default());
+    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
+    let (shared, [mut a, mut b], mut start) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
+    shared.server.lock().standbys = 1;
+    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| pa.push_grads(&mut a));
+        // The first push lands in the master's gradients and waits there:
+        // no step while a peer still trains on the parameters it pulled.
+        let landed = || shared.server.lock().master.params_mut()[0].grad.data()[0] != 0.0;
+        while !landed() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!first.is_finished(), "the first pusher did not wait");
+        assert_eq!(adam_steps(&shared), 0);
+        pb.push_grads(&mut b);
+    });
+    assert_eq!(adam_steps(&shared), 1);
+    // One step on the mean of the two gradients, twice as long.
+    let mut params = start.params_mut();
+    for p in &mut params {
+        p.grad.data_mut().fill((0.5 - 0.25) / 2.0);
+    }
+    gnnlab_tensor::Adam::new(cfg.lr).step_scaled(&mut params, 2.0);
+    drop(params);
+    assert_eq!(
+        value_bits(&mut shared.server.lock().master),
+        value_bits(&mut start)
+    );
+}
+
+#[test]
+fn a_consumer_that_dies_mid_train_does_not_hold_the_round() {
+    let (g, cfg) = (graph(), ThreadedConfig::default());
+    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
+    let (shared, [mut a, mut b], _) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
+    shared.server.lock().standbys = 1;
+    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
+    std::thread::scope(|scope| {
+        scope.spawn(|| pa.push_grads(&mut a));
+        while shared.server.lock().master.params_mut()[0].grad.data()[0] == 0.0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The peer unwinds without pushing: the round closes on the one
+        // gradient it has and the waiting pusher returns (the scope joins).
+        drop(pb);
+    });
+    assert_eq!(adam_steps(&shared), 1);
+    // A lone consumer after that is not in anyone's way.
+    let pb = shared.pull_params(&mut b);
+    pb.push_grads(&mut b);
+    assert_eq!(adam_steps(&shared), 2);
+}

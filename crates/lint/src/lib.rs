@@ -375,7 +375,7 @@ fn looks_like_metric_name(s: &str) -> bool {
     // At least two dot-segments, the first being a word ("queue",
     // "alerts", …). Filters out file extensions and version numbers.
     let segs: Vec<&str> = s.split('.').collect();
-    if segs.len() < 2 || segs.iter().any(|seg| seg.is_empty() && *seg != "") {
+    if segs.len() < 2 {
         return false;
     }
     let known_ext = [

@@ -5,7 +5,6 @@ use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 
 /// Random-walk based neighborhood sampling (PinSAGE, §7.1).
 ///
@@ -53,17 +52,25 @@ impl RandomWalk {
     }
 
     /// Walks from `v`, appending the top visited vertices (excluding `v`)
-    /// to `out`.
+    /// to `bufs.selected`. `bufs.ranked` collects `(vertex, visit count)`
+    /// in first-visit order; `bufs.visits` maps a vertex to its index
+    /// there.
     fn select(
         &self,
         csr: &Csr,
         v: VertexId,
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
-        visits: &mut HashMap<VertexId, u32>,
-        out: &mut Vec<VertexId>,
+        bufs: &mut SampleBuffers,
     ) {
-        visits.clear();
+        let SampleBuffers {
+            visits,
+            ranked,
+            selected,
+            ..
+        } = bufs;
+        visits.reset(self.num_walks * self.walk_len);
+        ranked.clear();
         for _ in 0..self.num_walks {
             let mut cur = v;
             for _ in 0..self.walk_len {
@@ -77,17 +84,19 @@ impl RandomWalk {
                 work.rng_draws += 1;
                 work.edges_scanned += 1;
                 if next != v {
-                    *visits.entry(next).or_insert(0) += 1;
+                    match visits.insert_if_absent(next, ranked.len() as u32) {
+                        Some(at) => ranked[at as usize].1 += 1,
+                        None => ranked.push((next, 1)),
+                    }
                 }
                 cur = next;
             }
         }
-        let mut ranked: Vec<(VertexId, u32)> = visits.iter().map(|(&k, &c)| (k, c)).collect();
         // Deterministic order: by count desc, then id asc.
         ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(self.neighbors_per_layer);
         work.sampled_vertices += ranked.len() as u64;
-        out.extend(ranked.into_iter().map(|(k, _)| k));
+        selected.extend(ranked.iter().map(|&(k, _)| k));
     }
 }
 
@@ -117,13 +126,12 @@ impl SamplingAlgorithm for RandomWalk {
         bufs: &mut SampleBuffers,
         out: &mut Sample,
     ) {
-        let mut visits: HashMap<VertexId, u32> = HashMap::new();
         bufs.begin(seeds, self.layers, out);
         for layer in 0..self.layers {
             for i in 0..bufs.frontier.len() {
                 let v = bufs.frontier[i];
                 let start = bufs.selected.len();
-                self.select(csr, v, rng, &mut out.work, &mut visits, &mut bufs.selected);
+                self.select(csr, v, rng, &mut out.work, bufs);
                 bufs.ranges.push((start, bufs.selected.len()));
             }
             // A walk layer launches one kernel per walk step plus the

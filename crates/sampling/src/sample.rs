@@ -197,14 +197,25 @@ fn mix32(x: u32) -> u32 {
     h ^ (h >> 16)
 }
 
+/// One [`RemapTable`] slot. Padded to 16 bytes so a slot never straddles
+/// a cache line: a probe reads its stamp, key and value from one line
+/// (three parallel arrays cost a miss each once the table outgrows the
+/// cache — the third hop's is 256 k slots).
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(16))]
+struct Slot {
+    key: u32,
+    val: u32,
+    /// The generation that wrote the slot; any other value means empty.
+    stamp: u32,
+}
+
 /// A reusable open-addressing `u32 → u32` map with generation stamps:
 /// `reset` is O(1) (a generation bump), so the per-hop remap of
 /// [`SampleBuffers::finish_hop`] allocates nothing after warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct RemapTable {
-    keys: Vec<u32>,
-    vals: Vec<u32>,
-    stamps: Vec<u32>,
+    slots: Vec<Slot>,
     generation: u32,
     mask: usize,
 }
@@ -216,20 +227,18 @@ impl RemapTable {
     }
 
     /// Prepares the table for up to `items` distinct keys, clearing any
-    /// previous contents without touching the slot arrays.
+    /// previous contents without touching the slot array.
     pub fn reset(&mut self, items: usize) {
         let needed = (items.max(1) * 2).next_power_of_two();
-        if self.keys.len() < needed {
-            self.keys = vec![0; needed];
-            self.vals = vec![0; needed];
-            self.stamps = vec![0; needed];
+        if self.slots.len() < needed {
+            self.slots = vec![Slot::default(); needed];
             self.generation = 0;
             self.mask = needed - 1;
         }
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Stamp wrap-around: old entries would look live again.
-            self.stamps.fill(0);
+            self.slots.fill(Slot::default());
             self.generation = 1;
         }
     }
@@ -237,19 +246,22 @@ impl RemapTable {
     /// Inserts `key → val` unless `key` is present; returns the existing
     /// value if it was.
     pub fn insert_if_absent(&mut self, key: u32, val: u32) -> Option<u32> {
-        debug_assert!(!self.keys.is_empty(), "reset before insert");
-        let mut slot = mix32(key) as usize & self.mask;
+        debug_assert!(!self.slots.is_empty(), "reset before insert");
+        let mut i = mix32(key) as usize & self.mask;
         loop {
-            if self.stamps[slot] != self.generation {
-                self.stamps[slot] = self.generation;
-                self.keys[slot] = key;
-                self.vals[slot] = val;
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.generation {
+                *slot = Slot {
+                    key,
+                    val,
+                    stamp: self.generation,
+                };
                 return None;
             }
-            if self.keys[slot] == key {
-                return Some(self.vals[slot]);
+            if slot.key == key {
+                return Some(slot.val);
             }
-            slot = (slot + 1) & self.mask;
+            i = (i + 1) & self.mask;
         }
     }
 }
@@ -305,9 +317,10 @@ impl ProbeSet {
 }
 
 /// Reusable scratch for allocation-free sampling: hop-local intermediates
-/// (selection list, per-dst ranges, the running frontier) plus the
-/// open-addressing remap and probe tables. One instance per sampler
-/// thread; thread it through [`crate::SamplingAlgorithm::sample_with`] /
+/// (selection list, per-dst ranges, the running frontier), the
+/// open-addressing remap and probe tables, and the random-walk visit
+/// counter. One instance per sampler thread; thread it through
+/// [`crate::SamplingAlgorithm::sample_with`] /
 /// [`crate::SamplingAlgorithm::sample_into`] and per-batch allocations
 /// disappear after the first call.
 #[derive(Debug, Default)]
@@ -318,6 +331,10 @@ pub struct SampleBuffers {
     pub(crate) remap: RemapTable,
     pub(crate) floyd: Vec<u32>,
     pub(crate) probe: ProbeSet,
+    /// Random walks: visited vertex → its index in `ranked`.
+    pub(crate) visits: RemapTable,
+    /// Random walks: `(vertex, visit count)` for the vertex being walked.
+    pub(crate) ranked: Vec<(VertexId, u32)>,
 }
 
 impl SampleBuffers {
@@ -368,6 +385,8 @@ impl SampleBuffers {
         }
         block.dst_count = self.frontier.len();
         block.edges.clear();
+        // Exact: one self-connection per dst and one edge per selection.
+        block.edges.reserve(self.ranges.len() + self.selected.len());
         for (dst, &(start, end)) in self.ranges.iter().enumerate() {
             let dst = dst as u32;
             block.edges.push((dst, dst));

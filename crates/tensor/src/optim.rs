@@ -115,6 +115,17 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
+        self.step_scaled(params, 1.0);
+    }
+}
+
+impl Adam {
+    /// One update step `scale` times as long as [`Optimizer::step`]'s — the
+    /// linear scaling rule for a gradient averaged over `scale` mini-batches
+    /// (Adam's step length does not grow with the batch by itself). A scale
+    /// of 1 is `step`, bit for bit.
+    pub fn step_scaled(&mut self, params: &mut [&mut Param], scale: f32) {
+        let lr = self.lr * scale;
         if self.m.is_empty() {
             for p in params.iter() {
                 self.m.push(Matrix::zeros(p.value.rows(), p.value.cols()));
@@ -135,7 +146,7 @@ impl Optimizer for Adam {
                 v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g[j] * g[j];
                 let mhat = m[j] / bc1;
                 let vhat = v[j] / bc2;
-                val[j] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                val[j] -= lr * mhat / (vhat.sqrt() + self.eps);
             }
             p.zero_grad();
         }
@@ -213,6 +224,18 @@ mod tests {
             "{}",
             p.value.get(0, 0)
         );
+    }
+
+    #[test]
+    fn adam_scaled_step_is_scale_times_as_long() {
+        let (mut p1, mut p2) = (param(vec![0.0], vec![3.0]), param(vec![0.0], vec![3.0]));
+        let (mut o1, mut o2) = (Adam::new(0.01), Adam::new(0.01));
+        o1.step(&mut [&mut p1]);
+        o2.step_scaled(&mut [&mut p2], 2.0);
+        assert_eq!(p2.value.get(0, 0), 2.0 * p1.value.get(0, 0));
+        // Only the step length differs: the moments and the step counter
+        // advance alike.
+        assert_eq!(o1.export_state(), o2.export_state());
     }
 
     #[test]

@@ -34,7 +34,7 @@ standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Distribution<u128> for Standard {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u128 {
-        (rng.next_u64() as u128) << 64 | rng.next_u64() as u128
+        rng.next_u128()
     }
 }
 

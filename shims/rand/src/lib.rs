@@ -21,6 +21,13 @@ pub trait RngCore {
         (self.next_u64() >> 32) as u32
     }
 
+    /// Returns the next random `u128`: two `u64` draws, the first in the
+    /// high half. Generators that buffer their output override this to
+    /// read both halves at once; the value must stay the same.
+    fn next_u128(&mut self) -> u128 {
+        u128::from(self.next_u64()) << 64 | u128::from(self.next_u64())
+    }
+
     /// Fills `dest` with random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
@@ -38,6 +45,10 @@ pub trait RngCore {
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+
+    fn next_u128(&mut self) -> u128 {
+        (**self).next_u128()
     }
 }
 
@@ -79,7 +90,7 @@ macro_rules! int_sample_range {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample empty range");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                let draw = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % span;
+                let draw = rng.next_u128() % span;
                 (self.start as i128 + draw as i128) as $t
             }
         }
@@ -88,7 +99,7 @@ macro_rules! int_sample_range {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample empty range");
                 let span = (end as i128 - start as i128) as u128 + 1;
-                let draw = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % span;
+                let draw = rng.next_u128() % span;
                 (start as i128 + draw as i128) as $t
             }
         }
@@ -175,6 +186,39 @@ mod tests {
             let g: f32 = rng.gen();
             assert!((0.0..1.0).contains(&g));
         }
+    }
+
+    /// Answers `next_u128` from a side channel, so a caller that reaches
+    /// the override is told apart from one that pairs up `next_u64`s.
+    struct Marked(Lcg);
+    impl RngCore for Marked {
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64()
+        }
+        fn next_u128(&mut self) -> u128 {
+            7
+        }
+    }
+
+    #[test]
+    fn next_u128_defaults_to_two_u64s_high_half_first() {
+        let (mut a, mut b) = (Lcg(5), Lcg(5));
+        for _ in 0..100 {
+            let expect = u128::from(b.next_u64()) << 64 | u128::from(b.next_u64());
+            assert_eq!(a.next_u128(), expect);
+        }
+    }
+
+    #[test]
+    fn next_u128_override_is_reached_through_mut_refs_and_gen_range() {
+        fn through<R: RngCore>(mut rng: R) -> (u128, usize) {
+            (rng.next_u128(), rng.gen_range(10..=12usize))
+        }
+        let mut rng = Marked(Lcg(1));
+        assert_eq!(through(&mut rng), (7, 10 + 7 % 3));
+        assert_eq!(through(&mut &mut rng), (7, 10 + 7 % 3));
+        assert_eq!(rng.gen_range(0..5u32), 7 % 5);
+        assert_eq!(rng.gen::<u128>(), 7);
     }
 
     #[test]
