@@ -14,7 +14,12 @@
 //! - **no deadlock at capacity** with a blocking producer;
 //! - **Drained-requires-no-leases**: a consumer never observes
 //!   `Drained` while a crashed sibling's lease could still be replayed;
-//! - **lease-count conservation** at every quiescent point.
+//! - **lease-count conservation** at every quiescent point;
+//! - **the wake rule loses nobody**: a producer parked at capacity is
+//!   woken at the low watermark even when a multi-lease pop steps over
+//!   the mark, an enqueue finds the consumer that parked before it, and
+//!   both waiter counts are back at zero at every quiescent point —
+//!   also across waits that time out.
 //!
 //! Spurious wakeups are disabled in the lost-wakeup-sensitive tests so
 //! a missing notification is an immediate deadlock report rather than
@@ -314,6 +319,96 @@ fn lease_count_conservation() {
     .expect("lease conservation must hold in every schedule");
     assert!(report.exhausted);
     println!("lease_count_conservation: {} schedules", report.schedules);
+}
+
+/// The low-watermark wake rule under a pop that steps over the mark.
+/// Capacity 4 puts the mark at depth 2. The producer bursts six tasks
+/// and parks at depth 4; the consumer alternates a single lease with a
+/// two-lease burst, so in the schedule where it starts on a full queue
+/// the depth goes 4 → 3 → 1 — never *equal* to the mark. A rule that
+/// wakes on `== capacity / 2` leaves the producer parked, the consumer
+/// drains the rest and parks on the empty queue, and with no timed
+/// re-check in the model that is a deadlock. `<=` wakes at depth 1.
+/// The consumer parking first (empty queue, then the enqueue flush must
+/// find it counted) is explored by the same tree.
+#[test]
+fn watermark_wake_survives_a_pop_that_steps_over_the_mark() {
+    let report = check(cfg(2), || {
+        let q = Arc::new(GlobalQueue::bounded(4));
+        let q_cons = Arc::clone(&q);
+        let consumer = gnnlab_chk::thread::spawn(move || {
+            let mut got = Vec::new();
+            for max in [1usize, 2].into_iter().cycle() {
+                match q_cons.dequeue_leased_many(1, max) {
+                    Ok(leases) => {
+                        for lease in leases {
+                            got.push(*lease.task);
+                            q_cons.complete(lease.id);
+                        }
+                    }
+                    Err(DequeueError::Drained) => break,
+                    Err(e) => panic!("unexpected {e:?}"),
+                }
+            }
+            got
+        });
+        q.enqueue_many(1..=6u64).expect("queue is open");
+        q.close();
+        let got = consumer.join();
+        assert_eq!(got, vec![1, 2, 3, 4, 5, 6], "FIFO across the watermark");
+        assert_eq!(q.parked(), (0, 0), "waiter counts return to zero");
+    })
+    .expect("a parked producer is woken at or under the low watermark");
+    assert!(report.exhausted);
+    println!(
+        "watermark_wake_survives_a_pop_that_steps_over_the_mark: {} schedules",
+        report.schedules
+    );
+}
+
+/// Waiter counts across waits that *time out*. The model reports a
+/// scheduler-chosen spurious wake as a timeout, so with those enabled a
+/// consumer's timed dequeue wakes with nothing to take, re-parks, and is
+/// finally served by the enqueue; a producer at capacity does the same
+/// on its side. Every wait must give its count back however it ended:
+/// at the quiescent end both are zero. (A count left behind loses no
+/// wake-up — it only makes every later pop or enqueue notify for nobody,
+/// which no functional test would ever see.)
+#[test]
+fn waiter_counts_return_to_zero_across_timed_out_waits() {
+    let mut config = cfg(2);
+    config.spurious_wakeups = true;
+    let report = check(config, || {
+        let q = Arc::new(GlobalQueue::bounded(1));
+        let q_cons = Arc::clone(&q);
+        let consumer = gnnlab_chk::thread::spawn(move || {
+            let mut got = Vec::new();
+            while got.len() < 2 {
+                // The hour never passes in the model: only a task or a
+                // modelled timeout ends the wait.
+                match q_cons.dequeue_leased_timeout(1, std::time::Duration::from_secs(3600)) {
+                    Ok(Some(lease)) => {
+                        got.push(*lease.task);
+                        q_cons.complete(lease.id);
+                    }
+                    Ok(None) => {}
+                    Err(e) => panic!("unexpected {e:?}"),
+                }
+            }
+            got
+        });
+        // Capacity 1: the second task parks the producer until the first
+        // is taken.
+        q.enqueue_many([1u64, 2]).expect("queue is open");
+        assert_eq!(consumer.join(), vec![1, 2]);
+        assert_eq!(q.parked(), (0, 0), "a wait kept its count");
+    })
+    .expect("every wait returns its waiter count, timed out or not");
+    assert!(report.exhausted);
+    println!(
+        "waiter_counts_return_to_zero_across_timed_out_waits: {} schedules",
+        report.schedules
+    );
 }
 
 /// The `par::Worker` result slot: fill and join under the model. The

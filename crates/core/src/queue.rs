@@ -16,7 +16,11 @@
 //! * **blocking** — [`GlobalQueue::dequeue`] sleeps on a condition
 //!   variable instead of making idle Trainers spin, waking on enqueue,
 //!   close, or poison (with a periodic timeout as a lost-wakeup safety
-//!   net);
+//!   net). A wake-up is a cross-thread hop, so it is sent only where
+//!   someone is parked to receive it: an enqueue signals consumers only
+//!   if one is waiting, and a dequeue signals producers only if one is
+//!   waiting *and* the depth has fallen to half the capacity — a full
+//!   queue wakes its Sampler once per half-capacity, not once per batch;
 //! * **closable** — the last Sampler calls [`GlobalQueue::close`];
 //!   blocked consumers drain what remains and then observe
 //!   [`DequeueError::Drained`];
@@ -44,7 +48,7 @@
 //! counters merge there, so the accessors ([`GlobalQueue::total_enqueued`]
 //! and friends) read queue-local atomics instead of the registry.
 
-use crate::sync::{AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync::{AtomicU64, Condvar, Mutex, MutexGuard, Ordering};
 use gnnlab_obs::{names, Obs};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -96,6 +100,21 @@ struct State<T> {
     next_id: u64,
     closed: bool,
     poison: Option<String>,
+    /// Producers inside a `not_full` wait / consumers inside a
+    /// `not_empty` wait. Counted under the lock around each wait (see
+    /// [`GlobalQueue::park_producer`]), so a notifier that reads zero
+    /// knows there is nobody to wake.
+    parked_producers: usize,
+    parked_consumers: usize,
+}
+
+impl<T> State<T> {
+    /// After a pop: whether a parked producer is due its wake-up — one is
+    /// parked and the depth is at or under the low watermark, half the
+    /// capacity. `<=`, not `==`: a multi-lease pop can step over the mark.
+    fn producer_due(&self, capacity: usize) -> bool {
+        self.parked_producers > 0 && self.items.len() <= capacity / 2
+    }
 }
 
 /// This queue's own lifetime totals. The registry counters under the
@@ -164,6 +183,8 @@ impl<T> GlobalQueue<T> {
                 next_id: 0,
                 closed: false,
                 poison: None,
+                parked_producers: 0,
+                parked_consumers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -211,6 +232,30 @@ impl<T> GlobalQueue<T> {
         }
     }
 
+    /// Parks a producer on `not_full` for at most [`WAIT_SLICE`], counted
+    /// in `parked_producers` for exactly the length of the wait — however
+    /// it ends (notified, timed out, spurious).
+    fn park_producer(&self, state: &mut MutexGuard<'_, State<T>>) {
+        state.parked_producers += 1;
+        self.not_full.wait_for(state, WAIT_SLICE);
+        state.parked_producers -= 1;
+    }
+
+    /// [`GlobalQueue::park_producer`] for a consumer on `not_empty`.
+    fn park_consumer(&self, state: &mut MutexGuard<'_, State<T>>, slice: Duration) {
+        state.parked_consumers += 1;
+        self.not_empty.wait_for(state, slice);
+        state.parked_consumers -= 1;
+    }
+
+    /// `(producers, consumers)` parked inside a condvar wait right now.
+    /// Both are zero whenever no thread is inside the queue; the model
+    /// checks hold that at every quiescent point.
+    pub fn parked(&self) -> (usize, usize) {
+        let state = self.state.lock();
+        (state.parked_producers, state.parked_consumers)
+    }
+
     /// Enqueues a task (Sampler side), blocking while the queue is at
     /// capacity. Returns an error — with the task long dropped — once the
     /// queue is closed or poisoned.
@@ -252,10 +297,12 @@ impl<T> GlobalQueue<T> {
                 return Err(EnqueueError::Poisoned(reason));
             }
             if state.closed {
+                drop(state);
+                finish_blocked(blocked_since);
                 return Err(EnqueueError::Closed);
             }
             // Admit as many tasks as the capacity allows in one critical
-            // section, then wake every waiting consumer once.
+            // section, then wake the waiting consumers once.
             let mut admitted = 0u64;
             while state.items.len() < self.capacity {
                 let id = state.next_id;
@@ -265,38 +312,46 @@ impl<T> GlobalQueue<T> {
                 match pending.next() {
                     Some(item) => next = Arc::new(item),
                     None => {
-                        let depth = state.items.len();
+                        let (depth, wake) = (state.items.len(), state.parked_consumers > 0);
                         drop(state);
-                        self.flush_enqueued(admitted, depth);
+                        self.flush_enqueued(admitted, depth, wake);
                         finish_blocked(blocked_since);
                         return Ok(());
                     }
                 }
             }
             if admitted > 0 {
-                let depth = state.items.len();
+                let (depth, wake) = (state.items.len(), state.parked_consumers > 0);
                 drop(state);
-                self.flush_enqueued(admitted, depth);
+                self.flush_enqueued(admitted, depth, wake);
                 state = self.state.lock();
                 continue;
             }
             blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.not_full.wait_for(&mut state, WAIT_SLICE);
+            self.park_producer(&mut state);
         }
     }
 
-    /// Publishes counters for one enqueue flush of `n` tasks and wakes
-    /// consumers (one per task admitted; a full `notify_all` for bursts).
-    fn flush_enqueued(&self, n: u64, depth: usize) {
+    /// Publishes counters for one enqueue flush of `n` tasks and, if a
+    /// consumer was parked when the flush left the lock (`wake`), wakes
+    /// consumers (one for a single task; a full `notify_all` for bursts).
+    fn flush_enqueued(&self, n: u64, depth: usize, wake: bool) {
         self.totals.enqueued.fetch_add(n, Ordering::Relaxed);
         self.obs
             .metrics
             .counter_add(names::QUEUE_ENQUEUED, n as f64);
         self.note_depth(depth);
+        if wake {
+            Self::notify(&self.not_empty, n);
+        }
+    }
+
+    /// One waiter for one task moved, every waiter for a burst.
+    fn notify(cv: &Condvar, n: u64) {
         if n == 1 {
-            self.not_empty.notify_one();
+            cv.notify_one();
         } else {
-            self.not_empty.notify_all();
+            cv.notify_all();
         }
     }
 
@@ -373,7 +428,7 @@ impl<T> GlobalQueue<T> {
                     state.leased.insert(id, (owner, Arc::clone(&task)));
                     leases.push(Lease { id, task });
                 }
-                let depth = state.items.len();
+                let (depth, wake) = (state.items.len(), state.producer_due(self.capacity));
                 drop(state);
                 let n = leases.len() as u64;
                 self.totals.dequeued.fetch_add(n, Ordering::Relaxed);
@@ -382,10 +437,8 @@ impl<T> GlobalQueue<T> {
                     .counter_add(names::QUEUE_DEQUEUED, n as f64);
                 self.note_depth(depth);
                 finish_blocked(blocked_since);
-                if n == 1 {
-                    self.not_full.notify_one();
-                } else {
-                    self.not_full.notify_all();
+                if wake {
+                    Self::notify(&self.not_full, n);
                 }
                 return Ok(leases);
             }
@@ -395,7 +448,7 @@ impl<T> GlobalQueue<T> {
                 return Err(DequeueError::Drained);
             }
             blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.not_empty.wait_for(&mut state, WAIT_SLICE);
+            self.park_consumer(&mut state, WAIT_SLICE);
         }
     }
 
@@ -428,13 +481,15 @@ impl<T> GlobalQueue<T> {
                 if let Some(owner) = lease_to {
                     state.leased.insert(id, (owner, Arc::clone(&task)));
                 }
-                let depth = state.items.len();
+                let (depth, wake) = (state.items.len(), state.producer_due(self.capacity));
                 drop(state);
                 self.totals.dequeued.fetch_add(1, Ordering::Relaxed);
                 self.obs.metrics.counter_inc(names::QUEUE_DEQUEUED);
                 self.note_depth(depth);
                 finish_blocked(blocked_since);
-                self.not_full.notify_one();
+                if wake {
+                    self.not_full.notify_one();
+                }
                 return Ok(Some(Lease { id, task }));
             }
             // Drained only once closed *and* every lease has resolved:
@@ -457,7 +512,7 @@ impl<T> GlobalQueue<T> {
                 None => WAIT_SLICE,
             };
             blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.not_empty.wait_for(&mut state, slice);
+            self.park_consumer(&mut state, slice);
         }
     }
 
@@ -889,6 +944,48 @@ mod tests {
         assert_eq!(got, (0..12).collect::<Vec<_>>(), "burst broke FIFO order");
         assert!(q.peak_depth() <= 4);
         assert!(q.blocked_ns() > 0, "the full-side block went unaccounted");
+    }
+
+    /// Regression: a producer parked at capacity when the queue closes
+    /// books its blocked time, as the poisoned exit always did.
+    #[test]
+    fn close_books_a_parked_producers_blocked_time() {
+        let q = Arc::new(GlobalQueue::bounded(1));
+        q.enqueue(0).unwrap();
+        let producer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.enqueue(1))
+        };
+        while q.parked() != (1, 0) {
+            std::thread::yield_now();
+        }
+        q.close();
+        assert_eq!(producer.join().unwrap(), Err(EnqueueError::Closed));
+        assert!(q.blocked_ns() > 0, "the closed exit dropped the episode");
+        assert_eq!(q.parked(), (0, 0));
+    }
+
+    /// The wake rule for producers: nobody parked, nobody woken; a parked
+    /// producer is woken at or under half the capacity, never above it.
+    #[test]
+    fn producers_are_due_only_when_parked_and_at_the_low_watermark() {
+        let due = |capacity: usize, depth: usize, parked: usize| {
+            let q = GlobalQueue::bounded(capacity.max(depth));
+            q.enqueue_many(0..depth).unwrap();
+            let mut state = q.state.lock();
+            state.parked_producers = parked;
+            state.producer_due(capacity)
+        };
+        for depth in 0..=4 {
+            assert!(!due(4, depth, 0), "woke nobody at depth {depth}");
+        }
+        assert_eq!(
+            [4, 3, 2, 1, 0].map(|depth| due(4, depth, 1)),
+            [false, false, true, true, true]
+        );
+        // Capacity 1 has its mark at empty: every pop from full wakes.
+        assert!(due(1, 0, 1));
+        assert_eq!([2, 1, 0].map(|depth| due(3, depth, 2)), [false, true, true]);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 
 use super::config::{ExecutorCacheReport, ThreadedError, ThreadedErrorKind};
 use super::gate::CKPT_POLL;
-use super::shared::{new_model, BatchClock, Shared, StreamRole, TrainTask};
+use super::shared::{new_model, BatchClock, Shared, StreamRole, TrainTask, EWMA_ALPHA};
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
 use crate::queue::Lease;
-use crate::schedule::{seed_standby_estimate, switch_profit};
+use crate::schedule::{prefetch_pays, seed_standby_estimate, switch_profit};
 use crate::sync::Ordering;
 use gnnlab_cache::{CacheStats, CachedFeatureStore};
 use gnnlab_obs::{names, Executor, Obs, Stage};
@@ -107,9 +107,17 @@ struct InFlight {
     /// The leased task (shared with the extract job) and the lease id to
     /// confirm with `GlobalQueue::complete` after training.
     lease: Lease<TrainTask>,
-    /// The extract running (or queued) on the prefetch worker; `None` at
-    /// depth 0, where the gather runs inline when the batch's turn comes.
-    extract: Option<JobHandle<PrefetchOut>>,
+    /// The extract running (or queued) on the prefetch worker; `None`
+    /// where the gather runs inline when the batch's turn comes — always
+    /// at depth 0, and at depth 1 whenever the hop would not pay.
+    extract: Option<Prefetch>,
+}
+
+/// An extract handed to the prefetch worker.
+struct Prefetch {
+    job: JobHandle<PrefetchOut>,
+    /// What `Worker::submit` cost the consumer's own thread.
+    submit: Duration,
 }
 
 /// What the prefetch worker hands back: the filled feature buffer plus
@@ -123,12 +131,16 @@ struct PrefetchOut {
 /// One consuming executor — a dedicated Trainer or a switched standby —
 /// and everything it owns for the length of its [`Consumer::run`] loop.
 ///
-/// `ThreadedConfig::pipeline_depth` forks the loop in exactly two places,
-/// both keyed off `worker`: whether [`Consumer::new`] creates a prefetch
-/// worker, and (when it did) whether the one-deep slot is topped up and
-/// the extract is *joined* from the worker instead of run inline. Depth 0
-/// therefore stays the reference the bit-identity tests compare depth 1
-/// against: same leases, same retries, same train step, no overlap.
+/// The loop forks in exactly two places, both on [`Consumer::prefetching`]:
+/// whether the one-deep slot is topped up, and whether a leased batch's
+/// extract is submitted to the worker and *joined* instead of run inline.
+/// `ThreadedConfig::pipeline_depth` decides whether [`Consumer::new`]
+/// creates a worker at all; with one, a batch crosses to it only while
+/// the gather it would hide is measured to outweigh the hop
+/// ([`prefetch_pays`] on `extract_secs` and `hop_secs`). A batch the gate
+/// turns down takes depth 0's path to the letter, so depth 0 stays the
+/// reference the bit-identity tests compare depth 1 against: same
+/// leases, same retries, same train step, no overlap.
 struct Consumer<'a> {
     sh: &'a Shared<'a>,
     /// Unique executor id: the queue-lease owner and the replica's init
@@ -153,10 +165,19 @@ struct Consumer<'a> {
     /// Last published cache snapshot, so the per-executor counters stream
     /// deltas instead of re-adding the running totals.
     last_cache: CacheStats,
+    /// EWMA of this consumer's own gather time in seconds, wherever the
+    /// gather ran; `None` until its first batch.
+    extract_secs: Option<f64>,
+    /// What one trip through `worker` costs this thread, in seconds: the
+    /// fastest of three empty submit → join round trips when it was
+    /// created, then an EWMA over every prefetch hit's submit + join (a
+    /// hit waits for none of the gather, so that is hop and nothing
+    /// else). Infinite without a worker.
+    hop_secs: f64,
     /// The one-deep prefetch slot: batch N+1, leased and extracting while
-    /// batch N trains. Always empty at depth 0. (Declared before `worker`
-    /// so an unwinding consumer drops the job handle before joining the
-    /// worker thread.)
+    /// batch N trains. Empty whenever the gate is shut. (Declared before
+    /// `worker` so an unwinding consumer drops the job handle before
+    /// joining the worker thread.)
     pending: Option<InFlight>,
     /// The two recycled feature buffers: one rides the in-flight extract,
     /// the freed one waits here for the next. `Vec::new()` never
@@ -210,6 +231,8 @@ impl<'a> Consumer<'a> {
         let device = device as u32;
         let replica = new_model(sh.graph, sh.kind, cfg, stream, exec as u64);
         let (store, refresh_ns) = sh.build_store(rows, device, role);
+        let worker =
+            (cfg.pipeline_depth > 0).then(|| Worker::new(&format!("gnnlab-pf-{name}-{slot}")));
         Consumer {
             sh,
             exec,
@@ -237,12 +260,34 @@ impl<'a> Consumer<'a> {
             cache_names: ["lookups", "hits", "misses", "hit_rate"]
                 .map(|leaf| names::executor_cache(name, slot, leaf)),
             last_cache: CacheStats::default(),
+            extract_secs: None,
+            hop_secs: worker.as_ref().map_or(f64::INFINITY, measure_hop),
             pending: None,
             free_buf: Vec::new(),
             last_train: None,
-            worker: (cfg.pipeline_depth > 0)
-                .then(|| Worker::new(&format!("gnnlab-pf-{name}-{slot}"))),
+            worker,
         }
+    }
+
+    /// The profit gate: whether the next leased batch's extract should
+    /// cross to the prefetch worker. Never before this consumer has timed
+    /// a gather of its own, and never at depth 0.
+    fn prefetching(&self) -> bool {
+        prefetch_pays(self.extract_secs, self.hop_secs)
+    }
+
+    /// Folds one gather time into `extract_secs`. Contention only ever
+    /// lengthens a gather, so a shorter reading is believed at once and a
+    /// longer one a capped fifth at a time ([`fold_capped`]): the estimate
+    /// hugs what the gather costs, not what a busy host made it take. The
+    /// first reading — cold, and nothing to cap it against — counts for at
+    /// most the hop, so it cannot open the gate alone; a batch shape that
+    /// is worth prefetching does so one batch later.
+    fn note_extract(&mut self, secs: f64) {
+        self.extract_secs = Some(match self.extract_secs {
+            None => secs.min(self.hop_secs),
+            Some(prev) => fold_capped(prev, secs).min(secs),
+        });
     }
 
     /// Consumes until the queue drains, then files this executor's
@@ -263,11 +308,11 @@ impl<'a> Consumer<'a> {
     }
 
     /// The loop. Each iteration (a) takes the prefetched batch N or
-    /// block-leases one, (b) tops up the prefetch slot with batch N+1,
-    /// then — holding every lease it is going to hold — passes the
-    /// injected-crash point and the transient-retry loop, (c) finishes
-    /// batch N's extract, (d) trains it, publishes, confirms the lease
-    /// and runs the checkpoint hook.
+    /// block-leases one, (b) while the gate is open tops up the prefetch
+    /// slot with batch N+1, then — holding every lease it is going to
+    /// hold — passes the injected-crash point and the transient-retry
+    /// loop, (c) finishes batch N's extract, (d) trains it, publishes,
+    /// confirms the lease and runs the checkpoint hook.
     ///
     /// Checkpoint interplay: while a quiesce round is requested the
     /// prefetch slot is not topped up, so the held leases drain to zero
@@ -289,8 +334,9 @@ impl<'a> Consumer<'a> {
             };
             // (b) Top up the one-deep prefetch slot: lease batch N+1 now
             // so its extract overlaps batch N's train. Skipped while a
-            // checkpoint round is pending so the held leases drain.
-            if self.worker.is_some() && !sh.ckpt_requested() {
+            // checkpoint round is pending so the held leases drain, and
+            // while the gather is too short to be worth the hop.
+            if self.prefetching() && !sh.ckpt_requested() {
                 let owner = self.exec as u32;
                 if let Ok(Some(lease)) = sh.queue.dequeue_leased_timeout(owner, Duration::ZERO) {
                     self.pending = Some(self.begin(lease));
@@ -348,15 +394,18 @@ impl<'a> Consumer<'a> {
         }
     }
 
-    /// Starts a freshly leased batch. With a prefetch worker its extract
-    /// is submitted at once, riding one of the two recycled buffers;
-    /// without one the lease simply waits for [`Consumer::finish_extract`].
+    /// Starts a freshly leased batch. While the gate is open its extract
+    /// is submitted to the worker at once, riding one of the two recycled
+    /// buffers; otherwise the lease simply waits for
+    /// [`Consumer::finish_extract`].
     fn begin(&mut self, lease: Lease<TrainTask>) -> InFlight {
-        let extract = self.worker.as_ref().map(|worker| {
+        let pays = self.prefetching();
+        let extract = self.worker.as_ref().filter(|_| pays).map(|worker| {
             let task = Arc::clone(&lease.task);
             let ext = Arc::clone(&self.ext);
             let mut buf = std::mem::take(&mut self.free_buf);
-            worker.submit(move || {
+            let submit_started = Instant::now();
+            let job = worker.submit(move || {
                 let start_ns = ext.obs.now_ns();
                 ext.extract(&task, Stage::Prefetch, &mut buf);
                 PrefetchOut {
@@ -364,7 +413,11 @@ impl<'a> Consumer<'a> {
                     start_ns,
                     end_ns: ext.obs.now_ns(),
                 }
-            })
+            });
+            Prefetch {
+                job,
+                submit: submit_started.elapsed(),
+            }
         });
         InFlight { lease, extract }
     }
@@ -399,15 +452,17 @@ impl<'a> Consumer<'a> {
     }
 
     /// (c) Produces batch N's features and how long the consumer waited
-    /// for them — the depth fork's second half.
+    /// for them — the fork's second half.
     ///
-    /// Depth 0: the gather runs inline, here, under a [`Stage::Extract`]
-    /// span, and touches no `pipeline.*` counter. Depth ≥ 1: join the
-    /// worker's [`Stage::Prefetch`] job — already-done means the gather
-    /// was fully hidden behind the previous train (`pipeline.prefetch_hit`,
-    /// only for a batch leased ahead of need); the residual wait is
+    /// No job was submitted: the gather runs inline, here, under a
+    /// [`Stage::Extract`] span, and touches no `pipeline.*` counter.
+    /// Otherwise join the worker's [`Stage::Prefetch`] job — already-done
+    /// means the gather was fully hidden behind the previous train
+    /// (`pipeline.prefetch_hit`, only for a batch leased ahead of need);
+    /// the residual wait is
     /// `pipeline.stall_ns`; and `pipeline.overlap_ns` is the interval the
-    /// extract shared with batch N−1's train.
+    /// extract shared with batch N−1's train. Both paths feed the gate's
+    /// gather estimate; a hit also bounds what the hop costs this thread.
     ///
     /// Either way the features are gathered *before* the parameter pull in
     /// [`Consumer::train`]. Extraction never reads or writes model state,
@@ -415,23 +470,28 @@ impl<'a> Consumer<'a> {
     /// batch's train — cannot change a single bit of the training history.
     fn finish_extract(
         &mut self,
-        extract: Option<JobHandle<PrefetchOut>>,
+        extract: Option<Prefetch>,
         task: &TrainTask,
         prefetched: bool,
     ) -> (Vec<f32>, Duration) {
         let obs = &*self.sh.obs;
-        let Some(handle) = extract else {
+        let Some(Prefetch { job, submit }) = extract else {
             let started = Instant::now();
             let mut buf = std::mem::take(&mut self.free_buf);
             self.ext.extract(task, Stage::Extract, &mut buf);
-            return (buf, started.elapsed());
+            let waited = started.elapsed();
+            self.note_extract(waited.as_secs_f64());
+            return (buf, waited);
         };
-        let hit = prefetched && handle.is_done();
+        let hit = prefetched && job.is_done();
         let wait_started = Instant::now();
-        let out = handle.join();
+        let out = job.join();
         let stall = wait_started.elapsed();
+        self.note_extract(out.end_ns.saturating_sub(out.start_ns) as f64 / 1e9);
         if hit {
             obs.metrics.counter_inc(names::PIPELINE_PREFETCH_HIT);
+            let paid = (submit + stall).as_secs_f64();
+            self.hop_secs = fold_capped(self.hop_secs, paid);
         }
         obs.metrics
             .counter_add(names::PIPELINE_STALL_NS, stall.as_nanos() as f64);
@@ -500,6 +560,34 @@ impl<'a> Consumer<'a> {
         m.gauge_set(hit_rate, snap.hit_rate());
         self.last_cache = snap;
     }
+}
+
+/// One EWMA step of a gate input from `prev` towards the reading `x`,
+/// which counts for at most twice `prev`: an estimate rises by at most a
+/// fifth per batch, so it takes a run of long readings to move the gate,
+/// not one the OS descheduled half-way.
+fn fold_capped(prev: f64, x: f64) -> f64 {
+    prev + EWMA_ALPHA * (x.min(2.0 * prev) - prev)
+}
+
+/// How long [`measure_hop`] lets the worker sit before each probe: well
+/// past the few microseconds a channel receiver spins before it parks.
+const HOP_PROBE_IDLE: Duration = Duration::from_micros(50);
+
+/// What one trip through `worker` costs the thread that takes it: the
+/// fastest of three empty submit → join round trips, each sent after the
+/// worker has gone idle — parked, as a train step leaves it between two
+/// batches. Probes sent back to back would find it still spinning on its
+/// channel and time a hand-off no batch ever gets.
+fn measure_hop(worker: &Worker) -> f64 {
+    (0..3)
+        .map(|_| {
+            std::thread::sleep(HOP_PROBE_IDLE);
+            let started = Instant::now();
+            worker.submit(|| ()).join();
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// What a batch's Extract runs against: the executor-owned two-tier store

@@ -157,6 +157,21 @@ impl Default for MetricsRegistry {
     }
 }
 
+/// Applies `update` to `name`'s slot in `map`, created by `init` on first
+/// use. The lookup borrows `name`; only a name's first write allocates its
+/// key — the writers below sit on every executor's per-batch path.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(slot) => update(slot),
+        None => update(map.entry(name.to_string()).or_insert_with(init)),
+    }
+}
+
 impl MetricsRegistry {
     /// Creates an empty registry with the default series cap.
     pub fn new() -> Self {
@@ -165,7 +180,7 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name` (creating it at zero).
     pub fn counter_add(&self, name: &str, delta: f64) {
-        *self.counters.lock().entry(name.to_string()).or_insert(0.0) += delta;
+        upsert(&mut self.counters.lock(), name, || 0.0, |c| *c += delta);
     }
 
     /// Increments the counter `name` by one.
@@ -185,13 +200,14 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name`, tracking its maximum.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut gauges = self.gauges.lock();
-        let g = gauges.entry(name.to_string()).or_insert(Gauge {
+        let fresh = || Gauge {
             last: value,
             max: value,
+        };
+        upsert(&mut self.gauges.lock(), name, fresh, |g| {
+            g.last = value;
+            g.max = g.max.max(value);
         });
-        g.last = value;
-        g.max = g.max.max(value);
     }
 
     /// Reads the gauge `name`.
@@ -206,11 +222,9 @@ impl MetricsRegistry {
 
     /// Records one observation into the histogram `name`.
     pub fn observe(&self, name: &str, value: f64) {
-        self.histograms
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        upsert(&mut self.histograms.lock(), name, Histogram::default, |h| {
+            h.observe(value)
+        });
     }
 
     /// Reads (clones) the histogram `name`.
@@ -233,11 +247,9 @@ impl MetricsRegistry {
     /// to the cap as needed.
     pub fn sample(&self, name: &str, t_ns: u64, value: f64) {
         let cap = self.series_cap();
-        self.series
-            .lock()
-            .entry(name.to_string())
-            .or_default()
-            .push(SeriesPoint { t_ns, value }, cap);
+        upsert(&mut self.series.lock(), name, BoundedSeries::new, |s| {
+            s.push(SeriesPoint { t_ns, value }, cap)
+        });
     }
 
     /// Number of retained samples in the series `name`.

@@ -15,9 +15,11 @@
 //! --samplers N --trainers N --epochs N --batch-size N --capacity N --seed S
 //! --threads N                 data-parallel width of Extract (pre-sampling and
 //!                             evaluation run samplers + trainers wide)
-//! --pipeline-depth 0|1        0 = serial consumer loop (reference path);
-//!                             1 = double-buffered extract prefetch +
-//!                             burst queue handoff (default)
+//! --pipeline-depth 0|1        0 = forced-serial consumer loop (reference path);
+//!                             1 = may prefetch when the gather outweighs the
+//!                             hop (double-buffered extract worker, decided
+//!                             per batch from measured times) + burst queue
+//!                             handoff (default)
 //! --crash-trainer IDX@BATCH   kill Trainer IDX after BATCH batches
 //! --crash-sampler IDX@BATCH   kill Sampler IDX after BATCH batches
 //! --straggler ROLE:IDX:FACTOR slow one executor (role `sampler`/`trainer`)
