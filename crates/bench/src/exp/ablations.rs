@@ -19,6 +19,7 @@ use crate::exp::cache_stats_on_trace;
 use crate::table::{pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
+use gnnlab_core::faults::{ExecutorRole, FaultPlan};
 use gnnlab_core::runtime::{
     build_cache_table, run_factored_epoch_opts, run_system, FactoredOptions, SimContext,
 };
@@ -59,14 +60,15 @@ pub fn multitenant(cfg: &ExpConfig) -> Table {
         "Ablation: contended Trainer (4x slower) in a shared cluster (GCN on PA, 2S6T)",
         &["Scenario", "Epoch (s)", "Switched batches"],
     );
-    let scenarios: [(&str, Vec<f64>, bool); 3] = [
-        ("no contention", vec![], true),
-        ("trainer0 4x slower, no DS", vec![4.0], false),
-        ("trainer0 4x slower, with DS", vec![4.0], true),
+    let contended = FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 4.0);
+    let scenarios = [
+        ("no contention", FaultPlan::none(), true),
+        ("trainer0 4x slower, no DS", contended.clone(), false),
+        ("trainer0 4x slower, with DS", contended, true),
     ];
-    for (label, slow, ds) in scenarios {
+    for (label, faults, ds) in scenarios {
         let mut opts = FactoredOptions::new(2, 6);
-        opts.trainer_slowdown = slow;
+        opts.faults = faults;
         opts.enable_switching = ds;
         let rep = run_factored_epoch_opts(&ctx, &trace, &opts).expect("PA fits");
         table.row(vec![

@@ -6,10 +6,7 @@
 
 use crate::table::bytes;
 use crate::{ExpConfig, Table};
-use gnnlab_core::memory::{
-    plan_sampler_gpu, plan_timeshare_gpu, plan_trainer_gpu, sample_workspace_bytes,
-    train_workspace_bytes,
-};
+use gnnlab_core::memory::{plan_gpu, sample_workspace_bytes, train_workspace_bytes, Residency};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
 use gnnlab_sim::Testbed;
@@ -35,7 +32,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
     let tws = train_workspace_bytes(w.model) as f64;
     let feat = w.dataset.feature_bytes_paper() as f64;
 
-    let ts = plan_timeshare_gpu(&testbed, &w, SystemKind::TSota, true).expect("PA fits");
+    let plan = |system, resident| plan_gpu(&testbed, &w, system, resident).expect("PA fits");
+    let ts = plan(SystemKind::TSota, Residency::TIMESHARE_CACHED);
     table.row(vec![
         "Time-sharing (T_SOTA)".into(),
         bytes(topo),
@@ -44,7 +42,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         bytes(ts.cache_alpha * feat),
         format!("{:.0}%", ts.cache_alpha * 100.0),
     ]);
-    let sampler = plan_sampler_gpu(&testbed, &w).expect("PA fits");
+    plan(SystemKind::GnnLab, Residency::SAMPLER);
     table.row(vec![
         "GNNLab Sampler".into(),
         bytes(topo),
@@ -53,8 +51,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         "-".into(),
         "-".into(),
     ]);
-    let _ = sampler;
-    let trainer = plan_trainer_gpu(&testbed, &w).expect("PA fits");
+    let trainer = plan(SystemKind::GnnLab, Residency::TRAINER);
     table.row(vec![
         "GNNLab Trainer".into(),
         "-".into(),

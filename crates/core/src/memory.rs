@@ -56,131 +56,86 @@ pub struct GpuPlan {
     pub cache_alpha: f64,
 }
 
-/// Plans a time-sharing GPU (DGL-like / T_SOTA / GNNLab standby trainer):
-/// topology + sampling workspace + training workspace (+ cache remainder
-/// if `with_cache`).
-pub fn plan_timeshare_gpu(
+/// What a GPU keeps resident while it plays a role: a set drawn from
+/// {topology, sampling workspace, training workspace, feature cache}.
+/// The named sets are the rows of the co-sim placement table (DESIGN §2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Residency(u8);
+
+impl Residency {
+    /// Nothing on the GPU (a role that runs on the host).
+    pub const NONE: Residency = Residency(0);
+    /// Graph topology.
+    pub const TOPOLOGY: Residency = Residency(1);
+    /// Sampling runtime workspace.
+    pub const SAMPLE_WS: Residency = Residency(2);
+    /// Training runtime workspace.
+    pub const TRAIN_WS: Residency = Residency(4);
+    /// Feature cache, sized to whatever the rest leaves free.
+    pub const CACHE: Residency = Residency(8);
+    /// A GNNLab Sampler: topology + sampling workspace.
+    pub const SAMPLER: Residency = Self::TOPOLOGY.with(Self::SAMPLE_WS);
+    /// A GNNLab Trainer: training workspace + cache. No topology — that
+    /// is the factored design's capacity win.
+    pub const TRAINER: Residency = Self::TRAIN_WS.with(Self::CACHE);
+    /// A time-sharing GPU without a cache (DGL): topology + both
+    /// workspaces.
+    pub const TIMESHARE: Residency = Self::SAMPLER.with(Self::TRAIN_WS);
+    /// A time-sharing GPU with a cache (T_SOTA, and a GNNLab standby
+    /// Trainer beside its Sampler): everything at once.
+    pub const TIMESHARE_CACHED: Residency = Self::TIMESHARE.with(Self::CACHE);
+    /// GNNLab's solo GPU in its Trainer half (§7.9): the sampling
+    /// workspace is released, topology stays.
+    pub const SOLO_TRAINER: Residency = Self::TOPOLOGY.with(Self::TRAINER);
+
+    /// The union of two sets.
+    pub const fn with(self, other: Residency) -> Residency {
+        Residency(self.0 | other.0)
+    }
+
+    /// Whether every item of `other` is resident.
+    pub const fn holds(self, other: Residency) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+/// Plans one GPU of `system` holding `resident`: the mandatory items are
+/// allocated first, the cache takes the remainder. A PyG-like GPU holds
+/// [`Residency::TRAIN_WS`] only (it samples and gathers on the CPU).
+pub fn plan_gpu(
     testbed: &Testbed,
     workload: &Workload,
     system: SystemKind,
-    with_cache: bool,
+    resident: Residency,
 ) -> Result<GpuPlan, RunError> {
     let mut memory = testbed.gpu_memory();
     let oom = |e: gnnlab_sim::DeviceError| RunError::Oom {
         system,
         detail: e.to_string(),
     };
-    memory
-        .alloc("topology", workload.dataset.topo_bytes_paper())
-        .map_err(oom)?;
-    memory
-        .alloc(
-            "sample_workspace",
-            sample_workspace_bytes(system, workload.algorithm),
-        )
-        .map_err(oom)?;
-    memory
-        .alloc("train_workspace", train_workspace_bytes(workload.model))
-        .map_err(oom)?;
+    let topology = workload.dataset.topo_bytes_paper();
+    let sample_ws = sample_workspace_bytes(system, workload.algorithm);
+    let train_ws = train_workspace_bytes(workload.model);
+    for (label, item, bytes) in [
+        ("topology", Residency::TOPOLOGY, topology),
+        ("sample_workspace", Residency::SAMPLE_WS, sample_ws),
+        ("train_workspace", Residency::TRAIN_WS, train_ws),
+    ] {
+        if resident.holds(item) {
+            memory.alloc(label, bytes).map_err(oom)?;
+        }
+    }
     let mut cache_alpha = 0.0;
-    if with_cache {
+    if resident.holds(Residency::CACHE) {
         let feat = workload.dataset.feature_bytes_paper() as f64;
-        let avail = memory.available() as f64;
-        cache_alpha = (avail / feat).min(1.0);
-        let cache_bytes = (cache_alpha * feat) as u64;
-        memory.alloc("feature_cache", cache_bytes).map_err(oom)?;
+        cache_alpha = (memory.available() as f64 / feat).min(1.0);
+        memory
+            .alloc("feature_cache", (cache_alpha * feat) as u64)
+            .map_err(oom)?;
     }
     Ok(GpuPlan {
         memory,
         cache_alpha,
-    })
-}
-
-/// Plans a GNNLab Sampler GPU: topology + sampling workspace only.
-pub fn plan_sampler_gpu(testbed: &Testbed, workload: &Workload) -> Result<GpuPlan, RunError> {
-    let mut memory = testbed.gpu_memory();
-    let oom = |e: gnnlab_sim::DeviceError| RunError::Oom {
-        system: SystemKind::GnnLab,
-        detail: e.to_string(),
-    };
-    memory
-        .alloc("topology", workload.dataset.topo_bytes_paper())
-        .map_err(oom)?;
-    memory
-        .alloc(
-            "sample_workspace",
-            sample_workspace_bytes(SystemKind::GnnLab, workload.algorithm),
-        )
-        .map_err(oom)?;
-    Ok(GpuPlan {
-        memory,
-        cache_alpha: 0.0,
-    })
-}
-
-/// Plans a GNNLab Trainer GPU: training workspace + cache remainder. No
-/// topology — that is the factored design's capacity win.
-pub fn plan_trainer_gpu(testbed: &Testbed, workload: &Workload) -> Result<GpuPlan, RunError> {
-    let mut memory = testbed.gpu_memory();
-    let oom = |e: gnnlab_sim::DeviceError| RunError::Oom {
-        system: SystemKind::GnnLab,
-        detail: e.to_string(),
-    };
-    memory
-        .alloc("train_workspace", train_workspace_bytes(workload.model))
-        .map_err(oom)?;
-    let feat = workload.dataset.feature_bytes_paper() as f64;
-    let cache_alpha = (memory.available() as f64 / feat).min(1.0);
-    let cache_bytes = (cache_alpha * feat) as u64;
-    memory.alloc("feature_cache", cache_bytes).map_err(oom)?;
-    Ok(GpuPlan {
-        memory,
-        cache_alpha,
-    })
-}
-
-/// Plans GNNLab's single-GPU alternating mode (§7.9): topology stays
-/// resident all epoch; the sampling workspace is freed when the standby
-/// Trainer takes over, so each *phase* must fit rather than their sum.
-/// The static cache must coexist with the training phase.
-pub fn plan_single_gpu(testbed: &Testbed, workload: &Workload) -> Result<GpuPlan, RunError> {
-    // Phase 1 feasibility: topology + sampling workspace.
-    plan_sampler_gpu(testbed, workload)?;
-    // Phase 2: topology + training workspace + cache remainder.
-    let mut memory = testbed.gpu_memory();
-    let oom = |e: gnnlab_sim::DeviceError| RunError::Oom {
-        system: SystemKind::GnnLab,
-        detail: e.to_string(),
-    };
-    memory
-        .alloc("topology", workload.dataset.topo_bytes_paper())
-        .map_err(oom)?;
-    memory
-        .alloc("train_workspace", train_workspace_bytes(workload.model))
-        .map_err(oom)?;
-    let feat = workload.dataset.feature_bytes_paper() as f64;
-    let cache_alpha = (memory.available() as f64 / feat).min(1.0);
-    let cache_bytes = (cache_alpha * feat) as u64;
-    memory.alloc("feature_cache", cache_bytes).map_err(oom)?;
-    Ok(GpuPlan {
-        memory,
-        cache_alpha,
-    })
-}
-
-/// Plans a PyG-like GPU: training workspace only (sampling and extraction
-/// happen on the CPU; no cache).
-pub fn plan_pyg_gpu(testbed: &Testbed, workload: &Workload) -> Result<GpuPlan, RunError> {
-    let mut memory = testbed.gpu_memory();
-    memory
-        .alloc("train_workspace", train_workspace_bytes(workload.model))
-        .map_err(|e| RunError::Oom {
-            system: SystemKind::PygLike,
-            detail: e.to_string(),
-        })?;
-    Ok(GpuPlan {
-        memory,
-        cache_alpha: 0.0,
     })
 }
 
@@ -366,8 +321,14 @@ mod tests {
         // The §4 capacity win: on PA, the GNNLab trainer caches ~2-3x more
         // than a time-sharing GPU that also holds topology.
         let w = wl(ModelKind::Gcn, DatasetKind::Papers);
-        let trainer = plan_trainer_gpu(&testbed(), &w).unwrap();
-        let tsota = plan_timeshare_gpu(&testbed(), &w, SystemKind::TSota, true).unwrap();
+        let trainer = plan_gpu(&testbed(), &w, SystemKind::GnnLab, Residency::TRAINER).unwrap();
+        let tsota = plan_gpu(
+            &testbed(),
+            &w,
+            SystemKind::TSota,
+            Residency::TIMESHARE_CACHED,
+        )
+        .unwrap();
         assert!(
             trainer.cache_alpha > 1.8 * tsota.cache_alpha,
             "trainer α {} vs tsota α {}",
@@ -386,17 +347,29 @@ mod tests {
     fn uk_ooms_for_gcn_on_timeshare_but_fits_gnnlab() {
         // Table 4: UK is OOM on DGL and T_SOTA for GCN, fine on GNNLab.
         let w = wl(ModelKind::Gcn, DatasetKind::Uk);
-        assert!(plan_timeshare_gpu(&testbed(), &w, SystemKind::TSota, true).is_err());
-        assert!(plan_timeshare_gpu(&testbed(), &w, SystemKind::DglLike, false).is_err());
-        assert!(plan_sampler_gpu(&testbed(), &w).is_ok());
-        assert!(plan_trainer_gpu(&testbed(), &w).is_ok());
+        assert!(plan_gpu(
+            &testbed(),
+            &w,
+            SystemKind::TSota,
+            Residency::TIMESHARE_CACHED
+        )
+        .is_err());
+        assert!(plan_gpu(&testbed(), &w, SystemKind::DglLike, Residency::TIMESHARE).is_err());
+        assert!(plan_gpu(&testbed(), &w, SystemKind::GnnLab, Residency::SAMPLER).is_ok());
+        assert!(plan_gpu(&testbed(), &w, SystemKind::GnnLab, Residency::TRAINER).is_ok());
     }
 
     #[test]
     fn uk_graphsage_fits_tsota_with_tiny_cache() {
         // Table 5: T_SOTA runs GSG on UK with R% = 0.
         let w = wl(ModelKind::GraphSage, DatasetKind::Uk);
-        let plan = plan_timeshare_gpu(&testbed(), &w, SystemKind::TSota, true).unwrap();
+        let plan = plan_gpu(
+            &testbed(),
+            &w,
+            SystemKind::TSota,
+            Residency::TIMESHARE_CACHED,
+        )
+        .unwrap();
         assert!(plan.cache_alpha < 0.06, "α {}", plan.cache_alpha);
     }
 
@@ -404,16 +377,22 @@ mod tests {
     fn products_fits_entirely() {
         // PR: all topology + features fit one GPU (α = 1).
         let w = wl(ModelKind::Gcn, DatasetKind::Products);
-        let plan = plan_timeshare_gpu(&testbed(), &w, SystemKind::TSota, true).unwrap();
+        let plan = plan_gpu(
+            &testbed(),
+            &w,
+            SystemKind::TSota,
+            Residency::TIMESHARE_CACHED,
+        )
+        .unwrap();
         assert!((plan.cache_alpha - 1.0).abs() < 1e-9);
-        let trainer = plan_trainer_gpu(&testbed(), &w).unwrap();
+        let trainer = plan_gpu(&testbed(), &w, SystemKind::GnnLab, Residency::TRAINER).unwrap();
         assert!((trainer.cache_alpha - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn pyg_plan_never_holds_topology() {
         let w = wl(ModelKind::Gcn, DatasetKind::Uk);
-        let plan = plan_pyg_gpu(&testbed(), &w).unwrap();
+        let plan = plan_gpu(&testbed(), &w, SystemKind::PygLike, Residency::TRAIN_WS).unwrap();
         assert!(plan.memory.allocation("topology").is_none());
         assert_eq!(plan.cache_alpha, 0.0);
     }

@@ -1,58 +1,115 @@
 //! Epoch co-simulations for every system design.
 //!
-//! All simulators consume the same inputs: a recorded [`EpochTrace`]
-//! (real sampling, exact quantities), a memory plan (capacity accounting)
-//! and the calibrated [`CostModel`]. They differ only in *structure* —
-//! which device does what, in what order, sharing what — which is exactly
-//! the paper's claim about where performance comes from.
+//! All of them consume the same inputs: a recorded [`EpochTrace`] (real
+//! sampling, exact quantities), memory plans (capacity accounting) and
+//! the calibrated [`CostModel`](gnnlab_sim::CostModel). They differ only
+//! in *structure* — which device does what, in what order, sharing what —
+//! which is exactly the paper's claim about where performance comes from.
+//! So there is one engine ([`run_epoch`]) and one table of
+//! [`Placement`]s; the `run_*_epoch` functions below are its rows.
 //!
 //! [`run_system`] is the front door: it profiles, allocates GPUs (for
-//! GNNLab), and dispatches to the right simulator.
+//! GNNLab), and picks the placement.
 
-mod agl;
 mod context;
-mod factored;
+mod engine;
+mod placement;
 mod preprocess;
-mod single_gpu;
-mod timeshare;
 
-pub use agl::run_agl_epoch;
 pub use context::{build_cache_table, SimContext};
-pub use factored::{
-    profile_stage_times, run_factored_epoch, run_factored_epoch_opts, FactoredOptions, StageTimes,
-};
+pub use engine::{run_epoch, StageTimes};
+pub use placement::{Assign, FactoredOptions, Link, Phase, Placement};
 pub use preprocess::{preprocess_report, PreprocessReport};
-pub use single_gpu::run_single_gpu_epoch;
-pub use timeshare::run_timeshare_epoch;
 
 use crate::report::{EpochReport, RunError};
 use crate::schedule::num_samplers;
 use crate::systems::SystemKind;
 use crate::trace::EpochTrace;
+use engine::Sim;
 use gnnlab_tensor::ModelKind;
+
+/// Simulates one time-sharing epoch (PyG-like, DGL-like, T_SOTA) over
+/// `ctx.testbed.num_gpus` GPUs.
+pub fn run_timeshare_epoch(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+) -> Result<EpochReport, RunError> {
+    let p = Placement::timeshare(ctx.system, ctx.testbed.num_gpus)?;
+    run_epoch(ctx, trace, &p)
+}
+
+/// Simulates one factored epoch with `ns` Samplers and `nt` Trainers.
+pub fn run_factored_epoch(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+    ns: usize,
+    nt: usize,
+    enable_switching: bool,
+) -> Result<EpochReport, RunError> {
+    let mut opts = FactoredOptions::new(ns, nt);
+    opts.enable_switching = enable_switching;
+    run_factored_epoch_opts(ctx, trace, &opts)
+}
+
+/// Simulates one factored epoch with full [`FactoredOptions`] control.
+pub fn run_factored_epoch_opts(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+    opts: &FactoredOptions,
+) -> Result<EpochReport, RunError> {
+    run_epoch(ctx, trace, &Placement::factored(opts))
+}
+
+/// Simulates one GNNLab epoch on a single GPU (§7.9).
+pub fn run_single_gpu_epoch(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+) -> Result<EpochReport, RunError> {
+    run_epoch(ctx, trace, &Placement::single_gpu())
+}
+
+/// Simulates one AGL batch-mode epoch over all GPUs (§3 Discussion).
+pub fn run_agl_epoch(ctx: &SimContext<'_>, trace: &EpochTrace) -> Result<EpochReport, RunError> {
+    run_epoch(ctx, trace, &Placement::agl(ctx.testbed.num_gpus))
+}
+
+/// Profiles `T_s`, `T_t`, `T_t'` of the factored design from a recorded
+/// epoch (§5.3).
+pub fn profile_stage_times(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+) -> Result<StageTimes, RunError> {
+    let p = Placement::factored(&FactoredOptions::new(1, 1));
+    Ok(Sim::plan(ctx, trace, &p)?.profile())
+}
 
 /// Runs one epoch of `system` on the context's workload and GPU count,
 /// handling profiling and GPU allocation for GNNLab.
 ///
 /// Returns the Table 4 entry: an [`EpochReport`] or the `OOM`/`×` error.
 pub fn run_system(ctx: &SimContext<'_>) -> Result<EpochReport, RunError> {
-    match ctx.system {
-        SystemKind::PygLike if ctx.workload.model == ModelKind::PinSage => Err(
-            RunError::Unsupported("PyG does not support PinSAGE".to_string()),
-        ),
-        SystemKind::PygLike | SystemKind::DglLike | SystemKind::TSota => {
-            let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
-            run_timeshare_epoch(ctx, &trace)
-        }
-        SystemKind::GnnLab => {
-            let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
-            if ctx.testbed.num_gpus == 1 {
-                return run_single_gpu_epoch(ctx, &trace);
-            }
-            let times = profile_stage_times(ctx, &trace)?;
-            let ns = num_samplers(ctx.testbed.num_gpus, times.t_sample, times.t_trainer);
-            let nt = ctx.testbed.num_gpus - ns;
-            run_factored_epoch(ctx, &trace, ns, nt, true)
-        }
+    if ctx.system == SystemKind::PygLike && ctx.workload.model == ModelKind::PinSage {
+        return Err(RunError::Unsupported(
+            "PyG does not support PinSAGE".to_string(),
+        ));
     }
+    let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
+    let gpus = ctx.testbed.num_gpus;
+    if ctx.system != SystemKind::GnnLab {
+        return run_timeshare_epoch(ctx, &trace);
+    }
+    if gpus == 1 {
+        return run_single_gpu_epoch(ctx, &trace);
+    }
+    // The plans and cache tables depend on the roles, not on the split:
+    // prepare them once for profiling and for the epoch itself.
+    let split = |ns| Placement::factored(&FactoredOptions::new(ns, gpus - ns));
+    let probe = split(1);
+    let sim = Sim::plan(ctx, &trace, &probe)?;
+    let times = sim.profile();
+    let chosen = split(num_samplers(gpus, times.t_sample, times.t_trainer));
+    sim.with(&chosen).run()
 }
+
+#[cfg(test)]
+mod tests;

@@ -1,8 +1,9 @@
 //! Preprocessing cost accounting (Table 6).
 
 use super::context::SimContext;
-use crate::memory::plan_trainer_gpu;
+use crate::memory::{plan_gpu, Residency};
 use crate::report::RunError;
+use crate::systems::SystemKind;
 use crate::trace::EpochTrace;
 use gnnlab_obs::{names, Executor, Stage, HOST_DEVICE};
 use gnnlab_sim::{ns_to_secs, SampleDevice};
@@ -41,12 +42,12 @@ pub fn preprocess_report(
 ) -> Result<PreprocessReport, RunError> {
     let topo = ctx.workload.dataset.topo_bytes_paper() as f64;
     let feat = ctx.workload.dataset.feature_bytes_paper() as f64;
-    let plan = plan_trainer_gpu(&ctx.testbed, ctx.workload)?;
+    let gnnlab = SystemKind::GnnLab;
+    let plan = plan_gpu(&ctx.testbed, ctx.workload, gnnlab, Residency::TRAINER)?;
     let cache_bytes = plan.cache_alpha * feat;
 
     // P3: one epoch of GPU sampling plus hotness-map construction,
     // modeled as the paper's measured 1.4x of one sampling epoch.
-    let _ = trace.factor;
     let sample_epoch_ns: u64 = trace
         .batches
         .iter()
@@ -87,7 +88,6 @@ pub fn preprocess_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::systems::SystemKind;
     use crate::workload::Workload;
     use gnnlab_graph::{DatasetKind, Scale};
     use gnnlab_sampling::Kernel;

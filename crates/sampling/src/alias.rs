@@ -4,8 +4,7 @@
 //! per-vertex CDF — `O(log degree)` per draw. The alias method trades a
 //! linear preprocessing pass for `O(1)` draws, which pays off when the
 //! same vertex is sampled many times (hot hubs under weighted sampling).
-//! `benches/sampling_kernels.rs` compares the two; this module is also a
-//! reusable building block for custom samplers.
+//! This module is also a reusable building block for custom samplers.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;

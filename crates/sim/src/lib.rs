@@ -11,20 +11,15 @@
 //!   workload quantities (RNG draws, edges scanned, bytes gathered, FLOPs)
 //!   into simulated time. Constants are calibrated against Table 1 of the
 //!   paper; see `EXPERIMENTS.md` for the calibration deltas.
-//! - [`event`]: a deterministic discrete-event queue for event-driven
-//!   extensions (the built-in epoch co-simulations use simpler
-//!   per-executor clocks).
 //!
 //! The crate deliberately depends on nothing else in the workspace: it
 //! consumes plain numbers, so the model is easy to audit.
 
 pub mod cost;
 pub mod device;
-pub mod event;
 
 pub use cost::{CostModel, GatherPath, SampleCost, SampleDevice};
 pub use device::{DeviceError, GpuMemory, Testbed};
-pub use event::{EventId, EventQueue};
 
 /// Simulated time in nanoseconds.
 pub type SimTime = u64;

@@ -7,7 +7,6 @@ use gnnlab::graph::{GraphBuilder, VertexId};
 use gnnlab::sampling::{
     footprint_similarity, KHop, Kernel, RandomWalk, SamplingAlgorithm, Selection,
 };
-use gnnlab::sim::EventQueue;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -157,24 +156,6 @@ proptest! {
             let self_sim = footprint_similarity(f, f, frac);
             prop_assert!((self_sim - 1.0).abs() < 1e-9);
         }
-    }
-
-    /// The event queue pops in non-decreasing time order regardless of
-    /// insertion order.
-    #[test]
-    fn event_queue_is_time_ordered(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut last = 0u64;
-        let mut count = 0usize;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
     }
 
     /// The GPU allocation rule always yields 1..=N_g-1 samplers on a
