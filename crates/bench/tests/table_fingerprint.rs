@@ -1,0 +1,119 @@
+//! Byte-level pin on the three tables the perf harness times.
+//!
+//! The harness golden covers `table5`, `fig17` and `fig10` at scale 8192,
+//! seed 42 only. These hashes (FNV-1a, 64-bit, over the rendered text)
+//! hold the same tables at another seed and another scale, so that a
+//! change to how the tables instantiate their datasets or share their
+//! traces cannot move a cell unnoticed. The constants were captured before
+//! `table5::run`, `fig10::run` and `fig17::run_b` stopped regenerating a
+//! dataset per model / per algorithm and are never edited afterwards. Must
+//! hold under `cargo test` and `cargo test --release` alike.
+
+use gnnlab_bench::{exp, ExpConfig, Table};
+use gnnlab_graph::Scale;
+use gnnlab_obs::Obs;
+use std::sync::Arc;
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn render(tables: &[Table]) -> String {
+    tables.iter().map(|t| t.render() + "\n").collect()
+}
+
+/// `[table5, fig17, fig10]` hashes of one configuration.
+fn table_hashes(scale: u64, seed: u64) -> [u64; 3] {
+    let cfg = ExpConfig {
+        scale: Scale::new(scale),
+        seed,
+        obs: None,
+    };
+    [
+        fnv(&render(&[exp::table5::run(&cfg)])),
+        fnv(&render(&exp::fig17::run(&cfg))),
+        fnv(&render(&[exp::fig10::run(&cfg)])),
+    ]
+}
+
+fn assert_hashes(got: [u64; 3], want: [u64; 3]) {
+    assert_eq!(
+        got, want,
+        "got [{:#018x}, {:#018x}, {:#018x}]",
+        got[0], got[1], got[2]
+    );
+}
+
+/// Captured at the parent of the instantiate-once tables; never edit.
+const SCALE_8192_SEED_1: [u64; 3] = [
+    0xb7d3_96cb_e84b_53e4,
+    0xcb43_45b6_58f6_f530,
+    0xbe1a_f310_3ff6_6b64,
+];
+const SCALE_32768_SEED_42: [u64; 3] = [
+    0xf68d_725c_8d88_63d9,
+    0x0af0_781d_2d02_0063,
+    0x68e9_6924_6c9c_cd8f,
+];
+const TABLE5_CHROME_TRACE: u64 = 0x8b6c_1139_cfb5_1c28;
+
+#[test]
+fn tables_at_scale_8192_seed_1() {
+    assert_hashes(table_hashes(8192, 1), SCALE_8192_SEED_1);
+}
+
+#[test]
+fn tables_at_scale_32768_seed_42() {
+    assert_hashes(table_hashes(32_768, 42), SCALE_32768_SEED_42);
+}
+
+/// With a hub attached, `table5` opens one sub-run per row, in row order,
+/// and records the same spans whether or not two systems share a trace.
+#[test]
+fn table5_opens_its_runs_in_row_order() {
+    let obs = Arc::new(Obs::virtual_time());
+    let cfg = ExpConfig {
+        scale: Scale::new(8192),
+        seed: 1,
+        obs: Some(Arc::clone(&obs)),
+    };
+    let table = exp::table5::run(&cfg);
+    assert_eq!(fnv(&render(&[table.clone()])), SCALE_8192_SEED_1[0]);
+
+    // A run that went out of memory recorded no span, so it has no process
+    // in the trace; every other row must appear, in the table's order.
+    let expected: Vec<String> = table
+        .rows
+        .iter()
+        .filter(|row| row[2] != "OOM")
+        .map(|row| format!("table5 {} {}", row[0], row[1]))
+        .collect();
+    assert!(expected.len() > 30, "only {} rows ran", expected.len());
+
+    let trace = obs.chrome_trace();
+    let text = serde_json::to_string(&trace).expect("chrome trace serialises");
+    let doc: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(serde_json::Value::as_array)
+        .expect("traceEvents array");
+    let mut run_names: Vec<String> = Vec::new();
+    for e in events {
+        if e.get("name").and_then(serde_json::Value::as_str) != Some("process_name") {
+            continue;
+        }
+        let process = e
+            .get("args")
+            .and_then(|a| a.get("name"))
+            .and_then(serde_json::Value::as_str)
+            .expect("process_name carries a name");
+        let run = process.split(" / ").next().expect("non-empty").to_string();
+        if run_names.last() != Some(&run) {
+            run_names.push(run);
+        }
+    }
+    assert_eq!(run_names, expected);
+    assert_eq!(fnv(&text), TABLE5_CHROME_TRACE, "got {:#018x}", fnv(&text));
+}
