@@ -4,14 +4,13 @@
 //! The headline PreSC result: near-Optimal everywhere; Degree collapses on
 //! the low-skew citation graph and under weighted sampling.
 
-use crate::exp::cache_stats_on_trace;
+use crate::exp::{cache_stats_on_trace, datasets, workload_on};
 use crate::table::pct;
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::runtime::build_cache_table;
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::Workload;
-use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
@@ -36,10 +35,12 @@ pub fn run(cfg: &ExpConfig) -> Table {
         "Fig. 10: cache hit rate at cache ratio 10%",
         &["Workload", "Random", "Degree", "PreSC#1", "Optimal"],
     );
+    let datasets = datasets(cfg);
     for algo in AlgorithmKind::TABLE2 {
-        for ds in DatasetKind::ALL {
-            let w = Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed).with_algorithm(algo);
+        for dataset in &datasets {
+            let w = workload_on(ModelKind::Gcn, dataset.clone(), cfg).with_algorithm(algo);
             let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+            let ds = dataset.spec.kind;
             let mut row = vec![format!("{} / {}", algo.label(), ds.abbrev())];
             for policy in POLICIES {
                 let cache = build_cache_table(&w, policy, 0.10);

@@ -1,6 +1,7 @@
 //! Fig. 17: (a) dynamic switching on a skewed workload; (b) all systems on
 //! a single GPU.
 
+use crate::exp::{datasets, workload_on, Recorded};
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{
@@ -41,27 +42,25 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
         "Fig. 17b: epoch time (s) on a single GPU, GCN",
         &["Dataset", "DGL", "T_SOTA", "GNNLab"],
     );
-    for ds in DatasetKind::ALL {
-        let w = Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed);
+    for dataset in datasets(cfg) {
+        let ds = dataset.spec.kind;
+        let w = workload_on(ModelKind::Gcn, dataset, cfg);
         let mut row = vec![ds.abbrev().to_string()];
-        for system in [SystemKind::DglLike, SystemKind::TSota] {
+        let mut recorded = None;
+        for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             cfg.begin_run(&format!("fig17b {} {}", ds.abbrev(), system.label()));
             let ctx = SimContext::new(&w, system).with_gpus(1).with_obs(cfg.obs());
-            let trace = EpochTrace::record(&w, system.kernel(), ctx.epoch);
-            row.push(match run_timeshare_epoch(&ctx, &trace) {
+            let this = Recorded::for_context(&ctx, recorded.take());
+            let report = match system {
+                SystemKind::GnnLab => run_single_gpu_epoch(&ctx, &this.trace),
+                _ => run_timeshare_epoch(&ctx, &this.trace),
+            };
+            recorded = Some(this);
+            row.push(match report {
                 Ok(r) => secs(r.epoch_time),
                 Err(_) => "OOM".to_string(),
             });
         }
-        cfg.begin_run(&format!("fig17b {} GNNLab", ds.abbrev()));
-        let ctx = SimContext::new(&w, SystemKind::GnnLab)
-            .with_gpus(1)
-            .with_obs(cfg.obs());
-        let trace = EpochTrace::record(&w, SystemKind::GnnLab.kernel(), ctx.epoch);
-        row.push(match run_single_gpu_epoch(&ctx, &trace) {
-            Ok(r) => secs(r.epoch_time),
-            Err(_) => "OOM".to_string(),
-        });
         table.row(row);
     }
     table

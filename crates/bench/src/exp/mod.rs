@@ -44,9 +44,57 @@ pub mod table4;
 pub mod table5;
 pub mod table6;
 
+use crate::ExpConfig;
 use gnnlab_cache::{CacheStats, CacheTable};
+use gnnlab_core::runtime::SimContext;
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::Workload;
+use gnnlab_graph::{Dataset, DatasetKind};
+use gnnlab_sampling::Kernel;
+use gnnlab_tensor::ModelKind;
+
+/// The four datasets of Table 3 at the configured scale and seed, in table
+/// order. A table that sweeps models or algorithms instantiates them once
+/// and builds each workload over a clone: cloning a CSR is a `memcpy`,
+/// generating one draws and sorts every edge again.
+pub(crate) fn datasets(cfg: &ExpConfig) -> [Dataset; 4] {
+    DatasetKind::ALL.map(|kind| {
+        Dataset::generate(kind, cfg.scale, cfg.seed)
+            .expect("enum-typed dataset parameters always generate")
+    })
+}
+
+/// What [`Workload::new`] builds, over an already instantiated dataset.
+pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -> Workload {
+    let classes = Workload::default_classes(dataset.spec.kind);
+    Workload::with_dataset(model, dataset, classes, cfg.seed)
+}
+
+/// An epoch trace and what it was recorded with.
+pub(crate) struct Recorded {
+    kernel: Kernel,
+    epoch: u64,
+    /// The recorded epoch.
+    pub trace: EpochTrace,
+}
+
+impl Recorded {
+    /// The trace a run of `ctx` consumes: `previous` if it was recorded
+    /// with the same kernel at the same epoch (T_SOTA and GNNLab both draw
+    /// with Fisher–Yates, so consecutive runs of one workload share it), a
+    /// fresh recording otherwise.
+    pub(crate) fn for_context(ctx: &SimContext, previous: Option<Recorded>) -> Recorded {
+        let (kernel, epoch) = (ctx.system.kernel(), ctx.epoch);
+        match previous {
+            Some(p) if p.kernel == kernel && p.epoch == epoch => p,
+            _ => Recorded {
+                kernel,
+                epoch,
+                trace: EpochTrace::record(ctx.workload, kernel, epoch),
+            },
+        }
+    }
+}
 
 /// Accumulates cache statistics of `table` over a recorded epoch trace.
 pub fn cache_stats_on_trace(

@@ -1,13 +1,13 @@
 //! Table 5: stage-level runtime breakdown on two GPUs (DGL, T_SOTA
 //! time-sharing; GNNLab as 1 Sampler + 1 Trainer).
 
+use crate::exp::{datasets, workload_on, Recorded};
 use crate::table::{pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::{EpochReport, RunError};
 use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch, SimContext};
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::{SystemKind, Workload};
-use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
 fn breakdown_cells(rep: &Result<EpochReport, RunError>) -> Vec<String> {
@@ -27,6 +27,21 @@ fn breakdown_cells(rep: &Result<EpochReport, RunError>) -> Vec<String> {
     }
 }
 
+fn context<'a>(
+    w: &'a Workload,
+    system: SystemKind,
+    obs: Option<&'a gnnlab_obs::Obs>,
+) -> SimContext<'a> {
+    SimContext::new(w, system).with_gpus(2).with_obs(obs)
+}
+
+fn run_breakdown(ctx: &SimContext, trace: &EpochTrace) -> Result<EpochReport, RunError> {
+    match ctx.system {
+        SystemKind::GnnLab => run_factored_epoch(ctx, trace, 1, 1, false),
+        _ => run_timeshare_epoch(ctx, trace),
+    }
+}
+
 /// Runs one system's 2-GPU breakdown for a workload, recording spans and
 /// metrics into `obs` when given.
 pub fn breakdown(
@@ -34,12 +49,9 @@ pub fn breakdown(
     system: SystemKind,
     obs: Option<&gnnlab_obs::Obs>,
 ) -> Result<EpochReport, RunError> {
-    let ctx = SimContext::new(w, system).with_gpus(2).with_obs(obs);
+    let ctx = context(w, system, obs);
     let trace = EpochTrace::record(w, system.kernel(), ctx.epoch);
-    match system {
-        SystemKind::GnnLab => run_factored_epoch(&ctx, &trace, 1, 1, false),
-        _ => run_timeshare_epoch(&ctx, &trace),
-    }
+    run_breakdown(&ctx, &trace)
 }
 
 /// Regenerates Table 5.
@@ -50,12 +62,17 @@ pub fn run(cfg: &ExpConfig) -> Table {
             "Workload", "System", "S", "G", "M", "C", "E", "R%", "H%", "T",
         ],
     );
+    let datasets = datasets(cfg);
     for model in ModelKind::ALL {
-        for ds in DatasetKind::ALL {
-            let w = Workload::new(model, ds, cfg.scale, cfg.seed);
+        for dataset in &datasets {
+            let w = workload_on(model, dataset.clone(), cfg);
+            let mut recorded = None;
             for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
                 cfg.begin_run(&format!("table5 {} {}", w.label(), system.label()));
-                let rep = breakdown(&w, system, cfg.obs());
+                let ctx = context(&w, system, cfg.obs());
+                let this = Recorded::for_context(&ctx, recorded.take());
+                let rep = run_breakdown(&ctx, &this.trace);
+                recorded = Some(this);
                 let mut row = vec![w.label(), system.label().to_string()];
                 row.extend(breakdown_cells(&rep));
                 table.row(row);
@@ -68,7 +85,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnlab_graph::Scale;
+    use gnnlab_graph::{DatasetKind, Scale};
 
     fn config() -> ExpConfig {
         ExpConfig {

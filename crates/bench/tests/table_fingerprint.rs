@@ -80,7 +80,10 @@ fn table5_opens_its_runs_in_row_order() {
         obs: Some(Arc::clone(&obs)),
     };
     let table = exp::table5::run(&cfg);
-    assert_eq!(fnv(&render(&[table.clone()])), SCALE_8192_SEED_1[0]);
+    assert_eq!(
+        fnv(&render(std::slice::from_ref(&table))),
+        SCALE_8192_SEED_1[0]
+    );
 
     // A run that went out of memory recorded no span, so it has no process
     // in the trace; every other row must appear, in the table's order.

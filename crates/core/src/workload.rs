@@ -32,41 +32,32 @@ impl Workload {
         }
     }
 
-    /// Builds the standard workload for `model` on `kind` at `scale`.
-    ///
-    /// Class counts follow the real datasets (47 for OGB-Products, 172
-    /// for OGB-Papers) and 64 for the feature-less TW/UK graphs, matching
-    /// the paper's random-label practice.
-    pub fn new(model: ModelKind, kind: DatasetKind, scale: Scale, seed: u64) -> Self {
-        let algorithm = Self::default_algorithm(model);
-        let dataset = if algorithm.needs_weights() {
-            gnnlab_par::invariant!(
-                Dataset::generate_weighted(kind, scale, seed),
-                "enum-typed dataset parameters always generate"
-            )
-        } else {
-            gnnlab_par::invariant!(
-                Dataset::generate(kind, scale, seed),
-                "enum-typed dataset parameters always generate"
-            )
-        };
-        let num_classes = match kind {
+    /// Output classes of the real datasets (47 for OGB-Products, 172 for
+    /// OGB-Papers) and 64 for the feature-less TW/UK graphs, matching the
+    /// paper's random-label practice.
+    pub fn default_classes(kind: DatasetKind) -> usize {
+        match kind {
             DatasetKind::Products => 47,
             DatasetKind::Papers => 172,
             _ => 64,
-        };
-        Workload {
-            model,
-            dataset,
-            algorithm,
-            hidden_dim: 256,
-            num_classes,
-            seed,
         }
     }
 
-    /// Builds a workload over a user-supplied [`Dataset`] (see
-    /// [`Dataset::custom`]) with explicit hyper-parameters.
+    /// Builds the standard workload for `model` on `kind` at `scale`:
+    /// the generated dataset, the model's default algorithm and
+    /// [`Workload::default_classes`].
+    pub fn new(model: ModelKind, kind: DatasetKind, scale: Scale, seed: u64) -> Self {
+        let dataset = gnnlab_par::invariant!(
+            Dataset::generate(kind, scale, seed),
+            "enum-typed dataset parameters always generate"
+        );
+        Self::with_dataset(model, dataset, Self::default_classes(kind), seed)
+    }
+
+    /// Builds a workload over an already instantiated [`Dataset`] — a
+    /// user-supplied one (see [`Dataset::custom`]) or a clone of a
+    /// generated one that several workloads share — with explicit
+    /// hyper-parameters.
     pub fn with_dataset(model: ModelKind, dataset: Dataset, num_classes: usize, seed: u64) -> Self {
         Workload {
             model,
@@ -78,13 +69,16 @@ impl Workload {
         }
     }
 
-    /// Replaces the sampling algorithm (regenerating the dataset with
-    /// weights if needed) — used by the §7.4 weighted-sampling runs.
+    /// Replaces the sampling algorithm — used by the §7.4 weighted-sampling
+    /// runs. An algorithm that needs edge weights gets the recency weights
+    /// of [`Dataset::generate_weighted`] attached to the topology this
+    /// workload already holds (nothing is regenerated); a dataset that is
+    /// already weighted is left alone.
     pub fn with_algorithm(mut self, algorithm: AlgorithmKind) -> Self {
         if algorithm.needs_weights() && !self.dataset.csr.is_weighted() {
             self.dataset = gnnlab_par::invariant!(
-                Dataset::generate_weighted(self.dataset.spec.kind, self.dataset.scale, self.seed,),
-                "enum-typed dataset parameters always generate"
+                self.dataset.with_recency_weights(self.seed),
+                "recency weights are finite and one per edge"
             );
         }
         self.algorithm = algorithm;
@@ -152,12 +146,58 @@ mod tests {
         assert!(!w.dataset.csr.is_weighted());
     }
 
+    fn weight_bits(d: &Dataset) -> Vec<Option<Vec<u32>>> {
+        (0..d.csr.num_vertices() as u32)
+            .map(|v| {
+                d.csr
+                    .edge_weights(v)
+                    .map(|ws| ws.iter().map(|w| w.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    fn rows(d: &Dataset) -> Vec<&[u32]> {
+        (0..d.csr.num_vertices() as u32)
+            .map(|v| d.csr.neighbors(v))
+            .collect()
+    }
+
     #[test]
-    fn weighted_algorithm_regenerates_weights() {
-        let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, Scale::TEST, 1)
+    fn weighted_algorithm_attaches_the_generated_weights() {
+        let scale = Scale::new(8192);
+        for kind in DatasetKind::ALL {
+            let w = Workload::new(ModelKind::Gcn, kind, scale, 7)
+                .with_algorithm(AlgorithmKind::Khop3Weighted);
+            assert_eq!(w.algorithm, AlgorithmKind::Khop3Weighted);
+            let want = Dataset::generate_weighted(kind, scale, 7).unwrap();
+            assert!(w.dataset.csr.is_weighted());
+            assert_eq!(rows(&w.dataset), rows(&want), "{kind:?}");
+            assert_eq!(weight_bits(&w.dataset), weight_bits(&want), "{kind:?}");
+            assert_eq!(w.dataset.train_set, want.train_set, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn weighted_algorithm_leaves_a_weighted_dataset_alone() {
+        // Seed 1's topology under seed 99's weights: were they re-derived
+        // from the workload's seed, they would change.
+        let theirs = Dataset::generate(DatasetKind::Twitter, Scale::TEST, 1)
+            .and_then(|d| d.with_recency_weights(99))
+            .unwrap();
+        let before = weight_bits(&theirs);
+        let w = Workload::with_dataset(ModelKind::Gcn, theirs, 64, 1)
             .with_algorithm(AlgorithmKind::Khop3Weighted);
-        assert!(w.dataset.csr.is_weighted());
-        assert_eq!(w.algorithm, AlgorithmKind::Khop3Weighted);
+        assert_eq!(weight_bits(&w.dataset), before);
+        let ours = Dataset::generate_weighted(DatasetKind::Twitter, Scale::TEST, 1).unwrap();
+        assert_ne!(weight_bits(&ours), before);
+    }
+
+    #[test]
+    fn unweighted_algorithm_attaches_nothing() {
+        let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, Scale::TEST, 1)
+            .with_algorithm(AlgorithmKind::RandomWalks);
+        assert!(!w.dataset.csr.is_weighted());
+        assert_eq!(w.algorithm, AlgorithmKind::RandomWalks);
     }
 
     #[test]

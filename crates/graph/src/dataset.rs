@@ -210,9 +210,15 @@ impl Dataset {
     /// Instantiates with recency edge weights attached (for weighted
     /// sampling experiments, §3 / §7.4).
     pub fn generate_weighted(kind: DatasetKind, scale: Scale, seed: u64) -> Result<Dataset> {
-        let mut d = Dataset::generate(kind, scale, seed)?;
-        d.csr = gen::recency_weights(d.csr, seed ^ 0x5745)?;
-        Ok(d)
+        Dataset::generate(kind, scale, seed)?.with_recency_weights(seed)
+    }
+
+    /// Attaches the recency edge weights [`Dataset::generate_weighted`]
+    /// gives a dataset generated from `seed`, keeping the topology: the
+    /// weights are a function of the CSR and the seed alone.
+    pub fn with_recency_weights(mut self, seed: u64) -> Result<Dataset> {
+        self.csr = gen::recency_weights(self.csr, seed ^ 0x5745)?;
+        Ok(self)
     }
 
     /// Paper-scale topology bytes, modeling the GPU-resident CSR the paper

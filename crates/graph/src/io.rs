@@ -47,13 +47,20 @@ impl From<GraphError> for IoError {
 /// Reads a whitespace-separated edge list (`src dst [weight]` per line;
 /// `#`-prefixed lines are comments). `num_vertices` of `None` infers
 /// `max id + 1`.
+///
+/// Lines stream straight into a [`GraphBuilder`] (8 bytes an edge, 12 once
+/// a weight has been seen) — nothing is buffered per line. If any line
+/// carries a weight the graph is weighted and the lines without one weigh
+/// `1.0`, wherever in the file the first weight appears. The edge count is
+/// bounded by memory only: the builder sorts the edges themselves, not
+/// 32-bit edge numbers, so nothing truncates past 2³² edges.
 pub fn read_edge_list(
     path: &Path,
     num_vertices: Option<usize>,
 ) -> std::result::Result<Csr, IoError> {
     let file = std::fs::File::open(path)?;
     let reader = BufReader::new(file);
-    let mut edges: Vec<(VertexId, VertexId, Option<f32>)> = Vec::new();
+    let mut b = GraphBuilder::new(num_vertices.unwrap_or(0));
     let mut max_id: u64 = 0;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -62,37 +69,29 @@ pub fn read_edge_list(
             continue;
         }
         let mut parts = line.split_whitespace();
-        let parse = |tok: Option<&str>, what: &str| -> std::result::Result<u64, IoError> {
-            tok.ok_or_else(|| IoError::Format(format!("line {}: missing {what}", lineno + 1)))?
+        let parse = |tok: Option<&str>, what: &str| -> std::result::Result<VertexId, IoError> {
+            let id = tok
+                .ok_or_else(|| IoError::Format(format!("line {}: missing {what}", lineno + 1)))?
                 .parse::<u64>()
-                .map_err(|_| IoError::Format(format!("line {}: bad {what}", lineno + 1)))
+                .map_err(|_| IoError::Format(format!("line {}: bad {what}", lineno + 1)))?;
+            VertexId::try_from(id)
+                .map_err(|_| IoError::Format(format!("line {}: vertex id exceeds u32", lineno + 1)))
         };
         let s = parse(parts.next(), "src")?;
         let d = parse(parts.next(), "dst")?;
-        let w = match parts.next() {
-            Some(tok) => Some(
-                tok.parse::<f32>()
-                    .map_err(|_| IoError::Format(format!("line {}: bad weight", lineno + 1)))?,
-            ),
-            None => None,
-        };
-        max_id = max_id.max(s).max(d);
-        if s > u64::from(VertexId::MAX) || d > u64::from(VertexId::MAX) {
-            return Err(IoError::Format(format!(
-                "line {}: vertex id exceeds u32",
-                lineno + 1
-            )));
+        match parts.next() {
+            Some(tok) => {
+                let w = tok
+                    .parse::<f32>()
+                    .map_err(|_| IoError::Format(format!("line {}: bad weight", lineno + 1)))?;
+                b.add_weighted_edge(s, d, w);
+            }
+            None => b.add_edge(s, d),
         }
-        edges.push((s as VertexId, d as VertexId, w));
+        max_id = max_id.max(u64::from(s)).max(u64::from(d));
     }
-    let n = num_vertices.unwrap_or((max_id + 1) as usize);
-    let any_weight = edges.iter().any(|(_, _, w)| w.is_some());
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for (s, d, w) in edges {
-        match (any_weight, w) {
-            (true, w) => b.add_weighted_edge(s, d, w.unwrap_or(1.0)),
-            (false, _) => b.add_edge(s, d),
-        }
+    if num_vertices.is_none() {
+        b.grow_to((max_id + 1) as usize);
     }
     Ok(b.build()?)
 }
@@ -345,6 +344,31 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn edge_list_weight_on_a_later_line_back_fills_ones() {
+        // The first weight appears on the third edge; the lines around it
+        // that carry none weigh 1.0, and parallel edges keep file order.
+        let path = tmp("mixed.txt");
+        std::fs::write(&path, "2 0\n0 1\n0 1 0.5\n# note\n0 1 0.25\n2 2\n0 0 4\n").unwrap();
+        let g = read_edge_list(&path, None).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(g.num_vertices(), 3);
+        assert_eq!(g.neighbors(0), &[0, 1, 1, 1]);
+        assert_eq!(g.edge_weights(0), Some(&[4.0, 1.0, 0.5, 0.25][..]));
+        assert_eq!(g.neighbors(2), &[0, 2]);
+        assert_eq!(g.edge_weights(2), Some(&[1.0, 1.0][..]));
+    }
+
+    #[test]
+    fn edge_list_without_weights_stays_unweighted() {
+        let path = tmp("plain.txt");
+        std::fs::write(&path, "1 0\n0 1\n").unwrap();
+        let g = read_edge_list(&path, Some(4)).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(g.num_vertices(), 4);
+        assert!(!g.is_weighted());
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! internals. Streams are deterministic per seed but are **not**
 //! bit-compatible with upstream `rand` — nothing in the workspace depends
 //! on upstream streams, only on determinism.
+//!
+//! What is frozen is this shim's own mapping from words to values: every
+//! generated dataset, sampler fingerprint and co-simulation golden in the
+//! workspace hangs off it. [`distributions::WeightedIndex`] is the one
+//! distribution with a data structure behind it — a guide table over the
+//! cumulative weights that returns, word for word, the index a binary
+//! search for "first cumulative weight above the target" returns.
 
 pub mod distributions;
 pub mod seq;
