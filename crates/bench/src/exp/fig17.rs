@@ -1,7 +1,7 @@
 //! Fig. 17: (a) dynamic switching on a skewed workload; (b) all systems on
 //! a single GPU.
 
-use crate::exp::{datasets, workload_on, Recorded};
+use crate::exp::{datasets, trace_for, workload_on};
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{
@@ -50,12 +50,11 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             cfg.begin_run(&format!("fig17b {} {}", ds.abbrev(), system.label()));
             let ctx = SimContext::new(&w, system).with_gpus(1).with_obs(cfg.obs());
-            let this = Recorded::for_context(&ctx, recorded.take());
+            let trace = trace_for(&mut recorded, &ctx);
             let report = match system {
-                SystemKind::GnnLab => run_single_gpu_epoch(&ctx, &this.trace),
-                _ => run_timeshare_epoch(&ctx, &this.trace),
+                SystemKind::GnnLab => run_single_gpu_epoch(&ctx, trace),
+                _ => run_timeshare_epoch(&ctx, trace),
             };
-            recorded = Some(this);
             row.push(match report {
                 Ok(r) => secs(r.epoch_time),
                 Err(_) => "OOM".to_string(),

@@ -74,26 +74,24 @@ pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -
 pub(crate) struct Recorded {
     kernel: Kernel,
     epoch: u64,
-    /// The recorded epoch.
-    pub trace: EpochTrace,
+    trace: EpochTrace,
 }
 
-impl Recorded {
-    /// The trace a run of `ctx` consumes: `previous` if it was recorded
-    /// with the same kernel at the same epoch (T_SOTA and GNNLab both draw
-    /// with Fisher–Yates, so consecutive runs of one workload share it), a
-    /// fresh recording otherwise.
-    pub(crate) fn for_context(ctx: &SimContext, previous: Option<Recorded>) -> Recorded {
-        let (kernel, epoch) = (ctx.system.kernel(), ctx.epoch);
-        match previous {
-            Some(p) if p.kernel == kernel && p.epoch == epoch => p,
-            _ => Recorded {
-                kernel,
-                epoch,
-                trace: EpochTrace::record(ctx.workload, kernel, epoch),
-            },
-        }
+/// The trace a run of `ctx` consumes: the one in `last` if it was recorded
+/// with the same kernel at the same epoch (T_SOTA and GNNLab both draw with
+/// Fisher–Yates, so consecutive runs of one workload share it), otherwise a
+/// fresh recording, which replaces it.
+pub(crate) fn trace_for<'a>(last: &'a mut Option<Recorded>, ctx: &SimContext) -> &'a EpochTrace {
+    let (kernel, epoch) = (ctx.system.kernel(), ctx.epoch);
+    if !matches!(last, Some(r) if r.kernel == kernel && r.epoch == epoch) {
+        *last = None;
     }
+    let recorded = last.get_or_insert_with(|| Recorded {
+        kernel,
+        epoch,
+        trace: EpochTrace::record(ctx.workload, kernel, epoch),
+    });
+    &recorded.trace
 }
 
 /// Accumulates cache statistics of `table` over a recorded epoch trace.

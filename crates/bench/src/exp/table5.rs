@@ -1,7 +1,7 @@
 //! Table 5: stage-level runtime breakdown on two GPUs (DGL, T_SOTA
 //! time-sharing; GNNLab as 1 Sampler + 1 Trainer).
 
-use crate::exp::{datasets, workload_on, Recorded};
+use crate::exp::{datasets, trace_for, workload_on};
 use crate::table::{pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::{EpochReport, RunError};
@@ -70,9 +70,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
             for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
                 cfg.begin_run(&format!("table5 {} {}", w.label(), system.label()));
                 let ctx = context(&w, system, cfg.obs());
-                let this = Recorded::for_context(&ctx, recorded.take());
-                let rep = run_breakdown(&ctx, &this.trace);
-                recorded = Some(this);
+                let rep = run_breakdown(&ctx, trace_for(&mut recorded, &ctx));
                 let mut row = vec![w.label(), system.label().to_string()];
                 row.extend(breakdown_cells(&rep));
                 table.row(row);

@@ -61,7 +61,7 @@ pub fn read_edge_list(
     let file = std::fs::File::open(path)?;
     let reader = BufReader::new(file);
     let mut b = GraphBuilder::new(num_vertices.unwrap_or(0));
-    let mut max_id: u64 = 0;
+    let mut max_id: VertexId = 0;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -88,10 +88,10 @@ pub fn read_edge_list(
             }
             None => b.add_edge(s, d),
         }
-        max_id = max_id.max(u64::from(s)).max(u64::from(d));
+        max_id = max_id.max(s).max(d);
     }
     if num_vertices.is_none() {
-        b.grow_to((max_id + 1) as usize);
+        b.grow_to(max_id as usize + 1);
     }
     Ok(b.build()?)
 }
