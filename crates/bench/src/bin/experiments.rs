@@ -44,7 +44,10 @@ fn print_tables(tables: Vec<Table>) {
     }
 }
 
-fn run_one(name: &str, cfg: &ExpConfig) -> bool {
+/// Runs experiment `name`. Figs. 12 and 13 are two readings of one policy
+/// sweep; `policy_sweep` holds its tables once either name has run, so
+/// asking for both runs the sweep once.
+fn run_one(name: &str, cfg: &ExpConfig, policy_sweep: &mut Option<[Table; 2]>) -> bool {
     let start = std::time::Instant::now();
     match name {
         "table1" => print_tables(vec![exp::table1::run(cfg)]),
@@ -57,8 +60,10 @@ fn run_one(name: &str, cfg: &ExpConfig) -> bool {
         "fig5" => print_tables(exp::fig5::run(cfg)),
         "fig10" => print_tables(vec![exp::fig10::run(cfg)]),
         "fig11" => print_tables(exp::fig11::run(cfg)),
-        "fig12" => print_tables(vec![exp::fig12::run(cfg)]),
-        "fig13" => print_tables(vec![exp::fig13::run(cfg)]),
+        "fig12" | "fig13" => {
+            let both = policy_sweep.get_or_insert_with(|| exp::fig12::tables(cfg));
+            print_tables(vec![both[usize::from(name == "fig13")].clone()]);
+        }
         "fig14" => print_tables(exp::fig14::run(cfg)),
         "fig15" => print_tables(vec![exp::fig15::run(cfg)]),
         "fig16" => print_tables(vec![exp::fig16::run(cfg), exp::fig16::run_scalability(cfg)]),
@@ -188,8 +193,9 @@ fn main() {
             }
         }
     }
+    let mut policy_sweep = None;
     for name in names {
-        if !run_one(name, &cfg) {
+        if !run_one(name, &cfg, &mut policy_sweep) {
             eprintln!("unknown experiment '{name}'; known: {ALL:?} plus groups all/motivation/caching/performance");
             std::process::exit(2);
         }

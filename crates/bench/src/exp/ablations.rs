@@ -2,40 +2,40 @@
 //!
 //! Each sub-experiment isolates one mechanism DESIGN.md calls out:
 //!
-//! - [`pipelining`]: Extract/Train overlap inside Trainers (§5.2).
-//! - [`multitenant`]: a contended (slowed) executor in a shared cluster —
+//! - `pipelining`: Extract/Train overlap inside Trainers (§5.2).
+//! - `multitenant`: a contended (slowed) executor in a shared cluster —
 //!   the scenario §5.3 gives for dynamic switching.
-//! - [`batch_size`]: the §8 mini-batch-size discussion (epoch time falls
+//! - `batch_size`: the §8 mini-batch-size discussion (epoch time falls
 //!   with batch size; PreSC's hit rate is batch-size-invariant).
-//! - [`trainset_size`]: the §8 training-set-size discussion (GNNLab's
+//! - `trainset_size`: the §8 training-set-size discussion (GNNLab's
 //!   advantage grows with |T|).
-//! - [`partitioning`]: the §8 cross-GPU partitioned-sampling alternative
+//! - `partitioning`: the §8 cross-GPU partitioned-sampling alternative
 //!   (remote memory access is ~74× slower than local).
-//! - [`subgraph_presc`]: the §8 "other sampling algorithms" caveat —
+//! - `subgraph_presc`: the §8 "other sampling algorithms" caveat —
 //!   ClusterGCN's uniform footprint gives PreSC nothing to exploit, while
 //!   the capacity benefit of the factored design remains.
 
-use crate::exp::cache_stats_on_trace;
-use crate::table::{pct, secs};
+use crate::exp::{dataset, workload_on, Recorded};
+use crate::table::{error_cell, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::faults::{ExecutorRole, FaultPlan};
+use gnnlab_core::memory::Residency;
 use gnnlab_core::runtime::{
-    build_cache_table, run_factored_epoch_opts, run_system, FactoredOptions, SimContext,
+    build_cache_table, run_epoch_with_cache, run_factored_epoch_opts, run_system_on,
+    FactoredOptions, Placement, SimContext,
 };
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::{SystemKind, Workload};
-use gnnlab_graph::{trainset, DatasetKind};
+use gnnlab_graph::{trainset, Dataset, DatasetKind};
 use gnnlab_sampling::{ClusterGcn, FootprintRecorder, Kernel, MinibatchIter, SamplingAlgorithm};
 use gnnlab_tensor::ModelKind;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Ablation: Trainer pipelining on/off (GCN on PA, 2S6T).
-pub fn pipelining(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::GnnLab);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, ctx.epoch);
+fn pipelining(gcn_pa: &mut Recorded) -> Table {
+    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: Extract/Train pipelining (GCN on PA, 2S6T)",
         &["Pipelining", "Epoch (s)"],
@@ -44,7 +44,7 @@ pub fn pipelining(cfg: &ExpConfig) -> Table {
         let mut opts = FactoredOptions::new(2, 6);
         opts.pipelining = on;
         opts.enable_switching = false;
-        let rep = run_factored_epoch_opts(&ctx, &trace, &opts).expect("PA fits");
+        let rep = run_factored_epoch_opts(&ctx, trace, &opts).expect("PA fits");
         table.row(vec![label.to_string(), secs(rep.epoch_time)]);
     }
     table
@@ -52,10 +52,8 @@ pub fn pipelining(cfg: &ExpConfig) -> Table {
 
 /// Ablation: one Trainer contended 4× (multi-tenant cluster, §5.3), with
 /// and without dynamic switching absorbing the straggler.
-pub fn multitenant(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::GnnLab);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, ctx.epoch);
+fn multitenant(gcn_pa: &mut Recorded) -> Table {
+    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: contended Trainer (4x slower) in a shared cluster (GCN on PA, 2S6T)",
         &["Scenario", "Epoch (s)", "Switched batches"],
@@ -70,7 +68,7 @@ pub fn multitenant(cfg: &ExpConfig) -> Table {
         let mut opts = FactoredOptions::new(2, 6);
         opts.faults = faults;
         opts.enable_switching = ds;
-        let rep = run_factored_epoch_opts(&ctx, &trace, &opts).expect("PA fits");
+        let rep = run_factored_epoch_opts(&ctx, trace, &opts).expect("PA fits");
         table.row(vec![
             label.to_string(),
             secs(rep.epoch_time),
@@ -82,10 +80,18 @@ pub fn multitenant(cfg: &ExpConfig) -> Table {
 
 /// Ablation: mini-batch size (§8). Epoch time falls with batch size;
 /// PreSC's hit rate does not move.
-pub fn batch_size(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
+fn batch_size(cfg: &ExpConfig, gcn_pa: &Workload) -> Table {
+    let w = gcn_pa;
     let base = w.batch_size();
-    let cache = build_cache_table(&w, PolicyKind::PreSC { k: 1 }, 0.15);
+    let cache = build_cache_table(w, PolicyKind::PreSC { k: 1 }, 0.15);
+    // One GNNLab-class GPU doing all three stages against the forced cache.
+    let ctx = SimContext::new(w, SystemKind::GnnLab);
+    let gpu = Placement::solo(
+        ctx.system,
+        ctx.system.sample_device(),
+        ctx.system.gather_path(),
+        Residency::TIMESHARE_CACHED,
+    );
     let mut table = Table::new(
         "Ablation: mini-batch size (GCN on PA; paper batch = 8000)",
         &[
@@ -96,25 +102,12 @@ pub fn batch_size(cfg: &ExpConfig) -> Table {
     );
     for mult in [1usize, 2, 4, 8] {
         let bs = (base * mult).max(1);
-        let trace = EpochTrace::record_with_batch(&w, Kernel::FisherYates, 2, bs);
-        let ctx = SimContext::new(&w, SystemKind::GnnLab);
-        let mut sum = 0.0f64;
-        for b in &trace.batches {
-            let g = ctx
-                .cost
-                .sample_time(&ctx.sample_cost(b, &trace), gnnlab_sim::SampleDevice::Gpu);
-            let (miss, hit) = ctx.extract_bytes(b, Some(&cache), trace.factor);
-            let e = ctx
-                .cost
-                .extract_time(miss, hit, gnnlab_sim::GatherPath::GpuDirect, 1);
-            let t = ctx.cost.train_time(b.flops * trace.factor);
-            sum += gnnlab_sim::ns_to_secs(g + e + t);
-        }
-        let hit = cache_stats_on_trace(&w, &trace, &cache).hit_rate();
+        let trace = EpochTrace::record_with_batch(w, Kernel::FisherYates, 2, bs);
+        let rep = run_epoch_with_cache(&ctx, &trace, &gpu, cache.clone()).expect("no fault plan");
         table.row(vec![
             format!("{}", bs as u64 * cfg.scale.factor()),
-            secs(sum),
-            pct(hit),
+            secs(rep.stages.total()),
+            pct(rep.hit_rate),
         ]);
     }
     table
@@ -122,65 +115,51 @@ pub fn batch_size(cfg: &ExpConfig) -> Table {
 
 /// Ablation: training-set size (§8). GNNLab's advantage over T_SOTA grows
 /// with |T| because Extract pressure grows.
-pub fn trainset_size(cfg: &ExpConfig) -> Table {
+fn trainset_size(cfg: &ExpConfig, papers: &Dataset) -> Table {
     let mut table = Table::new(
         "Ablation: training-set size (GraphSAGE on PA, 8 GPUs)",
         &["|T| multiplier", "T_SOTA (s)", "GNNLab (s)", "Speedup"],
     );
     for mult in [0.5f64, 1.0, 2.0, 4.0] {
-        let mut w = Workload::new(
-            ModelKind::GraphSage,
-            DatasetKind::Papers,
-            cfg.scale,
-            cfg.seed,
-        );
+        let mut w = workload_on(ModelKind::GraphSage, papers.clone(), cfg);
         let n = w.dataset.csr.num_vertices();
         let size = ((w.dataset.train_set.len() as f64 * mult) as usize).clamp(8, n);
         w.dataset.train_set = trainset::recent_train_set(n, size);
-        let tsota = run_system(&SimContext::new(&w, SystemKind::TSota));
-        let gnnlab = run_system(&SimContext::new(&w, SystemKind::GnnLab));
-        match (tsota, gnnlab) {
-            (Ok(t), Ok(g)) => {
-                table.row(vec![
-                    format!("{mult}x"),
-                    secs(t.epoch_time),
-                    secs(g.epoch_time),
-                    format!("{:.1}x", t.epoch_time / g.epoch_time),
-                ]);
-            }
-            _ => {
-                table.row(vec![
-                    format!("{mult}x"),
-                    "OOM".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-            }
-        }
+        let mut w = Recorded::new(w);
+        let [tsota, gnnlab] = [SystemKind::TSota, SystemKind::GnnLab].map(|system| {
+            let (ctx, trace) = w.cell(system, 8);
+            run_system_on(&ctx, trace)
+        });
+        table.row(match (tsota, gnnlab) {
+            (Ok(t), Ok(g)) => vec![
+                format!("{mult}x"),
+                secs(t.epoch_time),
+                secs(g.epoch_time),
+                format!("{:.1}x", t.epoch_time / g.epoch_time),
+            ],
+            (Err(e), _) | (_, Err(e)) => vec![
+                format!("{mult}x"),
+                error_cell(&e).into(),
+                "-".into(),
+                "-".into(),
+            ],
+        });
     }
     table
 }
 
 /// Ablation: the §8 partitioning alternative. Topology split across the 8
 /// GPUs; 7/8 of neighbor accesses are remote at ~74× local latency.
-pub fn partitioning(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::GnnLab);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, ctx.epoch);
+fn partitioning(gcn_pa: &mut Recorded) -> Table {
     // GNNLab baseline.
-    let gnnlab = run_system(&ctx).expect("PA fits");
-    // Partitioned sampling: every GPU samples its share, but with the
-    // topology hash-split 8 ways, 7/8 of neighbor-list reads cross GPUs at
-    // the paper's measured 74x latency penalty.
+    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
+    let gnnlab = run_system_on(&ctx, trace).expect("PA fits");
+    // Partitioned sampling: every GPU samples its share — the same kernel
+    // time in total — but with the topology hash-split 8 ways, 7/8 of
+    // neighbor-list reads cross GPUs at the paper's measured 74x latency
+    // penalty.
     let remote_factor = 1.0 / 8.0 + (7.0 / 8.0) * 74.0;
-    let mut sample_wall = 0.0f64;
-    for b in &trace.batches {
-        let g = ctx
-            .cost
-            .sample_time(&ctx.sample_cost(b, &trace), gnnlab_sim::SampleDevice::Gpu);
-        sample_wall += gnnlab_sim::ns_to_secs(g) * remote_factor;
-    }
-    sample_wall /= 8.0; // spread over 8 GPUs
+    let sample_wall = gnnlab.stages.sample_g * remote_factor / 8.0;
     let mut table = Table::new(
         "Ablation: §8 partitioned sampling (topology hash-split over 8 GPUs)",
         &["Design", "Sample wall-time (s/epoch)"],
@@ -204,7 +183,7 @@ pub fn partitioning(cfg: &ExpConfig) -> Table {
 /// the cache ratio itself, while 3-hop neighborhood sampling's skewed
 /// footprint is highly cacheable. We report the footprint skew
 /// (max/mean visit count) alongside the hit rates.
-pub fn subgraph_presc(cfg: &ExpConfig) -> Table {
+fn subgraph_presc(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, cfg.scale, cfg.seed);
     let csr = &w.dataset.csr;
     let n = csr.num_vertices();
@@ -278,12 +257,14 @@ pub fn subgraph_presc(cfg: &ExpConfig) -> Table {
 
 /// All ablations.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
+    let papers = dataset(DatasetKind::Papers, cfg);
+    let mut gcn_pa = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
     vec![
-        pipelining(cfg),
-        multitenant(cfg),
-        batch_size(cfg),
-        trainset_size(cfg),
-        partitioning(cfg),
+        pipelining(&mut gcn_pa),
+        multitenant(&mut gcn_pa),
+        batch_size(cfg, &gcn_pa.workload),
+        trainset_size(cfg, &papers),
+        partitioning(&mut gcn_pa),
         subgraph_presc(cfg),
     ]
 }
@@ -301,6 +282,16 @@ mod tests {
         }
     }
 
+    fn gcn_pa() -> Recorded {
+        let cfg = config();
+        Recorded::new(Workload::new(
+            ModelKind::Gcn,
+            DatasetKind::Papers,
+            cfg.scale,
+            cfg.seed,
+        ))
+    }
+
     fn val(t: &Table, r: usize, c: usize) -> f64 {
         t.rows[r][c]
             .trim_end_matches('%')
@@ -311,13 +302,13 @@ mod tests {
 
     #[test]
     fn pipelining_helps() {
-        let t = pipelining(&config());
+        let t = pipelining(&mut gcn_pa());
         assert!(val(&t, 0, 1) <= val(&t, 1, 1), "{t:?}");
     }
 
     #[test]
     fn switching_absorbs_stragglers() {
-        let t = multitenant(&config());
+        let t = multitenant(&mut gcn_pa());
         let clean = val(&t, 0, 1);
         let slow_no_ds = val(&t, 1, 1);
         let slow_ds = val(&t, 2, 1);
@@ -332,8 +323,7 @@ mod tests {
         // stable under batch-size changes (per-lookup hit rates shift a
         // little because dedup shifts the lookup mix).
         use gnnlab_cache::{CachePolicy, PolicyKind};
-        let cfg = config();
-        let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
+        let w = gcn_pa().workload;
         let top_set = |batch: usize| -> std::collections::HashSet<u32> {
             let out = CachePolicy::hotness(
                 PolicyKind::PreSC { k: 1 },
@@ -354,13 +344,13 @@ mod tests {
         let overlap = small.intersection(&large).count() as f64 / small.len().max(1) as f64;
         assert!(overlap > 0.7, "top-10% overlap only {overlap:.2}");
         // And the informative sweep still runs.
-        let t = batch_size(&cfg);
+        let t = batch_size(&config(), &w);
         assert_eq!(t.rows.len(), 4);
     }
 
     #[test]
     fn partitioned_sampling_is_catastrophic() {
-        let t = partitioning(&config());
+        let t = partitioning(&mut gcn_pa());
         assert!(val(&t, 1, 1) > 3.0 * val(&t, 0, 1), "{t:?}");
     }
 

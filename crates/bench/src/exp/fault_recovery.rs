@@ -7,7 +7,8 @@
 //! — the table quantifies the degraded-mode slowdown the recovery
 //! machinery buys.
 
-use crate::table::secs;
+use crate::exp::Recorded;
+use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch_opts, FactoredOptions, SimContext};
 use gnnlab_core::trace::EpochTrace;
@@ -37,19 +38,17 @@ fn run_with_failure(
 /// GraphSAGE on PR, 1 Sampler + 3 Trainers: kill one device at three
 /// points of the epoch and report the recovery cost.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(
+    let mut w = Recorded::new(Workload::new(
         ModelKind::GraphSage,
         DatasetKind::Products,
         cfg.scale,
         cfg.seed,
-    );
-    let ctx = SimContext::new(&w, SystemKind::GnnLab)
-        .with_gpus(NS + NT)
-        .with_obs(cfg.obs());
-    let trace = EpochTrace::record(&w, SystemKind::GnnLab.kernel(), ctx.epoch);
+    ));
+    let (ctx, trace) = w.cell(SystemKind::GnnLab, NS + NT);
+    let ctx = ctx.with_obs(cfg.obs());
 
     cfg.begin_run("fault_recovery healthy");
-    let healthy = run_with_failure(&ctx, &trace, cfg.seed, None).expect("healthy baseline runs");
+    let healthy = run_with_failure(&ctx, trace, cfg.seed, None).expect("healthy baseline runs");
 
     let mut table = Table::new(
         format!(
@@ -78,7 +77,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         for &frac in fractions {
             let at_ns = (healthy.epoch_time * frac * 1e9) as u64;
             cfg.begin_run(&format!("fault_recovery {label} @{:.0}%", frac * 100.0));
-            match run_with_failure(&ctx, &trace, cfg.seed, Some((at_ns, device))) {
+            match run_with_failure(&ctx, trace, cfg.seed, Some((at_ns, device))) {
                 Ok(r) => table.row(vec![
                     label.to_string(),
                     format!("{:.0}%", frac * 100.0),
@@ -90,7 +89,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
                 Err(e) => table.row(vec![
                     label.to_string(),
                     format!("{:.0}%", frac * 100.0),
-                    "LOST".to_string(),
+                    error_cell(&e).to_string(),
                     "-".to_string(),
                     "-".to_string(),
                     e.to_string(),

@@ -4,13 +4,11 @@
 //! The headline PreSC result: near-Optimal everywhere; Degree collapses on
 //! the low-skew citation graph and under weighted sampling.
 
-use crate::exp::{cache_stats_on_trace, datasets, workload_on};
+use crate::exp::{cache_stats_on_trace, datasets, workload_on, Recorded};
 use crate::table::pct;
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::runtime::build_cache_table;
-use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::Workload;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
@@ -22,14 +20,7 @@ pub const POLICIES: [PolicyKind; 4] = [
     PolicyKind::Optimal { epochs: 3 },
 ];
 
-/// Hit rate of `policy` at `alpha` for one workload, measured on epoch 2.
-pub fn hit_rate(w: &Workload, policy: PolicyKind, alpha: f64) -> f64 {
-    let trace = EpochTrace::record(w, Kernel::FisherYates, 2);
-    let cache = build_cache_table(w, policy, alpha);
-    cache_stats_on_trace(w, &trace, &cache).hit_rate()
-}
-
-/// Regenerates Fig. 10 (hit rates at α = 10 %).
+/// Regenerates Fig. 10 (hit rates at α = 10 %, measured on epoch 2).
 pub fn run(cfg: &ExpConfig) -> Table {
     let mut table = Table::new(
         "Fig. 10: cache hit rate at cache ratio 10%",
@@ -39,12 +30,13 @@ pub fn run(cfg: &ExpConfig) -> Table {
     for algo in AlgorithmKind::TABLE2 {
         for dataset in &datasets {
             let w = workload_on(ModelKind::Gcn, dataset.clone(), cfg).with_algorithm(algo);
-            let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+            let mut w = Recorded::new(w);
+            let (w, trace) = w.trace(Kernel::FisherYates, 2);
             let ds = dataset.spec.kind;
             let mut row = vec![format!("{} / {}", algo.label(), ds.abbrev())];
             for policy in POLICIES {
-                let cache = build_cache_table(&w, policy, 0.10);
-                let hr = cache_stats_on_trace(&w, &trace, &cache).hit_rate();
+                let cache = build_cache_table(w, policy, 0.10);
+                let hr = cache_stats_on_trace(w, trace, &cache).hit_rate();
                 row.push(pct(hr));
             }
             table.row(row);

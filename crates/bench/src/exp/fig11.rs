@@ -2,14 +2,13 @@
 //! needed, (b) hit rate vs cache ratio on OGB-Papers, (c) transferred data
 //! vs feature dimension with a fixed 5 GB cache.
 
-use crate::exp::{cache_stats_on_trace, transferred_bytes_paper};
+use crate::exp::{cache_stats_on_trace, dataset, transferred_bytes_paper, workload_on, Recorded};
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::runtime::build_cache_table;
-use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::Workload;
-use gnnlab_graph::DatasetKind;
+use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
@@ -17,11 +16,12 @@ const GB: f64 = 1e9;
 
 /// Fig. 11a: PreSC#K vs K on Twitter with weighted sampling (hit rate at
 /// several cache ratios).
-pub fn run_a(cfg: &ExpConfig) -> Table {
+fn run_a(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, cfg.scale, cfg.seed)
         .with_algorithm(AlgorithmKind::Khop3Weighted);
+    let mut w = Recorded::new(w);
     // Measurement epoch 5: outside every pre-sampling window (K <= 3).
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, 5);
+    let (w, trace) = w.trace(Kernel::FisherYates, 5);
     let mut table = Table::new(
         "Fig. 11a: PreSC#K on Twitter (weighted sampling): hit rate vs cache ratio",
         &[
@@ -43,8 +43,8 @@ pub fn run_a(cfg: &ExpConfig) -> Table {
     for alpha in [0.05, 0.10, 0.20] {
         let mut row = vec![pct(alpha)];
         for policy in policies {
-            let cache = build_cache_table(&w, policy, alpha);
-            row.push(pct(cache_stats_on_trace(&w, &trace, &cache).hit_rate()));
+            let cache = build_cache_table(w, policy, alpha);
+            row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);
     }
@@ -52,9 +52,9 @@ pub fn run_a(cfg: &ExpConfig) -> Table {
 }
 
 /// Fig. 11b: hit rate vs cache ratio on OGB-Papers (uniform 3-hop).
-pub fn run_b(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
+    let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
+    let (w, trace) = w.trace(Kernel::FisherYates, 2);
     let mut table = Table::new(
         "Fig. 11b: hit rate vs cache ratio, OGB-Papers, 3-hop uniform",
         &["Cache ratio", "Random", "Degree", "PreSC#1", "Optimal"],
@@ -62,8 +62,8 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
     for alpha in [0.01, 0.03, 0.05, 0.10, 0.15, 0.20, 0.30] {
         let mut row = vec![pct(alpha)];
         for policy in super::fig10::POLICIES {
-            let cache = build_cache_table(&w, policy, alpha);
-            row.push(pct(cache_stats_on_trace(&w, &trace, &cache).hit_rate()));
+            let cache = build_cache_table(w, policy, alpha);
+            row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);
     }
@@ -71,15 +71,15 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
 }
 
 /// Fig. 11c: transferred data vs feature dimension, 5 GB cache.
-pub fn run_c(cfg: &ExpConfig) -> Table {
+fn run_c(cfg: &ExpConfig, papers: &Dataset) -> Table {
     let mut table = Table::new(
         "Fig. 11c: transferred data per epoch vs feature dim, OGB-Papers, 5 GB cache",
         &["Feature dim", "Random", "Degree", "PreSC#1"],
     );
     for dim in [100usize, 300, 500, 700, 900] {
-        let mut w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-        w.dataset = w.dataset.with_feat_dim(dim);
-        let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+        let w = workload_on(ModelKind::Gcn, papers.clone().with_feat_dim(dim), cfg);
+        let mut w = Recorded::new(w);
+        let (w, trace) = w.trace(Kernel::FisherYates, 2);
         let alpha = (5.0 * GB / w.dataset.feature_bytes_paper() as f64).min(1.0);
         let mut row = vec![dim.to_string()];
         for policy in [
@@ -87,8 +87,8 @@ pub fn run_c(cfg: &ExpConfig) -> Table {
             PolicyKind::Degree,
             PolicyKind::PreSC { k: 1 },
         ] {
-            let cache = build_cache_table(&w, policy, alpha);
-            row.push(bytes(transferred_bytes_paper(&w, &trace, &cache)));
+            let cache = build_cache_table(w, policy, alpha);
+            row.push(bytes(transferred_bytes_paper(w, trace, &cache)));
         }
         table.row(row);
     }
@@ -97,7 +97,8 @@ pub fn run_c(cfg: &ExpConfig) -> Table {
 
 /// All three panels.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    vec![run_a(cfg), run_b(cfg), run_c(cfg)]
+    let papers = dataset(DatasetKind::Papers, cfg);
+    vec![run_a(cfg), run_b(cfg, &papers), run_c(cfg, &papers)]
 }
 
 #[cfg(test)]
@@ -133,7 +134,7 @@ mod tests {
 
     #[test]
     fn presc_hit_rate_grows_fast_with_alpha() {
-        let t = run_b(&config());
+        let t = &run(&config())[1];
         let first = &t.rows[0];
         let last = t.rows.last().unwrap();
         assert!(v(&last[3]) > v(&first[3]));
@@ -145,7 +146,7 @@ mod tests {
 
     #[test]
     fn presc_transfers_least_across_dims() {
-        let t = run_c(&config());
+        let t = &run(&config())[2];
         for row in &t.rows {
             let parse = |s: &str| -> f64 {
                 let s = s.trim_end_matches("GB").trim_end_matches("MB");

@@ -4,50 +4,16 @@
 //! PR is omitted, as in the paper, because all of its features fit in GPU
 //! memory (every policy caches everything).
 
-use crate::table::secs;
+use crate::exp::{dataset, workload_on, Recorded};
+use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::{profile_stage_times, run_factored_epoch, run_system, SimContext};
-use gnnlab_core::schedule::num_samplers;
-use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::runtime::run_system_on;
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::AlgorithmKind;
 use gnnlab_tensor::ModelKind;
-
-/// The four workload columns: GCN, GraphSAGE, PinSAGE, GCN-weighted.
-pub fn workloads(cfg: &ExpConfig, ds: DatasetKind) -> Vec<(String, Workload)> {
-    vec![
-        (
-            "GCN".to_string(),
-            Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed),
-        ),
-        (
-            "GSG".to_string(),
-            Workload::new(ModelKind::GraphSage, ds, cfg.scale, cfg.seed),
-        ),
-        (
-            "PSG".to_string(),
-            Workload::new(ModelKind::PinSage, ds, cfg.scale, cfg.seed),
-        ),
-        (
-            "GCN(W.)".to_string(),
-            Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed)
-                .with_algorithm(AlgorithmKind::Khop3Weighted),
-        ),
-    ]
-}
-
-/// Runs GNNLab (8 GPUs, allocation from profiling) with an explicit
-/// caching policy.
-pub fn gnnlab_with_policy(w: &Workload, policy: PolicyKind) -> Result<EpochReport, RunError> {
-    let ctx = SimContext::new(w, SystemKind::GnnLab).with_policy(policy);
-    let trace = EpochTrace::record(w, SystemKind::GnnLab.kernel(), ctx.epoch);
-    let times = profile_stage_times(&ctx, &trace)?;
-    let ns = num_samplers(ctx.testbed.num_gpus, times.t_sample, times.t_trainer);
-    run_factored_epoch(&ctx, &trace, ns, ctx.testbed.num_gpus - ns, true)
-}
 
 /// The three policies compared in Figs. 12/13.
 pub const POLICIES: [PolicyKind; 3] = [
@@ -56,31 +22,67 @@ pub const POLICIES: [PolicyKind; 3] = [
     PolicyKind::PreSC { k: 1 },
 ];
 
-/// Regenerates Fig. 12 (Extract time per epoch, seconds).
-pub fn run(cfg: &ExpConfig) -> Table {
-    let mut table = Table::new(
+/// Runs GNNLab (8 GPUs, allocation from profiling) with an explicit
+/// caching policy.
+pub(crate) fn gnnlab_with_policy(
+    w: &mut Recorded,
+    policy: PolicyKind,
+) -> Result<EpochReport, RunError> {
+    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
+    run_system_on(&ctx.with_policy(policy), trace)
+}
+
+/// Figs. 12 and 13 are two readings of one sweep — the four workload
+/// columns (GCN, GraphSAGE, PinSAGE, GCN-weighted) on three datasets under
+/// each policy: `[Fig. 12 (Extract time), Fig. 13 (epoch time)]`.
+pub fn tables(cfg: &ExpConfig) -> [Table; 2] {
+    let headers = ["Workload", "Degree", "Random", "PreSC#1"];
+    let mut extract = Table::new(
         "Fig. 12: Extract time (s/epoch) in GNNLab by caching policy",
-        &["Workload", "Degree", "Random", "PreSC#1"],
+        &headers,
+    );
+    let mut epoch = Table::new(
+        "Fig. 13: end-to-end epoch time (s) in GNNLab by caching policy",
+        &headers,
     );
     for ds in [DatasetKind::Twitter, DatasetKind::Papers, DatasetKind::Uk] {
-        for (name, w) in workloads(cfg, ds) {
-            let mut row = vec![format!("{name}/{}", ds.abbrev())];
+        let dataset = dataset(ds, cfg);
+        let on = |model| workload_on(model, dataset.clone(), cfg);
+        let columns = [
+            ("GCN", on(ModelKind::Gcn)),
+            ("GSG", on(ModelKind::GraphSage)),
+            ("PSG", on(ModelKind::PinSage)),
+            (
+                "GCN(W.)",
+                on(ModelKind::Gcn).with_algorithm(AlgorithmKind::Khop3Weighted),
+            ),
+        ];
+        for (name, workload) in columns {
+            let mut w = Recorded::new(workload);
+            let label = format!("{name}/{}", ds.abbrev());
+            let (mut extract_row, mut epoch_row) = (vec![label.clone()], vec![label]);
             for policy in POLICIES {
-                match gnnlab_with_policy(&w, policy) {
-                    Ok(rep) => row.push(secs(rep.stages.extract)),
-                    Err(_) => row.push("OOM".to_string()),
-                }
+                let rep = gnnlab_with_policy(&mut w, policy);
+                extract_row.push(cell(&rep, |r| secs(r.stages.extract)));
+                epoch_row.push(cell(&rep, |r| secs(r.epoch_time)));
             }
-            table.row(row);
+            extract.row(extract_row);
+            epoch.row(epoch_row);
         }
     }
-    let _ = run_system; // referenced for doc cross-linking
-    table
+    [extract, epoch]
+}
+
+/// Regenerates Fig. 12 (Extract time per epoch, seconds).
+pub fn run(cfg: &ExpConfig) -> Table {
+    let [extract, _] = tables(cfg);
+    extract
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnlab_core::Workload;
     use gnnlab_graph::Scale;
 
     #[test]
@@ -91,9 +93,10 @@ mod tests {
             obs: None,
         };
         let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let degree = gnnlab_with_policy(&w, PolicyKind::Degree).unwrap();
-        let random = gnnlab_with_policy(&w, PolicyKind::Random).unwrap();
-        let presc = gnnlab_with_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
+        let mut w = Recorded::new(w);
+        let degree = gnnlab_with_policy(&mut w, PolicyKind::Degree).unwrap();
+        let random = gnnlab_with_policy(&mut w, PolicyKind::Random).unwrap();
+        let presc = gnnlab_with_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(
             presc.stages.extract < degree.stages.extract,
             "presc {} degree {}",

@@ -4,39 +4,23 @@
 //! The improvement is large for compute-light models (GCN/GraphSAGE) and
 //! limited for PinSAGE, whose Train stage dominates.
 
-use crate::exp::fig12::{gnnlab_with_policy, workloads, POLICIES};
-use crate::table::secs;
 use crate::{ExpConfig, Table};
-use gnnlab_graph::DatasetKind;
 
-/// Regenerates Fig. 13 (epoch time, seconds).
+/// Regenerates Fig. 13 (epoch time, seconds): the second reading of
+/// [`super::fig12::tables`]'s sweep.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let mut table = Table::new(
-        "Fig. 13: end-to-end epoch time (s) in GNNLab by caching policy",
-        &["Workload", "Degree", "Random", "PreSC#1"],
-    );
-    for ds in [DatasetKind::Twitter, DatasetKind::Papers, DatasetKind::Uk] {
-        for (name, w) in workloads(cfg, ds) {
-            let mut row = vec![format!("{name}/{}", ds.abbrev())];
-            for policy in POLICIES {
-                match gnnlab_with_policy(&w, policy) {
-                    Ok(rep) => row.push(secs(rep.epoch_time)),
-                    Err(_) => row.push("OOM".to_string()),
-                }
-            }
-            table.row(row);
-        }
-    }
-    table
+    let [_, epoch] = super::fig12::tables(cfg);
+    epoch
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exp::fig12::gnnlab_with_policy as run_policy;
+    use crate::exp::Recorded;
     use gnnlab_cache::PolicyKind;
     use gnnlab_core::Workload;
-    use gnnlab_graph::Scale;
+    use gnnlab_graph::{DatasetKind, Scale};
     use gnnlab_tensor::ModelKind;
 
     #[test]
@@ -47,14 +31,14 @@ mod tests {
             obs: None,
         };
         // GraphSAGE on PA: compute-light, PreSC should clearly win vs Random.
-        let w = Workload::new(
+        let mut w = Recorded::new(Workload::new(
             ModelKind::GraphSage,
             DatasetKind::Papers,
             cfg.scale,
             cfg.seed,
-        );
-        let random = run_policy(&w, PolicyKind::Random).unwrap();
-        let presc = run_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
+        ));
+        let random = run_policy(&mut w, PolicyKind::Random).unwrap();
+        let presc = run_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(
             presc.epoch_time < random.epoch_time,
             "presc {} random {}",
@@ -65,10 +49,9 @@ mod tests {
         // PinSAGE on PA: train-dominated, improvement is limited (paper:
         // 1-40 %) — PreSC is not *worse*, but the gap narrows.
         let w = Workload::new(ModelKind::PinSage, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let random = run_policy(&w, PolicyKind::Random).unwrap();
-        let presc = run_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
+        let mut w = Recorded::new(w);
+        let random = run_policy(&mut w, PolicyKind::Random).unwrap();
+        let presc = run_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(presc.epoch_time <= random.epoch_time * 1.02);
-        let gsg_gain = 1.0; // documented in fig13 table output
-        let _ = gsg_gain;
     }
 }

@@ -1,36 +1,17 @@
 //! Fig. 14: scalability of DGL, T_SOTA and GNNLab with the number of GPUs
 //! (GCN on PA and TW). GNNLab is shown with fixed Sampler counts 1S/2S/3S.
 
-use crate::table::secs;
+use crate::exp::Recorded;
+use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch, SimContext};
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::report::EpochReport;
+use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
-fn timeshare_cell(w: &Workload, system: SystemKind, gpus: usize) -> String {
-    let ctx = SimContext::new(w, system).with_gpus(gpus);
-    let trace = EpochTrace::record(w, system.kernel(), ctx.epoch);
-    match run_timeshare_epoch(&ctx, &trace) {
-        Ok(r) => secs(r.epoch_time),
-        Err(_) => "OOM".to_string(),
-    }
-}
-
-fn gnnlab_cell(w: &Workload, ns: usize, gpus: usize) -> String {
-    if ns >= gpus {
-        return "-".to_string();
-    }
-    let ctx = SimContext::new(w, SystemKind::GnnLab).with_gpus(gpus);
-    let trace = EpochTrace::record(w, SystemKind::GnnLab.kernel(), ctx.epoch);
-    match run_factored_epoch(&ctx, &trace, ns, gpus - ns, true) {
-        Ok(r) => secs(r.epoch_time),
-        Err(_) => "OOM".to_string(),
-    }
-}
-
-fn sweep(w: &Workload, title: &str) -> Table {
+fn sweep(ds: DatasetKind, title: &str, cfg: &ExpConfig) -> Table {
+    let mut w = Recorded::new(Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed));
     let mut table = Table::new(
         title,
         &[
@@ -42,26 +23,32 @@ fn sweep(w: &Workload, title: &str) -> Table {
             "GNNLab/3S",
         ],
     );
+    let epoch = |r: &EpochReport| secs(r.epoch_time);
     for gpus in 2..=8usize {
-        table.row(vec![
-            gpus.to_string(),
-            timeshare_cell(w, SystemKind::DglLike, gpus),
-            timeshare_cell(w, SystemKind::TSota, gpus),
-            gnnlab_cell(w, 1, gpus),
-            gnnlab_cell(w, 2, gpus),
-            gnnlab_cell(w, 3, gpus),
-        ]);
+        let mut row = vec![gpus.to_string()];
+        for system in [SystemKind::DglLike, SystemKind::TSota] {
+            let (ctx, trace) = w.cell(system, gpus);
+            row.push(cell(&run_system_on(&ctx, trace), epoch));
+        }
+        let (ctx, trace) = w.cell(SystemKind::GnnLab, gpus);
+        for ns in 1..=3usize {
+            row.push(if ns >= gpus {
+                "-".to_string()
+            } else {
+                cell(&run_factored_epoch(&ctx, trace, ns, gpus - ns, true), epoch)
+            });
+        }
+        table.row(row);
     }
     table
 }
 
 /// Regenerates Fig. 14 (both panels).
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    let pa = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let tw = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, cfg.scale, cfg.seed);
+    let (pa, tw) = (DatasetKind::Papers, DatasetKind::Twitter);
     vec![
-        sweep(&pa, "Fig. 14a: GCN on PA, epoch time (s) vs #GPUs"),
-        sweep(&tw, "Fig. 14b: GCN on TW, epoch time (s) vs #GPUs"),
+        sweep(pa, "Fig. 14a: GCN on PA, epoch time (s) vs #GPUs", cfg),
+        sweep(tw, "Fig. 14b: GCN on TW, epoch time (s) vs #GPUs", cfg),
     ]
 }
 

@@ -2,11 +2,10 @@
 //! and Trainer (n) counts vary — shows where the epoch-time floor is and
 //! that flexible scheduling picks the optimum.
 
+use crate::exp::Recorded;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::{profile_stage_times, run_factored_epoch, SimContext};
-use gnnlab_core::schedule::num_samplers;
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
@@ -15,15 +14,15 @@ use gnnlab_tensor::ModelKind;
 /// m+n ≤ 8, plus the allocation the rule of §5.3 picks.
 pub fn run(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::GnnLab);
-    let trace = EpochTrace::record(&w, SystemKind::GnnLab.kernel(), ctx.epoch);
+    let mut w = Recorded::new(w);
+    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Fig. 15: GNNLab epoch time (s), GCN on PA, by (mS, nT)",
         &["Config", "Sample S", "Extract E", "Train T", "Epoch"],
     );
     for m in 1..=3usize {
         for n in 1..=(8 - m) {
-            let rep = run_factored_epoch(&ctx, &trace, m, n, false).expect("PA fits");
+            let rep = run_factored_epoch(&ctx, trace, m, n, false).expect("PA fits");
             table.row(vec![
                 format!("{m}S{n}T"),
                 secs(rep.stages.sample_total()),
@@ -33,8 +32,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
             ]);
         }
     }
-    let times = profile_stage_times(&ctx, &trace).expect("PA fits");
-    let ns = num_samplers(8, times.t_sample, times.t_trainer);
+    // The engine's own choice on the full machine.
+    let ns = run_system_on(&ctx, trace).expect("PA fits").num_samplers;
     table.row(vec![
         format!("rule picks {ns}S{}T", 8 - ns),
         String::new(),

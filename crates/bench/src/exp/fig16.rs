@@ -8,9 +8,11 @@
 //! gradient updates per epoch and needs fewer epochs — the paper's Fig. 16b
 //! effect — while also having the fastest epochs.
 
-use crate::table::secs;
+use crate::exp::Recorded;
+use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::{run_system, SimContext};
+use gnnlab_core::report::{EpochReport, RunError};
+use gnnlab_core::runtime::run_system_on;
 use gnnlab_core::train_real::{train_to_accuracy, ConvergenceConfig};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::gen::{sbm, SbmParams};
@@ -36,6 +38,23 @@ pub struct ConvergenceRow {
     pub total_time: f64,
 }
 
+/// GraphSAGE on PA, whose epoch times come from the performance
+/// simulators.
+fn gsg_on_papers(cfg: &ExpConfig) -> Recorded {
+    Recorded::new(Workload::new(
+        ModelKind::GraphSage,
+        DatasetKind::Papers,
+        cfg.scale,
+        cfg.seed,
+    ))
+}
+
+/// One epoch of `system` under the engine's own placement choice.
+fn epoch(w: &mut Recorded, system: SystemKind, gpus: usize) -> Result<EpochReport, RunError> {
+    let (ctx, trace) = w.cell(system, gpus);
+    run_system_on(&ctx, trace)
+}
+
 /// Regenerates Fig. 16.
 pub fn run(cfg: &ExpConfig) -> Table {
     let graph = sbm(&SbmParams {
@@ -50,17 +69,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
     .expect("valid SBM parameters");
 
     // Epoch times from the performance simulators (GSG on PA, 8 GPUs).
-    let w = Workload::new(
-        ModelKind::GraphSage,
-        DatasetKind::Papers,
-        cfg.scale,
-        cfg.seed,
-    );
-    let epoch_time = |system: SystemKind| -> f64 {
-        let ctx = SimContext::new(&w, system);
-        run_system(&ctx).map(|r| r.epoch_time).unwrap_or(f64::NAN)
-    };
-    let gnnlab_rep = run_system(&SimContext::new(&w, SystemKind::GnnLab)).expect("PA fits");
+    let mut w = gsg_on_papers(cfg);
+    let gnnlab_rep = epoch(&mut w, SystemKind::GnnLab, 8).expect("PA fits");
 
     let systems = [
         (SystemKind::DglLike, 8usize),
@@ -97,7 +107,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         let et = if system == SystemKind::GnnLab {
             gnnlab_rep.epoch_time
         } else {
-            epoch_time(system)
+            epoch(&mut w, system, 8).map_or(f64::NAN, |r| r.epoch_time)
         };
         table.row(vec![
             system.label().to_string(),
@@ -129,27 +139,20 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
         seed: cfg.seed,
     })
     .expect("valid SBM parameters");
-    let w = Workload::new(
-        ModelKind::GraphSage,
-        DatasetKind::Papers,
-        cfg.scale,
-        cfg.seed,
-    );
+    let mut w = gsg_on_papers(cfg);
     let mut table = Table::new(
         "Convergence scalability (GraphSAGE, accuracy target 80%)",
         &["#GPUs", "Trainers", "Epoch (s)", "Epochs", "Total (s)"],
     );
     for gpus in [2usize, 4, 8] {
-        let ctx = SimContext::new(&w, SystemKind::GnnLab).with_gpus(gpus);
-        let Ok(rep) = run_system(&ctx) else {
-            table.row(vec![
-                gpus.to_string(),
-                "OOM".into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-            continue;
+        let rep = match epoch(&mut w, SystemKind::GnnLab, gpus) {
+            Ok(rep) => rep,
+            Err(e) => {
+                let dash = || "-".to_string();
+                let failed = error_cell(&e).to_string();
+                table.row(vec![gpus.to_string(), failed, dash(), dash(), dash()]);
+                continue;
+            }
         };
         let res = train_to_accuracy(
             &graph,

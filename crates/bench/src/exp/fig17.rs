@@ -1,13 +1,10 @@
 //! Fig. 17: (a) dynamic switching on a skewed workload; (b) all systems on
 //! a single GPU.
 
-use crate::exp::{datasets, trace_for, workload_on};
-use crate::table::secs;
+use crate::exp::{datasets, workload_on, Recorded};
+use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::{
-    run_factored_epoch, run_single_gpu_epoch, run_timeshare_epoch, SimContext,
-};
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
@@ -15,17 +12,18 @@ use gnnlab_tensor::ModelKind;
 /// Fig. 17a: PinSAGE on PA, 1 Sampler, n Trainers, switching on/off.
 pub fn run_a(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::PinSage, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::GnnLab).with_obs(cfg.obs());
-    let trace = EpochTrace::record(&w, SystemKind::GnnLab.kernel(), ctx.epoch);
+    let mut w = Recorded::new(w);
+    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
+    let ctx = ctx.with_obs(cfg.obs());
     let mut table = Table::new(
         "Fig. 17a: PinSAGE on PA, 1 Sampler: dynamic switching on/off",
         &["#Trainers", "w/o DS", "w/ DS", "Switched batches"],
     );
     for n in 1..=6usize {
         cfg.begin_run(&format!("fig17a 1S{n}T w/o DS"));
-        let without = run_factored_epoch(&ctx, &trace, 1, n, false).expect("PA fits");
+        let without = run_factored_epoch(&ctx, trace, 1, n, false).expect("PA fits");
         cfg.begin_run(&format!("fig17a 1S{n}T w/ DS"));
-        let with = run_factored_epoch(&ctx, &trace, 1, n, true).expect("PA fits");
+        let with = run_factored_epoch(&ctx, trace, 1, n, true).expect("PA fits");
         table.row(vec![
             n.to_string(),
             secs(without.epoch_time),
@@ -44,21 +42,13 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
     );
     for dataset in datasets(cfg) {
         let ds = dataset.spec.kind;
-        let w = workload_on(ModelKind::Gcn, dataset, cfg);
+        let mut w = Recorded::new(workload_on(ModelKind::Gcn, dataset, cfg));
         let mut row = vec![ds.abbrev().to_string()];
-        let mut recorded = None;
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             cfg.begin_run(&format!("fig17b {} {}", ds.abbrev(), system.label()));
-            let ctx = SimContext::new(&w, system).with_gpus(1).with_obs(cfg.obs());
-            let trace = trace_for(&mut recorded, &ctx);
-            let report = match system {
-                SystemKind::GnnLab => run_single_gpu_epoch(&ctx, trace),
-                _ => run_timeshare_epoch(&ctx, trace),
-            };
-            row.push(match report {
-                Ok(r) => secs(r.epoch_time),
-                Err(_) => "OOM".to_string(),
-            });
+            let (ctx, trace) = w.cell(system, 1);
+            let report = run_system_on(&ctx.with_obs(cfg.obs()), trace);
+            row.push(cell(&report, |r| secs(r.epoch_time)));
         }
         table.row(row);
     }

@@ -6,45 +6,42 @@
 //! (b) Cache hit rate and transferred data vs feature dimension with a
 //!     fixed 5 GB cache.
 
-use crate::exp::{cache_stats_on_trace, transferred_bytes_paper};
+use crate::exp::{cache_stats_on_trace, dataset, transferred_bytes_paper, workload_on, Recorded};
 use crate::table::{bytes, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::{build_cache_table, SimContext};
-use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::{SystemKind, Workload};
-use gnnlab_graph::DatasetKind;
+use gnnlab_core::runtime::{build_cache_table, run_epoch_with_cache, Placement};
+use gnnlab_core::SystemKind;
+use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::Kernel;
-use gnnlab_sim::{ns_to_secs, GatherPath};
 use gnnlab_tensor::ModelKind;
 
 const GB: f64 = 1e9;
 
 /// Fig. 4a: hit rate + Extract time vs cache ratio (degree policy, the
 /// §3 motivation setting).
-pub fn run_a(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let ctx = SimContext::new(&w, SystemKind::TSota);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, ctx.epoch);
+fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
+    let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
+    let (ctx, trace) = w.cell(SystemKind::TSota, 1);
+    let gpu = Placement::timeshare(SystemKind::TSota, 1).expect("T_SOTA time-shares");
     let mut table = Table::new(
         "Fig. 4a: cache ratio sweep, GCN on OGB-Papers (Degree policy)",
         &["Cache ratio", "Hit rate", "Extract time (s/epoch)"],
     );
     for alpha in [0.0, 0.02, 0.05, 0.07, 0.10, 0.14, 0.21, 0.30] {
-        let cache = build_cache_table(&w, PolicyKind::Degree, alpha);
-        let stats = cache_stats_on_trace(&w, &trace, &cache);
-        let mut extract = 0.0;
-        for b in &trace.batches {
-            let (miss, hit) = ctx.extract_bytes(b, Some(&cache), trace.factor);
-            extract += ns_to_secs(ctx.cost.extract_time(miss, hit, GatherPath::GpuDirect, 1));
-        }
-        table.row(vec![pct(alpha), pct(stats.hit_rate()), secs(extract)]);
+        let cache = build_cache_table(ctx.workload, PolicyKind::Degree, alpha);
+        let rep = run_epoch_with_cache(&ctx, trace, &gpu, cache).expect("nothing is planned");
+        table.row(vec![
+            pct(alpha),
+            pct(rep.hit_rate),
+            secs(rep.stages.extract),
+        ]);
     }
     table
 }
 
 /// Fig. 4b: hit rate + transferred data vs feature dimension, 5 GB cache.
-pub fn run_b(cfg: &ExpConfig) -> Table {
+fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
     let mut table = Table::new(
         "Fig. 4b: feature-dimension sweep, OGB-Papers, 5 GB cache (Degree policy)",
         &[
@@ -55,14 +52,14 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
         ],
     );
     for dim in [128usize, 256, 384, 512, 640, 768] {
-        let mut w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-        w.dataset = w.dataset.with_feat_dim(dim);
-        let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+        let w = workload_on(ModelKind::Gcn, papers.clone().with_feat_dim(dim), cfg);
+        let mut w = Recorded::new(w);
+        let (w, trace) = w.trace(Kernel::FisherYates, 2);
         let feat = w.dataset.feature_bytes_paper() as f64;
         let alpha = (5.0 * GB / feat).min(1.0);
-        let cache = build_cache_table(&w, PolicyKind::Degree, alpha);
-        let stats = cache_stats_on_trace(&w, &trace, &cache);
-        let moved = transferred_bytes_paper(&w, &trace, &cache);
+        let cache = build_cache_table(w, PolicyKind::Degree, alpha);
+        let stats = cache_stats_on_trace(w, trace, &cache);
+        let moved = transferred_bytes_paper(w, trace, &cache);
         table.row(vec![
             dim.to_string(),
             pct(alpha),
@@ -75,7 +72,8 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
 
 /// Both panels.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    vec![run_a(cfg), run_b(cfg)]
+    let papers = dataset(DatasetKind::Papers, cfg);
+    vec![run_a(cfg, &papers), run_b(cfg, &papers)]
 }
 
 #[cfg(test)]
@@ -93,7 +91,7 @@ mod tests {
 
     #[test]
     fn hit_rate_rises_and_extract_falls_with_alpha() {
-        let t = run_a(&config());
+        let t = &run(&config())[0];
         let hit = |r: usize| -> f64 { t.rows[r][1].trim_end_matches('%').parse().unwrap() };
         let ext = |r: usize| -> f64 { t.rows[r][2].parse().unwrap() };
         let last = t.rows.len() - 1;
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn bigger_dims_shrink_ratio_and_hit_rate() {
-        let t = run_b(&config());
+        let t = &run(&config())[1];
         let ratio = |r: usize| -> f64 { t.rows[r][1].trim_end_matches('%').parse().unwrap() };
         let hit = |r: usize| -> f64 { t.rows[r][2].trim_end_matches('%').parse().unwrap() };
         let last = t.rows.len() - 1;

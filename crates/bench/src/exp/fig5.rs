@@ -5,19 +5,19 @@
 //! The §3 efficiency gap: Degree is far from Optimal on a low-skew graph
 //! (a) and under weighted sampling even on a power-law graph (b).
 
-use crate::exp::transferred_bytes_paper;
+use crate::exp::{transferred_bytes_paper, Recorded};
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::runtime::build_cache_table;
-use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::Workload;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
-fn sweep(w: &Workload, title: &str) -> Table {
-    let trace = EpochTrace::record(w, Kernel::FisherYates, 2);
+fn sweep(w: Workload, title: &str) -> Table {
+    let mut w = Recorded::new(w);
+    let (w, trace) = w.trace(Kernel::FisherYates, 2);
     let mut table = Table::new(
         title,
         &["Cache ratio", "Degree", "Optimal", "Degree/Optimal"],
@@ -25,8 +25,8 @@ fn sweep(w: &Workload, title: &str) -> Table {
     for alpha in [0.01, 0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30] {
         let deg = build_cache_table(w, PolicyKind::Degree, alpha);
         let opt = build_cache_table(w, PolicyKind::Optimal { epochs: 3 }, alpha);
-        let deg_bytes = transferred_bytes_paper(w, &trace, &deg);
-        let opt_bytes = transferred_bytes_paper(w, &trace, &opt);
+        let deg_bytes = transferred_bytes_paper(w, trace, &deg);
+        let opt_bytes = transferred_bytes_paper(w, trace, &opt);
         let ratio = if opt_bytes > 0.0 {
             format!("{:.1}x", deg_bytes / opt_bytes)
         } else {
@@ -41,7 +41,7 @@ fn sweep(w: &Workload, title: &str) -> Table {
 pub fn run_a(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
     sweep(
-        &w,
+        w,
         "Fig. 5a: transferred data per epoch, OGB-Papers, 3-hop uniform",
     )
 }
@@ -51,7 +51,7 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, cfg.scale, cfg.seed)
         .with_algorithm(AlgorithmKind::Khop3Weighted);
     sweep(
-        &w,
+        w,
         "Fig. 5b: transferred data per epoch, Twitter, 3-hop weighted",
     )
 }

@@ -21,6 +21,28 @@
 //! | [`fault_recovery`] | degraded-mode recovery: device killed mid-epoch, replay + re-balance cost |
 //! | [`switch_cache`] | memory-planned per-executor caches: per-role hit rates, refresh cost and profit trajectory under dynamic switching |
 //! | [`kill_resume`] | kill–resume chaos: durable checkpoints, torn-write fallback, bit-identical resumed training |
+//!
+//! # How a cell is built
+//!
+//! Every co-simulated cell of every table goes through one door:
+//!
+//! 1. [`datasets`] / [`dataset`] instantiate each graph a table uses once;
+//!    [`workload_on`] builds the table's workloads over clones.
+//! 2. A [`Recorded`] owns its workload's epoch traces, one per distinct
+//!    (kernel, epoch), recorded on first use. [`Recorded::cell`] hands out
+//!    the `SimContext` for a system and GPU count together with the trace
+//!    that system's kernel draws.
+//! 3. The pair goes to `gnnlab_core::runtime`: `run_system_on` when the
+//!    engine is to pick the placement (time-sharing baselines, GNNLab's
+//!    allocation rule, the solo GPU), `run_factored_epoch` / `run_epoch`
+//!    when the table pins one, `run_epoch_with_cache` when it forces a
+//!    cache ratio. Nothing here costs a stage or plans a GPU itself.
+//! 4. `table::cell` turns the `Result<EpochReport, RunError>` into text:
+//!    the table's reading of the report, or `OOM` / `x` / `LOST`.
+//!
+//! The experiments that never run an epoch (hit-rate and footprint sweeps)
+//! take their traces from [`Recorded::trace`]; Table 2 and the subgraph
+//! ablation sample directly because they need visit counts, not traces.
 
 pub mod ablations;
 pub mod fault_recovery;
@@ -48,20 +70,23 @@ use crate::ExpConfig;
 use gnnlab_cache::{CacheStats, CacheTable};
 use gnnlab_core::runtime::SimContext;
 use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::Workload;
+use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::Kernel;
 use gnnlab_tensor::ModelKind;
 
-/// The four datasets of Table 3 at the configured scale and seed, in table
-/// order. A table that sweeps models or algorithms instantiates them once
-/// and builds each workload over a clone: cloning a CSR is a `memcpy`,
-/// generating one draws and sorts every edge again.
+/// One dataset of Table 3 at the configured scale and seed.
+pub(crate) fn dataset(kind: DatasetKind, cfg: &ExpConfig) -> Dataset {
+    Dataset::generate(kind, cfg.scale, cfg.seed)
+        .expect("enum-typed dataset parameters always generate")
+}
+
+/// The four datasets of Table 3, in table order. A table that sweeps models
+/// or algorithms instantiates them once and builds each workload over a
+/// clone: cloning a CSR is a `memcpy`, generating one draws and sorts every
+/// edge again.
 pub(crate) fn datasets(cfg: &ExpConfig) -> [Dataset; 4] {
-    DatasetKind::ALL.map(|kind| {
-        Dataset::generate(kind, cfg.scale, cfg.seed)
-            .expect("enum-typed dataset parameters always generate")
-    })
+    DatasetKind::ALL.map(|kind| dataset(kind, cfg))
 }
 
 /// What [`Workload::new`] builds, over an already instantiated dataset.
@@ -70,28 +95,42 @@ pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -
     Workload::with_dataset(model, dataset, classes, cfg.seed)
 }
 
-/// An epoch trace and what it was recorded with.
+/// A workload and the epoch traces recorded for it so far: one per distinct
+/// (kernel, epoch), recorded the first time a cell needs it. T_SOTA, GNNLab
+/// and PyG all draw with Fisher–Yates, so a row of systems, a GPU sweep or
+/// a policy sweep over one workload records twice at most.
 pub(crate) struct Recorded {
-    kernel: Kernel,
-    epoch: u64,
-    trace: EpochTrace,
+    pub workload: Workload,
+    traces: Vec<(Kernel, u64, EpochTrace)>,
 }
 
-/// The trace a run of `ctx` consumes: the one in `last` if it was recorded
-/// with the same kernel at the same epoch (T_SOTA and GNNLab both draw with
-/// Fisher–Yates, so consecutive runs of one workload share it), otherwise a
-/// fresh recording, which replaces it.
-pub(crate) fn trace_for<'a>(last: &'a mut Option<Recorded>, ctx: &SimContext) -> &'a EpochTrace {
-    let (kernel, epoch) = (ctx.system.kernel(), ctx.epoch);
-    if !matches!(last, Some(r) if r.kernel == kernel && r.epoch == epoch) {
-        *last = None;
+impl Recorded {
+    pub fn new(workload: Workload) -> Self {
+        Recorded {
+            workload,
+            traces: Vec::new(),
+        }
     }
-    let recorded = last.get_or_insert_with(|| Recorded {
-        kernel,
-        epoch,
-        trace: EpochTrace::record(ctx.workload, kernel, epoch),
-    });
-    &recorded.trace
+
+    /// The workload's epoch `epoch` as `kernel` draws it.
+    pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
+        let Recorded { workload, traces } = self;
+        let held = traces.iter().position(|t| (t.0, t.1) == (kernel, epoch));
+        let at = held.unwrap_or_else(|| {
+            traces.push((kernel, epoch, EpochTrace::record(workload, kernel, epoch)));
+            traces.len() - 1
+        });
+        (workload, &traces[at].2)
+    }
+
+    /// What one cell runs on: the standard context of `system` on `gpus`
+    /// GPUs (its default policy, epoch 2, no hub) and the trace that
+    /// system's kernel draws for that epoch.
+    pub fn cell(&mut self, system: SystemKind, gpus: usize) -> (SimContext<'_>, &EpochTrace) {
+        let epoch = SimContext::new(&self.workload, system).epoch;
+        let (workload, trace) = self.trace(system.kernel(), epoch);
+        (SimContext::new(workload, system).with_gpus(gpus), trace)
+    }
 }
 
 /// Accumulates cache statistics of `table` over a recorded epoch trace.

@@ -6,119 +6,59 @@
 //! time-sharing design cannot get full benefit from both (cache ratio
 //! collapses when topology moves onto the GPU).
 
+use crate::exp::Recorded;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
-use gnnlab_cache::PolicyKind;
-use gnnlab_core::memory::{sample_workspace_bytes, train_workspace_bytes};
-use gnnlab_core::runtime::{build_cache_table, SimContext};
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::memory::Residency;
+use gnnlab_core::runtime::{run_epoch, Placement};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
-use gnnlab_sim::{ns_to_secs, GatherPath, SampleDevice, Testbed};
+use gnnlab_sim::{GatherPath, SampleDevice};
 use gnnlab_tensor::ModelKind;
+use GatherPath::{CpuGather, GpuDirect};
+use SampleDevice::{Cpu, Gpu, GpuFromPython};
+use SystemKind::{DglLike, TSota};
 
-/// One Table 1 variant.
-struct Variant {
-    name: &'static str,
-    system: SystemKind,
-    sample_device: SampleDevice,
-    gather: GatherPath,
-    cache: bool,
-    /// Whether topology lives on the GPU (true iff GPU sampling).
-    topo_on_gpu: bool,
-}
+/// The six variants: where sampling runs, which path gathers, and what the
+/// GPU keeps resident — topology and the sampling workspace iff it
+/// samples, and a cache, where there is one, in what is left of 16 GB.
+const VARIANTS: [(&str, SystemKind, SampleDevice, GatherPath, Residency); 6] = [
+    ("DGL", DglLike, Cpu, CpuGather, Residency::TRAIN_WS),
+    (
+        "  w/ GPU-based Sampling",
+        DglLike,
+        GpuFromPython,
+        CpuGather,
+        Residency::TIMESHARE,
+    ),
+    ("T_SOTA", TSota, Cpu, GpuDirect, Residency::TRAIN_WS),
+    (
+        "  w/ GPU-based Caching",
+        TSota,
+        Cpu,
+        GpuDirect,
+        Residency::TRAINER,
+    ),
+    (
+        "  w/ GPU-based Sampling",
+        TSota,
+        Gpu,
+        GpuDirect,
+        Residency::TIMESHARE,
+    ),
+    (
+        "  w/ Both",
+        TSota,
+        Gpu,
+        GpuDirect,
+        Residency::TIMESHARE_CACHED,
+    ),
+];
 
-/// Simulates one variant on a single GPU; returns (S, E, T) epoch seconds
-/// and the cache ratio.
-fn run_variant(ctx_w: &Workload, v: &Variant, epoch: u64) -> (f64, f64, f64, f64) {
-    let kernel = v.system.kernel();
-    let trace = EpochTrace::record(ctx_w, kernel, epoch);
-    let ctx = SimContext::new(ctx_w, v.system).with_gpus(1);
-
-    // Cache ratio: remainder of 16 GB after train workspace, sampling
-    // workspace + topology only when sampling on GPU.
-    let alpha = if v.cache {
-        let testbed = Testbed::paper();
-        let mut used = train_workspace_bytes(ctx_w.model);
-        if v.topo_on_gpu {
-            used += ctx_w.dataset.topo_bytes_paper()
-                + sample_workspace_bytes(v.system, ctx_w.algorithm);
-        }
-        let avail = testbed.gpu_mem_bytes.saturating_sub(used) as f64;
-        (avail / ctx_w.dataset.feature_bytes_paper() as f64).min(1.0)
-    } else {
-        0.0
-    };
-    let cache = (alpha > 0.0).then(|| build_cache_table(ctx_w, PolicyKind::Degree, alpha));
-
-    let factor = trace.factor;
-    let (mut s, mut e, mut t) = (0.0, 0.0, 0.0);
-    for b in &trace.batches {
-        s += ns_to_secs(
-            ctx.cost
-                .sample_time(&ctx.sample_cost(b, &trace), v.sample_device),
-        );
-        let (miss, hit) = ctx.extract_bytes(b, cache.as_ref(), factor);
-        e += ns_to_secs(ctx.cost.extract_time(miss, hit, v.gather, 1));
-        t += ns_to_secs(ctx.cost.train_time(b.flops * factor));
-    }
-    (s, e, t, alpha)
-}
-
-/// Regenerates Table 1.
+/// Regenerates Table 1: six single-GPU placements over one workload.
 pub fn run(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let variants = [
-        Variant {
-            name: "DGL",
-            system: SystemKind::DglLike,
-            sample_device: SampleDevice::Cpu,
-            gather: GatherPath::CpuGather,
-            cache: false,
-            topo_on_gpu: false,
-        },
-        Variant {
-            name: "  w/ GPU-based Sampling",
-            system: SystemKind::DglLike,
-            sample_device: SampleDevice::GpuFromPython,
-            gather: GatherPath::CpuGather,
-            cache: false,
-            topo_on_gpu: true,
-        },
-        Variant {
-            name: "T_SOTA",
-            system: SystemKind::TSota,
-            sample_device: SampleDevice::Cpu,
-            gather: GatherPath::GpuDirect,
-            cache: false,
-            topo_on_gpu: false,
-        },
-        Variant {
-            name: "  w/ GPU-based Caching",
-            system: SystemKind::TSota,
-            sample_device: SampleDevice::Cpu,
-            gather: GatherPath::GpuDirect,
-            cache: true,
-            topo_on_gpu: false,
-        },
-        Variant {
-            name: "  w/ GPU-based Sampling",
-            system: SystemKind::TSota,
-            sample_device: SampleDevice::Gpu,
-            gather: GatherPath::GpuDirect,
-            cache: false,
-            topo_on_gpu: true,
-        },
-        Variant {
-            name: "  w/ Both",
-            system: SystemKind::TSota,
-            sample_device: SampleDevice::Gpu,
-            gather: GatherPath::GpuDirect,
-            cache: true,
-            topo_on_gpu: true,
-        },
-    ];
-
+    let mut w = Recorded::new(w);
     let mut table = Table::new(
         "Table 1: runtime breakdown (s) of one epoch, GCN on OGB-Papers, 1 GPU",
         &[
@@ -130,15 +70,17 @@ pub fn run(cfg: &ExpConfig) -> Table {
             "Cache R%",
         ],
     );
-    for v in &variants {
-        let (s, e, t, alpha) = run_variant(&w, v, 2);
+    for (name, system, device, gather, resident) in VARIANTS {
+        let placement = Placement::solo(system, device, gather, resident);
+        let (ctx, trace) = w.cell(system, 1);
+        let r = run_epoch(&ctx, trace, &placement).expect("PA fits one GPU in every variant");
         table.row(vec![
-            v.name.to_string(),
-            secs(s),
-            secs(e),
-            secs(t),
-            secs(s + e + t),
-            format!("{:.0}%", alpha * 100.0),
+            name.to_string(),
+            secs(r.stages.sample_total()),
+            secs(r.stages.extract),
+            secs(r.stages.train),
+            secs(r.stages.total()),
+            format!("{:.0}%", r.cache_ratio * 100.0),
         ]);
     }
     table

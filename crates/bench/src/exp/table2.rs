@@ -4,10 +4,10 @@
 //! The observation PreSC rests on: the top-10 % most-sampled vertices
 //! overlap heavily between epochs (paper: 64–91 %).
 
+use crate::exp::{datasets, workload_on};
 use crate::table::pct;
 use crate::{ExpConfig, Table};
 use gnnlab_core::Workload;
-use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::{AlgorithmKind, FootprintRecorder, Kernel, MinibatchIter};
 use gnnlab_tensor::ModelKind;
 use rand::SeedableRng;
@@ -32,10 +32,11 @@ pub fn run(cfg: &ExpConfig) -> Table {
         "Table 2: top-10% footprint similarity between two epochs",
         &["Sampling algorithm", "PR", "TW", "PA", "UK"],
     );
+    let datasets = datasets(cfg);
     for algo in AlgorithmKind::TABLE2 {
         let mut row = vec![algo.label().to_string()];
-        for ds in DatasetKind::ALL {
-            let w = Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed).with_algorithm(algo);
+        for dataset in &datasets {
+            let w = workload_on(ModelKind::Gcn, dataset.clone(), cfg).with_algorithm(algo);
             let f0 = epoch_footprint(&w, 0);
             let f1 = epoch_footprint(&w, 1);
             let sim = gnnlab_sampling::footprint_similarity(&f0, &f1, 0.10);

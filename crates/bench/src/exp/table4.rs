@@ -1,43 +1,34 @@
 //! Table 4: end-to-end epoch time of every system on every workload
 //! (3 models × 4 datasets, 8 GPUs).
 
-use crate::table::secs;
+use crate::exp::{datasets, workload_on, Recorded};
+use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::report::RunError;
-use gnnlab_core::runtime::{run_system, SimContext};
-use gnnlab_core::{SystemKind, Workload};
-use gnnlab_graph::DatasetKind;
+use gnnlab_core::runtime::run_system_on;
+use gnnlab_core::SystemKind;
 use gnnlab_tensor::ModelKind;
 
-/// One Table 4 cell: epoch seconds, `OOM`, or `x` (unsupported).
-pub fn cell(w: &Workload, system: SystemKind, gpus: usize) -> String {
-    let ctx = SimContext::new(w, system).with_gpus(gpus);
-    match run_system(&ctx) {
-        Ok(rep) => {
-            if system == SystemKind::GnnLab {
-                format!("{} ({}S)", secs(rep.epoch_time), rep.num_samplers)
-            } else {
-                secs(rep.epoch_time)
-            }
-        }
-        Err(RunError::Oom { .. }) => "OOM".to_string(),
-        Err(RunError::Unsupported(_)) => "x".to_string(),
-        Err(RunError::ExecutorsLost { .. }) => "LOST".to_string(),
-    }
-}
-
-/// Regenerates Table 4 on 8 GPUs.
+/// Regenerates Table 4 on 8 GPUs: epoch seconds (GNNLab with the Sampler
+/// count its rule picked), `OOM`, or `x` (unsupported).
 pub fn run(cfg: &ExpConfig) -> Table {
     let mut table = Table::new(
         "Table 4: runtime (s) of one epoch, 8 GPUs",
         &["Model", "Dataset", "PyG", "DGL", "T_SOTA", "GNNLab"],
     );
+    let datasets = datasets(cfg);
     for model in ModelKind::ALL {
-        for ds in DatasetKind::ALL {
-            let w = Workload::new(model, ds, cfg.scale, cfg.seed);
+        for dataset in &datasets {
+            let ds = dataset.spec.kind;
+            let mut w = Recorded::new(workload_on(model, dataset.clone(), cfg));
             let mut row = vec![model.abbrev().to_string(), ds.abbrev().to_string()];
             for system in SystemKind::ALL {
-                row.push(cell(&w, system, 8));
+                let (ctx, trace) = w.cell(system, 8);
+                row.push(cell(&run_system_on(&ctx, trace), |rep| match system {
+                    SystemKind::GnnLab => {
+                        format!("{} ({}S)", secs(rep.epoch_time), rep.num_samplers)
+                    }
+                    _ => secs(rep.epoch_time),
+                }));
             }
             table.row(row);
         }

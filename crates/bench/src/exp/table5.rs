@@ -1,13 +1,13 @@
 //! Table 5: stage-level runtime breakdown on two GPUs (DGL, T_SOTA
 //! time-sharing; GNNLab as 1 Sampler + 1 Trainer).
 
-use crate::exp::{datasets, trace_for, workload_on};
-use crate::table::{pct, secs};
+use crate::exp::{datasets, workload_on, Recorded};
+use crate::table::{error_cell, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch, SimContext};
-use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch};
+use gnnlab_core::SystemKind;
+use gnnlab_obs::Obs;
 use gnnlab_tensor::ModelKind;
 
 fn breakdown_cells(rep: &Result<EpochReport, RunError>) -> Vec<String> {
@@ -22,36 +22,25 @@ fn breakdown_cells(rep: &Result<EpochReport, RunError>) -> Vec<String> {
             pct(r.hit_rate),
             secs(r.stages.train),
         ],
-        Err(RunError::Oom { .. }) => vec!["OOM".to_string(); 8],
-        Err(_) => vec!["x".to_string(); 8],
-    }
-}
-
-fn context<'a>(
-    w: &'a Workload,
-    system: SystemKind,
-    obs: Option<&'a gnnlab_obs::Obs>,
-) -> SimContext<'a> {
-    SimContext::new(w, system).with_gpus(2).with_obs(obs)
-}
-
-fn run_breakdown(ctx: &SimContext, trace: &EpochTrace) -> Result<EpochReport, RunError> {
-    match ctx.system {
-        SystemKind::GnnLab => run_factored_epoch(ctx, trace, 1, 1, false),
-        _ => run_timeshare_epoch(ctx, trace),
+        Err(e) => vec![error_cell(e).to_string(); 8],
     }
 }
 
 /// Runs one system's 2-GPU breakdown for a workload, recording spans and
-/// metrics into `obs` when given.
-pub fn breakdown(
-    w: &Workload,
+/// metrics into `obs` when given. GNNLab is pinned to 1 Sampler + 1 Trainer
+/// without switching, so each column is one role's time — the one
+/// system → placement choice this crate makes itself.
+fn breakdown(
+    w: &mut Recorded,
     system: SystemKind,
-    obs: Option<&gnnlab_obs::Obs>,
+    obs: Option<&Obs>,
 ) -> Result<EpochReport, RunError> {
-    let ctx = context(w, system, obs);
-    let trace = EpochTrace::record(w, system.kernel(), ctx.epoch);
-    run_breakdown(&ctx, &trace)
+    let (ctx, trace) = w.cell(system, 2);
+    let ctx = ctx.with_obs(obs);
+    match system {
+        SystemKind::GnnLab => run_factored_epoch(&ctx, trace, 1, 1, false),
+        _ => run_timeshare_epoch(&ctx, trace),
+    }
 }
 
 /// Regenerates Table 5.
@@ -65,13 +54,12 @@ pub fn run(cfg: &ExpConfig) -> Table {
     let datasets = datasets(cfg);
     for model in ModelKind::ALL {
         for dataset in &datasets {
-            let w = workload_on(model, dataset.clone(), cfg);
-            let mut recorded = None;
+            let mut w = Recorded::new(workload_on(model, dataset.clone(), cfg));
+            let label = w.workload.label();
             for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
-                cfg.begin_run(&format!("table5 {} {}", w.label(), system.label()));
-                let ctx = context(&w, system, cfg.obs());
-                let rep = run_breakdown(&ctx, trace_for(&mut recorded, &ctx));
-                let mut row = vec![w.label(), system.label().to_string()];
+                cfg.begin_run(&format!("table5 {label} {}", system.label()));
+                let rep = breakdown(&mut w, system, cfg.obs());
+                let mut row = vec![label.clone(), system.label().to_string()];
                 row.extend(breakdown_cells(&rep));
                 table.row(row);
             }
@@ -83,7 +71,13 @@ pub fn run(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnlab_core::Workload;
     use gnnlab_graph::{DatasetKind, Scale};
+
+    fn workload(model: ModelKind, ds: DatasetKind) -> Recorded {
+        let cfg = config();
+        Recorded::new(Workload::new(model, ds, cfg.scale, cfg.seed))
+    }
 
     fn config() -> ExpConfig {
         ExpConfig {
@@ -95,10 +89,9 @@ mod tests {
 
     #[test]
     fn gnnlab_extract_beats_tsota_on_papers() {
-        let cfg = config();
-        let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let tsota = breakdown(&w, SystemKind::TSota, None).unwrap();
-        let gnnlab = breakdown(&w, SystemKind::GnnLab, None).unwrap();
+        let mut w = workload(ModelKind::Gcn, DatasetKind::Papers);
+        let tsota = breakdown(&mut w, SystemKind::TSota, None).unwrap();
+        let gnnlab = breakdown(&mut w, SystemKind::GnnLab, None).unwrap();
         // Paper: 4.2x average Extract advantage (except PR).
         assert!(
             gnnlab.stages.extract < tsota.stages.extract / 2.0,
@@ -116,10 +109,9 @@ mod tests {
 
     #[test]
     fn dgl_sample_is_slower_than_fisher_yates_systems() {
-        let cfg = config();
-        let w = Workload::new(ModelKind::PinSage, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let dgl = breakdown(&w, SystemKind::DglLike, None).unwrap();
-        let tsota = breakdown(&w, SystemKind::TSota, None).unwrap();
+        let mut w = workload(ModelKind::PinSage, DatasetKind::Papers);
+        let dgl = breakdown(&mut w, SystemKind::DglLike, None).unwrap();
+        let tsota = breakdown(&mut w, SystemKind::TSota, None).unwrap();
         // §7.3: the gap is largest on PinSAGE (Python launch overheads).
         assert!(
             dgl.stages.sample_g > 1.5 * tsota.stages.sample_g,
@@ -132,11 +124,10 @@ mod tests {
     #[test]
     fn recorded_spans_reproduce_stage_breakdown() {
         use gnnlab_obs::{stage_secs, Obs, Stage};
-        let cfg = config();
-        let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
+        let mut w = workload(ModelKind::Gcn, DatasetKind::Papers);
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             let obs = Obs::virtual_time();
-            let rep = breakdown(&w, system, Some(&obs)).unwrap();
+            let rep = breakdown(&mut w, system, Some(&obs)).unwrap();
             let sums = stage_secs(&obs.spans());
             let sum = |st: Stage| sums.get(&st).copied().unwrap_or(0.0);
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 + 1e-6 * b.abs();
@@ -169,15 +160,9 @@ mod tests {
 
     #[test]
     fn train_times_agree_across_systems() {
-        let cfg = config();
-        let w = Workload::new(
-            ModelKind::GraphSage,
-            DatasetKind::Twitter,
-            cfg.scale,
-            cfg.seed,
-        );
-        let dgl = breakdown(&w, SystemKind::DglLike, None).unwrap();
-        let gnnlab = breakdown(&w, SystemKind::GnnLab, None).unwrap();
+        let mut w = workload(ModelKind::GraphSage, DatasetKind::Twitter);
+        let dgl = breakdown(&mut w, SystemKind::DglLike, None).unwrap();
+        let gnnlab = breakdown(&mut w, SystemKind::GnnLab, None).unwrap();
         let ratio = dgl.stages.train / gnnlab.stages.train;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     }

@@ -1,9 +1,9 @@
 //! Table 6: preprocessing time for training GCN in GNNLab.
 
+use crate::exp::Recorded;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{preprocess_report, SimContext};
-use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::Kernel;
@@ -23,11 +23,12 @@ pub fn run(cfg: &ExpConfig) -> Table {
         vec!["Pre-sampling for PreSC#1".to_string()],
     ];
     for ds in DatasetKind::ALL {
-        let w = Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed);
+        let mut w = Recorded::new(Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed));
         cfg.begin_run(&format!("table6 {}", ds.abbrev()));
-        let ctx = SimContext::new(&w, SystemKind::GnnLab).with_obs(cfg.obs());
-        let trace = EpochTrace::record(&w, Kernel::FisherYates, 0);
-        let rep = preprocess_report(&ctx, &trace).expect("GNNLab plans fit all datasets");
+        // Pre-sampling sees epoch 0, the first shuffle of the run.
+        let (w, trace) = w.trace(Kernel::FisherYates, 0);
+        let ctx = SimContext::new(w, SystemKind::GnnLab).with_obs(cfg.obs());
+        let rep = preprocess_report(&ctx, trace).expect("GNNLab plans fit all datasets");
         rows[0].push(secs(rep.disk_to_dram));
         rows[1].push(secs(rep.dram_to_gpu()));
         rows[2].push(secs(rep.load_topology));

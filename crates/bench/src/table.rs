@@ -1,5 +1,7 @@
 //! Plain-text table rendering for experiment output.
 
+use gnnlab_core::report::{EpochReport, RunError};
+
 /// A titled text table with aligned columns.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct Table {
@@ -96,9 +98,53 @@ pub fn bytes(v: f64) -> String {
     }
 }
 
+/// What a cell shows for a run that ended in an error — Table 4's legend:
+/// `OOM` (a memory plan did not fit), `x` (the system does not support the
+/// workload), `LOST` (device failures left no executor).
+pub fn error_cell(e: &RunError) -> &'static str {
+    match e {
+        RunError::Oom { .. } => "OOM",
+        RunError::Unsupported(_) => "x",
+        RunError::ExecutorsLost { .. } => "LOST",
+    }
+}
+
+/// One co-sim cell: `ok`'s reading of the report, or [`error_cell`].
+pub fn cell(
+    run: &Result<EpochReport, RunError>,
+    ok: impl FnOnce(&EpochReport) -> String,
+) -> String {
+    match run {
+        Ok(report) => ok(report),
+        Err(e) => error_cell(e).to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gnnlab_core::SystemKind;
+
+    #[test]
+    fn every_run_error_has_its_own_cell() {
+        let oom = RunError::Oom {
+            system: SystemKind::DglLike,
+            detail: "topology".to_string(),
+        };
+        let lost = RunError::ExecutorsLost {
+            detail: "no Trainer left".to_string(),
+        };
+        let epoch = |r: &EpochReport| secs(r.epoch_time);
+        assert_eq!(cell(&Err(oom), epoch), "OOM");
+        assert_eq!(
+            cell(&Err(RunError::Unsupported("PinSAGE".into())), epoch),
+            "x"
+        );
+        assert_eq!(cell(&Err(lost), epoch), "LOST");
+        let mut report = EpochReport::new(SystemKind::GnnLab);
+        report.epoch_time = 12.34;
+        assert_eq!(cell(&Ok(report), epoch), "12.3");
+    }
 
     #[test]
     fn renders_aligned() {

@@ -449,3 +449,26 @@ pub fn run_epoch(
 ) -> Result<EpochReport, RunError> {
     Sim::plan(ctx, trace, p)?.run()
 }
+
+/// Simulates one epoch of `p` with the consuming phase's lanes extracting
+/// against `cache` instead of the table their memory plan affords — the
+/// sweeps that force a cache ratio (Fig. 4a, the §8 batch-size
+/// discussion). Nothing is planned, so nothing can run out of memory;
+/// the report carries `cache`'s own ratio.
+pub fn run_epoch_with_cache(
+    ctx: &SimContext<'_>,
+    trace: &EpochTrace,
+    p: &Placement,
+    cache: CacheTable,
+) -> Result<EpochReport, RunError> {
+    let vertices = ctx.workload.dataset.csr.num_vertices();
+    let sim = Sim {
+        ctx,
+        trace,
+        p,
+        alpha: cache.len() as f64 / vertices.max(1) as f64,
+        cache: Some(cache),
+        standby: None,
+    };
+    sim.run()
+}

@@ -8,8 +8,10 @@
 //! So there is one engine ([`run_epoch`]) and one table of
 //! [`Placement`]s; the `run_*_epoch` functions below are its rows.
 //!
-//! [`run_system`] is the front door: it profiles, allocates GPUs (for
-//! GNNLab), and picks the placement.
+//! [`run_system`] is the front door: it records the epoch, then
+//! [`run_system_on`] profiles, allocates GPUs (for GNNLab), and picks the
+//! placement. A caller that runs several systems over one workload
+//! records once and calls [`run_system_on`] itself.
 
 mod context;
 mod engine;
@@ -17,7 +19,7 @@ mod placement;
 mod preprocess;
 
 pub use context::{build_cache_table, SimContext};
-pub use engine::{run_epoch, StageTimes};
+pub use engine::{run_epoch, run_epoch_with_cache, StageTimes};
 pub use placement::{Assign, FactoredOptions, Link, Phase, Placement};
 pub use preprocess::{preprocess_report, PreprocessReport};
 
@@ -83,29 +85,37 @@ pub fn profile_stage_times(
     Ok(Sim::plan(ctx, trace, &p)?.profile())
 }
 
-/// Runs one epoch of `system` on the context's workload and GPU count,
-/// handling profiling and GPU allocation for GNNLab.
+/// Runs one epoch of `system` on the context's workload and GPU count:
+/// records the epoch its sampling kernel draws, then [`run_system_on`].
 ///
 /// Returns the Table 4 entry: an [`EpochReport`] or the `OOM`/`×` error.
 pub fn run_system(ctx: &SimContext<'_>) -> Result<EpochReport, RunError> {
+    let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
+    run_system_on(ctx, &trace)
+}
+
+/// [`run_system`] over an already recorded epoch. This is the one place a
+/// system and a GPU count become a placement: the baselines time-share,
+/// GNNLab alternates on one GPU and otherwise profiles, allocates
+/// Samplers by the rule of §5.3 and runs factored.
+pub fn run_system_on(ctx: &SimContext<'_>, trace: &EpochTrace) -> Result<EpochReport, RunError> {
     if ctx.system == SystemKind::PygLike && ctx.workload.model == ModelKind::PinSage {
         return Err(RunError::Unsupported(
             "PyG does not support PinSAGE".to_string(),
         ));
     }
-    let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
     let gpus = ctx.testbed.num_gpus;
     if ctx.system != SystemKind::GnnLab {
-        return run_timeshare_epoch(ctx, &trace);
+        return run_timeshare_epoch(ctx, trace);
     }
     if gpus == 1 {
-        return run_single_gpu_epoch(ctx, &trace);
+        return run_single_gpu_epoch(ctx, trace);
     }
     // The plans and cache tables depend on the roles, not on the split:
     // prepare them once for profiling and for the epoch itself.
     let split = |ns| Placement::factored(&FactoredOptions::new(ns, gpus - ns));
     let probe = split(1);
-    let sim = Sim::plan(ctx, &trace, &probe)?;
+    let sim = Sim::plan(ctx, trace, &probe)?;
     let times = sim.profile();
     let chosen = split(num_samplers(gpus, times.t_sample, times.t_trainer));
     sim.with(&chosen).run()

@@ -200,6 +200,25 @@ impl Placement {
         Ok(Self::new(system, vec![gpus], Link::Swap))
     }
 
+    /// One GPU running Sample → Extract → Train back to back for every
+    /// batch, with each choice Table 1 varies made explicit: where
+    /// sampling runs, which path gathers, what stays resident (a cache
+    /// only if `resident` holds one, topology only if sampling is on the
+    /// GPU). `system` sizes the sampling workspace.
+    pub fn solo(
+        system: SystemKind,
+        sample_device: SampleDevice,
+        gather: GatherPath,
+        resident: Residency,
+    ) -> Placement {
+        let gpu = Phase::new(WHOLE, 1, Trainer, RoundRobin, resident);
+        Placement {
+            sample_device,
+            gather,
+            ..Self::new(system, vec![gpu], Link::Swap)
+        }
+    }
+
     /// The factored design (§5): Samplers and Trainers on dedicated GPUs
     /// bridged by the host-memory queue; a global scheduler hands each
     /// batch to the next free Sampler, Trainers pipeline Extract and

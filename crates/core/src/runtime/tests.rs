@@ -389,3 +389,90 @@ fn cpu_samplers_feeding_gpu_trainers_is_one_more_row() {
     assert!(cpu.epoch_time.is_finite() && cpu.epoch_time > 0.0);
     assert_eq!((cpu.num_samplers, cpu.num_trainers), (2, 6));
 }
+
+mod front_door {
+    use super::*;
+    use crate::workload::Workload;
+    use gnnlab_cache::PolicyKind;
+    use gnnlab_graph::{DatasetKind, Scale};
+    use gnnlab_sim::{GatherPath, SampleDevice};
+    use gnnlab_tensor::ModelKind;
+
+    fn papers() -> Workload {
+        Workload::new(ModelKind::Gcn, DatasetKind::Papers, Scale::new(4096), 1)
+    }
+
+    #[test]
+    fn run_system_is_record_then_run_system_on() {
+        let w = papers();
+        for system in SystemKind::ALL {
+            for gpus in [1, 2, 8] {
+                let ctx = SimContext::new(&w, system).with_gpus(gpus);
+                let trace = EpochTrace::record(&w, system.kernel(), ctx.epoch);
+                let (whole, split) = (run_system(&ctx), run_system_on(&ctx, &trace));
+                let (whole, split) = (whole.unwrap(), split.unwrap());
+                assert_eq!(whole.epoch_time, split.epoch_time, "{system:?} {gpus}");
+                assert_eq!(whole.num_samplers, split.num_samplers, "{system:?} {gpus}");
+            }
+        }
+        let psg = Workload::new(ModelKind::PinSage, DatasetKind::Products, Scale::TEST, 1);
+        let ctx = SimContext::new(&psg, SystemKind::PygLike);
+        let trace = EpochTrace::record(&psg, ctx.system.kernel(), ctx.epoch);
+        let refused = run_system_on(&ctx, &trace).unwrap_err();
+        assert!(matches!(refused, RunError::Unsupported(_)), "{refused}");
+    }
+
+    /// Table 1's argument on one GPU: moving topology onto it for GPU
+    /// sampling shrinks the cache that is left, and neither choice touches
+    /// Train.
+    #[test]
+    fn solo_placements_trade_sampling_against_cache() {
+        let w = papers();
+        let ctx = SimContext::new(&w, SystemKind::TSota).with_gpus(1);
+        let trace = EpochTrace::record(&w, ctx.system.kernel(), ctx.epoch);
+        let run = |device, resident| {
+            let p = Placement::solo(ctx.system, device, GatherPath::GpuDirect, resident);
+            run_epoch(&ctx, &trace, &p).unwrap()
+        };
+        let cpu = run(SampleDevice::Cpu, Residency::TRAIN_WS);
+        let cached = run(SampleDevice::Cpu, Residency::TRAINER);
+        let both = run(SampleDevice::Gpu, Residency::TIMESHARE_CACHED);
+        assert_eq!((cpu.cache_ratio, cpu.hit_rate), (0.0, 0.0));
+        assert_eq!((cpu.stages.sample_m, cpu.stages.sample_c), (0.0, 0.0));
+        assert!(cached.cache_ratio > 2.0 * both.cache_ratio);
+        assert!(cached.stages.extract < cpu.stages.extract);
+        assert!(both.stages.sample_g < cpu.stages.sample_g / 2.0);
+        assert_eq!(cpu.stages.train, both.stages.train);
+        // One serial lane: the epoch is the sum of its stages.
+        assert!((both.epoch_time - both.stages.total()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_forced_cache_replaces_the_planned_one() {
+        let w = papers();
+        let ctx = SimContext::new(&w, SystemKind::TSota).with_gpus(1);
+        let trace = EpochTrace::record(&w, ctx.system.kernel(), ctx.epoch);
+        let p = Placement::timeshare(ctx.system, 1).unwrap();
+        let planned = run_epoch(&ctx, &trace, &p).unwrap();
+        let table = |alpha| build_cache_table(&w, ctx.policy, alpha);
+        let same = run_epoch_with_cache(&ctx, &trace, &p, table(planned.cache_ratio)).unwrap();
+        assert_eq!(same.epoch_time, planned.epoch_time);
+        assert_eq!(same.hit_rate, planned.hit_rate);
+        let none = run_epoch_with_cache(&ctx, &trace, &p, table(0.0)).unwrap();
+        let all = run_epoch_with_cache(&ctx, &trace, &p, table(1.0)).unwrap();
+        assert_eq!((none.cache_ratio, none.hit_rate), (0.0, 0.0));
+        assert_eq!((all.cache_ratio, all.hit_rate), (1.0, 1.0));
+        assert!(all.stages.extract < planned.stages.extract);
+        assert!(planned.stages.extract < none.stages.extract);
+        // No plan is made: a UK-sized topology cannot run out of memory.
+        let uk = Workload::new(ModelKind::Gcn, DatasetKind::Uk, Scale::new(8192), 1);
+        let ctx = SimContext::new(&uk, SystemKind::TSota).with_gpus(1);
+        let trace = EpochTrace::record(&uk, ctx.system.kernel(), ctx.epoch);
+        assert!(matches!(
+            run_epoch(&ctx, &trace, &p),
+            Err(RunError::Oom { .. })
+        ));
+        let cache = build_cache_table(&uk, PolicyKind::Degree, 0.1);
+        assert!(run_epoch_with_cache(&ctx, &trace, &p, cache).is_ok());
+    }
+}
