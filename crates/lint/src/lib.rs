@@ -15,6 +15,11 @@
 //! 4. **seqcst** — no `Ordering::SeqCst` without a `// chk:`
 //!    justification comment (on the same or the preceding line):
 //!    sequential consistency is a measured decision, not a default.
+//! 5. **stage-cost** — no `.sample_time(` / `.extract_time(` /
+//!    `.train_time(` in non-test code outside `crates/sim` (which defines
+//!    them) and `crates/core/src/runtime/` (the one engine that costs a
+//!    stage): an experiment that prices a stage itself is a co-simulation
+//!    the engine does not know about.
 //!
 //! Escapes: a workspace-level allowlist file (`lint.allow`, one
 //! `rule<TAB-or-space>path-prefix` entry per line) and inline
@@ -29,7 +34,13 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The rules, by their allowlist names.
-pub const RULES: [&str; 4] = ["metric-names", "no-unwrap", "sync-facade", "seqcst"];
+pub const RULES: [&str; 5] = [
+    "metric-names",
+    "no-unwrap",
+    "sync-facade",
+    "seqcst",
+    "stage-cost",
+];
 
 /// Crates whose non-test code the `no-unwrap` and `metric-names` rules
 /// police.
@@ -38,6 +49,10 @@ const RUNTIME_CRATES: [&str; 4] = ["crates/core", "crates/cache", "crates/par", 
 /// Files allowed to name `parking_lot`/`std::sync` primitives directly:
 /// the façades themselves and the model checker that implements them.
 const FACADE_FILES: [&str; 2] = ["crates/core/src/sync.rs", "crates/par/src/sync.rs"];
+
+/// Where a Sample / Extract / Train stage may be costed: the cost model
+/// itself and the co-simulation engine.
+const STAGE_COST_DIRS: [&str; 2] = ["crates/sim/", "crates/core/src/runtime/"];
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -505,6 +520,23 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
+        // Rule 5: stage-cost (everywhere but the cost model and the engine).
+        if !path_in(path, &STAGE_COST_DIRS) && !in_test && !allow_inline("stage-cost") {
+            for tok in [".sample_time(", ".extract_time(", ".train_time("] {
+                if line.code.contains(tok) {
+                    findings.push(Finding {
+                        path: path.to_string(),
+                        line: lineno,
+                        rule: "stage-cost",
+                        message: format!(
+                            "`{tok}` outside the co-simulation engine — describe the run as a \
+                             Placement and let core::runtime cost its stages"
+                        ),
+                    });
+                }
+            }
+        }
+
         // Rule 1: metric-names (runtime crates, non-test, not names.rs).
         if in_runtime_crate && !in_test && !is_names && !allow_inline("metric-names") {
             for s in &line.strings {
@@ -729,6 +761,21 @@ mod tests {
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].rule, "seqcst");
         assert!(lint_source("crates/core/src/x.rs", good).is_empty());
+    }
+
+    #[test]
+    fn stage_costs_belong_to_the_engine_and_the_cost_model() {
+        let src = "let e = ctx.cost.extract_time(miss, hit, path, 1);";
+        let fs = lint_source("crates/bench/src/exp/fig4.rs", src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "stage-cost");
+        assert_eq!(lint_source("src/bin/gnnlab.rs", src).len(), 1);
+        assert!(lint_source("crates/core/src/runtime/engine.rs", src).is_empty());
+        assert!(lint_source("crates/sim/src/cost.rs", src).is_empty());
+        assert!(lint_source("crates/bench/src/exp/tests.rs", src).is_empty());
+        // A definition or a mention is not a call.
+        let def = "pub fn train_time(&self, flops: f64) -> SimTime { 0 } // .train_time(x)";
+        assert!(lint_source("crates/bench/src/lib.rs", def).is_empty());
     }
 
     #[test]

@@ -55,6 +55,16 @@ fn seqcst_fixture_fails_deny() {
 }
 
 #[test]
+fn stage_cost_fixture_fails_deny() {
+    let out = run_on("stage-cost-bad", &["--deny"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    // The three calls in the experiment, not the one under #[cfg(test)].
+    assert_eq!(text.matches("[stage-cost]").count(), 3, "{text}");
+    assert!(text.contains("crates/bench/src/exp/fig4.rs"), "{text}");
+}
+
+#[test]
 fn clean_fixture_passes_deny() {
     let out = run_on("clean", &["--deny"]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
