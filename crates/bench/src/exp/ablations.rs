@@ -22,8 +22,8 @@ use gnnlab_cache::PolicyKind;
 use gnnlab_core::faults::{ExecutorRole, FaultPlan};
 use gnnlab_core::memory::Residency;
 use gnnlab_core::runtime::{
-    build_cache_table, run_epoch_with_cache, run_factored_epoch_opts, run_system_on,
-    FactoredOptions, Placement, SimContext,
+    build_cache_table, run_epoch_with_cache, run_factored_epoch_opts, FactoredOptions, Placement,
+    SimContext,
 };
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::{SystemKind, Workload};
@@ -80,8 +80,7 @@ fn multitenant(gcn_pa: &mut Recorded) -> Table {
 
 /// Ablation: mini-batch size (§8). Epoch time falls with batch size;
 /// PreSC's hit rate does not move.
-fn batch_size(cfg: &ExpConfig, gcn_pa: &Workload) -> Table {
-    let w = gcn_pa;
+fn batch_size(cfg: &ExpConfig, w: &Workload) -> Table {
     let base = w.batch_size();
     let cache = build_cache_table(w, PolicyKind::PreSC { k: 1 }, 0.15);
     // One GNNLab-class GPU doing all three stages against the forced cache.
@@ -126,11 +125,8 @@ fn trainset_size(cfg: &ExpConfig, papers: &Dataset) -> Table {
         let size = ((w.dataset.train_set.len() as f64 * mult) as usize).clamp(8, n);
         w.dataset.train_set = trainset::recent_train_set(n, size);
         let mut w = Recorded::new(w);
-        let [tsota, gnnlab] = [SystemKind::TSota, SystemKind::GnnLab].map(|system| {
-            let (ctx, trace) = w.cell(system, 8);
-            run_system_on(&ctx, trace)
-        });
-        table.row(match (tsota, gnnlab) {
+        let (tsota, gnnlab) = (SystemKind::TSota, SystemKind::GnnLab);
+        table.row(match (w.run_system(tsota, 8), w.run_system(gnnlab, 8)) {
             (Ok(t), Ok(g)) => vec![
                 format!("{mult}x"),
                 secs(t.epoch_time),
@@ -152,8 +148,7 @@ fn trainset_size(cfg: &ExpConfig, papers: &Dataset) -> Table {
 /// GPUs; 7/8 of neighbor accesses are remote at ~74× local latency.
 fn partitioning(gcn_pa: &mut Recorded) -> Table {
     // GNNLab baseline.
-    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
-    let gnnlab = run_system_on(&ctx, trace).expect("PA fits");
+    let gnnlab = gcn_pa.run_system(SystemKind::GnnLab, 8).expect("PA fits");
     // Partitioned sampling: every GPU samples its share — the same kernel
     // time in total — but with the topology hash-split 8 ways, 7/8 of
     // neighbor-list reads cross GPUs at the paper's measured 74x latency
@@ -283,13 +278,7 @@ mod tests {
     }
 
     fn gcn_pa() -> Recorded {
-        let cfg = config();
-        Recorded::new(Workload::new(
-            ModelKind::Gcn,
-            DatasetKind::Papers,
-            cfg.scale,
-            cfg.seed,
-        ))
+        Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, &config())
     }
 
     fn val(t: &Table, r: usize, c: usize) -> f64 {

@@ -12,7 +12,7 @@ use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch_opts, FactoredOptions, SimContext};
 use gnnlab_core::trace::EpochTrace;
-use gnnlab_core::{FaultPlan, SystemKind, Workload};
+use gnnlab_core::{FaultPlan, SystemKind};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
@@ -38,12 +38,7 @@ fn run_with_failure(
 /// GraphSAGE on PR, 1 Sampler + 3 Trainers: kill one device at three
 /// points of the epoch and report the recovery cost.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::new(Workload::new(
-        ModelKind::GraphSage,
-        DatasetKind::Products,
-        cfg.scale,
-        cfg.seed,
-    ));
+    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Products, cfg);
     let (ctx, trace) = w.cell(SystemKind::GnnLab, NS + NT);
     let ctx = ctx.with_obs(cfg.obs());
 

@@ -82,7 +82,6 @@ pub fn run(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnlab_core::Workload;
     use gnnlab_graph::Scale;
 
     #[test]
@@ -92,8 +91,7 @@ mod tests {
             seed: 1,
             obs: None,
         };
-        let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let mut w = Recorded::new(w);
+        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, &cfg);
         let degree = gnnlab_with_policy(&mut w, PolicyKind::Degree).unwrap();
         let random = gnnlab_with_policy(&mut w, PolicyKind::Random).unwrap();
         let presc = gnnlab_with_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();

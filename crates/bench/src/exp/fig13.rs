@@ -19,7 +19,6 @@ mod tests {
     use crate::exp::fig12::gnnlab_with_policy as run_policy;
     use crate::exp::Recorded;
     use gnnlab_cache::PolicyKind;
-    use gnnlab_core::Workload;
     use gnnlab_graph::{DatasetKind, Scale};
     use gnnlab_tensor::ModelKind;
 
@@ -31,12 +30,7 @@ mod tests {
             obs: None,
         };
         // GraphSAGE on PA: compute-light, PreSC should clearly win vs Random.
-        let mut w = Recorded::new(Workload::new(
-            ModelKind::GraphSage,
-            DatasetKind::Papers,
-            cfg.scale,
-            cfg.seed,
-        ));
+        let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, &cfg);
         let random = run_policy(&mut w, PolicyKind::Random).unwrap();
         let presc = run_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(
@@ -48,8 +42,7 @@ mod tests {
 
         // PinSAGE on PA: train-dominated, improvement is limited (paper:
         // 1-40 %) — PreSC is not *worse*, but the gap narrows.
-        let w = Workload::new(ModelKind::PinSage, DatasetKind::Papers, cfg.scale, cfg.seed);
-        let mut w = Recorded::new(w);
+        let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Papers, &cfg);
         let random = run_policy(&mut w, PolicyKind::Random).unwrap();
         let presc = run_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(presc.epoch_time <= random.epoch_time * 1.02);

@@ -5,13 +5,13 @@ use crate::exp::Recorded;
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::EpochReport;
-use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::runtime::run_factored_epoch;
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
 fn sweep(ds: DatasetKind, title: &str, cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::new(Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed));
+    let mut w = Recorded::generate(ModelKind::Gcn, ds, cfg);
     let mut table = Table::new(
         title,
         &[
@@ -27,8 +27,7 @@ fn sweep(ds: DatasetKind, title: &str, cfg: &ExpConfig) -> Table {
     for gpus in 2..=8usize {
         let mut row = vec![gpus.to_string()];
         for system in [SystemKind::DglLike, SystemKind::TSota] {
-            let (ctx, trace) = w.cell(system, gpus);
-            row.push(cell(&run_system_on(&ctx, trace), epoch));
+            row.push(cell(&w.run_system(system, gpus), epoch));
         }
         let (ctx, trace) = w.cell(SystemKind::GnnLab, gpus);
         for ns in 1..=3usize {

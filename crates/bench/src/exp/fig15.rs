@@ -6,15 +6,14 @@ use crate::exp::Recorded;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
 /// Regenerates Fig. 15: epoch time for every (mS, nT), m ∈ 1..=3,
 /// m+n ≤ 8, plus the allocation the rule of §5.3 picks.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let mut w = Recorded::new(w);
+    let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
     let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Fig. 15: GNNLab epoch time (s), GCN on PA, by (mS, nT)",

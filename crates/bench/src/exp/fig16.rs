@@ -11,10 +11,8 @@
 use crate::exp::Recorded;
 use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::run_system_on;
 use gnnlab_core::train_real::{train_to_accuracy, ConvergenceConfig};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::SystemKind;
 use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
@@ -38,23 +36,6 @@ pub struct ConvergenceRow {
     pub total_time: f64,
 }
 
-/// GraphSAGE on PA, whose epoch times come from the performance
-/// simulators.
-fn gsg_on_papers(cfg: &ExpConfig) -> Recorded {
-    Recorded::new(Workload::new(
-        ModelKind::GraphSage,
-        DatasetKind::Papers,
-        cfg.scale,
-        cfg.seed,
-    ))
-}
-
-/// One epoch of `system` under the engine's own placement choice.
-fn epoch(w: &mut Recorded, system: SystemKind, gpus: usize) -> Result<EpochReport, RunError> {
-    let (ctx, trace) = w.cell(system, gpus);
-    run_system_on(&ctx, trace)
-}
-
 /// Regenerates Fig. 16.
 pub fn run(cfg: &ExpConfig) -> Table {
     let graph = sbm(&SbmParams {
@@ -69,8 +50,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
     .expect("valid SBM parameters");
 
     // Epoch times from the performance simulators (GSG on PA, 8 GPUs).
-    let mut w = gsg_on_papers(cfg);
-    let gnnlab_rep = epoch(&mut w, SystemKind::GnnLab, 8).expect("PA fits");
+    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
+    let gnnlab_rep = w.run_system(SystemKind::GnnLab, 8).expect("PA fits");
 
     let systems = [
         (SystemKind::DglLike, 8usize),
@@ -107,7 +88,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         let et = if system == SystemKind::GnnLab {
             gnnlab_rep.epoch_time
         } else {
-            epoch(&mut w, system, 8).map_or(f64::NAN, |r| r.epoch_time)
+            w.run_system(system, 8).map_or(f64::NAN, |r| r.epoch_time)
         };
         table.row(vec![
             system.label().to_string(),
@@ -139,13 +120,13 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
         seed: cfg.seed,
     })
     .expect("valid SBM parameters");
-    let mut w = gsg_on_papers(cfg);
+    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
     let mut table = Table::new(
         "Convergence scalability (GraphSAGE, accuracy target 80%)",
         &["#GPUs", "Trainers", "Epoch (s)", "Epochs", "Total (s)"],
     );
     for gpus in [2usize, 4, 8] {
-        let rep = match epoch(&mut w, SystemKind::GnnLab, gpus) {
+        let rep = match w.run_system(SystemKind::GnnLab, gpus) {
             Ok(rep) => rep,
             Err(e) => {
                 let dash = || "-".to_string();

@@ -5,14 +5,13 @@ use crate::exp::{datasets, workload_on, Recorded};
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
 /// Fig. 17a: PinSAGE on PA, 1 Sampler, n Trainers, switching on/off.
 pub fn run_a(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::PinSage, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let mut w = Recorded::new(w);
+    let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Papers, cfg);
     let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
     let ctx = ctx.with_obs(cfg.obs());
     let mut table = Table::new(

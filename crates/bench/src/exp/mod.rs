@@ -26,22 +26,22 @@
 //!
 //! Every co-simulated cell of every table goes through one door:
 //!
-//! 1. [`datasets`] / [`dataset`] instantiate each graph a table uses once;
-//!    [`workload_on`] builds the table's workloads over clones.
-//! 2. A [`Recorded`] owns its workload's epoch traces, one per distinct
-//!    (kernel, epoch), recorded on first use. [`Recorded::cell`] hands out
+//! 1. `datasets` / `dataset` instantiate each graph a table uses once;
+//!    `workload_on` builds the table's workloads over clones.
+//! 2. A `Recorded` owns its workload's epoch traces, one per distinct
+//!    (kernel, epoch), recorded on first use. `Recorded::cell` hands out
 //!    the `SimContext` for a system and GPU count together with the trace
 //!    that system's kernel draws.
 //! 3. The pair goes to `gnnlab_core::runtime`: `run_system_on` when the
 //!    engine is to pick the placement (time-sharing baselines, GNNLab's
-//!    allocation rule, the solo GPU), `run_factored_epoch` / `run_epoch`
+//!    allocation rule, the solo GPU; `Recorded::run_system` is that call), `run_factored_epoch` / `run_epoch`
 //!    when the table pins one, `run_epoch_with_cache` when it forces a
 //!    cache ratio. Nothing here costs a stage or plans a GPU itself.
 //! 4. `table::cell` turns the `Result<EpochReport, RunError>` into text:
 //!    the table's reading of the report, or `OOM` / `x` / `LOST`.
 //!
 //! The experiments that never run an epoch (hit-rate and footprint sweeps)
-//! take their traces from [`Recorded::trace`]; Table 2 and the subgraph
+//! take their traces from `Recorded::trace`; Table 2 and the subgraph
 //! ablation sample directly because they need visit counts, not traces.
 
 pub mod ablations;
@@ -68,7 +68,8 @@ pub mod table6;
 
 use crate::ExpConfig;
 use gnnlab_cache::{CacheStats, CacheTable};
-use gnnlab_core::runtime::SimContext;
+use gnnlab_core::report::{EpochReport, RunError};
+use gnnlab_core::runtime::{run_system_on, SimContext};
 use gnnlab_core::trace::EpochTrace;
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::{Dataset, DatasetKind};
@@ -112,6 +113,12 @@ impl Recorded {
         }
     }
 
+    /// The standard workload of `model` on a freshly instantiated `kind`,
+    /// for a table that uses that dataset for nothing else.
+    pub fn generate(model: ModelKind, kind: DatasetKind, cfg: &ExpConfig) -> Self {
+        Self::new(Workload::new(model, kind, cfg.scale, cfg.seed))
+    }
+
     /// The workload's epoch `epoch` as `kernel` draws it.
     pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
         let Recorded { workload, traces } = self;
@@ -130,6 +137,13 @@ impl Recorded {
         let epoch = SimContext::new(&self.workload, system).epoch;
         let (workload, trace) = self.trace(system.kernel(), epoch);
         (SimContext::new(workload, system).with_gpus(gpus), trace)
+    }
+
+    /// One epoch of `system` on `gpus` GPUs under the engine's own
+    /// system → placement rule.
+    pub fn run_system(&mut self, system: SystemKind, gpus: usize) -> Result<EpochReport, RunError> {
+        let (ctx, trace) = self.cell(system, gpus);
+        run_system_on(&ctx, trace)
     }
 }
 

@@ -11,7 +11,7 @@ use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::memory::Residency;
 use gnnlab_core::runtime::{run_epoch, Placement};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sim::{GatherPath, SampleDevice};
 use gnnlab_tensor::ModelKind;
@@ -57,8 +57,7 @@ const VARIANTS: [(&str, SystemKind, SampleDevice, GatherPath, Residency); 6] = [
 
 /// Regenerates Table 1: six single-GPU placements over one workload.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let w = Workload::new(ModelKind::Gcn, DatasetKind::Papers, cfg.scale, cfg.seed);
-    let mut w = Recorded::new(w);
+    let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
     let mut table = Table::new(
         "Table 1: runtime breakdown (s) of one epoch, GCN on OGB-Papers, 1 GPU",
         &[

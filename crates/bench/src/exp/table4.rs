@@ -4,7 +4,6 @@
 use crate::exp::{datasets, workload_on, Recorded};
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::run_system_on;
 use gnnlab_core::SystemKind;
 use gnnlab_tensor::ModelKind;
 
@@ -22,8 +21,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
             let mut w = Recorded::new(workload_on(model, dataset.clone(), cfg));
             let mut row = vec![model.abbrev().to_string(), ds.abbrev().to_string()];
             for system in SystemKind::ALL {
-                let (ctx, trace) = w.cell(system, 8);
-                row.push(cell(&run_system_on(&ctx, trace), |rep| match system {
+                row.push(cell(&w.run_system(system, 8), |rep| match system {
                     SystemKind::GnnLab => {
                         format!("{} ({}S)", secs(rep.epoch_time), rep.num_samplers)
                     }

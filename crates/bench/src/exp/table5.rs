@@ -71,12 +71,10 @@ pub fn run(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnnlab_core::Workload;
     use gnnlab_graph::{DatasetKind, Scale};
 
     fn workload(model: ModelKind, ds: DatasetKind) -> Recorded {
-        let cfg = config();
-        Recorded::new(Workload::new(model, ds, cfg.scale, cfg.seed))
+        Recorded::generate(model, ds, &config())
     }
 
     fn config() -> ExpConfig {

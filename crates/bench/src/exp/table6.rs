@@ -4,7 +4,7 @@ use crate::exp::Recorded;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{preprocess_report, SimContext};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::Kernel;
 use gnnlab_tensor::ModelKind;
@@ -23,7 +23,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         vec!["Pre-sampling for PreSC#1".to_string()],
     ];
     for ds in DatasetKind::ALL {
-        let mut w = Recorded::new(Workload::new(ModelKind::Gcn, ds, cfg.scale, cfg.seed));
+        let mut w = Recorded::generate(ModelKind::Gcn, ds, cfg);
         cfg.begin_run(&format!("table6 {}", ds.abbrev()));
         // Pre-sampling sees epoch 0, the first shuffle of the run.
         let (w, trace) = w.trace(Kernel::FisherYates, 0);
