@@ -92,7 +92,7 @@ use gate::CkptRuntime;
 use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
-use gnnlab_obs::{Executor, Obs, Telemetry};
+use gnnlab_obs::{names, Executor, Obs, Telemetry};
 use gnnlab_par::ThreadPool;
 use gnnlab_sampling::{Sample, SampleBuffers};
 use gnnlab_tensor::loss::correct_predictions;
@@ -152,6 +152,8 @@ pub fn run_threaded_obs(
         "need executors"
     );
     let (train_set, test_set) = split(graph.csr.num_vertices(), cfg.seed);
+    let lanes = gnnlab_tensor::kernel_lanes() as f64;
+    obs.metrics.gauge_set(names::TENSOR_KERNEL_LANES, lanes);
 
     let shared = Shared::new(graph, kind, cfg, obs, &train_set);
     // Live telemetry for the whole run: periodic gauge→series sampling

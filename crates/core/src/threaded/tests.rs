@@ -112,6 +112,11 @@ fn threaded_run_populates_observability() {
         obs.metrics.gauge("queue.capacity").unwrap().last,
         cfg.queue_capacity as f64
     );
+    // The metrics say which tensor kernels produced them.
+    assert_eq!(
+        obs.metrics.gauge(names::TENSOR_KERNEL_LANES).unwrap().last,
+        gnnlab_tensor::kernel_lanes() as f64
+    );
     assert_eq!(
         obs.metrics.counter("queue.enqueued") as usize,
         res.samples_produced

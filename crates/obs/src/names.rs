@@ -206,6 +206,11 @@ pub const STAGE_PRESAMPLE_NS: &str = "stage.presample.ns";
 /// Histogram: pipelined prefetch span durations.
 pub const STAGE_PREFETCH_NS: &str = "stage.prefetch.ns";
 
+/// Gauge: `f32` lanes per vector register of the matmul instantiation
+/// the tensor kernels picked on this CPU (8 = AVX2, 4 = portable) — says
+/// which code path produced a run's `tensor.*` numbers.
+pub const TENSOR_KERNEL_LANES: &str = "tensor.kernel_lanes";
+
 /// Counter family: alerts raised per rule (`alerts.straggler`,
 /// `alerts.queue_saturation`, `alerts.cache_collapse`,
 /// `alerts.respawn_burn`); structured events live in the snapshot's

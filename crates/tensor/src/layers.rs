@@ -1,6 +1,6 @@
 //! GNN layers over sampled message-flow blocks with manual backprop.
 
-use crate::matrix::Matrix;
+use crate::matrix::{for_col_tiles, Matrix};
 use gnnlab_sampling::LayerBlock;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
@@ -31,6 +31,12 @@ impl Param {
 /// must be zero there: `out[dst] = mean over edges (src_local -> dst) of
 /// x[src_local]`. `deg` is overwritten with each dst's edge count (the
 /// divisor; blocks always contain a self-edge per dst, so it is ≥ 1).
+///
+/// Edges are summed a run of consecutive same-`dst` edges at a time (a
+/// sampled block lists each dst's edges together), every run in register
+/// tiles that start from what `out` already holds — so a dst that comes
+/// back in a later run, or any other edge order, still sees its sources
+/// added in list order, as a loop over single edges would.
 fn mean_aggregate_into(
     edges: &[(u32, u32)],
     x: &Matrix,
@@ -41,12 +47,11 @@ fn mean_aggregate_into(
     let cols = col..col + x.cols();
     deg.clear();
     deg.resize(out.rows(), 0);
-    for &(s, d) in edges {
-        deg[d as usize] += 1;
-        let dst = &mut out.row_mut(d as usize)[cols.clone()];
-        for (o, v) in dst.iter_mut().zip(x.row(s as usize)) {
-            *o += v;
-        }
+    for run in edges.chunk_by(|a, b| a.1 == b.1) {
+        let d = run[0].1 as usize;
+        deg[d] += run.len() as u32;
+        let dst = &mut out.row_mut(d)[cols.clone()];
+        for_col_tiles!(j in 0, dst.len(); N => add_run::<N>(run, x, dst, j));
     }
     for (d, &count) in deg.iter().enumerate() {
         let k = count.max(1) as f32;
@@ -54,6 +59,19 @@ fn mean_aggregate_into(
             *o /= k;
         }
     }
+}
+
+/// `dst[j..j + N] += x[src][j..j + N]` for each edge of `run` in turn.
+#[inline(always)]
+fn add_run<const N: usize>(run: &[(u32, u32)], x: &Matrix, dst: &mut [f32], j: usize) {
+    let mut acc = [0.0f32; N];
+    acc.copy_from_slice(&dst[j..j + N]);
+    for &(s, _) in run {
+        for (a, v) in acc.iter_mut().zip(&x.row(s as usize)[j..j + N]) {
+            *a += v;
+        }
+    }
+    dst[j..j + N].copy_from_slice(&acc);
 }
 
 /// Backward of [`mean_aggregate_into`]: adds `grad_out[dst][cols] /
@@ -216,7 +234,14 @@ impl GnnLayer {
         out
     }
 
-    /// [`GnnLayer::forward`] into `out`'s storage.
+    /// [`GnnLayer::forward`] into `out`'s storage. `out` is the caller's;
+    /// everything else this writes — `lin_in`, `deg`, the ReLU masks,
+    /// PinSAGE's `x` and `q`, the copied edges — is the layer's
+    /// [`Workspace`]: scratch that lives as long as the run, reshaped and
+    /// overwritten per batch and never reallocated once it has held the
+    /// largest one. It carries nothing from one batch to the next except
+    /// its capacity; between this call and `backward_into` it is the
+    /// forward context.
     pub(crate) fn forward_into(&mut self, block: &LayerBlock, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.rows(), block.src_count(), "input row mismatch");
         assert_eq!(x.cols(), self.in_dim, "input dim mismatch");
@@ -277,6 +302,9 @@ impl GnnLayer {
     /// [`GnnLayer::backward`] on caller-owned buffers: `grad` is
     /// `d loss / d output` and is masked by the output ReLU in place; `dx`
     /// receives `d loss / d x`, or is left alone when `input_grad` is off.
+    /// The workspace's `d_lin_in`, `dq` and `d_param` are per-run scratch
+    /// of this pass alone, overwritten by every call; what `forward_into`
+    /// left there is read, not changed. Only `Param::grad` accumulates.
     pub(crate) fn backward_into(&mut self, grad: &mut Matrix, dx: &mut Matrix) {
         let agg_col = self.agg_col();
         let ws = &mut self.ws;
@@ -355,6 +383,70 @@ mod tests {
         assert!((out.get(0, 1) - 13.0 / 3.0).abs() < 1e-6);
         assert!((out.get(0, 2) - 16.0 / 3.0).abs() < 1e-6);
         assert_eq!(out.row(1), &[0., 3., 4.]);
+    }
+
+    /// The loop over single edges that the run-at-a-time aggregation
+    /// replaced; the oracle for the order of its additions.
+    fn per_edge_mean(edges: &[(u32, u32)], x: &Matrix, out: &mut Matrix, col: usize) -> Vec<u32> {
+        let mut deg = vec![0u32; out.rows()];
+        for &(s, d) in edges {
+            deg[d as usize] += 1;
+            for (c, v) in x.row(s as usize).iter().enumerate() {
+                let sum = out.get(d as usize, col + c) + v;
+                out.set(d as usize, col + c, sum);
+            }
+        }
+        for (d, &count) in deg.iter().enumerate() {
+            for c in col..col + x.cols() {
+                out.set(d, c, out.get(d, c) / count.max(1) as f32);
+            }
+        }
+        deg
+    }
+
+    /// Sums and degrees equal the per-edge loop's bit for bit at every
+    /// width the column tiles meet (1–70, at a column offset), whether the
+    /// edges come grouped by dst as a sampler emits them or shuffled so
+    /// that a dst comes back in a later run, with duplicate edges and a
+    /// dst nobody points at.
+    #[test]
+    fn mean_aggregate_matches_the_per_edge_loop_bitwise() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for width in 1..=70usize {
+            let (srcs, dsts, col) = (23, 9, width % 5 + 1);
+            let x = Matrix::xavier(srcs, width, &mut rng);
+            // Grouped by dst (dst 4 has no edge), then the same list cut
+            // and interleaved so runs are short and dsts reappear.
+            let mut grouped = Vec::new();
+            for d in (0..dsts as u32).filter(|&d| d != 4) {
+                grouped.push((d, d));
+                let s = rng.gen_range(0..srcs as u32);
+                grouped.extend([(s, d), (s, d)]);
+                grouped
+                    .extend((0..rng.gen_range(0..6)).map(|_| (rng.gen_range(0..srcs as u32), d)));
+            }
+            let (front, back) = grouped.split_at(grouped.len() / 2);
+            let shuffled: Vec<(u32, u32)> = back
+                .chunks(2)
+                .zip(front.chunks(3))
+                .flat_map(|(b, f)| [b, f].concat())
+                .collect();
+            let runs = shuffled.chunk_by(|a, b| a.1 == b.1).count();
+            assert!(runs > dsts, "width {width}: no dst reappears");
+            for edges in [&grouped, &shuffled] {
+                let mut want = Matrix::zeros(dsts, col + width + 2);
+                let want_deg = per_edge_mean(edges, &x, &mut want, col);
+                let mut got = Matrix::zeros(dsts, col + width + 2);
+                // A stale, longer degree buffer must be overwritten.
+                let mut deg = vec![7; dsts + 3];
+                mean_aggregate_into(edges, &x, &mut got, col, &mut deg);
+                assert_eq!(deg, want_deg, "width {width}");
+                let bits =
+                    |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
+                assert_eq!(bits(&got), bits(&want), "width {width}");
+            }
+        }
     }
 
     #[test]

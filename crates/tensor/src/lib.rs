@@ -26,6 +26,6 @@ pub mod matrix;
 pub mod model;
 pub mod optim;
 
-pub use matrix::Matrix;
+pub use matrix::{kernel_lanes, Matrix};
 pub use model::{GnnModel, ModelConfig, ModelKind};
 pub use optim::{average_gradients, Adam, AdamState, Optimizer, Sgd};

@@ -8,14 +8,30 @@
 //! and only fan out when a multi-thread pool is configured and the product
 //! is large enough to amortize dispatch.
 //!
-//! The kernels walk the output columns in register tiles (see
-//! [`for_col_tiles`]): `matmul` and `matmul_transb` keep a tile of output
-//! accumulators in registers and walk `k` once per tile; `transa_matmul`
-//! is `k`-outer — it reads each row of both operands once and adds
-//! `a · b_row` tile by tile into an output that stays cache-resident.
-//! Neither touches the float-add order: every output element still
-//! accumulates over ascending `k` with the same `a == 0` skips, so tiling
-//! is invisible to the bit-identity contract.
+//! All three run one register-tile body (`tile`): an `R × N` block of
+//! output accumulators is loaded once, advanced over a range of `k` and
+//! stored once, reading each operand through an `Operand` view that
+//! says whether its rows are the steps of `k` (adjacent lanes, vector
+//! loads) or the lanes themselves (`matmul`'s left operand, both of
+//! `matmul_transb`'s; gathered). Geometry (`product_rows`): pairs of
+//! output rows take 2 × 32 tiles while 32 columns remain; the remaining
+//! columns, an odd last row and every output narrower than 32 take
+//! single-row tiles of 16, 4 and 1 columns (`for_col_tiles`);
+//! `transa_matmul` walks `k` in blocks of `K_BLOCK` rows of both
+//! operands, so the block stays in cache while every tile passes over it.
+//!
+//! The body is instantiated twice — portably, and inside a
+//! `#[target_feature(enable = "avx2")]` entry point that
+//! `is_x86_feature_detected!` selects once per product ([`kernel_lanes`]
+//! reports which). The identity contract makes the choice invisible:
+//! every output element accumulates over ascending `k` with plain `*` and
+//! `+` (no FMA, no `mul_add`, no reassociation), and the per-(row, `k`)
+//! `a == 0` skip of `matmul` / `transa_matmul` holds on every path, so
+//! tile shape, `k`-blocking, instruction set and pool width never change
+//! a bit. AVX-512 was measured and left out: at the layer shapes it read
+//! within a few percent of AVX2 (the prototype 42–50 vs 46–50 GFLOPS,
+//! this PR 3–9 % on a host that varies ±10 % run to run) — not a third
+//! instantiation's worth, so one wide instantiation is all there is.
 //!
 //! Each variant also has a crate-private `*_into` form that writes into a
 //! caller-owned matrix, which is how the layers keep their buffers across
@@ -38,68 +54,199 @@ fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
     }
 }
 
-/// Runs `$kernel::<N>(args.., j)` over output columns `j..j + N`, taking
-/// 16 columns while at least 16 remain (four SSE registers of
-/// accumulators), then 4, then 1 — so no kernel needs a separate scalar
-/// remainder loop.
+/// Runs `$tile` with `$j` at each tile start over columns `$from..$cols`
+/// and `$n` the tile's width as a constant: 16 columns while at least 16
+/// remain (four SSE registers of accumulators), then 4, then 1 — so no
+/// kernel needs a separate scalar remainder loop.
 macro_rules! for_col_tiles {
-    ($cols:expr, $kernel:ident($($arg:expr),*)) => {{
-        let cols: usize = $cols;
-        let mut j = 0;
-        while cols - j >= 16 {
-            $kernel::<16>($($arg,)* j);
-            j += 16;
-        }
-        while cols - j >= 4 {
-            $kernel::<4>($($arg,)* j);
-            j += 4;
-        }
-        while j < cols {
-            $kernel::<1>($($arg,)* j);
-            j += 1;
+    ($j:ident in $from:expr, $cols:expr; $n:ident => $tile:expr) => {{
+        let (mut $j, cols): (usize, usize) = ($from, $cols);
+        for_col_tiles!(@while $j, cols, $n = 16, $tile);
+        for_col_tiles!(@while $j, cols, $n = 4, $tile);
+        for_col_tiles!(@while $j, cols, $n = 1, $tile);
+    }};
+    (@while $j:ident, $cols:ident, $n:ident = $width:literal, $tile:expr) => {{
+        const $n: usize = $width;
+        while $cols - $j >= $n {
+            $tile;
+            $j += $n;
         }
     }};
 }
+pub(crate) use for_col_tiles;
 
-/// Columns `j..j + N` of one `matmul` output row:
-/// `out_row[c] += Σ_k a_row[k] · b[k][c]`, ascending `k`, skipping
-/// `a == 0`.
-#[inline(always)]
-fn matmul_tile<const N: usize>(a_row: &[f32], b: &Matrix, out_row: &mut [f32], j: usize) {
-    let mut acc = [0.0f32; N];
-    acc.copy_from_slice(&out_row[j..j + N]);
-    for (&a, b_row) in a_row.iter().zip(b.data.chunks_exact(b.cols)) {
-        if a == 0.0 {
-            continue;
-        }
-        for (acc, &b) in acc.iter_mut().zip(&b_row[j..j + N]) {
-            *acc += a * b;
-        }
-    }
-    out_row[j..j + N].copy_from_slice(&acc);
+/// Rows of both operands that `Aᵀ·B` walks per pass over its output: the
+/// block (64 rows of a 128-wide and a 32-wide operand are 40 KB) stays in
+/// cache while every output tile is loaded, advanced 64 steps of `k` and
+/// stored once.
+const K_BLOCK: usize = 64;
+
+/// One operand of a product as its tiles read it: `lanes` output rows (the
+/// left operand) or columns (the right one) by `steps` values of `k`. A
+/// row-major matrix is `by_k` when its rows are the steps — a tile's lanes
+/// are then adjacent and load as vectors — and is gathered when its rows
+/// are the lanes.
+#[derive(Clone, Copy)]
+struct Operand<'m> {
+    m: &'m Matrix,
+    by_k: bool,
 }
 
-/// Columns `j..j + N` of one `matmul_transb` output row: `N` dot products
-/// `a_row · b[c]` advancing together over one pass of `a_row`, each over
-/// ascending `k` from zero.
-#[inline(always)]
-fn transb_tile<const N: usize>(a_row: &[f32], b: &Matrix, out_row: &mut [f32], j: usize) {
-    let b_rows: [&[f32]; N] = std::array::from_fn(|c| &b.row(j + c)[..a_row.len()]);
-    let mut acc = [0.0f32; N];
-    for (k, &a) in a_row.iter().enumerate() {
-        for (acc, b_row) in acc.iter_mut().zip(&b_rows) {
-            *acc += a * b_row[k];
+impl Operand<'_> {
+    /// `(lanes, steps)`.
+    #[inline(always)]
+    fn extent(self) -> (usize, usize) {
+        if self.by_k {
+            (self.m.cols, self.m.rows)
+        } else {
+            (self.m.rows, self.m.cols)
         }
     }
-    out_row[j..j + N].copy_from_slice(&acc);
+
+    /// What lane `l` contributes at step `k`.
+    ///
+    /// # Safety
+    ///
+    /// `l` and `k` must be inside [`Operand::extent`].
+    #[inline(always)]
+    unsafe fn at(self, l: usize, k: usize) -> f32 {
+        let (row, col) = if self.by_k { (k, l) } else { (l, k) };
+        // SAFETY: `row < rows` and `col < cols` by the caller's contract,
+        // and a `Matrix` holds `rows * cols` elements.
+        unsafe { *self.m.data.get_unchecked(row * self.m.cols + col) }
+    }
 }
 
-/// Columns `j..j + N` of one `transa_matmul` rank-1 update:
-/// `out_row[c] += a · b_row[c]`.
+/// How `aᵀ? · bᵀ?` reads `a` and `b`.
 #[inline(always)]
-fn axpy_tile<const N: usize>(a: f32, b_row: &[f32], out_row: &mut [f32], j: usize) {
-    for (o, &b) in out_row[j..j + N].iter_mut().zip(&b_row[j..j + N]) {
-        *o += a * b;
+fn operands<'m, const TA: bool, const TB: bool>(
+    a: &'m Matrix,
+    b: &'m Matrix,
+) -> (Operand<'m>, Operand<'m>) {
+    (Operand { m: a, by_k: TA }, Operand { m: b, by_k: !TB })
+}
+
+/// The one register-tile body: the `R × N` elements at rows `i..i + R`,
+/// columns `j..j + N` of a product each gain `Σ_k a(i + r, k) · b(j + c, k)`
+/// over `ks`; `out` holds exactly those `R` output rows. Every element
+/// accumulates over ascending `k` with plain `*` and `+`, and with `skip`
+/// a zero `a(i + r, k)` leaves row `r` alone at that `k` — so neither the
+/// tile shape nor the instruction set this is compiled for changes a bit
+/// of the result.
+///
+/// # Safety
+///
+/// `a` must extend to `i + R` lanes, `b` to `j + N`, both to `ks.end`
+/// steps.
+#[inline(always)]
+unsafe fn tile<const R: usize, const N: usize>(
+    skip: bool,
+    (a, b): (Operand, Operand),
+    ks: Range<usize>,
+    (i, j): (usize, usize),
+    out: &mut [f32],
+) {
+    let cols = out.len() / R;
+    let mut acc = [[0.0f32; N]; R];
+    for (acc, out_row) in acc.iter_mut().zip(out.chunks_exact(cols)) {
+        acc.copy_from_slice(&out_row[j..j + N]);
+    }
+    for k in ks {
+        // SAFETY: `r < R` and `k < ks.end`, inside `a` by this function's
+        // contract.
+        let a_k: [f32; R] = std::array::from_fn(|r| unsafe { a.at(i + r, k) });
+        for (acc, a_rk) in acc.iter_mut().zip(a_k) {
+            if skip && a_rk == 0.0 {
+                continue;
+            }
+            let mut b_k = [0.0f32; N];
+            for (c, b_kc) in b_k.iter_mut().enumerate() {
+                // SAFETY: `c < N` and `k < ks.end`, inside `b` likewise.
+                *b_kc = unsafe { b.at(j + c, k) };
+            }
+            for (acc, b_kc) in acc.iter_mut().zip(b_k) {
+                *acc += a_rk * b_kc;
+            }
+        }
+    }
+    for (acc, out_row) in acc.iter().zip(out.chunks_exact_mut(cols)) {
+        out_row[j..j + N].copy_from_slice(acc);
+    }
+}
+
+/// Output rows `rows` of `aᵀ? · bᵀ?`, added into `out` (those rows,
+/// row-major; at least one row and one column). Tile geometry: pairs of
+/// rows take 2 × 32 tiles while 32 columns remain (eight AVX2 registers
+/// of accumulators, leaving room for a row of `b` and two broadcasts);
+/// the remaining columns, an odd last row and every output narrower than
+/// 32 run single-row tiles of 16, 4 and 1 columns — the instruction mix
+/// narrow outputs always ran. `aᵀ · b` walks `k` in [`K_BLOCK`]s, the
+/// other two in one piece. A zero of `a` is skipped unless `b` is
+/// transposed.
+#[inline(always)]
+fn product_rows<const TA: bool, const TB: bool>(
+    (a, b): (&Matrix, &Matrix),
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    let ab = operands::<TA, TB>(a, b);
+    let ((a_lanes, inner), (cols, b_steps)) = (ab.0.extent(), ab.1.extent());
+    assert!(
+        rows.end <= a_lanes && b_steps == inner && out.len() == rows.len() * cols,
+        "product out of bounds"
+    );
+    let k_block = if TA { K_BLOCK } else { inner.max(1) };
+    for k0 in (0..inner).step_by(k_block) {
+        let ks = k0..inner.min(k0 + k_block);
+        for (pair, out) in out.chunks_mut(2 * cols).enumerate() {
+            let i = rows.start + 2 * pair;
+            let mut wide = 0;
+            while out.len() == 2 * cols && cols - wide >= 32 {
+                // SAFETY: rows `i` and `i + 1` are in `rows` (`out` holds
+                // both), columns `wide..wide + 32` in `0..cols` and `ks`
+                // in `0..inner`, all of which the assertion above found
+                // inside the operands.
+                unsafe { tile::<2, 32>(!TB, ab, ks.clone(), (i, wide), out) };
+                wide += 32;
+            }
+            for (i, out) in (i..).zip(out.chunks_exact_mut(cols)) {
+                // SAFETY: likewise — row `i` is one `out` holds, columns
+                // `j..j + N` are in `0..cols`.
+                for_col_tiles!(j in wide, cols; N => unsafe {
+                    tile::<1, N>(!TB, ab, ks.clone(), (i, j), out)
+                });
+            }
+        }
+    }
+}
+
+/// [`product_rows`] compiled for AVX2: the same body, eight lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn product_rows_avx2<const TA: bool, const TB: bool>(
+    ab: (&Matrix, &Matrix),
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
+    product_rows::<TA, TB>(ab, rows, out);
+}
+
+/// Whether the running CPU takes the AVX2 instantiation.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// `f32` lanes per vector register of the instantiation the products run
+/// on this CPU: 8 for AVX2, 4 for the portable one. Read-only — the
+/// choice is the CPU's, not a setting.
+pub fn kernel_lanes() -> usize {
+    if avx2_detected() {
+        8
+    } else {
+        4
     }
 }
 
@@ -212,9 +359,8 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// `self @ other` (ikj loop order for cache friendliness). Fans out
-    /// over the global pool when one is configured and the product is
-    /// large; see [`Matrix::matmul_with`].
+    /// `self @ other`. Fans out over the global pool when one is configured
+    /// and the product is large; see [`Matrix::matmul_with`].
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.matmul_into(other, &mut out);
@@ -225,22 +371,14 @@ impl Matrix {
     /// to the sequential [`Matrix::matmul`] at every pool size.
     pub fn matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         let mut out = Matrix::default();
-        self.matmul_on(other, Some(pool), &mut out);
+        self.product_on::<false, false>(other, Some(pool), &mut out);
         out
     }
 
     /// [`Matrix::matmul`] into `out`'s storage.
     pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         let pool = par_pool(self.rows * self.cols * other.cols);
-        self.matmul_on(other, pool.as_deref(), out);
-    }
-
-    fn matmul_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        out.reset(self.rows, other.cols);
-        out.for_each_row(pool, |i, out_row| {
-            for_col_tiles!(out_row.len(), matmul_tile(self.row(i), other, out_row));
-        });
+        self.product_on::<false, false>(other, pool.as_deref(), out);
     }
 
     /// `self @ other.T`. Fans out like [`Matrix::matmul`].
@@ -253,22 +391,14 @@ impl Matrix {
     /// `self @ other.T` with output rows fanned across `pool`.
     pub fn matmul_transb_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         let mut out = Matrix::default();
-        self.matmul_transb_on(other, Some(pool), &mut out);
+        self.product_on::<false, true>(other, Some(pool), &mut out);
         out
     }
 
     /// [`Matrix::matmul_transb`] into `out`'s storage.
     pub(crate) fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
         let pool = par_pool(self.rows * self.cols * other.rows);
-        self.matmul_transb_on(other, pool.as_deref(), out);
-    }
-
-    fn matmul_transb_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_transb shape mismatch");
-        out.reset(self.rows, other.rows);
-        out.for_each_row(pool, |i, out_row| {
-            for_col_tiles!(out_row.len(), transb_tile(self.row(i), other, out_row));
-        });
+        self.product_on::<false, true>(other, pool.as_deref(), out);
     }
 
     /// `self.T @ other`. Fans out like [`Matrix::matmul`].
@@ -279,61 +409,55 @@ impl Matrix {
     }
 
     /// `self.T @ other` with output rows fanned across `pool`: each chunk
-    /// runs the same `k`-outer loop restricted to its output rows, so
-    /// every output element sees the identical float-add sequence and the
+    /// walks the same `k`-blocks restricted to its output rows, so every
+    /// output element sees the identical float-add sequence and the
     /// result is bit-identical.
     pub fn transa_matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
         let mut out = Matrix::default();
-        self.transa_matmul_on(other, Some(pool), &mut out);
+        self.product_on::<true, false>(other, Some(pool), &mut out);
         out
     }
 
     /// [`Matrix::transa_matmul`] into `out`'s storage.
     pub(crate) fn transa_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         let pool = par_pool(self.rows * self.cols * other.cols);
-        self.transa_matmul_on(other, pool.as_deref(), out);
+        self.product_on::<true, false>(other, pool.as_deref(), out);
     }
 
-    fn transa_matmul_on(&self, other: &Matrix, pool: Option<&ThreadPool>, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "transa_matmul shape mismatch");
-        out.reset(self.cols, other.cols);
+    /// `out = selfᵀ? · otherᵀ?`, transposing as `TA` and `TB` say, on the
+    /// instantiation the CPU selects.
+    fn product_on<const TA: bool, const TB: bool>(
+        &self,
+        other: &Matrix,
+        pool: Option<&ThreadPool>,
+        out: &mut Matrix,
+    ) {
+        self.product_via::<TA, TB>(other, pool, avx2_detected(), out);
+    }
+
+    /// [`Matrix::product_on`] with the instantiation named — the AVX2 one
+    /// only if `avx2` says the CPU has it: shapes `out` and runs the
+    /// kernel over disjoint chunks of output rows.
+    fn product_via<const TA: bool, const TB: bool>(
+        &self,
+        other: &Matrix,
+        pool: Option<&ThreadPool>,
+        avx2: bool,
+        out: &mut Matrix,
+    ) {
+        let (a, b) = operands::<TA, TB>(self, other);
+        let ((rows, inner), (cols, other_inner)) = (a.extent(), b.extent());
+        assert_eq!(inner, other_inner, "matmul shape mismatch");
+        assert!(!avx2 || avx2_detected(), "AVX2 kernels need an AVX2 CPU");
+        out.reset(rows, cols);
         out.for_row_chunks(pool, |rows, chunk| {
-            self.transa_matmul_rows(rows, other, chunk)
-        });
-    }
-
-    /// Output rows `rows` of `self.T @ other`, added into `out`
-    /// (`rows.len() × other.cols`, row-major). `k`-outer: row `k` of both
-    /// operands is read once, and output row `i` gains
-    /// `self[k][i] · other[k]` — ascending `k` per output element, with
-    /// the `a == 0` skip, exactly as a per-row walk down column `i` adds
-    /// them, but streaming `self` instead of striding through it.
-    fn transa_matmul_rows(&self, rows: Range<usize>, other: &Matrix, out: &mut [f32]) {
-        for (a_row, b_row) in self
-            .data
-            .chunks_exact(self.cols)
-            .zip(other.data.chunks_exact(other.cols))
-        {
-            for (&a, out_row) in a_row[rows.clone()]
-                .iter()
-                .zip(out.chunks_exact_mut(other.cols))
-            {
-                if a == 0.0 {
-                    continue;
-                }
-                for_col_tiles!(b_row.len(), axpy_tile(a, b_row, out_row));
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: `product_rows_avx2`'s one requirement is AVX2,
+                // which the assertion above found on the running CPU.
+                return unsafe { product_rows_avx2::<TA, TB>((self, other), rows, chunk) };
             }
-        }
-    }
-
-    /// Calls `f(i, row_i)` for every row, fanned across `pool` when one is
-    /// given.
-    fn for_each_row(&mut self, pool: Option<&ThreadPool>, f: impl Fn(usize, &mut [f32]) + Sync) {
-        let cols = self.cols;
-        self.for_row_chunks(pool, |rows, chunk| {
-            for (i, row) in rows.zip(chunk.chunks_exact_mut(cols)) {
-                f(i, row);
-            }
+            product_rows::<TA, TB>((self, other), rows, chunk)
         });
     }
 
@@ -392,16 +516,14 @@ impl Matrix {
     }
 
     /// In-place ReLU; `mask` is overwritten with the activation mask for
-    /// backprop (its allocation is reused).
+    /// backprop (its allocation is reused). One pass writes both: whatever
+    /// is not `> 0` — negatives, `-0.0`, `NaN` — becomes `0.0`, inactive.
     pub fn relu_inplace(&mut self, mask: &mut Vec<bool>) {
-        mask.clear();
-        mask.extend(self.data.iter_mut().map(|a| {
-            let active = *a > 0.0;
-            if !active {
-                *a = 0.0;
-            }
-            active
-        }));
+        mask.resize(self.data.len(), false);
+        for (a, active) in self.data.iter_mut().zip(mask.iter_mut()) {
+            *active = *a > 0.0;
+            *a = if *active { *a } else { 0.0 };
+        }
     }
 
     /// Applies the stored ReLU mask to a gradient (in place).
@@ -471,6 +593,13 @@ mod tests {
         let mut g = Matrix::from_vec(1, 4, vec![1., 1., 1., 1.]);
         g.relu_backward_inplace(&mask);
         assert_eq!(g.data(), &[0., 1., 0., 1.]);
+        // `NaN` and `-0.0` are not `> 0`: both become `+0.0`, inactive —
+        // and the mask, now stale and longer, is overwritten again.
+        let mut m = Matrix::from_vec(1, 3, vec![f32::NAN, -0.0, f32::MIN_POSITIVE]);
+        m.relu_inplace(&mut mask);
+        let bits: Vec<u32> = m.data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [0, 0, f32::MIN_POSITIVE.to_bits()]);
+        assert_eq!(mask, vec![false, false, true]);
     }
 
     #[test]
@@ -612,6 +741,179 @@ mod tests {
                 bits(&scalar_transa(&a, &wide)),
                 "{cols}"
             );
+        }
+    }
+
+    /// `aᵀ? · bᵀ?` by the scalar triple loop the kernels must equal:
+    /// every element over ascending `k` from zero, `a == 0` skipped unless
+    /// `b` is transposed.
+    fn scalar_product(ta: bool, tb: bool, a: &Matrix, b: &Matrix) -> Matrix {
+        let (rows, inner) = if ta {
+            (a.cols, a.rows)
+        } else {
+            (a.rows, a.cols)
+        };
+        let cols = if tb { b.rows } else { b.cols };
+        let mut out = Matrix::zeros(rows, cols);
+        for i in 0..rows {
+            for k in 0..inner {
+                let av = if ta { a.get(k, i) } else { a.get(i, k) };
+                if !tb && av == 0.0 {
+                    continue;
+                }
+                for j in 0..cols {
+                    let bv = if tb { b.get(j, k) } else { b.get(k, j) };
+                    out.data[i * cols + j] += av * bv;
+                }
+            }
+        }
+        out
+    }
+
+    /// The product on one named path: instantiation × pool.
+    fn product_via(
+        (ta, tb): (bool, bool),
+        (a, b): (&Matrix, &Matrix),
+        pool: Option<&ThreadPool>,
+        avx2: bool,
+    ) -> Matrix {
+        let mut out = Matrix::default();
+        match (ta, tb) {
+            (false, false) => a.product_via::<false, false>(b, pool, avx2, &mut out),
+            (false, true) => a.product_via::<false, true>(b, pool, avx2, &mut out),
+            (true, false) => a.product_via::<true, false>(b, pool, avx2, &mut out),
+            (true, true) => unreachable!("no layer needs aᵀ · bᵀ"),
+        }
+        out
+    }
+
+    /// Bits, with every `NaN` as one value: which operand's payload an add
+    /// of two `NaN`s keeps is the one thing the instruction set may choose.
+    fn bits(m: &Matrix) -> Vec<u32> {
+        let canonical = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        m.data().iter().map(canonical).collect()
+    }
+
+    /// Asserts that every instantiation this CPU can run — the portable
+    /// one always, called directly — gives `want` sequentially and on
+    /// pools of 1, 2, 4 and 8 threads.
+    fn assert_every_path(op: (bool, bool), ab: (&Matrix, &Matrix), pools: &[ThreadPool]) {
+        let want = bits(&scalar_product(op.0, op.1, ab.0, ab.1));
+        for avx2 in [false, true] {
+            if avx2 && !avx2_detected() {
+                continue;
+            }
+            let pools = pools.iter().map(Some);
+            for pool in std::iter::once(None).chain(pools) {
+                let got = product_via(op, ab, pool, avx2);
+                let at = format!(
+                    "{op:?} {}x{} · {}x{}, avx2 {avx2}, {:?} threads",
+                    ab.0.rows,
+                    ab.0.cols,
+                    ab.1.rows,
+                    ab.1.cols,
+                    pool.map(ThreadPool::threads)
+                );
+                assert_eq!(bits(&got), want, "{at}");
+            }
+        }
+    }
+
+    const PRODUCTS: [(bool, bool); 3] = [(false, false), (false, true), (true, false)];
+
+    /// `rows × cols` operands of `op` for an `r × inner` by `inner × c`
+    /// product, a `zeros`-th of the left one's elements zeroed.
+    fn random_operands(
+        (ta, tb): (bool, bool),
+        (r, inner, c): (usize, usize, usize),
+        zeros: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> (Matrix, Matrix) {
+        let mut a = if ta {
+            Matrix::xavier(inner, r, rng)
+        } else {
+            Matrix::xavier(r, inner, rng)
+        };
+        if zeros > 0 {
+            for v in a.data_mut().iter_mut() {
+                if rng.gen_range(0..zeros) == 0 {
+                    *v = 0.0;
+                }
+            }
+        }
+        let b = if tb {
+            Matrix::xavier(c, inner, rng)
+        } else {
+            Matrix::xavier(inner, c, rng)
+        };
+        (a, b)
+    }
+
+    /// Every instantiation of the three products against the scalar loop,
+    /// bit for bit: random shapes around the tile and `k`-block edges
+    /// (odd row counts, 32-wide tiles with and without remainders, inner
+    /// dimensions that end inside a `k`-block), empty operands, and a
+    /// left operand with no, a fifth and half of its elements zero.
+    #[test]
+    fn every_instantiation_matches_the_scalar_loop_bitwise() {
+        let pools: Vec<ThreadPool> = [1, 2, 4, 8].map(ThreadPool::new).into();
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let edges = [
+            (0, 0, 0),
+            (0, 5, 3),
+            (3, 0, 5),
+            (3, 5, 0),
+            (1, 1, 1),
+            (2, 64, 32),
+            (3, 65, 33),
+            (5, 128, 64),
+            (7, 129, 70),
+            (70, 150, 67),
+        ];
+        let random = (0..40).map(|_| {
+            (
+                rng.gen_range(0..71usize),
+                rng.gen_range(0..151usize),
+                rng.gen_range(0..71usize),
+            )
+        });
+        let shapes: Vec<_> = edges.into_iter().chain(random).collect();
+        for (n, &shape) in shapes.iter().enumerate() {
+            for op in PRODUCTS {
+                let (a, b) = random_operands(op, shape, [0, 5, 2][n % 3], &mut rng);
+                assert_every_path(op, (&a, &b), &pools);
+            }
+        }
+    }
+
+    /// What the skip means: where `a` is zero, `b` is not read into the
+    /// sum — `±∞` and `NaN` there leave `a · b` and `aᵀ · b` finite on
+    /// every path, while `a · bᵀ`, which never skipped, turns `NaN` on
+    /// every path alike.
+    #[test]
+    fn a_zero_skips_infinities_and_nans_on_every_path() {
+        let pools: Vec<ThreadPool> = [1, 2, 4, 8].map(ThreadPool::new).into();
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for op @ (ta, tb) in PRODUCTS {
+            // 5 × 70 by 70 × 67: wide tiles, remainders, two `k`-blocks.
+            let (mut a, mut b) = random_operands(op, (5, 70, 67), 0, &mut rng);
+            for k in [0, 63, 64, 69] {
+                for l in 0..5 {
+                    let (row, col) = if ta { (k, l) } else { (l, k) };
+                    a.set(row, col, 0.0);
+                }
+                for l in 0..67 {
+                    let (row, col) = if tb { (l, k) } else { (k, l) };
+                    b.set(row, col, specials[(k + l) % 3]);
+                }
+            }
+            assert_every_path(op, (&a, &b), &pools);
+            let finite = scalar_product(ta, tb, &a, &b)
+                .data()
+                .iter()
+                .all(|v| v.is_finite());
+            assert_eq!(finite, !tb, "{op:?}");
         }
     }
 
