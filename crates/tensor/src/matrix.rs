@@ -129,10 +129,10 @@ fn operands<'m, const TA: bool, const TB: bool>(
 /// The one register-tile body: the `R × N` elements at rows `i..i + R`,
 /// columns `j..j + N` of a product each gain `Σ_k a(i + r, k) · b(j + c, k)`
 /// over `ks`; `out` holds exactly those `R` output rows. Every element
-/// accumulates over ascending `k` with plain `*` and `+`, and with `skip`
-/// a zero `a(i + r, k)` leaves row `r` alone at that `k` — so neither the
-/// tile shape nor the instruction set this is compiled for changes a bit
-/// of the result.
+/// accumulates over ascending `k` with plain `*` and `+`, and unless `b`
+/// is read transposed a zero `a(i + r, k)` leaves row `r` alone at that
+/// `k` — so neither the tile shape nor the instruction set this is
+/// compiled for changes a bit of the result.
 ///
 /// # Safety
 ///
@@ -140,7 +140,6 @@ fn operands<'m, const TA: bool, const TB: bool>(
 /// steps.
 #[inline(always)]
 unsafe fn tile<const R: usize, const N: usize>(
-    skip: bool,
     (a, b): (Operand, Operand),
     ks: Range<usize>,
     (i, j): (usize, usize),
@@ -156,7 +155,7 @@ unsafe fn tile<const R: usize, const N: usize>(
         // contract.
         let a_k: [f32; R] = std::array::from_fn(|r| unsafe { a.at(i + r, k) });
         for (acc, a_rk) in acc.iter_mut().zip(a_k) {
-            if skip && a_rk == 0.0 {
+            if b.by_k && a_rk == 0.0 {
                 continue;
             }
             let mut b_k = [0.0f32; N];
@@ -206,14 +205,14 @@ fn product_rows<const TA: bool, const TB: bool>(
                 // both), columns `wide..wide + 32` in `0..cols` and `ks`
                 // in `0..inner`, all of which the assertion above found
                 // inside the operands.
-                unsafe { tile::<2, 32>(!TB, ab, ks.clone(), (i, wide), out) };
+                unsafe { tile::<2, 32>(ab, ks.clone(), (i, wide), out) };
                 wide += 32;
             }
             for (i, out) in (i..).zip(out.chunks_exact_mut(cols)) {
                 // SAFETY: likewise — row `i` is one `out` holds, columns
                 // `j..j + N` are in `0..cols`.
                 for_col_tiles!(j in wide, cols; N => unsafe {
-                    tile::<1, N>(!TB, ab, ks.clone(), (i, j), out)
+                    tile::<1, N>(ab, ks.clone(), (i, j), out)
                 });
             }
         }
