@@ -15,6 +15,9 @@
 //! - **Drained-requires-no-leases**: a consumer never observes
 //!   `Drained` while a crashed sibling's lease could still be replayed;
 //! - **lease-count conservation** at every quiescent point;
+//! - **idle is one read**: `is_idle()` never calls a queue idle while a
+//!   batch is in flight across a supervisor's `reclaim`, where the same
+//!   predicate composed from two locked reads is caught doing so;
 //! - **the wake rule loses nobody**: a producer parked at capacity is
 //!   woken at the low watermark even when a multi-lease pop steps over
 //!   the mark, an enqueue finds the consumer that parked before it, and
@@ -25,7 +28,7 @@
 //! a missing notification is an immediate deadlock report rather than
 //! something a spurious wake could paper over.
 
-use gnnlab_chk::{check, Config, Mode, Report};
+use gnnlab_chk::{check, Config, Mode, ModelError, Report};
 use gnnlab_core::queue::{DequeueError, EnqueueError, GlobalQueue};
 use gnnlab_par::worker::handoff_pair;
 use std::sync::Arc;
@@ -37,8 +40,8 @@ const SUITE_SCHEDULE_FLOOR: usize = 10_000;
 fn cfg(preemption_bound: usize) -> Config {
     Config {
         preemption_bound,
-        // The queue's monitoring counters (LocalTotals, gauges) are
-        // atomics with no control-flow influence; exploring their
+        // The queue's monitoring counters (peak depth, blocked time,
+        // gauges) are atomics with no control-flow influence; exploring their
         // interleavings would square the tree for no extra coverage.
         atomic_noise: false,
         // A lost wakeup must be a hard deadlock, not something a
@@ -141,9 +144,9 @@ fn no_lost_wakeup_across_close() {
     let report = check(cfg(2), || {
         let q = Arc::new(GlobalQueue::<u64>::bounded(2));
         let consumers: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|owner| {
                 let q = Arc::clone(&q);
-                gnnlab_chk::thread::spawn(move || match q.dequeue() {
+                gnnlab_chk::thread::spawn(move || match q.dequeue_leased(owner) {
                     Err(DequeueError::Drained) => {}
                     other => panic!("expected Drained, got {other:?}"),
                 })
@@ -186,8 +189,8 @@ fn no_lost_wakeup_across_poison() {
             }
         });
         let consumer = gnnlab_chk::thread::spawn(move || loop {
-            match q_cons.dequeue() {
-                Ok(_) => {}
+            match q_cons.dequeue_leased(1) {
+                Ok(lease) => q_cons.complete(lease.id),
                 Err(DequeueError::Poisoned(reason)) => {
                     assert_eq!(reason, "executor 7 crashed");
                     return;
@@ -217,8 +220,11 @@ fn no_deadlock_at_capacity() {
         let consumer = gnnlab_chk::thread::spawn(move || {
             let mut got = Vec::new();
             loop {
-                match q_cons.dequeue() {
-                    Ok(task) => got.push(*task),
+                match q_cons.dequeue_leased(1) {
+                    Ok(lease) => {
+                        got.push(*lease.task);
+                        q_cons.complete(lease.id);
+                    }
                     Err(DequeueError::Drained) => return got,
                     Err(e) => panic!("unexpected {e:?}"),
                 }
@@ -319,6 +325,66 @@ fn lease_count_conservation() {
     .expect("lease conservation must hold in every schedule");
     assert!(report.exhausted);
     println!("lease_count_conservation: {} schedules", report.schedules);
+}
+
+/// A consumer dies holding a lease; the supervisor reclaims it while a
+/// peer asks whether the queue is idle (the checkpoint gate's and a
+/// parked consumer's question). The batch is in flight the whole time —
+/// leased, then waiting again — so `idle` must never read true.
+fn idle_across_reclaim_scenario(idle: fn(&GlobalQueue<u64>) -> bool) {
+    let q = Arc::new(GlobalQueue::bounded(2));
+    q.enqueue(7u64).expect("queue is open");
+    let q_dead = Arc::clone(&q);
+    let dead = gnnlab_chk::thread::spawn(move || {
+        // Crash: exit holding the lease, never complete it.
+        q_dead.dequeue_leased(1).expect("one task is queued").id
+    });
+    let q_peer = Arc::clone(&q);
+    let peer = gnnlab_chk::thread::spawn(move || {
+        assert!(!idle(&q_peer), "idle read while a batch was in flight");
+    });
+    dead.join();
+    assert_eq!(q.reclaim(1), 1, "the dead consumer's lease is replayed");
+    peer.join();
+}
+
+/// `is_idle()` reads "nothing waiting, nothing leased" under one lock, so
+/// a reclaim cannot fall between its halves.
+#[test]
+fn is_idle_is_exact_across_a_reclaim() {
+    let report = check(cfg(2), || {
+        idle_across_reclaim_scenario(GlobalQueue::is_idle)
+    })
+    .expect("one locked read never calls a batch in flight idle");
+    assert!(report.exhausted);
+    println!(
+        "is_idle_is_exact_across_a_reclaim: {} schedules",
+        report.schedules
+    );
+}
+
+/// The twin: the same predicate from two locked reads, as the gate, the
+/// consumer's park check and `Shared::queue_drained` composed it before
+/// `is_idle()`. A reclaim between `remaining()` (the batch is leased) and
+/// `leased_count()` (it is waiting again) reads idle — the checker must
+/// find that schedule.
+#[test]
+fn idle_from_two_reads_is_caught_across_a_reclaim() {
+    let err = check(cfg(2), || {
+        idle_across_reclaim_scenario(|q| q.remaining() == 0 && q.leased_count() == 0)
+    })
+    .expect_err("a reclaim between the two reads must be found");
+    match &*err {
+        ModelError::Panic { message, .. } => assert!(
+            message.contains("in flight"),
+            "the report carries the assertion text: {message}"
+        ),
+        other => panic!("expected Panic, got {other}"),
+    }
+    println!(
+        "idle_from_two_reads_is_caught_across_a_reclaim: found in schedule {}",
+        err.schedule()
+    );
 }
 
 /// The low-watermark wake rule under a pop that steps over the mark.

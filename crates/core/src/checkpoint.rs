@@ -28,14 +28,14 @@
 //!
 //! Writes are atomic and torn-write-safe: the file is fully assembled in
 //! memory, written to `ckpt-<gen>.bin.tmp`, fsynced, renamed into place,
-//! and the directory is fsynced; only then is the plain-text `MANIFEST`
-//! (itself rewritten atomically) updated to list the new generation. A
-//! kill at *any* point leaves either the previous manifest (pointing at
-//! the previous good generation) or the new one — never a manifest entry
-//! for a torn file. [`load_latest`] walks the manifest newest-first,
-//! rejects any file whose magic/version/structure/CRC fails, counts torn
-//! leftovers (stray `.tmp` files, corrupt or truncated generations), and
-//! falls back to the newest generation that validates end to end.
+//! and the directory is fsynced. The rename is the commit record: the
+//! directory is its own index, with no manifest beside it, and a kill at
+//! *any* point leaves either a complete `ckpt-<gen>.bin` or a torn `.tmp`
+//! that is never a candidate. [`load_latest`] scans the `ckpt-*.bin`
+//! names newest-first, rejects any file whose magic/version/structure/
+//! CRC/cursor checks fail, counts torn leftovers (stray `.tmp` files,
+//! corrupt or truncated generations), and loads the newest generation
+//! that validates end to end.
 
 use crate::threaded::RecoveryReport;
 use gnnlab_tensor::{AdamState, Matrix, ModelKind};
@@ -50,9 +50,6 @@ pub const MAGIC: &[u8; 8] = b"GLABCKPT";
 pub const VERSION: u32 = 1;
 /// Generations retained on disk when the policy does not say otherwise.
 pub const DEFAULT_KEEP: usize = 3;
-/// Name of the plain-text manifest file inside the checkpoint directory.
-pub const MANIFEST: &str = "MANIFEST";
-const MANIFEST_HEADER: &str = "gnnlab-ckpt-manifest v1";
 
 // ---------------------------------------------------------------------------
 // Policy
@@ -267,8 +264,6 @@ pub enum CheckpointError {
     Io(std::io::Error),
     /// The file failed a structural or checksum validation.
     Corrupt(String),
-    /// A valid checkpoint belongs to a different run configuration.
-    Incompatible(String),
     /// A chaos kill-point fired midway through the write.
     KilledMidWrite,
 }
@@ -278,7 +273,6 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
-            CheckpointError::Incompatible(why) => write!(f, "incompatible checkpoint: {why}"),
             CheckpointError::KilledMidWrite => {
                 write!(f, "simulated kill during checkpoint write")
             }
@@ -783,7 +777,7 @@ pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
 }
 
 // ---------------------------------------------------------------------------
-// Filesystem: atomic write, manifest, latest-valid selection
+// Filesystem: atomic write, latest-valid selection
 // ---------------------------------------------------------------------------
 
 fn generation_filename(generation: u64) -> String {
@@ -801,84 +795,31 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     fs::File::open(dir)?.sync_all()
 }
 
-fn write_manifest(dir: &Path, generations: &[u64]) -> Result<(), CheckpointError> {
-    let mut text = String::from(MANIFEST_HEADER);
-    text.push('\n');
-    for g in generations {
-        text.push_str(&format!("{g} {}\n", generation_filename(*g)));
-    }
-    let tmp = dir.join(format!("{MANIFEST}.tmp"));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(text.as_bytes())?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, dir.join(MANIFEST))?;
-    fsync_dir(dir)?;
-    Ok(())
+/// File names in `dir`; a missing or unreadable directory has none.
+fn file_names(dir: &Path) -> impl Iterator<Item = String> {
+    fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|entry| entry.file_name().into_string().ok())
 }
 
-fn read_manifest(dir: &Path) -> Option<Vec<u64>> {
-    let text = fs::read_to_string(dir.join(MANIFEST)).ok()?;
-    let mut lines = text.lines();
-    if lines.next()? != MANIFEST_HEADER {
-        return None;
-    }
-    let mut gens = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (gen, name) = line.split_once(' ')?;
-        let g: u64 = gen.parse().ok()?;
-        if name != generation_filename(g) {
-            return None;
-        }
-        gens.push(g);
-    }
-    Some(gens)
-}
-
-/// Generations currently listed on disk, newest first: the manifest when
-/// it parses, otherwise a directory scan (a torn manifest must never
-/// strand otherwise-valid checkpoints).
-fn listed_generations(dir: &Path) -> Vec<u64> {
-    let mut gens = read_manifest(dir).unwrap_or_else(|| scan_generations(dir));
+/// The generations on disk, oldest first: every `ckpt-<gen>.bin` a
+/// directory scan finds. Each one's rename was its commit, so the scan
+/// is the whole index.
+fn scan_generations(dir: &Path) -> Vec<u64> {
+    let mut gens: Vec<u64> = file_names(dir)
+        .filter_map(|name| parse_generation(&name))
+        .collect();
     gens.sort_unstable();
     gens.dedup();
-    gens.reverse();
     gens
-}
-
-fn scan_generations(dir: &Path) -> Vec<u64> {
-    let mut gens = Vec::new();
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(g) = entry.file_name().to_str().and_then(parse_generation) {
-                gens.push(g);
-            }
-        }
-    }
-    gens
-}
-
-fn count_stray_tmp(dir: &Path) -> u64 {
-    let mut n = 0;
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(".bin.tmp") {
-                    n += 1;
-                }
-            }
-        }
-    }
-    n
 }
 
 /// Atomically writes `state` as generation `generation` into `dir`,
 /// returning the encoded byte count. The sequence is: assemble in
 /// memory → write `ckpt-<gen>.bin.tmp` → fsync → rename → fsync dir →
-/// prune generations beyond `keep` → rewrite `MANIFEST` atomically.
+/// prune generations beyond `keep`.
 ///
 /// `chaos.kill_mid_write == Some(generation)` aborts after writing half
 /// the temp file (no rename): the torn `.tmp` stays behind, exactly what
@@ -895,45 +836,43 @@ pub fn write_generation(
         std::thread::sleep(pause);
     }
     let bytes = encode(state, generation);
-    let final_path = dir.join(generation_filename(generation));
+    let killed = chaos.kill_mid_write == Some(generation);
+    let written = if killed {
+        &bytes[..bytes.len() / 2]
+    } else {
+        &bytes[..]
+    };
     let tmp_path = dir.join(format!("{}.tmp", generation_filename(generation)));
-    if chaos.kill_mid_write == Some(generation) {
-        let torn = &bytes[..bytes.len() / 2];
-        let mut f = fs::File::create(&tmp_path)?;
-        f.write_all(torn)?;
-        f.sync_all()?;
-        return Err(CheckpointError::KilledMidWrite);
-    }
     let mut f = fs::File::create(&tmp_path)?;
-    f.write_all(&bytes)?;
+    f.write_all(written)?;
     f.sync_all()?;
     drop(f);
-    fs::rename(&tmp_path, &final_path)?;
-    fsync_dir(dir)?;
-    // Prune, then publish the survivors in the manifest.
-    let mut gens = scan_generations(dir);
-    gens.sort_unstable();
-    let keep = keep.max(1);
-    while gens.len() > keep {
-        let old = gens.remove(0);
-        let _ = fs::remove_file(dir.join(generation_filename(old)));
+    if killed {
+        return Err(CheckpointError::KilledMidWrite);
     }
-    write_manifest(dir, &gens)?;
+    fs::rename(&tmp_path, dir.join(generation_filename(generation)))?;
+    fsync_dir(dir)?;
+    let gens = scan_generations(dir);
+    for old in &gens[..gens.len().saturating_sub(keep.max(1))] {
+        let _ = fs::remove_file(dir.join(generation_filename(*old)));
+    }
     Ok(bytes.len() as u64)
 }
 
 /// Selects and loads the newest valid generation in `dir`.
 ///
-/// Walks the manifest (or, if the manifest is missing or torn, a
-/// directory scan) newest-first, validating each candidate end to end;
-/// corrupt or truncated generations and stray `.tmp` files are counted
-/// in [`LoadOutcome::torn_detected`] and skipped, falling back to the
+/// Walks the directory's `ckpt-*.bin` generations newest-first,
+/// validating each candidate end to end; corrupt or truncated
+/// generations and stray `.tmp` files are counted in
+/// [`LoadOutcome::torn_detected`] and skipped, falling back to the
 /// previous generation. A missing or empty directory yields
 /// `loaded: None` — the caller starts fresh.
 pub fn load_latest(dir: &Path) -> LoadOutcome {
-    let mut torn = count_stray_tmp(dir);
+    let mut torn = file_names(dir)
+        .filter(|name| name.ends_with(".bin.tmp"))
+        .count() as u64;
     let mut loaded = None;
-    for generation in listed_generations(dir) {
+    for generation in scan_generations(dir).into_iter().rev() {
         match fs::read(dir.join(generation_filename(generation))) {
             Ok(bytes) => match decode(&bytes) {
                 Ok((state, stored_gen)) if stored_gen == generation => {
@@ -1114,16 +1053,26 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A `MANIFEST` an older writer left behind, listing only an older
+    /// generation, is just another file: the scan loads the newest valid
+    /// generation. (That writer published the manifest after the rename;
+    /// a kill between the two hid a complete generation from resume.)
     #[test]
-    fn missing_manifest_falls_back_to_directory_scan() {
-        let dir = test_dir("noscan");
-        let state = sample_state(4);
-        write_generation(&dir, 5, &state, 3, &ChaosPlan::default()).unwrap();
-        fs::remove_file(dir.join(MANIFEST)).unwrap();
+    fn stale_manifest_from_an_older_writer_is_ignored() {
+        let dir = test_dir("stale-manifest");
+        let (older, newer) = (sample_state(4), sample_state(8));
+        write_generation(&dir, 1, &older, 3, &ChaosPlan::default()).unwrap();
+        write_generation(&dir, 2, &newer, 3, &ChaosPlan::default()).unwrap();
+        fs::write(
+            dir.join("MANIFEST"),
+            "gnnlab-ckpt-manifest v1\n1 ckpt-00000001.bin\n",
+        )
+        .unwrap();
         let outcome = load_latest(&dir);
-        let (generation, loaded) = outcome.loaded.expect("scan finds the file");
-        assert_eq!(generation, 5);
-        assert_eq!(loaded, state);
+        assert_eq!(outcome.torn_detected, 0);
+        let (generation, loaded) = outcome.loaded.expect("the scan finds generation 2");
+        assert_eq!(generation, 2);
+        assert_eq!(loaded, newer);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1133,10 +1082,11 @@ mod tests {
         for generation in 1..=5 {
             write_generation(&dir, generation, &sample_state(4), 2, &ChaosPlan::default()).unwrap();
         }
-        let mut gens = scan_generations(&dir);
-        gens.sort_unstable();
-        assert_eq!(gens, vec![4, 5]);
-        assert_eq!(read_manifest(&dir), Some(vec![4, 5]));
+        assert_eq!(scan_generations(&dir), vec![4, 5]);
+        // The generations are the whole directory: no index, no temp.
+        let mut names: Vec<String> = file_names(&dir).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["ckpt-00000004.bin", "ckpt-00000005.bin"]);
         let _ = fs::remove_dir_all(&dir);
     }
 

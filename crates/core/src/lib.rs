@@ -29,8 +29,9 @@
 //!   table columns.
 
 //! - [`checkpoint`]: durable crash-safe checkpoint/resume — versioned,
-//!   CRC-checked, atomically-written generations plus the manifest-based
-//!   latest-valid selection the kill–resume chaos harness exercises.
+//!   CRC-checked, atomically-written generations, and the newest-first
+//!   directory scan for the latest valid one that the kill–resume chaos
+//!   harness exercises.
 
 pub mod checkpoint;
 pub mod driver;

@@ -3,56 +3,46 @@
 //! "GNNLab uses a global queue in the host memory to link two kinds of
 //! executors asynchronously … The concurrent queue would not be the
 //! bottleneck since the updates are infrequent." Samplers enqueue whole
-//! mini-batch samples; Trainers (and woken standby Trainers) dequeue
-//! them. The remaining-task count feeds the dynamic-switching profit
-//! metric (`M_r` in §5.3).
+//! mini-batch samples; Trainers (and woken standby Trainers) lease them.
+//! The remaining-task count feeds the dynamic-switching profit metric
+//! (`M_r` in §5.3).
 //!
-//! Unlike the seed's unbounded lock-free queue, this queue is
+//! The queue has one way in and one way out. DESIGN.md §4c ("The global
+//! queue") states the whole contract, the wake rule and the reclaim
+//! order; in short:
 //!
-//! * **bounded** — [`GlobalQueue::enqueue`] blocks once `capacity` tasks
-//!   are waiting, so Samplers cannot race arbitrarily far ahead of
-//!   Trainers and blow up host memory (the decoupled-pipeline failure
-//!   mode BGL and NeutronOrch both call out);
-//! * **blocking** — [`GlobalQueue::dequeue`] sleeps on a condition
-//!   variable instead of making idle Trainers spin, waking on enqueue,
-//!   close, or poison (with a periodic timeout as a lost-wakeup safety
-//!   net). A wake-up is a cross-thread hop, so it is sent only where
-//!   someone is parked to receive it: an enqueue signals consumers only
-//!   if one is waiting, and a dequeue signals producers only if one is
-//!   waiting *and* the depth has fallen to half the capacity — a full
-//!   queue wakes its Sampler once per half-capacity, not once per batch;
-//! * **closable** — the last Sampler calls [`GlobalQueue::close`];
-//!   blocked consumers drain what remains and then observe
-//!   [`DequeueError::Drained`];
-//! * **poisonable** — a crashed executor calls [`GlobalQueue::poison`];
-//!   every blocked producer and consumer wakes immediately with
-//!   [`EnqueueError::Poisoned`] / [`DequeueError::Poisoned`] so a panic
-//!   terminates the run in bounded time instead of deadlocking it;
-//! * **leasable** — [`GlobalQueue::dequeue_leased`] hands a consumer a
-//!   [`Lease`] instead of moving the task out: the queue keeps a
-//!   reference until [`GlobalQueue::complete`] confirms the batch
-//!   trained. If the owning executor dies first, the supervisor calls
-//!   [`GlobalQueue::reclaim`] and the batch is re-enqueued (at the
-//!   front, so replays do not starve) rather than lost — the replay
-//!   half of the fault-tolerance story. A closed queue only reports
-//!   [`DequeueError::Drained`] once *no leases remain outstanding*, so
-//!   a batch reclaimed at the last moment is still trained.
+//! * **bounded** — [`GlobalQueue::enqueue_many`] (and
+//!   [`GlobalQueue::enqueue`], a burst of one) blocks once `capacity`
+//!   tasks are waiting;
+//! * **blocking, leasable** — every dequeue is a [`Lease`]. One private
+//!   pop loop serves [`GlobalQueue::dequeue_leased`], its timed form and
+//!   its burst form: it sleeps until a task, a terminal state or the
+//!   deadline, and the queue keeps a reference until
+//!   [`GlobalQueue::complete`]. If the owner dies first,
+//!   [`GlobalQueue::reclaim`] re-enqueues its leases at the front, in
+//!   their original order;
+//! * **closable** — after [`GlobalQueue::close`] consumers observe
+//!   [`DequeueError::Drained`] once the queue is drained: closed, empty
+//!   *and* lease-free, so a batch reclaimed at the last moment is still
+//!   trained;
+//! * **poisonable** — [`GlobalQueue::poison`] wakes every blocked
+//!   producer and consumer with a `Poisoned` error;
+//! * **wake rule** — an enqueue signals consumers only if one is parked; a
+//!   pop signals producers only if one is parked *and* the depth is at or
+//!   under half the capacity.
 //!
-//! Occupancy counters live in an observability registry: a queue built
-//! with [`GlobalQueue::bounded_with_obs`] updates a `queue.depth` gauge
-//! on every enqueue and dequeue (last value + exact peak; the telemetry
-//! thread turns the gauge into a bounded wall-clock series), plus
-//! `queue.enqueued`/`queue.dequeued` counters, a `queue.capacity` gauge,
-//! and `queue.blocked_ns` for time spent blocked on either side. The
-//! registry is telemetry only: several queues may share one hub and their
-//! counters merge there, so the accessors ([`GlobalQueue::total_enqueued`]
-//! and friends) read queue-local atomics instead of the registry.
+//! Telemetry goes to an observability registry
+//! ([`GlobalQueue::bounded_with_obs`]): a `queue.depth` gauge,
+//! `queue.enqueued`/`queue.dequeued` counters, a `queue.capacity` gauge
+//! and `queue.blocked_ns`. Several queues may share one hub and merge
+//! there, so [`GlobalQueue::peak_depth`] and [`GlobalQueue::blocked_ns`]
+//! read queue-local atomics instead.
 
 use crate::sync::{AtomicU64, Condvar, Mutex, MutexGuard, Ordering};
 use gnnlab_obs::{names, Obs};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default capacity when none is given: deep enough to decouple bursts,
 /// shallow enough that a stalled Trainer back-pressures Samplers quickly.
@@ -71,7 +61,7 @@ pub enum EnqueueError {
     Poisoned(String),
 }
 
-/// Why a [`GlobalQueue::dequeue`] call returned no task.
+/// Why a [`GlobalQueue::dequeue_leased`] call returned no task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DequeueError {
     /// The queue was closed and every task has been consumed *and*
@@ -115,19 +105,13 @@ impl<T> State<T> {
     fn producer_due(&self, capacity: usize) -> bool {
         self.parked_producers > 0 && self.items.len() <= capacity / 2
     }
-}
 
-/// This queue's own lifetime totals. The registry counters under the
-/// same names are *telemetry*: several queues sharing one [`Obs`] merge
-/// their traffic there, so the accessors ([`GlobalQueue::total_enqueued`]
-/// and friends) must never read them back — that double-counted a
-/// sibling queue's traffic.
-#[derive(Debug, Default)]
-struct LocalTotals {
-    enqueued: AtomicU64,
-    dequeued: AtomicU64,
-    peak_depth: AtomicU64,
-    blocked_ns: AtomicU64,
+    /// Nothing waiting and nothing leased. With `closed`, that is
+    /// "drained": no task exists for a consumer, now or ever — a lease
+    /// still out may yet be reclaimed and replayed.
+    fn idle(&self) -> bool {
+        self.items.is_empty() && self.leased.is_empty()
+    }
 }
 
 /// A bounded, blocking MPMC queue in host memory with occupancy
@@ -140,22 +124,14 @@ pub struct GlobalQueue<T> {
     not_full: Condvar,
     capacity: usize,
     obs: Arc<Obs>,
-    totals: LocalTotals,
-}
-
-impl<T> Default for GlobalQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// This queue's own peak depth and blocked time. The registry
+    /// entries of the same meaning are telemetry that sibling queues on
+    /// one [`Obs`] merge into, so the accessors never read them back.
+    peak_depth: AtomicU64,
+    blocked_ns: AtomicU64,
 }
 
 impl<T> GlobalQueue<T> {
-    /// Creates an empty queue with [`DEFAULT_CAPACITY`] and a private
-    /// (wall-clock) registry.
-    pub fn new() -> Self {
-        Self::bounded(DEFAULT_CAPACITY)
-    }
-
     /// Creates an empty queue holding at most `capacity` tasks, with a
     /// private (wall-clock) registry.
     ///
@@ -190,19 +166,9 @@ impl<T> GlobalQueue<T> {
             not_full: Condvar::new(),
             capacity,
             obs,
-            totals: LocalTotals::default(),
+            peak_depth: AtomicU64::new(0),
+            blocked_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Creates an empty queue with [`DEFAULT_CAPACITY`] publishing into a
-    /// shared observability hub.
-    pub fn with_obs(obs: Arc<Obs>) -> Self {
-        Self::bounded_with_obs(DEFAULT_CAPACITY, obs)
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Publishes the current depth as a gauge only — cheap enough for
@@ -212,19 +178,17 @@ impl<T> GlobalQueue<T> {
     /// co-simulations), not per operation, so series memory no longer
     /// scales with traffic.
     fn note_depth(&self, depth: usize) {
-        self.totals
-            .peak_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
+        self.peak_depth.fetch_max(depth as u64, Ordering::Relaxed);
         self.obs.metrics.gauge_set(names::QUEUE_DEPTH, depth as f64);
     }
 
-    /// Records one blocking episode of `blocked_ns` nanoseconds under the
-    /// shared counter plus the side-specific histogram.
-    fn note_blocked(&self, histogram: &str, blocked_ns: u64) {
+    /// Books one blocking episode that began at `since` (if it blocked at
+    /// all) under the shared counter plus the side-specific histogram.
+    fn note_blocked(&self, histogram: &str, since: Option<u64>) {
+        let Some(t0) = since else { return };
+        let blocked_ns = self.obs.now_ns().saturating_sub(t0);
         if blocked_ns > 0 {
-            self.totals
-                .blocked_ns
-                .fetch_add(blocked_ns, Ordering::Relaxed);
+            self.blocked_ns.fetch_add(blocked_ns, Ordering::Relaxed);
             self.obs
                 .metrics
                 .counter_add(names::QUEUE_BLOCKED_NS, blocked_ns as f64);
@@ -274,69 +238,53 @@ impl<T> GlobalQueue<T> {
     where
         I: IntoIterator<Item = T>,
     {
-        let mut pending = items.into_iter();
-        let mut next = match pending.next() {
-            Some(item) => Arc::new(item),
-            None => return Ok(()),
-        };
+        let mut pending = items.into_iter().peekable();
+        if pending.peek().is_none() {
+            return Ok(());
+        }
         let mut blocked_since: Option<u64> = None;
-        let finish_blocked = |blocked_since: Option<u64>| {
-            if let Some(t0) = blocked_since {
-                self.note_blocked(
-                    names::QUEUE_ENQUEUE_BLOCK_NS,
-                    self.obs.now_ns().saturating_sub(t0),
-                );
-            }
-        };
         let mut state = self.state.lock();
-        loop {
+        let outcome = loop {
             if let Some(reason) = &state.poison {
-                let reason = reason.clone();
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(EnqueueError::Poisoned(reason));
+                break Err(EnqueueError::Poisoned(reason.clone()));
             }
             if state.closed {
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(EnqueueError::Closed);
+                break Err(EnqueueError::Closed);
             }
             // Admit as many tasks as the capacity allows in one critical
             // section, then wake the waiting consumers once.
             let mut admitted = 0u64;
             while state.items.len() < self.capacity {
+                let Some(item) = pending.next() else { break };
                 let id = state.next_id;
                 state.next_id += 1;
-                state.items.push_back((id, next));
+                state.items.push_back((id, Arc::new(item)));
                 admitted += 1;
-                match pending.next() {
-                    Some(item) => next = Arc::new(item),
-                    None => {
-                        let (depth, wake) = (state.items.len(), state.parked_consumers > 0);
-                        drop(state);
-                        self.flush_enqueued(admitted, depth, wake);
-                        finish_blocked(blocked_since);
-                        return Ok(());
-                    }
-                }
             }
-            if admitted > 0 {
-                let (depth, wake) = (state.items.len(), state.parked_consumers > 0);
-                drop(state);
-                self.flush_enqueued(admitted, depth, wake);
-                state = self.state.lock();
+            if admitted == 0 {
+                blocked_since.get_or_insert_with(|| self.obs.now_ns());
+                self.park_producer(&mut state);
                 continue;
             }
-            blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.park_producer(&mut state);
-        }
+            let (depth, wake) = (state.items.len(), state.parked_consumers > 0);
+            let done = pending.peek().is_none();
+            drop(state);
+            self.flush_enqueued(admitted, depth, wake);
+            if done {
+                self.note_blocked(names::QUEUE_ENQUEUE_BLOCK_NS, blocked_since);
+                return Ok(());
+            }
+            state = self.state.lock();
+        };
+        drop(state);
+        self.note_blocked(names::QUEUE_ENQUEUE_BLOCK_NS, blocked_since);
+        outcome
     }
 
     /// Publishes counters for one enqueue flush of `n` tasks and, if a
     /// consumer was parked when the flush left the lock (`wake`), wakes
     /// consumers (one for a single task; a full `notify_all` for bursts).
     fn flush_enqueued(&self, n: u64, depth: usize, wake: bool) {
-        self.totals.enqueued.fetch_add(n, Ordering::Relaxed);
         self.obs
             .metrics
             .counter_add(names::QUEUE_ENQUEUED, n as f64);
@@ -355,165 +303,115 @@ impl<T> GlobalQueue<T> {
         }
     }
 
-    /// Dequeues a task (Trainer side), blocking while the queue is empty
-    /// but still open. Returns [`DequeueError::Drained`] once the queue is
-    /// closed, empty and lease-free, or [`DequeueError::Poisoned`] as soon
-    /// as an executor crash is flagged. The task is *not* leased: the
-    /// queue forgets it immediately (no crash replay).
-    pub fn dequeue(&self) -> Result<Arc<T>, DequeueError> {
-        self.dequeue_deadline(None, None)
-            .map(|opt| gnnlab_par::invariant!(opt, "a deadline-free dequeue never times out").task)
-    }
-
-    /// [`GlobalQueue::dequeue`] with a timeout: returns `Ok(None)` if no
-    /// task arrived (and the queue neither drained nor poisoned) within
-    /// `timeout`.
-    pub fn dequeue_timeout(&self, timeout: Duration) -> Result<Option<Arc<T>>, DequeueError> {
-        Ok(self.dequeue_deadline(Some(timeout), None)?.map(|l| l.task))
-    }
-
-    /// Dequeues a task under lease for executor `owner`: the queue keeps a
-    /// reference until [`GlobalQueue::complete`] confirms it, so the
+    /// Dequeues a task under lease for executor `owner` (Trainer side),
+    /// blocking while the queue is empty but not drained: the queue keeps
+    /// a reference until [`GlobalQueue::complete`] confirms it, so the
     /// supervisor can [`GlobalQueue::reclaim`] and replay the batch if the
-    /// owner dies mid-flight.
+    /// owner dies mid-flight. Fails with [`DequeueError::Drained`] once
+    /// the queue is closed, empty and lease-free, or
+    /// [`DequeueError::Poisoned`] as soon as an executor crash is flagged.
     pub fn dequeue_leased(&self, owner: u32) -> Result<Lease<T>, DequeueError> {
-        self.dequeue_deadline(None, Some(owner))
-            .map(|opt| gnnlab_par::invariant!(opt, "a deadline-free dequeue never times out"))
+        self.pop_one(owner, None)
+            .map(|l| gnnlab_par::invariant!(l, "a deadline-free pop never times out"))
     }
 
     /// [`GlobalQueue::dequeue_leased`] with a timeout: returns `Ok(None)`
     /// if no task arrived (and the queue neither drained nor poisoned)
     /// within `timeout`. Consumers use this while a checkpoint quiesce is
     /// pending so they can alternate between draining leases and checking
-    /// the quiesce gate instead of blocking indefinitely.
+    /// the quiesce gate, and with a zero timeout to top up a prefetch slot
+    /// only if a task is already waiting.
     pub fn dequeue_leased_timeout(
         &self,
         owner: u32,
         timeout: Duration,
     ) -> Result<Option<Lease<T>>, DequeueError> {
-        self.dequeue_deadline(Some(timeout), Some(owner))
+        self.pop_one(owner, Some(timeout))
     }
 
     /// Dequeues up to `max` tasks under lease for `owner` with **one**
     /// lock/condvar round-trip: blocks like [`GlobalQueue::dequeue_leased`]
     /// until at least one task (or a terminal state) is available, then
-    /// drains up to `max` in FIFO order. The pipelined consumer uses this
-    /// to fill its train slot and prefetch slot together.
+    /// drains up to `max` in FIFO order. The runtime's consumer takes one
+    /// lease at a time; the perf harness and the model checks use this.
     pub fn dequeue_leased_many(
         &self,
         owner: u32,
         max: usize,
     ) -> Result<Vec<Lease<T>>, DequeueError> {
         assert!(max > 0, "dequeue_leased_many needs a positive max");
-        let mut state = self.state.lock();
-        let mut blocked_since: Option<u64> = None;
-        let finish_blocked = |blocked_since: Option<u64>| {
-            if let Some(t0) = blocked_since {
-                self.note_blocked(names::QUEUE_WAIT_NS, self.obs.now_ns().saturating_sub(t0));
-            }
-        };
-        loop {
-            if let Some(reason) = &state.poison {
-                let reason = reason.clone();
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Poisoned(reason));
-            }
-            if !state.items.is_empty() {
-                let mut leases = Vec::with_capacity(max.min(state.items.len()));
-                while leases.len() < max {
-                    let Some((id, task)) = state.items.pop_front() else {
-                        break;
-                    };
-                    state.leased.insert(id, (owner, Arc::clone(&task)));
-                    leases.push(Lease { id, task });
-                }
-                let (depth, wake) = (state.items.len(), state.producer_due(self.capacity));
-                drop(state);
-                let n = leases.len() as u64;
-                self.totals.dequeued.fetch_add(n, Ordering::Relaxed);
-                self.obs
-                    .metrics
-                    .counter_add(names::QUEUE_DEQUEUED, n as f64);
-                self.note_depth(depth);
-                finish_blocked(blocked_since);
-                if wake {
-                    Self::notify(&self.not_full, n);
-                }
-                return Ok(leases);
-            }
-            if state.closed && state.leased.is_empty() {
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Drained);
-            }
-            blocked_since.get_or_insert_with(|| self.obs.now_ns());
-            self.park_consumer(&mut state, WAIT_SLICE);
-        }
+        let mut leases = Vec::new();
+        self.pop(owner, max, None, |l| leases.push(l))
+            .map(|()| leases)
     }
 
-    fn dequeue_deadline(
+    fn pop_one(
         &self,
+        owner: u32,
         timeout: Option<Duration>,
-        lease_to: Option<u32>,
     ) -> Result<Option<Lease<T>>, DequeueError> {
-        // The deadline is computed once, before the first wait: every
-        // wakeup (including spurious ones) re-checks against this fixed
-        // instant, so no amount of condvar churn can extend the total
-        // wait past `timeout`. An unrepresentable deadline (overflow)
-        // degrades to "no timeout".
-        let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
-        let mut state = self.state.lock();
+        let mut slot = None;
+        self.pop(owner, 1, timeout, |l| slot = Some(l))
+            .map(|()| slot)
+    }
+
+    /// The one pop loop: blocks until a task, a terminal state or — with
+    /// a `timeout` — the deadline, then leases up to `max` tasks to
+    /// `owner` in FIFO order, handing each to `sink` under the lock. A
+    /// timeout returns `Ok(())` with `sink` never called. The deadline is
+    /// fixed before the first wait, so no amount of condvar churn extends
+    /// the total wait; without a timeout no clock is read unless the pop
+    /// blocks, and an unrepresentable deadline degrades to none.
+    fn pop(
+        &self,
+        owner: u32,
+        max: usize,
+        timeout: Option<Duration>,
+        mut sink: impl FnMut(Lease<T>),
+    ) -> Result<(), DequeueError> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let mut blocked_since: Option<u64> = None;
-        let finish_blocked = |blocked_since: Option<u64>| {
-            if let Some(t0) = blocked_since {
-                self.note_blocked(names::QUEUE_WAIT_NS, self.obs.now_ns().saturating_sub(t0));
-            }
-        };
-        loop {
+        let mut state = self.state.lock();
+        let outcome = loop {
             if let Some(reason) = &state.poison {
-                let reason = reason.clone();
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Poisoned(reason));
+                break Err(DequeueError::Poisoned(reason.clone()));
             }
-            if let Some((id, task)) = state.items.pop_front() {
-                if let Some(owner) = lease_to {
-                    state.leased.insert(id, (owner, Arc::clone(&task)));
+            if !state.items.is_empty() {
+                let st = &mut *state;
+                let n = st.items.len().min(max);
+                for (id, task) in st.items.drain(..n) {
+                    st.leased.insert(id, (owner, Arc::clone(&task)));
+                    sink(Lease { id, task });
                 }
-                let (depth, wake) = (state.items.len(), state.producer_due(self.capacity));
-                drop(state);
-                self.totals.dequeued.fetch_add(1, Ordering::Relaxed);
-                self.obs.metrics.counter_inc(names::QUEUE_DEQUEUED);
-                self.note_depth(depth);
-                finish_blocked(blocked_since);
-                if wake {
-                    self.not_full.notify_one();
-                }
-                return Ok(Some(Lease { id, task }));
+                break Ok(Some((n as u64, st.producer_due(self.capacity))));
             }
-            // Drained only once closed *and* every lease has resolved:
-            // an outstanding lease may yet be reclaimed and replayed.
-            if state.closed && state.leased.is_empty() {
-                drop(state);
-                finish_blocked(blocked_since);
-                return Err(DequeueError::Drained);
+            if state.closed && state.idle() {
+                break Err(DequeueError::Drained);
             }
-            let slice = match deadline {
-                Some(d) => {
-                    let left = d.saturating_duration_since(std::time::Instant::now());
-                    if left.is_zero() {
-                        drop(state);
-                        finish_blocked(blocked_since);
-                        return Ok(None);
-                    }
-                    left.min(WAIT_SLICE)
+            let mut slice = WAIT_SLICE;
+            if let Some(d) = deadline {
+                let left = d.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break Ok(None);
                 }
-                None => WAIT_SLICE,
-            };
+                slice = slice.min(left);
+            }
             blocked_since.get_or_insert_with(|| self.obs.now_ns());
             self.park_consumer(&mut state, slice);
+        };
+        let depth = state.items.len();
+        drop(state);
+        self.note_blocked(names::QUEUE_WAIT_NS, blocked_since);
+        if let Some((n, wake)) = outcome? {
+            self.obs
+                .metrics
+                .counter_add(names::QUEUE_DEQUEUED, n as f64);
+            self.note_depth(depth);
+            if wake {
+                Self::notify(&self.not_full, n);
+            }
         }
+        Ok(())
     }
 
     /// Confirms a leased task trained: the queue drops its reference. A
@@ -522,7 +420,7 @@ impl<T> GlobalQueue<T> {
     pub fn complete(&self, lease_id: u64) {
         let mut state = self.state.lock();
         state.leased.remove(&lease_id);
-        let drained = state.closed && state.items.is_empty() && state.leased.is_empty();
+        let drained = state.closed && state.idle();
         drop(state);
         if drained {
             self.not_empty.notify_all();
@@ -570,6 +468,21 @@ impl<T> GlobalQueue<T> {
         self.state.lock().leased.len()
     }
 
+    /// Nothing waiting and nothing leased, read under one lock. Two
+    /// separate reads (`remaining() == 0 && leased_count() == 0`) can
+    /// straddle a `reclaim`, which moves a lease back into the queue
+    /// between them, and call a busy queue idle.
+    pub fn is_idle(&self) -> bool {
+        self.state.lock().idle()
+    }
+
+    /// Closed and idle, read under one lock: nothing for consumers, now or
+    /// ever.
+    pub fn is_drained(&self) -> bool {
+        let state = self.state.lock();
+        state.closed && state.idle()
+    }
+
     /// Closes the queue: no further enqueues; consumers drain what is left
     /// and then observe [`DequeueError::Drained`]. Idempotent.
     pub fn close(&self) {
@@ -591,11 +504,6 @@ impl<T> GlobalQueue<T> {
         self.not_full.notify_all();
     }
 
-    /// Whether [`GlobalQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
-    }
-
     /// The poison reason, if an executor crashed.
     pub fn poison_reason(&self) -> Option<String> {
         self.state.lock().poison.clone()
@@ -607,34 +515,16 @@ impl<T> GlobalQueue<T> {
         self.state.lock().items.len()
     }
 
-    /// Total tasks ever enqueued *into this queue*. Backed by a
-    /// queue-local atomic — the registry counter of the same name is
-    /// shared telemetry and may include sibling queues' traffic.
-    pub fn total_enqueued(&self) -> usize {
-        self.totals.enqueued.load(Ordering::Relaxed) as usize
-    }
-
-    /// Total tasks ever dequeued from this queue (queue-local; see
-    /// [`GlobalQueue::total_enqueued`]).
-    pub fn total_dequeued(&self) -> usize {
-        self.totals.dequeued.load(Ordering::Relaxed) as usize
-    }
-
     /// Largest depth this queue ever reached (queue-local; the shared
     /// `queue.depth` gauge may mix sibling queues).
     pub fn peak_depth(&self) -> usize {
-        self.totals.peak_depth.load(Ordering::Relaxed) as usize
+        self.peak_depth.load(Ordering::Relaxed) as usize
     }
 
     /// Total nanoseconds producers and consumers spent blocked on this
-    /// queue (queue-local; see [`GlobalQueue::total_enqueued`]).
+    /// queue (queue-local, like [`GlobalQueue::peak_depth`]).
     pub fn blocked_ns(&self) -> u64 {
-        self.totals.blocked_ns.load(Ordering::Relaxed)
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.state.lock().items.is_empty()
+        self.blocked_ns.load(Ordering::Relaxed)
     }
 }
 
@@ -643,14 +533,18 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
-    /// `dequeue` unwrapped to the task value, for value assertions.
+    /// Leases one task, completes it, and returns its value.
     fn deq<T: Copy>(q: &GlobalQueue<T>) -> Result<T, DequeueError> {
-        q.dequeue().map(|t| *t)
+        q.dequeue_leased(0).map(|lease| {
+            q.complete(lease.id);
+            *lease.task
+        })
     }
 
     #[test]
     fn fifo_single_thread() {
-        let q = GlobalQueue::bounded(16);
+        let obs = Arc::new(Obs::wall());
+        let q = GlobalQueue::bounded_with_obs(16, Arc::clone(&obs));
         for i in 0..10 {
             q.enqueue(i).unwrap();
         }
@@ -659,13 +553,13 @@ mod tests {
             assert_eq!(deq(&q), Ok(i));
         }
         assert!(q
-            .dequeue_timeout(Duration::from_millis(1))
+            .dequeue_leased_timeout(0, Duration::from_millis(1))
             .unwrap()
             .is_none());
-        assert_eq!(q.total_enqueued(), 10);
-        assert_eq!(q.total_dequeued(), 10);
+        assert_eq!(obs.metrics.counter("queue.enqueued"), 10.0);
+        assert_eq!(obs.metrics.counter("queue.dequeued"), 10.0);
         assert_eq!(q.peak_depth(), 10);
-        assert_eq!(q.capacity(), 16);
+        assert_eq!(obs.metrics.gauge("queue.capacity").unwrap().last, 16.0);
     }
 
     #[test]
@@ -688,8 +582,8 @@ mod tests {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Ok(v) = q.dequeue() {
-                        got.push(*v);
+                    while let Ok(v) = deq(&q) {
+                        got.push(v);
                     }
                     got
                 })
@@ -716,15 +610,34 @@ mod tests {
 
     #[test]
     fn remaining_tracks_occupancy() {
-        let q = GlobalQueue::new();
+        let q = GlobalQueue::bounded(DEFAULT_CAPACITY);
         q.enqueue(1).unwrap();
         q.enqueue(2).unwrap();
         assert_eq!(q.remaining(), 2);
-        q.dequeue().unwrap();
+        deq(&q).unwrap();
         assert_eq!(q.remaining(), 1);
-        assert!(!q.is_empty());
-        q.dequeue().unwrap();
-        assert!(q.is_empty());
+        deq(&q).unwrap();
+        assert_eq!(q.remaining(), 0);
+    }
+
+    /// Idle is "nothing waiting and nothing leased"; drained adds
+    /// "closed". A lease out keeps an empty queue busy.
+    #[test]
+    fn idle_and_drained_count_leases_as_work() {
+        let q = GlobalQueue::bounded(2);
+        assert!(q.is_idle() && !q.is_drained());
+        q.enqueue(1).unwrap();
+        assert!(!q.is_idle());
+        let lease = q.dequeue_leased(0).unwrap();
+        assert_eq!(q.remaining(), 0);
+        assert!(!q.is_idle(), "a lease is still out");
+        q.close();
+        assert!(!q.is_drained(), "the lease may yet be reclaimed");
+        q.reclaim(0);
+        assert!(!q.is_idle(), "the replay waits in the queue");
+        assert_eq!(deq(&q), Ok(1));
+        assert!(q.is_idle() && q.is_drained());
+        drop(lease);
     }
 
     #[test]
@@ -733,7 +646,7 @@ mod tests {
         let q = GlobalQueue::bounded_with_obs(32, Arc::clone(&obs));
         q.enqueue("a").unwrap();
         q.enqueue("b").unwrap();
-        q.dequeue().unwrap();
+        deq(&q).unwrap();
         assert_eq!(obs.metrics.counter("queue.enqueued"), 2.0);
         assert_eq!(obs.metrics.counter("queue.dequeued"), 1.0);
         // Depth is gauge-only on the hot path: last value and exact peak,
@@ -754,24 +667,30 @@ mod tests {
         let obs = Arc::new(Obs::wall());
         let a = GlobalQueue::bounded_with_obs(8, Arc::clone(&obs));
         let b = GlobalQueue::bounded_with_obs(8, Arc::clone(&obs));
-        for i in 0..5 {
-            a.enqueue(i).unwrap();
+        a.enqueue_many(0..5).unwrap();
+        b.enqueue_many(0..3).unwrap();
+        deq(&a).unwrap();
+        deq(&a).unwrap();
+        for _ in 0..3 {
+            deq(&b).unwrap();
         }
-        for i in 0..3 {
-            b.enqueue(i).unwrap();
-        }
-        a.dequeue().unwrap();
-        a.dequeue().unwrap();
-        b.dequeue().unwrap();
-        assert_eq!(a.total_enqueued(), 5);
-        assert_eq!(b.total_enqueued(), 3);
-        assert_eq!(a.total_dequeued(), 2);
-        assert_eq!(b.total_dequeued(), 1);
+        // Only `b` blocks: a timed lease on its empty queue.
+        assert!(b
+            .dequeue_leased_timeout(0, Duration::from_millis(5))
+            .unwrap()
+            .is_none());
         assert_eq!(a.peak_depth(), 5);
         assert_eq!(b.peak_depth(), 3);
+        assert_eq!(a.blocked_ns(), 0);
+        assert!(b.blocked_ns() > 0, "b's wait went unaccounted");
         // The registry still carries the merged telemetry view.
         assert_eq!(obs.metrics.counter("queue.enqueued"), 8.0);
-        assert_eq!(obs.metrics.counter("queue.dequeued"), 3.0);
+        assert_eq!(obs.metrics.counter("queue.dequeued"), 5.0);
+        assert_eq!(
+            obs.metrics.counter("queue.blocked_ns"),
+            b.blocked_ns() as f64
+        );
+        assert_eq!(obs.metrics.gauge("queue.depth").unwrap().max, 5.0);
     }
 
     /// Satellite regression: a million enqueue/dequeues stay within the
@@ -784,7 +703,7 @@ mod tests {
         let q = GlobalQueue::bounded_with_obs(16, Arc::clone(&obs));
         for i in 0..500_000u64 {
             q.enqueue(i).unwrap();
-            q.dequeue().unwrap();
+            deq(&q).unwrap();
         }
         let cap = obs.metrics.series_cap();
         assert!(
@@ -801,7 +720,7 @@ mod tests {
         let q = Arc::new(GlobalQueue::bounded(4));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.enqueue(7).unwrap();
@@ -815,7 +734,7 @@ mod tests {
         let q: Arc<GlobalQueue<u32>> = Arc::new(GlobalQueue::bounded(4));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.close();
@@ -853,9 +772,10 @@ mod tests {
         let q = GlobalQueue::bounded(4);
         q.enqueue(1).unwrap();
         q.close();
-        assert!(q.is_closed());
+        assert!(!q.is_drained(), "closed with a task waiting");
         assert_eq!(q.enqueue(2), Err(EnqueueError::Closed));
         assert_eq!(deq(&q), Ok(1));
+        assert!(q.is_drained());
         assert_eq!(deq(&q), Err(DequeueError::Drained));
     }
 
@@ -886,7 +806,7 @@ mod tests {
         let q: Arc<GlobalQueue<i32>> = Arc::new(GlobalQueue::bounded(1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.poison("sampler 0 panicked");
@@ -901,7 +821,7 @@ mod tests {
         let q: GlobalQueue<u8> = GlobalQueue::bounded(1);
         let started = Instant::now();
         assert!(q
-            .dequeue_timeout(Duration::from_millis(30))
+            .dequeue_leased_timeout(0, Duration::from_millis(30))
             .unwrap()
             .is_none());
         assert!(started.elapsed() >= Duration::from_millis(25));
@@ -917,9 +837,10 @@ mod tests {
 
     #[test]
     fn enqueue_many_preserves_fifo_and_counts_one_flush() {
-        let q = GlobalQueue::bounded(16);
+        let obs = Arc::new(Obs::wall());
+        let q = GlobalQueue::bounded_with_obs(16, Arc::clone(&obs));
         q.enqueue_many(0..10).unwrap();
-        assert_eq!(q.total_enqueued(), 10);
+        assert_eq!(obs.metrics.counter("queue.enqueued"), 10.0);
         assert_eq!(q.remaining(), 10);
         for i in 0..10 {
             assert_eq!(deq(&q), Ok(i));
@@ -1051,13 +972,15 @@ mod tests {
         // Churners enqueue and instantly steal back, waking the timed
         // waiter over and over without (usually) leaving it anything.
         let churners: Vec<_> = (0..3)
-            .map(|_| {
+            .map(|c| {
                 let q = Arc::clone(&q);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         q.enqueue(1).unwrap();
-                        let _ = q.dequeue_timeout(Duration::ZERO);
+                        if let Ok(Some(lease)) = q.dequeue_leased_timeout(c + 1, Duration::ZERO) {
+                            q.complete(lease.id);
+                        }
                     }
                 })
             })
@@ -1066,7 +989,7 @@ mod tests {
         // 130ms crosses several WAIT_SLICE windows; whatever the waiter
         // observes (a stolen task or None), it must be back by then plus
         // scheduling slack.
-        let _ = q.dequeue_timeout(Duration::from_millis(130));
+        let _ = q.dequeue_leased_timeout(0, Duration::from_millis(130));
         let elapsed = started.elapsed();
         stop.store(true, Ordering::Relaxed);
         for t in churners {
@@ -1129,7 +1052,7 @@ mod tests {
         assert_eq!(q.reclaim(1), 2);
         assert_eq!(q.leased_count(), 1, "owner 0's lease must survive");
         // Replays come back before the fresh task 3 (front re-enqueue).
-        let replayed: Vec<i32> = (0..2).map(|_| *q.dequeue().unwrap()).collect();
+        let replayed: Vec<i32> = (0..2).map(|_| deq(&q).unwrap()).collect();
         let mut sorted = replayed.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 2]);
@@ -1151,7 +1074,7 @@ mod tests {
         let leases = q.dequeue_leased_many(4, 3).unwrap(); // tasks 0, 1, 2
         assert_eq!(leases.len(), 3);
         assert_eq!(q.reclaim(4), 3);
-        let replayed: Vec<i32> = (0..6).map(|_| *q.dequeue().unwrap()).collect();
+        let replayed: Vec<i32> = (0..6).map(|_| deq(&q).unwrap()).collect();
         assert_eq!(replayed, vec![0, 1, 2, 3, 4, 5], "replay broke FIFO order");
     }
 
@@ -1166,7 +1089,7 @@ mod tests {
         q.close();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         // Still blocked: closed but one lease outstanding.
@@ -1185,7 +1108,7 @@ mod tests {
         q.close();
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.dequeue().map(|t| *t))
+            std::thread::spawn(move || deq(&q))
         };
         std::thread::sleep(Duration::from_millis(20));
         q.complete(lease.id);

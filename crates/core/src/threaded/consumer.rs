@@ -383,7 +383,7 @@ impl<'a> Consumer<'a> {
             return sh.queue.dequeue_leased(owner).ok();
         }
         loop {
-            if sh.ckpt_requested() && sh.queue.remaining() == 0 && sh.queue.leased_count() == 0 {
+            if sh.ckpt_requested() && sh.queue.is_idle() {
                 sh.ckpt_park(false);
             }
             match sh.queue.dequeue_leased_timeout(owner, CKPT_POLL) {

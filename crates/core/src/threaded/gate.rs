@@ -172,7 +172,7 @@ impl Shared<'_> {
                 break;
             }
             if g.parked == g.participants && !g.closing {
-                let queue_busy = self.queue.remaining() > 0 || self.queue.leased_count() > 0;
+                let queue_busy = !self.queue.is_idle();
                 let book_busy = self.book.lock().has_open_claims();
                 if !queue_busy && !book_busy {
                     // This thread closes the round: write with the gate

@@ -652,11 +652,6 @@ impl Shared<'_> {
             .is_ok()
     }
 
-    /// Whether the queue has nothing left for consumers, now or ever.
-    pub(super) fn queue_drained(&self) -> bool {
-        self.queue.is_closed() && self.queue.remaining() == 0 && self.queue.leased_count() == 0
-    }
-
     /// Books `elapsed` as supervisor downtime for one absorbed crash.
     pub(super) fn note_downtime(&self, elapsed: Duration) {
         // Recovery is fast enough that a coarse clock can read 0; floor at

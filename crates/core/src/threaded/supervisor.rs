@@ -156,7 +156,7 @@ fn on_consumer_crash<'scope, 'env>(
         format!("Trainer {slot}")
     };
     let survivors = sh.consuming.lock().len();
-    let drained = sh.queue_drained();
+    let drained = sh.queue.is_drained();
     // A replacement is mandatory when the last consumer died with work
     // still queued; otherwise ask the §5.2 allocation rule whether the
     // surviving Trainer pool is already big enough.

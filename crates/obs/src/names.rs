@@ -162,7 +162,7 @@ pub fn executor_ewma(role: &str, slot: usize) -> String {
 }
 
 /// Histogram: wall nanoseconds of one durable checkpoint write (assemble
-/// + encode + temp-write + fsync + rename + manifest update).
+/// + encode + temp-write + fsync + rename + directory fsync + prune).
 pub const CKPT_WRITE_NS: &str = "ckpt.write_ns";
 /// Gauge: nanoseconds the most recent successful checkpoint write took;
 /// the `checkpoint_stall` alert fires when this exceeds its threshold

@@ -214,25 +214,6 @@ impl KHop {
 }
 
 impl SamplingAlgorithm for KHop {
-    fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample {
-        let mut bufs = SampleBuffers::new();
-        self.sample_with(csr, seeds, rng, &mut bufs)
-    }
-
-    fn sample_with(
-        &self,
-        csr: &Csr,
-        seeds: &[VertexId],
-        rng: &mut ChaCha8Rng,
-        bufs: &mut SampleBuffers,
-    ) -> Sample {
-        let mut out = Sample::default();
-        self.sample_into(csr, seeds, rng, bufs, &mut out);
-        out
-    }
-
-    /// The one real code path: `sample` and `sample_with` delegate here,
-    /// so buffer reuse cannot diverge from the allocating API.
     fn sample_into(
         &self,
         csr: &Csr,

@@ -43,29 +43,11 @@ use rand_chacha::ChaCha8Rng;
 /// Implementations must be deterministic given the RNG state and must not
 /// retain references into the graph.
 pub trait SamplingAlgorithm: Send + Sync {
-    /// Samples the `hops`-hop neighborhood of `seeds`.
-    fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample;
-
-    /// [`SamplingAlgorithm::sample`] with caller-owned scratch buffers, so
-    /// hot loops (Sampler threads, pre-sampling epochs) avoid per-batch
-    /// allocations. Output is byte-identical to `sample` for the same RNG
-    /// state. The default ignores the buffers; samplers with reusable
-    /// intermediates override it.
-    fn sample_with(
-        &self,
-        csr: &Csr,
-        seeds: &[VertexId],
-        rng: &mut ChaCha8Rng,
-        bufs: &mut SampleBuffers,
-    ) -> Sample {
-        let _ = bufs;
-        self.sample(csr, seeds, rng)
-    }
-
-    /// Fills a caller-owned [`Sample`] in place (clearing it first), so a
-    /// loop that drops each sample after use (PreSC pre-sampling) reuses
-    /// the output vectors too. Semantics match
-    /// [`SamplingAlgorithm::sample_with`].
+    /// Samples the neighborhood of `seeds` into a caller-owned [`Sample`]
+    /// (replacing its contents), with caller-owned scratch buffers. This
+    /// is the one method a sampler implements: a loop that recycles both
+    /// (PreSC pre-sampling, the held-out evaluation) reuses their
+    /// capacity, and the allocating forms below cannot diverge from it.
     fn sample_into(
         &self,
         csr: &Csr,
@@ -73,8 +55,24 @@ pub trait SamplingAlgorithm: Send + Sync {
         rng: &mut ChaCha8Rng,
         bufs: &mut SampleBuffers,
         out: &mut Sample,
-    ) {
-        *out = self.sample_with(csr, seeds, rng, bufs);
+    );
+
+    /// [`SamplingAlgorithm::sample_into`] a fresh [`Sample`].
+    fn sample_with(
+        &self,
+        csr: &Csr,
+        seeds: &[VertexId],
+        rng: &mut ChaCha8Rng,
+        bufs: &mut SampleBuffers,
+    ) -> Sample {
+        let mut out = Sample::default();
+        self.sample_into(csr, seeds, rng, bufs, &mut out);
+        out
+    }
+
+    /// [`SamplingAlgorithm::sample_with`] fresh scratch buffers.
+    fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample {
+        self.sample_with(csr, seeds, rng, &mut SampleBuffers::new())
     }
 
     /// Number of GNN layers the produced samples feed (= number of blocks).

@@ -101,23 +101,6 @@ impl RandomWalk {
 }
 
 impl SamplingAlgorithm for RandomWalk {
-    fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample {
-        self.sample_with(csr, seeds, rng, &mut SampleBuffers::new())
-    }
-
-    fn sample_with(
-        &self,
-        csr: &Csr,
-        seeds: &[VertexId],
-        rng: &mut ChaCha8Rng,
-        bufs: &mut SampleBuffers,
-    ) -> Sample {
-        let mut out = Sample::default();
-        self.sample_into(csr, seeds, rng, bufs, &mut out);
-        out
-    }
-
-    /// The one real code path, as in [`crate::KHop`].
     fn sample_into(
         &self,
         csr: &Csr,

@@ -10,7 +10,7 @@
 //! A subgraph sample trains all `L` layers on the *same* induced
 //! subgraph, so every [`LayerBlock`] shares one vertex set (dst == src).
 
-use crate::sample::{LayerBlock, Sample, SampleWork};
+use crate::sample::{LayerBlock, Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
 use rand::seq::SliceRandom;
@@ -93,20 +93,27 @@ impl ClusterGcn {
         }
     }
 
-    /// The cluster (id range) of vertex `v` in a graph of `n` vertices.
-    fn cluster_range(&self, v: VertexId, n: usize) -> (usize, usize) {
+    /// The members of vertex `v`'s cluster (an id range) in a graph of `n`
+    /// vertices.
+    fn cluster(&self, v: VertexId, n: usize) -> Vec<VertexId> {
         let width = n.div_ceil(self.num_clusters);
-        let c = (v as usize) / width;
-        (c * width, ((c + 1) * width).min(n))
+        let lo = (v as usize) / width * width;
+        (lo as VertexId..(lo + width).min(n) as VertexId).collect()
     }
 }
 
 impl SamplingAlgorithm for ClusterGcn {
-    fn sample(&self, csr: &Csr, seeds: &[VertexId], _rng: &mut ChaCha8Rng) -> Sample {
-        let n = csr.num_vertices();
-        let (lo, hi) = self.cluster_range(*seeds.first().expect("non-empty batch"), n);
-        let cluster: Vec<VertexId> = (lo as VertexId..hi as VertexId).collect();
-        induced_sample(csr, seeds, cluster, self.layers, SampleWork::default())
+    fn sample_into(
+        &self,
+        csr: &Csr,
+        seeds: &[VertexId],
+        _rng: &mut ChaCha8Rng,
+        _bufs: &mut SampleBuffers,
+        out: &mut Sample,
+    ) {
+        let first = *seeds.first().expect("non-empty batch");
+        let cluster = self.cluster(first, csr.num_vertices());
+        *out = induced_sample(csr, seeds, cluster, self.layers, SampleWork::default());
     }
 
     fn num_layers(&self) -> usize {
@@ -141,7 +148,14 @@ impl GraphSaintNode {
 }
 
 impl SamplingAlgorithm for GraphSaintNode {
-    fn sample(&self, csr: &Csr, seeds: &[VertexId], rng: &mut ChaCha8Rng) -> Sample {
+    fn sample_into(
+        &self,
+        csr: &Csr,
+        seeds: &[VertexId],
+        rng: &mut ChaCha8Rng,
+        _bufs: &mut SampleBuffers,
+        out: &mut Sample,
+    ) {
         let n = csr.num_vertices();
         let mut work = SampleWork::default();
         let mut member = vec![false; n];
@@ -161,7 +175,7 @@ impl SamplingAlgorithm for GraphSaintNode {
             }
         }
         extra.shuffle(rng);
-        induced_sample(csr, seeds, extra, self.layers, work)
+        *out = induced_sample(csr, seeds, extra, self.layers, work);
     }
 
     fn num_layers(&self) -> usize {

@@ -12,8 +12,8 @@
 //! The CI `chaos-matrix` job sweeps `GNNLAB_CHAOS_SEED` ×
 //! `GNNLAB_CHAOS_MODE` (`mid-epoch` / `mid-write`) through
 //! [`ci_matrix_scenario`]; its checkpoint directories live under
-//! `target/chaos/` and are kept on failure so the job can upload the
-//! manifest as an artifact.
+//! `target/chaos/` and are kept on failure so the job can upload them
+//! as an artifact.
 
 use gnnlab::core::checkpoint::ChaosPlan;
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig, ThreadedErrorKind, ThreadedResult};
@@ -63,7 +63,7 @@ fn cfg_with(seed: u64, checkpoint: CheckpointPolicy) -> ThreadedConfig {
 }
 
 /// A checkpoint directory under `target/chaos/` — kept on test failure
-/// (panics skip the cleanup) so CI can upload the manifest.
+/// (panics skip the cleanup) so CI can upload the directory.
 fn chaos_dir(name: &str) -> PathBuf {
     let dir = Path::new("target")
         .join("chaos")

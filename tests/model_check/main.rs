@@ -211,10 +211,13 @@ fn correct_protocol_is_clean_under_the_same_harness() {
     let report = check(cfg(), || {
         let q = Arc::new(gnnlab_core::queue::GlobalQueue::bounded(2));
         let consumers: Vec<_> = (0..2)
-            .map(|_| {
+            .map(|owner| {
                 let q = Arc::clone(&q);
-                gnnlab_chk::thread::spawn(move || match q.dequeue() {
-                    Ok(task) => Some(*task),
+                gnnlab_chk::thread::spawn(move || match q.dequeue_leased(owner) {
+                    Ok(lease) => {
+                        q.complete(lease.id);
+                        Some(*lease.task)
+                    }
                     Err(gnnlab_core::queue::DequeueError::Drained) => None,
                     Err(e) => panic!("unexpected {e:?}"),
                 })
