@@ -90,7 +90,17 @@ impl CacheTable {
     /// (§5.2: "each sampled vertex can be marked in the Sample stage
     /// whether its feature is cached in GPU memory or not").
     pub fn mark(&self, ids: &[VertexId]) -> Vec<bool> {
-        ids.iter().map(|&v| self.contains(v)).collect()
+        let mut mask = Vec::new();
+        self.mark_into(ids, &mut mask);
+        mask
+    }
+
+    /// [`CacheTable::mark`] into a recycled mask, replacing its contents:
+    /// once the mask has held a batch this large, marking allocates
+    /// nothing.
+    pub fn mark_into(&self, ids: &[VertexId], mask: &mut Vec<bool>) {
+        mask.clear();
+        mask.extend(ids.iter().map(|&v| self.contains(v)));
     }
 }
 
@@ -204,6 +214,11 @@ mod tests {
         assert_eq!(hits, vec![1, 3, 1]);
         assert_eq!(misses, vec![0, 2]);
         assert_eq!(t.mark(&ids), vec![false, true, false, true, true]);
+        // A recycled mask that held a longer batch is replaced, not
+        // appended to.
+        let mut mask = vec![true; 9];
+        t.mark_into(&ids[..3], &mut mask);
+        assert_eq!(mask, vec![false, true, false]);
     }
 
     #[test]

@@ -22,15 +22,22 @@
 //!   woken at the low watermark even when a multi-lease pop steps over
 //!   the mark, an enqueue finds the consumer that parked before it, and
 //!   both waiter counts are back at zero at every quiescent point —
-//!   also across waits that time out.
+//!   also across waits that time out;
+//! - **a trained batch goes back once**: the threaded runtime's return
+//!   path (complete, then `Arc::try_unwrap`) never puts a buffer on the
+//!   return list twice or while the queue could still replay it, and
+//!   every buffer comes back; a lease that also returns its batch when
+//!   dropped is caught.
 //!
 //! Spurious wakeups are disabled in the lost-wakeup-sensitive tests so
 //! a missing notification is an immediate deadlock report rather than
 //! something a spurious wake could paper over.
 
+use gnnlab_chk::sync::Mutex;
 use gnnlab_chk::{check, Config, Mode, ModelError, Report};
 use gnnlab_core::queue::{DequeueError, EnqueueError, GlobalQueue};
 use gnnlab_par::worker::handoff_pair;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The acceptance floor: across this suite we must explore at least
@@ -383,6 +390,169 @@ fn idle_from_two_reads_is_caught_across_a_reclaim() {
     }
     println!(
         "idle_from_two_reads_is_caught_across_a_reclaim: found in schedule {}",
+        err.schedule()
+    );
+}
+
+/// How many batch buffers the return-path scenario can make.
+const BUFFERS: usize = 3;
+
+/// A batch buffer of the return-path scenario. Every live copy of a
+/// buffer is counted: the runtime moves buffers and never clones one, so
+/// a second copy of a slot is that buffer reused while something else
+/// still holds it.
+#[derive(Debug)]
+struct Buf {
+    slot: usize,
+    batch: u64,
+    copies: Arc<[AtomicUsize; BUFFERS]>,
+}
+
+impl Buf {
+    fn new(slot: usize, batch: u64, copies: &Arc<[AtomicUsize; BUFFERS]>) -> Self {
+        copies[slot].fetch_add(1, Ordering::Relaxed);
+        Buf {
+            slot,
+            batch,
+            copies: Arc::clone(copies),
+        }
+    }
+}
+
+impl Clone for Buf {
+    fn clone(&self) -> Self {
+        Buf::new(self.slot, self.batch, &self.copies)
+    }
+}
+
+impl Drop for Buf {
+    fn drop(&mut self) {
+        self.copies[self.slot].fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Puts a trained buffer on the return list, checking the list's
+/// invariant: a buffer is on it at most once, and never while it is
+/// queued or leased — the queue would hold a second copy then.
+fn give_back(list: &Mutex<Vec<Buf>>, buf: Buf) {
+    let mut list = list.lock();
+    assert!(
+        list.iter().all(|b| b.slot != buf.slot),
+        "buffer {} returned twice",
+        buf.slot
+    );
+    assert_eq!(
+        buf.copies[buf.slot].load(Ordering::Relaxed),
+        1,
+        "buffer {} returned while still queued or leased",
+        buf.slot
+    );
+    list.push(buf);
+}
+
+/// The runtime's batch return path (`threaded::consumer` and
+/// `threaded::sampler`): a consumer that trained a batch completes its
+/// lease and takes the buffer back with `Arc::try_unwrap`, which only its
+/// sole owner can do; a producer refills returned buffers before it makes
+/// new ones. Three threads:
+///
+/// - the producer/supervisor enqueues batches 1 and 2 in new buffers,
+///   then batch 3 in a returned buffer if a consumer has given one back
+///   yet, closes, waits out the crash and reclaims the dead consumer's
+///   lease;
+/// - a consumer leases one batch and dies holding it (or sees `Drained`);
+/// - a survivor trains until `Drained`, returning every buffer it can
+///   unwrap — the reclaimed batch included.
+///
+/// `return_dropped_lease` seeds the defect: the dying consumer also hands
+/// its batch back as it drops the lease, while the queue still holds it
+/// for the replay.
+fn return_path_scenario(return_dropped_lease: bool) {
+    let copies = Arc::new([(); BUFFERS].map(|()| AtomicUsize::new(0)));
+    let q = Arc::new(GlobalQueue::<Buf>::bounded(2));
+    let returned = Arc::new(Mutex::new(Vec::new()));
+
+    let (q_dead, returned_dead) = (Arc::clone(&q), Arc::clone(&returned));
+    let dead = gnnlab_chk::thread::spawn(move || match q_dead.dequeue_leased(1) {
+        Ok(lease) => {
+            if return_dropped_lease {
+                give_back(&returned_dead, (*lease.task).clone());
+            }
+            Some(lease.task.batch)
+        }
+        Err(DequeueError::Drained) => None,
+        Err(e) => panic!("unexpected dequeue error: {e:?}"),
+    });
+
+    let (q_live, returned_live) = (Arc::clone(&q), Arc::clone(&returned));
+    let survivor = gnnlab_chk::thread::spawn(move || {
+        let mut trained = Vec::new();
+        loop {
+            match q_live.dequeue_leased(2) {
+                Ok(lease) => {
+                    trained.push(lease.task.batch);
+                    q_live.complete(lease.id);
+                    if let Ok(buf) = Arc::try_unwrap(lease.task) {
+                        give_back(&returned_live, buf);
+                    }
+                }
+                Err(DequeueError::Drained) => return trained,
+                Err(e) => panic!("unexpected dequeue error: {e:?}"),
+            }
+        }
+    });
+
+    q.enqueue_many([Buf::new(0, 1, &copies), Buf::new(1, 2, &copies)])
+        .expect("queue is open");
+    let reused = returned.lock().pop();
+    let third = match reused {
+        Some(mut buf) => {
+            buf.batch = 3;
+            buf
+        }
+        None => Buf::new(2, 3, &copies),
+    };
+    q.enqueue(third).expect("queue is open");
+    q.close();
+    dead.join();
+    q.reclaim(1);
+    let mut trained = survivor.join();
+    trained.sort_unstable();
+    assert_eq!(trained, vec![1, 2, 3], "every batch trains exactly once");
+    // Every buffer made came back, once.
+    let live: usize = copies.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+    assert_eq!(live, returned.lock().len(), "a buffer was lost or copied");
+}
+
+/// A trained batch goes back to the producers at most once, never while
+/// the queue could still replay it, and every buffer comes back — across
+/// a consumer crash, its reclaim and the survivor's replay.
+#[test]
+fn returned_batches_are_never_queued_leased_or_returned_twice() {
+    let report = check(cfg(2), || return_path_scenario(false))
+        .expect("the return path holds its invariant in every schedule");
+    assert!(report.exhausted);
+    println!(
+        "returned_batches_are_never_queued_leased_or_returned_twice: {} schedules",
+        report.schedules
+    );
+}
+
+/// The twin: a lease that also hands its batch back when it is dropped
+/// puts a buffer on the return list that the queue holds for the replay.
+#[test]
+fn returning_a_dropped_lease_is_caught() {
+    let err = check(cfg(2), || return_path_scenario(true))
+        .expect_err("a batch returned by a dropped lease must be found");
+    match &*err {
+        ModelError::Panic { message, .. } => assert!(
+            message.contains("returned"),
+            "the report carries the assertion text: {message}"
+        ),
+        other => panic!("expected Panic, got {other}"),
+    }
+    println!(
+        "returning_a_dropped_lease_is_caught: found in schedule {}",
         err.schedule()
     );
 }

@@ -359,6 +359,13 @@ impl<'a> Consumer<'a> {
             let secs = waited.as_secs_f64() + self.train(task, buf);
             self.publish(secs);
             sh.queue.complete(cur.lease.id);
+            // The batch trained: hand its task back for a Sampler to
+            // refill. The unwrap succeeds only for the sole owner, so a
+            // task the queue still holds — one a reclaim could replay —
+            // is never reused.
+            if let Ok(task) = Arc::try_unwrap(cur.lease.task) {
+                sh.returned.lock().push(task);
+            }
             done += 1;
             if let Some(k) = sh.ckpt_after_batch() {
                 return Err(ThreadedError::new(
@@ -408,6 +415,10 @@ impl<'a> Consumer<'a> {
             let job = worker.submit(move || {
                 let start_ns = ext.obs.now_ns();
                 ext.extract(&task, Stage::Prefetch, &mut buf);
+                // Let go of the task before the buffer goes back: by the
+                // time the consumer joins this job, it must again hold
+                // the only reference the queue does not.
+                drop(task);
                 PrefetchOut {
                     buf,
                     start_ns,

@@ -67,9 +67,9 @@
 //!   and resume.
 //! * `supervisor` — spawning under `catch_unwind` and the two crash
 //!   handlers (replay, then respawn or reassign).
-//! * `sampler` — the Sampler executor's claim → G → M → C loop.
-//! * `consumer` — the one lease → Extract → Train loop Trainers and
-//!   standbys share, and the §5.3 switching decision.
+//! * `sampler` — the Sampler executor's claim → refill → G → M → C loop.
+//! * `consumer` — the one lease → Extract → Train → return loop Trainers
+//!   and standbys share, and the §5.3 switching decision.
 //! * this file — [`run_threaded`] / [`run_threaded_obs`]: plan memory,
 //!   build the shared state, resume, run the scope, evaluate.
 
@@ -200,8 +200,7 @@ pub fn run_threaded_obs(
     // The master's flattened parameters, in stable layer order — the
     // chaos harness compares these bit-for-bit across kill–resume runs.
     let final_params: Vec<f32> = master
-        .params_mut()
-        .iter()
+        .params_iter_mut()
         .flat_map(|p| p.value.data().iter().copied())
         .collect();
     let recovery = *shared.recovery.lock();

@@ -1,5 +1,6 @@
-//! The Sampler executor: claim batch indices from the shared book, sample
-//! (G), mark (M), and enqueue (C) — §5.2.
+//! The Sampler executor: claim batch indices from the shared book, refill
+//! trained tasks the consumers gave back, sample (G), mark (M), and
+//! enqueue (C) — §5.2.
 
 use super::book::Claim;
 use super::shared::{BatchClock, Shared, TrainTask};
@@ -20,7 +21,8 @@ const SAMPLER_BURST: usize = 4;
 
 /// One Sampler's main loop: claim the next batch indices from the shared
 /// book (one at pipeline depth 0, a burst of [`SAMPLER_BURST`] otherwise),
-/// sample and mark each, then enqueue the burst in one round-trip
+/// take back as many trained tasks as the burst needs, refill each in
+/// place — sample, mark, label — then enqueue the burst in one round-trip
 /// (blocking at the queue's capacity). Finding nothing left to claim
 /// retires it from the book in the same step; it exits after closing the
 /// queue if it was the last producer out.
@@ -31,8 +33,10 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
     let crash = cfg.faults.crash_for(ExecutorRole::Sampler, slot);
     let who = format!("Sampler {slot}");
     let obs = &*sh.obs;
-    let mut cached_epoch = usize::MAX;
-    let mut batches: Vec<Vec<VertexId>> = Vec::new();
+    // The cached epoch's shuffled training set; batch `b` of the epoch is
+    // its `b`-th `batch_size` chunk.
+    let mut cached_epoch = u64::MAX;
+    let mut order: Vec<VertexId> = Vec::new();
     let mut sampled = 0usize;
     let mut clock = BatchClock::new(
         &sh.t_sample,
@@ -43,6 +47,9 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
     // Reusable sampling scratch: one set per Sampler thread, so the hot
     // loop allocates no per-batch intermediates.
     let mut bufs = SampleBuffers::new();
+    // The burst being filled; `enqueue_many` drains it, keeping its
+    // capacity.
+    let mut tasks: Vec<TrainTask> = Vec::new();
     // At pipeline depth 0 each round moves exactly one batch (the serial
     // reference path); pipelined runs amortize the queue handoff into one
     // enqueue_many round-trip per burst.
@@ -71,55 +78,65 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
                 return;
             }
         };
-        let mut tasks = Vec::with_capacity(claims.len());
-        for &i in &claims {
+        // Refill trained tasks the consumers gave back; make new ones only
+        // for what the return list cannot cover.
+        {
+            let mut returned = sh.returned.lock();
+            let from = returned.len().saturating_sub(claims.len());
+            tasks.extend(returned.drain(from..));
+        }
+        tasks.resize_with(claims.len(), TrainTask::default);
+        for (k, (task, &i)) in tasks.iter_mut().zip(&claims).enumerate() {
             // If the injected crash fires here the whole burst's claims
             // stay registered: the supervisor orphans them all and
             // survivors re-sample each batch (nothing sampled here was
             // enqueued yet, so exactly-once holds).
-            sh.crash_point(crash, sampled + tasks.len(), &who);
-            let epoch = i / sh.batches_per_epoch;
+            sh.crash_point(crash, sampled + k, &who);
+            let (epoch, b) = ((i / sh.batches_per_epoch) as u64, i % sh.batches_per_epoch);
             if epoch != cached_epoch {
                 // Every Sampler derives the same shuffle for a given
                 // epoch, so the global index space is consistent across
                 // threads.
-                batches =
-                    MinibatchIter::new(sh.train_set, cfg.batch_size, sh.shuffle_seed, epoch as u64)
-                        .collect();
+                MinibatchIter::shuffle_into(sh.train_set, sh.shuffle_seed, epoch, &mut order);
                 cached_epoch = epoch;
             }
-            let batch = &batches[i % sh.batches_per_epoch];
-            let id = i as u64;
+            let batch = &order[b * cfg.batch_size..((b + 1) * cfg.batch_size).min(order.len())];
+            task.id = i as u64;
             // Per-batch domain-tagged RNG: the sampler's random state is a
             // pure function of (seed, epoch, batch), so the batch cursor
             // IS the RNG position — resume replays nothing and skips
             // nothing, and it doesn't matter which executor samples which
             // batch (or in which burst).
-            let mut rng = presample_rng(cfg.seed, epoch as u64, (i % sh.batches_per_epoch) as u64);
+            let mut rng = presample_rng(cfg.seed, epoch, b as u64);
             let work_started = Instant::now();
-            let mut sample = {
-                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, id);
-                algo.sample_with(&sh.graph.csr, batch, &mut rng, &mut bufs)
-            };
+            // `sample_into` resets the mask; keep its buffer for the M step.
+            let mut mask = task.sample.cache_mask.take().unwrap_or_default();
+            {
+                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, task.id);
+                algo.sample_into(&sh.graph.csr, batch, &mut rng, &mut bufs, &mut task.sample);
+            }
             // The M step (§5.2): the Sampler marks which input vertices
             // the Trainers' cache holds, so Trainers need no second
             // membership pass.
             {
-                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleM, id);
-                sample.cache_mask = Some(sh.mark_table.mark(sample.input_nodes()));
+                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleM, task.id);
+                sh.mark_table
+                    .mark_into(task.sample.input_nodes(), &mut mask);
+                task.sample.cache_mask = Some(mask);
             }
             // T_s counts sampling *work* (G + M, stretched by any
             // straggler factor); the C step below may block on
             // backpressure, which is waiting, not work.
             clock.record(work_started.elapsed().as_secs_f64(), obs);
-            let labels = batch.iter().map(|&v| sh.graph.labels[v as usize]).collect();
-            tasks.push(TrainTask { id, sample, labels });
+            task.labels.clear();
+            task.labels
+                .extend(batch.iter().map(|&v| sh.graph.labels[v as usize]));
         }
         let n = tasks.len();
         let first_id = tasks[0].id;
         let enqueued = {
             let _g = obs.start_span(device, Executor::Sampler, Stage::SampleC, first_id);
-            sh.queue.enqueue_many(tasks)
+            sh.queue.enqueue_many(tasks.drain(..))
         };
         match enqueued {
             Ok(()) => {

@@ -28,7 +28,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One task flowing through the global queue.
+/// One task flowing through the global queue — and, once trained, back to
+/// a Sampler through [`Shared::returned`] to be refilled in place.
+#[derive(Default)]
 pub(super) struct TrainTask {
     /// Global schedule index (the span `batch` id).
     pub id: u64,
@@ -87,8 +89,7 @@ impl ParamServer {
     /// what a checkpoint persists.
     pub(super) fn values(&mut self) -> Vec<Matrix> {
         self.master
-            .params_mut()
-            .iter()
+            .params_iter_mut()
             .map(|p| p.value.clone())
             .collect()
     }
@@ -98,13 +99,13 @@ impl ParamServer {
     /// every step outside a round — is the plain step, bit for bit.
     fn step(&mut self) {
         let n = std::mem::take(&mut self.pending);
-        let mut params = self.master.params_mut();
         if n > 1 {
-            for p in &mut params {
+            for p in self.master.params_iter_mut() {
                 p.grad.scale(1.0 / n as f32);
             }
         }
-        self.opt.step_scaled(&mut params, n as f32);
+        self.opt
+            .step_scaled(self.master.params_iter_mut(), n as f32);
         self.round += 1;
     }
 }
@@ -302,9 +303,11 @@ impl<'a> Shared<'a> {
     /// Copies master parameter values into a replica (the consumer's
     /// pull), straight into the replica's existing buffers under the lock.
     pub(super) fn pull_params(&self, replica: &mut GnnModel) -> Pulled<'_, 'a> {
-        let params = replica.params_mut();
         let mut guard = self.server.lock();
-        for (p, m) in params.into_iter().zip(guard.master.params_mut()) {
+        for (p, m) in replica
+            .params_iter_mut()
+            .zip(guard.master.params_iter_mut())
+        {
             p.value.data_mut().copy_from_slice(m.value.data());
         }
         guard.in_flight += 1;
@@ -324,10 +327,13 @@ impl Pulled<'_, '_> {
     pub(super) fn push_grads(mut self, replica: &mut GnnModel) {
         self.pushed = true;
         let sh = self.sh;
-        let mut grads = replica.params_mut();
         {
             let mut guard = sh.server.lock();
-            for (p, r) in guard.master.params_mut().iter_mut().zip(&grads) {
+            for (p, r) in guard
+                .master
+                .params_iter_mut()
+                .zip(replica.params_iter_mut())
+            {
                 p.grad.add_assign(&r.grad);
             }
             guard.pending += 1;
@@ -342,9 +348,7 @@ impl Pulled<'_, '_> {
                 }
             }
         }
-        for r in &mut grads {
-            r.zero_grad();
-        }
+        replica.zero_grad();
     }
 }
 
@@ -407,6 +411,14 @@ pub(super) struct Shared<'a> {
     pub shuffle_seed: u64,
     pub batches_per_epoch: usize,
     pub queue: GlobalQueue<TrainTask>,
+    /// Trained tasks on their way back to the Samplers, which refill them
+    /// in place (DESIGN §4c, "A batch's life"). Only a task's sole owner
+    /// can put it here — `Arc::try_unwrap` after the lease completes — and
+    /// the queue holds a reference to every task it has queued or leased,
+    /// so no task here can still be replayed, and none is here twice. A
+    /// Sampler makes a new task only when this list runs dry, so it never
+    /// holds more than were ever in flight at once.
+    pub returned: Mutex<Vec<TrainTask>>,
     pub obs: Arc<Obs>,
     /// The shared host feature tier every executor-owned store reads on a
     /// miss; materialized once per run.
@@ -549,6 +561,7 @@ impl<'a> Shared<'a> {
             shuffle_seed: stream_seed(cfg.seed, StreamRole::Shuffle, 0),
             batches_per_epoch,
             queue: GlobalQueue::bounded_with_obs(cfg.queue_capacity, Arc::clone(obs)),
+            returned: Mutex::new(Vec::new()),
             obs: Arc::clone(obs),
             host_store: Arc::new(FeatureStore::materialized(
                 n,

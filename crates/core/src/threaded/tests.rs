@@ -717,12 +717,10 @@ fn a_round_steps_once_on_the_mean_gradient_when_its_last_consumer_pushes() {
     });
     assert_eq!(adam_steps(&shared), 1);
     // One step on the mean of the two gradients, twice as long.
-    let mut params = start.params_mut();
-    for p in &mut params {
+    for p in start.params_iter_mut() {
         p.grad.data_mut().fill((0.5 - 0.25) / 2.0);
     }
-    gnnlab_tensor::Adam::new(cfg.lr).step_scaled(&mut params, 2.0);
-    drop(params);
+    gnnlab_tensor::Adam::new(cfg.lr).step_scaled(start.params_iter_mut(), 2.0);
     assert_eq!(
         value_bits(&mut shared.server.lock().master),
         value_bits(&mut start)

@@ -26,14 +26,23 @@ impl MinibatchIter {
     /// Panics if `batch_size == 0`.
     pub fn new(train_set: &[VertexId], batch_size: usize, seed: u64, epoch: u64) -> Self {
         assert!(batch_size > 0, "batch_size must be positive");
-        let mut shuffled = train_set.to_vec();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ epoch.wrapping_mul(0x9E37_79B9));
-        shuffled.shuffle(&mut rng);
+        let mut shuffled = Vec::new();
+        Self::shuffle_into(train_set, seed, epoch, &mut shuffled);
         MinibatchIter {
             shuffled,
             batch_size,
             cursor: 0,
         }
+    }
+
+    /// The epoch's shuffled training set, in place of `order`'s contents:
+    /// `order.chunks(batch_size)` are the batches the iterator yields, in
+    /// order, without a vector per batch.
+    pub fn shuffle_into(train_set: &[VertexId], seed: u64, epoch: u64, order: &mut Vec<VertexId>) {
+        order.clear();
+        order.extend_from_slice(train_set);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ epoch.wrapping_mul(0x9E37_79B9));
+        order.shuffle(&mut rng);
     }
 
     /// Number of batches this epoch will produce.
@@ -87,6 +96,11 @@ mod tests {
         assert_eq!(a, b);
         let c: Vec<_> = MinibatchIter::new(&ts, 7, 9, 4).collect();
         assert_ne!(a, c);
+        // The in-place order chunks into the same batches, whatever the
+        // recycled vector held before.
+        let mut order = vec![7; 80];
+        MinibatchIter::shuffle_into(&ts, 9, 3, &mut order);
+        assert!(order.chunks(7).eq(a.iter().map(Vec::as_slice)));
     }
 
     #[test]

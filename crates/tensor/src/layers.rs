@@ -343,16 +343,13 @@ impl GnnLayer {
         }
     }
 
-    /// All trainable parameters of this layer.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut ps = vec![&mut self.w, &mut self.b];
-        if let Some(wn) = &mut self.wn {
-            ps.push(wn);
-        }
-        if let Some(bn) = &mut self.bn {
-            ps.push(bn);
-        }
-        ps
+    /// Every trainable parameter of this layer, in a stable order, without
+    /// collecting them anywhere.
+    pub fn params_iter_mut(&mut self) -> impl Iterator<Item = &mut Param> {
+        [&mut self.w, &mut self.b]
+            .into_iter()
+            .chain(self.wn.as_mut())
+            .chain(self.bn.as_mut())
     }
 }
 
@@ -562,8 +559,7 @@ mod tests {
         }
         assert_eq!(dx.rows(), if input_grad { 4 } else { 0 }, "{kind:?}");
         layer
-            .params_mut()
-            .iter()
+            .params_iter_mut()
             .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
             .collect()
     }

@@ -170,25 +170,28 @@ impl GnnModel {
         (loss, acc)
     }
 
-    /// All trainable parameters (layer order, stable across calls).
+    /// Every trainable parameter (layer order, stable across calls),
+    /// without collecting them anywhere: what the per-batch pull, push and
+    /// optimizer step walk.
+    pub fn params_iter_mut(&mut self) -> impl Iterator<Item = &mut Param> {
+        self.layers.iter_mut().flat_map(GnnLayer::params_iter_mut)
+    }
+
+    /// [`GnnModel::params_iter_mut`], collected.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
+        self.params_iter_mut().collect()
     }
 
     /// Zeroes all parameter gradients.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
+        for p in self.params_iter_mut() {
             p.zero_grad();
         }
     }
 
     /// Total parameter element count.
     pub fn num_parameters(&mut self) -> usize {
-        self.params_mut()
-            .iter()
+        self.params_iter_mut()
             .map(|p| p.value.rows() * p.value.cols())
             .sum()
     }

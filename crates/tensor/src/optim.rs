@@ -115,7 +115,7 @@ impl Adam {
 
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
-        self.step_scaled(params, 1.0);
+        self.step_scaled(params.iter_mut().map(|p| &mut **p), 1.0);
     }
 }
 
@@ -123,20 +123,26 @@ impl Adam {
     /// One update step `scale` times as long as [`Optimizer::step`]'s — the
     /// linear scaling rule for a gradient averaged over `scale` mini-batches
     /// (Adam's step length does not grow with the batch by itself). A scale
-    /// of 1 is `step`, bit for bit.
-    pub fn step_scaled(&mut self, params: &mut [&mut Param], scale: f32) {
+    /// of 1 is `step`, bit for bit. Takes the parameters as an iterator
+    /// (`GnnModel::params_iter_mut`), so a step collects nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter list is not as long as on the first step.
+    pub fn step_scaled<'p>(&mut self, params: impl IntoIterator<Item = &'p mut Param>, scale: f32) {
         let lr = self.lr * scale;
-        if self.m.is_empty() {
-            for p in params.iter() {
-                self.m.push(Matrix::zeros(p.value.rows(), p.value.cols()));
-                self.v.push(Matrix::zeros(p.value.rows(), p.value.cols()));
-            }
-        }
-        assert_eq!(self.m.len(), params.len(), "parameter list changed shape");
+        let first = self.m.is_empty();
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t);
         let bc2 = 1.0 - self.beta2.powi(self.t);
-        for (i, p) in params.iter_mut().enumerate() {
+        let mut seen = 0;
+        for (i, p) in params.into_iter().enumerate() {
+            if first {
+                self.m.push(Matrix::zeros(p.value.rows(), p.value.cols()));
+                self.v.push(Matrix::zeros(p.value.rows(), p.value.cols()));
+            }
+            assert!(i < self.m.len(), "parameter list changed shape");
+            seen = i + 1;
             let g = p.grad.data();
             let m = self.m[i].data_mut();
             let v = self.v[i].data_mut();
@@ -150,6 +156,7 @@ impl Adam {
             }
             p.zero_grad();
         }
+        assert_eq!(seen, self.m.len(), "parameter list changed shape");
     }
 }
 
@@ -231,7 +238,7 @@ mod tests {
         let (mut p1, mut p2) = (param(vec![0.0], vec![3.0]), param(vec![0.0], vec![3.0]));
         let (mut o1, mut o2) = (Adam::new(0.01), Adam::new(0.01));
         o1.step(&mut [&mut p1]);
-        o2.step_scaled(&mut [&mut p2], 2.0);
+        o2.step_scaled([&mut p2], 2.0);
         assert_eq!(p2.value.get(0, 0), 2.0 * p1.value.get(0, 0));
         // Only the step length differs: the moments and the step counter
         // advance alike.

@@ -9,10 +9,12 @@
 
 use gnnlab::cache::{load_cache, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
 use gnnlab::core::train_real::{train_to_accuracy, ConvergenceConfig};
-use gnnlab::graph::gen::{chung_lu, sbm, SbmParams};
+use gnnlab::graph::gen::{chung_lu, recency_weights, sbm, SbmParams};
 use gnnlab::graph::{FeatureStore, VertexId};
 use gnnlab::par::{set_global_threads, ThreadPool};
-use gnnlab::sampling::{KHop, Kernel, Sample, SampleBuffers, SamplingAlgorithm, Selection};
+use gnnlab::sampling::{
+    KHop, Kernel, MinibatchIter, RandomWalk, Sample, SampleBuffers, SamplingAlgorithm, Selection,
+};
 use gnnlab::tensor::{Matrix, ModelKind};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -144,29 +146,46 @@ proptest! {
         }
     }
 
-    /// Reusing `SampleBuffers` + an output `Sample` across mini-batches
-    /// yields exactly what fresh allocations yield — same draws, same
-    /// blocks, same work counters — for both kernels.
+    /// Reusing `SampleBuffers` + an output `Sample` across mini-batches —
+    /// as the threaded Sampler refills a trained task's sample — yields
+    /// exactly what a fresh `sample_with` yields (same draws, same blocks,
+    /// same work counters), for every sampler the runtime uses: uniform
+    /// k-hop under both kernels, weighted k-hop and random walks. The
+    /// recycled sample last held a batch of another size (every epoch here
+    /// ends on a short batch, and the next one is full again) and carries
+    /// the stale cache mask a trained task comes back with; the fill must
+    /// clear it.
     #[test]
     fn buffer_reuse_matches_fresh_sampling(
         seed in 0u64..1000,
-        reservoir in any::<bool>(),
         fanouts in prop::collection::vec(1usize..8, 1..4),
+        batch_size in 3usize..12,
     ) {
-        let g = chung_lu(200, 2000, 2.0, 5).expect("valid parameters");
-        let kernel = if reservoir { Kernel::Reservoir } else { Kernel::FisherYates };
-        let algo = KHop::new(fanouts, kernel, Selection::Uniform);
-        let mut fresh_rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut reuse_rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut bufs = SampleBuffers::new();
-        let mut out = Sample::default();
-        // Several batches through the same buffers: stale state from batch
-        // i must not leak into batch i+1.
-        for batch in 0..4u32 {
-            let seeds: Vec<VertexId> = (0..8).map(|i| (i * 13 + batch * 31) % 200).collect();
-            let fresh = algo.sample(&g, &seeds, &mut fresh_rng);
-            algo.sample_into(&g, &seeds, &mut reuse_rng, &mut bufs, &mut out);
-            assert_samples_equal(&fresh, &out);
+        let g = recency_weights(chung_lu(200, 2000, 2.0, 5).expect("valid parameters"), 1)
+            .expect("valid weights");
+        let samplers: [Box<dyn SamplingAlgorithm>; 4] = [
+            Box::new(KHop::new(fanouts.clone(), Kernel::FisherYates, Selection::Uniform)),
+            Box::new(KHop::new(fanouts.clone(), Kernel::Reservoir, Selection::Uniform)),
+            Box::new(KHop::new(fanouts.clone(), Kernel::FisherYates, Selection::Weighted)),
+            Box::new(RandomWalk::new(fanouts.len(), 3, 3, fanouts[0])),
+        ];
+        // 37 is prime, so no batch size here divides it.
+        let train: Vec<VertexId> = (0..37).map(|i| (i * 13 + 7) % 200).collect();
+        for algo in &samplers {
+            let mut fresh_rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut reuse_rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut bufs = SampleBuffers::new();
+            let mut out = Sample::default();
+            for epoch in 0..2 {
+                for seeds in MinibatchIter::new(&train, batch_size, seed, epoch) {
+                    let fresh =
+                        algo.sample_with(&g, &seeds, &mut fresh_rng, &mut SampleBuffers::new());
+                    out.cache_mask = Some(vec![true; out.num_input_nodes() + 1]);
+                    algo.sample_into(&g, &seeds, &mut reuse_rng, &mut bufs, &mut out);
+                    assert_eq!(out.cache_mask, None, "{}: a refill kept its stale mask", algo.name());
+                    assert_samples_equal(&fresh, &out);
+                }
+            }
         }
     }
 }
