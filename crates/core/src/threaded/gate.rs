@@ -384,6 +384,11 @@ impl Shared<'_> {
         }
         let cursor = state.cursor as usize;
         self.book.lock().resume_at(cursor);
+        // The batches below the cursor trained before the kill: their kept
+        // samples would never be claimed.
+        for slot in self.presampled.lock().iter_mut().take(cursor) {
+            *slot = None;
+        }
         self.trained.store(cursor, Ordering::Relaxed);
         self.produced.store(cursor, Ordering::Relaxed);
         self.switches

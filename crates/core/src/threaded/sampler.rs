@@ -1,6 +1,6 @@
 //! The Sampler executor: claim batch indices from the shared book, refill
-//! trained tasks the consumers gave back, sample (G), mark (M), and
-//! enqueue (C) — §5.2.
+//! trained tasks the consumers gave back, sample (G) — or take what
+//! pre-sampling drew for the batch — mark (M), and enqueue (C) — §5.2.
 
 use super::book::Claim;
 use super::shared::{BatchClock, Shared, TrainTask};
@@ -19,14 +19,27 @@ use std::time::Instant;
 /// handoff.
 const SAMPLER_BURST: usize = 4;
 
+/// The clock a Sampler on `slot` feeds `T_s` through, its own estimate
+/// started — and published — at the role's.
+pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'a> {
+    BatchClock::new(
+        &sh.t_sample,
+        names::SCHEDULER_EWMA_T_SAMPLE,
+        names::executor_ewma("sampler", slot),
+        sh.cfg.faults.slowdown(ExecutorRole::Sampler, slot),
+    )
+    .starting_at_role(&sh.obs)
+}
+
 /// One Sampler's main loop: claim the next batch indices from the shared
 /// book (one at pipeline depth 0, a burst of [`SAMPLER_BURST`] otherwise),
 /// take back as many trained tasks as the burst needs, refill each in
-/// place — sample, mark, label — then enqueue the burst in one round-trip
-/// (blocking at the queue's capacity). Finding nothing left to claim
-/// retires it from the book in the same step; it exits after closing the
-/// queue if it was the last producer out.
-pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
+/// place — sample (or take the pre-sampled epoch-0 sample), mark, label —
+/// then enqueue the burst in one round-trip (blocking at the queue's
+/// capacity). Finding nothing left to claim retires it from the book in
+/// the same step; it exits after closing the queue if it was the last
+/// producer out.
+pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock: BatchClock<'_>) {
     let cfg = sh.cfg;
     let algo = sampler_for(sh.kind);
     let device = slot as u32;
@@ -38,12 +51,6 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
     let mut cached_epoch = u64::MAX;
     let mut order: Vec<VertexId> = Vec::new();
     let mut sampled = 0usize;
-    let mut clock = BatchClock::new(
-        &sh.t_sample,
-        names::SCHEDULER_EWMA_T_SAMPLE,
-        names::executor_ewma("sampler", slot),
-        cfg.faults.slowdown(ExecutorRole::Sampler, slot),
-    );
     // Reusable sampling scratch: one set per Sampler thread, so the hot
     // loop allocates no per-batch intermediates.
     let mut bufs = SampleBuffers::new();
@@ -102,16 +109,22 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
             }
             let batch = &order[b * cfg.batch_size..((b + 1) * cfg.batch_size).min(order.len())];
             task.id = i as u64;
-            // Per-batch domain-tagged RNG: the sampler's random state is a
-            // pure function of (seed, epoch, batch), so the batch cursor
-            // IS the RNG position — resume replays nothing and skips
-            // nothing, and it doesn't matter which executor samples which
-            // batch (or in which burst).
-            let mut rng = presample_rng(cfg.seed, epoch, b as u64);
             let work_started = Instant::now();
             // `sample_into` resets the mask; keep its buffer for the M step.
             let mut mask = task.sample.cache_mask.take().unwrap_or_default();
-            {
+            // Pre-sampling already drew the first batches of epoch 0: the G
+            // step of a kept one is done.
+            let kept = sh.take_presampled(i);
+            let sampled_here = kept.is_none();
+            if let Some(sample) = kept {
+                task.sample = sample;
+            } else {
+                // Per-batch domain-tagged RNG: the sampler's random state
+                // is a pure function of (seed, epoch, batch), so the batch
+                // cursor IS the RNG position — resume replays nothing and
+                // skips nothing, and it doesn't matter which executor (or
+                // pre-sampling) samples which batch, in which burst.
+                let mut rng = presample_rng(cfg.seed, epoch, b as u64);
                 let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, task.id);
                 algo.sample_into(&sh.graph.csr, batch, &mut rng, &mut bufs, &mut task.sample);
             }
@@ -126,8 +139,11 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize) {
             }
             // T_s counts sampling *work* (G + M, stretched by any
             // straggler factor); the C step below may block on
-            // backpressure, which is waiting, not work.
-            clock.record(work_started.elapsed().as_secs_f64(), obs);
+            // backpressure, which is waiting, not work. A kept batch's G
+            // ran in pre-sampling, which seeded T_s with it.
+            if sampled_here {
+                clock.record(work_started.elapsed().as_secs_f64(), obs);
+            }
             task.labels.clear();
             task.labels
                 .extend(batch.iter().map(|&v| sh.graph.labels[v as usize]));

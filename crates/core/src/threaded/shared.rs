@@ -17,12 +17,12 @@ use crate::queue::GlobalQueue;
 use crate::schedule::num_samplers;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::train_real::sampler_for;
-use gnnlab_cache::{load_cache_topk, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
+use gnnlab_cache::{load_cache_topk, CacheTable, CachedFeatureStore};
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::{FeatureStore, VertexId};
 use gnnlab_obs::{names, Executor, Obs, Stage};
 use gnnlab_par::ThreadPool;
-use gnnlab_sampling::Sample;
+use gnnlab_sampling::{presample_epoch, MinibatchIter, Sample};
 use gnnlab_tensor::{Adam, GnnModel, Matrix, ModelConfig, ModelKind};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -127,8 +127,10 @@ pub(super) enum StreamRole {
     // over `(seed, epoch, batch)`), so the sampling RNG "position" is a
     // pure function of the batch cursor: checkpoints persist the cursor
     // and resume replays the exact same draws, no matter which executor
-    // samples which batch before or after the restart. It also puts
-    // PreSC's pre-sampled epoch 0 in exact lockstep with the trained one.
+    // samples which batch before or after the restart. PreSC's
+    // pre-sampling pass draws epoch 0 from the same streams over the
+    // `Shuffle` order, so its samples are the ones the run trains on
+    // (`Shared::presampled`).
     /// A Trainer replica's initialization.
     Trainer = 3,
     /// A standby Trainer replica's initialization.
@@ -229,6 +231,18 @@ impl<'a> BatchClock<'a> {
         }
     }
 
+    /// Starts this executor's own estimate at its role's current one and
+    /// publishes it, so the slot has a gauge before it records a batch —
+    /// which a Sampler whose claims all come pre-sampled never does.
+    /// Without a role estimate there is nothing to publish yet.
+    pub(super) fn starting_at_role(mut self, obs: &Obs) -> Self {
+        self.own = self.cell.get();
+        if let Some(own) = self.own {
+            obs.metrics.gauge_set(&self.gauge, own);
+        }
+        self
+    }
+
     /// Records one batch that took `secs` of work. A straggling device
     /// first stretches the batch to `slowdown` times its natural duration
     /// (a real sleep); the stretched time is what both EWMAs observe, so
@@ -251,10 +265,6 @@ impl<'a> BatchClock<'a> {
 // ---------------------------------------------------------------------------
 // Helpers.
 // ---------------------------------------------------------------------------
-
-/// The hotness policy ranking vertices for every per-executor cache:
-/// PreSC#1, the paper's.
-const CACHE_POLICY: PolicyKind = PolicyKind::PreSC { k: 1 };
 
 /// A cache table of the `rows` hottest vertices (empty without a hotness
 /// map or rows to spend).
@@ -419,6 +429,12 @@ pub(super) struct Shared<'a> {
     /// Sampler makes a new task only when this list runs dry, so it never
     /// holds more than were ever in flight at once.
     pub returned: Mutex<Vec<TrainTask>>,
+    /// Pre-sampling's samples of epoch-0 batches `0..min(batches_per_epoch,
+    /// queue_capacity)`, slot `b` for batch `b`. The Sampler that claims
+    /// batch `b` takes its slot instead of sampling it again (DESIGN §4c,
+    /// "A batch's life"); a slot lost with a crashed burst stays empty and
+    /// is sampled afresh, to the same bits. Empty when α = 0 skips the pass.
+    pub presampled: Mutex<Vec<Option<Sample>>>,
     pub obs: Arc<Obs>,
     /// The shared host feature tier every executor-owned store reads on a
     /// miss; materialized once per run.
@@ -438,11 +454,11 @@ pub(super) struct Shared<'a> {
     /// The data-parallel pool behind Extract and cache fills,
     /// [`ThreadedConfig::threads`] wide.
     pub pool: Arc<ThreadPool>,
-    /// The pool behind the run's two bookends — PreSC pre-sampling before
-    /// the executor scope opens, held-out evaluation after it joins — as
-    /// wide as the fleet (`num_samplers + num_trainers`), whose devices
-    /// have nothing else to do in either phase. Both results are
-    /// identical at every width.
+    /// The pool behind the run's two bookends — PreSC pre-sampling (epoch
+    /// 0's G step) before the executor scope opens, held-out evaluation
+    /// after it joins — as wide as the fleet (`num_samplers +
+    /// num_trainers`), whose devices have nothing else to do in either
+    /// phase. Both results are identical at every width.
     pub bookends: ThreadPool,
     /// Planned standby/trainer extraction-traffic ratio (≥ 1), the
     /// `T_t'` seed before any standby has run.
@@ -534,34 +550,58 @@ impl<'a> Shared<'a> {
             .gauge_set(names::CACHE_TRAINER_ALPHA, plan.trainer.cache_alpha);
         obs.metrics
             .gauge_set(names::CACHE_STANDBY_ALPHA, plan.standby.cache_alpha);
-        // The shared hotness map every per-executor cache ranks by.
-        // Pre-sampling fans out over `bookends` (the paper's Samplers
-        // amortise it, Table 6 row P3); each batch draws from its own
-        // stream and visit counts are integer sums, so the map is the same
-        // at any width. Skipped when no planned role affords a single
-        // cache row: the α = 0 path used to pay a full pre-sampling epoch
-        // for a cache nothing would ever populate.
-        let hotness = (plan.trainer_rows > 0 || plan.standby_rows > 0).then(|| {
-            CachePolicy::hotness_with_pool(
-                CACHE_POLICY,
+        // The shared hotness map every per-executor cache ranks by: PreSC#1,
+        // the paper's policy, over the run's own epoch 0 — its shuffle, its
+        // per-batch streams — so pre-sampling is that epoch's G step. It
+        // fans out over `bookends` (the paper's Samplers amortise it, Table
+        // 6 row P3); visit counts are integer sums, so the map is the same
+        // at any width. The first batches' samples are kept for the
+        // Samplers to enqueue, as many as a full queue holds. Skipped when
+        // no planned role affords a single cache row: the α = 0 path used
+        // to pay a full pre-sampling epoch for a cache nothing would ever
+        // populate.
+        let shuffle_seed = stream_seed(cfg.seed, StreamRole::Shuffle, 0);
+        let presampled = (plan.trainer_rows > 0 || plan.standby_rows > 0).then(|| {
+            let mut order = Vec::new();
+            MinibatchIter::shuffle_into(train_set, shuffle_seed, 0, &mut order);
+            presample_epoch(
                 &graph.csr,
-                train_set,
+                &order,
                 sampler_for(kind).as_ref(),
                 cfg.batch_size,
                 cfg.seed,
+                0,
+                batches_per_epoch.min(cfg.queue_capacity),
                 &bookends,
             )
-            .hotness
         });
+        // The pass's mean batch time is the first `T_s` reading: a Sampler
+        // that enqueues kept samples records none of its own, and without
+        // one a switch decision would read `T_t ≈ T_s` as zero.
+        let t_sample = AtomicEwma::new();
+        let (hotness, presampled) = match presampled {
+            Some(p) => {
+                let secs = p.sample_ns as f64 / 1e9 / batches_per_epoch.max(1) as f64;
+                let est = t_sample.update(secs);
+                obs.metrics
+                    .sample(names::SCHEDULER_EWMA_T_SAMPLE, obs.now_ns(), est);
+                (
+                    Some(p.recorder.hotness()),
+                    p.kept.into_iter().map(Some).collect(),
+                )
+            }
+            None => (None, Vec::new()),
+        };
         Shared {
             cfg,
             kind,
             graph,
             train_set,
-            shuffle_seed: stream_seed(cfg.seed, StreamRole::Shuffle, 0),
+            shuffle_seed,
             batches_per_epoch,
             queue: GlobalQueue::bounded_with_obs(cfg.queue_capacity, Arc::clone(obs)),
             returned: Mutex::new(Vec::new()),
+            presampled: Mutex::new(presampled),
             obs: Arc::clone(obs),
             host_store: Arc::new(FeatureStore::materialized(
                 n,
@@ -585,7 +625,7 @@ impl<'a> Shared<'a> {
                 Adam::new(cfg.lr),
             )),
             round_stepped: Condvar::new(),
-            t_sample: AtomicEwma::new(),
+            t_sample,
             t_train: AtomicEwma::new(),
             t_standby: AtomicEwma::new(),
             active_trainers: AtomicUsize::new(cfg.num_trainers),
@@ -674,6 +714,13 @@ impl Shared<'_> {
         self.obs
             .metrics
             .counter_add(names::RECOVERY_DOWNTIME_NS, ns as f64);
+    }
+
+    /// Takes pre-sampling's sample of global batch `i`, if it is kept and
+    /// no one took it before. Only epoch 0's first batches are kept, and
+    /// their global ids are their indices in the epoch.
+    pub(super) fn take_presampled(&self, i: usize) -> Option<Sample> {
+        self.presampled.lock().get_mut(i).and_then(Option::take)
     }
 
     /// Fills a fresh two-tier store over the shared host tier with

@@ -4,7 +4,7 @@
 //! reassign its role to survivors, budget permitting.
 
 use super::consumer::{standby_phase, trainer_phase};
-use super::sampler::sampler_phase;
+use super::sampler::{sampler_clock, sampler_phase};
 use super::shared::Shared;
 use crate::sync::Ordering;
 use gnnlab_obs::names;
@@ -14,8 +14,9 @@ use std::thread::Scope;
 use std::time::Instant;
 
 /// Spawns a Sampler on `slot`, registering it in the claim book before the
-/// thread starts (no window where the book looks idle). Also the respawn
-/// path after a Sampler crash.
+/// thread starts (no window where the book looks idle) and publishing its
+/// batch-time gauge (whatever it goes on to claim). Also the respawn path
+/// after a Sampler crash.
 pub(super) fn spawn_sampler<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
@@ -27,8 +28,9 @@ pub(super) fn spawn_sampler<'scope, 'env>(
     // pending round can never close in the window between spawn and the
     // first park check.
     sh.ckpt_enter();
+    let clock = sampler_clock(sh, slot);
     scope.spawn(move || {
-        match catch_unwind(AssertUnwindSafe(|| sampler_phase(sh, slot, exec))) {
+        match catch_unwind(AssertUnwindSafe(|| sampler_phase(sh, slot, exec, clock))) {
             Err(payload) => on_sampler_crash(scope, sh, slot, exec, payload),
             Ok(()) if sh.cfg.dynamic_switching => run_consumer(scope, sh, slot, exec, true),
             Ok(()) => {}

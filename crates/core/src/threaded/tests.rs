@@ -3,10 +3,11 @@
 
 use super::shared::{stream_seed, Shared, StreamRole};
 use super::*;
+use crate::checkpoint::{self, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
 use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_obs::names;
-use gnnlab_sampling::presample_rng;
+use gnnlab_sampling::{presample_rng, MinibatchIter, SampleWork};
 use std::time::{Duration, Instant};
 
 fn graph() -> SbmGraph {
@@ -608,6 +609,36 @@ fn evaluation_is_identical_at_every_width() {
     }
 }
 
+/// Every field sampling writes, as comparable values.
+type SampleFields = (
+    Vec<VertexId>,
+    Vec<(Vec<VertexId>, usize, Vec<(u32, u32)>)>,
+    Vec<VertexId>,
+    SampleWork,
+    Option<Vec<bool>>,
+);
+
+fn sample_fields(s: &Sample) -> SampleFields {
+    let blocks = s.blocks.iter();
+    (
+        s.seeds.clone(),
+        blocks
+            .map(|b| (b.src_globals.clone(), b.dst_count, b.edges.clone()))
+            .collect(),
+        s.visit_list.clone(),
+        s.work,
+        s.cache_mask.clone(),
+    )
+}
+
+fn kept_fields(shared: &Shared<'_>) -> Vec<Option<SampleFields>> {
+    let slots = shared.presampled.lock();
+    slots
+        .iter()
+        .map(|s| s.as_ref().map(sample_fields))
+        .collect()
+}
+
 #[test]
 fn presampling_is_identical_at_every_fleet_width() {
     let g = graph();
@@ -628,15 +659,170 @@ fn presampling_is_identical_at_every_fleet_width() {
             .hotness
             .as_ref()
             .map(|h| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        (bits, shared.mark_table.cached_vertices().to_vec())
+        let table = shared.mark_table.cached_vertices().to_vec();
+        (bits, table, kept_fields(&shared))
     };
     let narrow = build(1, 1, 0.3);
     assert!(narrow.0.as_ref().is_some_and(|h| h.iter().any(|&b| b != 0)));
     assert!(!narrow.1.is_empty());
+    assert_eq!(narrow.2.len(), 12);
     assert_eq!(build(2, 1, 0.3), narrow);
     assert_eq!(build(2, 4, 0.3), narrow);
     // No cache row to rank for: the pass is skipped at any width.
-    assert_eq!(build(2, 4, 0.0), (None, Vec::new()));
+    assert_eq!(build(2, 4, 0.0), (None, Vec::new(), Vec::new()));
+}
+
+/// Pre-sampling draws the run's own epoch 0: each kept sample is, field
+/// for field, what a Sampler's `sample_into` makes of the batch, and no
+/// more are kept than the queue holds. The pass also seeds `T_s`.
+#[test]
+fn presampling_keeps_the_runs_own_first_batches() {
+    let g = graph();
+    let (train, _) = split(g.csr.num_vertices(), 4);
+    let obs = Arc::new(Obs::wall());
+    let algo = sampler_for(ModelKind::Gcn);
+    for (queue_capacity, kept) in [(5, 5), (64, 12)] {
+        let cfg = ThreadedConfig {
+            batch_size: 25,
+            cache_alpha: 0.3,
+            seed: 4,
+            queue_capacity,
+            ..Default::default()
+        };
+        let shared = Shared::new(&g, ModelKind::Gcn, &cfg, &obs, &train);
+        assert_eq!(shared.batches_per_epoch, 12);
+        let mut order = Vec::new();
+        MinibatchIter::shuffle_into(&train, shared.shuffle_seed, 0, &mut order);
+        let (mut bufs, mut fresh) = (SampleBuffers::new(), Sample::default());
+        let slots = kept_fields(&shared);
+        assert_eq!(slots.len(), kept);
+        for (b, slot) in slots.into_iter().enumerate() {
+            let batch = &order[b * 25..(b + 1) * 25];
+            let mut rng = presample_rng(cfg.seed, 0, b as u64);
+            algo.sample_into(&g.csr, batch, &mut rng, &mut bufs, &mut fresh);
+            assert_eq!(slot, Some(sample_fields(&fresh)), "batch {b}");
+        }
+        assert!(shared.t_sample.get().is_some_and(|t| t > 0.0));
+    }
+    let cfg = ThreadedConfig {
+        cache_alpha: 0.0,
+        ..Default::default()
+    };
+    let shared = Shared::new(&g, ModelKind::Gcn, &cfg, &obs, &train);
+    assert!(shared.presampled.lock().is_empty());
+    assert_eq!(shared.t_sample.get(), None);
+}
+
+/// What training produced, bit for bit: the history and the parameters.
+fn trained_bits(res: &ThreadedResult) -> (Vec<(u64, u32, u64)>, Vec<u32>) {
+    let history = res.history.iter();
+    (
+        history
+            .map(|r| (r.id, r.loss.to_bits(), r.acc.to_bits()))
+            .collect(),
+        res.final_params.iter().map(|p| p.to_bits()).collect(),
+    )
+}
+
+/// Keeping pre-sampling's samples changes what the Samplers do, not what
+/// trains: one Sampler and one Trainer without switching train the same
+/// history to the same parameters whether epoch 0 comes from pre-sampling
+/// (α = 0.3) or from the Sampler (α = 0 skips the pass), at both depths.
+#[test]
+fn a_kept_epoch_0_trains_bit_identically_to_a_sampled_one() {
+    let g = graph();
+    let run = |cache_alpha: f64, pipeline_depth: usize| {
+        let cfg = ThreadedConfig {
+            num_samplers: 1,
+            num_trainers: 1,
+            epochs: 2,
+            batch_size: 25,
+            dynamic_switching: false,
+            cache_alpha,
+            pipeline_depth,
+            seed: 9,
+            ..Default::default()
+        };
+        trained_bits(&run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap())
+    };
+    for depth in [0, 1] {
+        let sampled = run(0.0, depth);
+        assert_eq!(sampled.0.len(), 24);
+        assert_eq!(run(0.3, depth), sampled, "depth {depth}");
+    }
+}
+
+/// A resume whose cursor falls inside the kept prefix drops the kept
+/// samples of the batches that trained before it and enqueues the rest —
+/// and trains what a resume with nothing kept trains (a one-deep queue
+/// keeps only batch 0, which the cursor has passed).
+#[test]
+fn a_resume_inside_the_kept_prefix_drops_what_trained() {
+    let g = graph();
+    let root = std::env::temp_dir().join(format!("gnnlab-kept-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = |dir: &std::path::Path, resume: bool, queue_capacity: usize| ThreadedConfig {
+        num_samplers: 1,
+        num_trainers: 1,
+        epochs: 2,
+        batch_size: 25,
+        dynamic_switching: false,
+        cache_alpha: 0.3,
+        queue_capacity,
+        seed: 5,
+        checkpoint: CheckpointPolicy {
+            every_batches: Some(5),
+            resume,
+            ..CheckpointPolicy::at(dir)
+        },
+        ..Default::default()
+    };
+    // A real generation, rewound to cursor 3: inside the 8 kept batches,
+    // where no quiesce point falls (the Sampler enqueues kept samples
+    // faster than a batch trains).
+    let written = root.join("written");
+    run_threaded(&g, ModelKind::GraphSage, &cfg(&written, false, 8)).unwrap();
+    let (_, mut state) = checkpoint::load_latest(&written)
+        .loaded
+        .expect("the run wrote a generation");
+    state.cursor = 3;
+    state.history.truncate(3);
+    (state.rng.next_epoch, state.rng.next_batch) = (0, 3);
+    let resume_from = |name: &str| {
+        let dir = root.join(name);
+        checkpoint::write_generation(&dir, 0, &state, 0, &ChaosPlan::default()).unwrap();
+        dir
+    };
+
+    let dir = resume_from("slots");
+    let resumed_cfg = cfg(&dir, true, 8);
+    let (train, _) = split(g.csr.num_vertices(), resumed_cfg.seed);
+    let obs = Arc::new(Obs::wall());
+    let shared = Shared::new(&g, ModelKind::GraphSage, &resumed_cfg, &obs, &train);
+    assert_eq!(shared.resume_latest().unwrap(), Some(0));
+    let kept: Vec<bool> = shared
+        .presampled
+        .lock()
+        .iter()
+        .map(Option::is_some)
+        .collect();
+    assert_eq!(kept, [false, false, false, true, true, true, true, true]);
+
+    let kept_run = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &cfg(&resume_from("kept"), true, 8),
+    );
+    let fresh_run = run_threaded(
+        &g,
+        ModelKind::GraphSage,
+        &cfg(&resume_from("fresh"), true, 1),
+    );
+    let (kept_run, fresh_run) = (kept_run.unwrap(), fresh_run.unwrap());
+    assert_eq!(kept_run.resumed_from, Some(0));
+    assert_eq!(kept_run.history.len(), 24);
+    assert_eq!(trained_bits(&kept_run), trained_bits(&fresh_run));
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// What the parameter-server tests below share: a run's shared state, two

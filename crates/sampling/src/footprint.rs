@@ -7,6 +7,7 @@ use gnnlab_graph::{Csr, VertexId};
 use gnnlab_par::{splitmix64, ThreadPool};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::time::Instant;
 
 /// Records how often each vertex is sampled across one or more epochs.
 ///
@@ -90,21 +91,46 @@ pub fn presample_rng(seed: u64, epoch: u64, batch: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(splitmix64(splitmix64(seed ^ PRESAMPLE_TAG) ^ epoch) ^ batch)
 }
 
-/// What a pre-sampling run produced: the merged footprint plus the exact
-/// sampling work it cost (Table 6's P3 row).
+/// What a pre-sampling run produced: the merged footprint, the exact
+/// sampling work it cost (Table 6's P3 row), the time the sampling took,
+/// and the samples the caller asked to keep.
 #[derive(Debug, Clone)]
 pub struct PresampleOutput {
     /// Merged visit counts over all pre-sampled epochs.
     pub recorder: FootprintRecorder,
     /// Total sampling work across every batch.
     pub work: SampleWork,
+    /// Wall nanoseconds spent sampling, summed over every batch (each
+    /// worker times its own batches).
+    pub sample_ns: u64,
+    /// The samples of the batches [`presample_epoch`] was asked to keep,
+    /// in batch order.
+    pub kept: Vec<Sample>,
 }
 
-/// Runs `epochs` sampling-only epochs starting at `first_epoch`, fanning
-/// batches across `pool`'s workers. Each worker records into a private
-/// [`FootprintRecorder`] with reusable [`SampleBuffers`]; partials merge
-/// in chunk-index order. Per-vertex counts and work counters are `u64`
-/// sums, so the result is bit-identical at every thread count.
+impl PresampleOutput {
+    fn empty(num_vertices: usize) -> Self {
+        PresampleOutput {
+            recorder: FootprintRecorder::new(num_vertices),
+            work: SampleWork::default(),
+            sample_ns: 0,
+            kept: Vec::new(),
+        }
+    }
+
+    /// Adds `other`'s counts, epochs, work and time to this output, and
+    /// appends its kept samples after this one's.
+    fn absorb(&mut self, other: PresampleOutput) {
+        self.recorder.merge(&other.recorder);
+        self.work.add(&other.work);
+        self.sample_ns += other.sample_ns;
+        self.kept.extend(other.kept);
+    }
+}
+
+/// Runs `epochs` sampling-only epochs starting at `first_epoch`, each
+/// shuffled by `(seed, epoch)` and sampled by [`presample_epoch`]. The
+/// result is bit-identical at every thread count.
 #[expect(clippy::too_many_arguments)]
 pub fn presample_epochs(
     csr: &Csr,
@@ -116,40 +142,66 @@ pub fn presample_epochs(
     epochs: u32,
     pool: &ThreadPool,
 ) -> PresampleOutput {
-    let num_vertices = csr.num_vertices();
-    // Flatten every (epoch, batch) into one task list; batch shuffling is
-    // deterministic in (seed, epoch), same as the training run itself.
-    let mut tasks: Vec<(u64, u64, Vec<VertexId>)> = Vec::new();
-    for e in 0..u64::from(epochs) {
-        let epoch = first_epoch + e;
-        for (bi, batch) in MinibatchIter::new(train_set, batch_size.max(1), seed, epoch).enumerate()
-        {
-            tasks.push((epoch, bi as u64, batch));
-        }
+    let mut out = PresampleOutput::empty(csr.num_vertices());
+    let mut order = Vec::new();
+    for epoch in first_epoch..first_epoch + u64::from(epochs) {
+        MinibatchIter::shuffle_into(train_set, seed, epoch, &mut order);
+        out.absorb(presample_epoch(
+            csr, &order, algo, batch_size, seed, epoch, 0, pool,
+        ));
     }
-    let partials = pool.map_ranges(tasks.len(), |_, range| {
-        let mut rec = FootprintRecorder::new(num_vertices);
-        let mut work = SampleWork::default();
+    out
+}
+
+/// Pre-samples one epoch whose shuffled training set is `order`: batch `b`
+/// is `order`'s `b`-th `batch_size` chunk, drawn from
+/// [`presample_rng`]`(seed, epoch, b)` — the very sample a training run
+/// with that shuffle and seed draws for the batch.
+///
+/// Batches fan out across `pool`'s workers. Each worker records into a
+/// private [`FootprintRecorder`] with reusable [`SampleBuffers`], and the
+/// partials merge in chunk-index order. Per-vertex counts and work
+/// counters are `u64` sums, so the result is bit-identical at every
+/// thread count. The samples of batches `b < keep` are returned in
+/// [`PresampleOutput::kept`]; the others sample into a per-worker scratch.
+#[expect(clippy::too_many_arguments)]
+pub fn presample_epoch(
+    csr: &Csr,
+    order: &[VertexId],
+    algo: &dyn SamplingAlgorithm,
+    batch_size: usize,
+    seed: u64,
+    epoch: u64,
+    keep: usize,
+    pool: &ThreadPool,
+) -> PresampleOutput {
+    let num_vertices = csr.num_vertices();
+    let batch_size = batch_size.max(1);
+    let partials = pool.map_ranges(order.len().div_ceil(batch_size), |_, range| {
+        let mut part = PresampleOutput::empty(num_vertices);
         let mut bufs = SampleBuffers::new();
         let mut sample = Sample::default();
-        for (epoch, bi, batch) in &tasks[range] {
-            let mut rng = presample_rng(seed, *epoch, *bi);
-            algo.sample_into(csr, batch, &mut rng, &mut bufs, &mut sample);
-            work.add(&sample.work);
-            rec.record_sample(&sample);
+        for b in range {
+            let seeds = &order[b * batch_size..((b + 1) * batch_size).min(order.len())];
+            let mut rng = presample_rng(seed, epoch, b as u64);
+            let started = Instant::now();
+            algo.sample_into(csr, seeds, &mut rng, &mut bufs, &mut sample);
+            part.sample_ns += started.elapsed().as_nanos() as u64;
+            part.work.add(&sample.work);
+            part.recorder.record_sample(&sample);
+            if b < keep {
+                // The next batch samples into a fresh scratch.
+                part.kept.push(std::mem::take(&mut sample));
+            }
         }
-        (rec, work)
+        part
     });
-    let mut recorder = FootprintRecorder::new(num_vertices);
-    let mut work = SampleWork::default();
-    for (rec, w) in partials {
-        recorder.merge(&rec); // adds counts; partials carry zero epochs
-        work.add(&w);
+    let mut out = PresampleOutput::empty(num_vertices);
+    for part in partials {
+        out.absorb(part); // partials carry zero epochs
     }
-    for _ in 0..epochs {
-        recorder.end_epoch();
-    }
-    PresampleOutput { recorder, work }
+    out.recorder.end_epoch();
+    out
 }
 
 /// The Table 2 similarity of epoch `i`'s footprint to epoch `j`'s:

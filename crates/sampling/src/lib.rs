@@ -27,7 +27,8 @@ pub mod subgraph;
 
 pub use alias::AliasTable;
 pub use footprint::{
-    footprint_similarity, presample_epochs, presample_rng, FootprintRecorder, PresampleOutput,
+    footprint_similarity, presample_epoch, presample_epochs, presample_rng, FootprintRecorder,
+    PresampleOutput,
 };
 pub use khop::{KHop, Kernel, Selection};
 pub use minibatch::MinibatchIter;
