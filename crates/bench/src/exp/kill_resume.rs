@@ -7,10 +7,12 @@
 //! killed — either between batches or midway through a checkpoint write,
 //! leaving a torn temp file — and a resume run over the surviving
 //! checkpoint directory. The table reports where the kill landed, which
-//! generation the resume loaded, how many torn artifacts it skipped, and
-//! whether the resumed run's per-batch history and final parameters are
-//! **bit-identical** to the baseline's — the paper-level claim that
-//! checkpointing is transparent to training.
+//! generation the resume loaded, how many torn artifacts it skipped, how
+//! many generations the resumed run wrote, and whether its per-batch
+//! history and final parameters are **bit-identical** to the baseline's —
+//! the paper-level claim that checkpointing is transparent to training.
+//! With one consumer, the one that trains batch `5k` writes generation
+//! `k − 1` on the spot, so every column is a function of the seed.
 
 use crate::{ExpConfig, Table};
 use gnnlab_core::checkpoint::ChaosPlan;
@@ -226,8 +228,12 @@ mod tests {
         assert_eq!(mid_write[3], "Killed");
         assert!(mid_write[5].parse::<u64>().unwrap() >= 1, "{mid_write:?}");
         assert_eq!(mid_write[4], "0", "fell back to the last good gen");
+        assert_eq!(mid_write[6], "6", "batches 10, 15, …, 35 write");
+        // Generations 0, 1 and 2 land at batches 5, 10 and 15, before
+        // the kill after 17; the resumed run writes at 20, 25, 30, 35.
         for row in t.rows.iter().filter(|r| r[0] == "mid-epoch") {
             assert_eq!(row[3], "Killed");
+            assert_eq!((row[4].as_str(), row[6].as_str()), ("2", "4"), "{row:?}");
         }
     }
 }

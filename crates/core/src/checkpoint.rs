@@ -2,14 +2,14 @@
 //!
 //! A checkpoint captures everything a killed training process needs to
 //! continue as if it had never stopped: model parameters, the Adam
-//! optimizer's moment accumulators and step counter, the global batch
-//! cursor, the scheduler's live EWMA estimates and switch count, the
+//! optimizer's moment accumulators and step counter, the trained set
+//! (the per-batch history), the scheduler's live EWMA estimates and
+//! switch count, the
 //! per-role cache-plan fingerprint, the RNG stream position (the
 //! `(seed, epoch, batch)` domain tags shared with
 //! `sampling::presample_rng` — batch sampling is a pure function of
-//! batch identity, so the "RNG position" is exactly the batch cursor),
-//! the cumulative [`RecoveryReport`], and the per-batch training
-//! history.
+//! batch identity, so the "RNG position" is exactly the trained set),
+//! and the cumulative [`RecoveryReport`].
 //!
 //! # On-disk format
 //!
@@ -59,19 +59,16 @@ pub const DEFAULT_KEEP: usize = 3;
 ///
 /// A default-constructed policy (`dir: None`) disables checkpointing
 /// entirely and the runtime behaves exactly as before. With a directory
-/// set but no explicit cadence, checkpoints land on epoch boundaries.
+/// set but no batch cadence, checkpoints land on epoch boundaries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointPolicy {
     /// Checkpoint directory; `None` disables checkpointing.
     pub dir: Option<PathBuf>,
-    /// Checkpoint every N trained batches.
+    /// Checkpoint every N trained batches (`None`: every epoch's worth).
     pub every_batches: Option<usize>,
-    /// Checkpoint whenever this much wall time has passed since the last
-    /// write (checked after each trained batch).
+    /// Also checkpoint whenever this much wall time has passed since the
+    /// last write (checked after each trained batch).
     pub every_secs: Option<f64>,
-    /// Checkpoint at epoch boundaries (the default cadence when a
-    /// directory is set and nothing else is).
-    pub epoch_boundaries: bool,
     /// Resume from the latest valid generation in `dir` before training.
     /// An empty or fully-corrupt directory starts fresh.
     pub resume: bool,
@@ -105,17 +102,9 @@ impl CheckpointPolicy {
         }
     }
 
-    /// The batch-count cadence, if any: an explicit `every_batches` wins,
-    /// otherwise epoch boundaries (also the default when only a time
-    /// cadence is absent).
-    pub fn batch_cadence(&self, batches_per_epoch: usize) -> Option<usize> {
-        if let Some(n) = self.every_batches {
-            return Some(n.max(1));
-        }
-        if self.epoch_boundaries || self.every_secs.is_none() {
-            return Some(batches_per_epoch.max(1));
-        }
-        None
+    /// The batch-count cadence: `every_batches`, or the epoch length.
+    pub fn batch_cadence(&self, batches_per_epoch: usize) -> usize {
+        self.every_batches.unwrap_or(batches_per_epoch).max(1)
     }
 }
 
@@ -197,9 +186,10 @@ pub struct SchedSnapshot {
 }
 
 /// The RNG stream position: with per-batch domain-tagged streams
-/// (`presample_rng(seed, epoch, batch)`), "position" is just the next
-/// batch's identity. Stored explicitly (rather than derived from the
-/// cursor) as an integrity cross-check.
+/// (`presample_rng(seed, epoch, batch)`), a batch's draws are a function
+/// of its identity alone. The cursor split into epoch and batch, stored
+/// explicitly (rather than derived from the cursor) as an integrity
+/// cross-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RngCursor {
     /// Base seed of every derived stream.
@@ -235,11 +225,13 @@ pub struct CheckpointState {
     pub sched: SchedSnapshot,
     /// RNG stream position of the next batch.
     pub rng: RngCursor,
-    /// Batches fully trained — the trained set is exactly `[0, cursor)`.
+    /// Batches fully trained: the length of `history`.
     pub cursor: u64,
     /// Cumulative fault-recovery accounting.
     pub recovery: RecoveryReport,
-    /// Per-batch training history for `[0, cursor)`, sorted by id.
+    /// Per-batch training history, sorted by id: the trained set. Each id
+    /// appears once and is below `meta.total_batches`; after a
+    /// multi-consumer run the set may have holes, which a resume trains.
     pub history: Vec<BatchRecord>,
 }
 
@@ -684,7 +676,8 @@ pub fn encode(state: &CheckpointState, generation: u64) -> Vec<u8> {
 
 /// Parses and fully validates one checkpoint image: magic, version,
 /// section structure, per-section CRC, each section's internal layout,
-/// and the RNG-cursor/batch-cursor cross-check.
+/// the RNG-cursor/batch-cursor cross-check, and a history that names each
+/// batch of the run at most once.
 pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
     if bytes.len() < MAGIC.len() + 8 {
         return Err(corrupt("file shorter than header"));
@@ -772,6 +765,17 @@ pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
             state.history.len(),
             state.cursor
         )));
+    }
+    let mut ids: Vec<u64> = state.history.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    if let Some(&last) = ids.last().filter(|&&id| id >= state.meta.total_batches) {
+        return Err(corrupt(format!(
+            "history names batch {last} of a {}-batch run",
+            state.meta.total_batches
+        )));
+    }
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(corrupt(format!("history names batch {} twice", w[0])));
     }
     Ok((state, generation))
 }
@@ -1098,23 +1102,57 @@ mod tests {
         assert_eq!(outcome.torn_detected, 0);
     }
 
+    /// Re-encodes `state` with valid CRCs, so only the history check can
+    /// reject it.
+    fn assert_history_rejected(state: &CheckpointState, why: &str) {
+        match decode(&encode(state, 2)) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected Corrupt({why}), got {other:?}"),
+        }
+        let dir = test_dir(&format!("bad-history-{}", why.replace(' ', "-")));
+        let older = sample_state(2);
+        write_generation(&dir, 1, &older, 3, &ChaosPlan::default()).unwrap();
+        write_generation(&dir, 2, state, 3, &ChaosPlan::default()).unwrap();
+        let outcome = load_latest(&dir);
+        assert_eq!(outcome.torn_detected, 1, "the bad generation is counted");
+        assert_eq!(outcome.loaded, Some((1, older)), "falls back a generation");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_history_naming_a_batch_twice_is_corrupt() {
+        let mut state = sample_state(4);
+        state.history[3].id = 1;
+        assert_history_rejected(&state, "twice");
+    }
+
+    #[test]
+    fn a_history_naming_a_batch_past_the_run_is_corrupt() {
+        let mut state = sample_state(4);
+        state.history[3].id = state.meta.total_batches;
+        assert_history_rejected(&state, "of a 12-batch run");
+        // The last batch of the run, and holes below it, are fine.
+        state.history[3].id = state.meta.total_batches - 1;
+        assert!(decode(&encode(&state, 0)).is_ok());
+    }
+
     #[test]
     fn policy_defaults_are_disabled_and_epoch_cadenced() {
         let p = CheckpointPolicy::default();
         assert!(!p.enabled());
         let p = CheckpointPolicy::at("/tmp/x");
         assert!(p.enabled());
-        assert_eq!(p.batch_cadence(12), Some(12), "default = epoch boundaries");
+        assert_eq!(p.batch_cadence(12), 12, "default = epoch boundaries");
         let p = CheckpointPolicy {
             every_batches: Some(7),
             ..CheckpointPolicy::at("/tmp/x")
         };
-        assert_eq!(p.batch_cadence(12), Some(7));
+        assert_eq!(p.batch_cadence(12), 7);
         let p = CheckpointPolicy {
             every_secs: Some(1.0),
             ..CheckpointPolicy::at("/tmp/x")
         };
-        assert_eq!(p.batch_cadence(12), None, "pure time cadence");
+        assert_eq!(p.batch_cadence(12), 12, "wall time is an extra trigger");
     }
 
     #[test]

@@ -317,10 +317,8 @@ impl<T> GlobalQueue<T> {
 
     /// [`GlobalQueue::dequeue_leased`] with a timeout: returns `Ok(None)`
     /// if no task arrived (and the queue neither drained nor poisoned)
-    /// within `timeout`. Consumers use this while a checkpoint quiesce is
-    /// pending so they can alternate between draining leases and checking
-    /// the quiesce gate, and with a zero timeout to top up a prefetch slot
-    /// only if a task is already waiting.
+    /// within `timeout`. Consumers call it with a zero timeout to top up
+    /// a prefetch slot only if a task is already waiting.
     pub fn dequeue_leased_timeout(
         &self,
         owner: u32,

@@ -15,13 +15,13 @@ pub(super) struct SamplerBook {
     cursor: usize,
     /// Total batch indices in the run.
     total: usize,
-    /// Indices claimed by Samplers that died before enqueueing them;
-    /// survivors (or a respawn) re-sample these first.
+    /// Indices claimed by Samplers that died before enqueueing them, and
+    /// on resume the untrained indices below the cursor; survivors (or a
+    /// respawn) re-sample these first, from the back.
     orphans: Vec<usize>,
     /// In-flight claims: executor id → batch indices of its current burst
     /// (one entry at pipeline depth 0, up to `SAMPLER_BURST` otherwise).
-    /// Entries are removed — never left empty — so `work_remains` and the
-    /// checkpoint gate's [`SamplerBook::has_open_claims`] check stay
+    /// Entries are removed — never left empty — so `work_remains` stays
     /// exact.
     claims: HashMap<usize, Vec<usize>>,
     /// Executor ids currently in their sampling phase.
@@ -133,9 +133,8 @@ impl SamplerBook {
     }
 
     /// Whether a claimed batch is not yet in the queue (in flight on a
-    /// live Sampler, or orphaned). A checkpoint taken now could not
-    /// account for it.
-    pub(super) fn has_open_claims(&self) -> bool {
+    /// live Sampler, or orphaned).
+    fn has_open_claims(&self) -> bool {
         !self.claims.is_empty() || !self.orphans.is_empty()
     }
 
@@ -144,16 +143,18 @@ impl SamplerBook {
         self.sampling.len()
     }
 
-    /// Next unclaimed fresh batch index — at a quiesce point, exactly the
-    /// count of batches trained.
-    pub(super) fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Restarts claiming at a checkpointed cursor (before any Sampler
-    /// exists).
-    pub(super) fn resume_at(&mut self, cursor: usize) {
-        self.cursor = cursor;
+    /// Restarts claiming after a checkpoint's trained set (before any
+    /// Sampler exists): the cursor goes one past the highest trained id,
+    /// and the untrained ids below it — batches a multi-consumer run had
+    /// queued, leased or in a round when the snapshot was taken — become
+    /// orphans, re-sampled first in ascending order.
+    pub(super) fn resume(&mut self, trained: &[usize]) {
+        self.cursor = trained.iter().max().map_or(0, |&i| i + 1);
+        let mut done = vec![false; self.cursor];
+        for &i in trained {
+            done[i] = true;
+        }
+        self.orphans = (0..self.cursor).rev().filter(|&i| !done[i]).collect();
     }
 }
 
@@ -185,7 +186,7 @@ mod tests {
         b.complete_claims(0);
         // The tail burst is short, not padded.
         assert_eq!(burst(b.next_claims(0, 2)), vec![4]);
-        assert_eq!(b.cursor(), 5);
+        assert_eq!(b.cursor, 5);
     }
 
     #[test]
@@ -204,7 +205,7 @@ mod tests {
         // The survivor re-samples the dead peer's burst (most recently
         // orphaned first), then moves on to the fresh cursor.
         assert_eq!(burst(b.next_claims(1, 4)), vec![2, 1, 0, 3]);
-        assert_eq!(b.cursor(), 4);
+        assert_eq!(b.cursor, 4);
     }
 
     #[test]
@@ -270,5 +271,39 @@ mod tests {
         assert_eq!(burst(b.next_claims(2, 4)), vec![2, 1, 0]);
         b.complete_claims(2);
         assert_eq!(b.next_claims(2, 4), Claim::Retired { close: true });
+    }
+
+    /// A trained set with holes, as a multi-consumer run leaves it: the
+    /// holes are re-sampled first, in ascending order, then the cursor
+    /// continues one past the highest trained id — and the queue closes
+    /// only once the holes are delivered too.
+    #[test]
+    fn resume_with_holes_resamples_them_first_in_ascending_order() {
+        let mut b = book(7, &[0]);
+        b.resume(&[4, 0, 2, 5]);
+        assert_eq!(b.cursor, 6);
+        assert_eq!(burst(b.next_claims(0, 2)), vec![1, 3]);
+        b.complete_claims(0);
+        assert_eq!(burst(b.next_claims(0, 2)), vec![6]);
+        b.complete_claims(0);
+        assert_eq!(b.next_claims(0, 2), Claim::Retired { close: true });
+
+        // The highest id is the last one: the holes alone keep the
+        // producing side open.
+        let mut b = book(4, &[0, 1]);
+        b.resume(&[0, 3]);
+        assert_eq!(b.cursor, 4);
+        assert_eq!(burst(b.next_claims(0, 1)), vec![1]);
+        assert_eq!(burst(b.next_claims(1, 4)), vec![2]);
+        b.complete_claims(1);
+        // 1 retires while 0 still holds hole 1: not closed yet.
+        assert_eq!(b.next_claims(1, 4), Claim::Retired { close: false });
+        b.complete_claims(0);
+        assert_eq!(b.next_claims(0, 1), Claim::Retired { close: true });
+
+        // Nothing trained yet: a fresh start.
+        let mut b = book(3, &[0]);
+        b.resume(&[]);
+        assert_eq!(burst(b.next_claims(0, 3)), vec![0, 1, 2]);
     }
 }

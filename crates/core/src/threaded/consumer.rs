@@ -3,7 +3,6 @@
 //! that turns a finished Sampler into a standby.
 
 use super::config::{ExecutorCacheReport, ThreadedError, ThreadedErrorKind};
-use super::gate::CKPT_POLL;
 use super::shared::{new_model, BatchClock, Shared, StreamRole, TrainTask, EWMA_ALPHA};
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
@@ -312,11 +311,8 @@ impl<'a> Consumer<'a> {
     /// slot with batch N+1, then — holding every lease it is going to
     /// hold — passes the injected-crash point and the transient-retry
     /// loop, (c) finishes batch N's extract, (d) trains it, publishes,
-    /// confirms the lease and runs the checkpoint hook.
-    ///
-    /// Checkpoint interplay: while a quiesce round is requested the
-    /// prefetch slot is not topped up, so the held leases drain to zero
-    /// and the consumer parks inside [`Consumer::lease_next`].
+    /// confirms the lease and runs the checkpoint hook, which writes a
+    /// generation when this batch makes one due.
     fn consume(&mut self) -> Result<(), ThreadedError> {
         let sh = self.sh;
         let mut done = 0usize;
@@ -324,19 +320,22 @@ impl<'a> Consumer<'a> {
             // (a) The current batch: the slot's in-flight prefetch, or a
             // fresh blocking lease started on the spot (paying the full
             // extract as stall — the cold path of the first batch and of
-            // any burst the prefetch couldn't get ahead of).
+            // any burst the prefetch couldn't get ahead of). The blocking
+            // dequeue wakes on enqueue, reclaim, close or poison, so an
+            // idle consumer costs no CPU; an error means drained, or
+            // poisoned by a peer that crashed beyond recovery — its
+            // thread records the error, so just unwind quietly.
             let (cur, prefetched) = match self.pending.take() {
                 Some(p) => (p, true),
-                None => match self.lease_next() {
-                    Some(lease) => (self.begin(lease), false),
-                    None => return Ok(()),
+                None => match sh.queue.dequeue_leased(self.exec as u32) {
+                    Ok(lease) => (self.begin(lease), false),
+                    Err(_) => return Ok(()),
                 },
             };
             // (b) Top up the one-deep prefetch slot: lease batch N+1 now
-            // so its extract overlaps batch N's train. Skipped while a
-            // checkpoint round is pending so the held leases drain, and
-            // while the gather is too short to be worth the hop.
-            if self.prefetching() && !sh.ckpt_requested() {
+            // so its extract overlaps batch N's train. Skipped while the
+            // gather is too short to be worth the hop.
+            if self.prefetching() {
                 let owner = self.exec as u32;
                 if let Ok(Some(lease)) = sh.queue.dequeue_leased_timeout(owner, Duration::ZERO) {
                     self.pending = Some(self.begin(lease));
@@ -373,30 +372,6 @@ impl<'a> Consumer<'a> {
                     self.who.clone(),
                     format!("simulated process kill after {k} trained batches"),
                 ));
-            }
-        }
-    }
-
-    /// Blocking leased dequeue: wakes on enqueue, reclaim, close or
-    /// poison — idle consumers cost no CPU. With checkpointing on, the
-    /// dequeue is bounded by a short poll instead so the consumer can
-    /// park at the quiesce gate once the pipeline drains (only while
-    /// holding zero leases, so the round sees a fully drained pipeline).
-    /// `None` means drained, or poisoned by a peer that crashed beyond
-    /// recovery — its thread records the error; just unwind quietly.
-    fn lease_next(&self) -> Option<Lease<TrainTask>> {
-        let (sh, owner) = (self.sh, self.exec as u32);
-        if sh.ckpt.is_none() {
-            return sh.queue.dequeue_leased(owner).ok();
-        }
-        loop {
-            if sh.ckpt_requested() && sh.queue.is_idle() {
-                sh.ckpt_park(false);
-            }
-            match sh.queue.dequeue_leased_timeout(owner, CKPT_POLL) {
-                Ok(None) => {}
-                Ok(lease) => return lease,
-                Err(_) => return None,
             }
         }
     }
@@ -518,9 +493,9 @@ impl<'a> Consumer<'a> {
         (out.buf, stall)
     }
 
-    /// (d) Pulls parameters, trains on the gathered features, pushes the
-    /// gradients and records the batch; the feature buffer goes back to
-    /// `free_buf`, so the steady state allocates none. Returns the wall
+    /// (d) Pulls parameters, trains on the gathered features and pushes
+    /// the gradients with the batch's record; the feature buffer goes back
+    /// to `free_buf`, so the steady state allocates none. Returns the wall
     /// seconds of the pull + train work.
     fn train(&mut self, task: &TrainTask, buf: Vec<f32>) -> f64 {
         let sh = self.sh;
@@ -541,12 +516,15 @@ impl<'a> Consumer<'a> {
                 std::thread::sleep(d);
             }
             let (loss, acc) = self.replica.train_batch(&task.sample, &feats, &task.labels);
-            pulled.push_grads(&mut self.replica);
-            sh.history.lock().push(BatchRecord {
+            let record = BatchRecord {
                 id: task.id,
                 loss,
                 acc,
-            });
+            };
+            // The record joins the history at the step that applies this
+            // batch's gradient, so a checkpoint never names a batch whose
+            // gradient the values do not hold.
+            pulled.push_grads(&mut self.replica, record);
         }
         sh.trained.fetch_add(1, Ordering::Relaxed);
         let secs = started.elapsed().as_secs_f64();

@@ -63,8 +63,9 @@
 //!   construction.
 //! * `book` — `SamplerBook`, the dynamic global scheduler's claim book: a
 //!   thread-free state machine with its crash transitions unit-tested.
-//! * `gate` — the checkpoint quiesce gate: park, validate, write; assemble
-//!   and resume.
+//! * `snapshot` — checkpoints: the consumer whose batch makes a generation
+//!   due snapshots the parameter server and writes it; resume splices a
+//!   loaded generation back in.
 //! * `supervisor` — spawning under `catch_unwind` and the two crash
 //!   handlers (replay, then respawn or reassign).
 //! * `sampler` — the Sampler executor's claim → refill → G → M → C loop.
@@ -76,9 +77,9 @@
 mod book;
 mod config;
 mod consumer;
-mod gate;
 mod sampler;
 mod shared;
+mod snapshot;
 mod supervisor;
 
 pub use config::{
@@ -88,7 +89,6 @@ pub use config::{
 
 use crate::sync::Ordering;
 use crate::train_real::sampler_for;
-use gate::CkptRuntime;
 use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
@@ -100,6 +100,7 @@ use gnnlab_tensor::{GnnModel, Matrix, ModelKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use shared::{stream_seed, Shared, StreamRole};
+use snapshot::CkptRuntime;
 use std::sync::Arc;
 use supervisor::{spawn_sampler, spawn_trainer};
 
@@ -195,7 +196,7 @@ pub fn run_threaded_obs(
     }
     cache_stats.publish(&obs.metrics);
     telemetry.stop();
-    let mut history = std::mem::take(&mut *shared.history.lock());
+    let mut history = std::mem::take(&mut shared.server.lock().history);
     history.sort_by_key(|r| r.id);
     // The master's flattened parameters, in stable layer order — the
     // chaos harness compares these bit-for-bit across kill–resume runs.

@@ -66,11 +66,6 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
         SAMPLER_BURST
     };
     loop {
-        // Quiesce before claiming: a parked Sampler holds no claim, so
-        // the checkpoint's cursor is exact.
-        if sh.ckpt_requested() {
-            sh.ckpt_park(true);
-        }
         // (Bound first, so the book lock is released before the match.)
         let claim = sh.book.lock().next_claims(exec, burst);
         let claims = match claim {

@@ -6,7 +6,7 @@ use super::book::SamplerBook;
 use super::config::{
     ExecutorCacheReport, RecoveryReport, ThreadedConfig, ThreadedError, ThreadedErrorKind,
 };
-use super::gate::CkptRuntime;
+use super::snapshot::CkptRuntime;
 use crate::checkpoint::BatchRecord;
 use crate::faults::splitmix64;
 use crate::memory::{
@@ -43,7 +43,8 @@ pub(super) struct TrainTask {
 const ROUND_WAIT: Duration = Duration::from_millis(50);
 
 /// The shared parameter server: master weights plus the optimizer state,
-/// and the book of who holds a copy of the parameters.
+/// the book of who holds a copy of the parameters, and the history of the
+/// batches the master has stepped on.
 ///
 /// Dedicated Trainers update asynchronously: each push steps the
 /// optimizer at once, so a gradient is at most as many versions stale as
@@ -60,6 +61,11 @@ const ROUND_WAIT: Duration = Duration::from_millis(50);
 /// rule, so a batch moves the model as far as it did alone — and everyone
 /// pulls the new parameters. No gradient is applied to parameters it was
 /// not computed on.
+///
+/// A push hands over its batch's [`BatchRecord`], and the record joins
+/// `history` at the step that applies its gradient, so one locked read of
+/// the server is a consistent checkpoint: the history names exactly the
+/// batches the values and the Adam state have stepped on.
 pub(super) struct ParamServer {
     pub master: GnnModel,
     pub opt: Adam,
@@ -67,8 +73,12 @@ pub(super) struct ParamServer {
     pub standbys: usize,
     /// Consumers between their pull and their push.
     in_flight: usize,
-    /// Gradients summed into the master's since the last step.
-    pending: usize,
+    /// Records of the gradients summed into the master's since the last
+    /// step.
+    pending: Vec<BatchRecord>,
+    /// Every batch the master has stepped on, in step order (preloaded
+    /// with the checkpointed trained set on resume).
+    pub history: Vec<BatchRecord>,
     /// Steps taken; a pusher waiting for its round's step watches it move.
     round: u64,
 }
@@ -80,7 +90,8 @@ impl ParamServer {
             opt,
             standbys: 0,
             in_flight: 0,
-            pending: 0,
+            pending: Vec::new(),
+            history: Vec::new(),
             round: 0,
         }
     }
@@ -95,10 +106,12 @@ impl ParamServer {
     }
 
     /// Steps the optimizer on the mean of the `pending` gradients summed
-    /// into the master's, `pending` times as long. One pending gradient —
-    /// every step outside a round — is the plain step, bit for bit.
+    /// into the master's, `pending` times as long, and moves their records
+    /// into `history`. One pending gradient — every step outside a round —
+    /// is the plain step, bit for bit.
     fn step(&mut self) {
-        let n = std::mem::take(&mut self.pending);
+        let n = self.pending.len();
+        self.history.append(&mut self.pending);
         if n > 1 {
             for p in self.master.params_iter_mut() {
                 p.grad.scale(1.0 / n as f32);
@@ -333,8 +346,9 @@ impl Pulled<'_, '_> {
     /// replica's own buffers and zeroed there once the lock is released.
     /// Outside a round the optimizer steps at once; in one (see
     /// [`ParamServer`]) it steps when the last consumer in flight has
-    /// pushed, and this call returns after that step.
-    pub(super) fn push_grads(mut self, replica: &mut GnnModel) {
+    /// pushed, and this call returns after that step. Either way `record`
+    /// joins the history at that step.
+    pub(super) fn push_grads(mut self, replica: &mut GnnModel, record: BatchRecord) {
         self.pushed = true;
         let sh = self.sh;
         {
@@ -346,7 +360,7 @@ impl Pulled<'_, '_> {
             {
                 p.grad.add_assign(&r.grad);
             }
-            guard.pending += 1;
+            guard.pending.push(record);
             guard.in_flight -= 1;
             if guard.standbys == 0 || guard.in_flight == 0 {
                 guard.step();
@@ -369,7 +383,7 @@ impl Drop for Pulled<'_, '_> {
         }
         let mut guard = self.sh.server.lock();
         guard.in_flight -= 1;
-        if guard.in_flight == 0 && guard.pending > 0 {
+        if guard.in_flight == 0 && !guard.pending.is_empty() {
             guard.step();
             self.sh.round_stepped.notify_all();
         }
@@ -494,11 +508,9 @@ pub(super) struct Shared<'a> {
     pub produced: AtomicUsize,
     pub trained: AtomicUsize,
     pub switches: AtomicUsize,
-    /// Per-batch training history, pushed by every consumer as batches
-    /// train (preloaded with the checkpointed prefix on resume).
-    pub history: Mutex<Vec<BatchRecord>>,
-    /// Checkpoint runtime; `None` when the policy is disabled (executors
-    /// then run the exact pre-checkpoint code paths).
+    /// Checkpoint runtime; `None` when the policy is disabled. Only the
+    /// consumer whose batch makes a generation due reads it, to snapshot
+    /// the parameter server.
     pub ckpt: Option<CkptRuntime>,
     /// Units of [`FaultPlan::max_respawns`](crate::faults::FaultPlan) spent so far.
     pub respawns_used: AtomicUsize,
@@ -642,7 +654,6 @@ impl<'a> Shared<'a> {
             produced: AtomicUsize::new(0),
             trained: AtomicUsize::new(0),
             switches: AtomicUsize::new(0),
-            history: Mutex::new(Vec::new()),
             ckpt: cfg
                 .checkpoint
                 .enabled()

@@ -24,10 +24,6 @@ pub(super) fn spawn_sampler<'scope, 'env>(
 ) {
     let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
     sh.book.lock().register(exec);
-    // Register with the quiesce gate before the thread exists, so a
-    // pending round can never close in the window between spawn and the
-    // first park check.
-    sh.ckpt_enter();
     let clock = sampler_clock(sh, slot);
     scope.spawn(move || {
         match catch_unwind(AssertUnwindSafe(|| sampler_phase(sh, slot, exec, clock))) {
@@ -35,7 +31,6 @@ pub(super) fn spawn_sampler<'scope, 'env>(
             Ok(()) if sh.cfg.dynamic_switching => run_consumer(scope, sh, slot, exec, true),
             Ok(()) => {}
         }
-        sh.ckpt_exit();
     });
 }
 
@@ -48,11 +43,7 @@ pub(super) fn spawn_trainer<'scope, 'env>(
 ) {
     let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
     sh.consuming.lock().insert(exec);
-    sh.ckpt_enter();
-    scope.spawn(move || {
-        run_consumer(scope, sh, slot, exec, false);
-        sh.ckpt_exit();
-    });
+    scope.spawn(move || run_consumer(scope, sh, slot, exec, false));
 }
 
 /// Runs a consumer phase — a Trainer's, or a finished Sampler's standby

@@ -3,7 +3,7 @@
 
 use super::shared::{stream_seed, Shared, StreamRole};
 use super::*;
-use crate::checkpoint::{self, ChaosPlan, CheckpointPolicy};
+use crate::checkpoint::{self, BatchRecord, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
 use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_obs::names;
@@ -778,8 +778,7 @@ fn a_resume_inside_the_kept_prefix_drops_what_trained() {
         ..Default::default()
     };
     // A real generation, rewound to cursor 3: inside the 8 kept batches,
-    // where no quiesce point falls (the Sampler enqueues kept samples
-    // faster than a batch trains).
+    // where the every-5 cadence never writes one.
     let written = root.join("written");
     run_threaded(&g, ModelKind::GraphSage, &cfg(&written, false, 8)).unwrap();
     let (_, mut state) = checkpoint::load_latest(&written)
@@ -825,6 +824,52 @@ fn a_resume_inside_the_kept_prefix_drops_what_trained() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A generation whose trained set has a hole — what a snapshot taken
+/// while a peer's batch was still leased leaves — resumes by training the
+/// hole and everything past the highest trained id: every batch exactly
+/// once.
+#[test]
+fn a_resume_from_a_trained_set_with_a_hole_trains_every_batch_once() {
+    let g = graph();
+    let root = std::env::temp_dir().join(format!("gnnlab-hole-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let cfg = |dir: &std::path::Path, resume: bool| ThreadedConfig {
+        num_samplers: 2,
+        num_trainers: 2,
+        epochs: 2,
+        batch_size: 25,
+        cache_alpha: 0.3,
+        queue_capacity: 8,
+        seed: 6,
+        checkpoint: CheckpointPolicy {
+            every_batches: Some(5),
+            resume,
+            ..CheckpointPolicy::at(dir)
+        },
+        ..Default::default()
+    };
+    let written = root.join("written");
+    run_threaded(&g, ModelKind::GraphSage, &cfg(&written, false)).unwrap();
+    let (_, mut state) = checkpoint::load_latest(&written)
+        .loaded
+        .expect("the run wrote a generation");
+    // Whatever the generation holds — a prefix, or a set with holes of
+    // its own if a peer's batch was still in flight — one more hole.
+    state.history.remove(state.history.len() / 2);
+    state.cursor = state.history.len() as u64;
+    (state.rng.next_epoch, state.rng.next_batch) = (state.cursor / 12, state.cursor % 12);
+    let holed = root.join("holed");
+    checkpoint::write_generation(&holed, 0, &state, 0, &ChaosPlan::default()).unwrap();
+
+    let res = run_threaded(&g, ModelKind::GraphSage, &cfg(&holed, true)).unwrap();
+    assert_eq!(res.resumed_from, Some(0));
+    let ids: Vec<u64> = res.history.iter().map(|r| r.id).collect();
+    assert_eq!(ids, (0..24).collect::<Vec<u64>>());
+    assert_eq!(res.batches_trained, 24);
+    assert_eq!(res.samples_produced, 24);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// What the parameter-server tests below share: a run's shared state, two
 /// replicas holding the constant gradients `g[0]` and `g[1]`, and the
 /// master's starting values.
@@ -846,6 +891,18 @@ fn server_fixture<'a>(
     (shared, replicas, start)
 }
 
+fn record(id: u64) -> BatchRecord {
+    BatchRecord {
+        id,
+        loss: 0.0,
+        acc: 0.0,
+    }
+}
+
+fn history_ids(shared: &Shared<'_>) -> Vec<u64> {
+    shared.server.lock().history.iter().map(|r| r.id).collect()
+}
+
 fn adam_steps(shared: &Shared<'_>) -> i32 {
     shared.server.lock().opt.export_state().t
 }
@@ -862,10 +919,12 @@ fn without_a_standby_every_push_steps_at_once() {
     let (train, _) = split(g.csr.num_vertices(), cfg.seed);
     let (shared, [mut a, mut b], mut start) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
     let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
-    pa.push_grads(&mut a);
+    pa.push_grads(&mut a, record(0));
     assert_eq!(adam_steps(&shared), 1);
-    pb.push_grads(&mut b);
+    assert_eq!(history_ids(&shared), [0]);
+    pb.push_grads(&mut b, record(1));
     assert_eq!(adam_steps(&shared), 2);
+    assert_eq!(history_ids(&shared), [0, 1]);
     // Exactly the two plain steps a lone optimizer takes.
     let mut opt = gnnlab_tensor::Adam::new(cfg.lr);
     for value in [0.5, -0.25] {
@@ -889,9 +948,10 @@ fn a_round_steps_once_on_the_mean_gradient_when_its_last_consumer_pushes() {
     shared.server.lock().standbys = 1;
     let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
     std::thread::scope(|scope| {
-        let first = scope.spawn(|| pa.push_grads(&mut a));
+        let first = scope.spawn(|| pa.push_grads(&mut a, record(4)));
         // The first push lands in the master's gradients and waits there:
-        // no step while a peer still trains on the parameters it pulled.
+        // no step while a peer still trains on the parameters it pulled,
+        // and no record in the history before the step that applies it.
         let landed = || shared.server.lock().master.params_mut()[0].grad.data()[0] != 0.0;
         while !landed() {
             std::thread::sleep(Duration::from_millis(1));
@@ -899,9 +959,15 @@ fn a_round_steps_once_on_the_mean_gradient_when_its_last_consumer_pushes() {
         std::thread::sleep(Duration::from_millis(20));
         assert!(!first.is_finished(), "the first pusher did not wait");
         assert_eq!(adam_steps(&shared), 0);
-        pb.push_grads(&mut b);
+        assert!(history_ids(&shared).is_empty());
+        pb.push_grads(&mut b, record(3));
     });
     assert_eq!(adam_steps(&shared), 1);
+    assert_eq!(
+        history_ids(&shared),
+        [4, 3],
+        "both records join at the step"
+    );
     // One step on the mean of the two gradients, twice as long.
     for p in start.params_iter_mut() {
         p.grad.data_mut().fill((0.5 - 0.25) / 2.0);
@@ -921,7 +987,7 @@ fn a_consumer_that_dies_mid_train_does_not_hold_the_round() {
     shared.server.lock().standbys = 1;
     let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
     std::thread::scope(|scope| {
-        scope.spawn(|| pa.push_grads(&mut a));
+        scope.spawn(|| pa.push_grads(&mut a, record(0)));
         while shared.server.lock().master.params_mut()[0].grad.data()[0] == 0.0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -930,8 +996,13 @@ fn a_consumer_that_dies_mid_train_does_not_hold_the_round() {
         drop(pb);
     });
     assert_eq!(adam_steps(&shared), 1);
+    assert_eq!(
+        history_ids(&shared),
+        [0],
+        "the dead peer's batch is not in it"
+    );
     // A lone consumer after that is not in anyone's way.
     let pb = shared.pull_params(&mut b);
-    pb.push_grads(&mut b);
+    pb.push_grads(&mut b, record(1));
     assert_eq!(adam_steps(&shared), 2);
 }

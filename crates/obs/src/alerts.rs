@@ -25,7 +25,7 @@
 //! * **checkpoint_stall** — the most recent durable checkpoint write
 //!   (`ckpt.last_write_ns` gauge) took longer than
 //!   [`AlertRules::ckpt_stall_secs`]: the checkpoint disk is slow or
-//!   failing and quiesce pauses are eating throughput.
+//!   failing, and the consumer that writes is not training meanwhile.
 //!
 //! Alerts are edge-triggered: a rule fires once per subject when its
 //! condition becomes true and re-arms when the condition clears, so a

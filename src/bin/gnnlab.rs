@@ -380,7 +380,6 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
             "--series-cap" => ok = value.parse().map(|v| series_cap = Some(v)).is_ok(),
             "--checkpoint-dir" => {
                 cfg.checkpoint.dir = Some(std::path::PathBuf::from(value));
-                cfg.checkpoint.epoch_boundaries = true;
             }
             "--checkpoint-every" => {
                 ok = value
