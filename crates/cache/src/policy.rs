@@ -59,8 +59,9 @@ pub struct PolicyOutput {
 pub struct CachePolicy;
 
 impl CachePolicy {
-    /// Computes the hotness map for `kind` using the process-wide
-    /// [`gnnlab_par::global_pool`] for pre-sampling fan-out.
+    /// Computes the hotness map for `kind`, pre-sampling on the host-wide
+    /// [`gnnlab_par::host_pool`]. The threaded runtime pre-samples on a
+    /// pool of its own instead (`sampling::presample_epoch`).
     pub fn hotness(
         kind: PolicyKind,
         csr: &Csr,
@@ -76,7 +77,7 @@ impl CachePolicy {
             algo,
             batch_size,
             seed,
-            &gnnlab_par::global_pool(),
+            gnnlab_par::host_pool(),
         )
     }
 

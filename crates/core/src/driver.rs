@@ -7,7 +7,7 @@
 //! not a sentence.
 
 use crate::report::{EpochReport, RunError};
-use crate::runtime::{preprocess_report, run_system, PreprocessReport, SimContext};
+use crate::runtime::{preprocess_report, run_system_on, PreprocessReport, SimContext};
 use crate::trace::EpochTrace;
 
 /// Summary of a full training job (preprocessing + `epochs` epochs).
@@ -33,9 +33,10 @@ pub struct RunSummary {
 /// pipeline. The returned fractions quantify the §7.6 amortization.
 pub fn run_job(ctx: &SimContext<'_>, epochs: usize) -> Result<RunSummary, RunError> {
     assert!(epochs > 0, "a job needs at least one epoch");
+    // One recorded epoch serves both the pre-sampling charge and the run.
     let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
     let preprocess = preprocess_report(ctx, &trace)?;
-    let epoch = run_system(ctx)?;
+    let epoch = run_system_on(ctx, &trace)?;
     let total_time = preprocess.total() + epoch.epoch_time * epochs as f64;
     Ok(RunSummary {
         preprocess_fraction: preprocess.total() / total_time,

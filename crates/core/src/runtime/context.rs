@@ -104,20 +104,36 @@ impl<'a> SimContext<'a> {
 /// them (PreSC uses epochs `0..K` — the same shuffles the training run
 /// itself sees first).
 pub fn build_cache_table(workload: &Workload, policy: PolicyKind, alpha: f64) -> CacheTable {
+    cache_table(workload, policy, alpha, &mut None)
+}
+
+/// [`build_cache_table`] with the policy's hotness map kept in `hotness`:
+/// the first call with `alpha > 0` computes it, and later calls for the
+/// same workload and policy load their tables from it. At `alpha <= 0`
+/// the table is empty and nothing is sampled.
+pub(super) fn cache_table(
+    workload: &Workload,
+    policy: PolicyKind,
+    alpha: f64,
+    hotness: &mut Option<Vec<f64>>,
+) -> CacheTable {
     let n = workload.dataset.csr.num_vertices();
     if alpha <= 0.0 {
         return CacheTable::empty(n);
     }
-    let algo = workload.sampler(Kernel::FisherYates);
-    let out = CachePolicy::hotness(
-        policy,
-        &workload.dataset.csr,
-        &workload.dataset.train_set,
-        algo.as_ref(),
-        workload.batch_size(),
-        workload.seed,
-    );
-    load_cache(&out.hotness, alpha, n)
+    let hotness = hotness.get_or_insert_with(|| {
+        let algo = workload.sampler(Kernel::FisherYates);
+        CachePolicy::hotness(
+            policy,
+            &workload.dataset.csr,
+            &workload.dataset.train_set,
+            algo.as_ref(),
+            workload.batch_size(),
+            workload.seed,
+        )
+        .hotness
+    });
+    load_cache(hotness, alpha, n)
 }
 
 #[cfg(test)]

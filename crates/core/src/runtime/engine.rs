@@ -5,7 +5,7 @@
 //! faults, slowdowns, spans, metrics and the report are handled here
 //! once; nothing in this file knows which system it is simulating.
 
-use super::context::{build_cache_table, SimContext};
+use super::context::{cache_table, SimContext};
 use super::placement::{Assign, Link, Phase, Placement};
 use crate::faults::{ExecutorRole, FaultPlan};
 use crate::memory::{plan_gpu, Residency};
@@ -105,26 +105,30 @@ fn record_queue_depth(obs: &Obs, enqueues: &[(SimTime, usize)], dequeues: &[SimT
 
 impl<'a, 'c> Sim<'a, 'c> {
     /// Plans every phase's GPUs in order — each must fit — and builds
-    /// the cache tables (a pre-sampling epoch each under PreSC).
+    /// the cache tables from one hotness map (one pre-sampling pass under
+    /// PreSC, however many tables).
     pub(super) fn plan(
         ctx: &'a SimContext<'c>,
         trace: &'a EpochTrace,
         p: &'a Placement,
     ) -> Result<Self, RunError> {
         let plan = |r| plan_gpu(&ctx.testbed, ctx.workload, p.system, r).map(|g| g.cache_alpha);
-        let table = |alpha| build_cache_table(ctx.workload, ctx.policy, alpha);
+        let mut hotness = None;
+        let mut table = |alpha| cache_table(ctx.workload, ctx.policy, alpha, &mut hotness);
         let mut alpha = 0.0;
         for phase in &p.phases {
             alpha = plan(phase.resident)?;
         }
         let cached = (p.phases.last()).is_some_and(|c| c.resident.holds(Residency::CACHE));
+        let cache = cached.then(|| table(alpha));
+        let standby = p.standby.and_then(|r| plan(r).ok()).map(table);
         Ok(Sim {
             ctx,
             trace,
             p,
             alpha,
-            cache: cached.then(|| table(alpha)),
-            standby: p.standby.and_then(|r| plan(r).ok()).map(table),
+            cache,
+            standby,
         })
     }
 

@@ -1,8 +1,15 @@
 //! Recorded sampling epochs: the measured quantities every simulation
 //! consumes.
+//!
+//! Recording samples real mini-batches. Batch `b` of epoch `e` draws from
+//! its own `presample_rng(seed, e, b)` stream, so no batch depends on
+//! another, and [`EpochTrace::record_with_batch`] fans the batches out
+//! over [`gnnlab_par::host_pool`] the way `presample_epoch` does. Every
+//! field of a trace is the same at every pool width.
 
 use crate::workload::Workload;
 use gnnlab_graph::VertexId;
+use gnnlab_par::{host_pool, ThreadPool};
 use gnnlab_sampling::{presample_rng, Kernel, MinibatchIter, Sample, SampleBuffers, SampleWork};
 use gnnlab_tensor::flops::train_flops;
 
@@ -43,53 +50,70 @@ impl EpochTrace {
     }
 
     /// Records one epoch with an explicit mini-batch size (the §8
-    /// mini-batch-size ablation).
+    /// mini-batch-size ablation), fanned out over the host pool.
     pub fn record_with_batch(
         workload: &Workload,
         kernel: Kernel,
         epoch: u64,
         batch_size: usize,
     ) -> EpochTrace {
+        Self::record_with_pool(workload, kernel, epoch, batch_size, host_pool())
+    }
+
+    /// [`EpochTrace::record_with_batch`] on an explicit pool. The trace is
+    /// the same at every pool width: batch `b` is the shuffled training
+    /// set's `b`-th chunk, sampled from `presample_rng(seed, epoch, b)` —
+    /// the derivation PreSC's pre-sampling uses, so a recorded epoch and a
+    /// pre-sampled epoch see identical draws batch for batch — and the
+    /// chunks' batches concatenate in chunk order.
+    pub fn record_with_pool(
+        workload: &Workload,
+        kernel: Kernel,
+        epoch: u64,
+        batch_size: usize,
+        pool: &ThreadPool,
+    ) -> EpochTrace {
         let algo = workload.sampler(kernel);
         let csr = &workload.dataset.csr;
-        let mut batches = Vec::new();
-        // One scratch set for the whole epoch: recording reuses sampling
-        // buffers batch to batch just like the executed runtime, so a
-        // trace costs no per-batch allocations (the draws are identical
-        // either way — buffer reuse preserves the exact RNG sequence).
-        let mut bufs = SampleBuffers::new();
-        let mut s = Sample::default();
-        for (bi, seeds) in MinibatchIter::new(
+        let size = batch_size.max(1);
+        let mut order = Vec::new();
+        MinibatchIter::shuffle_into(
             &workload.dataset.train_set,
-            batch_size.max(1),
             workload.seed,
             epoch,
-        )
-        .enumerate()
-        {
-            // Per-(seed, epoch, batch) stream — the same derivation PreSC's
-            // parallel pre-sampling uses, so a recorded epoch and a
-            // pre-sampled epoch see identical draws batch for batch.
-            let mut rng = presample_rng(workload.seed, epoch, bi as u64);
-            algo.sample_into(csr, &seeds, &mut rng, &mut bufs, &mut s);
-            let flops = train_flops(
-                workload.model,
-                &s,
-                workload.dataset.features.dim(),
-                workload.hidden_dim,
-                workload.num_classes,
-            );
-            batches.push(BatchTrace {
-                work: s.work,
-                queue_bytes: s.queue_bytes(),
-                flops,
-                input_nodes: s
-                    .blocks
-                    .first()
-                    .map(|b| b.src_globals.clone())
-                    .unwrap_or_default(),
-            });
-        }
+            &mut order,
+        );
+        let chunks = pool.map_ranges(order.len().div_ceil(size), |_, range| {
+            // One scratch set per worker: recording reuses sampling buffers
+            // batch to batch just like the executed runtime (buffer reuse
+            // preserves the exact RNG sequence).
+            let mut bufs = SampleBuffers::new();
+            let mut s = Sample::default();
+            range
+                .map(|b| {
+                    let seeds = &order[b * size..((b + 1) * size).min(order.len())];
+                    let mut rng = presample_rng(workload.seed, epoch, b as u64);
+                    algo.sample_into(csr, seeds, &mut rng, &mut bufs, &mut s);
+                    BatchTrace {
+                        work: s.work,
+                        queue_bytes: s.queue_bytes(),
+                        flops: train_flops(
+                            workload.model,
+                            &s,
+                            workload.dataset.features.dim(),
+                            workload.hidden_dim,
+                            workload.num_classes,
+                        ),
+                        input_nodes: s
+                            .blocks
+                            .first()
+                            .map(|b| b.src_globals.clone())
+                            .unwrap_or_default(),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        let batches: Vec<BatchTrace> = chunks.into_iter().flatten().collect();
         // Intended paper-scale batch count: the default path targets the
         // paper's 8000-seed batches (compensating the small-scale batch
         // floor); a custom batch size targets its own scaled-up size.

@@ -24,6 +24,17 @@
 //!
 //! A pool of one thread (the default) executes entirely inline on the
 //! caller with zero dispatch overhead.
+//!
+//! # Process-wide pools
+//!
+//! - [`global_pool`] is the `--threads` knob, 1 wide by default. The
+//!   tensor matmuls, the real-training gather and the default cached
+//!   feature store consult it.
+//! - [`host_pool`] has one worker per core and no knob. The co-simulation
+//!   records its epochs and pre-samples PreSC/Optimal hotness on it.
+//!
+//! The threaded runtime uses neither for its sampling: it sizes its own
+//! pools from its executor fleet.
 
 pub mod gather;
 pub mod global;
@@ -33,7 +44,7 @@ pub mod sync;
 pub mod worker;
 
 pub use gather::{gather_rows_into, uninit_f32_vec};
-pub use global::{global_pool, global_threads, set_global_threads};
+pub use global::{global_pool, global_threads, host_pool, set_global_threads};
 pub use pool::ThreadPool;
 pub use worker::{JobHandle, Worker};
 

@@ -8,12 +8,15 @@
 //! noise.
 
 use gnnlab::cache::{load_cache, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
+use gnnlab::core::trace::EpochTrace;
 use gnnlab::core::train_real::{train_to_accuracy, ConvergenceConfig};
+use gnnlab::core::workload::Workload;
 use gnnlab::graph::gen::{chung_lu, recency_weights, sbm, SbmParams};
-use gnnlab::graph::{FeatureStore, VertexId};
+use gnnlab::graph::{Dataset, FeatureStore, VertexId};
 use gnnlab::par::{set_global_threads, ThreadPool};
 use gnnlab::sampling::{
-    KHop, Kernel, MinibatchIter, RandomWalk, Sample, SampleBuffers, SamplingAlgorithm, Selection,
+    AlgorithmKind, KHop, Kernel, MinibatchIter, RandomWalk, Sample, SampleBuffers,
+    SamplingAlgorithm, Selection,
 };
 use gnnlab::tensor::{Matrix, ModelKind};
 use proptest::prelude::*;
@@ -111,6 +114,52 @@ proptest! {
             );
             prop_assert_eq!(want.presample_work, got.presample_work);
             prop_assert_eq!(want.presample_epochs, got.presample_epochs);
+        }
+    }
+
+    /// A recorded epoch is the same at every pool width, field for field,
+    /// for every sampler the co-sim records: uniform k-hop under both
+    /// kernels, weighted k-hop and random walks. Each batch draws from its
+    /// own `(seed, epoch, batch)` stream and the chunks concatenate in
+    /// order. The training set has 101 vertices, a prime, so every epoch
+    /// ends on a short batch.
+    #[test]
+    fn parallel_trace_recording_matches_sequential(
+        batch_size in 8usize..40,
+        seed in 0u64..1000,
+        epoch in 0u64..4,
+    ) {
+        let csr = recency_weights(chung_lu(300, 4000, 2.0, 9).expect("valid parameters"), 1)
+            .expect("valid weights");
+        let train: Vec<VertexId> = (0..101).map(|i| (i * 7 + 3) % 300).collect();
+        let dataset = Dataset::custom(csr, FeatureStore::virtual_store(300, 16), train);
+        let recorders = [
+            (ModelKind::Gcn, AlgorithmKind::Khop3Random, Kernel::FisherYates),
+            (ModelKind::Gcn, AlgorithmKind::Khop3Random, Kernel::Reservoir),
+            (ModelKind::Gcn, AlgorithmKind::Khop3Weighted, Kernel::FisherYates),
+            (ModelKind::PinSage, AlgorithmKind::RandomWalks, Kernel::FisherYates),
+        ];
+        let pools = THREAD_COUNTS.map(ThreadPool::new);
+        for (model, algorithm, kernel) in recorders {
+            let w = Workload::with_dataset(model, dataset.clone(), 8, seed)
+                .with_algorithm(algorithm);
+            let record =
+                |pool: &ThreadPool| EpochTrace::record_with_pool(&w, kernel, epoch, batch_size, pool);
+            let want = record(&ThreadPool::new(1));
+            prop_assert_eq!(want.num_batches(), 101usize.div_ceil(batch_size));
+            for pool in &pools {
+                let got = record(pool);
+                let t = pool.threads();
+                prop_assert_eq!(got.factor.to_bits(), want.factor.to_bits());
+                prop_assert_eq!(got.launch_scale.to_bits(), want.launch_scale.to_bits());
+                prop_assert_eq!(got.num_batches(), want.num_batches());
+                for (b, (x, y)) in got.batches.iter().zip(&want.batches).enumerate() {
+                    prop_assert_eq!(x.work, y.work, "{:?} batch {} at {} threads", algorithm, b, t);
+                    prop_assert_eq!(&x.input_nodes, &y.input_nodes, "batch {} at {} threads", b, t);
+                    prop_assert_eq!(x.flops.to_bits(), y.flops.to_bits(), "batch {} at {} threads", b, t);
+                    prop_assert_eq!(x.queue_bytes, y.queue_bytes, "batch {} at {} threads", b, t);
+                }
+            }
         }
     }
 
