@@ -172,9 +172,8 @@ impl CachedFeatureStore {
     /// [`CachedFeatureStore::extract_into`] through a reusable `Vec`: the
     /// buffer is resized to `ids.len() * dim` (reusing its capacity — no
     /// allocation once it has grown to the steady-state batch size) and
-    /// filled. This is the double-buffered prefetch path's entry point:
-    /// two recycled buffers alternate between "being extracted into" and
-    /// "being trained on".
+    /// filled. The threaded consumer gathers every batch into one
+    /// recycled buffer through it.
     pub fn extract_to_buffer(&self, ids: &[VertexId], buf: &mut Vec<f32>) {
         // The previous batch's contents stay: `extract_into` overwrites
         // every row, so only a grown tail is ever filled — clearing first

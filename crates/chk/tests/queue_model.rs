@@ -15,9 +15,10 @@
 //! - **Drained-requires-no-leases**: a consumer never observes
 //!   `Drained` while a crashed sibling's lease could still be replayed;
 //! - **lease-count conservation** at every quiescent point;
-//! - **idle is one read**: `is_idle()` never calls a queue idle while a
-//!   batch is in flight across a supervisor's `reclaim`, where the same
-//!   predicate composed from two locked reads is caught doing so;
+//! - **drained is one read**: `is_drained()` never calls a closed queue
+//!   drained while a batch is in flight across a supervisor's `reclaim`,
+//!   where the same predicate composed from two locked reads is caught
+//!   doing so;
 //! - **the wake rule loses nobody**: a producer parked at capacity is
 //!   woken at the low watermark even when a multi-lease pop steps over
 //!   the mark, an enqueue finds the consumer that parked before it, and
@@ -334,13 +335,15 @@ fn lease_count_conservation() {
     println!("lease_count_conservation: {} schedules", report.schedules);
 }
 
-/// A consumer dies holding a lease; the supervisor reclaims it while a
-/// peer asks whether the queue is idle (the checkpoint gate's and a
-/// parked consumer's question). The batch is in flight the whole time —
-/// leased, then waiting again — so `idle` must never read true.
-fn idle_across_reclaim_scenario(idle: fn(&GlobalQueue<u64>) -> bool) {
+/// On a closed queue, a consumer dies holding a lease; the supervisor
+/// reclaims it while a peer asks whether the queue is drained (the crash
+/// handler's and a parked consumer's question). The batch is in flight
+/// the whole time — leased, then waiting again — so `drained` must never
+/// read true.
+fn drained_across_reclaim_scenario(drained: fn(&GlobalQueue<u64>) -> bool) {
     let q = Arc::new(GlobalQueue::bounded(2));
     q.enqueue(7u64).expect("queue is open");
+    q.close();
     let q_dead = Arc::clone(&q);
     let dead = gnnlab_chk::thread::spawn(move || {
         // Crash: exit holding the lease, never complete it.
@@ -348,37 +351,41 @@ fn idle_across_reclaim_scenario(idle: fn(&GlobalQueue<u64>) -> bool) {
     });
     let q_peer = Arc::clone(&q);
     let peer = gnnlab_chk::thread::spawn(move || {
-        assert!(!idle(&q_peer), "idle read while a batch was in flight");
+        assert!(
+            !drained(&q_peer),
+            "drained read while a batch was in flight"
+        );
     });
     dead.join();
     assert_eq!(q.reclaim(1), 1, "the dead consumer's lease is replayed");
     peer.join();
 }
 
-/// `is_idle()` reads "nothing waiting, nothing leased" under one lock, so
-/// a reclaim cannot fall between its halves.
+/// `is_drained()` reads "closed, nothing waiting, nothing leased" under
+/// one lock, so a reclaim cannot fall between its halves.
 #[test]
-fn is_idle_is_exact_across_a_reclaim() {
+fn is_drained_is_exact_across_a_reclaim() {
     let report = check(cfg(2), || {
-        idle_across_reclaim_scenario(GlobalQueue::is_idle)
+        drained_across_reclaim_scenario(GlobalQueue::is_drained)
     })
-    .expect("one locked read never calls a batch in flight idle");
+    .expect("one locked read never calls a batch in flight drained");
     assert!(report.exhausted);
     println!(
-        "is_idle_is_exact_across_a_reclaim: {} schedules",
+        "is_drained_is_exact_across_a_reclaim: {} schedules",
         report.schedules
     );
 }
 
-/// The twin: the same predicate from two locked reads, as the gate, the
-/// consumer's park check and `Shared::queue_drained` composed it before
-/// `is_idle()`. A reclaim between `remaining()` (the batch is leased) and
-/// `leased_count()` (it is waiting again) reads idle — the checker must
+/// The twin: the same predicate from two locked reads, as the checkpoint
+/// gate, the consumer's park check and `Shared::queue_drained` once
+/// composed it. The scenario's queue is closed, so this is `… && closed`.
+/// A reclaim between `remaining()` (the batch is leased) and
+/// `leased_count()` (it is waiting again) reads drained — the checker must
 /// find that schedule.
 #[test]
-fn idle_from_two_reads_is_caught_across_a_reclaim() {
+fn drained_from_two_reads_is_caught_across_a_reclaim() {
     let err = check(cfg(2), || {
-        idle_across_reclaim_scenario(|q| q.remaining() == 0 && q.leased_count() == 0)
+        drained_across_reclaim_scenario(|q| q.remaining() == 0 && q.leased_count() == 0)
     })
     .expect_err("a reclaim between the two reads must be found");
     match &*err {
@@ -389,7 +396,7 @@ fn idle_from_two_reads_is_caught_across_a_reclaim() {
         other => panic!("expected Panic, got {other}"),
     }
     println!(
-        "idle_from_two_reads_is_caught_across_a_reclaim: found in schedule {}",
+        "drained_from_two_reads_is_caught_across_a_reclaim: found in schedule {}",
         err.schedule()
     );
 }

@@ -48,7 +48,8 @@ use std::time::Duration;
 pub const MAGIC: &[u8; 8] = b"GLABCKPT";
 /// Current checkpoint format version.
 pub const VERSION: u32 = 1;
-/// Generations retained on disk when the policy does not say otherwise.
+/// Generations retained on disk: older ones are pruned after each
+/// successful write.
 pub const DEFAULT_KEEP: usize = 3;
 
 // ---------------------------------------------------------------------------
@@ -72,9 +73,6 @@ pub struct CheckpointPolicy {
     /// Resume from the latest valid generation in `dir` before training.
     /// An empty or fully-corrupt directory starts fresh.
     pub resume: bool,
-    /// Generations kept on disk (older ones are pruned after each
-    /// successful write). `0` means [`DEFAULT_KEEP`].
-    pub keep: usize,
     /// Deterministic chaos injection for the kill–resume harness.
     pub chaos: ChaosPlan,
 }
@@ -91,15 +89,6 @@ impl CheckpointPolicy {
     /// Whether checkpointing is enabled at all.
     pub fn enabled(&self) -> bool {
         self.dir.is_some()
-    }
-
-    /// How many generations to retain on disk.
-    pub fn effective_keep(&self) -> usize {
-        if self.keep == 0 {
-            DEFAULT_KEEP
-        } else {
-            self.keep.max(2)
-        }
     }
 
     /// The batch-count cadence: `every_batches`, or the epoch length.

@@ -230,7 +230,7 @@ impl<T> GlobalQueue<T> {
     /// Enqueues a burst of tasks in iteration order, blocking while the
     /// queue is at capacity. One lock acquisition admits as many tasks as
     /// fit, and consumers are woken once per flush rather than once per
-    /// task — the amortized handoff the pipelined samplers use. Capacity
+    /// task — the amortized handoff the Samplers use. Capacity
     /// and poison semantics match [`GlobalQueue::enqueue`] exactly; if the
     /// queue closes or poisons mid-burst, tasks admitted before the error
     /// stay admitted and the remainder is dropped with the error.
@@ -317,8 +317,8 @@ impl<T> GlobalQueue<T> {
 
     /// [`GlobalQueue::dequeue_leased`] with a timeout: returns `Ok(None)`
     /// if no task arrived (and the queue neither drained nor poisoned)
-    /// within `timeout`. Consumers call it with a zero timeout to top up
-    /// a prefetch slot only if a task is already waiting.
+    /// within `timeout`. A zero timeout leases a task only if one is
+    /// already waiting.
     pub fn dequeue_leased_timeout(
         &self,
         owner: u32,
@@ -439,10 +439,11 @@ impl<T> GlobalQueue<T> {
             .map(|(&id, _)| id)
             .collect();
         // Replay in the original enqueue order: pushing the highest lease
-        // id first leaves the lowest at the very front. A pipelined
-        // consumer dies holding *two* leases; iterating the lease map in
-        // hash order here would let a replay reorder those batches and
-        // break the bit-identical-history guarantee.
+        // id first leaves the lowest at the very front. An owner that
+        // leased several tasks with `dequeue_leased_many` dies holding all
+        // of them; iterating the lease map in hash order here would let a
+        // replay reorder those batches and break the bit-identical-history
+        // guarantee.
         ids.sort_unstable_by(|a, b| b.cmp(a));
         for id in &ids {
             if let Some((_, task)) = state.leased.remove(id) {
@@ -466,16 +467,11 @@ impl<T> GlobalQueue<T> {
         self.state.lock().leased.len()
     }
 
-    /// Nothing waiting and nothing leased, read under one lock. Two
-    /// separate reads (`remaining() == 0 && leased_count() == 0`) can
-    /// straddle a `reclaim`, which moves a lease back into the queue
-    /// between them, and call a busy queue idle.
-    pub fn is_idle(&self) -> bool {
-        self.state.lock().idle()
-    }
-
-    /// Closed and idle, read under one lock: nothing for consumers, now or
-    /// ever.
+    /// Closed, nothing waiting and nothing leased, read under one lock:
+    /// nothing for consumers, now or ever. Two separate reads
+    /// (`remaining() == 0 && leased_count() == 0`) can straddle a
+    /// `reclaim`, which moves a lease back into the queue between them,
+    /// and call a busy queue drained.
     pub fn is_drained(&self) -> bool {
         let state = self.state.lock();
         state.closed && state.idle()
@@ -618,23 +614,22 @@ mod tests {
         assert_eq!(q.remaining(), 0);
     }
 
-    /// Idle is "nothing waiting and nothing leased"; drained adds
-    /// "closed". A lease out keeps an empty queue busy.
+    /// Drained is "closed, nothing waiting and nothing leased". A lease
+    /// out keeps an empty closed queue busy.
     #[test]
     fn idle_and_drained_count_leases_as_work() {
         let q = GlobalQueue::bounded(2);
-        assert!(q.is_idle() && !q.is_drained());
+        assert!(!q.is_drained(), "an open queue may yet receive work");
         q.enqueue(1).unwrap();
-        assert!(!q.is_idle());
+        q.close();
+        assert!(!q.is_drained(), "a task waits");
         let lease = q.dequeue_leased(0).unwrap();
         assert_eq!(q.remaining(), 0);
-        assert!(!q.is_idle(), "a lease is still out");
-        q.close();
         assert!(!q.is_drained(), "the lease may yet be reclaimed");
         q.reclaim(0);
-        assert!(!q.is_idle(), "the replay waits in the queue");
+        assert!(!q.is_drained(), "the replay waits in the queue");
         assert_eq!(deq(&q), Ok(1));
-        assert!(q.is_idle() && q.is_drained());
+        assert!(q.is_drained());
         drop(lease);
     }
 
@@ -1060,9 +1055,9 @@ mod tests {
         assert_eq!(q.reclaim(1), 0);
     }
 
-    /// A dead pipelined consumer holds two leases (train slot + prefetch
-    /// slot); the replay must come back in the original batch order or
-    /// the bit-identical-history guarantee breaks.
+    /// An owner that leased a burst with `dequeue_leased_many` dies
+    /// holding all of it; the replay must come back in the original batch
+    /// order or the bit-identical-history guarantee breaks.
     #[test]
     fn reclaim_replays_in_original_enqueue_order() {
         let q = GlobalQueue::bounded(8);

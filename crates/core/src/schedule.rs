@@ -63,21 +63,6 @@ pub fn should_switch(remaining: usize, t_train: f64, num_trainers: usize, t_stan
     switch_profit(remaining, t_train, num_trainers, t_standby) > 0.0
 }
 
-/// The prefetch gate — §5.3's rule one level down: hand a batch's Extract
-/// to another thread only where that buys more than it costs. The most a
-/// prefetch can hide is the gather itself (`extract_secs`, the consumer's
-/// running estimate), and every prefetched batch pays one trip through
-/// the worker (`hop_secs`: submit, wake, join), so the hop pays iff
-///
-/// `extract_secs > hop_secs`.
-///
-/// No estimate yet means gather inline (that is how the first one is
-/// measured); break-even means inline too (equal cost, one thread fewer
-/// woken); a NaN on either side compares false, so inline again.
-pub fn prefetch_pays(extract_secs: Option<f64>, hop_secs: f64) -> bool {
-    extract_secs.is_some_and(|extract| extract > hop_secs)
-}
-
 /// Seeds the standby per-batch estimate `T_t'` before any standby has
 /// run, from the *planned* cache shapes and the measured cache-refresh
 /// cost:
@@ -171,25 +156,6 @@ mod tests {
         // Degenerate inputs stay sane: ratio < 1 clamps, remaining 0
         // amortizes over one batch.
         assert!(seed_standby_estimate(2.0, 0.5, 1.0, 0) >= 2.0);
-    }
-
-    #[test]
-    fn prefetch_gate_needs_a_gather_longer_than_the_hop() {
-        // No estimate yet: the first gather runs inline and is timed.
-        assert!(!prefetch_pays(None, 0.0));
-        assert!(!prefetch_pays(None, 20e-6));
-        // A 3 us gather behind a 20 us hop loses; a 400 us one wins.
-        assert!(!prefetch_pays(Some(3e-6), 20e-6));
-        assert!(prefetch_pays(Some(400e-6), 20e-6));
-        // Break-even stays inline.
-        assert!(!prefetch_pays(Some(20e-6), 20e-6));
-        // A free hop pays for any gather at all, but not for none.
-        assert!(prefetch_pays(Some(1e-9), 0.0));
-        assert!(!prefetch_pays(Some(0.0), 0.0));
-        // No worker (depth 0) is an infinite hop; NaN never opens the gate.
-        assert!(!prefetch_pays(Some(1.0), f64::INFINITY));
-        assert!(!prefetch_pays(Some(1.0), f64::NAN));
-        assert!(!prefetch_pays(Some(f64::NAN), 20e-6));
     }
 
     #[test]

@@ -65,24 +65,6 @@ pub struct ThreadedConfig {
     /// whether to resume from the latest valid generation, and any chaos
     /// injection. The default is fully disabled.
     pub checkpoint: CheckpointPolicy,
-    /// Intra-trainer SET pipelining depth. `0` forces the serial loop
-    /// (dequeue → extract → train, one batch fully at a time) — the
-    /// reference the identity tests compare against, not a tuning choice.
-    /// `1` (the default) means *may prefetch*: every consumer gets a
-    /// one-deep prefetch slot and a dedicated extract worker, and sends
-    /// batch N+1's feature gather across to overlap batch N's train for
-    /// as long as it measures the gather to outweigh the hop (an EWMA of
-    /// its own gather time against the timed cost of a trip through the
-    /// worker — [`prefetch_pays`](crate::schedule::prefetch_pays)); a
-    /// batch that would not pay takes depth 0's path. Two recycled
-    /// feature buffers keep the steady state allocation-free either way.
-    /// Samplers also push bursts through
-    /// [`GlobalQueue::enqueue_many`](crate::queue::GlobalQueue::enqueue_many) when the
-    /// depth is non-zero. Per-batch training history is bit-identical
-    /// across depths: extraction is pure with respect to model state, and
-    /// reclaim replays a dead pipelined consumer's two leases in their
-    /// original enqueue order.
-    pub pipeline_depth: usize,
 }
 
 impl Default for ThreadedConfig {
@@ -103,7 +85,6 @@ impl Default for ThreadedConfig {
             threads: 1,
             telemetry: TelemetryConfig::default(),
             checkpoint: CheckpointPolicy::default(),
-            pipeline_depth: 1,
         }
     }
 }

@@ -12,11 +12,10 @@ use gnnlab_obs::{names, Executor, Stage};
 use gnnlab_sampling::{presample_rng, MinibatchIter, SampleBuffers};
 use std::time::Instant;
 
-/// How many batches a Sampler claims and enqueues per round when the run
-/// is pipelined (`pipeline_depth > 0`): one `enqueue_many` lock/condvar
-/// round-trip moves the whole burst. Small enough that a burst never
-/// outlives the default queue capacity, large enough to amortize the
-/// handoff.
+/// How many batches a Sampler claims and enqueues per round: one
+/// `enqueue_many` lock/condvar round-trip moves the whole burst. Small
+/// enough that a burst never outlives the default queue capacity, large
+/// enough to amortize the handoff.
 const SAMPLER_BURST: usize = 4;
 
 /// The clock a Sampler on `slot` feeds `T_s` through, its own estimate
@@ -31,14 +30,13 @@ pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'
     .starting_at_role(&sh.obs)
 }
 
-/// One Sampler's main loop: claim the next batch indices from the shared
-/// book (one at pipeline depth 0, a burst of [`SAMPLER_BURST`] otherwise),
-/// take back as many trained tasks as the burst needs, refill each in
-/// place — sample (or take the pre-sampled epoch-0 sample), mark, label —
-/// then enqueue the burst in one round-trip (blocking at the queue's
-/// capacity). Finding nothing left to claim retires it from the book in
-/// the same step; it exits after closing the queue if it was the last
-/// producer out.
+/// One Sampler's main loop: claim the next [`SAMPLER_BURST`] batch indices
+/// from the shared book, take back as many trained tasks as the burst
+/// needs, refill each in place — sample (or take the pre-sampled epoch-0
+/// sample), mark, label — then enqueue the burst in one round-trip
+/// (blocking at the queue's capacity). Finding nothing left to claim
+/// retires it from the book in the same step; it exits after closing the
+/// queue if it was the last producer out.
 pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock: BatchClock<'_>) {
     let cfg = sh.cfg;
     let algo = sampler_for(sh.kind);
@@ -57,17 +55,9 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
     // The burst being filled; `enqueue_many` drains it, keeping its
     // capacity.
     let mut tasks: Vec<TrainTask> = Vec::new();
-    // At pipeline depth 0 each round moves exactly one batch (the serial
-    // reference path); pipelined runs amortize the queue handoff into one
-    // enqueue_many round-trip per burst.
-    let burst = if cfg.pipeline_depth == 0 {
-        1
-    } else {
-        SAMPLER_BURST
-    };
     loop {
         // (Bound first, so the book lock is released before the match.)
-        let claim = sh.book.lock().next_claims(exec, burst);
+        let claim = sh.book.lock().next_claims(exec, SAMPLER_BURST);
         let claims = match claim {
             Claim::Burst(claims) => claims,
             // Finished sampling; the last producer out closes the queue

@@ -168,7 +168,7 @@ pub(super) fn stream_seed(seed: u64, role: StreamRole, index: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// EWMA smoothing factor for the live stage-time estimates.
-pub(super) const EWMA_ALPHA: f64 = 0.2;
+const EWMA_ALPHA: f64 = 0.2;
 
 /// A lock-free EWMA cell (f64 bits in an atomic; NaN = no samples yet).
 #[derive(Debug)]

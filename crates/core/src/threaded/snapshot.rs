@@ -111,7 +111,7 @@ impl Shared<'_> {
             c.dir(),
             generation,
             &state,
-            c.policy.effective_keep(),
+            checkpoint::DEFAULT_KEEP,
             &c.policy.chaos,
         ) {
             Ok(bytes) => {

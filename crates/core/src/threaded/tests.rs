@@ -727,11 +727,11 @@ fn trained_bits(res: &ThreadedResult) -> (Vec<(u64, u32, u64)>, Vec<u32>) {
 /// Keeping pre-sampling's samples changes what the Samplers do, not what
 /// trains: one Sampler and one Trainer without switching train the same
 /// history to the same parameters whether epoch 0 comes from pre-sampling
-/// (α = 0.3) or from the Sampler (α = 0 skips the pass), at both depths.
+/// (α = 0.3) or from the Sampler (α = 0 skips the pass).
 #[test]
 fn a_kept_epoch_0_trains_bit_identically_to_a_sampled_one() {
     let g = graph();
-    let run = |cache_alpha: f64, pipeline_depth: usize| {
+    let run = |cache_alpha: f64| {
         let cfg = ThreadedConfig {
             num_samplers: 1,
             num_trainers: 1,
@@ -739,17 +739,14 @@ fn a_kept_epoch_0_trains_bit_identically_to_a_sampled_one() {
             batch_size: 25,
             dynamic_switching: false,
             cache_alpha,
-            pipeline_depth,
             seed: 9,
             ..Default::default()
         };
         trained_bits(&run_threaded(&g, ModelKind::GraphSage, &cfg).unwrap())
     };
-    for depth in [0, 1] {
-        let sampled = run(0.0, depth);
-        assert_eq!(sampled.0.len(), 24);
-        assert_eq!(run(0.3, depth), sampled, "depth {depth}");
-    }
+    let sampled = run(0.0);
+    assert_eq!(sampled.0.len(), 24);
+    assert_eq!(run(0.3), sampled);
 }
 
 /// A resume whose cursor falls inside the kept prefix drops the kept

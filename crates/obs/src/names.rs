@@ -25,19 +25,6 @@ pub const QUEUE_WAIT_NS: &str = "queue.wait_ns";
 /// Histogram: one observation per producer blocking episode (full-side).
 pub const QUEUE_ENQUEUE_BLOCK_NS: &str = "queue.enqueue_block_ns";
 
-/// Counter: batches whose prefetched features were already resident when
-/// the pipelined consumer asked for them (the extract of batch N+1
-/// finished strictly inside batch N's train time).
-pub const PIPELINE_PREFETCH_HIT: &str = "pipeline.prefetch_hit";
-/// Counter: total nanoseconds pipelined consumers spent waiting for an
-/// in-flight prefetch to finish (0 on a hit; the whole extract time when
-/// a batch was dequeued without any prefetch lead).
-pub const PIPELINE_STALL_NS: &str = "pipeline.stall_ns";
-/// Counter: total nanoseconds during which a prefetch extract and the
-/// previous batch's train were running *simultaneously* — the interval
-/// intersection, i.e. the serialized time the pipeline actually hid.
-pub const PIPELINE_OVERLAP_NS: &str = "pipeline.overlap_ns";
-
 /// Gauge: configured data-parallel width of the extract pool.
 pub const EXTRACT_PAR_THREADS: &str = "extract.par_threads";
 /// Counter: feature rows gathered through the parallel extract path.
@@ -203,8 +190,6 @@ pub const STAGE_LOAD_TOPOLOGY_NS: &str = "stage.load_topology.ns";
 pub const STAGE_LOAD_CACHE_NS: &str = "stage.load_cache.ns";
 /// Histogram: presample span durations.
 pub const STAGE_PRESAMPLE_NS: &str = "stage.presample.ns";
-/// Histogram: pipelined prefetch span durations.
-pub const STAGE_PREFETCH_NS: &str = "stage.prefetch.ns";
 
 /// Gauge: `f32` lanes per vector register of the matmul instantiation
 /// the tensor kernels picked on this CPU (8 = AVX2, 4 = portable) — says

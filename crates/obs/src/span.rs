@@ -5,8 +5,7 @@
 //! simulated GPU clocks); the threaded runtime records wall-clock
 //! nanoseconds since the run started. Either way the invariant holds that
 //! spans on one `(run, device, lane)` track never overlap — a Sampler
-//! executes G, M and C serially, and a pipelined Trainer overlaps Extract
-//! with Train only *across* lanes, never within one.
+//! executes G, M and C serially, and a Trainer runs Extract then Train.
 
 use gnnlab_par::sync::Mutex;
 
@@ -44,22 +43,19 @@ pub enum Stage {
     LoadCache,
     /// Preprocessing P3: PreSC pre-sampling epoch.
     Presample,
-    /// Pipelined feature prefetch: the Extract of batch N+1 running on a
-    /// Trainer's dedicated extract worker while batch N trains.
-    Prefetch,
 }
 
 impl Stage {
     /// The display track a stage renders on. The three Sample sub-stages
     /// share one lane (they are serial on a Sampler); Extract and Train
-    /// get separate lanes because pipelining overlaps them on one device.
+    /// get separate lanes because a pipelined co-simulation overlaps them
+    /// on one device.
     pub fn lane(self) -> u32 {
         match self {
             Stage::SampleG | Stage::SampleM | Stage::SampleC => 0,
             Stage::Extract => 1,
             Stage::Train => 2,
             Stage::DiskToDram | Stage::LoadTopology | Stage::LoadCache | Stage::Presample => 3,
-            Stage::Prefetch => 4,
         }
     }
 
@@ -69,7 +65,6 @@ impl Stage {
             0 => "Sample",
             1 => "Extract",
             2 => "Train",
-            4 => "Prefetch",
             _ => "Preprocess",
         }
     }
@@ -89,7 +84,6 @@ impl Stage {
             Stage::LoadTopology => names::STAGE_LOAD_TOPOLOGY_NS,
             Stage::LoadCache => names::STAGE_LOAD_CACHE_NS,
             Stage::Presample => names::STAGE_PRESAMPLE_NS,
-            Stage::Prefetch => names::STAGE_PREFETCH_NS,
         }
     }
 
@@ -105,7 +99,6 @@ impl Stage {
             Stage::LoadTopology => "Load topology",
             Stage::LoadCache => "Load cache",
             Stage::Presample => "Pre-sampling",
-            Stage::Prefetch => "Prefetch",
         }
     }
 }

@@ -2,19 +2,17 @@
 //! [`ThreadPool`](crate::ThreadPool)'s synchronous fan-out.
 //!
 //! The pool's `run_ranges` blocks the caller until every chunk finishes —
-//! exactly right for data-parallel kernels, useless for *pipelining*,
-//! where the caller wants to keep training batch N while the feature
-//! gather for batch N+1 runs elsewhere. A [`Worker`] owns one OS thread
-//! and a FIFO of submitted jobs; [`Worker::submit`] returns immediately
-//! with a [`JobHandle`] the caller joins when (and only when) it needs
-//! the result. Jobs run strictly in submission order, so a consumer that
-//! submits extract(N) then extract(N+1) observes them complete in batch
-//! order.
+//! exactly right for data-parallel kernels, useless where the caller
+//! wants to keep working while a job runs elsewhere. A [`Worker`] owns
+//! one OS thread and a FIFO of submitted jobs; [`Worker::submit`] returns
+//! immediately with a [`JobHandle`] the caller joins when (and only when)
+//! it needs the result. Jobs run strictly in submission order. The perf
+//! harness times one submit → join round trip with it, and the model
+//! checks drive its handoff slot.
 //!
 //! Panics inside a job are caught on the worker thread and re-raised on
 //! the thread that calls [`JobHandle::join`], preserving the workspace's
-//! fail-fast crash semantics (a poisoned trainer still poisons itself,
-//! not its extract worker).
+//! fail-fast crash semantics.
 
 use crate::sync::{Condvar, Mutex};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -62,13 +60,6 @@ pub struct JobHandle<T> {
 }
 
 impl<T> JobHandle<T> {
-    /// True once the job has finished (successfully or by panicking) —
-    /// a non-blocking probe, used to distinguish a prefetch *hit* (the
-    /// result was already waiting) from a stall.
-    pub fn is_done(&self) -> bool {
-        !matches!(*self.slot.state.lock(), SlotState::Pending)
-    }
-
     /// Blocks until the job finishes and returns its result. Re-raises
     /// the job's panic on this thread if it panicked.
     ///
@@ -146,7 +137,7 @@ impl std::fmt::Debug for Worker {
 
 impl Worker {
     /// Spawns the worker thread. `name` shows up in thread listings and
-    /// panic messages (e.g. `gnnlab-prefetch-2`).
+    /// panic messages (e.g. `perf-probe`).
     pub fn new(name: &str) -> Self {
         let (tx, rx) = channel::<WorkerJob>();
         let thread = std::thread::Builder::new()
@@ -226,21 +217,6 @@ mod tests {
         let results: Vec<usize> = handles.into_iter().map(JobHandle::join).collect();
         assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
         assert_eq!(*order.lock(), (0..8).collect::<Vec<usize>>());
-    }
-
-    #[test]
-    fn is_done_flips_after_completion() {
-        let w = Worker::new("test-worker");
-        let h = w.submit(|| 42u32);
-        // The job takes effectively no time; poll until done.
-        for _ in 0..1000 {
-            if h.is_done() {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        assert!(h.is_done());
-        assert_eq!(h.join(), 42);
     }
 
     #[test]

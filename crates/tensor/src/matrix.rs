@@ -309,9 +309,9 @@ impl Matrix {
     }
 
     /// Consumes the matrix and returns its row-major storage. The
-    /// double-buffered prefetch path recycles feature matrices through
-    /// this: a trained batch's matrix turns back into the buffer the next
-    /// prefetch extracts into, keeping steady state allocation-free.
+    /// threaded consumer recycles feature matrices through this: a trained
+    /// batch's matrix turns back into the buffer the next gather fills,
+    /// keeping steady state allocation-free.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
     }

@@ -15,11 +15,6 @@
 //! --samplers N --trainers N --epochs N --batch-size N --capacity N --seed S
 //! --threads N                 data-parallel width of Extract (pre-sampling and
 //!                             evaluation run samplers + trainers wide)
-//! --pipeline-depth 0|1        0 = forced-serial consumer loop (reference path);
-//!                             1 = may prefetch when the gather outweighs the
-//!                             hop (double-buffered extract worker, decided
-//!                             per batch from measured times) + burst queue
-//!                             handoff (default)
 //! --crash-trainer IDX@BATCH   kill Trainer IDX after BATCH batches
 //! --crash-sampler IDX@BATCH   kill Sampler IDX after BATCH batches
 //! --straggler ROLE:IDX:FACTOR slow one executor (role `sampler`/`trainer`)
@@ -100,8 +95,7 @@ fn usage() -> ExitCode {
          gnnlab simulate <PR|TW|PA|UK> <GCN|GSG|PSG> [gpus]\n  \
          gnnlab job <PR|TW|PA|UK> <GCN|GSG|PSG> [epochs]\n  \
          gnnlab threaded [--samplers N] [--trainers N] [--epochs N] [--batch-size N]\n           \
-         [--capacity N] [--seed S] [--threads N] [--pipeline-depth 0|1]\n           \
-         [--crash-trainer IDX@BATCH]\n           \
+         [--capacity N] [--seed S] [--threads N] [--crash-trainer IDX@BATCH]\n           \
          [--crash-sampler IDX@BATCH] [--straggler ROLE:IDX:FACTOR] [--transient P]\n           \
          [--max-respawns N] [--metrics-addr HOST:PORT] [--metrics-out PATH]\n           \
          [--series-cap N] [--checkpoint-dir PATH] [--checkpoint-every N]\n           \
@@ -330,12 +324,6 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
             "--batch-size" => ok = value.parse().map(|v| cfg.batch_size = v).is_ok(),
             "--capacity" => ok = value.parse().map(|v| cfg.queue_capacity = v).is_ok(),
             "--seed" => ok = value.parse().map(|v| cfg.seed = v).is_ok(),
-            // 0 = the serial reference consumer loop; 1 = double-buffered
-            // extract prefetch with burst queue handoff (the default).
-            "--pipeline-depth" => match value.parse::<usize>() {
-                Ok(d) if d <= 1 => cfg.pipeline_depth = d,
-                _ => ok = false,
-            },
             "--threads" => {
                 ok = value
                     .parse()

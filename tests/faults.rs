@@ -179,17 +179,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every crash the supervisor absorbs replays exactly the batches the
-    /// dead executor held. At pipeline depth 0 that is one batch per
-    /// crash (a consumer dies with one lease, a producer with one claim);
-    /// a pipelined consumer can die holding its current batch *plus* the
-    /// prefetched one (two leases), and a bursting producer up to its
-    /// whole claimed burst of four. Over arbitrary crash draws the replay
-    /// count stays inside those bounds, and exactly-once training holds
-    /// at both depths.
+    /// dead executor held: a consumer dies with its one lease, a producer
+    /// with up to its whole claimed burst of four. Over arbitrary crash
+    /// draws the replay count stays inside those bounds, and exactly-once
+    /// training holds.
     #[test]
     fn replayed_batches_track_injected_crashes(
         seed in 0u64..1_000,
-        depth in 0usize..2,
         crashes in prop::collection::vec(
             (any::<bool>(), 0usize..2, 1usize..8),
             1..3,
@@ -210,7 +206,6 @@ proptest! {
             queue_capacity: 4,
             faults,
             seed,
-            pipeline_depth: depth,
             ..Default::default()
         };
         let res = run_threaded(graph(), ModelKind::GraphSage, &cfg)
@@ -220,18 +215,10 @@ proptest! {
         prop_assert_eq!(res.samples_produced, expected);
         // Crashes scheduled past the run's end never fire.
         prop_assert!(res.recovery.faults_injected <= crashes.len());
-        if depth == 0 {
-            // Serial: the report pairs one replayed batch with each crash
-            // that fired.
-            prop_assert_eq!(res.recovery.replayed_batches, res.recovery.faults_injected);
-        } else {
-            // Pipelined: every fired crash replays at least its in-hand
-            // batch, at most a full sampler burst (4) — and a dead
-            // consumer at most its two in-flight leases, so the bound is
-            // tight per role but 4 covers both.
-            prop_assert!(res.recovery.replayed_batches >= res.recovery.faults_injected);
-            prop_assert!(res.recovery.replayed_batches <= res.recovery.faults_injected * 4);
-        }
+        // Every fired crash replays at least the batch in hand, at most a
+        // full sampler burst (4).
+        prop_assert!(res.recovery.replayed_batches >= res.recovery.faults_injected);
+        prop_assert!(res.recovery.replayed_batches <= res.recovery.faults_injected * 4);
         prop_assert!(
             res.recovery.respawns + res.recovery.reassignments >= res.recovery.faults_injected
         );

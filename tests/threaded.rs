@@ -119,9 +119,8 @@ proptest! {
         // Reclaimed leases from a dead consumer re-enter the queue even
         // when it is full — blocking recovery on producer backpressure
         // could deadlock the supervisor — so a trainer crash may
-        // transiently overshoot capacity by the dead executor's lease
-        // count (two at the default pipeline depth: in-hand + prefetch).
-        let reclaim_overhang = if crash_trainer { 2 } else { 0 };
+        // transiently overshoot capacity by the dead executor's one lease.
+        let reclaim_overhang = if crash_trainer { 1 } else { 0 };
         prop_assert!(res.peak_queue_depth <= queue_capacity + reclaim_overhang);
         // Every injected fault is either a crash (recovered by respawn or
         // reassignment, replaying the in-flight batch) or a transient
