@@ -16,7 +16,7 @@
 use crate::metrics::{AtomicCacheStats, CacheStats};
 use crate::table::CacheTable;
 use gnnlab_graph::{FeatureStore, VertexId};
-use gnnlab_par::{gather_rows_into, global_pool, ThreadPool};
+use gnnlab_par::{gather_rows_into, ThreadPool};
 use std::sync::Arc;
 
 /// What one cache fill (build or refresh) actually moved: the quantities
@@ -49,15 +49,15 @@ pub struct CachedFeatureStore {
 impl CachedFeatureStore {
     /// Builds the store by copying the cached vertices' rows out of
     /// `host` (the cache-fill step of preprocessing, Table 6 P2).
-    /// Extraction uses the process-wide [`global_pool`]; see
-    /// [`CachedFeatureStore::with_pool`] to pin a specific pool.
+    /// Fill and extraction run inline on the caller; see
+    /// [`CachedFeatureStore::with_pool`] to fan them across a pool.
     ///
     /// # Panics
     ///
     /// Panics if `host` is virtual (no real rows to serve) or the table
     /// covers a different vertex count.
     pub fn new(host: FeatureStore, table: CacheTable) -> Self {
-        Self::with_pool(host, table, global_pool())
+        Self::with_pool(host, table, Arc::new(ThreadPool::new(1)))
     }
 
     /// [`CachedFeatureStore::new`] with an explicit extraction pool.

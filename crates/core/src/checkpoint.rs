@@ -67,9 +67,6 @@ pub struct CheckpointPolicy {
     pub dir: Option<PathBuf>,
     /// Checkpoint every N trained batches (`None`: every epoch's worth).
     pub every_batches: Option<usize>,
-    /// Also checkpoint whenever this much wall time has passed since the
-    /// last write (checked after each trained batch).
-    pub every_secs: Option<f64>,
     /// Resume from the latest valid generation in `dir` before training.
     /// An empty or fully-corrupt directory starts fresh.
     pub resume: bool,
@@ -1137,11 +1134,6 @@ mod tests {
             ..CheckpointPolicy::at("/tmp/x")
         };
         assert_eq!(p.batch_cadence(12), 7);
-        let p = CheckpointPolicy {
-            every_secs: Some(1.0),
-            ..CheckpointPolicy::at("/tmp/x")
-        };
-        assert_eq!(p.batch_cadence(12), 12, "wall time is an extra trigger");
     }
 
     #[test]

@@ -192,114 +192,38 @@ pub fn live_sample_workspace_bytes(kind: ModelKind, batch_size: usize, num_verti
     frontier.max(1) * 16
 }
 
-/// Training workspace (activations, gradients, Adam moments) for one live
-/// mini-batch: input-layer rows are the sampled frontier; each row keeps
-/// `in + hidden + classes` f32 activations, tripled for gradient and
-/// optimizer state.
-pub fn live_train_workspace_bytes(
-    kind: ModelKind,
-    batch_size: usize,
-    in_dim: usize,
-    hidden_dim: usize,
-    num_classes: usize,
-    num_vertices: usize,
-) -> u64 {
-    let rows = (batch_size as u64 * fanout_expansion(kind)).min(num_vertices as u64);
-    rows.max(1) * ((in_dim + hidden_dim + num_classes) as u64 * 4) * 3
-}
-
-/// The two consumer memory shapes of one threaded run: a dedicated
-/// Trainer (train workspace + cache remainder) and a standby Trainer (a
-/// Sampler that switched: topology + sampling workspace + train workspace
-/// + the *smaller* cache remainder — exactly why `T_t' > T_t` in §5.3).
-#[derive(Debug, Clone)]
+/// The cache rows of one threaded run's two consumer shapes: a dedicated
+/// Trainer and a standby Trainer (a Sampler that switched, whose device
+/// still holds topology and the sampling workspace — exactly why
+/// `T_t' > T_t` in §5.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveCachePlan {
-    /// Per-device budget both shapes plan against.
-    pub budget: u64,
-    /// The dedicated-Trainer ledger.
-    pub trainer: GpuPlan,
-    /// The standby-Trainer ledger.
-    pub standby: GpuPlan,
-    /// Exact cache rows the Trainer shape affords.
+    /// Cache rows a dedicated Trainer holds: `ceil(target_alpha · n)`.
     pub trainer_rows: usize,
-    /// Exact cache rows the standby shape affords (≤ `trainer_rows`).
+    /// Cache rows a standby Trainer holds (≤ `trainer_rows`).
     pub standby_rows: usize,
-    /// Bytes of one feature row.
-    pub row_bytes: u64,
 }
 
-/// Plans one role's ledger: mandatory workspaces first, then a
-/// `feature_cache` allocation of exactly `rows × row_bytes` from the
-/// remainder. Workspaces that do not fit are clamped rather than OOM-ing
-/// (the threaded runtime executes in host memory; the ledger is
-/// accounting, and an over-tight budget should degrade to a zero-row
-/// cache, not kill the run).
-fn plan_live_role(
-    budget: u64,
-    n: usize,
-    row_bytes: u64,
-    workspaces: &[(&str, u64)],
-) -> (GpuPlan, usize) {
-    let mut memory = GpuMemory::new(budget);
-    for (label, bytes) in workspaces {
-        let fit = (*bytes).min(memory.available());
-        gnnlab_par::invariant!(
-            memory.alloc(label, fit),
-            "the request was clamped to the bytes still available"
-        );
-    }
-    let rows = ((memory.available() / row_bytes.max(1)) as usize).min(n);
-    gnnlab_par::invariant!(
-        memory.alloc("feature_cache", rows as u64 * row_bytes),
-        "rows was computed from the remaining budget, so the remainder fits"
-    );
-    let cache_alpha = if n == 0 { 0.0 } else { rows as f64 / n as f64 };
-    (
-        GpuPlan {
-            memory,
-            cache_alpha,
-        },
-        rows,
-    )
-}
-
-/// Plans both consumer shapes of a threaded run.
-///
-/// With an explicit `device_budget` both roles split that budget per the
-/// §3 capacity accounting. Without one, the budget is derived so the
-/// dedicated Trainer's cache lands on `target_alpha` (train workspace +
-/// exactly `ceil(target_alpha · n)` cached rows) — the standby, which
-/// additionally holds topology and the sampling workspace, then affords
-/// strictly fewer rows on any graph with nonzero topology.
-pub fn plan_live_run(
-    device_budget: Option<u64>,
-    target_alpha: f64,
-    g: &LiveGraphBytes,
-    sample_ws: u64,
-    train_ws: u64,
-) -> LiveCachePlan {
+/// Plans both consumer shapes of a threaded run. The per-device budget
+/// is derived so a dedicated Trainer caches exactly
+/// `ceil(target_alpha · n)` rows beside its train workspace. A standby's
+/// device has the same budget and the same train workspace, and also
+/// keeps topology and the sampling workspace, so its cache is the
+/// Trainer's bytes less those two, in whole rows — strictly fewer on any
+/// graph with nonzero topology. A standby with nothing left caches no
+/// rows rather than failing the run.
+pub fn plan_live_run(target_alpha: f64, g: &LiveGraphBytes, sample_ws: u64) -> LiveCachePlan {
     let n = g.num_vertices;
     let target_rows = ((target_alpha.clamp(0.0, 1.0) * n as f64).ceil() as usize).min(n);
-    let budget = device_budget.unwrap_or(train_ws + target_rows as u64 * g.row_bytes);
-    let (trainer, trainer_rows) =
-        plan_live_role(budget, n, g.row_bytes, &[("train_workspace", train_ws)]);
-    let (standby, standby_rows) = plan_live_role(
-        budget,
-        n,
-        g.row_bytes,
-        &[
-            ("topology", g.topology),
-            ("sample_workspace", sample_ws),
-            ("train_workspace", train_ws),
-        ],
-    );
+    let rows_in = |bytes: u64| ((bytes / g.row_bytes.max(1)) as usize).min(n);
+    let trainer_cache = target_rows as u64 * g.row_bytes;
     LiveCachePlan {
-        budget,
-        trainer,
-        standby,
-        trainer_rows,
-        standby_rows,
-        row_bytes: g.row_bytes,
+        trainer_rows: rows_in(trainer_cache),
+        standby_rows: rows_in(
+            trainer_cache
+                .saturating_sub(g.topology)
+                .saturating_sub(sample_ws),
+        ),
     }
 }
 
@@ -399,45 +323,25 @@ mod tests {
 
     #[test]
     fn live_plan_derived_budget_hits_the_target_alpha() {
-        let g = LiveGraphBytes::new(600, 6000, 8);
+        let g = LiveGraphBytes::new(600, 6000, 256);
         let sample_ws = live_sample_workspace_bytes(ModelKind::GraphSage, 32, 600);
-        let train_ws = live_train_workspace_bytes(ModelKind::GraphSage, 32, 8, 16, 4, 600);
-        let plan = plan_live_run(None, 0.5, &g, sample_ws, train_ws);
+        let plan = plan_live_run(0.5, &g, sample_ws);
         assert_eq!(plan.trainer_rows, 300);
-        assert!((plan.trainer.cache_alpha - 0.5).abs() < 1e-12);
         // The standby also holds topology + sampling workspace, so its
-        // cache is strictly smaller.
-        assert!(plan.standby_rows < plan.trainer_rows);
-        assert!(plan.standby.cache_alpha < plan.trainer.cache_alpha);
-        // Ledgers record the cache exactly (no rounding row).
-        assert_eq!(
-            plan.trainer.memory.allocation("feature_cache"),
-            Some(plan.trainer_rows as u64 * plan.row_bytes)
-        );
-        assert_eq!(
-            plan.standby.memory.allocation("feature_cache"),
-            Some(plan.standby_rows as u64 * plan.row_bytes)
-        );
-        assert!(plan.standby.memory.allocation("topology").is_some());
-        assert!(plan.trainer.memory.allocation("topology").is_none());
-    }
-
-    #[test]
-    fn live_plan_tight_budget_degrades_to_zero_cache() {
-        let g = LiveGraphBytes::new(100, 1000, 32);
-        let plan = plan_live_run(Some(64), 1.0, &g, 1 << 20, 1 << 20);
-        assert_eq!(plan.trainer_rows, 0);
-        assert_eq!(plan.standby_rows, 0);
-        assert_eq!(plan.trainer.cache_alpha, 0.0);
-        // Everything stays within the explicit budget.
-        assert!(plan.trainer.memory.used() <= 64);
-        assert!(plan.standby.memory.used() <= 64);
+        // cache is strictly smaller: the Trainer's bytes less those two.
+        let left = 300 * g.row_bytes - g.topology - sample_ws;
+        assert_eq!(plan.standby_rows as u64, left / g.row_bytes);
+        assert!((1..300).contains(&plan.standby_rows));
+        // On a narrow graph topology alone outweighs the Trainer's cache,
+        // and the standby caches nothing rather than failing.
+        let narrow = LiveGraphBytes::new(600, 6000, 8);
+        assert_eq!(plan_live_run(0.5, &narrow, sample_ws).standby_rows, 0);
     }
 
     #[test]
     fn live_plan_alpha_zero_plans_no_cache_rows() {
         let g = LiveGraphBytes::new(600, 6000, 8);
-        let plan = plan_live_run(None, 0.0, &g, 1024, 4096);
+        let plan = plan_live_run(0.0, &g, 1024);
         assert_eq!(plan.trainer_rows, 0);
         assert_eq!(plan.standby_rows, 0);
     }

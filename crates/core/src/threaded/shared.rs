@@ -9,10 +9,7 @@ use super::config::{
 use super::snapshot::CkptRuntime;
 use crate::checkpoint::BatchRecord;
 use crate::faults::splitmix64;
-use crate::memory::{
-    live_sample_workspace_bytes, live_train_workspace_bytes, plan_live_run, LiveCachePlan,
-    LiveGraphBytes,
-};
+use crate::memory::{live_sample_workspace_bytes, plan_live_run, LiveCachePlan, LiveGraphBytes};
 use crate::queue::GlobalQueue;
 use crate::schedule::num_samplers;
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
@@ -456,9 +453,9 @@ pub(super) struct Shared<'a> {
     /// Shared PreSC hotness map the per-executor tables rank by; `None`
     /// when no planned role affords cache rows (α = 0 skips the pass).
     pub hotness: Option<Vec<f64>>,
-    /// The per-role memory plans (§3 capacity accounting): Trainer budget
-    /// minus train workspace; standby budget minus topology + sampling
-    /// workspace + train workspace.
+    /// The per-role cache rows (§3 capacity accounting): a Trainer's
+    /// `cache_alpha` share; a standby's, less topology and the sampling
+    /// workspace.
     pub plan: LiveCachePlan,
     /// The table the Samplers' M step marks against. Per-executor stores
     /// built at trainer rows share this exact layout; a standby's table is
@@ -541,27 +538,17 @@ impl<'a> Shared<'a> {
             .gauge_set(names::EXTRACT_PAR_THREADS, pool.threads() as f64);
         obs.metrics
             .gauge_set(names::FAULTS_RESPAWN_BUDGET, cfg.faults.max_respawns as f64);
-        // The §3 memory plan: one role-appropriate cache budget per consumer.
-        // Trainers spend budget minus the train workspace on cache rows; a
-        // standby's device additionally keeps topology and the sampling
-        // workspace, so its cache is strictly smaller.
+        // The §3 memory plan: dedicated Trainers land exactly on
+        // `cache_alpha`; a standby's device additionally keeps topology and
+        // the sampling workspace, so its cache is strictly smaller.
         let live = LiveGraphBytes::new(n, graph.csr.num_edges(), graph.feat_dim);
         let sample_ws = live_sample_workspace_bytes(kind, cfg.batch_size, n);
-        let train_ws = live_train_workspace_bytes(
-            kind,
-            cfg.batch_size,
-            graph.feat_dim,
-            cfg.hidden_dim,
-            graph.num_classes,
-            n,
-        );
-        // No explicit device budget: it is derived from `cache_alpha` so the
-        // dedicated Trainers land exactly on that ratio.
-        let plan = plan_live_run(None, cfg.cache_alpha, &live, sample_ws, train_ws);
+        let plan = plan_live_run(cfg.cache_alpha, &live, sample_ws);
+        let alpha = |rows: usize| rows as f64 / n.max(1) as f64;
         obs.metrics
-            .gauge_set(names::CACHE_TRAINER_ALPHA, plan.trainer.cache_alpha);
+            .gauge_set(names::CACHE_TRAINER_ALPHA, alpha(plan.trainer_rows));
         obs.metrics
-            .gauge_set(names::CACHE_STANDBY_ALPHA, plan.standby.cache_alpha);
+            .gauge_set(names::CACHE_STANDBY_ALPHA, alpha(plan.standby_rows));
         // The shared hotness map every per-executor cache ranks by: PreSC#1,
         // the paper's policy, over the run's own epoch 0 — its shuffle, its
         // per-batch streams — so pre-sampling is that epoch's G step. It

@@ -9,7 +9,7 @@ use crate::checkpoint::{
     self, CheckpointError, CheckpointMeta, CheckpointPolicy, CheckpointState, RngCursor,
     SchedSnapshot,
 };
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use gnnlab_obs::names;
 use gnnlab_tensor::Adam;
 use std::path::Path;
@@ -30,8 +30,6 @@ pub(super) struct CkptRuntime {
     generation: AtomicU64,
     /// Successful writes this run.
     writes: AtomicUsize,
-    /// Wall clock of the last successful write (drives `every_secs`).
-    last_write: Mutex<Instant>,
     /// The chaos kill-point fires at most once.
     kill_fired: AtomicBool,
 }
@@ -45,7 +43,6 @@ impl CkptRuntime {
             next_due: AtomicUsize::new(next_due),
             generation: AtomicU64::new(0),
             writes: AtomicUsize::new(0),
-            last_write: Mutex::new(Instant::now()),
             kill_fired: AtomicBool::new(false),
         }
     }
@@ -59,18 +56,13 @@ impl CkptRuntime {
     fn dir(&self) -> &Path {
         gnnlab_par::invariant!(
             self.policy.dir.as_deref(),
-            "CheckpointPolicy::validate requires a dir when enabled"
+            "a CkptRuntime is built only when enabled(), which means dir is Some"
         )
     }
 
-    /// Whether a generation is due after `trained` batches: enough
-    /// batches, or enough wall-clock since the last successful write.
+    /// Whether a generation is due after `trained` batches.
     fn due(&self, trained: usize) -> bool {
         trained >= self.next_due.load(Ordering::Relaxed)
-            || self
-                .policy
-                .every_secs
-                .is_some_and(|t| self.last_write.lock().elapsed().as_secs_f64() >= t)
     }
 }
 
@@ -123,7 +115,6 @@ impl Shared<'_> {
                 m.gauge_set(names::CKPT_GENERATION, generation as f64);
                 c.generation.fetch_add(1, Ordering::Relaxed);
                 c.writes.fetch_add(1, Ordering::Relaxed);
-                *c.last_write.lock() = Instant::now();
                 let next = state.cursor as usize + c.policy.batch_cadence(self.batches_per_epoch);
                 c.next_due.store(next, Ordering::Relaxed);
             }

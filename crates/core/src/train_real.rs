@@ -82,19 +82,13 @@ pub fn sampler_for(kind: ModelKind) -> Box<dyn SamplingAlgorithm> {
     }
 }
 
-/// Gathers feature rows of `ids` into a dense matrix (host-side Extract),
-/// fanning disjoint output-row chunks across the global pool. Rows are
-/// pure copies, so the matrix is byte-identical at every thread count.
+/// Gathers feature rows of `ids` into a dense matrix (host-side Extract).
 pub fn gather_features(graph: &SbmGraph, ids: &[VertexId]) -> Matrix {
     let d = graph.feat_dim;
-    // SAFETY: gather_rows_into writes every row of the buffer exactly once
-    // (the chunks below tile it disjointly).
-    let mut data = unsafe { gnnlab_par::uninit_f32_vec(ids.len() * d) };
-    gnnlab_par::global_pool().par_chunks_mut(&mut data, d, |_, rows, chunk| {
-        gnnlab_par::gather_rows_into(&ids[rows], d, chunk, |_, v| {
-            let s = v as usize * d;
-            &graph.features[s..s + d]
-        });
+    let mut data = vec![0.0; ids.len() * d];
+    gnnlab_par::gather_rows_into(ids, d, &mut data, |_, v| {
+        let s = v as usize * d;
+        &graph.features[s..s + d]
     });
     Matrix::from_vec(ids.len(), d, data)
 }

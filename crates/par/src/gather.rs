@@ -3,18 +3,10 @@
 //! `CachedFeatureStore::extract` (two-tier, stats-recording) and
 //! `train_real::gather_features` (dense host gather) both reduce to the
 //! same loop: for each id, resolve a source row and copy it into the
-//! matching row of one preallocated output buffer. Writing it once here
-//! means the parallel path — disjoint row chunks via
-//! [`crate::ThreadPool::par_chunks_mut`] — is written once too.
+//! matching row of one preallocated output buffer. The store fans it
+//! across disjoint row chunks via [`crate::ThreadPool::par_chunks_mut`];
+//! the dense gather runs it once over all rows.
 
-/// Copies one source row per id into `out`, row `i` of `out` receiving
-/// `row(i, ids[i])`. The closure may carry mutable state (per-chunk cache
-/// counters); it must return a slice of exactly `dim` elements.
-///
-/// # Panics
-///
-/// Panics if `out.len() != ids.len() * dim` or a resolved row has the
-/// wrong width (via `copy_from_slice`).
 /// A length-`n` `Vec<f32>` with uninitialized contents, for gather outputs
 /// where every element is overwritten before any read — zeroing a
 /// multi-megabyte extract buffer first would cost a memset per mini-batch.
@@ -32,6 +24,14 @@ pub unsafe fn uninit_f32_vec(n: usize) -> Vec<f32> {
     v
 }
 
+/// Copies one source row per id into `out`, row `i` of `out` receiving
+/// `row(i, ids[i])`. The closure may carry mutable state (per-chunk cache
+/// counters); it must return a slice of exactly `dim` elements.
+///
+/// # Panics
+///
+/// Panics if `out.len() != ids.len() * dim` or a resolved row has the
+/// wrong width (via `copy_from_slice`).
 pub fn gather_rows_into<'s, F>(ids: &[u32], dim: usize, out: &mut [f32], mut row: F)
 where
     F: FnMut(usize, u32) -> &'s [f32],

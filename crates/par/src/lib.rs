@@ -22,19 +22,15 @@
 //!   derived with [`splitmix64`], so a batch's randomness is a pure
 //!   function of its identity, not of which worker runs it.
 //!
-//! A pool of one thread (the default) executes entirely inline on the
-//! caller with zero dispatch overhead.
+//! A pool of one thread executes entirely inline on the caller with zero
+//! dispatch overhead.
 //!
-//! # Process-wide pools
+//! # Who builds the pools
 //!
-//! - [`global_pool`] is the `--threads` knob, 1 wide by default. The
-//!   tensor matmuls, the real-training gather and the default cached
-//!   feature store consult it.
-//! - [`host_pool`] has one worker per core and no knob. The co-simulation
-//!   records its epochs and pre-samples PreSC/Optimal hotness on it.
-//!
-//! The threaded runtime uses neither for its sampling: it sizes its own
-//! pools from its executor fleet.
+//! Each pool is built by its owner. [`host_pool`] has one worker per
+//! core and no knob; the co-simulation records its epochs and
+//! pre-samples PreSC/Optimal hotness on it. The threaded runtime sizes
+//! its own pools from its config and executor fleet.
 
 pub mod gather;
 pub mod global;
@@ -44,7 +40,7 @@ pub mod sync;
 pub mod worker;
 
 pub use gather::{gather_rows_into, uninit_f32_vec};
-pub use global::{global_pool, global_threads, host_pool, set_global_threads};
+pub use global::host_pool;
 pub use pool::ThreadPool;
 pub use worker::{JobHandle, Worker};
 

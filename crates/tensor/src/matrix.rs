@@ -1,12 +1,7 @@
 //! Row-major `f32` matrices with the operations GNN layers need.
 //!
-//! The three matmul variants are data-parallel over disjoint *output* rows:
-//! each output element's accumulation runs in the exact sequential order
-//! (ascending `k`), so results are bit-identical at every thread count —
-//! parallelism changes which thread computes a row, never the float-add
-//! order within it. The plain methods consult [`gnnlab_par::global_threads`]
-//! and only fan out when a multi-thread pool is configured and the product
-//! is large enough to amortize dispatch.
+//! The three matmul variants accumulate every output element in the
+//! exact sequential order (ascending `k`), one call over all output rows.
 //!
 //! All three run one register-tile body (`tile`): an `R × N` block of
 //! output accumulators is loaded once, advanced over a range of `k` and
@@ -27,32 +22,19 @@
 //! every output element accumulates over ascending `k` with plain `*` and
 //! `+` (no FMA, no `mul_add`, no reassociation), and the per-(row, `k`)
 //! `a == 0` skip of `matmul` / `transa_matmul` holds on every path, so
-//! tile shape, `k`-blocking, instruction set and pool width never change
-//! a bit. AVX-512 was measured and left out: at the layer shapes it read
-//! within a few percent of AVX2 (the prototype 42–50 vs 46–50 GFLOPS,
-//! this PR 3–9 % on a host that varies ±10 % run to run) — not a third
+//! tile shape, `k`-blocking and instruction set never change a bit.
+//! AVX-512 was measured and left out: at the layer shapes it read within
+//! a few percent of AVX2 (the prototype 42–50 vs 46–50 GFLOPS, this PR
+//! 3–9 % on a host that varies ±10 % run to run) — not a third
 //! instantiation's worth, so one wide instantiation is all there is.
 //!
 //! Each variant also has a crate-private `*_into` form that writes into a
 //! caller-owned matrix, which is how the layers keep their buffers across
 //! batches.
 
-use gnnlab_par::ThreadPool;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
-
-/// Minimum `rows * inner * cols` product worth fanning out; below this the
-/// chunk-dispatch overhead exceeds the multiply itself.
-const PAR_MIN_FLOPS: usize = 64 * 1024;
-
-fn par_pool(flops: usize) -> Option<std::sync::Arc<ThreadPool>> {
-    if gnnlab_par::global_threads() > 1 && flops >= PAR_MIN_FLOPS {
-        Some(gnnlab_par::global_pool())
-    } else {
-        None
-    }
-}
 
 /// Runs `$tile` with `$j` at each tile start over columns `$from..$cols`
 /// and `$n` the tile's width as a constant: 16 columns while at least 16
@@ -173,38 +155,33 @@ unsafe fn tile<const R: usize, const N: usize>(
     }
 }
 
-/// Output rows `rows` of `aᵀ? · bᵀ?`, added into `out` (those rows,
-/// row-major; at least one row and one column). Tile geometry: pairs of
-/// rows take 2 × 32 tiles while 32 columns remain (eight AVX2 registers
-/// of accumulators, leaving room for a row of `b` and two broadcasts);
-/// the remaining columns, an odd last row and every output narrower than
-/// 32 run single-row tiles of 16, 4 and 1 columns — the instruction mix
-/// narrow outputs always ran. `aᵀ · b` walks `k` in [`K_BLOCK`]s, the
+/// `aᵀ? · bᵀ?`, added into `out` (row-major; at least one row and one
+/// column). Tile geometry: pairs of rows take 2 × 32 tiles while 32
+/// columns remain (eight AVX2 registers of accumulators, leaving room for
+/// a row of `b` and two broadcasts); the remaining columns, an odd last
+/// row and every output narrower than 32 run single-row tiles of 16, 4
+/// and 1 columns — the instruction mix narrow outputs always ran. `aᵀ · b` walks `k` in [`K_BLOCK`]s, the
 /// other two in one piece. A zero of `a` is skipped unless `b` is
 /// transposed.
 #[inline(always)]
-fn product_rows<const TA: bool, const TB: bool>(
-    (a, b): (&Matrix, &Matrix),
-    rows: Range<usize>,
-    out: &mut [f32],
-) {
+fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out: &mut [f32]) {
     let ab = operands::<TA, TB>(a, b);
-    let ((a_lanes, inner), (cols, b_steps)) = (ab.0.extent(), ab.1.extent());
+    let ((rows, inner), (cols, b_steps)) = (ab.0.extent(), ab.1.extent());
     assert!(
-        rows.end <= a_lanes && b_steps == inner && out.len() == rows.len() * cols,
+        b_steps == inner && out.len() == rows * cols,
         "product out of bounds"
     );
     let k_block = if TA { K_BLOCK } else { inner.max(1) };
     for k0 in (0..inner).step_by(k_block) {
         let ks = k0..inner.min(k0 + k_block);
         for (pair, out) in out.chunks_mut(2 * cols).enumerate() {
-            let i = rows.start + 2 * pair;
+            let i = 2 * pair;
             let mut wide = 0;
             while out.len() == 2 * cols && cols - wide >= 32 {
-                // SAFETY: rows `i` and `i + 1` are in `rows` (`out` holds
-                // both), columns `wide..wide + 32` in `0..cols` and `ks`
-                // in `0..inner`, all of which the assertion above found
-                // inside the operands.
+                // SAFETY: rows `i` and `i + 1` are in `0..rows` (`out`
+                // holds both), columns `wide..wide + 32` in `0..cols` and
+                // `ks` in `0..inner`, all of which the assertion above
+                // found inside the operands.
                 unsafe { tile::<2, 32>(ab, ks.clone(), (i, wide), out) };
                 wide += 32;
             }
@@ -222,12 +199,8 @@ fn product_rows<const TA: bool, const TB: bool>(
 /// [`product_rows`] compiled for AVX2: the same body, eight lanes wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn product_rows_avx2<const TA: bool, const TB: bool>(
-    ab: (&Matrix, &Matrix),
-    rows: Range<usize>,
-    out: &mut [f32],
-) {
-    product_rows::<TA, TB>(ab, rows, out);
+fn product_rows_avx2<const TA: bool, const TB: bool>(ab: (&Matrix, &Matrix), out: &mut [f32]) {
+    product_rows::<TA, TB>(ab, out);
 }
 
 /// Whether the running CPU takes the AVX2 instantiation.
@@ -358,89 +331,54 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// `self @ other`. Fans out over the global pool when one is configured
-    /// and the product is large; see [`Matrix::matmul_with`].
+    /// `self @ other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.matmul_into(other, &mut out);
         out
     }
 
-    /// `self @ other` with output rows fanned across `pool`. Bit-identical
-    /// to the sequential [`Matrix::matmul`] at every pool size.
-    pub fn matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        let mut out = Matrix::default();
-        self.product_on::<false, false>(other, Some(pool), &mut out);
-        out
-    }
-
     /// [`Matrix::matmul`] into `out`'s storage.
     pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        let pool = par_pool(self.rows * self.cols * other.cols);
-        self.product_on::<false, false>(other, pool.as_deref(), out);
+        self.product_on::<false, false>(other, out);
     }
 
-    /// `self @ other.T`. Fans out like [`Matrix::matmul`].
+    /// `self @ other.T`.
     pub fn matmul_transb(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.matmul_transb_into(other, &mut out);
         out
     }
 
-    /// `self @ other.T` with output rows fanned across `pool`.
-    pub fn matmul_transb_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        let mut out = Matrix::default();
-        self.product_on::<false, true>(other, Some(pool), &mut out);
-        out
-    }
-
     /// [`Matrix::matmul_transb`] into `out`'s storage.
     pub(crate) fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) {
-        let pool = par_pool(self.rows * self.cols * other.rows);
-        self.product_on::<false, true>(other, pool.as_deref(), out);
+        self.product_on::<false, true>(other, out);
     }
 
-    /// `self.T @ other`. Fans out like [`Matrix::matmul`].
+    /// `self.T @ other`.
     pub fn transa_matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::default();
         self.transa_matmul_into(other, &mut out);
         out
     }
 
-    /// `self.T @ other` with output rows fanned across `pool`: each chunk
-    /// walks the same `k`-blocks restricted to its output rows, so every
-    /// output element sees the identical float-add sequence and the
-    /// result is bit-identical.
-    pub fn transa_matmul_with(&self, other: &Matrix, pool: &ThreadPool) -> Matrix {
-        let mut out = Matrix::default();
-        self.product_on::<true, false>(other, Some(pool), &mut out);
-        out
-    }
-
     /// [`Matrix::transa_matmul`] into `out`'s storage.
     pub(crate) fn transa_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        let pool = par_pool(self.rows * self.cols * other.cols);
-        self.product_on::<true, false>(other, pool.as_deref(), out);
+        self.product_on::<true, false>(other, out);
     }
 
     /// `out = selfᵀ? · otherᵀ?`, transposing as `TA` and `TB` say, on the
     /// instantiation the CPU selects.
-    fn product_on<const TA: bool, const TB: bool>(
-        &self,
-        other: &Matrix,
-        pool: Option<&ThreadPool>,
-        out: &mut Matrix,
-    ) {
-        self.product_via::<TA, TB>(other, pool, avx2_detected(), out);
+    fn product_on<const TA: bool, const TB: bool>(&self, other: &Matrix, out: &mut Matrix) {
+        self.product_via::<TA, TB>(other, avx2_detected(), out);
     }
 
     /// [`Matrix::product_on`] with the instantiation named — the AVX2 one
     /// only if `avx2` says the CPU has it: shapes `out` and runs the
-    /// kernel over disjoint chunks of output rows.
+    /// kernel over all of its rows. Nothing to do for an empty output.
     fn product_via<const TA: bool, const TB: bool>(
         &self,
         other: &Matrix,
-        pool: Option<&ThreadPool>,
         avx2: bool,
         out: &mut Matrix,
     ) {
@@ -449,34 +387,16 @@ impl Matrix {
         assert_eq!(inner, other_inner, "matmul shape mismatch");
         assert!(!avx2 || avx2_detected(), "AVX2 kernels need an AVX2 CPU");
         out.reset(rows, cols);
-        out.for_row_chunks(pool, |rows, chunk| {
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: `product_rows_avx2`'s one requirement is AVX2,
-                // which the assertion above found on the running CPU.
-                return unsafe { product_rows_avx2::<TA, TB>((self, other), rows, chunk) };
-            }
-            product_rows::<TA, TB>((self, other), rows, chunk)
-        });
-    }
-
-    /// Calls `f(row_range, those_rows)` on disjoint row chunks covering the
-    /// matrix: one chunk per `pool` worker, or the whole matrix at once
-    /// without a pool. Nothing to do for an empty matrix.
-    fn for_row_chunks(
-        &mut self,
-        pool: Option<&ThreadPool>,
-        f: impl Fn(Range<usize>, &mut [f32]) + Sync,
-    ) {
-        if self.data.is_empty() {
+        if out.data.is_empty() {
             return;
         }
-        match pool {
-            Some(pool) => pool.par_chunks_mut(&mut self.data, self.cols, |_, rows, chunk| {
-                f(rows, chunk);
-            }),
-            None => f(0..self.rows, &mut self.data),
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `product_rows_avx2`'s one requirement is AVX2, which
+            // the assertion above found on the running CPU.
+            return unsafe { product_rows_avx2::<TA, TB>((self, other), &mut out.data) };
         }
+        product_rows::<TA, TB>((self, other), &mut out.data)
     }
 
     /// Adds `other` element-wise.
@@ -643,34 +563,6 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    #[test]
-    fn pooled_matmuls_are_bit_identical_to_sequential() {
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        // Odd row counts so chunks split unevenly (`transa`'s 19 output
-        // rows never divide across 2, 4 or 8 workers); some zeros to hit
-        // the skips; output widths covering the 16-wide tile alone, with
-        // 4-wide and scalar remainders, and twice over.
-        let mut a = Matrix::xavier(37, 19, &mut rng);
-        for v in a.data_mut().iter_mut().step_by(7) {
-            *v = 0.0;
-        }
-        for width in [16usize, 17, 19, 23, 32, 35] {
-            let b = Matrix::xavier(19, width, &mut rng);
-            let bt = Matrix::xavier(width, 19, &mut rng);
-            let wide = Matrix::xavier(37, width, &mut rng);
-            let mm = a.matmul(&b);
-            let tb = a.matmul_transb(&bt);
-            let ta = a.transa_matmul(&wide);
-            for threads in [1, 2, 4, 8] {
-                let pool = ThreadPool::new(threads);
-                let at = format!("width {width}, {threads} threads");
-                assert_eq!(a.matmul_with(&b, &pool).data(), mm.data(), "{at}");
-                assert_eq!(a.matmul_transb_with(&bt, &pool).data(), tb.data(), "{at}");
-                assert_eq!(a.transa_matmul_with(&wide, &pool).data(), ta.data(), "{at}");
-            }
-        }
-    }
-
     /// The tiled kernels against straightforward scalar references —
     /// bit-for-bit, across widths below one 4-wide tile, 4-wide tiles with
     /// scalar remainders, and one or two 16-wide tiles with 4-wide and
@@ -769,18 +661,13 @@ mod tests {
         out
     }
 
-    /// The product on one named path: instantiation × pool.
-    fn product_via(
-        (ta, tb): (bool, bool),
-        (a, b): (&Matrix, &Matrix),
-        pool: Option<&ThreadPool>,
-        avx2: bool,
-    ) -> Matrix {
+    /// The product on one named instantiation.
+    fn product_via((ta, tb): (bool, bool), (a, b): (&Matrix, &Matrix), avx2: bool) -> Matrix {
         let mut out = Matrix::default();
         match (ta, tb) {
-            (false, false) => a.product_via::<false, false>(b, pool, avx2, &mut out),
-            (false, true) => a.product_via::<false, true>(b, pool, avx2, &mut out),
-            (true, false) => a.product_via::<true, false>(b, pool, avx2, &mut out),
+            (false, false) => a.product_via::<false, false>(b, avx2, &mut out),
+            (false, true) => a.product_via::<false, true>(b, avx2, &mut out),
+            (true, false) => a.product_via::<true, false>(b, avx2, &mut out),
             (true, true) => unreachable!("no layer needs aᵀ · bᵀ"),
         }
         out
@@ -794,27 +681,19 @@ mod tests {
     }
 
     /// Asserts that every instantiation this CPU can run — the portable
-    /// one always, called directly — gives `want` sequentially and on
-    /// pools of 1, 2, 4 and 8 threads.
-    fn assert_every_path(op: (bool, bool), ab: (&Matrix, &Matrix), pools: &[ThreadPool]) {
+    /// one always, called directly — gives the scalar loop's bits.
+    fn assert_every_path(op: (bool, bool), ab: (&Matrix, &Matrix)) {
         let want = bits(&scalar_product(op.0, op.1, ab.0, ab.1));
         for avx2 in [false, true] {
             if avx2 && !avx2_detected() {
                 continue;
             }
-            let pools = pools.iter().map(Some);
-            for pool in std::iter::once(None).chain(pools) {
-                let got = product_via(op, ab, pool, avx2);
-                let at = format!(
-                    "{op:?} {}x{} · {}x{}, avx2 {avx2}, {:?} threads",
-                    ab.0.rows,
-                    ab.0.cols,
-                    ab.1.rows,
-                    ab.1.cols,
-                    pool.map(ThreadPool::threads)
-                );
-                assert_eq!(bits(&got), want, "{at}");
-            }
+            let (a, b) = ab;
+            let at = format!(
+                "{op:?} {}x{} · {}x{}, avx2 {avx2}",
+                a.rows, a.cols, b.rows, b.cols
+            );
+            assert_eq!(bits(&product_via(op, ab, avx2)), want, "{at}");
         }
     }
 
@@ -855,7 +734,6 @@ mod tests {
     /// left operand with no, a fifth and half of its elements zero.
     #[test]
     fn every_instantiation_matches_the_scalar_loop_bitwise() {
-        let pools: Vec<ThreadPool> = [1, 2, 4, 8].map(ThreadPool::new).into();
         let mut rng = ChaCha8Rng::seed_from_u64(29);
         let edges = [
             (0, 0, 0),
@@ -880,7 +758,7 @@ mod tests {
         for (n, &shape) in shapes.iter().enumerate() {
             for op in PRODUCTS {
                 let (a, b) = random_operands(op, shape, [0, 5, 2][n % 3], &mut rng);
-                assert_every_path(op, (&a, &b), &pools);
+                assert_every_path(op, (&a, &b));
             }
         }
     }
@@ -891,7 +769,6 @@ mod tests {
     /// every path alike.
     #[test]
     fn a_zero_skips_infinities_and_nans_on_every_path() {
-        let pools: Vec<ThreadPool> = [1, 2, 4, 8].map(ThreadPool::new).into();
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
         for op @ (ta, tb) in PRODUCTS {
@@ -907,7 +784,7 @@ mod tests {
                     b.set(row, col, specials[(k + l) % 3]);
                 }
             }
-            assert_every_path(op, (&a, &b), &pools);
+            assert_every_path(op, (&a, &b));
             let finite = scalar_product(ta, tb, &a, &b)
                 .data()
                 .iter()
@@ -923,11 +800,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matmul_handles_empty_output() {
+    fn matmuls_handle_empty_output() {
         let a = Matrix::zeros(0, 3);
         let b = Matrix::zeros(3, 4);
-        let pool = ThreadPool::new(4);
-        assert_eq!(a.matmul_with(&b, &pool).rows(), 0);
-        assert_eq!(a.transa_matmul_with(&Matrix::zeros(0, 0), &pool).cols(), 0);
+        assert_eq!(a.matmul(&b).rows(), 0);
+        assert_eq!(a.matmul_transb(&Matrix::zeros(4, 3)).rows(), 0);
+        assert_eq!(a.transa_matmul(&Matrix::zeros(0, 0)).cols(), 0);
     }
 }

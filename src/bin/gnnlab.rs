@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! --samplers N --trainers N --epochs N --batch-size N --capacity N --seed S
-//! --threads N                 data-parallel width of Extract (pre-sampling and
+//! --threads N                 width of the run's Extract pool (pre-sampling and
 //!                             evaluation run samplers + trainers wide)
 //! --crash-trainer IDX@BATCH   kill Trainer IDX after BATCH batches
 //! --crash-sampler IDX@BATCH   kill Sampler IDX after BATCH batches
@@ -27,7 +27,6 @@
 //! --checkpoint-dir PATH       durable checkpoint directory (enables checkpointing)
 //! --checkpoint-every N        checkpoint every N trained batches
 //!                             (default: every epoch boundary)
-//! --checkpoint-secs T         also checkpoint every T wall seconds
 //! --resume                    resume from the latest valid generation in
 //!                             --checkpoint-dir (torn files are skipped)
 //! ```
@@ -98,8 +97,7 @@ fn usage() -> ExitCode {
          [--capacity N] [--seed S] [--threads N] [--crash-trainer IDX@BATCH]\n           \
          [--crash-sampler IDX@BATCH] [--straggler ROLE:IDX:FACTOR] [--transient P]\n           \
          [--max-respawns N] [--metrics-addr HOST:PORT] [--metrics-out PATH]\n           \
-         [--series-cap N] [--checkpoint-dir PATH] [--checkpoint-every N]\n           \
-         [--checkpoint-secs T] [--resume]"
+         [--series-cap N] [--checkpoint-dir PATH] [--checkpoint-every N] [--resume]"
     );
     ExitCode::from(2)
 }
@@ -324,17 +322,7 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
             "--batch-size" => ok = value.parse().map(|v| cfg.batch_size = v).is_ok(),
             "--capacity" => ok = value.parse().map(|v| cfg.queue_capacity = v).is_ok(),
             "--seed" => ok = value.parse().map(|v| cfg.seed = v).is_ok(),
-            "--threads" => {
-                ok = value
-                    .parse()
-                    .map(|v: usize| {
-                        cfg.threads = v.max(1);
-                        // Paths outside the run's own pool (gather_features,
-                        // large matmuls) follow the same width.
-                        gnnlab::par::set_global_threads(cfg.threads);
-                    })
-                    .is_ok()
-            }
+            "--threads" => ok = value.parse().map(|v: usize| cfg.threads = v.max(1)).is_ok(),
             "--max-respawns" => {
                 ok = value
                     .parse()
@@ -375,10 +363,6 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
                     .map(|v: usize| cfg.checkpoint.every_batches = Some(v.max(1)))
                     .is_ok()
             }
-            "--checkpoint-secs" => match value.parse::<f64>() {
-                Ok(t) if t > 0.0 => cfg.checkpoint.every_secs = Some(t),
-                _ => ok = false,
-            },
             _ => {
                 eprintln!("unknown flag {flag}");
                 return usage();
@@ -391,9 +375,7 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
         i += 2;
     }
     cfg.faults = plan.with_seed(cfg.seed);
-    if (cfg.checkpoint.resume
-        || cfg.checkpoint.every_batches.is_some()
-        || cfg.checkpoint.every_secs.is_some())
+    if (cfg.checkpoint.resume || cfg.checkpoint.every_batches.is_some())
         && cfg.checkpoint.dir.is_none()
     {
         eprintln!("checkpoint flags require --checkpoint-dir");

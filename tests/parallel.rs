@@ -4,21 +4,19 @@
 //! every float is produced by the same sequence of operations regardless
 //! of thread count. These tests pin that contract: any divergence between
 //! a 1-thread and a k-thread run — in extract output, cache stats,
-//! hotness maps, matmul results or training history — is a bug, not
-//! noise.
+//! hotness maps, sampling or trace recording — is a bug, not noise.
 
 use gnnlab::cache::{load_cache, CachePolicy, CacheTable, CachedFeatureStore, PolicyKind};
 use gnnlab::core::trace::EpochTrace;
-use gnnlab::core::train_real::{train_to_accuracy, ConvergenceConfig};
 use gnnlab::core::workload::Workload;
-use gnnlab::graph::gen::{chung_lu, recency_weights, sbm, SbmParams};
+use gnnlab::graph::gen::{chung_lu, recency_weights};
 use gnnlab::graph::{Dataset, FeatureStore, VertexId};
-use gnnlab::par::{set_global_threads, ThreadPool};
+use gnnlab::par::ThreadPool;
 use gnnlab::sampling::{
     AlgorithmKind, KHop, Kernel, MinibatchIter, RandomWalk, Sample, SampleBuffers,
     SamplingAlgorithm, Selection,
 };
-use gnnlab::tensor::{Matrix, ModelKind};
+use gnnlab::tensor::ModelKind;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -163,38 +161,6 @@ proptest! {
         }
     }
 
-    /// Pooled matmuls are bit-identical to the 1-thread pool for all three
-    /// layouts: rows are disjoint, and each output element accumulates in
-    /// the same k-order on every pool width.
-    #[test]
-    fn pooled_matmuls_match_sequential(
-        m in 1usize..20,
-        k in 1usize..20,
-        n in 1usize..20,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = Matrix::xavier(m, k, &mut rng);
-        let b = Matrix::xavier(k, n, &mut rng);
-        let bt = Matrix::xavier(n, k, &mut rng);
-        let at = Matrix::xavier(k, m, &mut rng);
-        let p1 = ThreadPool::new(1);
-        for t in THREAD_COUNTS {
-            let pt = ThreadPool::new(t);
-            for (want, got) in [
-                (a.matmul_with(&b, &p1), a.matmul_with(&b, &pt)),
-                (a.matmul_transb_with(&bt, &p1), a.matmul_transb_with(&bt, &pt)),
-                (at.transa_matmul_with(&b, &p1), at.transa_matmul_with(&b, &pt)),
-            ] {
-                prop_assert_eq!(
-                    want.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    got.data().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-                    "matmul diverged at {} threads", t
-                );
-            }
-        }
-    }
-
     /// Reusing `SampleBuffers` + an output `Sample` across mini-batches —
     /// as the threaded Sampler refills a trained task's sample — yields
     /// exactly what a fresh `sample_with` yields (same draws, same blocks,
@@ -237,42 +203,4 @@ proptest! {
             }
         }
     }
-}
-
-/// End-to-end: real training drives extract, gather and matmul through the
-/// global pool; its accuracy history must not move when the process-wide
-/// thread count does.
-#[test]
-fn training_history_is_thread_count_invariant() {
-    let graph = sbm(&SbmParams {
-        num_vertices: 240,
-        num_classes: 3,
-        avg_degree: 8.0,
-        intra_prob: 0.9,
-        feat_dim: 6,
-        noise: 0.6,
-        seed: 17,
-    })
-    .expect("valid SBM parameters");
-    let cfg = ConvergenceConfig {
-        target_accuracy: 1.1, // unreachable: always run max_epochs
-        max_epochs: 3,
-        num_trainers: 1,
-        batch_size: 32,
-        hidden_dim: 8,
-        lr: 0.01,
-        seed: 5,
-    };
-    set_global_threads(1);
-    let seq = train_to_accuracy(&graph, ModelKind::GraphSage, &cfg);
-    set_global_threads(4);
-    let par = train_to_accuracy(&graph, ModelKind::GraphSage, &cfg);
-    set_global_threads(1);
-    assert_eq!(seq.history.len(), par.history.len());
-    for (i, ((su, sa), (pu, pa))) in seq.history.iter().zip(&par.history).enumerate() {
-        assert_eq!(su, pu, "update count diverged at epoch {i}");
-        assert_eq!(sa.to_bits(), pa.to_bits(), "accuracy diverged at epoch {i}");
-    }
-    assert_eq!(seq.final_accuracy.to_bits(), par.final_accuracy.to_bits());
-    assert_eq!(seq.gradient_updates, par.gradient_updates);
 }

@@ -198,12 +198,12 @@ proptest! {
         }
     }
 
-    /// Per-executor cache tables never exceed their `GpuPlan` ledger at
-    /// any (dataset scale, model, α) draw: the planned `feature_cache`
-    /// allocation is exactly the table's byte size, both role ledgers fit
-    /// their budget, and the standby (which also holds topology and the
-    /// sampling workspace) never affords more rows than a dedicated
-    /// Trainer.
+    /// Per-executor cache tables fit the device budget their rows were
+    /// planned against at any (dataset scale, model, α) draw: a dedicated
+    /// Trainer caches exactly `ceil(α · n)` rows; a standby caches as many
+    /// whole rows as those bytes hold beside topology and the sampling
+    /// workspace, never more than the Trainer; and the table actually
+    /// built at either row count occupies exactly those rows' bytes.
     #[test]
     fn planned_cache_tables_fit_their_ledger(
         n in 1usize..3000,
@@ -212,43 +212,33 @@ proptest! {
         batch in 1usize..256,
         alpha in 0.0f64..1.01,
         model in 0usize..3,
-        use_budget in any::<bool>(),
-        budget_raw in 0u64..200_000_000,
     ) {
-        use gnnlab::core::memory::{
-            live_sample_workspace_bytes, live_train_workspace_bytes, plan_live_run,
-            LiveGraphBytes,
-        };
+        use gnnlab::core::memory::{live_sample_workspace_bytes, plan_live_run, LiveGraphBytes};
         use gnnlab::tensor::ModelKind;
 
         let kind = [ModelKind::Gcn, ModelKind::GraphSage, ModelKind::PinSage][model];
-        let explicit_budget = use_budget.then_some(budget_raw);
         let live = LiveGraphBytes::new(n, n * edges_per_vertex, feat_dim);
         let sample_ws = live_sample_workspace_bytes(kind, batch, n);
-        let train_ws = live_train_workspace_bytes(kind, batch, feat_dim, 16, 4, n);
-        let plan = plan_live_run(explicit_budget, alpha, &live, sample_ws, train_ws);
+        let plan = plan_live_run(alpha, &live, sample_ws);
+        let row_bytes = live.row_bytes;
 
+        let want = ((alpha.clamp(0.0, 1.0) * n as f64).ceil() as usize).min(n);
+        prop_assert_eq!(plan.trainer_rows, want);
         prop_assert!(plan.standby_rows <= plan.trainer_rows);
-        for (role, rows) in [(&plan.trainer, plan.trainer_rows), (&plan.standby, plan.standby_rows)] {
-            prop_assert!(role.memory.used() <= plan.budget, "ledger overflows its budget");
-            prop_assert_eq!(
-                role.memory.allocation("feature_cache"),
-                Some(rows as u64 * plan.row_bytes)
-            );
-            // The table actually built at that row budget occupies exactly
-            // the ledgered bytes — the planner's promise to the runtime.
+        // The standby's rows plus what else its device keeps fit the
+        // Trainer's cache bytes, and one more row would not.
+        let budget = plan.trainer_rows as u64 * row_bytes;
+        let standby = |rows: usize| rows as u64 * row_bytes + live.topology + sample_ws;
+        prop_assert!(plan.standby_rows == 0 || standby(plan.standby_rows) <= budget);
+        prop_assert!(standby(plan.standby_rows + 1) > budget);
+        for rows in [plan.trainer_rows, plan.standby_rows] {
+            // The table actually built at that row count occupies exactly
+            // the planned bytes — the planner's promise to the runtime.
             let hotness: Vec<f64> = (0..n)
                 .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64)
                 .collect();
             let table = gnnlab::cache::load_cache_topk(&hotness, rows, n);
-            prop_assert_eq!(table.bytes(plan.row_bytes), rows as u64 * plan.row_bytes);
-            prop_assert!(table.bytes(plan.row_bytes) <= role.memory.used());
-        }
-        // Without an explicit budget the derived one lands the dedicated
-        // Trainer exactly on the target ratio.
-        if explicit_budget.is_none() {
-            let want = ((alpha.clamp(0.0, 1.0) * n as f64).ceil() as usize).min(n);
-            prop_assert_eq!(plan.trainer_rows, want);
+            prop_assert_eq!(table.bytes(row_bytes), rows as u64 * row_bytes);
         }
     }
 }
