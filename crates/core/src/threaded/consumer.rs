@@ -24,6 +24,32 @@ pub(super) fn trainer_phase(
     Consumer::new(sh, exec, slot, false).run()
 }
 
+/// A dedicated Trainer's place in [`Shared::await_first_leases`]' count:
+/// released at the Trainer's first lease, or when dropped before one —
+/// the Trainer exited, or unwound while loading or consuming — so no
+/// consumer waits on a Trainer that will never lease.
+struct FirstLease<'s, 'a>(Option<&'s Shared<'a>>);
+
+impl FirstLease<'_, '_> {
+    fn release(&mut self) {
+        if let Some(sh) = self.0.take() {
+            // Saturating: a respawned Trainer holds a place too, after
+            // the starting fleet's count has run out.
+            let mut left = sh.unleased.lock();
+            *left = left.saturating_sub(1);
+            if *left == 0 {
+                sh.all_leased.notify_all();
+            }
+        }
+    }
+}
+
+impl Drop for FirstLease<'_, '_> {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
 /// The §5.3 switching decision a Sampler takes once its sampling work is
 /// done: evaluate the live profit metric and, if positive, pay the
 /// replica-init and cache-refresh cost, re-check, and train as a standby
@@ -119,6 +145,9 @@ struct Consumer<'a> {
     /// Feeds the role's scheduler EWMA (`T_t` or `T_t'`) and this
     /// executor's own straggler-alert gauge.
     clock: BatchClock<'a>,
+    /// A dedicated Trainer's place in the first-lease count (`None` for a
+    /// standby, and once released).
+    first_lease: FirstLease<'a, 'a>,
     /// `cache.<role>.<slot>.{lookups,hits,misses,hit_rate}`.
     cache_names: [String; 4],
     /// Last published cache snapshot, so the per-executor counters stream
@@ -134,6 +163,8 @@ impl<'a> Consumer<'a> {
     /// stream and the span-instrumented cache fill at its role's planned
     /// row budget.
     fn new(sh: &'a Shared<'a>, exec: usize, slot: usize, standby: bool) -> Self {
+        // First, so a panic while loading releases it.
+        let first_lease = FirstLease((!standby).then_some(sh));
         let cfg = sh.cfg;
         // A standby runs on its Sampler's device and inherits that
         // device's straggler factor; only dedicated Trainers take
@@ -181,12 +212,17 @@ impl<'a> Consumer<'a> {
             } else {
                 cfg.faults.crash_for(ExecutorRole::Trainer, slot)
             },
+            // Published before the first batch, so the slot shows up even
+            // if it trains none. Before any `T_t` exists a Trainer starts
+            // at the `T_t ≈ T_s` the scheduler reads in its place.
             clock: BatchClock::new(
                 cell,
                 series,
                 names::executor_ewma(name, slot),
                 cfg.faults.slowdown(fault_role, slot),
-            ),
+            )
+            .starting_at_role(if standby { None } else { sh.t_sample.get() }, &sh.obs),
+            first_lease,
             cache_names: ["lookups", "hits", "misses", "hit_rate"]
                 .map(|leaf| names::executor_cache(name, slot, leaf)),
             last_cache: CacheStats::default(),
@@ -221,7 +257,15 @@ impl<'a> Consumer<'a> {
     fn consume(&mut self) -> Result<(), ThreadedError> {
         let sh = self.sh;
         let mut done = 0usize;
-        while let Ok(lease) = sh.queue.dequeue_leased(self.exec as u32) {
+        loop {
+            // One batch each before any consumer takes a second.
+            if done == 1 {
+                sh.await_first_leases();
+            }
+            let Ok(lease) = sh.queue.dequeue_leased(self.exec as u32) else {
+                break;
+            };
+            self.first_lease.release();
             // Injected crash (at most once): fires while the lease is held
             // and before the batch trains, so the supervisor reclaims it
             // and a survivor trains it exactly once.

@@ -27,7 +27,7 @@ pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'
         names::executor_ewma("sampler", slot),
         sh.cfg.faults.slowdown(ExecutorRole::Sampler, slot),
     )
-    .starting_at_role(&sh.obs)
+    .starting_at_role(None, &sh.obs)
 }
 
 /// One Sampler's main loop: claim the next [`SAMPLER_BURST`] batch indices

@@ -242,13 +242,18 @@ impl<'a> BatchClock<'a> {
     }
 
     /// Starts this executor's own estimate at its role's current one and
-    /// publishes it, so the slot has a gauge before it records a batch —
-    /// which a Sampler whose claims all come pre-sampled never does.
-    /// Without a role estimate there is nothing to publish yet.
-    pub(super) fn starting_at_role(mut self, obs: &Obs) -> Self {
+    /// publishes it as the slot's gauge and a point of the role's series,
+    /// so the slot shows up before it records a batch — which a Sampler
+    /// whose claims all come pre-sampled, or a Trainer on a run with fewer
+    /// batches than consumers, never does. While the role has no estimate,
+    /// `fallback` (the value the scheduler reads in its place) is
+    /// published instead, and the first recorded batch replaces it.
+    /// Without either there is nothing to publish yet.
+    pub(super) fn starting_at_role(mut self, fallback: Option<f64>, obs: &Obs) -> Self {
         self.own = self.cell.get();
-        if let Some(own) = self.own {
-            obs.metrics.gauge_set(&self.gauge, own);
+        if let Some(start) = self.own.or(fallback) {
+            obs.metrics.gauge_set(&self.gauge, start);
+            obs.metrics.sample(self.series, obs.now_ns(), start);
         }
         self
     }
@@ -484,6 +489,12 @@ pub(super) struct Shared<'a> {
     /// Signalled after every optimizer step; consumers waiting for their
     /// round's step sleep on it.
     pub round_stepped: Condvar,
+    /// Dedicated Trainers of the starting fleet that have not leased a
+    /// batch yet; a consumer's second dequeue waits until none is
+    /// ([`Shared::await_first_leases`]).
+    pub unleased: Mutex<usize>,
+    /// Signalled when `unleased` reaches zero.
+    pub all_leased: Condvar,
     /// Live `T_s`/`T_t`/`T_t'` estimates plus the active-Trainer count,
     /// shared by every executor of the run.
     pub t_sample: AtomicEwma,
@@ -624,6 +635,8 @@ impl<'a> Shared<'a> {
                 Adam::new(cfg.lr),
             )),
             round_stepped: Condvar::new(),
+            unleased: Mutex::new(cfg.num_trainers),
+            all_leased: Condvar::new(),
             t_sample,
             t_train: AtomicEwma::new(),
             t_standby: AtomicEwma::new(),
@@ -757,6 +770,18 @@ impl Shared<'_> {
         self.obs.metrics.observe(names::CACHE_REFRESH_NS, ns as f64);
         self.refresh_secs.update(ns as f64 / 1e9);
         (store, ns)
+    }
+
+    /// Blocks until every dedicated Trainer has leased a batch. On a short
+    /// run the consumers that are up first — a peer that loaded its cache
+    /// sooner, a standby — would otherwise drain the queue while a Trainer
+    /// is still loading or waiting for a core, and that Trainer's `T_t`,
+    /// batch-time gauge and cache counters would never be measured.
+    pub(super) fn await_first_leases(&self) {
+        let mut left = self.unleased.lock();
+        while *left > 0 {
+            self.all_leased.wait(&mut left);
+        }
     }
 
     /// The §5.2 allocation rule on live estimates: with `n_g` devices,

@@ -53,7 +53,7 @@ impl RandomWalk {
 
     /// Walks from `v`, appending the top visited vertices (excluding `v`)
     /// to `bufs.selected`. `bufs.ranked` collects `(vertex, visit count)`
-    /// in first-visit order; `bufs.visits` maps a vertex to its index
+    /// in first-visit order; `bufs.remap` maps a vertex to its index
     /// there.
     fn select(
         &self,
@@ -64,12 +64,12 @@ impl RandomWalk {
         bufs: &mut SampleBuffers,
     ) {
         let SampleBuffers {
-            visits,
+            remap: visits,
             ranked,
             selected,
             ..
         } = bufs;
-        visits.reset(self.num_walks * self.walk_len);
+        visits.reset();
         ranked.clear();
         for _ in 0..self.num_walks {
             let mut cur = v;
@@ -109,7 +109,7 @@ impl SamplingAlgorithm for RandomWalk {
         bufs: &mut SampleBuffers,
         out: &mut Sample,
     ) {
-        bufs.begin(seeds, self.layers, out);
+        bufs.begin(csr, seeds, self.layers, out);
         for layer in 0..self.layers {
             for i in 0..bufs.frontier.len() {
                 let v = bufs.frontier[i];

@@ -1,6 +1,6 @@
 //! The sample artifact: per-layer blocks with deduplicated local ids.
 
-use gnnlab_graph::VertexId;
+use gnnlab_graph::{Csr, VertexId};
 
 /// Exact work counters accumulated while producing a sample.
 ///
@@ -186,7 +186,7 @@ impl Sample {
     }
 }
 
-/// Finalizer-style 32-bit mixer (murmur3) for the open-addressing tables.
+/// Finalizer-style 32-bit mixer (murmur3) for [`ProbeSet`].
 #[inline]
 fn mix32(x: u32) -> u32 {
     let mut h = x;
@@ -197,72 +197,78 @@ fn mix32(x: u32) -> u32 {
     h ^ (h >> 16)
 }
 
-/// One [`RemapTable`] slot. Padded to 16 bytes so a slot never straddles
-/// a cache line: a probe reads its stamp, key and value from one line
-/// (three parallel arrays cost a miss each once the table outgrows the
-/// cache — the third hop's is 256 k slots).
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(align(16))]
-struct Slot {
-    key: u32,
-    val: u32,
-    /// The generation that wrote the slot; any other value means empty.
-    stamp: u32,
-}
-
-/// A reusable open-addressing `u32 → u32` map with generation stamps:
-/// `reset` is O(1) (a generation bump), so the per-hop remap of
-/// [`SampleBuffers::finish_hop`] allocates nothing after warm-up.
+/// A reusable direct-indexed `u32 → u32` map over the keys
+/// `0..universe`: key `k` lives in slot `k`, stamped with the generation
+/// that wrote it. A lookup is one load, with no hash and no probe chain.
+///
+/// Sized by the graph (one 8-byte slot per vertex, as much as the CSR's
+/// `indptr`), not by the insertions: the third hop of a 3-hop batch
+/// makes ~100 k inserts of at most `num_vertices` distinct keys, so a
+/// hash table sized for the inserts is both larger than the key set and
+/// out of cache. `reset` is O(1) (a generation bump), so the per-hop
+/// remap of [`SampleBuffers::finish_hop`] and the random walk's
+/// per-vertex visit counter allocate only when a bigger graph arrives.
 #[derive(Debug, Clone, Default)]
 pub struct RemapTable {
-    slots: Vec<Slot>,
+    /// `(stamp, value)` per key; any stamp but `generation` means absent.
+    slots: Vec<(u32, u32)>,
     generation: u32,
-    mask: usize,
 }
 
 impl RemapTable {
-    /// An empty table; storage grows on first [`RemapTable::reset`].
+    /// An empty table; [`RemapTable::reserve`] makes room for keys.
     pub fn new() -> Self {
         RemapTable::default()
     }
 
-    /// Prepares the table for up to `items` distinct keys, clearing any
-    /// previous contents without touching the slot array.
-    pub fn reset(&mut self, items: usize) {
-        let needed = (items.max(1) * 2).next_power_of_two();
-        if self.slots.len() < needed {
-            self.slots = vec![Slot::default(); needed];
-            self.generation = 0;
-            self.mask = needed - 1;
+    /// Makes every key below `universe` insertable. The slots grow when a
+    /// bigger universe arrives and are kept when a smaller one follows;
+    /// the contents do not change.
+    pub fn reserve(&mut self, universe: usize) {
+        if self.slots.len() < universe {
+            self.slots.resize(universe, (0, 0));
         }
+    }
+
+    /// Empties the table in O(1), without touching the slots.
+    pub fn reset(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Stamp wrap-around: old entries would look live again.
-            self.slots.fill(Slot::default());
+            self.slots.fill((0, 0));
             self.generation = 1;
         }
     }
 
+    /// Empties the table as [`RemapTable::reset`] does and moves the stamp
+    /// to the last generation before the wrap, so the next `reset` takes
+    /// the refill path. Lets a test reach the wrap without 2³² resets.
+    #[doc(hidden)]
+    pub fn skip_to_last_generation(&mut self) {
+        if self.generation == u32::MAX {
+            self.reset();
+        }
+        // Every stamp is at most the current generation, so none equals
+        // the new one.
+        self.generation = u32::MAX;
+    }
+
     /// Inserts `key → val` unless `key` is present; returns the existing
     /// value if it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not below the universe [`RemapTable::reserve`]
+    /// made room for.
+    #[inline]
     pub fn insert_if_absent(&mut self, key: u32, val: u32) -> Option<u32> {
-        debug_assert!(!self.slots.is_empty(), "reset before insert");
-        let mut i = mix32(key) as usize & self.mask;
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.generation {
-                *slot = Slot {
-                    key,
-                    val,
-                    stamp: self.generation,
-                };
-                return None;
-            }
-            if slot.key == key {
-                return Some(slot.val);
-            }
-            i = (i + 1) & self.mask;
+        debug_assert!(self.generation != 0, "reset before insert");
+        let slot = &mut self.slots[key as usize];
+        if slot.0 == self.generation {
+            return Some(slot.1);
         }
+        *slot = (self.generation, val);
+        None
     }
 }
 
@@ -318,8 +324,8 @@ impl ProbeSet {
 
 /// Reusable scratch for allocation-free sampling: hop-local intermediates
 /// (selection list, per-dst ranges, the running frontier), the
-/// open-addressing remap and probe tables, and the random-walk visit
-/// counter. One instance per sampler thread; thread it through
+/// direct-indexed remap table, the Fisher–Yates probe scratch and the
+/// random walk's ranking. One instance per sampler thread; thread it through
 /// [`crate::SamplingAlgorithm::sample_with`] /
 /// [`crate::SamplingAlgorithm::sample_into`] and per-batch allocations
 /// disappear after the first call.
@@ -328,11 +334,13 @@ pub struct SampleBuffers {
     pub(crate) selected: Vec<VertexId>,
     pub(crate) ranges: Vec<(usize, usize)>,
     pub(crate) frontier: Vec<VertexId>,
+    /// A hop's vertex → local id in [`SampleBuffers::finish_hop`]; while a
+    /// random walk selects, visited vertex → its index in `ranked`. The
+    /// two uses never overlap: a hop's selections all finish before its
+    /// remap starts.
     pub(crate) remap: RemapTable,
     pub(crate) floyd: Vec<u32>,
     pub(crate) probe: ProbeSet,
-    /// Random walks: visited vertex → its index in `ranked`.
-    pub(crate) visits: RemapTable,
     /// Random walks: `(vertex, visit count)` for the vertex being walked.
     pub(crate) ranked: Vec<(VertexId, u32)>,
 }
@@ -344,9 +352,10 @@ impl SampleBuffers {
     }
 
     /// Resets `out` to an empty `layers`-block sample of `seeds`, keeping
-    /// every vector's capacity, and makes the seeds the first frontier of
-    /// an empty selection list.
-    pub(crate) fn begin(&mut self, seeds: &[VertexId], layers: usize, out: &mut Sample) {
+    /// every vector's capacity, makes the seeds the first frontier of an
+    /// empty selection list, and sizes the remap table to `csr`'s
+    /// vertices.
+    pub(crate) fn begin(&mut self, csr: &Csr, seeds: &[VertexId], layers: usize, out: &mut Sample) {
         out.work = SampleWork::default();
         out.cache_mask = None;
         out.seeds.clear();
@@ -362,6 +371,7 @@ impl SampleBuffers {
         self.frontier.extend_from_slice(seeds);
         self.selected.clear();
         self.ranges.clear();
+        self.remap.reserve(csr.num_vertices());
     }
 
     /// Closes a hop whose frontier vertex `i` selected
@@ -376,7 +386,7 @@ impl SampleBuffers {
     /// selection list is left empty for the next hop.
     pub(crate) fn finish_hop(&mut self, block: &mut LayerBlock, visit_list: &mut Vec<VertexId>) {
         visit_list.extend_from_slice(&self.selected);
-        self.remap.reset(self.frontier.len() + self.selected.len());
+        self.remap.reset();
         block.src_globals.clear();
         block.src_globals.extend_from_slice(&self.frontier);
         for (local, &v) in self.frontier.iter().enumerate() {
@@ -410,10 +420,12 @@ impl SampleBuffers {
 mod tests {
     use super::*;
 
-    /// One hop over `frontier` where vertex `i` selected `picks[i]`.
+    /// One hop over `frontier` where vertex `i` selected `picks[i]`, on
+    /// a 64-vertex graph (only its vertex count matters).
     fn hop(bufs: &mut SampleBuffers, frontier: &[VertexId], picks: &[&[VertexId]]) -> LayerBlock {
+        let csr = gnnlab_graph::GraphBuilder::new(64).build().unwrap();
         let mut out = Sample::default();
-        bufs.begin(frontier, 1, &mut out);
+        bufs.begin(&csr, frontier, 1, &mut out);
         for p in picks {
             let start = bufs.selected.len();
             bufs.selected.extend_from_slice(p);
@@ -469,10 +481,11 @@ mod tests {
     #[test]
     fn remap_table_survives_generation_wrap() {
         let mut rt = RemapTable::new();
-        rt.reset(2);
+        rt.reserve(8);
+        rt.reset();
         assert_eq!(rt.insert_if_absent(5, 9), None);
-        rt.generation = u32::MAX; // force the next reset to wrap
-        rt.reset(2);
+        rt.skip_to_last_generation();
+        rt.reset();
         assert_eq!(rt.generation, 1);
         assert_eq!(rt.insert_if_absent(5, 0), None, "wrap must clear");
         assert_eq!(rt.insert_if_absent(5, 7), Some(0));
