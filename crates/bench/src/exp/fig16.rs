@@ -17,25 +17,6 @@ use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
-/// Per-system convergence summary.
-#[derive(Debug, Clone)]
-pub struct ConvergenceRow {
-    /// System name.
-    pub system: String,
-    /// Data-parallel trainers.
-    pub trainers: usize,
-    /// Epochs to the accuracy target.
-    pub epochs: usize,
-    /// Gradient updates performed.
-    pub updates: usize,
-    /// Final accuracy reached.
-    pub accuracy: f64,
-    /// Simulated epoch time (s) for GraphSAGE on PA.
-    pub epoch_time: f64,
-    /// Total simulated time to target (s).
-    pub total_time: f64,
-}
-
 /// Regenerates Fig. 16.
 pub fn run(cfg: &ExpConfig) -> Table {
     let graph = sbm(&SbmParams {

@@ -1,24 +1,25 @@
 //! `switch_cache`: memory-planned per-executor caches under dynamic
 //! switching (§3 capacity accounting + §5.3 profit metric).
 //!
-//! Runs the threaded runtime on a planted-community graph with slow
-//! Trainers, so finished Samplers face a backlog and flip into standby
-//! Trainers. Each consumer builds its own cache from its device's memory
-//! ledger: dedicated Trainers spend (budget − train workspace) on cache
-//! rows, a switched standby additionally keeps topology and the sampling
-//! workspace — so its cache is smaller and its *measured* hit rate lands
-//! below a Trainer's. The table sweeps the target cache ratio α and
-//! reports per-role planned ratios, measured hit rates, the measured
-//! cache-refresh cost that seeds the `T_t'` estimate, and the profit
-//! trajectory the switch decisions saw.
+//! Runs the threaded runtime on a planted-community graph with a
+//! straggler Trainer (20× its natural batch time), so finished Samplers
+//! face a backlog and flip into standby Trainers. Each consumer builds
+//! its own cache from its device's memory ledger: dedicated Trainers
+//! spend (budget − train workspace) on cache rows, a switched standby
+//! additionally keeps topology and the sampling workspace — so its cache
+//! is smaller and its *measured* hit rate lands below a Trainer's. The
+//! table sweeps the target cache ratio α and reports per-role planned
+//! ratios, measured hit rates, the measured cache-refresh cost that seeds
+//! the `T_t'` estimate, and the profit trajectory the switch decisions
+//! saw.
 
 use crate::{ExpConfig, Table};
 use gnnlab_core::threaded::{run_threaded_obs, ThreadedConfig};
+use gnnlab_core::{ExecutorRole, FaultPlan};
 use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_obs::{names, Executor, Obs};
 use gnnlab_tensor::ModelKind;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Aggregated hit rate over one role's cache reports (only executors that
 /// actually extracted count).
@@ -78,7 +79,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
             batch_size: 32,
             cache_alpha: alpha,
             queue_capacity: 256,
-            trainer_delay: Some(Duration::from_millis(3)),
+            faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
             seed: cfg.seed,
             ..Default::default()
         };

@@ -21,7 +21,7 @@ pub mod policy;
 pub mod store;
 pub mod table;
 
-pub use metrics::{AtomicCacheStats, CacheStats, ExtractVolume};
+pub use metrics::{AtomicCacheStats, CacheStats};
 pub use policy::{CachePolicy, PolicyKind};
 pub use store::{CacheFill, CachedFeatureStore};
 pub use table::{load_cache, load_cache_topk, CacheTable};

@@ -1,4 +1,5 @@
-//! Cache effectiveness metrics: hit rates and transferred bytes.
+//! Cache effectiveness counters: lookups, hits, and the bytes each tier
+//! served, from which hit rates and transferred bytes follow.
 
 use crate::table::CacheTable;
 use gnnlab_graph::VertexId;
@@ -25,20 +26,6 @@ impl CacheStats {
         for &v in input_nodes {
             self.lookups += 1;
             if table.contains(v) {
-                self.hits += 1;
-                self.hit_bytes += row_bytes;
-            } else {
-                self.miss_bytes += row_bytes;
-            }
-        }
-    }
-
-    /// Records from a precomputed cache mask (the Sampler's `M` step
-    /// output), avoiding a second lookup pass on the Trainer.
-    pub fn record_mask(&mut self, mask: &[bool], row_bytes: u64) {
-        for &hit in mask {
-            self.lookups += 1;
-            if hit {
                 self.hits += 1;
                 self.hit_bytes += row_bytes;
             } else {
@@ -132,42 +119,6 @@ impl AtomicCacheStats {
     }
 }
 
-/// Byte volumes of one Extract invocation, consumed by the cost model.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExtractVolume {
-    /// Bytes gathered from host memory over PCIe.
-    pub miss_bytes: u64,
-    /// Bytes gathered from the GPU cache.
-    pub hit_bytes: u64,
-}
-
-impl ExtractVolume {
-    /// Computes the volume of one batch from a cache mask.
-    pub fn from_mask(mask: &[bool], row_bytes: u64) -> Self {
-        let hits = mask.iter().filter(|&&h| h).count() as u64;
-        let misses = mask.len() as u64 - hits;
-        ExtractVolume {
-            miss_bytes: misses * row_bytes,
-            hit_bytes: hits * row_bytes,
-        }
-    }
-
-    /// Computes the volume of one batch by probing `table`.
-    pub fn from_lookup(table: &CacheTable, input_nodes: &[VertexId], row_bytes: u64) -> Self {
-        let hits = input_nodes.iter().filter(|&&v| table.contains(v)).count() as u64;
-        let misses = input_nodes.len() as u64 - hits;
-        ExtractVolume {
-            miss_bytes: misses * row_bytes,
-            hit_bytes: hits * row_bytes,
-        }
-    }
-
-    /// Total bytes gathered.
-    pub fn total_bytes(&self) -> u64 {
-        self.miss_bytes + self.hit_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,18 +140,6 @@ mod tests {
         assert_eq!(s.miss_bytes, 200);
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(s.transferred_bytes(), 200);
-    }
-
-    #[test]
-    fn record_mask_matches_record() {
-        let t = table();
-        let ids = vec![0, 2, 1, 3, 0];
-        let mask = t.mark(&ids);
-        let mut a = CacheStats::default();
-        a.record(&t, &ids, 64);
-        let mut b = CacheStats::default();
-        b.record_mask(&mask, 64);
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -249,16 +188,5 @@ mod tests {
         assert_eq!(acc.snapshot(), expect);
         acc.reset();
         assert_eq!(acc.snapshot(), CacheStats::default());
-    }
-
-    #[test]
-    fn extract_volume_from_both_paths_agree() {
-        let t = table();
-        let ids = vec![0, 1, 2, 3];
-        let va = ExtractVolume::from_lookup(&t, &ids, 32);
-        let vb = ExtractVolume::from_mask(&t.mark(&ids), 32);
-        assert_eq!(va.miss_bytes, vb.miss_bytes);
-        assert_eq!(va.hit_bytes, vb.hit_bytes);
-        assert_eq!(va.total_bytes(), 128);
     }
 }

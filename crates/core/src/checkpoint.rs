@@ -661,9 +661,9 @@ pub fn encode(state: &CheckpointState, generation: u64) -> Vec<u8> {
 }
 
 /// Parses and fully validates one checkpoint image: magic, version,
-/// section structure, per-section CRC, each section's internal layout,
-/// the RNG-cursor/batch-cursor cross-check, and a history that names each
-/// batch of the run at most once.
+/// section structure (each tag at most once), per-section CRC, each
+/// section's internal layout, the RNG-cursor/batch-cursor cross-check, and
+/// a history that names each batch of the run at most once.
 pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
     if bytes.len() < MAGIC.len() + 8 {
         return Err(corrupt("file shorter than header"));
@@ -686,9 +686,17 @@ pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
     let mut rng = None;
     let mut recovery = None;
     let mut history = None;
+    let mut seen = Vec::new();
     for _ in 0..section_count {
         let tag: [u8; 4] =
             gnnlab_par::invariant!(d.take(4)?.try_into(), "take(4) yields exactly four bytes");
+        if seen.contains(&tag) {
+            return Err(corrupt(format!(
+                "repeated section tag {:?}",
+                String::from_utf8_lossy(&tag)
+            )));
+        }
+        seen.push(tag);
         let len = d.usize_checked("section length", bytes.len())?;
         let payload = d.take(len)?;
         let stored_crc = d.u32()?;
@@ -1110,6 +1118,23 @@ mod tests {
         let mut state = sample_state(4);
         state.history[3].id = 1;
         assert_history_rejected(&state, "twice");
+    }
+
+    #[test]
+    fn a_repeated_section_is_corrupt() {
+        // A second, valid HIST section spliced after the first, with the
+        // section count raised to match: the image must not load either.
+        let state = sample_state(4);
+        let mut other = state.history.clone();
+        other[0].loss = 9.0;
+        let mut bytes = encode(&state, 1);
+        push_section(&mut bytes, TAG_HISTORY, &encode_history(&other));
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+        match decode(&bytes) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("repeated"), "{msg}"),
+            other => panic!("expected Corrupt(repeated), got {other:?}"),
+        }
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub fn switch_profit(remaining: usize, t_train: f64, num_trainers: usize, t_stan
     remaining as f64 * t_train / num_trainers as f64 - t_standby
 }
 
-/// Whether a standby Trainer should wake (`P > 0`).
-pub fn should_switch(remaining: usize, t_train: f64, num_trainers: usize, t_standby: f64) -> bool {
-    switch_profit(remaining, t_train, num_trainers, t_standby) > 0.0
-}
-
 /// Seeds the standby per-batch estimate `T_t'` before any standby has
 /// run, from the *planned* cache shapes and the measured cache-refresh
 /// cost:
@@ -124,15 +119,15 @@ mod tests {
         // 10 tasks, T_t = 2 s, 4 trainers, standby needs 3 s:
         // P = 10*2/4 - 3 = 2 > 0.
         assert!((switch_profit(10, 2.0, 4, 3.0) - 2.0).abs() < 1e-12);
-        assert!(should_switch(10, 2.0, 4, 3.0));
+        assert!(switch_profit(10, 2.0, 4, 3.0) > 0.0);
         // 2 tasks: P = 1 - 3 < 0.
-        assert!(!should_switch(2, 2.0, 4, 3.0));
+        assert!(switch_profit(2, 2.0, 4, 3.0) <= 0.0);
     }
 
     #[test]
     fn no_trainers_with_work_left_means_always_switch() {
         assert!(switch_profit(1, 1.0, 0, 100.0).is_infinite());
-        assert!(should_switch(1, 1.0, 0, 100.0));
+        assert!(switch_profit(1, 1.0, 0, 100.0) > 0.0);
     }
 
     #[test]
@@ -140,10 +135,9 @@ mod tests {
         // Regression: `N_t = 0` used to dominate, waking a standby Trainer
         // onto an empty queue. No tasks remaining must mean no profit.
         assert!(switch_profit(0, 1.0, 0, 100.0) <= 0.0);
-        assert!(!should_switch(0, 1.0, 0, 100.0));
-        assert!(!should_switch(0, 5.0, 4, 0.5));
+        assert!(switch_profit(0, 5.0, 4, 0.5) <= 0.0);
         // Even a free standby switch (T_t' = 0) is not *profitable*.
-        assert!(!should_switch(0, 1.0, 2, 0.0));
+        assert!(switch_profit(0, 1.0, 2, 0.0) <= 0.0);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::faults::FaultPlan;
 use crate::queue::DEFAULT_CAPACITY;
 use gnnlab_cache::CacheStats;
 use gnnlab_obs::{Executor, TelemetryConfig};
-use std::time::Duration;
 
 /// Configuration of a threaded training run.
 #[derive(Debug, Clone)]
@@ -43,9 +42,6 @@ pub struct ThreadedConfig {
     /// Whether finished Samplers may flip into standby Trainers when the
     /// profit metric is positive (§5.3).
     pub dynamic_switching: bool,
-    /// Artificial per-batch Trainer delay, for tests and experiments that
-    /// need slow Trainers (backpressure, switching).
-    pub trainer_delay: Option<Duration>,
     /// The fault plan: injected crashes, stragglers, transient errors, and
     /// the supervisor's recovery budget. [`FaultPlan::none`] (the default)
     /// injects nothing and fails fast on any organic panic.
@@ -81,7 +77,6 @@ impl Default for ThreadedConfig {
             cache_alpha: 0.2,
             queue_capacity: DEFAULT_CAPACITY,
             dynamic_switching: true,
-            trainer_delay: None,
             faults: FaultPlan::none(),
             threads: 1,
             telemetry: TelemetryConfig::default(),

@@ -79,7 +79,9 @@ pub(super) fn standby_phase(
     let t_standby = sh.t_standby.get().unwrap_or_else(|| {
         seed_standby_estimate(t_train, sh.standby_miss_ratio, refresh, remaining)
     });
-    let n_t = sh.active_trainers.load(Ordering::Relaxed);
+    let n_t = sh.consuming.lock().len();
+    obs.metrics
+        .gauge_set(names::SCHEDULER_SWITCH_TRAINERS, n_t as f64);
     let profit = switch_profit(remaining, t_train, n_t, t_standby);
     obs.metrics
         .sample(names::SCHEDULER_SWITCH_PROFIT, obs.now_ns(), profit);
@@ -92,11 +94,10 @@ pub(super) fn standby_phase(
     // and the cache refresh, then re-check the profit on a fresh queue
     // read — committing on the stale pre-init read both wasted the init
     // cost on a drained queue and overcounted `scheduler.switches`.
-    sh.active_trainers.fetch_add(1, Ordering::Relaxed);
     sh.consuming.lock().insert(exec);
     let consumer = Consumer::new(sh, exec, slot, true);
     let remaining_now = sh.queue.remaining();
-    let peers = sh.active_trainers.load(Ordering::Relaxed).saturating_sub(1);
+    let peers = sh.consuming.lock().len().saturating_sub(1);
     let t_standby_now = sh.t_standby.get().unwrap_or(t_standby);
     let profit_now = switch_profit(
         remaining_now,
@@ -108,7 +109,6 @@ pub(super) fn standby_phase(
         // The queue drained (or peers multiplied) while this standby was
         // initializing: a futile wake, not a switch.
         obs.metrics.counter_inc(names::SCHEDULER_SWITCH_FUTILE);
-        sh.active_trainers.fetch_sub(1, Ordering::Relaxed);
         return Ok(());
     }
     obs.metrics.counter_inc(names::SCHEDULER_SWITCHES);
@@ -118,7 +118,6 @@ pub(super) fn standby_phase(
     sh.server.lock().standbys += 1;
     let res = consumer.run();
     sh.server.lock().standbys -= 1;
-    sh.active_trainers.fetch_sub(1, Ordering::Relaxed);
     res
 }
 
@@ -362,9 +361,6 @@ impl<'a> Consumer<'a> {
             let _g = sh
                 .obs
                 .start_span(self.device, self.role, Stage::Train, task.id);
-            if let Some(d) = sh.cfg.trainer_delay {
-                std::thread::sleep(d);
-            }
             let (loss, acc) = self.replica.train_batch(&task.sample, &feats, &task.labels);
             let record = BatchRecord {
                 id: task.id,

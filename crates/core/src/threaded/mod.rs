@@ -167,11 +167,16 @@ pub fn run_threaded_obs(
 
     std::thread::scope(|scope| {
         let sh = &shared;
+        // Executor ids: the Samplers', then the Trainers'. Every Trainer
+        // is a registered consumer before any thread runs, so a Sampler
+        // that finishes first still counts it in `N_t`.
+        let trainers = cfg.num_samplers..cfg.num_samplers + cfg.num_trainers;
+        sh.consuming.lock().extend(trainers.clone());
         for s in 0..cfg.num_samplers {
-            spawn_sampler(scope, sh, s);
+            spawn_sampler(scope, sh, s, s);
         }
-        for t in 0..cfg.num_trainers {
-            spawn_trainer(scope, sh, t);
+        for (t, exec) in trainers.enumerate() {
+            spawn_trainer(scope, sh, t, exec);
         }
     });
 

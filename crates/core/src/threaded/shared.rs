@@ -495,16 +495,17 @@ pub(super) struct Shared<'a> {
     pub unleased: Mutex<usize>,
     /// Signalled when `unleased` reaches zero.
     pub all_leased: Condvar,
-    /// Live `T_s`/`T_t`/`T_t'` estimates plus the active-Trainer count,
-    /// shared by every executor of the run.
+    /// Live `T_s`/`T_t`/`T_t'` estimates, shared by every executor of the
+    /// run.
     pub t_sample: AtomicEwma,
     pub t_train: AtomicEwma,
     pub t_standby: AtomicEwma,
-    pub active_trainers: AtomicUsize,
     pub book: Mutex<SamplerBook>,
-    /// Executor ids currently consuming (Trainers + switched standbys);
-    /// the supervisor respawns a Trainer when a crash empties this set
-    /// with work still queued.
+    /// Executor ids currently consuming (Trainers + switched standbys):
+    /// the `N_t` every switch decision divides the backlog by. A consumer
+    /// leaves it on exit and on a crash, so it never counts a dead one;
+    /// the supervisor respawns a Trainer when a crash empties it with work
+    /// still queued.
     pub consuming: Mutex<HashSet<usize>>,
     /// Unique executor ids (also the lease owner ids and respawn RNG
     /// stream indices).
@@ -640,10 +641,11 @@ impl<'a> Shared<'a> {
             t_sample,
             t_train: AtomicEwma::new(),
             t_standby: AtomicEwma::new(),
-            active_trainers: AtomicUsize::new(cfg.num_trainers),
             book: Mutex::new(SamplerBook::new(batches_per_epoch * cfg.epochs)),
             consuming: Mutex::new(HashSet::new()),
-            next_exec: AtomicUsize::new(0),
+            // The starting fleet takes ids `0..num_samplers + num_trainers`
+            // (`run_threaded_obs`); respawns take the ones after.
+            next_exec: AtomicUsize::new(cfg.num_samplers + cfg.num_trainers),
             crash_fired: cfg
                 .faults
                 .crashes

@@ -13,16 +13,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::Scope;
 use std::time::Instant;
 
-/// Spawns a Sampler on `slot`, registering it in the claim book before the
-/// thread starts (no window where the book looks idle) and publishing its
-/// batch-time gauge (whatever it goes on to claim). Also the respawn path
-/// after a Sampler crash.
+/// Spawns a Sampler on `slot` as executor `exec`, registering it in the
+/// claim book before the thread starts (no window where the book looks
+/// idle) and publishing its batch-time gauge (whatever it goes on to
+/// claim). Also the respawn path after a Sampler crash.
 pub(super) fn spawn_sampler<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
     slot: usize,
+    exec: usize,
 ) {
-    let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
     sh.book.lock().register(exec);
     let clock = sampler_clock(sh, slot);
     scope.spawn(move || {
@@ -34,14 +34,15 @@ pub(super) fn spawn_sampler<'scope, 'env>(
     });
 }
 
-/// Spawns a Trainer on `slot`, registering it as a consumer before the
-/// thread starts. Also the respawn path after a consumer crash.
+/// Spawns a Trainer on `slot` as executor `exec`, registering it as a
+/// consumer before the thread starts. Also the respawn path after a
+/// consumer crash.
 pub(super) fn spawn_trainer<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
     slot: usize,
+    exec: usize,
 ) {
-    let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
     sh.consuming.lock().insert(exec);
     scope.spawn(move || run_consumer(scope, sh, slot, exec, false));
 }
@@ -96,7 +97,8 @@ fn on_sampler_crash<'scope, 'env>(
     }
     if crash.respawn {
         // Nobody left to re-sample the orphans or advance the cursor.
-        spawn_sampler(scope, sh, slot);
+        let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
+        spawn_sampler(scope, sh, slot, exec);
     } else if crash.close {
         // Survivors absorb the role through the shared claim book —
         // unless this was the last producer out with nothing left behind,
@@ -162,7 +164,8 @@ fn on_consumer_crash<'scope, 'env>(
         return;
     }
     if respawn {
-        spawn_trainer(scope, sh, slot);
+        let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
+        spawn_trainer(scope, sh, slot, exec);
     }
     sh.note_downtime(started.elapsed());
 }

@@ -269,7 +269,7 @@ fn slow_trainers_block_samplers_at_queue_capacity() {
         epochs: 2,
         batch_size: 25,
         queue_capacity: 4,
-        trainer_delay: Some(Duration::from_millis(3)),
+        faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
         ..Default::default()
     };
     let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
@@ -294,7 +294,7 @@ fn backlog_at_sampler_finish_triggers_standby_switch() {
         epochs: 3,
         batch_size: 25,
         queue_capacity: 128,
-        trainer_delay: Some(Duration::from_millis(3)),
+        faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
         dynamic_switching: true,
         ..Default::default()
     };
@@ -329,7 +329,7 @@ fn standby_cache_is_smaller_and_hits_less_than_a_trainers() {
         batch_size: 25,
         cache_alpha: 0.5,
         queue_capacity: 128,
-        trainer_delay: Some(Duration::from_millis(3)),
+        faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
         ..Default::default()
     };
     let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
@@ -378,7 +378,7 @@ fn switching_disabled_never_switches() {
             num_samplers: 2,
             num_trainers: 1,
             epochs: 2,
-            trainer_delay: Some(Duration::from_millis(2)),
+            faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
             dynamic_switching: false,
             ..Default::default()
         },
@@ -507,6 +507,34 @@ fn sampler_crash_within_budget_recovers_every_batch() {
             assert_eq!(res.recovery.respawns, 1, "{:?}", res.recovery);
         }
     }
+}
+
+/// `N_t` is the live consumer set: a Trainer crash the supervisor absorbs
+/// by reassignment leaves one Trainer, and the Sampler's switch decision
+/// divides the backlog by that one, not by the two the run started with.
+/// Trainer 0 dies at its first lease, before any `T_t` exists, so the
+/// allocation rule reads `K = 1` and reassigns; the slow Sampler finishes
+/// well after that, and the slower Trainer 1 keeps a backlog queued until
+/// the decision.
+#[test]
+fn switch_decision_after_a_reassigned_trainer_crash_reads_one_trainer() {
+    let g = graph();
+    let obs = Arc::new(Obs::wall());
+    let cfg = ThreadedConfig {
+        num_samplers: 1,
+        num_trainers: 2,
+        epochs: 2,
+        batch_size: 25,
+        faults: FaultPlan::crash_trainer(0, 0)
+            .with_straggler(ExecutorRole::Sampler, 0, 20.0)
+            .with_straggler(ExecutorRole::Trainer, 1, 50.0),
+        ..Default::default()
+    };
+    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    assert_eq!(res.recovery.reassignments, 1, "{:?}", res.recovery);
+    assert_eq!(res.batches_trained, res.samples_produced);
+    let n_t = obs.metrics.gauge(names::SCHEDULER_SWITCH_TRAINERS).unwrap();
+    assert_eq!((n_t.last, n_t.max), (1.0, 1.0));
 }
 
 #[test]

@@ -10,7 +10,7 @@
 
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
-use gnnlab_sampling::{KHop, Kernel, MinibatchIter, RandomWalk, SamplingAlgorithm, Selection};
+use gnnlab_sampling::{Kernel, MinibatchIter, SamplingAlgorithm};
 use gnnlab_tensor::loss::accuracy;
 use gnnlab_tensor::{Adam, GnnModel, Matrix, ModelConfig, ModelKind, Optimizer};
 use rand::SeedableRng;
@@ -64,22 +64,11 @@ pub struct ConvergenceResult {
     pub history: Vec<(usize, f64)>,
 }
 
-/// The sampler each model uses, for callers that have no [`crate::Workload`]
+/// The sampler each model uses — its default algorithm on the GNNLab
+/// (Fisher–Yates) kernel — for callers that have no [`crate::Workload`]
 /// (real-training paths working directly on an [`SbmGraph`]).
 pub fn sampler_for(kind: ModelKind) -> Box<dyn SamplingAlgorithm> {
-    match kind {
-        ModelKind::Gcn => Box::new(KHop::new(
-            vec![15, 10, 5],
-            Kernel::FisherYates,
-            Selection::Uniform,
-        )),
-        ModelKind::GraphSage => Box::new(KHop::new(
-            vec![25, 10],
-            Kernel::FisherYates,
-            Selection::Uniform,
-        )),
-        ModelKind::PinSage => Box::new(RandomWalk::pinsage()),
-    }
+    crate::Workload::default_algorithm(kind).sampler(Kernel::FisherYates)
 }
 
 /// Gathers feature rows of `ids` into a dense matrix (host-side Extract).

@@ -1,7 +1,7 @@
 //! Workload definitions: (model, dataset, sampling algorithm) triples.
 
 use gnnlab_graph::{Dataset, DatasetKind, Scale};
-use gnnlab_sampling::{AlgorithmKind, KHop, Kernel, RandomWalk, SamplingAlgorithm, Selection};
+use gnnlab_sampling::{AlgorithmKind, Kernel, SamplingAlgorithm};
 use gnnlab_tensor::ModelKind;
 
 /// One GNN training workload with the paper's hyper-parameters (§7.1):
@@ -88,18 +88,7 @@ impl Workload {
     /// Instantiates the sampler with the given uniform-selection kernel
     /// (Fisher–Yates for GNNLab/T_SOTA, Reservoir for DGL; §7.3).
     pub fn sampler(&self, kernel: Kernel) -> Box<dyn SamplingAlgorithm> {
-        match self.algorithm {
-            AlgorithmKind::Khop3Random => {
-                Box::new(KHop::new(vec![15, 10, 5], kernel, Selection::Uniform))
-            }
-            AlgorithmKind::Khop2Random => {
-                Box::new(KHop::new(vec![25, 10], kernel, Selection::Uniform))
-            }
-            AlgorithmKind::RandomWalks => Box::new(RandomWalk::pinsage()),
-            AlgorithmKind::Khop3Weighted => {
-                Box::new(KHop::new(vec![15, 10, 5], kernel, Selection::Weighted))
-            }
-        }
+        self.algorithm.sampler(kernel)
     }
 
     /// Mini-batch size at this workload's scale.

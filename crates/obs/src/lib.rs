@@ -271,15 +271,6 @@ pub fn stage_secs(spans: &[Span]) -> BTreeMap<Stage, f64> {
     out
 }
 
-/// Sums span durations (seconds) per `(device, stage)`.
-pub fn device_stage_secs(spans: &[Span]) -> BTreeMap<(u32, Stage), f64> {
-    let mut out = BTreeMap::new();
-    for s in spans {
-        *out.entry((s.device, s.stage)).or_insert(0.0) += s.duration_ns() as f64 * 1e-9;
-    }
-    out
-}
-
 /// Finds the first pair of spans that overlap on one `(run, device, lane)`
 /// track — the invariant every runtime must uphold. Returns `None` when
 /// the schedule is consistent.

@@ -43,6 +43,9 @@ pub const SCHEDULER_SWITCH_DENIED: &str = "scheduler.switch_denied";
 pub const SCHEDULER_SWITCH_FUTILE: &str = "scheduler.switch_futile";
 /// Series + histogram: the profit value `P` per switching decision.
 pub const SCHEDULER_SWITCH_PROFIT: &str = "scheduler.switch_profit";
+/// Gauge: the consumer count `N_t` a switching decision divided the
+/// backlog by.
+pub const SCHEDULER_SWITCH_TRAINERS: &str = "scheduler.switch_trainers";
 /// Series: live EWMA estimate of the Sampler per-batch time `T_s` (secs).
 pub const SCHEDULER_EWMA_T_SAMPLE: &str = "scheduler.ewma_t_sample";
 /// Series: live EWMA estimate of the Trainer per-batch time `T_t` (secs).

@@ -97,11 +97,6 @@ impl<T> SlotFiller<T> {
     pub fn fill_ok(self, v: T) {
         self.slot.fill(Ok(v));
     }
-
-    /// Completes the job as panicked with `msg` as the payload.
-    pub fn fill_panic(self, msg: &'static str) {
-        self.slot.fill(Err(Box::new(msg)));
-    }
 }
 
 /// Builds a detached (filler, handle) pair over one result slot, so

@@ -17,7 +17,6 @@
 //! exact work counters ([`SampleWork`]) that the cost model converts into
 //! simulated GPU/CPU time.
 
-pub mod alias;
 pub mod footprint;
 pub mod khop;
 pub mod minibatch;
@@ -25,7 +24,6 @@ pub mod randomwalk;
 pub mod sample;
 pub mod subgraph;
 
-pub use alias::AliasTable;
 pub use footprint::{
     footprint_similarity, presample_epoch, presample_epochs, presample_rng, FootprintRecorder,
     PresampleOutput,
@@ -34,7 +32,7 @@ pub use khop::{KHop, Kernel, Selection};
 pub use minibatch::MinibatchIter;
 pub use randomwalk::RandomWalk;
 pub use sample::{LayerBlock, ProbeSet, RemapTable, Sample, SampleBuffers, SampleWork};
-pub use subgraph::{ClusterGcn, GraphSaintNode};
+pub use subgraph::ClusterGcn;
 
 use gnnlab_graph::{Csr, VertexId};
 use rand_chacha::ChaCha8Rng;
@@ -104,26 +102,21 @@ impl AlgorithmKind {
         AlgorithmKind::Khop3Weighted,
     ];
 
-    /// Instantiates the algorithm with the paper's parameters and the
-    /// GNNLab kernel (Fisher–Yates).
-    pub fn build(&self) -> Box<dyn SamplingAlgorithm> {
+    /// Instantiates the algorithm with the paper's parameters (§7) and the
+    /// given uniform-selection kernel (Fisher–Yates for GNNLab/T_SOTA,
+    /// Reservoir for DGL; §7.3). The one place the paper's fan-outs live.
+    pub fn sampler(&self, kernel: Kernel) -> Box<dyn SamplingAlgorithm> {
         match self {
-            AlgorithmKind::Khop3Random => Box::new(KHop::new(
-                vec![15, 10, 5],
-                Kernel::FisherYates,
-                Selection::Uniform,
-            )),
-            AlgorithmKind::Khop2Random => Box::new(KHop::new(
-                vec![25, 10],
-                Kernel::FisherYates,
-                Selection::Uniform,
-            )),
+            AlgorithmKind::Khop3Random => {
+                Box::new(KHop::new(vec![15, 10, 5], kernel, Selection::Uniform))
+            }
+            AlgorithmKind::Khop2Random => {
+                Box::new(KHop::new(vec![25, 10], kernel, Selection::Uniform))
+            }
             AlgorithmKind::RandomWalks => Box::new(RandomWalk::pinsage()),
-            AlgorithmKind::Khop3Weighted => Box::new(KHop::new(
-                vec![15, 10, 5],
-                Kernel::FisherYates,
-                Selection::Weighted,
-            )),
+            AlgorithmKind::Khop3Weighted => {
+                Box::new(KHop::new(vec![15, 10, 5], kernel, Selection::Weighted))
+            }
         }
     }
 

@@ -130,11 +130,6 @@ impl Sample {
         self.blocks.iter().map(|b| b.edges.len() as u64).sum()
     }
 
-    /// Total vertices across all block src sets (training compute proxy).
-    pub fn total_block_nodes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.src_count() as u64).sum()
-    }
-
     /// Approximate serialized size in bytes — what crossing the host-memory
     /// global queue costs (paper §5.2: copying samples adds < 0.1 ms).
     pub fn queue_bytes(&self) -> u64 {

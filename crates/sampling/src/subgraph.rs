@@ -1,10 +1,10 @@
-//! Subgraph-based sampling algorithms (§8 "Other sampling algorithms").
+//! Subgraph-based sampling (§8 "Other sampling algorithms").
 //!
 //! The paper notes that subgraph samplers (ClusterGCN, GraphSAINT) are
 //! lighter-weight than neighborhood sampling — making dynamic switching
 //! *more* useful — but may not exhibit the epoch-to-epoch footprint
 //! similarity PreSC relies on (ClusterGCN "samples all training vertices
-//! uniformly once in each epoch"). Both are implemented here so the
+//! uniformly once in each epoch"). ClusterGCN is implemented here so the
 //! ablation harness can regenerate that discussion.
 //!
 //! A subgraph sample trains all `L` layers on the *same* induced
@@ -13,18 +13,11 @@
 use crate::sample::{LayerBlock, Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Builds the `layers` identical blocks of an induced-subgraph sample.
-fn induced_sample(
-    csr: &Csr,
-    seeds: &[VertexId],
-    extra: Vec<VertexId>,
-    layers: usize,
-    mut work: SampleWork,
-) -> Sample {
+fn induced_sample(csr: &Csr, seeds: &[VertexId], extra: Vec<VertexId>, layers: usize) -> Sample {
+    let mut work = SampleWork::default();
     // Seeds come first (they are the supervised outputs and every block's
     // dst prefix must be the seeds); then the other subgraph members.
     let seed_set: std::collections::HashSet<VertexId> = seeds.iter().copied().collect();
@@ -113,7 +106,7 @@ impl SamplingAlgorithm for ClusterGcn {
     ) {
         let first = *seeds.first().expect("non-empty batch");
         let cluster = self.cluster(first, csr.num_vertices());
-        *out = induced_sample(csr, seeds, cluster, self.layers, SampleWork::default());
+        *out = induced_sample(csr, seeds, cluster, self.layers);
     }
 
     fn num_layers(&self) -> usize {
@@ -122,68 +115,6 @@ impl SamplingAlgorithm for ClusterGcn {
 
     fn name(&self) -> &'static str {
         "cluster-gcn"
-    }
-}
-
-/// GraphSAINT-style node sampler: each mini-batch trains on the induced
-/// subgraph of a random vertex subset (seeds plus a budget of uniformly
-/// sampled extra vertices).
-#[derive(Debug, Clone)]
-pub struct GraphSaintNode {
-    /// Total subgraph size per batch.
-    budget: usize,
-    layers: usize,
-}
-
-impl GraphSaintNode {
-    /// Creates a GraphSAINT node sampler with a per-batch vertex `budget`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either parameter is zero.
-    pub fn new(budget: usize, layers: usize) -> Self {
-        assert!(budget > 0 && layers > 0, "parameters must be positive");
-        GraphSaintNode { budget, layers }
-    }
-}
-
-impl SamplingAlgorithm for GraphSaintNode {
-    fn sample_into(
-        &self,
-        csr: &Csr,
-        seeds: &[VertexId],
-        rng: &mut ChaCha8Rng,
-        _bufs: &mut SampleBuffers,
-        out: &mut Sample,
-    ) {
-        let n = csr.num_vertices();
-        let mut work = SampleWork::default();
-        let mut member = vec![false; n];
-        for &s in seeds {
-            member[s as usize] = true;
-        }
-        let mut extra: Vec<VertexId> = Vec::new();
-        while seeds.len() + extra.len() < self.budget.max(seeds.len()) {
-            let v: VertexId = rng.gen_range(0..n as VertexId);
-            work.rng_draws += 1;
-            if !member[v as usize] {
-                member[v as usize] = true;
-                extra.push(v);
-            }
-            if seeds.len() + extra.len() >= n {
-                break;
-            }
-        }
-        extra.shuffle(rng);
-        *out = induced_sample(csr, seeds, extra, self.layers, work);
-    }
-
-    fn num_layers(&self) -> usize {
-        self.layers
-    }
-
-    fn name(&self) -> &'static str {
-        "graphsaint-node"
     }
 }
 
@@ -215,7 +146,7 @@ mod tests {
     #[test]
     fn induced_edges_are_real_graph_edges() {
         let g = chung_lu(80, 800, 2.0, 2).unwrap();
-        let algo = GraphSaintNode::new(30, 2);
+        let algo = ClusterGcn::new(3, 2);
         let s = algo.sample(&g, &[1, 2, 3], &mut rng());
         s.validate().unwrap();
         let b = &s.blocks[0];
@@ -227,16 +158,6 @@ mod tests {
             let d_g = b.src_globals[dst as usize];
             assert!(g.neighbors(d_g).contains(&s_g), "{s_g}->{d_g}");
         }
-    }
-
-    #[test]
-    fn saint_budget_is_respected() {
-        let g = chung_lu(200, 2000, 2.0, 4).unwrap();
-        let algo = GraphSaintNode::new(50, 3);
-        let s = algo.sample(&g, &[7, 9], &mut rng());
-        assert_eq!(s.num_input_nodes(), 50);
-        assert_eq!(s.input_nodes()[0], 7);
-        assert_eq!(s.input_nodes()[1], 9);
     }
 
     #[test]
@@ -278,13 +199,13 @@ mod tests {
             crate::Kernel::FisherYates,
             crate::Selection::Uniform,
         );
-        let saint = GraphSaintNode::new(64, 3);
+        let cluster = ClusterGcn::new(8, 3);
         let seeds: Vec<VertexId> = (0..16).collect();
         let k = khop.sample(&g, &seeds, &mut rng());
-        let s = saint.sample(&g, &seeds, &mut rng());
+        let s = cluster.sample(&g, &seeds, &mut rng());
         assert!(
             s.work.rng_draws * 10 < k.work.rng_draws.max(1) * 10 + k.work.rng_draws,
-            "saint draws {} vs khop draws {}",
+            "cluster draws {} vs khop draws {}",
             s.work.rng_draws,
             k.work.rng_draws
         );

@@ -24,14 +24,6 @@ pub use device::{DeviceError, GpuMemory, Testbed};
 /// Simulated time in nanoseconds.
 pub type SimTime = u64;
 
-/// Converts seconds (f64) to [`SimTime`] nanoseconds, saturating.
-pub fn secs_to_ns(secs: f64) -> SimTime {
-    if secs <= 0.0 {
-        return 0;
-    }
-    (secs * 1e9).round().min(u64::MAX as f64) as SimTime
-}
-
 /// Converts [`SimTime`] nanoseconds to seconds.
 pub fn ns_to_secs(ns: SimTime) -> f64 {
     ns as f64 / 1e9
@@ -42,9 +34,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn time_conversions_roundtrip() {
-        assert_eq!(secs_to_ns(1.5), 1_500_000_000);
+    fn ns_convert_to_seconds() {
         assert!((ns_to_secs(2_000_000_000) - 2.0).abs() < 1e-12);
-        assert_eq!(secs_to_ns(-1.0), 0);
     }
 }

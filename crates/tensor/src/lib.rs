@@ -9,8 +9,7 @@
 //!   forward/backward.
 //! - [`model`]: the three stacked models of §7.1 with hidden dim 256
 //!   (configurable; scaled-down runs use smaller hiddens).
-//! - [`optim`]: SGD and Adam plus synchronous gradient averaging across
-//!   data-parallel trainers.
+//! - [`optim`]: Adam behind the [`Optimizer`] trait.
 //! - [`loss`]: softmax cross-entropy and classification accuracy.
 //! - [`flops`]: per-model FLOP estimates from sample shapes — the Train
 //!   input to the cost model.
@@ -28,4 +27,4 @@ pub mod optim;
 
 pub use matrix::{kernel_lanes, Matrix};
 pub use model::{GnnModel, ModelConfig, ModelKind};
-pub use optim::{average_gradients, Adam, AdamState, Optimizer, Sgd};
+pub use optim::{Adam, AdamState, Optimizer};

@@ -1,39 +1,14 @@
-//! Optimizers and data-parallel gradient synchronization.
+//! The optimizer trait and Adam, the one optimizer every training path
+//! steps with.
 
 use crate::layers::Param;
 use crate::matrix::Matrix;
-use crate::model::GnnModel;
 
 /// A first-order optimizer stepping a parameter list.
 pub trait Optimizer {
     /// Applies one update step from the accumulated gradients, then zeroes
     /// them.
     fn step(&mut self, params: &mut [&mut Param]);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            for (v, &g) in p.value.data_mut().iter_mut().zip(p.grad.data()) {
-                *v += g * -self.lr;
-            }
-            p.zero_grad();
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -160,64 +135,14 @@ impl Adam {
     }
 }
 
-/// Synchronous data-parallel gradient exchange: averages the gradients of
-/// all replicas in place (every replica ends with the same averaged
-/// gradients), mirroring the all-reduce the paper's Trainers perform
-/// ("exchanging locally produced gradients to update GNN model
-/// parameters", §5.2).
-///
-/// # Panics
-///
-/// Panics if replicas have different parameter shapes.
-pub fn average_gradients(replicas: &mut [GnnModel]) {
-    if replicas.len() < 2 {
-        return;
-    }
-    let n = replicas.len();
-    // Sum all replica grads into replica 0.
-    let (first, rest) = replicas.split_at_mut(1);
-    let mut first_params = first[0].params_mut();
-    for other in rest.iter_mut() {
-        let other_params = other.params_mut();
-        assert_eq!(
-            first_params.len(),
-            other_params.len(),
-            "replica parameter count mismatch"
-        );
-        for (a, b) in first_params.iter_mut().zip(other_params) {
-            a.grad.add_assign(&b.grad);
-        }
-    }
-    for p in first_params.iter_mut() {
-        p.grad.scale(1.0 / n as f32);
-    }
-    let averaged: Vec<Matrix> = first_params.iter().map(|p| p.grad.clone()).collect();
-    for other in rest.iter_mut() {
-        for (p, avg) in other.params_mut().into_iter().zip(&averaged) {
-            p.grad = avg.clone();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ModelConfig, ModelKind};
 
     fn param(v: Vec<f32>, g: Vec<f32>) -> Param {
         let mut p = Param::new(Matrix::from_vec(1, v.len(), v));
         p.grad = Matrix::from_vec(1, g.len(), g);
         p
-    }
-
-    #[test]
-    fn sgd_steps_against_gradient() {
-        let mut p = param(vec![1.0, 2.0], vec![0.5, -0.5]);
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut [&mut p]);
-        assert!((p.value.get(0, 0) - 0.95).abs() < 1e-6);
-        assert!((p.value.get(0, 1) - 2.05).abs() < 1e-6);
-        assert_eq!(p.grad.data(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -286,36 +211,5 @@ mod tests {
         }
         let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&p.value), bits(&p2.value));
-    }
-
-    #[test]
-    fn average_gradients_equalizes_replicas() {
-        let cfg = ModelConfig {
-            kind: ModelKind::Gcn,
-            in_dim: 4,
-            hidden_dim: 8,
-            num_classes: 3,
-            seed: 1,
-        };
-        let mut a = GnnModel::new(cfg);
-        let mut b = GnnModel::new(cfg);
-        // Fabricate distinct grads.
-        for p in a.params_mut() {
-            for g in p.grad.data_mut() {
-                *g = 2.0;
-            }
-        }
-        for p in b.params_mut() {
-            for g in p.grad.data_mut() {
-                *g = 4.0;
-            }
-        }
-        let mut replicas = vec![a, b];
-        average_gradients(&mut replicas);
-        for r in &mut replicas {
-            for p in r.params_mut() {
-                assert!(p.grad.data().iter().all(|&g| (g - 3.0).abs() < 1e-6));
-            }
-        }
     }
 }

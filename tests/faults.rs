@@ -55,8 +55,10 @@ fn trainer_crash_mid_epoch_recovers_and_reports() {
         epochs: 2,
         batch_size: 20,
         queue_capacity: 4,
-        trainer_delay: Some(Duration::from_millis(1)),
-        faults: FaultPlan::crash_trainer(0, 2).with_seed(seed),
+        faults: FaultPlan::crash_trainer(0, 2)
+            .with_straggler(ExecutorRole::Trainer, 0, 20.0)
+            .with_straggler(ExecutorRole::Trainer, 1, 20.0)
+            .with_seed(seed),
         seed,
         ..Default::default()
     };

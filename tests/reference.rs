@@ -18,7 +18,7 @@
 
 use gnnlab::core::threaded::{run_threaded, ThreadedConfig, ThreadedResult};
 use gnnlab::core::train_real::sampler_for;
-use gnnlab::core::FaultPlan;
+use gnnlab::core::{ExecutorRole, FaultPlan};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
 use gnnlab::graph::trainset::random_train_set;
 use gnnlab::graph::VertexId;
@@ -29,7 +29,6 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// The `handoff_bound` shape, shrunk: eight features, degree 6, and (in
 /// [`narrow_cfg`]) batches of eight through a four-deep queue, so the
@@ -275,8 +274,9 @@ fn a_crashed_trainer_replays_its_one_batch_and_equals_the_reference() {
     );
     for threads in widths() {
         let cfg = ThreadedConfig {
-            faults: FaultPlan::crash_trainer(0, 5).with_seed(seed),
-            trainer_delay: Some(Duration::from_millis(1)),
+            faults: FaultPlan::crash_trainer(0, 5)
+                .with_straggler(ExecutorRole::Trainer, 0, 20.0)
+                .with_seed(seed),
             ..narrow_cfg(seed, 0.3, threads)
         };
         let res =

@@ -65,9 +65,10 @@ fn live_scrape_during_a_fault_recovery_run_serves_depth_and_p99() {
         epochs: 3,
         batch_size: 10,
         queue_capacity: 4,
-        trainer_delay: Some(Duration::from_millis(2)),
         faults: FaultPlan::none()
             .with_crash(ExecutorRole::Trainer, 0, 3)
+            .with_straggler(ExecutorRole::Trainer, 0, 20.0)
+            .with_straggler(ExecutorRole::Trainer, 1, 20.0)
             .with_max_respawns(2),
         telemetry: TelemetryConfig {
             interval: Duration::from_millis(1),
@@ -135,7 +136,6 @@ fn injected_straggler_raises_an_alert_in_the_metrics_json() {
         batch_size: 10,
         queue_capacity: 4,
         dynamic_switching: false,
-        trainer_delay: Some(Duration::from_millis(2)),
         faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 12.0),
         telemetry: TelemetryConfig {
             interval: Duration::from_millis(1),

@@ -2,7 +2,7 @@
 //! global queue, live dynamic switching (§5.3), and crash safety.
 
 use gnnlab::core::threaded::{run_threaded, run_threaded_obs, ThreadedConfig};
-use gnnlab::core::FaultPlan;
+use gnnlab::core::{ExecutorRole, FaultPlan};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
 use gnnlab::obs::Obs;
 use gnnlab::tensor::ModelKind;
@@ -41,7 +41,7 @@ proptest! {
         epochs in 1usize..4,
         batch_size in 10usize..40,
         queue_capacity in 1usize..12,
-        delay_ms in 0u64..3,
+        slow in 0u32..3,
         dynamic_switching in any::<bool>(),
         seed in 0u64..1000,
     ) {
@@ -53,7 +53,8 @@ proptest! {
             batch_size,
             queue_capacity,
             dynamic_switching,
-            trainer_delay: (delay_ms > 0).then(|| Duration::from_millis(delay_ms)),
+            // Trainer 0 at 1×, 11× or 21× its natural batch time.
+            faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 1.0 + 10.0 * f64::from(slow)),
             seed,
             ..Default::default()
         };
@@ -147,7 +148,7 @@ fn acceptance_backpressure_switching_and_metrics() {
         epochs: 3,
         batch_size: 20,
         queue_capacity: 3,
-        trainer_delay: Some(Duration::from_millis(3)),
+        faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 20.0),
         dynamic_switching: true,
         ..Default::default()
     };
