@@ -36,7 +36,9 @@ impl Param {
 /// sampled block lists each dst's edges together), every run in register
 /// tiles that start from what `out` already holds — so a dst that comes
 /// back in a later run, or any other edge order, still sees its sources
-/// added in list order, as a loop over single edges would.
+/// added in list order, as a loop over single edges would. The tiles are
+/// 32 columns wide while 32 remain, then 16, 8, 4 and 1: a tile walks the
+/// run once, so a row up to 32 wide costs one walk and a 64-wide row two.
 fn mean_aggregate_into(
     edges: &[(u32, u32)],
     x: &Matrix,
@@ -51,7 +53,9 @@ fn mean_aggregate_into(
         let d = run[0].1 as usize;
         deg[d] += run.len() as u32;
         let dst = &mut out.row_mut(d)[cols.clone()];
-        for_col_tiles!(j in 0, dst.len(); N => add_run::<N>(run, x, dst, j));
+        for_col_tiles!(j in 0, dst.len(); N in [32, 16, 8, 4, 1] => {
+            add_run::<N>(run, x, dst, j)
+        });
     }
     for (d, &count) in deg.iter().enumerate() {
         let k = count.max(1) as f32;
@@ -75,7 +79,11 @@ fn add_run<const N: usize>(run: &[(u32, u32)], x: &Matrix, dst: &mut [f32], j: u
 }
 
 /// Backward of [`mean_aggregate_into`]: adds `grad_out[dst][cols] /
-/// deg(dst)` to each contributing src row of `grad_in`.
+/// deg(dst)` to each contributing src row of `grad_in`. The quotient is
+/// formed once per run of same-`dst` edges and column tile (as
+/// [`mean_aggregate_into`] tiles), not once per edge: the same divisions,
+/// so the same bits, and each src element still gains its terms in edge
+/// order.
 fn mean_aggregate_backward_into(
     edges: &[(u32, u32)],
     deg: &[u32],
@@ -83,11 +91,33 @@ fn mean_aggregate_backward_into(
     cols: Range<usize>,
     grad_in: &mut Matrix,
 ) {
-    for &(s, d) in edges {
-        let k = deg[d as usize].max(1) as f32;
-        let g_row = &grad_out.row(d as usize)[cols.clone()];
-        for (gi, &g) in grad_in.row_mut(s as usize).iter_mut().zip(g_row) {
-            *gi += g / k;
+    for run in edges.chunk_by(|a, b| a.1 == b.1) {
+        let d = run[0].1 as usize;
+        let k = deg[d].max(1) as f32;
+        let g_row = &grad_out.row(d)[cols.clone()];
+        for_col_tiles!(j in 0, g_row.len(); N in [32, 16, 8, 4, 1] => {
+            scatter_run::<N>(run, g_row, k, grad_in, j)
+        });
+    }
+}
+
+/// `grad_in[src][j..j + N] += g[j..j + N] / k` for each edge of `run` in
+/// turn.
+#[inline(always)]
+fn scatter_run<const N: usize>(
+    run: &[(u32, u32)],
+    g: &[f32],
+    k: f32,
+    grad_in: &mut Matrix,
+    j: usize,
+) {
+    let mut q = [0.0f32; N];
+    for (q, &g) in q.iter_mut().zip(&g[j..j + N]) {
+        *q = g / k;
+    }
+    for &(s, _) in run {
+        for (gi, q) in grad_in.row_mut(s as usize)[j..j + N].iter_mut().zip(q) {
+            *gi += q;
         }
     }
 }
@@ -405,7 +435,9 @@ mod tests {
     /// width the column tiles meet (1–70, at a column offset), whether the
     /// edges come grouped by dst as a sampler emits them or shuffled so
     /// that a dst comes back in a later run, with duplicate edges and a
-    /// dst nobody points at.
+    /// dst nobody points at — and so does the backward's scatter, against
+    /// the per-edge `g / deg` loop it replaced, from a non-zero gradient so
+    /// the order of each element's additions shows.
     #[test]
     fn mean_aggregate_matches_the_per_edge_loop_bitwise() {
         use rand::Rng;
@@ -442,6 +474,19 @@ mod tests {
                 let bits =
                     |m: &Matrix| -> Vec<u32> { m.data().iter().map(|v| v.to_bits()).collect() };
                 assert_eq!(bits(&got), bits(&want), "width {width}");
+
+                let g = Matrix::xavier(dsts, col + width + 2, &mut rng);
+                let mut want_in = Matrix::xavier(srcs, width, &mut rng);
+                let mut got_in = want_in.clone();
+                for &(s, d) in edges.iter() {
+                    let (s, d) = (s as usize, d as usize);
+                    let k = want_deg[d].max(1) as f32;
+                    for c in 0..width {
+                        want_in.set(s, c, want_in.get(s, c) + g.get(d, col + c) / k);
+                    }
+                }
+                mean_aggregate_backward_into(edges, &deg, &g, col..col + width, &mut got_in);
+                assert_eq!(bits(&got_in), bits(&want_in), "backward, width {width}");
             }
         }
     }

@@ -8,12 +8,15 @@
 //! stored once, reading each operand through an `Operand` view that
 //! says whether its rows are the steps of `k` (adjacent lanes, vector
 //! loads) or the lanes themselves (`matmul`'s left operand, both of
-//! `matmul_transb`'s; gathered). Geometry (`product_rows`): pairs of
-//! output rows take 2 × 32 tiles while 32 columns remain; the remaining
-//! columns, an odd last row and every output narrower than 32 take
-//! single-row tiles of 16, 4 and 1 columns (`for_col_tiles`);
-//! `transa_matmul` walks `k` in blocks of `K_BLOCK` rows of both
-//! operands, so the block stays in cache while every tile passes over it.
+//! `matmul_transb`'s; gathered). Geometry (`product_rows`), a function of
+//! the shape alone: pairs of output rows take 2 × 32 tiles while 32
+//! columns remain; the remaining columns — every column of an output
+//! narrower than 32 — take tiles of four rows by 8, 4 or 1 columns and
+//! of two rows by 16 (`for_col_tiles`), so one read of `b` feeds four
+//! independent add chains; the last one to three rows of an output take
+//! single-row tiles there. `transa_matmul` walks `k` in blocks of
+//! `K_BLOCK` rows of both operands, so the block stays in cache while
+//! every tile passes over it.
 //!
 //! The body is instantiated twice — portably, and inside a
 //! `#[target_feature(enable = "avx2")]` entry point that
@@ -38,21 +41,23 @@ use std::ops::Range;
 
 /// Runs `$tile` with `$j` at each tile start over columns `$from..$cols`
 /// and `$n` the tile's width as a constant: 16 columns while at least 16
-/// remain (four SSE registers of accumulators), then 4, then 1 — so no
-/// kernel needs a separate scalar remainder loop.
+/// remain (four SSE registers per row of accumulators), then 8, 4 and 1
+/// — so no kernel needs a separate scalar remainder loop, and an 8-wide
+/// row is one AVX2 register, not a 4-wide tile twice. `$n in [..]` names
+/// the widths instead.
 macro_rules! for_col_tiles {
-    ($j:ident in $from:expr, $cols:expr; $n:ident => $tile:expr) => {{
+    ($j:ident in $from:expr, $cols:expr; $n:ident => $tile:expr) => {
+        for_col_tiles!($j in $from, $cols; $n in [16, 8, 4, 1] => $tile)
+    };
+    ($j:ident in $from:expr, $cols:expr; $n:ident in [$($width:literal),*] => $tile:expr) => {{
         let (mut $j, cols): (usize, usize) = ($from, $cols);
-        for_col_tiles!(@while $j, cols, $n = 16, $tile);
-        for_col_tiles!(@while $j, cols, $n = 4, $tile);
-        for_col_tiles!(@while $j, cols, $n = 1, $tile);
-    }};
-    (@while $j:ident, $cols:ident, $n:ident = $width:literal, $tile:expr) => {{
-        const $n: usize = $width;
-        while $cols - $j >= $n {
-            $tile;
-            $j += $n;
-        }
+        $({
+            const $n: usize = $width;
+            while cols - $j >= $n {
+                $tile;
+                $j += $n;
+            }
+        })*
     }};
 }
 pub(crate) use for_col_tiles;
@@ -156,13 +161,16 @@ unsafe fn tile<const R: usize, const N: usize>(
 }
 
 /// `aᵀ? · bᵀ?`, added into `out` (row-major; at least one row and one
-/// column). Tile geometry: pairs of rows take 2 × 32 tiles while 32
-/// columns remain (eight AVX2 registers of accumulators, leaving room for
-/// a row of `b` and two broadcasts); the remaining columns, an odd last
-/// row and every output narrower than 32 run single-row tiles of 16, 4
-/// and 1 columns — the instruction mix narrow outputs always ran. `aᵀ · b` walks `k` in [`K_BLOCK`]s, the
-/// other two in one piece. A zero of `a` is skipped unless `b` is
-/// transposed.
+/// column), four output rows at a time. Tile geometry: pairs of rows take
+/// 2 × 32 tiles while 32 columns remain (eight AVX2 registers of
+/// accumulators, leaving room for a row of `b` and two broadcasts); the
+/// remaining columns — all of them in an output narrower than 32 — take
+/// 4-row tiles of 8, 4 and 1 columns and 2-row tiles of 16 (`4 × 16`
+/// would spill SSE's sixteen registers), so each `b` value read serves
+/// four independent add chains instead of one. The last one to three rows
+/// of an output take single-row tiles there. `aᵀ · b` walks `k` in
+/// [`K_BLOCK`]s, the other two in one piece. A zero of `a` is skipped
+/// unless `b` is transposed.
 #[inline(always)]
 fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out: &mut [f32]) {
     let ab = operands::<TA, TB>(a, b);
@@ -174,23 +182,33 @@ fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out:
     let k_block = if TA { K_BLOCK } else { inner.max(1) };
     for k0 in (0..inner).step_by(k_block) {
         let ks = k0..inner.min(k0 + k_block);
-        for (pair, out) in out.chunks_mut(2 * cols).enumerate() {
-            let i = 2 * pair;
-            let mut wide = 0;
-            while out.len() == 2 * cols && cols - wide >= 32 {
-                // SAFETY: rows `i` and `i + 1` are in `0..rows` (`out`
-                // holds both), columns `wide..wide + 32` in `0..cols` and
-                // `ks` in `0..inner`, all of which the assertion above
-                // found inside the operands.
-                unsafe { tile::<2, 32>(ab, ks.clone(), (i, wide), out) };
-                wide += 32;
+        for (quad, out) in out.chunks_mut(4 * cols).enumerate() {
+            let i = 4 * quad;
+            let paired = out.len() / (2 * cols) * 2;
+            let wide = if paired > 0 { cols / 32 * 32 } else { 0 };
+            // SAFETY (every tile below): its rows are rows of `out`, which
+            // holds rows `i..i + 4` or the last ones of the product, its
+            // columns `j..j + N` are in `0..cols` and `ks` in `0..inner`,
+            // all of which the assertion above found inside the operands.
+            for (pair, out) in out.chunks_exact_mut(2 * cols).enumerate() {
+                for j in (0..wide).step_by(32) {
+                    unsafe { tile::<2, 32>(ab, ks.clone(), (i + 2 * pair, j), out) };
+                }
             }
-            for (i, out) in (i..).zip(out.chunks_exact_mut(cols)) {
-                // SAFETY: likewise — row `i` is one `out` holds, columns
-                // `j..j + N` are in `0..cols`.
-                for_col_tiles!(j in wide, cols; N => unsafe {
-                    tile::<1, N>(ab, ks.clone(), (i, j), out)
+            if out.len() == 4 * cols {
+                for_col_tiles!(j in wide, cols; N => {
+                    const R: usize = if N == 16 { 2 } else { 4 };
+                    for (r, out) in out.chunks_exact_mut(R * cols).enumerate() {
+                        unsafe { tile::<R, N>(ab, ks.clone(), (i + R * r, j), out) };
+                    }
                 });
+            } else {
+                for (r, out) in out.chunks_exact_mut(cols).enumerate() {
+                    let from = if r < paired { wide } else { 0 };
+                    for_col_tiles!(j in from, cols; N => unsafe {
+                        tile::<1, N>(ab, ks.clone(), (i + r, j), out)
+                    });
+                }
             }
         }
     }
@@ -448,10 +466,10 @@ impl Matrix {
     /// Applies the stored ReLU mask to a gradient (in place).
     pub fn relu_backward_inplace(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.data.len(), "relu mask mismatch");
+        // A select, not a branch: the mask is as unpredictable as the
+        // activations' signs.
         for (g, &m) in self.data.iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
     }
 
@@ -730,8 +748,11 @@ mod tests {
     /// Every instantiation of the three products against the scalar loop,
     /// bit for bit: random shapes around the tile and `k`-block edges
     /// (odd row counts, 32-wide tiles with and without remainders, inner
-    /// dimensions that end inside a `k`-block), empty operands, and a
-    /// left operand with no, a fifth and half of its elements zero.
+    /// dimensions that end inside a `k`-block), empty operands, the narrow
+    /// geometry at every row count 1–13 (each remainder mod 4, up to three
+    /// 4-row blocks) by every width 1–31, inside one `k`-block and across
+    /// two, and a left operand with no, a fifth and half of its elements
+    /// zero.
     #[test]
     fn every_instantiation_matches_the_scalar_loop_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -754,7 +775,10 @@ mod tests {
                 rng.gen_range(0..71usize),
             )
         });
-        let shapes: Vec<_> = edges.into_iter().chain(random).collect();
+        let narrow = (1..=13).flat_map(|rows| {
+            (1..32).flat_map(move |cols| [9, 70].map(|inner| (rows, inner, cols)))
+        });
+        let shapes: Vec<_> = edges.into_iter().chain(random).chain(narrow).collect();
         for (n, &shape) in shapes.iter().enumerate() {
             for op in PRODUCTS {
                 let (a, b) = random_operands(op, shape, [0, 5, 2][n % 3], &mut rng);
@@ -766,30 +790,70 @@ mod tests {
     /// What the skip means: where `a` is zero, `b` is not read into the
     /// sum — `±∞` and `NaN` there leave `a · b` and `aᵀ · b` finite on
     /// every path, while `a · bᵀ`, which never skipped, turns `NaN` on
-    /// every path alike.
+    /// every path alike. Wide tiles with remainders (5 × 70 by 70 × 67),
+    /// and the narrow ones: 4-row tiles with a single last row at widths
+    /// 7 (4 + 1 + 1 + 1) and 8, 2-row tiles of 16 beside 8 + 1 + 1 + 1 at
+    /// 27; every shape across two `k`-blocks.
     #[test]
     fn a_zero_skips_infinities_and_nans_on_every_path() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let specials = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-        for op @ (ta, tb) in PRODUCTS {
-            // 5 × 70 by 70 × 67: wide tiles, remainders, two `k`-blocks.
-            let (mut a, mut b) = random_operands(op, (5, 70, 67), 0, &mut rng);
-            for k in [0, 63, 64, 69] {
-                for l in 0..5 {
-                    let (row, col) = if ta { (k, l) } else { (l, k) };
-                    a.set(row, col, 0.0);
+        for (rows, cols) in [(5, 67), (13, 7), (4, 8), (6, 27)] {
+            for op @ (ta, tb) in PRODUCTS {
+                let (mut a, mut b) = random_operands(op, (rows, 70, cols), 0, &mut rng);
+                for k in [0, 63, 64, 69] {
+                    for l in 0..rows {
+                        let (row, col) = if ta { (k, l) } else { (l, k) };
+                        a.set(row, col, 0.0);
+                    }
+                    for l in 0..cols {
+                        let (row, col) = if tb { (l, k) } else { (k, l) };
+                        b.set(row, col, specials[(k + l) % 3]);
+                    }
                 }
-                for l in 0..67 {
-                    let (row, col) = if tb { (l, k) } else { (k, l) };
-                    b.set(row, col, specials[(k + l) % 3]);
+                assert_every_path(op, (&a, &b));
+                let finite = scalar_product(ta, tb, &a, &b)
+                    .data()
+                    .iter()
+                    .all(|v| v.is_finite());
+                assert_eq!(finite, !tb, "{op:?} {rows}x{cols}");
+            }
+        }
+    }
+
+    /// The select writes what the branch it replaced wrote, bit for bit:
+    /// gradients holding `NaN`s (with payloads), `±0.0`, `±∞` and finite
+    /// values, each under both mask values, over a length that runs the
+    /// vector loop and its scalar remainder.
+    #[test]
+    fn relu_backward_matches_the_branching_loop_bitwise() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -f32::MIN_POSITIVE,
+        ];
+        let grads: Vec<f32> = specials.iter().cycle().take(37).copied().collect();
+        for mask in [
+            (0..37).map(|i| i % 2 == 0).collect::<Vec<_>>(),
+            (0..37).map(|i| i % 3 != 0).collect(),
+        ] {
+            let mut want = grads.clone();
+            for (g, &m) in want.iter_mut().zip(&mask) {
+                if !m {
+                    *g = 0.0;
                 }
             }
-            assert_every_path(op, (&a, &b));
-            let finite = scalar_product(ta, tb, &a, &b)
-                .data()
-                .iter()
-                .all(|v| v.is_finite());
-            assert_eq!(finite, !tb, "{op:?}");
+            let mut got = Matrix::from_vec(1, grads.len(), grads.clone());
+            got.relu_backward_inplace(&mask);
+            let raw = |v: &[f32]| -> Vec<u32> { v.iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(raw(got.data()), raw(&want));
         }
     }
 
