@@ -15,16 +15,21 @@
 //!
 //! ```text
 //! ckpt-<generation>.bin :=
-//!     magic  b"GLABCKPT"            (8 bytes)
-//!     version u32-le                (currently 1)
-//!     section_count u32-le
-//!     section*                      (exactly section_count of them)
-//! section :=
-//!     tag     [u8;4]                (META MODL OPTS SCHD RNGS RCVR HIST)
-//!     len     u64-le                (payload bytes)
-//!     payload [u8; len]
-//!     crc32   u32-le                (CRC-32/IEEE over payload only)
+//!     magic    b"GLABCKPT"          (8 bytes)
+//!     version  u32-le               (currently 2)
+//!     body_len u64-le
+//!     body     [u8; body_len]
+//!     crc32    u32-le               (CRC-32/IEEE over the body)
+//! body :=
+//!     meta cursor generation params adam sched rng recovery history
 //! ```
+//!
+//! The body is the fields of [`CheckpointState`] in that order, each
+//! little-endian, written once by [`encode`] and read in one pass by
+//! [`decode`]. A flag byte is 0 or 1 and an absent `Option<f64>` carries
+//! zero bits, so an image that decodes re-encodes to the same bytes.
+//! Every length is checked against the bytes left before anything is
+//! reserved for it.
 //!
 //! Writes are atomic and torn-write-safe: the file is fully assembled in
 //! memory, written to `ckpt-<gen>.bin.tmp`, fsynced, renamed into place,
@@ -32,8 +37,8 @@
 //! directory is its own index, with no manifest beside it, and a kill at
 //! *any* point leaves either a complete `ckpt-<gen>.bin` or a torn `.tmp`
 //! that is never a candidate. [`load_latest`] scans the `ckpt-*.bin`
-//! names newest-first, rejects any file whose magic/version/structure/
-//! CRC/cursor checks fail, counts torn leftovers (stray `.tmp` files,
+//! names newest-first, rejects any file whose magic/version/length/
+//! CRC/structure/cursor checks fail, counts torn leftovers (stray `.tmp` files,
 //! corrupt or truncated generations), and loads the newest generation
 //! that validates end to end.
 
@@ -47,7 +52,7 @@ use std::time::Duration;
 /// File magic for checkpoint files.
 pub const MAGIC: &[u8; 8] = b"GLABCKPT";
 /// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Generations retained on disk: older ones are pruned after each
 /// successful write.
 pub const DEFAULT_KEEP: usize = 3;
@@ -299,6 +304,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Little-endian encode/decode helpers
 // ---------------------------------------------------------------------------
 
+/// Header bytes before the body: magic, version, body length.
+const HEADER_LEN: usize = 8 + 4 + 8;
+
 #[derive(Default)]
 struct Enc(Vec<u8>);
 
@@ -316,16 +324,8 @@ impl Enc {
         self.u32(v.to_bits());
     }
     fn opt_f64_bits(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x.to_bits());
-            }
-            None => {
-                self.u8(0);
-                self.u64(0);
-            }
-        }
+        self.u8(u8::from(v.is_some()));
+        self.u64(v.map_or(0, f64::to_bits));
     }
     fn matrix(&mut self, m: &Matrix) {
         self.u64(m.rows() as u64);
@@ -351,12 +351,15 @@ impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Dec { buf, pos: 0 }
     }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("section payload truncated"))?;
+            .ok_or_else(|| corrupt("checkpoint truncated"))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -379,14 +382,23 @@ impl<'a> Dec<'a> {
     fn f32_bits(&mut self) -> Result<f32, CheckpointError> {
         Ok(f32::from_bits(self.u32()?))
     }
+    /// A flag byte is 0 or 1; any other value would decode to an image
+    /// that does not re-encode to the same bytes.
+    fn flag(&mut self) -> Result<bool, CheckpointError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(corrupt(format!("flag byte {other} is neither 0 nor 1"))),
+        }
+    }
     fn opt_f64_bits(&mut self) -> Result<Option<f64>, CheckpointError> {
-        let flag = self.u8()?;
+        let present = self.flag()?;
         let bits = self.u64()?;
-        Ok(if flag == 1 {
-            Some(f64::from_bits(bits))
-        } else {
-            None
-        })
+        match (present, bits) {
+            (true, bits) => Ok(Some(f64::from_bits(bits))),
+            (false, 0) => Ok(None),
+            (false, _) => Err(corrupt("an absent value carries nonzero bits")),
+        }
     }
     fn usize_checked(&mut self, what: &str, cap: usize) -> Result<usize, CheckpointError> {
         let v = self.u64()?;
@@ -401,8 +413,8 @@ impl<'a> Dec<'a> {
         let cols = self.usize_checked("matrix cols", 1 << 28)?;
         let n = rows
             .checked_mul(cols)
-            .filter(|&n| n <= self.buf.len() / 4 + 1)
-            .ok_or_else(|| corrupt("matrix larger than its section"))?;
+            .filter(|&n| n <= self.remaining() / 4)
+            .ok_or_else(|| corrupt("matrix larger than the rest of the body"))?;
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(self.f32_bits()?);
@@ -417,22 +429,14 @@ impl<'a> Dec<'a> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(corrupt("trailing bytes after section payload"))
+            Err(corrupt("trailing bytes after the checkpoint"))
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Section (de)serialization
+// Whole-file assembly and parsing
 // ---------------------------------------------------------------------------
-
-const TAG_META: [u8; 4] = *b"META";
-const TAG_MODEL: [u8; 4] = *b"MODL";
-const TAG_OPT: [u8; 4] = *b"OPTS";
-const TAG_SCHED: [u8; 4] = *b"SCHD";
-const TAG_RNG: [u8; 4] = *b"RNGS";
-const TAG_RECOVERY: [u8; 4] = *b"RCVR";
-const TAG_HISTORY: [u8; 4] = *b"HIST";
 
 fn model_kind_code(kind: ModelKind) -> u8 {
     match kind {
@@ -451,8 +455,15 @@ fn model_kind_from_code(code: u8) -> Result<ModelKind, CheckpointError> {
     }
 }
 
-fn encode_meta(m: &CheckpointMeta, cursor: u64, generation: u64) -> Vec<u8> {
+/// Serializes `state` (plus its generation number) into the on-disk byte
+/// layout: header, body, CRC.
+pub fn encode(state: &CheckpointState, generation: u64) -> Vec<u8> {
     let mut e = Enc::default();
+    e.0.extend_from_slice(MAGIC);
+    e.u32(VERSION);
+    // Body length, patched once the body is written.
+    e.u64(0);
+    let m = &state.meta;
     e.u64(m.seed);
     e.u64(m.epochs);
     e.u64(m.batch_size);
@@ -470,13 +481,75 @@ fn encode_meta(m: &CheckpointMeta, cursor: u64, generation: u64) -> Vec<u8> {
     e.u8(u8::from(m.dynamic_switching));
     e.u64(m.trainer_rows);
     e.u64(m.standby_rows);
-    e.u64(cursor);
+    e.u64(state.cursor);
     e.u64(generation);
+    e.matrices(&state.params);
+    let o = &state.opt;
+    e.f32_bits(o.lr);
+    e.f32_bits(o.beta1);
+    e.f32_bits(o.beta2);
+    e.f32_bits(o.eps);
+    e.u64(o.t as u64);
+    e.matrices(&o.m);
+    e.matrices(&o.v);
+    let s = &state.sched;
+    e.opt_f64_bits(s.t_sample);
+    e.opt_f64_bits(s.t_train);
+    e.opt_f64_bits(s.t_standby);
+    e.opt_f64_bits(s.refresh_secs);
+    e.u64(s.switches);
+    e.u64(state.rng.seed);
+    e.u64(state.rng.next_epoch);
+    e.u64(state.rng.next_batch);
+    let r = &state.recovery;
+    e.u64(r.faults_injected as u64);
+    e.u64(r.replayed_batches as u64);
+    e.u64(r.respawns as u64);
+    e.u64(r.reassignments as u64);
+    e.u64(r.retries as u64);
+    e.u64(r.downtime_ns);
+    e.u64(state.history.len() as u64);
+    for r in &state.history {
+        e.u64(r.id);
+        e.f32_bits(r.loss);
+        e.u64(r.acc.to_bits());
+    }
+    let body_len = (e.0.len() - HEADER_LEN) as u64;
+    e.0[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
+    let crc = crc32(&e.0[HEADER_LEN..]);
+    e.u32(crc);
     e.0
 }
 
-fn decode_meta(buf: &[u8]) -> Result<(CheckpointMeta, u64, u64), CheckpointError> {
-    let mut d = Dec::new(buf);
+/// Parses and fully validates one checkpoint image: magic, version, body
+/// length, the body's CRC, its layout read in one pass, the
+/// RNG-cursor/batch-cursor cross-check, and a history that names each
+/// batch of the run at most once.
+pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(corrupt("file shorter than header"));
+    }
+    if &bytes[..8] != MAGIC {
+        return Err(corrupt("bad magic"));
+    }
+    let mut d = Dec::new(&bytes[8..]);
+    let version = d.u32()?;
+    if version != VERSION {
+        return Err(corrupt(format!(
+            "unsupported version {version} (expected {VERSION})"
+        )));
+    }
+    let body_len = d.usize_checked("body length", bytes.len())?;
+    let body = d.take(body_len)?;
+    let stored_crc = d.u32()?;
+    d.finished()?;
+    let actual = crc32(body);
+    if stored_crc != actual {
+        return Err(corrupt(format!(
+            "crc mismatch (stored {stored_crc:08x}, actual {actual:08x})"
+        )));
+    }
+    let mut d = Dec::new(body);
     let meta = CheckpointMeta {
         seed: d.u64()?,
         epochs: d.u64()?,
@@ -492,31 +565,14 @@ fn decode_meta(buf: &[u8]) -> Result<(CheckpointMeta, u64, u64), CheckpointError
         total_batches: d.u64()?,
         num_samplers: d.u64()?,
         num_trainers: d.u64()?,
-        dynamic_switching: d.u8()? == 1,
+        dynamic_switching: d.flag()?,
         trainer_rows: d.u64()?,
         standby_rows: d.u64()?,
     };
     let cursor = d.u64()?;
     let generation = d.u64()?;
-    d.finished()?;
-    Ok((meta, cursor, generation))
-}
-
-fn encode_opt(s: &AdamState) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.f32_bits(s.lr);
-    e.f32_bits(s.beta1);
-    e.f32_bits(s.beta2);
-    e.f32_bits(s.eps);
-    e.u64(s.t as u64);
-    e.matrices(&s.m);
-    e.matrices(&s.v);
-    e.0
-}
-
-fn decode_opt(buf: &[u8]) -> Result<AdamState, CheckpointError> {
-    let mut d = Dec::new(buf);
-    let state = AdamState {
+    let params = d.matrices()?;
+    let opt = AdamState {
         lr: d.f32_bits()?,
         beta1: d.f32_bits()?,
         beta2: d.f32_bits()?,
@@ -525,67 +581,20 @@ fn decode_opt(buf: &[u8]) -> Result<AdamState, CheckpointError> {
         m: d.matrices()?,
         v: d.matrices()?,
     };
-    d.finished()?;
-    Ok(state)
-}
-
-fn encode_sched(s: &SchedSnapshot) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.opt_f64_bits(s.t_sample);
-    e.opt_f64_bits(s.t_train);
-    e.opt_f64_bits(s.t_standby);
-    e.opt_f64_bits(s.refresh_secs);
-    e.u64(s.switches);
-    e.0
-}
-
-fn decode_sched(buf: &[u8]) -> Result<SchedSnapshot, CheckpointError> {
-    let mut d = Dec::new(buf);
-    let s = SchedSnapshot {
+    let sched = SchedSnapshot {
         t_sample: d.opt_f64_bits()?,
         t_train: d.opt_f64_bits()?,
         t_standby: d.opt_f64_bits()?,
         refresh_secs: d.opt_f64_bits()?,
         switches: d.u64()?,
     };
-    d.finished()?;
-    Ok(s)
-}
-
-fn encode_rng(r: &RngCursor) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(r.seed);
-    e.u64(r.next_epoch);
-    e.u64(r.next_batch);
-    e.0
-}
-
-fn decode_rng(buf: &[u8]) -> Result<RngCursor, CheckpointError> {
-    let mut d = Dec::new(buf);
-    let r = RngCursor {
+    let rng = RngCursor {
         seed: d.u64()?,
         next_epoch: d.u64()?,
         next_batch: d.u64()?,
     };
-    d.finished()?;
-    Ok(r)
-}
-
-fn encode_recovery(r: &RecoveryReport) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(r.faults_injected as u64);
-    e.u64(r.replayed_batches as u64);
-    e.u64(r.respawns as u64);
-    e.u64(r.reassignments as u64);
-    e.u64(r.retries as u64);
-    e.u64(r.downtime_ns);
-    e.0
-}
-
-fn decode_recovery(buf: &[u8]) -> Result<RecoveryReport, CheckpointError> {
-    let mut d = Dec::new(buf);
     let cap = 1usize << 40;
-    let r = RecoveryReport {
+    let recovery = RecoveryReport {
         faults_injected: d.usize_checked("faults_injected", cap)?,
         replayed_batches: d.usize_checked("replayed_batches", cap)?,
         respawns: d.usize_checked("respawns", cap)?,
@@ -593,152 +602,25 @@ fn decode_recovery(buf: &[u8]) -> Result<RecoveryReport, CheckpointError> {
         retries: d.usize_checked("retries", cap)?,
         downtime_ns: d.u64()?,
     };
-    d.finished()?;
-    Ok(r)
-}
-
-fn encode_history(h: &[BatchRecord]) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(h.len() as u64);
-    for r in h {
-        e.u64(r.id);
-        e.u32(r.loss.to_bits());
-        e.u64(r.acc.to_bits());
-    }
-    e.0
-}
-
-fn decode_history(buf: &[u8]) -> Result<Vec<BatchRecord>, CheckpointError> {
-    let mut d = Dec::new(buf);
-    let n = d.usize_checked("history length", buf.len() / 20 + 1)?;
-    let mut out = Vec::with_capacity(n);
+    let n = d.usize_checked("history length", d.remaining() / 20)?;
+    let mut history = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(BatchRecord {
+        history.push(BatchRecord {
             id: d.u64()?,
-            loss: f32::from_bits(d.u32()?),
+            loss: d.f32_bits()?,
             acc: f64::from_bits(d.u64()?),
         });
     }
     d.finished()?;
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Whole-file assembly and parsing
-// ---------------------------------------------------------------------------
-
-fn push_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-/// Serializes `state` (plus its generation number) into the on-disk byte
-/// layout, CRCs and all.
-pub fn encode(state: &CheckpointState, generation: u64) -> Vec<u8> {
-    let sections: Vec<([u8; 4], Vec<u8>)> = vec![
-        (TAG_META, encode_meta(&state.meta, state.cursor, generation)),
-        (TAG_MODEL, {
-            let mut e = Enc::default();
-            e.matrices(&state.params);
-            e.0
-        }),
-        (TAG_OPT, encode_opt(&state.opt)),
-        (TAG_SCHED, encode_sched(&state.sched)),
-        (TAG_RNG, encode_rng(&state.rng)),
-        (TAG_RECOVERY, encode_recovery(&state.recovery)),
-        (TAG_HISTORY, encode_history(&state.history)),
-    ];
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (tag, payload) in &sections {
-        push_section(&mut out, *tag, payload);
-    }
-    out
-}
-
-/// Parses and fully validates one checkpoint image: magic, version,
-/// section structure (each tag at most once), per-section CRC, each
-/// section's internal layout, the RNG-cursor/batch-cursor cross-check, and
-/// a history that names each batch of the run at most once.
-pub fn decode(bytes: &[u8]) -> Result<(CheckpointState, u64), CheckpointError> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(corrupt("file shorter than header"));
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let mut d = Dec::new(&bytes[8..]);
-    let version = d.u32()?;
-    if version != VERSION {
-        return Err(corrupt(format!(
-            "unsupported version {version} (expected {VERSION})"
-        )));
-    }
-    let section_count = d.u32()?;
-    let mut meta = None;
-    let mut params = None;
-    let mut opt = None;
-    let mut sched = None;
-    let mut rng = None;
-    let mut recovery = None;
-    let mut history = None;
-    let mut seen = Vec::new();
-    for _ in 0..section_count {
-        let tag: [u8; 4] =
-            gnnlab_par::invariant!(d.take(4)?.try_into(), "take(4) yields exactly four bytes");
-        if seen.contains(&tag) {
-            return Err(corrupt(format!(
-                "repeated section tag {:?}",
-                String::from_utf8_lossy(&tag)
-            )));
-        }
-        seen.push(tag);
-        let len = d.usize_checked("section length", bytes.len())?;
-        let payload = d.take(len)?;
-        let stored_crc = d.u32()?;
-        let actual = crc32(payload);
-        if stored_crc != actual {
-            return Err(corrupt(format!(
-                "crc mismatch in section {:?} (stored {stored_crc:08x}, actual {actual:08x})",
-                String::from_utf8_lossy(&tag)
-            )));
-        }
-        match tag {
-            TAG_META => meta = Some(decode_meta(payload)?),
-            TAG_MODEL => {
-                let mut pd = Dec::new(payload);
-                let ms = pd.matrices()?;
-                pd.finished()?;
-                params = Some(ms);
-            }
-            TAG_OPT => opt = Some(decode_opt(payload)?),
-            TAG_SCHED => sched = Some(decode_sched(payload)?),
-            TAG_RNG => rng = Some(decode_rng(payload)?),
-            TAG_RECOVERY => recovery = Some(decode_recovery(payload)?),
-            TAG_HISTORY => history = Some(decode_history(payload)?),
-            other => {
-                return Err(corrupt(format!(
-                    "unknown section tag {:?}",
-                    String::from_utf8_lossy(&other)
-                )))
-            }
-        }
-    }
-    d.finished()?;
-    let (meta, cursor, generation) = meta.ok_or_else(|| corrupt("missing META section"))?;
     let state = CheckpointState {
         meta,
-        params: params.ok_or_else(|| corrupt("missing MODL section"))?,
-        opt: opt.ok_or_else(|| corrupt("missing OPTS section"))?,
-        sched: sched.ok_or_else(|| corrupt("missing SCHD section"))?,
-        rng: rng.ok_or_else(|| corrupt("missing RNGS section"))?,
-        recovery: recovery.ok_or_else(|| corrupt("missing RCVR section"))?,
-        history: history.ok_or_else(|| corrupt("missing HIST section"))?,
+        params,
+        opt,
+        sched,
+        rng,
         cursor,
+        recovery,
+        history,
     };
     // Cross-check: the RNG position must agree with the batch cursor.
     let bpe = state.meta.batches_per_epoch.max(1);
@@ -977,19 +859,138 @@ mod tests {
     fn every_flipped_byte_in_a_payload_is_rejected() {
         let state = sample_state(4);
         let bytes = encode(&state, 0);
-        // Flip a sampling of single bytes across the whole image: each
-        // must fail either the CRC, the magic, or a structural check —
-        // never decode to a different state silently.
-        for pos in (0..bytes.len()).step_by(7) {
-            let mut corrupted = bytes.clone();
-            corrupted[pos] ^= 0x40;
-            match decode(&corrupted) {
-                Err(_) => {}
-                Ok((other, g)) => assert!(
-                    other == state && g == 0,
-                    "byte {pos} changed the decoded state without detection"
-                ),
+        // Every single-bit flip anywhere in the image fails the magic,
+        // the version, the length, the CRC or a structural check.
+        for pos in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut corrupted = bytes.clone();
+                corrupted[pos] ^= 1 << bit;
+                assert!(
+                    decode(&corrupted).is_err(),
+                    "flipping bit {bit} of byte {pos} went undetected"
+                );
             }
+        }
+        // So does every truncation.
+        for len in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..len]).is_err(),
+                "a {len}-byte prefix decoded"
+            );
+        }
+    }
+
+    /// Recomputes the body CRC after an edit, so only the decoder's
+    /// structural checks stand between the edit and a loaded state.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 4;
+        let crc = crc32(&bytes[HEADER_LEN..end]);
+        bytes[end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// The largest single allocation the current thread has requested
+    /// since it was last reset.
+    struct PeakAlloc;
+
+    thread_local! {
+        static PEAK: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn note_alloc(size: usize) {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract; the thread-local `Cell`
+    // is const-initialised and touches no allocation.
+    unsafe impl std::alloc::GlobalAlloc for PeakAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            // SAFETY: the caller's `layout` is passed through as given.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note_alloc(new_size);
+            // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+            // with `layout`; both are passed through as given.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: as for `realloc`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: PeakAlloc = PeakAlloc;
+
+    /// Resealed mutations of every body byte: each image either decodes
+    /// to a state that re-encodes to exactly those bytes, or is
+    /// `Corrupt`; the decoder never panics. Hostile lengths in the same
+    /// small image are `Corrupt`, and no allocation made while decoding
+    /// one is larger than the image.
+    #[test]
+    fn every_resealed_body_mutation_decodes_canonically_or_is_corrupt() {
+        let state = sample_state(4);
+        let bytes = encode(&state, 1);
+        let (mut canonical, mut rejected) = (0, 0);
+        for pos in HEADER_LEN..bytes.len() - 4 {
+            for value in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[pos] = value;
+                reseal(&mut mutated);
+                match decode(&mutated) {
+                    Ok((s, g)) => {
+                        assert!(encode(&s, g) == mutated, "byte {pos} = {value:#04x}");
+                        canonical += 1;
+                    }
+                    Err(CheckpointError::Corrupt(_)) => rejected += 1,
+                    Err(other) => panic!("byte {pos} = {value:#04x}: {other}"),
+                }
+            }
+        }
+        assert!(canonical > 0 && rejected > 0, "{canonical} / {rejected}");
+
+        assert!(bytes.len() < 1024);
+        // Body offsets: meta is 118 bytes, then cursor and generation.
+        let params_at = HEADER_LEN + 118 + 16;
+        let history_at = bytes.len() - 4 - 20 * state.history.len() - 8;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(
+            [params_at, params_at + 8, params_at + 16, history_at].map(word),
+            [2, 2, 3, 4],
+            "two params, the first 2 x 3; four history records"
+        );
+        let cases: [(&str, usize, u64); 6] = [
+            ("body length", HEADER_LEN - 8, bytes.len() as u64),
+            ("body length", HEADER_LEN - 8, u64::MAX),
+            ("matrix count", params_at, 1 << 20),
+            ("matrix rows", params_at + 8, 1 << 28),
+            ("matrix cols", params_at + 16, 1 << 28),
+            ("history length", history_at, 1 << 40),
+        ];
+        for (what, at, value) in cases {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut hostile);
+            PEAK.with(|p| p.set(0));
+            let outcome = decode(&hostile);
+            let peak = PEAK.with(std::cell::Cell::get);
+            assert!(
+                matches!(outcome, Err(CheckpointError::Corrupt(_))),
+                "{what} = {value}: {outcome:?}"
+            );
+            assert!(
+                peak <= hostile.len(),
+                "{what} = {value} reserved {peak} bytes"
+            );
         }
     }
 
@@ -1118,23 +1119,6 @@ mod tests {
         let mut state = sample_state(4);
         state.history[3].id = 1;
         assert_history_rejected(&state, "twice");
-    }
-
-    #[test]
-    fn a_repeated_section_is_corrupt() {
-        // A second, valid HIST section spliced after the first, with the
-        // section count raised to match: the image must not load either.
-        let state = sample_state(4);
-        let mut other = state.history.clone();
-        other[0].loss = 9.0;
-        let mut bytes = encode(&state, 1);
-        push_section(&mut bytes, TAG_HISTORY, &encode_history(&other));
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
-        match decode(&bytes) {
-            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("repeated"), "{msg}"),
-            other => panic!("expected Corrupt(repeated), got {other:?}"),
-        }
     }
 
     #[test]

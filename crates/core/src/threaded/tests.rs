@@ -72,10 +72,16 @@ fn two_tier_extraction_serves_hits() {
         },
     )
     .unwrap();
+    // The Trainers' own stores, the 50 % ones: a standby's cache and the
+    // host eval store are planned apart and would dilute the rate.
+    let mut trainers = CacheStats::default();
+    for c in res.caches.iter().filter(|c| c.role == Executor::Trainer) {
+        trainers.add(&c.stats);
+    }
     assert!(
-        res.cache_hit_rate > 0.3,
-        "hit rate {:.3} too low for a 50% cache",
-        res.cache_hit_rate
+        trainers.hit_rate() > 0.3,
+        "Trainer hit rate {:.3} too low for a 50% cache",
+        trainers.hit_rate()
     );
     let uncached = run_threaded(
         &g,
