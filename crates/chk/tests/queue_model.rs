@@ -6,8 +6,11 @@
 //! budget, so what a green run certifies is a statement about the
 //! protocol, not about one lucky timing:
 //!
-//! - **exactly-once delivery** across a consumer crash + `reclaim`
-//!   replay, including burst enqueue backpressure;
+//! - **exactly-once delivery** across a crash + `reclaim` replay, on
+//!   both of the runtime's uses: the sample queue (consumers lease while
+//!   a producer bursts in under backpressure) and the Samplers' id queue
+//!   (filled and closed up front, leased in bursts, a burst replayed in
+//!   order);
 //! - **no lost wakeup** across `close`/`poison` broadcast paths — model
 //!   condvar waits have no timeout escape, so the runtime's 50ms
 //!   `WAIT_SLICE` safety net cannot mask a missing notify here;
@@ -59,33 +62,60 @@ fn cfg(preemption_bound: usize) -> Config {
     }
 }
 
+/// How the crash+reclaim scenario's tasks reach the queue: the two uses
+/// the threaded runtime makes of it.
+#[derive(Clone, Copy, Debug)]
+enum Feed {
+    /// The sample queue: a producer bursts the tasks through a capacity-2
+    /// queue while the consumers lease, then closes; the crasher dies
+    /// holding one lease.
+    Streamed,
+    /// The Samplers' id queue: every task queued and the queue closed
+    /// before any owner leases; the crasher dies mid-burst holding up to
+    /// two leases.
+    Prefilled,
+}
+
 /// The crash+reclaim protocol under test, shared by the DFS and
 /// random-walk suites. Three threads:
 ///
-/// - the supervisor/producer bursts `n_tasks` through a capacity-2
-///   queue (blocking mid-burst on backpressure), closes, waits out the
-///   crash, and replays the dead consumer's lease;
-/// - a "crashing" consumer leases one task and exits without
-///   completing it (or observes `Drained` if the survivor beat it to
-///   every task — both are legal races);
-/// - a surviving consumer burst-drains until `Drained`, completing
-///   every lease.
+/// - the supervisor/producer feeds `n_tasks` in per [`Feed`] (a
+///   streamed feed blocks mid-burst on backpressure), waits out the
+///   crash, and replays the dead owner's leases;
+/// - a "crashing" owner leases and exits without completing (or
+///   observes `Drained` if the survivor beat it to every task — both
+///   are legal races);
+/// - a surviving owner burst-drains until `Drained`, completing every
+///   lease.
 ///
-/// The supervisor closes *before* joining the crasher: the crasher's
-/// blocking dequeue is then guaranteed to terminate (task or
+/// The queue is closed *before* the supervisor joins the crasher: the
+/// crasher's blocking dequeue is then guaranteed to terminate (tasks or
 /// `Drained`), and `Drained`'s no-outstanding-leases gate keeps the
-/// survivor alive until the reclaim replays the crashed lease. Exactly
-/// once means: the survivor completes every task exactly once.
-fn crash_reclaim_scenario(n_tasks: u64) {
-    let q = Arc::new(GlobalQueue::bounded(2));
+/// survivor alive until the reclaim replays the crashed leases. Exactly
+/// once means: the survivor completes every task exactly once, and a
+/// replayed burst in its original order.
+fn crash_reclaim_scenario(n_tasks: u64, feed: Feed) {
+    let capacity = match feed {
+        Feed::Streamed => 2,
+        Feed::Prefilled => n_tasks as usize,
+    };
+    let q = Arc::new(GlobalQueue::bounded(capacity));
+    if let Feed::Prefilled = feed {
+        q.enqueue_many(1..=n_tasks).expect("queue is open");
+        q.close();
+    }
     let q_crash = Arc::clone(&q);
     let q_live = Arc::clone(&q);
 
     let crasher = gnnlab_chk::thread::spawn(move || {
-        match q_crash.dequeue_leased(1) {
-            // Crash: exit holding the lease, never complete it.
-            Ok(lease) => Some(*lease.task),
-            Err(DequeueError::Drained) => None,
+        // Crash: exit holding the leases, never complete them.
+        let leased = match feed {
+            Feed::Streamed => q_crash.dequeue_leased(1).map(|lease| vec![lease]),
+            Feed::Prefilled => q_crash.dequeue_leased_many(1, 2),
+        };
+        match leased {
+            Ok(leases) => leases.iter().map(|lease| *lease.task).collect(),
+            Err(DequeueError::Drained) => Vec::new(),
             Err(e) => panic!("unexpected dequeue error: {e:?}"),
         }
     });
@@ -106,17 +136,20 @@ fn crash_reclaim_scenario(n_tasks: u64) {
         }
     });
 
-    // Burst past capacity: the producer blocks mid-burst until a
-    // consumer drains, exercising enqueue backpressure under contention.
-    q.enqueue_many(1..=n_tasks).expect("queue is open");
-    q.close();
+    if let Feed::Streamed = feed {
+        // Burst past capacity: the producer blocks mid-burst until a
+        // consumer drains, exercising enqueue backpressure under
+        // contention.
+        q.enqueue_many(1..=n_tasks).expect("queue is open");
+        q.close();
+    }
 
-    let crashed_with = crasher.join();
+    let crashed_with: Vec<u64> = crasher.join();
     let reclaimed = q.reclaim(1);
     assert_eq!(
         reclaimed,
-        usize::from(crashed_with.is_some()),
-        "reclaim resolves exactly the crashed lease"
+        crashed_with.len(),
+        "reclaim resolves exactly the crashed leases"
     );
 
     let got = survivor.join();
@@ -127,21 +160,33 @@ fn crash_reclaim_scenario(n_tasks: u64) {
         sorted, expect,
         "every task completes exactly once (crasher leased {crashed_with:?}, delivered {got:?})"
     );
+    let replayed: Vec<u64> = got
+        .iter()
+        .copied()
+        .filter(|t| crashed_with.contains(t))
+        .collect();
+    assert_eq!(
+        replayed, crashed_with,
+        "a reclaimed burst replays in its original order"
+    );
 }
 
 /// Exactly-once delivery under crash + reclaim, three threads, burst
-/// enqueue/dequeue paths, exhaustively at the default preemption bound.
+/// enqueue/dequeue paths, exhaustively at the default preemption bound —
+/// for the sample queue's streamed feed and the id queue's prefilled one.
 #[test]
 fn exactly_once_under_crash_and_reclaim() {
-    let report = check(cfg(2), || crash_reclaim_scenario(3))
-        .expect("exactly-once must hold in every schedule");
-    assert!(report.exhausted, "DFS must cover the whole tree");
-    assert!(report.max_threads_seen >= 3);
-    println!(
-        "exactly_once_under_crash_and_reclaim: {} schedules (bound {})",
-        report.schedules, report.preemption_bound
-    );
-    assert!(report.schedules >= 100, "suspiciously small tree");
+    for feed in [Feed::Streamed, Feed::Prefilled] {
+        let report = check(cfg(2), move || crash_reclaim_scenario(3, feed))
+            .expect("exactly-once must hold in every schedule");
+        assert!(report.exhausted, "DFS must cover the whole tree");
+        assert!(report.max_threads_seen >= 3);
+        println!(
+            "exactly_once_under_crash_and_reclaim ({feed:?}): {} schedules (bound {})",
+            report.schedules, report.preemption_bound
+        );
+        assert!(report.schedules >= 100, "suspiciously small tree");
+    }
 }
 
 /// Two consumers parked on an empty queue; `close` must wake both to
@@ -679,7 +724,7 @@ fn worker_slot_handoff() {
 fn schedule_floor_is_met() {
     let mut total = 0usize;
     for bound in [2usize, 3] {
-        let report: Report = check(cfg(bound), || crash_reclaim_scenario(3))
+        let report: Report = check(cfg(bound), || crash_reclaim_scenario(3, Feed::Streamed))
             .expect("exactly-once at a deeper preemption bound");
         assert!(report.exhausted, "bound {bound} tree must be finite");
         println!(
@@ -709,7 +754,8 @@ fn seeded_random_walk_is_clean_and_deterministic() {
             schedules: 300,
         };
         config.spurious_wakeups = true;
-        check(config, || crash_reclaim_scenario(4)).expect("random walk must stay clean")
+        check(config, || crash_reclaim_scenario(4, Feed::Streamed))
+            .expect("random walk must stay clean")
     };
     let a = walk(0xC0FFEE);
     let b = walk(0xC0FFEE);
@@ -744,8 +790,8 @@ fn long_seeded_random_walk_soaks_the_lease_protocol() {
         schedules: 20_000,
     };
     config.spurious_wakeups = true;
-    let report =
-        check(config, || crash_reclaim_scenario(4)).expect("the long walk must stay clean");
+    let report = check(config, || crash_reclaim_scenario(4, Feed::Streamed))
+        .expect("the long walk must stay clean");
     assert_eq!(report.schedules, 20_000);
     println!(
         "long walk: seed {seed:#x}, {} schedules, deepest {} steps",

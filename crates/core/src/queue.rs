@@ -5,7 +5,10 @@
 //! bottleneck since the updates are infrequent." Samplers enqueue whole
 //! mini-batch samples; Trainers (and woken standby Trainers) lease them.
 //! The remaining-task count feeds the dynamic-switching profit metric
-//! (`M_r` in §5.3).
+//! (`M_r` in §5.3). The threaded runtime's global scheduler is a second
+//! instance: the run's batch ids, queued and closed up front, which the
+//! Samplers lease in bursts — so both halves run the one lease protocol
+//! below, the one the `gnnlab-chk` model checks explore.
 //!
 //! The queue has one way in and one way out. DESIGN.md §4c ("The global
 //! queue") states the whole contract, the wake rule and the reclaim
@@ -330,8 +333,9 @@ impl<T> GlobalQueue<T> {
     /// Dequeues up to `max` tasks under lease for `owner` with **one**
     /// lock/condvar round-trip: blocks like [`GlobalQueue::dequeue_leased`]
     /// until at least one task (or a terminal state) is available, then
-    /// drains up to `max` in FIFO order. The runtime's consumer takes one
-    /// lease at a time; the perf harness and the model checks use this.
+    /// drains up to `max` in FIFO order. The runtime's Samplers lease
+    /// their bursts of batch ids with it; its consumers take one lease at
+    /// a time.
     pub fn dequeue_leased_many(
         &self,
         owner: u32,

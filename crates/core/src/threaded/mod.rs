@@ -3,13 +3,13 @@
 //! The co-simulations in [`crate::runtime`] model the paper's *timing* on
 //! simulated GPUs; this module is the paper's *architecture* as an actual
 //! concurrent program: Sampler threads pull mini-batches from a dynamic
-//! global scheduler (a shared claim book over the epoch's batch indices,
-//! §5.2), sample for real, and enqueue whole samples into the bounded
-//! host-memory [`GlobalQueue`](crate::queue::GlobalQueue); Trainer threads block on the queue (no
-//! busy-spinning) and train real model replicas, publishing gradients to a
-//! shared parameter server with bounded staleness ("GNNLab updates model
-//! gradients with bounded staleness … which effectively mitigates the
-//! convergence problem", §5.2).
+//! global scheduler (a queue of the run's batch ids, §5.2), sample for
+//! real, and enqueue whole samples into the bounded host-memory
+//! [`GlobalQueue`](crate::queue::GlobalQueue); Trainer threads block on
+//! the queue (no busy-spinning) and train real model replicas, publishing
+//! gradients to a shared parameter server with bounded staleness ("GNNLab
+//! updates model gradients with bounded staleness … which effectively
+//! mitigates the convergence problem", §5.2).
 //!
 //! Dynamic executor switching (§5.3) runs live: every executor feeds EWMA
 //! estimates of `T_s`, `T_t` and `T_t'` from its recorded batch times, and
@@ -26,11 +26,13 @@
 //! Failure behavior is driven by the run's fault plan
 //! ([`ThreadedConfig::faults`], a [`crate::faults::FaultPlan`]):
 //!
-//! * **Leases** — consumers dequeue under a lease and confirm each batch
-//!   after training; when a consumer dies the supervisor reclaims its
-//!   leases and the batches are replayed by survivors, so a crash loses
-//!   no work and every batch still trains exactly once (injected crashes
-//!   fire while the lease is held, *before* the batch trains).
+//! * **Leases** — both halves use one protocol: Samplers lease batch ids
+//!   and confirm them once the samples are queued, consumers lease
+//!   samples and confirm each after training; when an executor dies the
+//!   supervisor reclaims its leases to the front of their queue, in
+//!   order, and survivors replay them, so a crash loses no work and
+//!   every batch still trains exactly once (injected crashes fire while
+//!   the lease is held, *before* the batch is queued or trained).
 //! * **Supervision** — a crashed executor's panic handler runs the
 //!   recovery protocol: replay in-flight work, then either *respawn* a
 //!   replacement on the same slot or *reassign* the role to survivors,
@@ -58,23 +60,21 @@
 //!
 //! * `config` — [`ThreadedConfig`], [`ThreadedError`] and its exit codes,
 //!   the result and report structs.
-//! * `shared` — the run state every executor borrows: parameter server,
-//!   live EWMAs, RNG stream seeds, fault/recovery counters, cache-store
-//!   construction.
-//! * `book` — `SamplerBook`, the dynamic global scheduler's claim book: a
-//!   thread-free state machine with its crash transitions unit-tested.
+//! * `shared` — the run state every executor borrows: the sample queue
+//!   and the Samplers' id queue, parameter server, live EWMAs, RNG stream
+//!   seeds, fault/recovery counters, cache-store construction.
 //! * `snapshot` — checkpoints: the consumer whose batch makes a generation
 //!   due snapshots the parameter server and writes it; resume splices a
 //!   loaded generation back in.
 //! * `supervisor` — spawning under `catch_unwind` and the two crash
 //!   handlers (replay, then respawn or reassign).
-//! * `sampler` — the Sampler executor's claim → refill → G → M → C loop.
+//! * `sampler` — the Sampler executor's lease → refill → G → M → C →
+//!   complete loop.
 //! * `consumer` — the one lease → Extract → Train → return loop Trainers
 //!   and standbys share, and the §5.3 switching decision.
 //! * this file — [`run_threaded`] / [`run_threaded_obs`]: plan memory,
 //!   build the shared state, resume, run the scope, evaluate.
 
-mod book;
 mod config;
 mod consumer;
 mod sampler;
@@ -164,6 +164,7 @@ pub fn run_threaded_obs(
     let telemetry = Telemetry::start(Arc::clone(obs), cfg.telemetry);
 
     let resumed_from = shared.resume_latest()?;
+    shared.post_untrained_ids();
 
     std::thread::scope(|scope| {
         let sh = &shared;

@@ -1,10 +1,10 @@
-//! The Sampler executor: claim batch indices from the shared book, refill
+//! The Sampler executor: lease batch ids from the id queue, refill
 //! trained tasks the consumers gave back, sample (G) — or take what
 //! pre-sampling drew for the batch — mark (M), and enqueue (C) — §5.2.
 
-use super::book::Claim;
 use super::shared::{BatchClock, Shared, TrainTask};
 use crate::faults::ExecutorRole;
+use crate::queue::DequeueError;
 use crate::sync::Ordering;
 use crate::train_real::sampler_for;
 use gnnlab_graph::VertexId;
@@ -12,7 +12,7 @@ use gnnlab_obs::{names, Executor, Stage};
 use gnnlab_sampling::{presample_rng, MinibatchIter, SampleBuffers};
 use std::time::Instant;
 
-/// How many batches a Sampler claims and enqueues per round: one
+/// How many batch ids a Sampler leases and enqueues per round: one
 /// `enqueue_many` lock/condvar round-trip moves the whole burst. Small
 /// enough that a burst never outlives the default queue capacity, large
 /// enough to amortize the handoff.
@@ -30,13 +30,13 @@ pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'
     .starting_at_role(None, &sh.obs)
 }
 
-/// One Sampler's main loop: claim the next [`SAMPLER_BURST`] batch indices
-/// from the shared book, take back as many trained tasks as the burst
+/// One Sampler's main loop: lease the next [`SAMPLER_BURST`] batch ids
+/// from [`Shared::ids`], take back as many trained tasks as the burst
 /// needs, refill each in place — sample (or take the pre-sampled epoch-0
 /// sample), mark, label — then enqueue the burst in one round-trip
-/// (blocking at the queue's capacity). Finding nothing left to claim
-/// retires it from the book in the same step; it exits after closing the
-/// queue if it was the last producer out.
+/// (blocking at the queue's capacity) and complete its leases. Once the
+/// id queue is drained — every id delivered, none leased — it closes the
+/// sample queue and exits.
 pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock: BatchClock<'_>) {
     let cfg = sh.cfg;
     let algo = sampler_for(sh.kind);
@@ -56,34 +56,34 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
     // capacity.
     let mut tasks: Vec<TrainTask> = Vec::new();
     loop {
-        // (Bound first, so the book lock is released before the match.)
-        let claim = sh.book.lock().next_claims(exec, SAMPLER_BURST);
-        let claims = match claim {
-            Claim::Burst(claims) => claims,
-            // Finished sampling; the last producer out closes the queue
-            // so blocked consumers drain what remains and exit instead of
-            // spinning.
-            Claim::Retired { close } => {
-                if close {
-                    sh.queue.close();
-                }
+        let leases = match sh.ids.dequeue_leased_many(exec as u32, SAMPLER_BURST) {
+            Ok(leases) => leases,
+            // Every sample is in the queue: close it so blocked consumers
+            // drain what remains and exit instead of spinning. Idempotent,
+            // so every Sampler that gets here may.
+            Err(DequeueError::Drained) => {
+                sh.queue.close();
                 return;
             }
+            // A peer crashed beyond recovery: stop producing.
+            Err(DequeueError::Poisoned(_)) => return,
         };
         // Refill trained tasks the consumers gave back; make new ones only
         // for what the return list cannot cover.
         {
             let mut returned = sh.returned.lock();
-            let from = returned.len().saturating_sub(claims.len());
+            let from = returned.len().saturating_sub(leases.len());
             tasks.extend(returned.drain(from..));
         }
-        tasks.resize_with(claims.len(), TrainTask::default);
-        for (k, (task, &i)) in tasks.iter_mut().zip(&claims).enumerate() {
-            // If the injected crash fires here the whole burst's claims
-            // stay registered: the supervisor orphans them all and
-            // survivors re-sample each batch (nothing sampled here was
-            // enqueued yet, so exactly-once holds).
+        tasks.resize_with(leases.len(), TrainTask::default);
+        for (k, (task, lease)) in tasks.iter_mut().zip(&leases).enumerate() {
+            // If the injected crash fires here the whole burst stays
+            // leased: the supervisor reclaims it to the front of the id
+            // queue, in order, and a survivor re-samples each batch
+            // (nothing sampled here was enqueued yet, so exactly-once
+            // holds).
             sh.crash_point(crash, sampled + k, &who);
+            let i = *lease.task as usize;
             let (epoch, b) = ((i / sh.batches_per_epoch) as u64, i % sh.batches_per_epoch);
             if epoch != cached_epoch {
                 // Every Sampler derives the same shuffle for a given
@@ -139,19 +139,16 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
             let _g = obs.start_span(device, Executor::Sampler, Stage::SampleC, first_id);
             sh.queue.enqueue_many(tasks.drain(..))
         };
-        match enqueued {
-            Ok(()) => {
-                sh.book.lock().complete_claims(exec);
-                sh.produced.fetch_add(n, Ordering::Relaxed);
-                sampled += n;
-                obs.metrics
-                    .counter_add(names::THREADED_SAMPLES_PRODUCED, n as f64);
-            }
-            // Poisoned (a peer crashed beyond recovery): stop producing.
-            Err(_) => {
-                sh.book.lock().complete_claims(exec);
-                return;
-            }
+        // Poisoned (a peer crashed beyond recovery): stop producing.
+        if enqueued.is_err() {
+            return;
         }
+        for lease in &leases {
+            sh.ids.complete(lease.id);
+        }
+        sh.produced.fetch_add(n, Ordering::Relaxed);
+        sampled += n;
+        obs.metrics
+            .counter_add(names::THREADED_SAMPLES_PRODUCED, n as f64);
     }
 }

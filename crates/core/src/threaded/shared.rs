@@ -2,7 +2,6 @@
 //! parameter server, the live stage-time EWMAs, per-executor RNG stream
 //! seeds, the fault/recovery counters — and the helpers built on it.
 
-use super::book::SamplerBook;
 use super::config::{
     ExecutorCacheReport, RecoveryReport, ThreadedConfig, ThreadedError, ThreadedErrorKind,
 };
@@ -33,6 +32,19 @@ pub(super) struct TrainTask {
     pub id: u64,
     pub sample: Sample,
     pub labels: Vec<u32>,
+}
+
+/// Every batch id in `0..total` that `trained` does not name, ascending:
+/// a resume re-samples the holes a multi-consumer run left first, then
+/// goes on past the highest trained id. A loaded history's ids are below
+/// `total`: the decoder checks them against the stored meta, and resume
+/// refuses a meta that is not the live run's.
+pub(super) fn untrained_ids(total: usize, trained: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut done = vec![false; total];
+    for i in trained {
+        done[i as usize] = true;
+    }
+    (0..total as u64).filter(|&i| !done[i as usize]).collect()
 }
 
 /// How often a consumer waiting for its round's step re-checks it — the
@@ -500,7 +512,16 @@ pub(super) struct Shared<'a> {
     pub t_sample: AtomicEwma,
     pub t_train: AtomicEwma,
     pub t_standby: AtomicEwma,
-    pub book: Mutex<SamplerBook>,
+    /// The Samplers' batch ids (§5.2's dynamic global scheduler): every
+    /// untrained id, ascending, queued and closed before any Sampler runs
+    /// ([`Shared::post_untrained_ids`]). A Sampler leases a burst and
+    /// completes it once its samples are in `queue`; a crash reclaims it
+    /// to the front. On a private hub, so `queue.*` stays the sample
+    /// queue's.
+    pub ids: GlobalQueue<u64>,
+    /// Samplers in their sampling phase: counted at spawn, uncounted when
+    /// the phase ends or unwinds.
+    pub samplers: AtomicUsize,
     /// Executor ids currently consuming (Trainers + switched standbys):
     /// the `N_t` every switch decision divides the backlog by. A consumer
     /// leaves it on exit and on a crash, so it never counts a dead one;
@@ -641,7 +662,8 @@ impl<'a> Shared<'a> {
             t_sample,
             t_train: AtomicEwma::new(),
             t_standby: AtomicEwma::new(),
-            book: Mutex::new(SamplerBook::new(batches_per_epoch * cfg.epochs)),
+            ids: GlobalQueue::bounded((batches_per_epoch * cfg.epochs).max(1)),
+            samplers: AtomicUsize::new(0),
             consuming: Mutex::new(HashSet::new()),
             // The starting fleet takes ids `0..num_samplers + num_trainers`
             // (`run_threaded_obs`); respawns take the ones after.
@@ -667,15 +689,31 @@ impl<'a> Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Records `err` (first crash wins) and poisons the queue so every
-    /// blocked executor unwinds promptly.
+    /// Records `err` (first crash wins) and poisons both queues so every
+    /// blocked executor unwinds promptly — a Sampler waiting on a peer's
+    /// ids included.
     pub(super) fn fail_fatal(&self, err: ThreadedError) {
         let mut slot = self.first_error.lock();
         if slot.is_none() {
             *slot = Some(err.clone());
         }
         drop(slot);
-        self.queue.poison(&err.to_string());
+        let reason = err.to_string();
+        self.queue.poison(&reason);
+        self.ids.poison(&reason);
+    }
+
+    /// Queues every batch id the master has not stepped on — all of them
+    /// on a fresh run — for the Samplers, then closes the id queue. Runs
+    /// after any resume, before any Sampler.
+    pub(super) fn post_untrained_ids(&self) {
+        let total = self.batches_per_epoch * self.cfg.epochs;
+        let ids = untrained_ids(total, self.server.lock().history.iter().map(|r| r.id));
+        gnnlab_par::invariant!(
+            self.ids.enqueue_many(ids),
+            "a fresh id queue holds every id and is neither closed nor poisoned"
+        );
+        self.ids.close();
     }
 
     /// [`Shared::fail_fatal`] from a caught panic payload. A panic is

@@ -221,7 +221,7 @@ impl Shared<'_> {
     /// Restores a loaded checkpoint's state into the freshly-built shared
     /// state, before any executor spawns. Refuses (typed error) when the
     /// stored meta doesn't match the live run. The history's ids are the
-    /// trained set; the claim book hands out every other id.
+    /// trained set; [`Shared::post_untrained_ids`] queues every other id.
     fn apply_resume(&self, generation: u64, state: CheckpointState) -> Result<(), ThreadedError> {
         let refuse = |why: String| {
             Err(ThreadedError::new(
@@ -268,8 +268,7 @@ impl Shared<'_> {
             *opt = Adam::from_state(state.opt);
             *history = state.history;
         }
-        self.book.lock().resume(&trained);
-        // The trained batches' kept samples would never be claimed.
+        // The trained batches' kept samples would never be leased.
         let mut kept = self.presampled.lock();
         for &i in &trained {
             if let Some(slot) = kept.get_mut(i) {

@@ -1,7 +1,10 @@
 //! Spawning and supervision: every executor thread runs under
 //! `catch_unwind`, and a caught panic runs the recovery protocol —
-//! replay the dead executor's in-flight work, then respawn its slot or
-//! reassign its role to survivors, budget permitting.
+//! reclaim the dead executor's leases (batch ids for a Sampler, samples
+//! for a consumer) to the front of their queue, in order, then respawn
+//! its slot or reassign its role to survivors, budget permitting. A
+//! queue is drained only once no lease is out, so no survivor leaves
+//! while the dead executor's work can still come back.
 
 use super::consumer::{standby_phase, trainer_phase};
 use super::sampler::{sampler_clock, sampler_phase};
@@ -13,21 +16,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::Scope;
 use std::time::Instant;
 
-/// Spawns a Sampler on `slot` as executor `exec`, registering it in the
-/// claim book before the thread starts (no window where the book looks
-/// idle) and publishing its batch-time gauge (whatever it goes on to
-/// claim). Also the respawn path after a Sampler crash.
+/// Spawns a Sampler on `slot` as executor `exec`, counting it live
+/// before the thread starts (no window where a crashing peer could think
+/// itself the last) and publishing its batch-time gauge (whatever it goes
+/// on to lease). Also the respawn path after a Sampler crash.
 pub(super) fn spawn_sampler<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
     slot: usize,
     exec: usize,
 ) {
-    sh.book.lock().register(exec);
+    sh.samplers.fetch_add(1, Ordering::AcqRel);
     let clock = sampler_clock(sh, slot);
     scope.spawn(move || {
-        match catch_unwind(AssertUnwindSafe(|| sampler_phase(sh, slot, exec, clock))) {
-            Err(payload) => on_sampler_crash(scope, sh, slot, exec, payload),
+        let outcome = catch_unwind(AssertUnwindSafe(|| sampler_phase(sh, slot, exec, clock)));
+        let last = sh.samplers.fetch_sub(1, Ordering::AcqRel) == 1;
+        match outcome {
+            Err(payload) => on_sampler_crash(scope, sh, slot, exec, payload, last),
             Ok(()) if sh.cfg.dynamic_switching => run_consumer(scope, sh, slot, exec, true),
             Ok(()) => {}
         }
@@ -74,35 +79,37 @@ fn run_consumer<'scope, 'env>(
     }
 }
 
-/// The supervisor's handler for a dead Sampler: orphan its in-flight
-/// claim so a survivor re-samples it, then — budget permitting — respawn
-/// the slot if no other Sampler is left to absorb the work.
+/// The supervisor's handler for a dead Sampler (`last`: no other Sampler
+/// is live): reclaim its leased ids to the front of the id queue, in
+/// order, so a survivor re-samples them; respawn the slot only if it was
+/// the last and ids remain, and close the sample queue on its behalf if
+/// it was the last and none do.
 fn on_sampler_crash<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     sh: &'env Shared<'env>,
     slot: usize,
     exec: usize,
     payload: Box<dyn Any + Send>,
+    last: bool,
 ) {
     let started = Instant::now();
-    let crash = sh.book.lock().crash(exec);
-    if crash.orphaned > 0 {
-        sh.recovery.lock().replayed_batches += crash.orphaned;
+    // The id queue's hub is private: publish the replays on the run's.
+    let replayed = sh.ids.reclaim(exec as u32);
+    if replayed > 0 {
+        sh.recovery.lock().replayed_batches += replayed;
         sh.obs
             .metrics
-            .counter_add(names::RECOVERY_REPLAYED_BATCHES, crash.orphaned as f64);
+            .counter_add(names::RECOVERY_REPLAYED_BATCHES, replayed as f64);
     }
-    if !absorb(sh, format!("Sampler {slot}"), payload, crash.respawn) {
+    let drained = sh.ids.is_drained();
+    let respawn = last && !drained;
+    if !absorb(sh, format!("Sampler {slot}"), payload, respawn) {
         return;
     }
-    if crash.respawn {
-        // Nobody left to re-sample the orphans or advance the cursor.
+    if respawn {
         let exec = sh.next_exec.fetch_add(1, Ordering::Relaxed);
         spawn_sampler(scope, sh, slot, exec);
-    } else if crash.close {
-        // Survivors absorb the role through the shared claim book —
-        // unless this was the last producer out with nothing left behind,
-        // when the queue is closed on its behalf.
+    } else if last && drained {
         sh.queue.close();
     }
     sh.note_downtime(started.elapsed());
@@ -157,7 +164,7 @@ fn on_consumer_crash<'scope, 'env>(
     // surviving Trainer pool is already big enough.
     let respawn = !drained
         && (survivors == 0 || {
-            let n_g = sh.book.lock().samplers() + survivors + 1;
+            let n_g = sh.samplers.load(Ordering::Acquire) + survivors + 1;
             survivors < sh.ideal_trainers(n_g)
         });
     if !absorb(sh, who, payload, respawn) {

@@ -1,7 +1,7 @@
 //! End-to-end unit tests of the threaded runtime (moved verbatim from the
 //! old single-file `threaded.rs`).
 
-use super::shared::{stream_seed, Shared, StreamRole};
+use super::shared::{stream_seed, untrained_ids, Shared, StreamRole};
 use super::*;
 use crate::checkpoint::{self, BatchRecord, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
@@ -899,6 +899,19 @@ fn a_resume_from_a_trained_set_with_a_hole_trains_every_batch_once() {
     assert_eq!(res.batches_trained, 24);
     assert_eq!(res.samples_produced, 24);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A trained set with holes, as a multi-consumer run leaves it: the ids
+/// the Samplers lease come out ascending, holes first, then everything
+/// past the highest trained id; nothing trained is all of them, and a
+/// fully trained set leaves none.
+#[test]
+fn resume_with_holes_resamples_them_first_in_ascending_order() {
+    assert_eq!(untrained_ids(7, [4, 0, 2, 5]), vec![1, 3, 6]);
+    // The highest id is the last one: the holes alone remain.
+    assert_eq!(untrained_ids(4, [0, 3]), vec![1, 2]);
+    assert_eq!(untrained_ids(3, []), vec![0, 1, 2]);
+    assert_eq!(untrained_ids(3, [2, 1, 0]), Vec::<u64>::new());
 }
 
 /// What the parameter-server tests below share: a run's shared state, two

@@ -98,35 +98,41 @@ fn trainer_crash_mid_epoch_recovers_and_reports() {
 }
 
 /// The same crash with `max_respawns = 0` must fail fast through queue
-/// poisoning rather than hang blocked executors.
+/// poisoning rather than hang blocked executors. The second input has two
+/// Samplers and one epoch of six batches, and Trainer 0 dies at its first
+/// lease: one Sampler is then blocked on the full sample queue holding
+/// ids, and the other is parked on the empty id queue waiting for them.
 #[test]
 fn trainer_crash_without_budget_fails_fast() {
     let seed = fault_seed();
-    let cfg = ThreadedConfig {
-        num_samplers: 1,
-        num_trainers: 2,
-        epochs: 2,
-        batch_size: 20,
-        queue_capacity: 4,
-        faults: FaultPlan::crash_trainer(0, 2)
-            .with_seed(seed)
-            .with_max_respawns(0),
-        seed,
-        ..Default::default()
-    };
-    let started = std::time::Instant::now();
-    let err = run_threaded(graph(), ModelKind::GraphSage, &cfg).unwrap_err();
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "poison tear-down took {:?}",
-        started.elapsed()
-    );
-    assert_eq!(err.executor, "Trainer 0");
-    assert!(err.message.contains("injected fault"), "{err}");
+    for (samplers, epochs, crash_after) in [(1, 2, 2), (2, 1, 0)] {
+        let cfg = ThreadedConfig {
+            num_samplers: samplers,
+            num_trainers: 2,
+            epochs,
+            batch_size: 20,
+            queue_capacity: 4,
+            faults: FaultPlan::crash_trainer(0, crash_after)
+                .with_seed(seed)
+                .with_max_respawns(0),
+            seed,
+            ..Default::default()
+        };
+        let started = std::time::Instant::now();
+        let err = run_threaded(graph(), ModelKind::GraphSage, &cfg).unwrap_err();
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "poison tear-down with {samplers} Samplers took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(err.executor, "Trainer 0");
+        assert!(err.message.contains("injected fault"), "{err}");
+    }
 }
 
-/// A Sampler crash recovers the claimed batch through the orphan list:
-/// exactly-once holds and the report shows the recovery.
+/// A Sampler crash hands its leased burst back to the id queue, where a
+/// survivor or a respawn re-samples it: exactly-once holds and the report
+/// shows the recovery.
 #[test]
 fn sampler_crash_mid_epoch_recovers() {
     let seed = fault_seed();

@@ -290,3 +290,32 @@ fn a_crashed_trainer_replays_its_one_batch_and_equals_the_reference() {
         assert_eq!(trained(&res), want, "threads {threads}");
     }
 }
+
+/// A Sampler that dies mid-burst: the supervisor reclaims the burst's ids
+/// to the front of the id queue in their original order, the replacement
+/// re-samples them oldest first, and the run still equals the reference.
+/// Sampling them newest first would train batches 4–7 out of order.
+#[test]
+fn a_crashed_sampler_replays_its_burst_in_order_and_equals_the_reference() {
+    let seed = 7;
+    let want = reference(
+        narrow_graph(),
+        ModelKind::GraphSage,
+        &narrow_cfg(seed, 0.3, 1),
+    );
+    for threads in widths() {
+        let cfg = ThreadedConfig {
+            faults: FaultPlan::crash_sampler(0, 5).with_seed(seed),
+            ..narrow_cfg(seed, 0.3, threads)
+        };
+        let res =
+            run_threaded(narrow_graph(), ModelKind::GraphSage, &cfg).expect("crash within budget");
+        assert_eq!(res.recovery.faults_injected, 1);
+        assert_eq!(
+            res.recovery.replayed_batches, 4,
+            "the Sampler held its whole burst"
+        );
+        assert_eq!(res.recovery.respawns, 1);
+        assert_eq!(trained(&res), want, "threads {threads}");
+    }
+}
