@@ -4,12 +4,14 @@
 //! experiments [--json] [--trace-out PATH] [--metrics-out PATH]
 //!             [--metrics-addr ADDR] [--serve-secs N]
 //!             [--exp NAME | name ...]
-//!     names: table1 table2 table4 table5 table6
-//!            fig3 fig4 fig5 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
-//!            partition ablations fault_recovery switch_cache kill_resume
-//!            all motivation caching performance
 //! Environment: GNNLAB_SCALE=<divisor> (default 1024)
 //! ```
+//!
+//! The names, the groups (`motivation`, `caching`, `performance`; `all` or
+//! no name runs everything) and their order are `exp::EXPERIMENTS`'s. An
+//! entry runs at most once per invocation, however many of its names or
+//! groups are given, and its `[name took …]` line goes to stderr once.
+//! An unknown name exits with code 2 before anything runs.
 //!
 //! `--trace-out` writes a Chrome trace-event JSON (open in Perfetto or
 //! `chrome://tracing`) with one track per simulated GPU; `--metrics-out`
@@ -26,82 +28,8 @@
 //! one-shot scrapers (CI smoke jobs) always find the final state.
 
 use gnnlab_bench::{exp, ExpConfig, Table};
-use gnnlab_core::sync::{AtomicBool, Ordering};
 use gnnlab_obs::{MetricsServer, Obs};
 use std::sync::Arc;
-
-/// Set by the `--json` flag: emit one JSON object per table instead of
-/// aligned text.
-static JSON: AtomicBool = AtomicBool::new(false);
-
-fn print_tables(tables: Vec<Table>) {
-    for t in tables {
-        if JSON.load(Ordering::Relaxed) {
-            println!("{}", serde_json::to_string(&t).expect("tables serialize"));
-        } else {
-            println!("{}", t.render());
-        }
-    }
-}
-
-/// Runs experiment `name`. Figs. 12 and 13 are two readings of one policy
-/// sweep; `policy_sweep` holds its tables once either name has run, so
-/// asking for both runs the sweep once.
-fn run_one(name: &str, cfg: &ExpConfig, policy_sweep: &mut Option<[Table; 2]>) -> bool {
-    let start = std::time::Instant::now();
-    match name {
-        "table1" => print_tables(vec![exp::table1::run(cfg)]),
-        "table2" => print_tables(vec![exp::table2::run(cfg)]),
-        "table4" => print_tables(vec![exp::table4::run(cfg)]),
-        "table5" => print_tables(vec![exp::table5::run(cfg)]),
-        "table6" => print_tables(vec![exp::table6::run(cfg)]),
-        "fig3" => print_tables(vec![exp::fig3::run(cfg)]),
-        "fig4" => print_tables(exp::fig4::run(cfg)),
-        "fig5" => print_tables(exp::fig5::run(cfg)),
-        "fig10" => print_tables(vec![exp::fig10::run(cfg)]),
-        "fig11" => print_tables(exp::fig11::run(cfg)),
-        "fig12" | "fig13" => {
-            let both = policy_sweep.get_or_insert_with(|| exp::fig12::tables(cfg));
-            print_tables(vec![both[usize::from(name == "fig13")].clone()]);
-        }
-        "fig14" => print_tables(exp::fig14::run(cfg)),
-        "fig15" => print_tables(vec![exp::fig15::run(cfg)]),
-        "fig16" => print_tables(vec![exp::fig16::run(cfg), exp::fig16::run_scalability(cfg)]),
-        "fig17" => print_tables(exp::fig17::run(cfg)),
-        "partition" => print_tables(vec![exp::partition::run(cfg)]),
-        "ablations" => print_tables(exp::ablations::run(cfg)),
-        "fault_recovery" => print_tables(vec![exp::fault_recovery::run(cfg)]),
-        "switch_cache" => print_tables(vec![exp::switch_cache::run(cfg)]),
-        "kill_resume" => print_tables(vec![exp::kill_resume::run(cfg)]),
-        _ => return false,
-    }
-    eprintln!("[{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
-    true
-}
-
-const ALL: &[&str] = &[
-    "table1",
-    "fig3",
-    "fig4",
-    "fig5",
-    "table2",
-    "fig10",
-    "fig11",
-    "table4",
-    "table5",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "table6",
-    "fig16",
-    "fig17",
-    "partition",
-    "ablations",
-    "fault_recovery",
-    "switch_cache",
-    "kill_resume",
-];
 
 /// Removes `--flag VALUE` (or `--flag=VALUE`) from `args`, returning VALUE.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -129,10 +57,8 @@ fn main() {
         cfg.scale.factor()
     );
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        JSON.store(true, Ordering::Relaxed);
-    }
+    let json = args.iter().any(|a| a == "--json");
+    args.retain(|a| a != "--json");
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");
     let metrics_addr = take_flag(&mut args, "--metrics-addr");
@@ -170,34 +96,28 @@ fn main() {
             }
         }
     });
-    let groups: &[(&str, &[&str])] = &[
-        ("all", ALL),
-        ("motivation", &["table1", "fig3", "fig4", "fig5"]),
-        ("caching", &["table2", "fig10", "fig11", "fig12", "fig13"]),
-        (
-            "performance",
-            &[
-                "table4", "table5", "fig14", "fig15", "table6", "fig16", "fig17",
-            ],
-        ),
-    ];
-    let mut names: Vec<&str> = Vec::new();
-    if args.is_empty() {
-        names.extend_from_slice(ALL);
-    } else {
-        for a in &args {
-            if let Some((_, members)) = groups.iter().find(|(g, _)| g == a) {
-                names.extend_from_slice(members);
-            } else {
-                names.push(a.as_str());
-            }
+    let selected = exp::select(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let print = |t: &Table| match json {
+        true => println!("{}", serde_json::to_string(t).expect("tables serialize")),
+        false => println!("{}", t.render()),
+    };
+    // Each entry's tables, once it has run.
+    let mut ran: Vec<Option<Vec<Table>>> = vec![None; exp::EXPERIMENTS.len()];
+    for (at, pick) in selected {
+        let entry = &exp::EXPERIMENTS[at];
+        let start = std::time::Instant::now();
+        let first = ran[at].is_none();
+        let tables = ran[at].get_or_insert_with(|| (entry.run)(&cfg));
+        match pick {
+            Some(i) => print(&tables[i]),
+            None => tables.iter().for_each(print),
         }
-    }
-    let mut policy_sweep = None;
-    for name in names {
-        if !run_one(name, &cfg, &mut policy_sweep) {
-            eprintln!("unknown experiment '{name}'; known: {ALL:?} plus groups all/motivation/caching/performance");
-            std::process::exit(2);
+        if first {
+            let name = entry.names.join("/");
+            eprintln!("[{name} took {:.1}s]\n", start.elapsed().as_secs_f64());
         }
     }
     if let Some(obs) = &cfg.obs {

@@ -17,8 +17,11 @@ use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
-/// Regenerates Fig. 16.
-pub fn run(cfg: &ExpConfig) -> Table {
+/// Regenerates Fig. 16, then §7.5's convergence-scalability claim: with
+/// more GPUs the epoch time drops, epochs-to-target (weakly) grow because
+/// each epoch performs fewer gradient updates, and total convergence time
+/// still falls — "slightly slower than the epoch time".
+pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let graph = sbm(&SbmParams {
         num_vertices: 1500,
         num_classes: 6,
@@ -30,7 +33,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
     })
     .expect("valid SBM parameters");
 
-    // Epoch times from the performance simulators (GSG on PA, 8 GPUs).
+    // Epoch times from the performance simulators (GSG on PA; 8 GPUs
+    // here, 2, 4 and 8 in the scalability table).
     let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
     let gnnlab_rep = w.run_system(SystemKind::GnnLab, 8).expect("PA fits");
 
@@ -81,14 +85,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
             secs(et * res.epochs as f64),
         ]);
     }
-    table
-}
 
-/// §7.5's convergence-scalability claim: with more GPUs the epoch time
-/// drops, epochs-to-target (weakly) grow because each epoch performs
-/// fewer gradient updates, and total convergence time still falls —
-/// "slightly slower than the epoch time".
-pub fn run_scalability(cfg: &ExpConfig) -> Table {
     // A noisier task than Fig. 16's, so convergence needs several epochs
     // and the updates-per-epoch effect is visible.
     let graph = sbm(&SbmParams {
@@ -101,8 +98,7 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
         seed: cfg.seed,
     })
     .expect("valid SBM parameters");
-    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
-    let mut table = Table::new(
+    let mut scalability = Table::new(
         "Convergence scalability (GraphSAGE, accuracy target 80%)",
         &["#GPUs", "Trainers", "Epoch (s)", "Epochs", "Total (s)"],
     );
@@ -112,7 +108,7 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
             Err(e) => {
                 let dash = || "-".to_string();
                 let failed = error_cell(&e).to_string();
-                table.row(vec![gpus.to_string(), failed, dash(), dash(), dash()]);
+                scalability.row(vec![gpus.to_string(), failed, dash(), dash(), dash()]);
                 continue;
             }
         };
@@ -131,7 +127,7 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
                 seed: cfg.seed,
             },
         );
-        table.row(vec![
+        scalability.row(vec![
             gpus.to_string(),
             rep.num_trainers.to_string(),
             secs(rep.epoch_time),
@@ -139,7 +135,7 @@ pub fn run_scalability(cfg: &ExpConfig) -> Table {
             secs(rep.epoch_time * res.epochs as f64),
         ]);
     }
-    table
+    vec![table, scalability]
 }
 
 #[cfg(test)]
@@ -151,11 +147,11 @@ mod tests {
     fn convergence_scales_sublinearly_with_gpus() {
         // §7.5: epoch-time speedup (2 -> 8 GPUs) exceeds total-time
         // speedup, but total time still falls.
-        let t = run_scalability(&ExpConfig {
+        let t = &run(&ExpConfig {
             scale: Scale::new(8192),
             seed: 1,
             obs: None,
-        });
+        })[1];
         let epoch = |r: usize| -> f64 { t.rows[r][2].parse().unwrap() };
         let total = |r: usize| -> f64 { t.rows[r][4].parse().unwrap() };
         let last = t.rows.len() - 1;
@@ -173,11 +169,11 @@ mod tests {
 
     #[test]
     fn all_systems_converge_and_gnnlab_is_fastest() {
-        let t = run(&ExpConfig {
+        let t = &run(&ExpConfig {
             scale: Scale::new(8192),
             seed: 1,
             obs: None,
-        });
+        })[0];
         assert_eq!(t.rows.len(), 3);
         let acc = |r: usize| -> f64 { t.rows[r][4].trim_end_matches('%').parse().unwrap() };
         let total = |r: usize| -> f64 { t.rows[r][6].parse().unwrap() };

@@ -1,10 +1,11 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§2, §3, §6, §7, §8).
 //!
-//! Each submodule of [`exp`] owns one table/figure and exposes
-//! `run(&ExpConfig) -> Table` (or a small set of tables). The
-//! `experiments` binary runs any subset and prints the same rows/series
-//! the paper reports; `EXPERIMENTS.md` records paper-vs-measured.
+//! Each submodule of [`exp`] owns one table/figure; [`exp::EXPERIMENTS`]
+//! is the one list of them — names, groups, runners, in print order. The
+//! `experiments` binary runs any subset of it and prints the same
+//! rows/series the paper reports; `EXPERIMENTS.md` records
+//! paper-vs-measured.
 //!
 //! Scale: experiments default to 1/1024 of the paper's data sizes (see
 //! `gnnlab_graph::Scale`); set `GNNLAB_SCALE` to e.g. `256` for higher

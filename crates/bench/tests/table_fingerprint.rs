@@ -13,6 +13,8 @@
 //! [`EVERY_EXPERIMENT`] holds all 21 names of `experiments all` at scale
 //! 8192, seed 1, captured before the experiments moved onto one front door
 //! for a co-sim cell (first commit of that change; never edited afterwards).
+//! The test walks `exp::EXPERIMENTS`, the list the binary runs, so it also
+//! fails if the registry's names or order drift from the pinned ones.
 //! Two tables drive the threaded runtime and print what a race decides:
 //! `switch_cache` keeps its planned ratios only (hit rates, refresh time,
 //! profit and switch counts differ between two runs of one binary), and
@@ -131,120 +133,35 @@ fn table5_opens_its_runs_in_row_order() {
     assert_eq!(fnv(&text), TABLE5_CHROME_TRACE, "got {:#018x}", fnv(&text));
 }
 
-/// One experiment as `experiments all` runs it: its name, its tables, the
-/// columns that are pinned (`None`: all of them) and the hash of their
-/// rendering at scale 8192, seed 1.
-type Experiment = (
-    &'static str,
-    fn(&ExpConfig) -> Vec<Table>,
-    Option<&'static [usize]>,
-    u64,
-);
+/// One pinned name of `experiments all`: the columns that are pinned
+/// (`None`: all of them) and the hash of its tables' rendering at scale
+/// 8192, seed 1.
+type Pinned = (&'static str, Option<&'static [usize]>, u64);
 
 /// Captured on the per-file cell builders, before `bench::exp` had one
 /// front door; never edit.
-const EVERY_EXPERIMENT: [Experiment; 21] = [
-    (
-        "table1",
-        |c| vec![exp::table1::run(c)],
-        None,
-        0x6282_e95b_c832_5a4a,
-    ),
-    (
-        "fig3",
-        |c| vec![exp::fig3::run(c)],
-        None,
-        0x445e_f9eb_6980_af11,
-    ),
-    ("fig4", exp::fig4::run, None, 0x137b_b4a7_87a4_8e7a),
-    ("fig5", exp::fig5::run, None, 0xc801_1ccc_3d62_b415),
-    (
-        "table2",
-        |c| vec![exp::table2::run(c)],
-        None,
-        0x0c4f_0d8a_be29_1dc1,
-    ),
-    (
-        "fig10",
-        |c| vec![exp::fig10::run(c)],
-        None,
-        SCALE_8192_SEED_1[2],
-    ),
-    ("fig11", exp::fig11::run, None, 0xa658_5bae_daf0_eafa),
-    (
-        "table4",
-        |c| vec![exp::table4::run(c)],
-        None,
-        0x4406_0691_a890_5d1b,
-    ),
-    (
-        "table5",
-        |c| vec![exp::table5::run(c)],
-        None,
-        SCALE_8192_SEED_1[0],
-    ),
-    (
-        "fig12",
-        |c| vec![exp::fig12::run(c)],
-        None,
-        0x5661_3a69_2449_ca44,
-    ),
-    (
-        "fig13",
-        |c| vec![exp::fig13::run(c)],
-        None,
-        0xa1a9_07fe_8a0c_922d,
-    ),
-    ("fig14", exp::fig14::run, None, 0x57a4_64ee_83fe_3667),
-    (
-        "fig15",
-        |c| vec![exp::fig15::run(c)],
-        None,
-        0x477c_d68b_8330_200b,
-    ),
-    (
-        "table6",
-        |c| vec![exp::table6::run(c)],
-        None,
-        0x6d2d_1e9a_adf0_0a83,
-    ),
-    (
-        "fig16",
-        |c| vec![exp::fig16::run(c), exp::fig16::run_scalability(c)],
-        None,
-        0xebb6_ae2f_ab4a_d76f,
-    ),
-    ("fig17", exp::fig17::run, None, SCALE_8192_SEED_1[1]),
-    (
-        "partition",
-        |c| vec![exp::partition::run(c)],
-        None,
-        0x3560_e7cf_14f3_4415,
-    ),
-    (
-        "ablations",
-        exp::ablations::run,
-        None,
-        0xf54b_ddcf_6f3d_4c43,
-    ),
-    (
-        "fault_recovery",
-        |c| vec![exp::fault_recovery::run(c)],
-        None,
-        0xc9de_68e5_4acf_38bb,
-    ),
-    (
-        "switch_cache",
-        |c| vec![exp::switch_cache::run(c)],
-        Some(&[0, 1, 2]),
-        0x5b35_3037_0018_0727,
-    ),
-    (
-        "kill_resume",
-        |c| vec![exp::kill_resume::run(c)],
-        Some(&[0, 1, 2, 3, 7]),
-        0x115e_c97b_329c_d46d,
-    ),
+const EVERY_EXPERIMENT: [Pinned; 21] = [
+    ("table1", None, 0x6282_e95b_c832_5a4a),
+    ("fig3", None, 0x445e_f9eb_6980_af11),
+    ("fig4", None, 0x137b_b4a7_87a4_8e7a),
+    ("fig5", None, 0xc801_1ccc_3d62_b415),
+    ("table2", None, 0x0c4f_0d8a_be29_1dc1),
+    ("fig10", None, SCALE_8192_SEED_1[2]),
+    ("fig11", None, 0xa658_5bae_daf0_eafa),
+    ("table4", None, 0x4406_0691_a890_5d1b),
+    ("table5", None, SCALE_8192_SEED_1[0]),
+    ("fig12", None, 0x5661_3a69_2449_ca44),
+    ("fig13", None, 0xa1a9_07fe_8a0c_922d),
+    ("fig14", None, 0x57a4_64ee_83fe_3667),
+    ("fig15", None, 0x477c_d68b_8330_200b),
+    ("table6", None, 0x6d2d_1e9a_adf0_0a83),
+    ("fig16", None, 0xebb6_ae2f_ab4a_d76f),
+    ("fig17", None, SCALE_8192_SEED_1[1]),
+    ("partition", None, 0x3560_e7cf_14f3_4415),
+    ("ablations", None, 0xf54b_ddcf_6f3d_4c43),
+    ("fault_recovery", None, 0xc9de_68e5_4acf_38bb),
+    ("switch_cache", Some(&[0, 1, 2]), 0x5b35_3037_0018_0727),
+    ("kill_resume", Some(&[0, 1, 2, 3, 7]), 0x115e_c97b_329c_d46d),
 ];
 
 /// `table` with only the columns in `keep`.
@@ -257,6 +174,9 @@ fn project(table: &Table, keep: &[usize]) -> Table {
     }
 }
 
+/// Walks `exp::EXPERIMENTS` in order. An entry with one name is pinned
+/// by all of its tables, an entry with one name per table by each table
+/// under its name; the names must be the pinned ones, in the pinned order.
 #[test]
 fn every_experiment_at_scale_8192_seed_1() {
     let cfg = ExpConfig {
@@ -264,9 +184,24 @@ fn every_experiment_at_scale_8192_seed_1() {
         seed: 1,
         obs: None,
     };
+    let mut named: Vec<(&str, Vec<Table>)> = Vec::new();
+    for e in &exp::EXPERIMENTS {
+        let tables = (e.run)(&cfg);
+        match e.names {
+            [name] => named.push((name, tables)),
+            names => {
+                assert_eq!(names.len(), tables.len(), "{names:?}: one name per table");
+                for (name, table) in names.iter().zip(tables) {
+                    named.push((name, vec![table]));
+                }
+            }
+        }
+    }
+    let names: Vec<&str> = named.iter().map(|(name, _)| *name).collect();
+    let pinned: Vec<&str> = EVERY_EXPERIMENT.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(names, pinned, "the registry's names or order moved");
     let mut moved = Vec::new();
-    for (name, run, keep, want) in EVERY_EXPERIMENT {
-        let mut tables = run(&cfg);
+    for ((name, mut tables), (_, keep, want)) in named.into_iter().zip(EVERY_EXPERIMENT) {
         if let Some(keep) = keep {
             tables = tables.iter().map(|t| project(t, keep)).collect();
         }

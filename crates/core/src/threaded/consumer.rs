@@ -3,7 +3,7 @@
 //! that turns a finished Sampler into a standby.
 
 use super::config::{ExecutorCacheReport, ThreadedError, ThreadedErrorKind};
-use super::shared::{new_model, BatchClock, Shared, StreamRole, TrainTask};
+use super::shared::{new_model, BatchClock, Shared, TrainTask};
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
 use crate::schedule::{seed_standby_estimate, switch_profit};
@@ -125,8 +125,7 @@ pub(super) fn standby_phase(
 /// and everything it owns for the length of its [`Consumer::run`] loop.
 struct Consumer<'a> {
     sh: &'a Shared<'a>,
-    /// Unique executor id: the queue-lease owner and the replica's init
-    /// stream index.
+    /// Unique executor id: the queue-lease owner.
     exec: usize,
     slot: usize,
     /// `"Trainer 2"` / `"Standby 0"`, for errors and injected-crash text.
@@ -158,9 +157,8 @@ struct Consumer<'a> {
 }
 
 impl<'a> Consumer<'a> {
-    /// Pays the executor's start-up cost: replica init on its own RNG
-    /// stream and the span-instrumented cache fill at its role's planned
-    /// row budget.
+    /// Pays the executor's start-up cost: replica init and the
+    /// span-instrumented cache fill at its role's planned row budget.
     fn new(sh: &'a Shared<'a>, exec: usize, slot: usize, standby: bool) -> Self {
         // First, so a panic while loading releases it.
         let first_lease = FirstLease((!standby).then_some(sh));
@@ -168,12 +166,11 @@ impl<'a> Consumer<'a> {
         // A standby runs on its Sampler's device and inherits that
         // device's straggler factor; only dedicated Trainers take
         // injected Trainer crashes.
-        let (role, name, title, stream, device, rows, fault_role, cell, series) = if standby {
+        let (role, name, title, device, rows, fault_role, cell, series) = if standby {
             (
                 Executor::Standby,
                 "standby",
                 "Standby",
-                StreamRole::Standby,
                 slot,
                 sh.plan.standby_rows,
                 ExecutorRole::Sampler,
@@ -185,7 +182,6 @@ impl<'a> Consumer<'a> {
                 Executor::Trainer,
                 "trainer",
                 "Trainer",
-                StreamRole::Trainer,
                 cfg.num_samplers + slot,
                 sh.plan.trainer_rows,
                 ExecutorRole::Trainer,
@@ -194,7 +190,7 @@ impl<'a> Consumer<'a> {
             )
         };
         let device = device as u32;
-        let replica = new_model(sh.graph, sh.kind, cfg, stream, exec as u64);
+        let replica = new_model(sh.graph, sh.kind, cfg);
         let (store, refresh_ns) = sh.build_store(rows, device, role);
         Consumer {
             sh,

@@ -152,11 +152,9 @@ pub(super) enum StreamRole {
     // samples which batch before or after the restart. PreSC's
     // pre-sampling pass draws epoch 0 from the same streams over the
     // `Shuffle` order, so its samples are the ones the run trains on
-    // (`Shared::presampled`).
-    /// A Trainer replica's initialization.
-    Trainer = 3,
-    /// A standby Trainer replica's initialization.
-    Standby = 4,
+    // (`Shared::presampled`). 3 and 4 initialized Trainer and standby
+    // replicas, whose every value `pull_params` overwrites before their
+    // first batch: replicas are built from the `Model` stream.
     /// Held-out evaluation sampling.
     Eval = 5,
     /// The train/test vertex split.
@@ -165,9 +163,7 @@ pub(super) enum StreamRole {
     Shuffle = 7,
 }
 
-/// Derives the RNG stream for `(seed, role, index)`. Respawned executors
-/// pass their unique executor id as `index`, so a replacement never
-/// replays its predecessor's stream.
+/// Derives the RNG stream for `(seed, role, index)`.
 pub(super) fn stream_seed(seed: u64, role: StreamRole, index: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed) ^ role as u64) ^ index)
 }
@@ -404,22 +400,16 @@ impl Drop for Pulled<'_, '_> {
     }
 }
 
-/// Builds a model of the run's shape initialized from `(role, index)`'s
-/// own RNG stream: the master (`Model`, 0) and every consumer's replica
-/// (`Trainer`/`Standby`, its executor id).
-pub(super) fn new_model(
-    graph: &SbmGraph,
-    kind: ModelKind,
-    cfg: &ThreadedConfig,
-    role: StreamRole,
-    index: u64,
-) -> GnnModel {
+/// Builds a model of the run's shape initialized from the `(Model, 0)`
+/// stream: the master, and every consumer's replica (which `pull_params`
+/// overwrites before its first batch).
+pub(super) fn new_model(graph: &SbmGraph, kind: ModelKind, cfg: &ThreadedConfig) -> GnnModel {
     GnnModel::new(ModelConfig {
         kind,
         in_dim: graph.feat_dim,
         hidden_dim: cfg.hidden_dim,
         num_classes: graph.num_classes,
-        seed: stream_seed(cfg.seed, role, index),
+        seed: stream_seed(cfg.seed, StreamRole::Model, 0),
     })
 }
 
@@ -653,7 +643,7 @@ impl<'a> Shared<'a> {
             refresh_secs: AtomicEwma::new(),
             cache_reports: Mutex::new(Vec::new()),
             server: Mutex::new(ParamServer::new(
-                new_model(graph, kind, cfg, StreamRole::Model, 0),
+                new_model(graph, kind, cfg),
                 Adam::new(cfg.lr),
             )),
             round_stepped: Condvar::new(),

@@ -237,8 +237,6 @@ fn stream_seeds_are_pairwise_distinct() {
         seen.insert(seed);
         for role in [
             StreamRole::Model,
-            StreamRole::Trainer,
-            StreamRole::Standby,
             StreamRole::Eval,
             StreamRole::Split,
             StreamRole::Shuffle,

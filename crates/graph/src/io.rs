@@ -205,11 +205,12 @@ fn read_exact_u64(r: &mut impl Read, section: &str) -> std::result::Result<u64, 
 /// The header is validated against the actual file size before any
 /// allocation, so a truncated or corrupted file yields a typed
 /// [`IoError::Format`] instead of a partial read or an absurd
-/// `Vec::with_capacity` from a garbage edge count.
+/// `Vec::with_capacity` from a garbage edge count. No single allocation
+/// is larger than the file, the read buffer's included.
 pub fn read_binary(path: &Path) -> std::result::Result<Csr, IoError> {
     let file = std::fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
+    let mut r = BufReader::with_capacity(file_len.min(8 * 1024) as usize, file);
     let mut magic = [0u8; 8];
     read_section(&mut r, &mut magic, "magic")?;
     if &magic != MAGIC {
