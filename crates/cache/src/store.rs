@@ -8,15 +8,16 @@
 //!
 //! Extraction is data-parallel: the output buffer is split into disjoint
 //! row chunks fanned across a [`ThreadPool`], each worker gathering its
-//! rows and accumulating private [`CacheStats`] that merge into a
-//! lock-free [`AtomicCacheStats`] at the end. Because each output row is
+//! rows through `gnnlab_par::gather_rows_into` and adding one
+//! [`CacheStats`], derived from the chunk's hit count, to a lock-free
+//! [`AtomicCacheStats`]. Because each output row is
 //! written by exactly one worker via a pure copy, the extracted buffer is
 //! byte-identical at every thread count.
 
 use crate::metrics::{AtomicCacheStats, CacheStats};
 use crate::table::CacheTable;
 use gnnlab_graph::{FeatureStore, VertexId};
-use gnnlab_par::{gather_rows_into, ThreadPool};
+use gnnlab_par::{gather_dense_into, gather_rows_into, ThreadPool};
 use std::sync::Arc;
 
 /// What one cache fill (build or refresh) actually moved: the quantities
@@ -85,18 +86,14 @@ impl CachedFeatureStore {
     ) -> (Self, CacheFill) {
         let dim = host.dim();
         let rows = table.len();
+        let host_rows = host_rows(&host);
         // SAFETY: par_chunks_mut covers the buffer with disjoint row
-        // chunks and gather_rows_into copies `dim` floats into every row,
+        // chunks and gather_dense_into copies `dim` floats into every row,
         // so each element is written exactly once before first read.
         let mut device_rows = unsafe { gnnlab_par::uninit_f32_vec(rows * dim) };
         let cached = table.cached_vertices();
         pool.par_chunks_mut(&mut device_rows, dim, |_, range, chunk| {
-            gather_rows_into(&cached[range], dim, chunk, |_, v| {
-                gnnlab_par::invariant!(
-                    host.row(v),
-                    "CachedFeatureStore::new requires materialized host features"
-                )
-            });
+            gather_dense_into(&cached[range], dim, chunk, host_rows);
         });
         let fill = CacheFill {
             rows,
@@ -124,11 +121,6 @@ impl CachedFeatureStore {
         &self.table
     }
 
-    /// The pool extraction fans out over.
-    pub fn pool(&self) -> &Arc<ThreadPool> {
-        &self.pool
-    }
-
     /// Extracts rows for `ids` into a dense row-major buffer, serving hits
     /// from the device tier and misses from the host tier, recording
     /// stats.
@@ -145,27 +137,19 @@ impl CachedFeatureStore {
     /// exactly `ids.len() * dim` floats.
     pub fn extract_into(&self, ids: &[VertexId], out: &mut [f32]) {
         let row_bytes = (self.dim * std::mem::size_of::<f32>()) as u64;
+        let host_rows = host_rows(&self.host);
         self.pool.par_chunks_mut(out, self.dim, |_, rows, chunk| {
-            let mut local = CacheStats::default();
-            gather_rows_into(&ids[rows], self.dim, chunk, |_, v| {
-                local.lookups += 1;
-                match self.table.slot(v) {
-                    Some(slot) => {
-                        local.hits += 1;
-                        local.hit_bytes += row_bytes;
-                        let s = slot as usize * self.dim;
-                        &self.device_rows[s..s + self.dim]
-                    }
-                    None => {
-                        local.miss_bytes += row_bytes;
-                        gnnlab_par::invariant!(
-                            self.host.row(v),
-                            "CachedFeatureStore::new requires materialized host features"
-                        )
-                    }
-                }
+            let ids = &ids[rows];
+            let hits = gather_rows_into(ids, self.dim, chunk, &self.device_rows, host_rows, |v| {
+                self.table.locate(v)
+            }) as u64;
+            let misses = ids.len() as u64 - hits;
+            self.stats.add(&CacheStats {
+                lookups: ids.len() as u64,
+                hits,
+                miss_bytes: misses * row_bytes,
+                hit_bytes: hits * row_bytes,
             });
-            self.stats.add(&local);
         });
     }
 
@@ -191,6 +175,14 @@ impl CachedFeatureStore {
     pub fn reset_stats(&self) {
         self.stats.reset();
     }
+}
+
+/// The host tier's row-major rows.
+fn host_rows(host: &FeatureStore) -> &[f32] {
+    gnnlab_par::invariant!(
+        host.data(),
+        "CachedFeatureStore::new requires materialized host features"
+    )
 }
 
 #[cfg(test)]

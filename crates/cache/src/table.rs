@@ -39,11 +39,15 @@ impl CacheTable {
         self.location[v as usize] != NOT_CACHED
     }
 
-    /// The cache slot of `v`, if resident.
+    /// Where `v`'s feature row lives, answered without a branch:
+    /// `(true, slot)` when it is cached, `(false, v)` — its host row —
+    /// when it is not. The Extract gather reads one of its two tiers by
+    /// the flag.
     #[inline]
-    pub fn slot(&self, v: VertexId) -> Option<u32> {
+    pub fn locate(&self, v: VertexId) -> (bool, u32) {
         let s = self.location[v as usize];
-        (s != NOT_CACHED).then_some(s)
+        let cached = s != NOT_CACHED;
+        (cached, if cached { s } else { v })
     }
 
     /// Number of cached vertices.
@@ -184,9 +188,10 @@ mod tests {
         assert!(t.contains(3));
         assert!(!t.contains(0));
         assert_eq!(t.cached_vertices(), &[1, 3]);
-        assert_eq!(t.slot(1), Some(0));
-        assert_eq!(t.slot(3), Some(1));
-        assert_eq!(t.slot(0), None);
+        assert_eq!(t.locate(1), (true, 0));
+        assert_eq!(t.locate(3), (true, 1));
+        assert_eq!(t.locate(0), (false, 0));
+        assert_eq!(t.locate(4), (false, 4));
     }
 
     #[test]

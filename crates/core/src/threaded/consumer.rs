@@ -333,17 +333,9 @@ impl<'a> Consumer<'a> {
             "Sampler must mark every input vertex"
         );
         let mut buf = std::mem::take(&mut self.free_buf);
-        {
-            let _g = obs.start_span(self.device, self.role, Stage::Extract, task.id);
-            self.store
-                .extract_to_buffer(task.sample.input_nodes(), &mut buf);
-        }
-        obs.metrics
-            .counter_add(names::EXTRACT_PAR_ROWS, rows as f64);
-        obs.metrics.counter_add(
-            names::EXTRACT_PAR_CHUNKS,
-            self.store.pool().partitions(rows) as f64,
-        );
+        let _g = obs.start_span(self.device, self.role, Stage::Extract, task.id);
+        self.store
+            .extract_to_buffer(task.sample.input_nodes(), &mut buf);
         Matrix::from_vec(rows, self.sh.graph.feat_dim, buf)
     }
 

@@ -87,7 +87,7 @@ pub use config::{
     ThreadedResult,
 };
 
-use crate::sync::Ordering;
+use crate::sync::{AtomicUsize, Ordering};
 use crate::train_real::sampler_for;
 use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
@@ -251,7 +251,10 @@ fn split(n: usize, seed: u64) -> (Vec<VertexId>, Vec<VertexId>) {
 /// `batch_size` chunks out over `pool`; returns the number of correct
 /// predictions and the eval store's [`Executor::Host`] cache report.
 ///
-/// Both are the same at every pool width: chunk `i` samples from its own
+/// Each worker takes the next chunk from one atomic cursor until none is
+/// left, so a worker that finishes early takes more chunks instead of
+/// idling behind a static split. The result is the same at every pool
+/// width and under any interleaving: chunk `i` samples from its own
 /// `(seed, Eval, i)` stream whichever worker runs it, correct predictions
 /// are counted as integers, and the one store all workers read through
 /// keeps its statistics in integer atomics. Each worker owns a
@@ -274,16 +277,18 @@ fn evaluate(
     let algo = sampler_for(shared.kind);
     let (store, refresh_ns) = shared.fill_store(shared.mark_table.clone());
     let chunks: Vec<&[VertexId]> = test_set.chunks(cfg.batch_size.max(1)).collect();
+    let cursor = AtomicUsize::new(0);
     let correct: usize = pool
-        .map_ranges(chunks.len(), |_, range| {
+        .map_ranges(pool.partitions(chunks.len()), |_, _| {
             let mut model = master.clone();
             let mut bufs = SampleBuffers::new();
             let mut sample = Sample::default();
             let mut feat_buf = Vec::new();
             let mut labels = Vec::new();
             let mut correct = 0;
-            for i in range {
-                let chunk = chunks[i];
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&chunk) = chunks.get(i) else { break };
                 let seed = stream_seed(cfg.seed, StreamRole::Eval, i as u64);
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 algo.sample_into(&graph.csr, chunk, &mut rng, &mut bufs, &mut sample);

@@ -613,30 +613,48 @@ fn stragglers_stretch_the_observed_stage_times() {
 #[test]
 fn evaluation_is_identical_at_every_width() {
     let g = graph();
-    let cfg = ThreadedConfig {
-        batch_size: 25,
-        cache_alpha: 0.3,
-        seed: 4,
-        ..Default::default()
-    };
-    let (train, test) = split(g.csr.num_vertices(), cfg.seed);
+    let (train, test) = split(g.csr.num_vertices(), 4);
     let obs = Arc::new(Obs::wall());
-    for kind in [ModelKind::Gcn, ModelKind::PinSage] {
+    // 12, 5 and 2 chunks: even and uneven shares of the chunk cursor, and
+    // fewer chunks than workers.
+    for (kind, batch_size) in [
+        (ModelKind::Gcn, 25),
+        (ModelKind::PinSage, 25),
+        (ModelKind::Gcn, 70),
+        (ModelKind::Gcn, 200),
+    ] {
+        let cfg = ThreadedConfig {
+            batch_size,
+            cache_alpha: 0.3,
+            seed: 4,
+            ..Default::default()
+        };
         let shared = Shared::new(&g, kind, &cfg, &obs, &train);
         let master = shared.server.lock().master.clone();
-        let at = |width: usize| {
+        // Every chunk exactly once, in order, on one thread, through a
+        // dense host gather.
+        let algo = sampler_for(kind);
+        let mut model = master.clone();
+        let (mut want, mut want_stats) = (0, CacheStats::default());
+        for (i, chunk) in test.chunks(batch_size).enumerate() {
+            let seed = stream_seed(cfg.seed, StreamRole::Eval, i as u64);
+            let sample = algo.sample(&g.csr, chunk, &mut ChaCha8Rng::seed_from_u64(seed));
+            let feats = crate::train_real::gather_features(&g, sample.input_nodes());
+            let labels: Vec<u32> = chunk.iter().map(|&v| g.labels[v as usize]).collect();
+            want += correct_predictions(&model.forward(&sample, &feats), &labels);
+            let row_bytes = (4 * g.feat_dim) as u64;
+            want_stats.record(&shared.mark_table, sample.input_nodes(), row_bytes);
+        }
+        let at = format!("{kind:?}, batch {batch_size}");
+        assert!(want > 0 && want < test.len() && want_stats.hits > 0, "{at}");
+        for width in [1, 2, 3, 5, 3, 2] {
             let (correct, report) = evaluate(&shared, &master, &test, &ThreadPool::new(width));
-            (correct, report.rows, report.stats)
-        };
-        let serial = at(1);
-        assert!(
-            serial.0 > 0 && serial.0 < test.len(),
-            "{kind:?}: {serial:?}"
-        );
-        assert!(serial.2.hits > 0, "{kind:?}: {serial:?}");
-        // 12 chunks: 5 workers get uneven ranges, 2 and 3 even ones.
-        for width in [2, 3, 5] {
-            assert_eq!(at(width), serial, "{kind:?} at width {width}");
+            assert_eq!(report.rows, shared.mark_table.len(), "{at}");
+            assert_eq!(
+                (correct, report.stats),
+                (want, want_stats),
+                "{at} at width {width}"
+            );
         }
     }
 }

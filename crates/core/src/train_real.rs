@@ -75,10 +75,7 @@ pub fn sampler_for(kind: ModelKind) -> Box<dyn SamplingAlgorithm> {
 pub fn gather_features(graph: &SbmGraph, ids: &[VertexId]) -> Matrix {
     let d = graph.feat_dim;
     let mut data = vec![0.0; ids.len() * d];
-    gnnlab_par::gather_rows_into(ids, d, &mut data, |_, v| {
-        let s = v as usize * d;
-        &graph.features[s..s + d]
-    });
+    gnnlab_par::gather_dense_into(ids, d, &mut data, &graph.features);
     Matrix::from_vec(ids.len(), d, data)
 }
 

@@ -1,7 +1,5 @@
 //! Vertex feature storage.
 
-use crate::csr::VertexId;
-
 /// Per-vertex feature storage.
 ///
 /// Performance experiments only need *byte accounting* — which vertices'
@@ -10,7 +8,7 @@ use crate::csr::VertexId;
 /// quickstart example) uses [`FeatureStore::Materialized`] with real rows.
 #[derive(Debug, Clone)]
 pub enum FeatureStore {
-    /// Shape-only features; `row()` is unavailable.
+    /// Shape-only features; `data()` is unavailable.
     Virtual {
         /// Number of vertices.
         num_vertices: usize,
@@ -77,30 +75,11 @@ impl FeatureStore {
         self.num_vertices() as u64 * self.row_bytes()
     }
 
-    /// The feature row of `v`, if materialized.
-    pub fn row(&self, v: VertexId) -> Option<&[f32]> {
+    /// The row-major `num_vertices x dim` feature data, if materialized.
+    pub fn data(&self) -> Option<&[f32]> {
         match self {
             FeatureStore::Virtual { .. } => None,
-            FeatureStore::Materialized { dim, data, .. } => {
-                let s = v as usize * dim;
-                data.get(s..s + dim)
-            }
-        }
-    }
-
-    /// Gathers rows for `ids` into a dense row-major buffer, if
-    /// materialized. This is the host-side Extract gather.
-    pub fn gather(&self, ids: &[VertexId]) -> Option<Vec<f32>> {
-        match self {
-            FeatureStore::Virtual { .. } => None,
-            FeatureStore::Materialized { dim, data, .. } => {
-                let mut out = Vec::with_capacity(ids.len() * dim);
-                for &v in ids {
-                    let s = v as usize * dim;
-                    out.extend_from_slice(&data[s..s + dim]);
-                }
-                Some(out)
-            }
+            FeatureStore::Materialized { data, .. } => Some(data),
         }
     }
 }
@@ -116,17 +95,14 @@ mod tests {
         assert_eq!(f.dim(), 128);
         assert_eq!(f.row_bytes(), 512);
         assert_eq!(f.total_bytes(), 5120);
-        assert!(f.row(0).is_none());
-        assert!(f.gather(&[0, 1]).is_none());
+        assert!(f.data().is_none());
     }
 
     #[test]
-    fn materialized_rows_and_gather() {
-        let data = (0..6).map(|x| x as f32).collect();
-        let f = FeatureStore::materialized(3, 2, data);
-        assert_eq!(f.row(1).unwrap(), &[2.0, 3.0]);
-        assert_eq!(f.gather(&[2, 0]).unwrap(), vec![4.0, 5.0, 0.0, 1.0]);
-        assert!(f.row(3).is_none());
+    fn materialized_data_is_row_major() {
+        let data: Vec<f32> = (0..6).map(|x| x as f32).collect();
+        let f = FeatureStore::materialized(3, 2, data.clone());
+        assert_eq!(f.data(), Some(&data[..]));
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub const QUEUE_ENQUEUE_BLOCK_NS: &str = "queue.enqueue_block_ns";
 
 /// Gauge: configured data-parallel width of the extract pool.
 pub const EXTRACT_PAR_THREADS: &str = "extract.par_threads";
-/// Counter: feature rows gathered through the parallel extract path.
-pub const EXTRACT_PAR_ROWS: &str = "extract.par_rows";
-/// Counter: disjoint chunks extract fan-outs dispatched (1 per call on a
-/// single-thread pool).
-pub const EXTRACT_PAR_CHUNKS: &str = "extract.par_chunks";
 
 /// Counter: standby Trainers woken by the profit metric (§5.3).
 pub const SCHEDULER_SWITCHES: &str = "scheduler.switches";

@@ -19,7 +19,7 @@ use crate::Obs;
 use gnnlab_par::sync::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration for the telemetry thread.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +44,8 @@ impl Default for TelemetryConfig {
 }
 
 /// A running telemetry thread; stops (and joins) on
-/// [`Telemetry::stop`] or drop.
+/// [`Telemetry::stop`] or drop, waking the thread instead of waiting out
+/// its interval.
 #[derive(Debug)]
 pub struct Telemetry {
     stop: Arc<AtomicBool>,
@@ -60,24 +61,19 @@ impl Telemetry {
             .name("gnnlab-telemetry".to_string())
             .spawn(move || {
                 let mut engine = AlertEngine::new(cfg.rules);
-                let slice = cfg
-                    .interval
-                    .min(Duration::from_millis(25))
-                    .max(Duration::from_millis(1));
-                let mut slept = Duration::ZERO;
-                loop {
-                    if stop_in.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if slept >= cfg.interval {
-                        slept = Duration::ZERO;
+                let interval = cfg.interval.max(Duration::from_millis(1));
+                let mut next_tick = Instant::now() + interval;
+                while !stop_in.load(Ordering::Acquire) {
+                    let now = Instant::now();
+                    if now >= next_tick {
+                        next_tick = now + interval;
                         obs.sample_gauges();
                         engine.evaluate(&obs);
+                    } else {
+                        // `stop` unparks this thread, so it never waits
+                        // out the interval; a spurious wake re-checks.
+                        std::thread::park_timeout(next_tick - now);
                     }
-                    // Sleep in small slices so stop() never waits a full
-                    // interval.
-                    std::thread::sleep(slice);
-                    slept += slice;
                 }
                 // Final tick: sub-interval runs still get ≥ 1 sample per
                 // gauge, and alerts reflect the end state.
@@ -101,6 +97,9 @@ impl Telemetry {
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
+            // An unpark before the thread parks is kept as a token, so the
+            // wake cannot be lost between its flag check and its park.
+            h.thread().unpark();
             let _ = h.join();
         }
     }

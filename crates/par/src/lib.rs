@@ -39,7 +39,7 @@ pub mod pool;
 pub mod sync;
 pub mod worker;
 
-pub use gather::{gather_rows_into, uninit_f32_vec};
+pub use gather::{gather_dense_into, gather_rows_into, uninit_f32_vec};
 pub use global::host_pool;
 pub use pool::ThreadPool;
 pub use worker::{JobHandle, Worker};

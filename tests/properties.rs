@@ -113,11 +113,12 @@ proptest! {
         for v in 0..n as VertexId {
             if !t.contains(v) {
                 prop_assert!(hotness[v as usize] <= min_cached + 1e-12);
+                prop_assert_eq!(t.locate(v), (false, v));
             }
         }
         // Slots are consecutive and consistent.
         for (slot, &v) in t.cached_vertices().iter().enumerate() {
-            prop_assert_eq!(t.slot(v), Some(slot as u32));
+            prop_assert_eq!(t.locate(v), (true, slot as u32));
         }
     }
 
