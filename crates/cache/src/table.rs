@@ -75,21 +75,6 @@ impl CacheTable {
         self.cached.len() as u64 * row_bytes
     }
 
-    /// Splits `ids` into (hits, misses) — the Trainer's Extract-stage
-    /// partition: hits are gathered from GPU memory, misses cross PCIe.
-    pub fn partition(&self, ids: &[VertexId]) -> (Vec<VertexId>, Vec<VertexId>) {
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
-        for &v in ids {
-            if self.contains(v) {
-                hits.push(v);
-            } else {
-                misses.push(v);
-            }
-        }
-        (hits, misses)
-    }
-
     /// Marks each of `ids` with cache membership — the Sampler's `M` step
     /// (§5.2: "each sampled vertex can be marked in the Sample stage
     /// whether its feature is cached in GPU memory or not").
@@ -211,13 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_and_mark_agree() {
+    fn mark_flags_cached_vertices() {
         let hot = vec![0.0, 5.0, 0.0, 5.0];
         let t = load_cache(&hot, 0.5, 4);
         let ids = vec![0, 1, 2, 3, 1];
-        let (hits, misses) = t.partition(&ids);
-        assert_eq!(hits, vec![1, 3, 1]);
-        assert_eq!(misses, vec![0, 2]);
         assert_eq!(t.mark(&ids), vec![false, true, false, true, true]);
         // A recycled mask that held a longer batch is replaced, not
         // appended to.

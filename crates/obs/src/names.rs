@@ -190,8 +190,9 @@ pub const STAGE_LOAD_CACHE_NS: &str = "stage.load_cache.ns";
 pub const STAGE_PRESAMPLE_NS: &str = "stage.presample.ns";
 
 /// Gauge: `f32` lanes per vector register of the matmul instantiation
-/// the tensor kernels picked on this CPU (8 = AVX2, 4 = portable) — says
-/// which code path produced a run's `tensor.*` numbers.
+/// the tensor kernels picked on this CPU (16 = AVX-512, 8 = AVX2,
+/// 4 = portable) — says which code path produced a run's `tensor.*`
+/// numbers.
 pub const TENSOR_KERNEL_LANES: &str = "tensor.kernel_lanes";
 
 /// Counter family: alerts raised per rule (`alerts.straggler`,

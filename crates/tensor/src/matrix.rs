@@ -18,18 +18,31 @@
 //! `K_BLOCK` rows of both operands, so the block stays in cache while
 //! every tile passes over it.
 //!
-//! The body is instantiated twice — portably, and inside a
-//! `#[target_feature(enable = "avx2")]` entry point that
-//! `is_x86_feature_detected!` selects once per product ([`kernel_lanes`]
-//! reports which). The identity contract makes the choice invisible:
-//! every output element accumulates over ascending `k` with plain `*` and
-//! `+` (no FMA, no `mul_add`, no reassociation), and the per-(row, `k`)
-//! `a == 0` skip of `matmul` / `transa_matmul` holds on every path, so
-//! tile shape, `k`-blocking and instruction set never change a bit.
-//! AVX-512 was measured and left out: at the layer shapes it read within
-//! a few percent of AVX2 (the prototype 42–50 vs 46–50 GFLOPS, this PR
-//! 3–9 % on a host that varies ±10 % run to run) — not a third
-//! instantiation's worth, so one wide instantiation is all there is.
+//! The body is instantiated three times — portably, and inside
+//! `#[target_feature(enable = "avx2")]` and
+//! `#[target_feature(enable = "avx512f")]` entry points, the widest of
+//! which `is_x86_feature_detected!` finds is selected once per product
+//! ([`kernel_lanes`] reports which) — each in two bodies: with and
+//! without the per-(row, `k`) `a == 0` skip of `matmul` /
+//! `transa_matmul`. The identity contract makes both choices invisible:
+//! every output element accumulates over ascending `k` with plain `*`
+//! and `+` (no FMA, no `mul_add`, no reassociation), so tile shape,
+//! `k`-blocking and instruction set never change a bit; and the skip
+//! runs wherever it could change one. It can only where the by-`k` right
+//! operand `b` holds `±∞` or `NaN` (`0 · ∞` must never enter a sum), so
+//! one vectorised scan of `b` per product picks the skipping body for
+//! such a `b` and the skip-free one otherwise. With a finite `b`,
+//! dropping the skip keeps every bit: each accumulator starts at `+0.0`
+//! (a zeroed output, or the sums of earlier `k`-blocks); under
+//! round-to-nearest a sum is `−0.0` only if both addends are, so no
+//! accumulator ever holds `−0.0`; and `acc + ±0.0` is `acc` for every
+//! `acc` but `−0.0`. The skip's branch was what held AVX-512 back: with
+//! it, AVX-512 read within 3–9 % of AVX2. Without the branch,
+//! `[3664×128]·[128×32]` (`train_bound`'s first layer) reads 361 µs
+//! (83 GFLOPS) on AVX-512 against 485 µs on AVX2 and 686 µs for the AVX2
+//! skipping body with a dense `a`, 2.8 ms with half of `a` zero (2-core
+//! Emerald Rapids, best of 20); no instantiation's skip-free body lost
+//! at any layer shape, so none keeps the skip for a finite `b`.
 //!
 //! Each variant also has a crate-private `*_into` form that writes into a
 //! caller-owned matrix, which is how the layers keep their buffers across
@@ -116,17 +129,17 @@ fn operands<'m, const TA: bool, const TB: bool>(
 /// The one register-tile body: the `R × N` elements at rows `i..i + R`,
 /// columns `j..j + N` of a product each gain `Σ_k a(i + r, k) · b(j + c, k)`
 /// over `ks`; `out` holds exactly those `R` output rows. Every element
-/// accumulates over ascending `k` with plain `*` and `+`, and unless `b`
-/// is read transposed a zero `a(i + r, k)` leaves row `r` alone at that
-/// `k` — so neither the tile shape nor the instruction set this is
-/// compiled for changes a bit of the result.
+/// accumulates over ascending `k` with plain `*` and `+`, and with `SKIP`,
+/// unless `b` is read transposed, a zero `a(i + r, k)` leaves row `r`
+/// alone at that `k` — so neither the tile shape nor the instruction set
+/// this is compiled for changes a bit of the result.
 ///
 /// # Safety
 ///
 /// `a` must extend to `i + R` lanes, `b` to `j + N`, both to `ks.end`
 /// steps.
 #[inline(always)]
-unsafe fn tile<const R: usize, const N: usize>(
+unsafe fn tile<const R: usize, const N: usize, const SKIP: bool>(
     (a, b): (Operand, Operand),
     ks: Range<usize>,
     (i, j): (usize, usize),
@@ -142,7 +155,7 @@ unsafe fn tile<const R: usize, const N: usize>(
         // contract.
         let a_k: [f32; R] = std::array::from_fn(|r| unsafe { a.at(i + r, k) });
         for (acc, a_rk) in acc.iter_mut().zip(a_k) {
-            if b.by_k && a_rk == 0.0 {
+            if SKIP && b.by_k && a_rk == 0.0 {
                 continue;
             }
             let mut b_k = [0.0f32; N];
@@ -163,16 +176,20 @@ unsafe fn tile<const R: usize, const N: usize>(
 /// `aᵀ? · bᵀ?`, added into `out` (row-major; at least one row and one
 /// column), four output rows at a time. Tile geometry: pairs of rows take
 /// 2 × 32 tiles while 32 columns remain (eight AVX2 registers of
-/// accumulators, leaving room for a row of `b` and two broadcasts); the
+/// accumulators, four AVX-512 ones, leaving room for a row of `b` and two
+/// broadcasts); the
 /// remaining columns — all of them in an output narrower than 32 — take
 /// 4-row tiles of 8, 4 and 1 columns and 2-row tiles of 16 (`4 × 16`
 /// would spill SSE's sixteen registers), so each `b` value read serves
 /// four independent add chains instead of one. The last one to three rows
 /// of an output take single-row tiles there. `aᵀ · b` walks `k` in
-/// [`K_BLOCK`]s, the other two in one piece. A zero of `a` is skipped
-/// unless `b` is transposed.
+/// [`K_BLOCK`]s, the other two in one piece. With `SKIP`, a zero of `a`
+/// is skipped unless `b` is transposed.
 #[inline(always)]
-fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out: &mut [f32]) {
+fn product_rows<const TA: bool, const TB: bool, const SKIP: bool>(
+    (a, b): (&Matrix, &Matrix),
+    out: &mut [f32],
+) {
     let ab = operands::<TA, TB>(a, b);
     let ((rows, inner), (cols, b_steps)) = (ab.0.extent(), ab.1.extent());
     assert!(
@@ -192,21 +209,21 @@ fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out:
             // all of which the assertion above found inside the operands.
             for (pair, out) in out.chunks_exact_mut(2 * cols).enumerate() {
                 for j in (0..wide).step_by(32) {
-                    unsafe { tile::<2, 32>(ab, ks.clone(), (i + 2 * pair, j), out) };
+                    unsafe { tile::<2, 32, SKIP>(ab, ks.clone(), (i + 2 * pair, j), out) };
                 }
             }
             if out.len() == 4 * cols {
                 for_col_tiles!(j in wide, cols; N => {
                     const R: usize = if N == 16 { 2 } else { 4 };
                     for (r, out) in out.chunks_exact_mut(R * cols).enumerate() {
-                        unsafe { tile::<R, N>(ab, ks.clone(), (i + R * r, j), out) };
+                        unsafe { tile::<R, N, SKIP>(ab, ks.clone(), (i + R * r, j), out) };
                     }
                 });
             } else {
                 for (r, out) in out.chunks_exact_mut(cols).enumerate() {
                     let from = if r < paired { wide } else { 0 };
                     for_col_tiles!(j in from, cols; N => unsafe {
-                        tile::<1, N>(ab, ks.clone(), (i + r, j), out)
+                        tile::<1, N, SKIP>(ab, ks.clone(), (i + r, j), out)
                     });
                 }
             }
@@ -217,26 +234,105 @@ fn product_rows<const TA: bool, const TB: bool>((a, b): (&Matrix, &Matrix), out:
 /// [`product_rows`] compiled for AVX2: the same body, eight lanes wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn product_rows_avx2<const TA: bool, const TB: bool>(ab: (&Matrix, &Matrix), out: &mut [f32]) {
-    product_rows::<TA, TB>(ab, out);
+fn product_rows_avx2<const TA: bool, const TB: bool, const SKIP: bool>(
+    ab: (&Matrix, &Matrix),
+    out: &mut [f32],
+) {
+    product_rows::<TA, TB, SKIP>(ab, out);
 }
 
-/// Whether the running CPU takes the AVX2 instantiation.
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    false
+/// [`product_rows`] compiled for AVX-512F: the same body, sixteen lanes
+/// wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn product_rows_avx512<const TA: bool, const TB: bool, const SKIP: bool>(
+    ab: (&Matrix, &Matrix),
+    out: &mut [f32],
+) {
+    product_rows::<TA, TB, SKIP>(ab, out);
+}
+
+/// The instruction sets [`product_rows`] is instantiated for, each valued
+/// at its `f32` lanes per vector register.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Isa {
+    Portable = 4,
+    Avx2 = 8,
+    Avx512 = 16,
+}
+
+impl Isa {
+    /// Every instantiation, narrowest first.
+    const ALL: [Isa; 3] = [Isa::Portable, Isa::Avx2, Isa::Avx512];
+
+    /// Whether the running CPU can run this instantiation.
+    fn detected(self) -> bool {
+        match self {
+            Isa::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest instantiation the running CPU can run.
+    fn widest() -> Isa {
+        let mut isas = Isa::ALL.into_iter().rev();
+        isas.find(|isa| isa.detected()).unwrap_or(Isa::Portable)
+    }
 }
 
 /// `f32` lanes per vector register of the instantiation the products run
-/// on this CPU: 8 for AVX2, 4 for the portable one. Read-only — the
-/// choice is the CPU's, not a setting.
+/// on this CPU: 16 for AVX-512, 8 for AVX2, 4 for the portable one.
+/// Read-only — the choice is the CPU's, not a setting.
 pub fn kernel_lanes() -> usize {
-    if avx2_detected() {
-        8
-    } else {
-        4
+    Isa::widest() as usize
+}
+
+/// Whether `a · b` (`a · bᵀ` when `TB`) must run the skipping body. Only a
+/// `b` read by `k` that holds `±∞` or `NaN` needs it: with a finite `b`
+/// every `±0 · b` term is `±0`, which leaves an accumulator that is never
+/// `−0.0` unchanged (module doc), and `a · bᵀ` never skips.
+fn needs_skip<const TB: bool>(b: &Matrix) -> bool {
+    !TB && !all_finite(&b.data)
+}
+
+/// Whether every element of `data` is finite: `v · 0` is `±0.0` for a
+/// finite `v` and `NaN` for `±∞` and `NaN`, summed in sixteen lanes so the
+/// one pass vectorises.
+fn all_finite(data: &[f32]) -> bool {
+    let mut lanes = [0.0f32; 16];
+    let mut chunks = data.chunks_exact(16);
+    for chunk in &mut chunks {
+        for (lane, v) in lanes.iter_mut().zip(chunk) {
+            *lane += v * 0.0;
+        }
+    }
+    let rest = chunks.remainder().iter().map(|v| v * 0.0);
+    lanes.into_iter().chain(rest).sum::<f32>() == 0.0
+}
+
+/// [`product_rows`] with the body `SKIP` names, on `isa`.
+///
+/// # Safety
+///
+/// The running CPU must have `isa` ([`Isa::detected`]).
+unsafe fn product_rows_on<const TA: bool, const TB: bool, const SKIP: bool>(
+    isa: Isa,
+    ab: (&Matrix, &Matrix),
+    out: &mut [f32],
+) {
+    match isa {
+        // SAFETY (both arms): the instruction set is the entry point's one
+        // requirement, and the caller found it on the running CPU.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { product_rows_avx512::<TA, TB, SKIP>(ab, out) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { product_rows_avx2::<TA, TB, SKIP>(ab, out) },
+        _ => product_rows::<TA, TB, SKIP>(ab, out),
     }
 }
 
@@ -386,35 +482,38 @@ impl Matrix {
     }
 
     /// `out = selfᵀ? · otherᵀ?`, transposing as `TA` and `TB` say, on the
-    /// instantiation the CPU selects.
+    /// instantiation the CPU selects and the body `other` needs.
     fn product_on<const TA: bool, const TB: bool>(&self, other: &Matrix, out: &mut Matrix) {
-        self.product_via::<TA, TB>(other, avx2_detected(), out);
+        let skip = needs_skip::<TB>(other);
+        self.product_via::<TA, TB>(other, (Isa::widest(), skip), out);
     }
 
-    /// [`Matrix::product_on`] with the instantiation named — the AVX2 one
-    /// only if `avx2` says the CPU has it: shapes `out` and runs the
-    /// kernel over all of its rows. Nothing to do for an empty output.
+    /// [`Matrix::product_on`] with the instantiation and the body named —
+    /// `isa` only if the CPU has it: shapes `out` and runs the kernel over
+    /// all of its rows. Nothing to do for an empty output.
     fn product_via<const TA: bool, const TB: bool>(
         &self,
         other: &Matrix,
-        avx2: bool,
+        (isa, skip): (Isa, bool),
         out: &mut Matrix,
     ) {
         let (a, b) = operands::<TA, TB>(self, other);
         let ((rows, inner), (cols, other_inner)) = (a.extent(), b.extent());
         assert_eq!(inner, other_inner, "matmul shape mismatch");
-        assert!(!avx2 || avx2_detected(), "AVX2 kernels need an AVX2 CPU");
+        assert!(isa.detected(), "{isa:?} kernels need a CPU that has it");
         out.reset(rows, cols);
         if out.data.is_empty() {
             return;
         }
-        #[cfg(target_arch = "x86_64")]
-        if avx2 {
-            // SAFETY: `product_rows_avx2`'s one requirement is AVX2, which
-            // the assertion above found on the running CPU.
-            return unsafe { product_rows_avx2::<TA, TB>((self, other), &mut out.data) };
+        let ab = (self, other);
+        // SAFETY: the assertion above found `isa` on the running CPU.
+        unsafe {
+            if skip {
+                product_rows_on::<TA, TB, true>(isa, ab, &mut out.data)
+            } else {
+                product_rows_on::<TA, TB, false>(isa, ab, &mut out.data)
+            }
         }
-        product_rows::<TA, TB>((self, other), &mut out.data)
     }
 
     /// Adds `other` element-wise.
@@ -679,16 +778,29 @@ mod tests {
         out
     }
 
-    /// The product on one named instantiation.
-    fn product_via((ta, tb): (bool, bool), (a, b): (&Matrix, &Matrix), avx2: bool) -> Matrix {
+    /// The product on one named instantiation and body (`skip`).
+    fn product_via(
+        (ta, tb): (bool, bool),
+        (a, b): (&Matrix, &Matrix),
+        kernel: (Isa, bool),
+    ) -> Matrix {
         let mut out = Matrix::default();
         match (ta, tb) {
-            (false, false) => a.product_via::<false, false>(b, avx2, &mut out),
-            (false, true) => a.product_via::<false, true>(b, avx2, &mut out),
-            (true, false) => a.product_via::<true, false>(b, avx2, &mut out),
+            (false, false) => a.product_via::<false, false>(b, kernel, &mut out),
+            (false, true) => a.product_via::<false, true>(b, kernel, &mut out),
+            (true, false) => a.product_via::<true, false>(b, kernel, &mut out),
             (true, true) => unreachable!("no layer needs aᵀ · bᵀ"),
         }
         out
+    }
+
+    /// Whether the product selects the skipping body for `b`.
+    fn selects_skip(tb: bool, b: &Matrix) -> bool {
+        if tb {
+            needs_skip::<true>(b)
+        } else {
+            needs_skip::<false>(b)
+        }
     }
 
     /// Bits, with every `NaN` as one value: which operand's payload an add
@@ -699,20 +811,28 @@ mod tests {
     }
 
     /// Asserts that every instantiation this CPU can run — the portable
-    /// one always, called directly — gives the scalar loop's bits.
+    /// one always, called directly — gives the scalar loop's bits with
+    /// both bodies where the product would run the skip-free one, with
+    /// the skipping body otherwise, and so does the product as the CPU
+    /// selects it.
     fn assert_every_path(op: (bool, bool), ab: (&Matrix, &Matrix)) {
         let want = bits(&scalar_product(op.0, op.1, ab.0, ab.1));
-        for avx2 in [false, true] {
-            if avx2 && !avx2_detected() {
-                continue;
+        let (a, b) = ab;
+        let shape = format!("{op:?} {}x{} · {}x{}", a.rows, a.cols, b.rows, b.cols);
+        let skips = selects_skip(op.1, b);
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.detected()) {
+            for skip in [true, false].into_iter().filter(|&skip| skip || !skips) {
+                let body = if skip { "skip" } else { "skip-free" };
+                let got = bits(&product_via(op, ab, (isa, skip)));
+                assert_eq!(got, want, "{shape}, {isa:?} {body}");
             }
-            let (a, b) = ab;
-            let at = format!(
-                "{op:?} {}x{} · {}x{}, avx2 {avx2}",
-                a.rows, a.cols, b.rows, b.cols
-            );
-            assert_eq!(bits(&product_via(op, ab, avx2)), want, "{at}");
         }
+        let selected = match op {
+            (false, false) => a.matmul(b),
+            (false, true) => a.matmul_transb(b),
+            _ => a.transa_matmul(b),
+        };
+        assert_eq!(bits(&selected), want, "{shape}, selected");
     }
 
     const PRODUCTS: [(bool, bool); 3] = [(false, false), (false, true), (true, false)];
@@ -745,14 +865,14 @@ mod tests {
         (a, b)
     }
 
-    /// Every instantiation of the three products against the scalar loop,
-    /// bit for bit: random shapes around the tile and `k`-block edges
-    /// (odd row counts, 32-wide tiles with and without remainders, inner
-    /// dimensions that end inside a `k`-block), empty operands, the narrow
-    /// geometry at every row count 1–13 (each remainder mod 4, up to three
-    /// 4-row blocks) by every width 1–31, inside one `k`-block and across
-    /// two, and a left operand with no, a fifth and half of its elements
-    /// zero.
+    /// Every instantiation of the three products, each with both bodies,
+    /// against the scalar loop, bit for bit: random shapes around the tile
+    /// and `k`-block edges (odd row counts, 32-wide tiles with and without
+    /// remainders, inner dimensions that end inside a `k`-block), empty
+    /// operands, the narrow geometry at every row count 1–13 (each
+    /// remainder mod 4, up to three 4-row blocks) by every width 1–31,
+    /// inside one `k`-block and across two, and a left operand with no, a
+    /// fifth and half of its elements zero.
     #[test]
     fn every_instantiation_matches_the_scalar_loop_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(29);
@@ -789,11 +909,12 @@ mod tests {
 
     /// What the skip means: where `a` is zero, `b` is not read into the
     /// sum — `±∞` and `NaN` there leave `a · b` and `aᵀ · b` finite on
-    /// every path, while `a · bᵀ`, which never skipped, turns `NaN` on
-    /// every path alike. Wide tiles with remainders (5 × 70 by 70 × 67),
-    /// and the narrow ones: 4-row tiles with a single last row at widths
-    /// 7 (4 + 1 + 1 + 1) and 8, 2-row tiles of 16 beside 8 + 1 + 1 + 1 at
-    /// 27; every shape across two `k`-blocks.
+    /// every instantiation, while `a · bᵀ`, which never skipped, turns
+    /// `NaN` on every one alike. Such a `b` selects the skipping body for
+    /// `a · b` and `aᵀ · b`. Wide tiles with remainders (5 × 70 by
+    /// 70 × 67), and the narrow ones: 4-row tiles with a single last row
+    /// at widths 7 (4 + 1 + 1 + 1) and 8, 2-row tiles of 16 beside
+    /// 8 + 1 + 1 + 1 at 27; every shape across two `k`-blocks.
     #[test]
     fn a_zero_skips_infinities_and_nans_on_every_path() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -811,12 +932,90 @@ mod tests {
                         b.set(row, col, specials[(k + l) % 3]);
                     }
                 }
+                assert_eq!(selects_skip(tb, &b), !tb, "{op:?} {rows}x{cols}");
                 assert_every_path(op, (&a, &b));
                 let finite = scalar_product(ta, tb, &a, &b)
                     .data()
                     .iter()
                     .all(|v| v.is_finite());
                 assert_eq!(finite, !tb, "{op:?} {rows}x{cols}");
+            }
+        }
+    }
+
+    /// The finite scan sees one `±∞` or `NaN` anywhere: in the sixteen
+    /// lanes and in the remainder, at every length up to three chunks.
+    #[test]
+    fn all_finite_finds_every_non_finite_element() {
+        for len in 0..50 {
+            let data: Vec<f32> = (0..len).map(|i| i as f32 - 20.5).collect();
+            assert!(all_finite(&data), "{len}");
+            for i in 0..len {
+                for special in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                    let mut data = data.clone();
+                    data[i] = special;
+                    assert!(!all_finite(&data), "{len} {i} {special}");
+                }
+            }
+        }
+    }
+
+    /// Why a finite `b` may drop the skip: the skip-free body writes the
+    /// skipping one's bits on every instantiation, and a finite `b`
+    /// selects it. Of every three rows of `a`, one cancels to an exact
+    /// zero every four steps (`x · y` then `x · −y`) and then adds
+    /// `−0.0 · b` and `+0.0 · b`, one is `±0.0` throughout (the bodies
+    /// agree there because no accumulator starts at `−0.0`), and one holds,
+    /// like `b`, `±0.0`, subnormals and products that underflow to `±0.0`
+    /// among the random values. The shapes of
+    /// `a_zero_skips_infinities_and_nans_on_every_path`, across two
+    /// `k`-blocks.
+    #[test]
+    fn skip_free_body_equals_the_skipping_one_on_finite_b() {
+        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let tiny = f32::MIN_POSITIVE / 8.0;
+        let edge = [0.0, -0.0, tiny, -tiny, 1e-30, -1e-30];
+        for (rows, cols) in [(5, 67), (13, 7), (4, 8), (6, 27)] {
+            for op @ (ta, tb) in PRODUCTS {
+                let (mut a, mut b) = random_operands(op, (rows, 70, cols), 0, &mut rng);
+                let at = |t: bool, l: usize, k: usize| if t { (k, l) } else { (l, k) };
+                for k in 0..70 {
+                    for l in 0..rows {
+                        let (row, col) = at(ta, l, k);
+                        let v = match (l % 3, k % 4) {
+                            (0, 0) => continue,
+                            (0, 1) => {
+                                let (row, col) = at(ta, l, k - 1);
+                                a.get(row, col)
+                            }
+                            (0, 2) | (1, 0 | 2) => -0.0,
+                            (0 | 1, _) => 0.0,
+                            _ if rng.gen_range(0..2) == 0 => edge[rng.gen_range(0..edge.len())],
+                            _ => continue,
+                        };
+                        a.set(row, col, v);
+                    }
+                    for l in 0..cols {
+                        let (row, col) = at(!tb, l, k);
+                        let v = if k % 4 == 1 {
+                            let (row, col) = at(!tb, l, k - 1);
+                            -b.get(row, col)
+                        } else if rng.gen_range(0..3) == 0 {
+                            edge[rng.gen_range(0..edge.len())]
+                        } else {
+                            continue;
+                        };
+                        b.set(row, col, v);
+                    }
+                }
+                let shape = format!("{op:?} {rows}x{cols}");
+                assert!(!selects_skip(tb, &b), "{shape}");
+                for isa in Isa::ALL.into_iter().filter(|isa| isa.detected()) {
+                    let skipping = product_via(op, (&a, &b), (isa, true));
+                    let skip_free = product_via(op, (&a, &b), (isa, false));
+                    assert_eq!(bits(&skip_free), bits(&skipping), "{shape}, {isa:?}");
+                }
+                assert_every_path(op, (&a, &b));
             }
         }
     }
