@@ -75,21 +75,13 @@ impl CacheTable {
         self.cached.len() as u64 * row_bytes
     }
 
-    /// Marks each of `ids` with cache membership — the Sampler's `M` step
+    /// Marks each of `ids` with cache membership — the paper's `M` step
     /// (§5.2: "each sampled vertex can be marked in the Sample stage
-    /// whether its feature is cached in GPU memory or not").
+    /// whether its feature is cached in GPU memory or not"). The threaded
+    /// Sampler does not run it: an Extract gather's [`CacheTable::locate`]
+    /// is the same one load per vertex.
     pub fn mark(&self, ids: &[VertexId]) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.mark_into(ids, &mut mask);
-        mask
-    }
-
-    /// [`CacheTable::mark`] into a recycled mask, replacing its contents:
-    /// once the mask has held a batch this large, marking allocates
-    /// nothing.
-    pub fn mark_into(&self, ids: &[VertexId], mask: &mut Vec<bool>) {
-        mask.clear();
-        mask.extend(ids.iter().map(|&v| self.contains(v)));
+        ids.iter().map(|&v| self.contains(v)).collect()
     }
 }
 
@@ -201,11 +193,6 @@ mod tests {
         let t = load_cache(&hot, 0.5, 4);
         let ids = vec![0, 1, 2, 3, 1];
         assert_eq!(t.mark(&ids), vec![false, true, false, true, true]);
-        // A recycled mask that held a longer batch is replaced, not
-        // appended to.
-        let mut mask = vec![true; 9];
-        t.mark_into(&ids[..3], &mut mask);
-        assert_eq!(mask, vec![false, true, false]);
     }
 
     #[test]

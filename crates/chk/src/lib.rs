@@ -79,7 +79,7 @@ mod tests {
         }
         drop(g);
         t.join();
-        assert!(!thread::is_model_active());
+        assert!(thread::current().is_none());
     }
 
     #[test]

@@ -33,11 +33,6 @@ pub(crate) fn current() -> Option<Ctx> {
     CTX.with(|c| c.borrow().clone())
 }
 
-/// Whether the calling thread is currently inside a model run.
-pub fn is_model_active() -> bool {
-    CTX.with(|c| c.borrow().is_some())
-}
-
 /// Installs the model context on this OS thread (pool-job prologue).
 pub(crate) fn enter(exec: Arc<Execution>, tid: usize) {
     CTX.with(|c| *c.borrow_mut() = Some(Ctx { exec, tid }));

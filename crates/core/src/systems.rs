@@ -61,11 +61,6 @@ impl SystemKind {
             SystemKind::TSota | SystemKind::GnnLab => GatherPath::GpuDirect,
         }
     }
-
-    /// Whether this system caches features in GPU memory.
-    pub fn has_cache(&self) -> bool {
-        matches!(self, SystemKind::TSota | SystemKind::GnnLab)
-    }
 }
 
 #[cfg(test)]
@@ -75,11 +70,9 @@ mod tests {
     #[test]
     fn table3_system_properties() {
         assert_eq!(SystemKind::PygLike.sample_device(), SampleDevice::CpuPyg);
-        assert!(!SystemKind::PygLike.has_cache());
         assert_eq!(SystemKind::DglLike.kernel(), Kernel::Reservoir);
         assert_eq!(SystemKind::DglLike.gather_path(), GatherPath::CpuGather);
         assert_eq!(SystemKind::TSota.kernel(), Kernel::FisherYates);
-        assert!(SystemKind::TSota.has_cache());
         assert_eq!(SystemKind::GnnLab.gather_path(), GatherPath::GpuDirect);
         assert_eq!(SystemKind::ALL.len(), 4);
     }

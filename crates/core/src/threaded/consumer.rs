@@ -320,18 +320,13 @@ impl<'a> Consumer<'a> {
         Ok(())
     }
 
-    /// The batch's real two-tier Extract — device cache + host, guided by
-    /// the Sampler's marks — into the recycled buffer, under a
-    /// [`Stage::Extract`] span. It reads no model state, so it cannot
-    /// change a bit of the training history.
+    /// The batch's real two-tier Extract — device cache + host, each
+    /// vertex located in this consumer's own table — into the recycled
+    /// buffer, under a [`Stage::Extract`] span. It reads no model state,
+    /// so it cannot change a bit of the training history.
     fn extract(&mut self, task: &TrainTask) -> Matrix {
         let obs = &*self.sh.obs;
         let rows = task.sample.num_input_nodes();
-        debug_assert_eq!(
-            task.sample.cache_mask.as_deref().map(<[bool]>::len),
-            Some(rows),
-            "Sampler must mark every input vertex"
-        );
         let mut buf = std::mem::take(&mut self.free_buf);
         let _g = obs.start_span(self.device, self.role, Stage::Extract, task.id);
         self.store

@@ -68,8 +68,8 @@
 //!   loaded generation back in.
 //! * `supervisor` — spawning under `catch_unwind` and the two crash
 //!   handlers (replay, then respawn or reassign).
-//! * `sampler` — the Sampler executor's lease → refill → G → M → C →
-//!   complete loop.
+//! * `sampler` — the Sampler executor's lease → refill → G → C →
+//!   complete loop (no M step: DESIGN §1).
 //! * `consumer` — the one lease → Extract → Train → return loop Trainers
 //!   and standbys share, and the §5.3 switching decision.
 //! * this file — [`run_threaded`] / [`run_threaded_obs`]: plan memory,
@@ -263,7 +263,7 @@ fn split(n: usize, seed: u64) -> (Vec<VertexId>, Vec<VertexId>) {
 /// theirs.
 ///
 /// Feature gathers route through a two-tier store shaped like a dedicated
-/// Trainer's (the mark table's layout, the same host tier), so held-out
+/// Trainer's ([`Shared::trainer_table`], the same host tier), so held-out
 /// traffic is counted in the `cache.*` stats instead of bypassing the
 /// cache via a raw host gather — the served bytes are identical either
 /// way, so accuracy is unchanged.
@@ -275,7 +275,7 @@ fn evaluate(
 ) -> (usize, ExecutorCacheReport) {
     let (graph, cfg) = (shared.graph, shared.cfg);
     let algo = sampler_for(shared.kind);
-    let (store, refresh_ns) = shared.fill_store(shared.mark_table.clone());
+    let (store, refresh_ns) = shared.fill_store(shared.trainer_table.clone());
     let chunks: Vec<&[VertexId]> = test_set.chunks(cfg.batch_size.max(1)).collect();
     let cursor = AtomicUsize::new(0);
     let correct: usize = pool

@@ -1,6 +1,8 @@
 //! The Sampler executor: lease batch ids from the id queue, refill
 //! trained tasks the consumers gave back, sample (G) — or take what
-//! pre-sampling drew for the batch — mark (M), and enqueue (C) — §5.2.
+//! pre-sampling drew for the batch — and enqueue (C) — §5.2. There is no
+//! M step: the consumer's gather looks each vertex up in its own table
+//! with one load, the same load a mark would have cost (DESIGN §1).
 
 use super::shared::{BatchClock, Shared, TrainTask};
 use crate::faults::ExecutorRole;
@@ -33,7 +35,7 @@ pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'
 /// One Sampler's main loop: lease the next [`SAMPLER_BURST`] batch ids
 /// from [`Shared::ids`], take back as many trained tasks as the burst
 /// needs, refill each in place — sample (or take the pre-sampled epoch-0
-/// sample), mark, label — then enqueue the burst in one round-trip
+/// sample), label — then enqueue the burst in one round-trip
 /// (blocking at the queue's capacity) and complete its leases. Once the
 /// id queue is drained — every id delivered, none leased — it closes the
 /// sample queue and exits.
@@ -94,39 +96,25 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
             }
             let batch = &order[b * cfg.batch_size..((b + 1) * cfg.batch_size).min(order.len())];
             task.id = i as u64;
-            let work_started = Instant::now();
-            // `sample_into` resets the mask; keep its buffer for the M step.
-            let mut mask = task.sample.cache_mask.take().unwrap_or_default();
             // Pre-sampling already drew the first batches of epoch 0: the G
-            // step of a kept one is done.
-            let kept = sh.take_presampled(i);
-            let sampled_here = kept.is_none();
-            if let Some(sample) = kept {
+            // step of a kept one is done, and its time seeded T_s.
+            if let Some(sample) = sh.take_presampled(i) {
                 task.sample = sample;
             } else {
+                let work_started = Instant::now();
                 // Per-batch domain-tagged RNG: the sampler's random state
                 // is a pure function of (seed, epoch, batch), so the batch
                 // cursor IS the RNG position — resume replays nothing and
                 // skips nothing, and it doesn't matter which executor (or
                 // pre-sampling) samples which batch, in which burst.
                 let mut rng = presample_rng(cfg.seed, epoch, b as u64);
-                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, task.id);
-                algo.sample_into(&sh.graph.csr, batch, &mut rng, &mut bufs, &mut task.sample);
-            }
-            // The M step (§5.2): the Sampler marks which input vertices
-            // the Trainers' cache holds, so Trainers need no second
-            // membership pass.
-            {
-                let _g = obs.start_span(device, Executor::Sampler, Stage::SampleM, task.id);
-                sh.mark_table
-                    .mark_into(task.sample.input_nodes(), &mut mask);
-                task.sample.cache_mask = Some(mask);
-            }
-            // T_s counts sampling *work* (G + M, stretched by any
-            // straggler factor); the C step below may block on
-            // backpressure, which is waiting, not work. A kept batch's G
-            // ran in pre-sampling, which seeded T_s with it.
-            if sampled_here {
+                {
+                    let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, task.id);
+                    algo.sample_into(&sh.graph.csr, batch, &mut rng, &mut bufs, &mut task.sample);
+                }
+                // T_s counts sampling *work* (G, stretched by any straggler
+                // factor); the C step below may block on backpressure,
+                // which is waiting, not work.
                 clock.record(work_started.elapsed().as_secs_f64(), obs);
             }
             task.labels.clear();

@@ -464,11 +464,11 @@ pub(super) struct Shared<'a> {
     /// `cache_alpha` share; a standby's, less topology and the sampling
     /// workspace.
     pub plan: LiveCachePlan,
-    /// The table the Samplers' M step marks against. Per-executor stores
-    /// built at trainer rows share this exact layout; a standby's table is
-    /// a prefix of it, so the mask stays a sound hint (it only feeds a
-    /// length debug-assert plus the Sampler-side mark accounting).
-    pub mark_table: CacheTable,
+    /// A dedicated Trainer's table: the `trainer_rows` hottest vertices,
+    /// the layout every Trainer's own store is built at. Held-out
+    /// evaluation fills its store from it, so its traffic is counted as a
+    /// Trainer's would be.
+    pub trainer_table: CacheTable,
     /// The data-parallel pool behind Extract and cache fills,
     /// [`ThreadedConfig::threads`] wide.
     pub pool: Arc<ThreadPool>,
@@ -635,7 +635,7 @@ impl<'a> Shared<'a> {
                 plan.trainer_rows,
                 plan.standby_rows,
             ),
-            mark_table: plan_table(hotness.as_ref(), plan.trainer_rows, n),
+            trainer_table: plan_table(hotness.as_ref(), plan.trainer_rows, n),
             hotness,
             plan,
             pool,

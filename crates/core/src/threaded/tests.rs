@@ -206,8 +206,12 @@ fn threaded_run_populates_observability() {
         assert!(c.refresh_ns > 0);
     }
     // Every executor recorded wall-clock spans; none overlap on a lane.
+    // The Sampler runs G and C only: the gather locates its own rows, so
+    // no M span is recorded.
+    let spans = obs.spans();
     assert!(obs.span_count() > 0);
-    assert!(gnnlab_obs::find_overlap(&obs.spans()).is_none());
+    assert!(gnnlab_obs::find_overlap(&spans).is_none());
+    assert!(spans.iter().all(|s| s.stage != gnnlab_obs::Stage::SampleM));
 }
 
 #[test]
@@ -643,13 +647,13 @@ fn evaluation_is_identical_at_every_width() {
             let labels: Vec<u32> = chunk.iter().map(|&v| g.labels[v as usize]).collect();
             want += correct_predictions(&model.forward(&sample, &feats), &labels);
             let row_bytes = (4 * g.feat_dim) as u64;
-            want_stats.record(&shared.mark_table, sample.input_nodes(), row_bytes);
+            want_stats.record(&shared.trainer_table, sample.input_nodes(), row_bytes);
         }
         let at = format!("{kind:?}, batch {batch_size}");
         assert!(want > 0 && want < test.len() && want_stats.hits > 0, "{at}");
         for width in [1, 2, 3, 5, 3, 2] {
             let (correct, report) = evaluate(&shared, &master, &test, &ThreadPool::new(width));
-            assert_eq!(report.rows, shared.mark_table.len(), "{at}");
+            assert_eq!(report.rows, shared.trainer_table.len(), "{at}");
             assert_eq!(
                 (correct, report.stats),
                 (want, want_stats),
@@ -709,7 +713,7 @@ fn presampling_is_identical_at_every_fleet_width() {
             .hotness
             .as_ref()
             .map(|h| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
-        let table = shared.mark_table.cached_vertices().to_vec();
+        let table = shared.trainer_table.cached_vertices().to_vec();
         (bits, table, kept_fields(&shared))
     };
     let narrow = build(1, 1, 0.3);

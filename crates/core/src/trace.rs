@@ -147,11 +147,6 @@ impl EpochTrace {
             .map(|b| b.input_nodes.len() as u64)
             .sum()
     }
-
-    /// Total feature bytes needed per epoch at paper scale (no cache).
-    pub fn total_feature_bytes_paper(&self, row_bytes: u64) -> f64 {
-        self.total_input_nodes() as f64 * row_bytes as f64 * self.factor
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +204,6 @@ mod tests {
         let w = workload();
         let t = EpochTrace::record(&w, Kernel::FisherYates, 0);
         let measured = t.total_input_nodes() as f64 * 400.0;
-        assert!((t.total_feature_bytes_paper(400) - measured * 4096.0).abs() < 1.0);
+        assert!((measured * t.factor - measured * 4096.0).abs() < 1.0);
     }
 }

@@ -110,18 +110,6 @@ pub struct DatasetSpec {
     pub train_set: u64,
 }
 
-impl DatasetSpec {
-    /// Training-set fraction of all vertices.
-    pub fn train_fraction(&self) -> f64 {
-        self.train_set as f64 / self.vertices as f64
-    }
-
-    /// Paper-scale feature volume in bytes (`vertices * dim * 4`).
-    pub fn paper_feature_bytes(&self) -> u64 {
-        self.vertices * self.feat_dim as u64 * 4
-    }
-}
-
 /// A dataset instantiated at some [`Scale`].
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -295,9 +283,9 @@ mod tests {
         let pa = DatasetKind::Papers.spec();
         assert_eq!(pa.vertices, 111_000_000);
         assert_eq!(pa.feat_dim, 128);
-        assert!((pa.train_fraction() - 0.0108).abs() < 0.001);
+        assert!((pa.train_set as f64 / pa.vertices as f64 - 0.0108).abs() < 0.001);
         // Paper: PA features = 53 GB; ours computes 56.8 GB (f32 x 128).
-        let gb = pa.paper_feature_bytes() as f64 / 1e9;
+        let gb = (pa.vertices * pa.feat_dim as u64 * 4) as f64 / 1e9;
         assert!(gb > 50.0 && gb < 60.0);
     }
 

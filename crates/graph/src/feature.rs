@@ -70,11 +70,6 @@ impl FeatureStore {
         (self.dim() * std::mem::size_of::<f32>()) as u64
     }
 
-    /// Total feature bytes for all vertices.
-    pub fn total_bytes(&self) -> u64 {
-        self.num_vertices() as u64 * self.row_bytes()
-    }
-
     /// The row-major `num_vertices x dim` feature data, if materialized.
     pub fn data(&self) -> Option<&[f32]> {
         match self {
@@ -94,7 +89,6 @@ mod tests {
         assert_eq!(f.num_vertices(), 10);
         assert_eq!(f.dim(), 128);
         assert_eq!(f.row_bytes(), 512);
-        assert_eq!(f.total_bytes(), 5120);
         assert!(f.data().is_none());
     }
 

@@ -106,11 +106,6 @@ impl Histogram {
         }
     }
 
-    /// Number of occupied buckets (memory footprint proxy).
-    pub fn bucket_count(&self) -> usize {
-        self.pos.len() + self.neg.len() + usize::from(self.zero > 0)
-    }
-
     /// The estimated `q`-quantile (`q` in `[0, 1]`), or `None` when
     /// empty. Relative error ≤ (γ-1)/(γ+1); estimates are clamped into
     /// the exact `[min, max]` envelope.
@@ -322,6 +317,7 @@ mod tests {
             h.observe(1.0 + (i % 1000) as f64);
         }
         // 1..=1000 spans ln(1000)/ln(1.05) ≈ 142 buckets.
-        assert!(h.bucket_count() < 200, "buckets {}", h.bucket_count());
+        let buckets = h.pos.len() + h.neg.len() + usize::from(h.zero > 0);
+        assert!(buckets < 200, "buckets {buckets}");
     }
 }

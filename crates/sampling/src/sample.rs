@@ -91,8 +91,10 @@ pub struct Sample {
     pub visit_list: Vec<VertexId>,
     /// Exact work counters.
     pub work: SampleWork,
-    /// Cache marks for `input_nodes` (set by the Sampler's `M` step when a
-    /// cache is configured): `true` = feature present in GPU cache.
+    /// Cache marks for `input_nodes`: `true` = feature present in GPU
+    /// cache. Only the perf harness's replay writes it (its `cache.mark`
+    /// step); the threaded Sampler runs no `M` step, and sampling resets
+    /// it to `None`.
     pub cache_mask: Option<Vec<bool>>,
 }
 

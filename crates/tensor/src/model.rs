@@ -188,13 +188,6 @@ impl GnnModel {
             p.zero_grad();
         }
     }
-
-    /// Total parameter element count.
-    pub fn num_parameters(&mut self) -> usize {
-        self.params_iter_mut()
-            .map(|p| p.value.rows() * p.value.cols())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +286,11 @@ mod tests {
         });
         // Layer dims: 10->20, 20->20, 20->5 plus biases.
         let expected = (10 * 20 + 20) + (20 * 20 + 20) + (20 * 5 + 5);
-        assert_eq!(gcn.num_parameters(), expected);
+        let count: usize = gcn
+            .params_iter_mut()
+            .map(|p| p.value.rows() * p.value.cols())
+            .sum();
+        assert_eq!(count, expected);
     }
 
     #[test]
