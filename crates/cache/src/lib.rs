@@ -4,8 +4,9 @@
 //! parameters: a **hotness metric** `h_v` (how often vertex `v` is expected
 //! to be sampled) and a **cache ratio** `α` (what fraction of vertices fit
 //! in GPU memory). [`load_cache`] materializes the top-`α|V|` vertices by
-//! hotness into a [`CacheTable`]; [`policy`] provides the four hotness
-//! metrics evaluated in the paper:
+//! hotness into a [`CacheTable`], and a smaller cache over the same map is
+//! that table's [`CacheTable::prefix`], cut without ranking again;
+//! [`policy`] provides the four hotness metrics evaluated in the paper:
 //!
 //! - `Random` — a random permutation (baseline),
 //! - `Degree` — vertex out-degree (PaGraph),
@@ -24,4 +25,4 @@ pub mod table;
 pub use metrics::{AtomicCacheStats, CacheStats};
 pub use policy::{CachePolicy, PolicyKind};
 pub use store::{CacheFill, CachedFeatureStore};
-pub use table::{load_cache, load_cache_topk, CacheTable};
+pub use table::{cache_rows, load_cache, load_cache_topk, CacheTable};

@@ -109,42 +109,29 @@ impl CachePolicy {
                 presample_work: SampleWork::default(),
                 presample_epochs: 0,
             },
-            PolicyKind::PreSC { k } => {
-                Self::sampled_hotness(csr, train_set, algo, batch_size, seed, 0, k, pool)
-            }
-            PolicyKind::Optimal { epochs } => {
-                // The oracle sees the *actual* epochs of the measured run.
-                // Training epochs start at index 0 with the same seed and
-                // the same per-batch RNG streams, so recording epochs
-                // 0..epochs reproduces the run's footprint exactly.
-                Self::sampled_hotness(csr, train_set, algo, batch_size, seed, 0, epochs, pool)
+            // PreSC pre-samples the run's first `k` epochs. The oracle
+            // sees the *actual* epochs of the measured run: training epochs
+            // start at index 0 with the same seed and the same per-batch
+            // RNG streams, so recording epochs 0..epochs reproduces the
+            // run's footprint exactly.
+            PolicyKind::PreSC { k: count } | PolicyKind::Optimal { epochs: count } => {
+                Self::sampled_hotness(csr, train_set, algo, batch_size, seed, count, pool)
             }
         }
     }
 
-    /// Runs `count` sampling-only epochs starting at `first_epoch` (fanned
-    /// across `pool`) and returns average visit counts.
-    #[expect(clippy::too_many_arguments)]
+    /// Runs `count` sampling-only epochs from epoch 0 (fanned across
+    /// `pool`) and returns average visit counts.
     fn sampled_hotness(
         csr: &Csr,
         train_set: &[VertexId],
         algo: &dyn SamplingAlgorithm,
         batch_size: usize,
         seed: u64,
-        first_epoch: u64,
         count: u32,
         pool: &ThreadPool,
     ) -> PolicyOutput {
-        let out = presample_epochs(
-            csr,
-            train_set,
-            algo,
-            batch_size,
-            seed,
-            first_epoch,
-            count,
-            pool,
-        );
+        let out = presample_epochs(csr, train_set, algo, batch_size, seed, count, pool);
         PolicyOutput {
             hotness: out.recorder.hotness(),
             presample_work: out.work,

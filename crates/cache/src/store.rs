@@ -49,19 +49,13 @@ pub struct CachedFeatureStore {
 
 impl CachedFeatureStore {
     /// Builds the store by copying the cached vertices' rows out of
-    /// `host` (the cache-fill step of preprocessing, Table 6 P2).
-    /// Fill and extraction run inline on the caller; see
-    /// [`CachedFeatureStore::with_pool`] to fan them across a pool.
+    /// `host` (the cache-fill step of preprocessing, Table 6 P2); fill
+    /// and extraction fan out across `pool`.
     ///
     /// # Panics
     ///
     /// Panics if `host` is virtual (no real rows to serve) or the table
     /// covers a different vertex count.
-    pub fn new(host: FeatureStore, table: CacheTable) -> Self {
-        Self::with_pool(host, table, Arc::new(ThreadPool::new(1)))
-    }
-
-    /// [`CachedFeatureStore::new`] with an explicit extraction pool.
     pub fn with_pool(host: FeatureStore, table: CacheTable, pool: Arc<ThreadPool>) -> Self {
         Self::shared_with_pool(Arc::new(host), table, pool).0
     }
@@ -78,7 +72,7 @@ impl CachedFeatureStore {
     ///
     /// # Panics
     ///
-    /// See [`CachedFeatureStore::new`].
+    /// See [`CachedFeatureStore::with_pool`].
     pub fn shared_with_pool(
         host: Arc<FeatureStore>,
         table: CacheTable,
@@ -181,7 +175,7 @@ impl CachedFeatureStore {
 fn host_rows(host: &FeatureStore) -> &[f32] {
     gnnlab_par::invariant!(
         host.data(),
-        "CachedFeatureStore::new requires materialized host features"
+        "a CachedFeatureStore requires materialized host features"
     )
 }
 
@@ -196,7 +190,7 @@ mod tests {
         let host = FeatureStore::materialized(6, 2, data);
         let hotness: Vec<f64> = (0..6).map(|v| v as f64).collect();
         let table = load_cache(&hotness, alpha, 6);
-        CachedFeatureStore::new(host, table)
+        CachedFeatureStore::with_pool(host, table, Arc::new(ThreadPool::new(1)))
     }
 
     #[test]
@@ -304,6 +298,6 @@ mod tests {
     fn virtual_host_is_rejected() {
         let host = FeatureStore::virtual_store(4, 2);
         let table = load_cache(&[1.0, 2.0, 3.0, 4.0], 0.5, 4);
-        let _ = CachedFeatureStore::new(host, table);
+        let _ = CachedFeatureStore::with_pool(host, table, Arc::new(ThreadPool::new(1)));
     }
 }

@@ -1,4 +1,9 @@
-//! The cache lookup table built by `load_cache`.
+//! The cache lookup table built by `load_cache`, and its prefixes.
+//!
+//! A table's slots follow one ranking, hottest first, so a smaller cache
+//! over the same hotness map is the top of that ranking:
+//! [`CacheTable::prefix`] cuts it without reading hotness again. A run
+//! that needs caches of several sizes ranks once and cuts each.
 
 use gnnlab_graph::VertexId;
 
@@ -19,18 +24,33 @@ pub struct CacheTable {
     location: Vec<u32>,
     /// Cached vertex ids in slot order.
     cached: Vec<VertexId>,
-    /// The cache ratio this table was built with.
-    alpha: f64,
 }
 
 impl CacheTable {
     /// An empty cache (alpha = 0); every lookup misses.
     pub fn empty(num_vertices: usize) -> Self {
-        CacheTable {
-            location: vec![NOT_CACHED; num_vertices],
-            cached: Vec::new(),
-            alpha: 0.0,
+        Self::ranked(num_vertices, Vec::new())
+    }
+
+    /// The table caching `cached`, `cached[i]` in slot `i`.
+    fn ranked(num_vertices: usize, cached: Vec<VertexId>) -> Self {
+        let mut location = vec![NOT_CACHED; num_vertices];
+        for (slot, &v) in cached.iter().enumerate() {
+            location[v as usize] = slot as u32;
         }
+        CacheTable { location, cached }
+    }
+
+    /// The table of this table's first `rows` vertices, in the same
+    /// slots: the cache a smaller budget would have loaded from the same
+    /// hotness map, since [`load_cache_topk`]'s order is total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > self.len()`.
+    pub fn prefix(&self, rows: usize) -> CacheTable {
+        assert!(rows <= self.len(), "a prefix cannot exceed its table");
+        Self::ranked(self.location.len(), self.cached[..rows].to_vec())
     }
 
     /// Whether `v`'s feature is resident in GPU memory.
@@ -60,9 +80,13 @@ impl CacheTable {
         self.cached.is_empty()
     }
 
-    /// The cache ratio `α` this table was built with.
+    /// The cache ratio `α`: cached rows over vertices (0 on an empty
+    /// graph).
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        match self.location.len() {
+            0 => 0.0,
+            n => self.cached.len() as f64 / n as f64,
+        }
     }
 
     /// Cached vertex ids in slot order.
@@ -85,7 +109,13 @@ impl CacheTable {
     }
 }
 
-/// Builds a [`CacheTable`] caching the top-`ceil(alpha * n)` vertices by
+/// The rows a cache ratio buys on `num_vertices` vertices:
+/// `ceil(alpha * n)`, at most `n`.
+pub fn cache_rows(alpha: f64, num_vertices: usize) -> usize {
+    ((alpha * num_vertices as f64).ceil() as usize).min(num_vertices)
+}
+
+/// Builds a [`CacheTable`] caching the top-[`cache_rows`] vertices by
 /// hotness (ties broken by lower vertex id, so results are deterministic).
 ///
 /// This is the paper's general caching scheme: any policy is "a hotness
@@ -100,14 +130,15 @@ pub fn load_cache(hotness: &[f64], alpha: f64, num_vertices: usize) -> CacheTabl
         alpha.is_finite() && (0.0..=1.0).contains(&alpha),
         "alpha must be in [0, 1]"
     );
-    let k = ((alpha * num_vertices as f64).ceil() as usize).min(num_vertices);
-    load_cache_topk(hotness, k, num_vertices)
+    load_cache_topk(hotness, cache_rows(alpha, num_vertices), num_vertices)
 }
 
 /// [`load_cache`] with an exact row budget instead of a ratio: caches the
 /// top-`k` vertices by hotness. Memory planners that derive the budget
 /// from a byte ledger use this so the table never exceeds the ledger by a
-/// rounding row; the recorded α is `k / num_vertices`.
+/// rounding row; its α is `k / num_vertices`. The ranking is by hotness
+/// descending, then id ascending — a total order, so a smaller budget's
+/// table is a [`CacheTable::prefix`] of a larger one's.
 ///
 /// # Panics
 ///
@@ -115,41 +146,22 @@ pub fn load_cache(hotness: &[f64], alpha: f64, num_vertices: usize) -> CacheTabl
 pub fn load_cache_topk(hotness: &[f64], k: usize, num_vertices: usize) -> CacheTable {
     assert_eq!(hotness.len(), num_vertices, "hotness map size mismatch");
     assert!(k <= num_vertices, "cache rows exceed the vertex count");
-    let alpha = if num_vertices == 0 {
-        0.0
-    } else {
-        k as f64 / num_vertices as f64
-    };
-    let mut table = CacheTable {
-        location: vec![NOT_CACHED; num_vertices],
-        cached: Vec::with_capacity(k),
-        alpha,
-    };
     if k == 0 {
-        return table;
+        return CacheTable::empty(num_vertices);
     }
+    let by_hotness = |&a: &u32, &b: &u32| {
+        gnnlab_par::invariant!(
+            hotness[b as usize].partial_cmp(&hotness[a as usize]),
+            "hotness scores are finite counts, never NaN"
+        )
+        .then(a.cmp(&b))
+    };
     let mut order: Vec<u32> = (0..num_vertices as u32).collect();
     // Partial selection of the top-k, then sort those for determinism.
-    order.select_nth_unstable_by(k - 1, |&a, &b| {
-        gnnlab_par::invariant!(
-            hotness[b as usize].partial_cmp(&hotness[a as usize]),
-            "hotness scores are finite counts, never NaN"
-        )
-        .then(a.cmp(&b))
-    });
+    order.select_nth_unstable_by(k - 1, by_hotness);
     let mut top: Vec<u32> = order[..k].to_vec();
-    top.sort_unstable_by(|&a, &b| {
-        gnnlab_par::invariant!(
-            hotness[b as usize].partial_cmp(&hotness[a as usize]),
-            "hotness scores are finite counts, never NaN"
-        )
-        .then(a.cmp(&b))
-    });
-    for (slot, &v) in top.iter().enumerate() {
-        table.location[v as usize] = slot as u32;
-        table.cached.push(v);
-    }
-    table
+    top.sort_unstable_by(by_hotness);
+    CacheTable::ranked(num_vertices, top)
 }
 
 #[cfg(test)]
@@ -203,6 +215,38 @@ mod tests {
         assert_eq!(t.cached_vertices(), &[1, 3, 2]);
         assert!((t.alpha() - 0.6).abs() < 1e-12);
         assert!(load_cache_topk(&hot, 0, 5).is_empty());
+    }
+
+    #[test]
+    fn a_smaller_budget_is_a_prefix_of_the_ranking() {
+        // Seven hotness levels over 240 vertices: every cut falls inside a
+        // run of ties, and the slices are long enough that the unstable
+        // selection and sort reorder ties unless the id breaks them.
+        let n = 240;
+        let hot: Vec<f64> = (0..n).map(|v| ((v * 37) % 7) as f64).collect();
+        let same = |a: &CacheTable, b: &CacheTable, at: &str| {
+            assert_eq!(a.cached_vertices(), b.cached_vertices(), "{at}");
+            for v in 0..n as VertexId {
+                assert_eq!(a.locate(v), b.locate(v), "{at}, v = {v}");
+            }
+            assert_eq!(a.alpha().to_bits(), b.alpha().to_bits(), "{at}");
+        };
+        let big = 180;
+        let full = load_cache_topk(&hot, big, n);
+        for k in 0..=big {
+            let cut = full.prefix(k);
+            same(&cut, &load_cache_topk(&hot, k, n), &format!("k = {k}"));
+            for j in [0, k / 3, k] {
+                let at = format!("k = {k}, j = {j}");
+                same(&cut.prefix(j), &full.prefix(j), &at);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix cannot exceed")]
+    fn prefix_rejects_more_rows_than_the_table() {
+        let _ = load_cache_topk(&[1.0, 2.0, 3.0], 2, 3).prefix(3);
     }
 
     #[test]

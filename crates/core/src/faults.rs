@@ -229,14 +229,6 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.stragglers.is_empty()
-            && self.transients.is_none()
-            && self.device_failures.is_empty()
-    }
-
     /// The crash scheduled for `(role, index)`, as `(crash slot in
     /// [`FaultPlan::crashes`], after_batches)`. The crash slot lets the
     /// runtime arm each crash exactly once across respawns.
@@ -307,7 +299,6 @@ mod tests {
     #[test]
     fn empty_plan_injects_nothing() {
         let p = FaultPlan::none();
-        assert!(p.is_empty());
         assert_eq!(p.max_respawns, 0);
         assert_eq!(p.crash_for(ExecutorRole::Trainer, 0), None);
         assert_eq!(p.slowdown(ExecutorRole::Sampler, 3), 1.0);

@@ -1,4 +1,6 @@
-//! Shared simulation context and helpers.
+//! Shared simulation context and helpers: a batch's cost inputs, and
+//! [`build_cache_table`], the one ranking a placement's caches come from
+//! (a standby's smaller cache is a prefix of it, cut in `Sim::plan`).
 
 use crate::systems::SystemKind;
 use crate::trace::BatchTrace;
@@ -102,38 +104,25 @@ impl<'a> SimContext<'a> {
 /// Builds the cache table for `policy` at cache ratio `alpha` on the
 /// workload's graph, running pre-sampling epochs if the policy requires
 /// them (PreSC uses epochs `0..K` — the same shuffles the training run
-/// itself sees first).
+/// itself sees first). At `alpha <= 0` the table is empty and nothing is
+/// sampled. A smaller cache over the same policy is this table's
+/// [`CacheTable::prefix`], so a run needing several ranks once.
 pub fn build_cache_table(workload: &Workload, policy: PolicyKind, alpha: f64) -> CacheTable {
-    cache_table(workload, policy, alpha, &mut None)
-}
-
-/// [`build_cache_table`] with the policy's hotness map kept in `hotness`:
-/// the first call with `alpha > 0` computes it, and later calls for the
-/// same workload and policy load their tables from it. At `alpha <= 0`
-/// the table is empty and nothing is sampled.
-pub(super) fn cache_table(
-    workload: &Workload,
-    policy: PolicyKind,
-    alpha: f64,
-    hotness: &mut Option<Vec<f64>>,
-) -> CacheTable {
     let n = workload.dataset.csr.num_vertices();
     if alpha <= 0.0 {
         return CacheTable::empty(n);
     }
-    let hotness = hotness.get_or_insert_with(|| {
-        let algo = workload.sampler(Kernel::FisherYates);
-        CachePolicy::hotness(
-            policy,
-            &workload.dataset.csr,
-            &workload.dataset.train_set,
-            algo.as_ref(),
-            workload.batch_size(),
-            workload.seed,
-        )
-        .hotness
-    });
-    load_cache(hotness, alpha, n)
+    let algo = workload.sampler(Kernel::FisherYates);
+    let hotness = CachePolicy::hotness(
+        policy,
+        &workload.dataset.csr,
+        &workload.dataset.train_set,
+        algo.as_ref(),
+        workload.batch_size(),
+        workload.seed,
+    )
+    .hotness;
+    load_cache(&hotness, alpha, n)
 }
 
 #[cfg(test)]

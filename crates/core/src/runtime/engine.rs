@@ -5,14 +5,14 @@
 //! faults, slowdowns, spans, metrics and the report are handled here
 //! once; nothing in this file knows which system it is simulating.
 
-use super::context::{cache_table, SimContext};
+use super::context::{build_cache_table, SimContext};
 use super::placement::{Assign, Link, Phase, Placement};
 use crate::faults::{ExecutorRole, FaultPlan};
 use crate::memory::{plan_gpu, Residency};
 use crate::report::{EpochReport, RunError, StageBreakdown};
 use crate::schedule::switch_profit;
 use crate::trace::{BatchTrace, EpochTrace};
-use gnnlab_cache::{CacheStats, CacheTable};
+use gnnlab_cache::{cache_rows, CacheStats, CacheTable};
 use gnnlab_obs::{names, Executor, Obs, Stage};
 use gnnlab_sim::{ns_to_secs, SimTime};
 
@@ -105,7 +105,7 @@ fn record_queue_depth(obs: &Obs, enqueues: &[(SimTime, usize)], dequeues: &[SimT
 
 impl<'a, 'c> Sim<'a, 'c> {
     /// Plans every phase's GPUs in order — each must fit — and builds
-    /// the cache tables from one hotness map (one pre-sampling pass under
+    /// the cache tables from one ranking (one pre-sampling pass under
     /// PreSC, however many tables).
     pub(super) fn plan(
         ctx: &'a SimContext<'c>,
@@ -113,15 +113,22 @@ impl<'a, 'c> Sim<'a, 'c> {
         p: &'a Placement,
     ) -> Result<Self, RunError> {
         let plan = |r| plan_gpu(&ctx.testbed, ctx.workload, p.system, r).map(|g| g.cache_alpha);
-        let mut hotness = None;
-        let mut table = |alpha| cache_table(ctx.workload, ctx.policy, alpha, &mut hotness);
         let mut alpha = 0.0;
         for phase in &p.phases {
             alpha = plan(phase.resident)?;
         }
         let cached = (p.phases.last()).is_some_and(|c| c.resident.holds(Residency::CACHE));
-        let cache = cached.then(|| table(alpha));
-        let standby = p.standby.and_then(|r| plan(r).ok()).map(table);
+        let cache = cached.then(|| build_cache_table(ctx.workload, ctx.policy, alpha));
+        // A standby's device keeps everything a Trainer's does and more,
+        // so its α is no larger: its table is the top of the Trainer's.
+        let n = ctx.workload.dataset.csr.num_vertices();
+        let standby = p.standby.and_then(|r| plan(r).ok()).map(|standby_alpha| {
+            let trainer = gnnlab_par::invariant!(
+                cache.as_ref(),
+                "a standby lane stands beside a cached consuming phase"
+            );
+            trainer.prefix(cache_rows(standby_alpha, n))
+        });
         Ok(Sim {
             ctx,
             trace,
@@ -465,12 +472,11 @@ pub fn run_epoch_with_cache(
     p: &Placement,
     cache: CacheTable,
 ) -> Result<EpochReport, RunError> {
-    let vertices = ctx.workload.dataset.csr.num_vertices();
     let sim = Sim {
         ctx,
         trace,
         p,
-        alpha: cache.len() as f64 / vertices.max(1) as f64,
+        alpha: cache.alpha(),
         cache: Some(cache),
         standby: None,
     };

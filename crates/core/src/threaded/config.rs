@@ -33,8 +33,8 @@ pub struct ThreadedConfig {
     /// allocate out of is derived from it, so dedicated Trainers land
     /// exactly on this ratio; standby Trainers get a strictly smaller
     /// cache per the §3 memory ledger: their device still holds topology
-    /// and the sampling workspace. Every cache ranks vertices by PreSC#1,
-    /// the paper's policy.
+    /// and the sampling workspace. Every cache is a cut of one PreSC#1
+    /// ranking, the paper's policy.
     pub cache_alpha: f64,
     /// Capacity of the bounded global queue: Samplers block once this many
     /// samples wait unconsumed (host-memory backpressure, §5.2).

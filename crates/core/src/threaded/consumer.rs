@@ -158,7 +158,7 @@ struct Consumer<'a> {
 
 impl<'a> Consumer<'a> {
     /// Pays the executor's start-up cost: replica init and the
-    /// span-instrumented cache fill at its role's planned row budget.
+    /// span-instrumented fill of its role's cut of the run's cache ranking.
     fn new(sh: &'a Shared<'a>, exec: usize, slot: usize, standby: bool) -> Self {
         // First, so a panic while loading releases it.
         let first_lease = FirstLease((!standby).then_some(sh));
@@ -166,13 +166,13 @@ impl<'a> Consumer<'a> {
         // A standby runs on its Sampler's device and inherits that
         // device's straggler factor; only dedicated Trainers take
         // injected Trainer crashes.
-        let (role, name, title, device, rows, fault_role, cell, series) = if standby {
+        let (role, name, title, device, table, fault_role, cell, series) = if standby {
             (
                 Executor::Standby,
                 "standby",
                 "Standby",
                 slot,
-                sh.plan.standby_rows,
+                sh.standby_table(),
                 ExecutorRole::Sampler,
                 &sh.t_standby,
                 names::SCHEDULER_EWMA_T_STANDBY,
@@ -183,7 +183,7 @@ impl<'a> Consumer<'a> {
                 "trainer",
                 "Trainer",
                 cfg.num_samplers + slot,
-                sh.plan.trainer_rows,
+                sh.trainer_table.clone(),
                 ExecutorRole::Trainer,
                 &sh.t_train,
                 names::SCHEDULER_EWMA_T_TRAIN,
@@ -191,7 +191,7 @@ impl<'a> Consumer<'a> {
         };
         let device = device as u32;
         let replica = new_model(sh.graph, sh.kind, cfg);
-        let (store, refresh_ns) = sh.build_store(rows, device, role);
+        let (store, refresh_ns) = sh.build_store(table, device, role);
         Consumer {
             sh,
             exec,

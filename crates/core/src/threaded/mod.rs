@@ -62,7 +62,8 @@
 //!   the result and report structs.
 //! * `shared` — the run state every executor borrows: the sample queue
 //!   and the Samplers' id queue, parameter server, live EWMAs, RNG stream
-//!   seeds, fault/recovery counters, cache-store construction.
+//!   seeds, fault/recovery counters, the run's one cache ranking and the
+//!   stores filled from its prefixes.
 //! * `snapshot` — checkpoints: the consumer whose batch makes a generation
 //!   due snapshots the parameter server and writes it; resume splices a
 //!   loaded generation back in.

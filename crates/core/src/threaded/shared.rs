@@ -1,6 +1,9 @@
 //! State every executor and the supervisor share for one run — the
 //! parameter server, the live stage-time EWMAs, per-executor RNG stream
-//! seeds, the fault/recovery counters — and the helpers built on it.
+//! seeds, the fault/recovery counters, the run's one cache ranking — and
+//! the helpers built on it. The ranking is made once, in [`Shared::new`];
+//! every executor-owned store's table is a prefix of it, so filling a
+//! store reads no hotness.
 
 use super::config::{
     ExecutorCacheReport, RecoveryReport, ThreadedConfig, ThreadedError, ThreadedErrorKind,
@@ -289,36 +292,33 @@ impl<'a> BatchClock<'a> {
 // Helpers.
 // ---------------------------------------------------------------------------
 
-/// A cache table of the `rows` hottest vertices (empty without a hotness
-/// map or rows to spend).
-pub(super) fn plan_table(hotness: Option<&Vec<f64>>, rows: usize, n: usize) -> CacheTable {
-    match hotness {
-        Some(h) if rows > 0 => load_cache_topk(h, rows, n),
-        _ => CacheTable::empty(n),
-    }
-}
-
 /// How much more extraction traffic the standby's planned cache misses
 /// relative to a dedicated Trainer's, estimated from the hotness mass
 /// each planned cache captures: `(1 + miss_s) / (1 + miss_t)` where
 /// `miss_r` is role r's expected miss fraction (hotness is proportional
-/// to expected visits, so captured mass approximates the hit rate).
-/// Always ≥ 1; exactly 1 with no hotness or equal shapes. Seeds the
+/// to expected visits, so captured mass approximates the hit rate). The
+/// masses are summed along `trainer_table`, the run's ranking of
+/// `hotness`, whose first `standby_rows` vertices are the standby's cache.
+/// Always ≥ 1; exactly 1 with no hotness mass or equal shapes. Seeds the
 /// standby `T_t'` estimate before any standby has run.
 pub(super) fn planned_miss_ratio(
-    hotness: Option<&Vec<f64>>,
-    trainer_rows: usize,
+    hotness: &[f64],
+    trainer_table: &CacheTable,
     standby_rows: usize,
 ) -> f64 {
-    let Some(h) = hotness else { return 1.0 };
-    let total: f64 = h.iter().sum();
+    let total: f64 = hotness.iter().sum();
     if total <= 0.0 {
         return 1.0;
     }
-    let mut sorted = h.clone();
-    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
-    let mass = |rows: usize| sorted.iter().take(rows).sum::<f64>() / total;
-    let miss_t = 1.0 - mass(trainer_rows);
+    let ranked = trainer_table.cached_vertices();
+    let mass = |rows: usize| {
+        ranked[..rows]
+            .iter()
+            .map(|&v| hotness[v as usize])
+            .sum::<f64>()
+            / total
+    };
+    let miss_t = 1.0 - mass(ranked.len());
     let miss_s = 1.0 - mass(standby_rows);
     ((1.0 + miss_s) / (1.0 + miss_t)).max(1.0)
 }
@@ -457,17 +457,15 @@ pub(super) struct Shared<'a> {
     /// The shared host feature tier every executor-owned store reads on a
     /// miss; materialized once per run.
     pub host_store: Arc<FeatureStore>,
-    /// Shared PreSC hotness map the per-executor tables rank by; `None`
-    /// when no planned role affords cache rows (α = 0 skips the pass).
-    pub hotness: Option<Vec<f64>>,
     /// The per-role cache rows (§3 capacity accounting): a Trainer's
     /// `cache_alpha` share; a standby's, less topology and the sampling
     /// workspace.
     pub plan: LiveCachePlan,
-    /// A dedicated Trainer's table: the `trainer_rows` hottest vertices,
-    /// the layout every Trainer's own store is built at. Held-out
-    /// evaluation fills its store from it, so its traffic is counted as a
-    /// Trainer's would be.
+    /// The run's one ranking of the PreSC hotness map, cut at a dedicated
+    /// Trainer's `trainer_rows`: every Trainer's store is built at this
+    /// table, a standby's at its prefix ([`Shared::standby_table`]).
+    /// Held-out evaluation fills its store from it, so its traffic is
+    /// counted as a Trainer's would be. Empty when α = 0 skips the pass.
     pub trainer_table: CacheTable,
     /// The data-parallel pool behind Extract and cache fills,
     /// [`ThreadedConfig::threads`] wide.
@@ -542,7 +540,7 @@ pub(super) struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    /// Plans memory, ranks the cache, and builds the run's shared state
+    /// Plans memory, ranks the cache once, and builds the run's shared state
     /// around `train_set` — everything short of spawning an executor.
     pub(super) fn new(
         graph: &'a SbmGraph,
@@ -572,18 +570,19 @@ impl<'a> Shared<'a> {
             .gauge_set(names::CACHE_TRAINER_ALPHA, alpha(plan.trainer_rows));
         obs.metrics
             .gauge_set(names::CACHE_STANDBY_ALPHA, alpha(plan.standby_rows));
-        // The shared hotness map every per-executor cache ranks by: PreSC#1,
+        // The hotness map every per-executor cache is cut from: PreSC#1,
         // the paper's policy, over the run's own epoch 0 — its shuffle, its
         // per-batch streams — so pre-sampling is that epoch's G step. It
         // fans out over `bookends` (the paper's Samplers amortise it, Table
         // 6 row P3); visit counts are integer sums, so the map is the same
         // at any width. The first batches' samples are kept for the
         // Samplers to enqueue, as many as a full queue holds. Skipped when
-        // no planned role affords a single cache row: the α = 0 path used
-        // to pay a full pre-sampling epoch for a cache nothing would ever
-        // populate.
+        // a Trainer affords no cache row — nor does a standby then, which
+        // never gets more rows than a Trainer (`plan_live_run`): the α = 0
+        // path used to pay a full pre-sampling epoch for a cache nothing
+        // would ever populate.
         let shuffle_seed = stream_seed(cfg.seed, StreamRole::Shuffle, 0);
-        let presampled = (plan.trainer_rows > 0 || plan.standby_rows > 0).then(|| {
+        let presampled = (plan.trainer_rows > 0).then(|| {
             let mut order = Vec::new();
             MinibatchIter::shuffle_into(train_set, shuffle_seed, 0, &mut order);
             presample_epoch(
@@ -601,18 +600,20 @@ impl<'a> Shared<'a> {
         // that enqueues kept samples records none of its own, and without
         // one a switch decision would read `T_t ≈ T_s` as zero.
         let t_sample = AtomicEwma::new();
-        let (hotness, presampled) = match presampled {
+        let ((trainer_table, standby_miss_ratio), presampled) = match presampled {
             Some(p) => {
                 let secs = p.sample_ns as f64 / 1e9 / batches_per_epoch.max(1) as f64;
                 let est = t_sample.update(secs);
                 obs.metrics
                     .sample(names::SCHEDULER_EWMA_T_SAMPLE, obs.now_ns(), est);
-                (
-                    Some(p.recorder.hotness()),
-                    p.kept.into_iter().map(Some).collect(),
-                )
+                // The run's one ranking (`load_cache`, §6.1): every store's
+                // table is a prefix of it.
+                let hotness = p.recorder.hotness();
+                let table = load_cache_topk(&hotness, plan.trainer_rows, n);
+                let miss_ratio = planned_miss_ratio(&hotness, &table, plan.standby_rows);
+                ((table, miss_ratio), p.kept.into_iter().map(Some).collect())
             }
-            None => (None, Vec::new()),
+            None => ((CacheTable::empty(n), 1.0), Vec::new()),
         };
         Shared {
             cfg,
@@ -630,13 +631,8 @@ impl<'a> Shared<'a> {
                 graph.feat_dim,
                 graph.features.clone(),
             )),
-            standby_miss_ratio: planned_miss_ratio(
-                hotness.as_ref(),
-                plan.trainer_rows,
-                plan.standby_rows,
-            ),
-            trainer_table: plan_table(hotness.as_ref(), plan.trainer_rows, n),
-            hotness,
+            standby_miss_ratio,
+            trainer_table,
             plan,
             pool,
             bookends,
@@ -779,18 +775,22 @@ impl Shared<'_> {
         (store, (started.elapsed().as_nanos() as u64).max(1))
     }
 
+    /// A standby's table: the top `standby_rows` of the run's ranking.
+    pub(super) fn standby_table(&self) -> CacheTable {
+        self.trainer_table.prefix(self.plan.standby_rows)
+    }
+
     /// The span-instrumented cache-refresh stage: fills a fresh
-    /// executor-owned store with its planned `rows` hottest feature rows,
-    /// measuring the cost into the `cache.refresh_ns` histogram and the
-    /// refresh EWMA that amortizes into the `T_t'` seed. Returns the
-    /// store and its measured refresh nanoseconds.
+    /// executor-owned store with `table`'s feature rows, measuring the
+    /// fill alone into the `cache.refresh_ns` histogram and the refresh
+    /// EWMA that amortizes into the `T_t'` seed. Returns the store and its
+    /// measured refresh nanoseconds.
     pub(super) fn build_store(
         &self,
-        rows: usize,
+        table: CacheTable,
         device: u32,
         role: Executor,
     ) -> (CachedFeatureStore, u64) {
-        let table = plan_table(self.hotness.as_ref(), rows, self.graph.csr.num_vertices());
         let (store, ns) = {
             let _g = self
                 .obs

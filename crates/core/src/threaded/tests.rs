@@ -5,9 +5,10 @@ use super::shared::{stream_seed, untrained_ids, Shared, StreamRole};
 use super::*;
 use crate::checkpoint::{self, BatchRecord, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
+use gnnlab_cache::load_cache_topk;
 use gnnlab_graph::gen::{sbm, SbmParams};
 use gnnlab_obs::names;
-use gnnlab_sampling::{presample_rng, MinibatchIter, SampleWork};
+use gnnlab_sampling::{presample_epoch, presample_rng, MinibatchIter, SampleWork};
 use std::time::{Duration, Instant};
 
 fn graph() -> SbmGraph {
@@ -709,21 +710,76 @@ fn presampling_is_identical_at_every_fleet_width() {
         };
         let shared = Shared::new(&g, ModelKind::Gcn, &cfg, &obs, &train);
         assert_eq!(shared.bookends.threads(), num_samplers + num_trainers);
-        let bits = shared
-            .hotness
-            .as_ref()
-            .map(|h| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        // The ranking, and the standby's share of the hotness mass, which
+        // `planned_miss_ratio` sums along it.
         let table = shared.trainer_table.cached_vertices().to_vec();
-        (bits, table, kept_fields(&shared))
+        let miss_ratio = shared.standby_miss_ratio.to_bits();
+        (table, miss_ratio, kept_fields(&shared))
     };
     let narrow = build(1, 1, 0.3);
-    assert!(narrow.0.as_ref().is_some_and(|h| h.iter().any(|&b| b != 0)));
-    assert!(!narrow.1.is_empty());
+    assert!(!narrow.0.is_empty());
+    assert!(f64::from_bits(narrow.1) > 1.0);
     assert_eq!(narrow.2.len(), 12);
     assert_eq!(build(2, 1, 0.3), narrow);
     assert_eq!(build(2, 4, 0.3), narrow);
     // No cache row to rank for: the pass is skipped at any width.
-    assert_eq!(build(2, 4, 0.0), (None, Vec::new(), Vec::new()));
+    assert_eq!(build(2, 4, 0.0), (Vec::new(), 1f64.to_bits(), Vec::new()));
+}
+
+/// Every store's table is a cut of the run's one ranking: a Trainer's
+/// and a standby's equal, slot for slot, what a fresh `load_cache_topk`
+/// at their row budgets makes of the hotness `Shared::new` ranked.
+#[test]
+fn every_store_table_is_a_fresh_top_of_the_same_hotness() {
+    // Wide rows, so a standby affords cache rows beside the topology.
+    let g = sbm(&SbmParams {
+        num_vertices: 600,
+        num_classes: 4,
+        avg_degree: 10.0,
+        intra_prob: 0.9,
+        feat_dim: 256,
+        noise: 0.6,
+        seed: 3,
+    })
+    .unwrap();
+    let (n, kind) = (g.csr.num_vertices(), ModelKind::Gcn);
+    let (train, _) = split(n, 4);
+    let cfg = ThreadedConfig {
+        batch_size: 25,
+        cache_alpha: 0.3,
+        seed: 4,
+        ..Default::default()
+    };
+    let shared = Shared::new(&g, kind, &cfg, &Arc::new(Obs::wall()), &train);
+    let plan = shared.plan;
+    assert!(
+        0 < plan.standby_rows && plan.standby_rows < plan.trainer_rows,
+        "{plan:?}"
+    );
+    // The run's epoch 0, as pre-sampling draws it.
+    let mut order = Vec::new();
+    MinibatchIter::shuffle_into(&train, shared.shuffle_seed, 0, &mut order);
+    let algo = sampler_for(kind);
+    let pool = ThreadPool::new(1);
+    let pass = presample_epoch(&g.csr, &order, algo.as_ref(), 25, cfg.seed, 0, 0, &pool);
+    let hotness = pass.recorder.hotness();
+    for (table, rows) in [
+        (shared.trainer_table.clone(), plan.trainer_rows),
+        (shared.standby_table(), plan.standby_rows),
+    ] {
+        let fresh = load_cache_topk(&hotness, rows, n);
+        assert_eq!(
+            table.cached_vertices(),
+            fresh.cached_vertices(),
+            "{rows} rows"
+        );
+        assert!((0..n as VertexId).all(|v| table.locate(v) == fresh.locate(v)));
+        assert_eq!(
+            table.alpha().to_bits(),
+            fresh.alpha().to_bits(),
+            "{rows} rows"
+        );
+    }
 }
 
 /// Pre-sampling draws the run's own epoch 0: each kept sample is, field

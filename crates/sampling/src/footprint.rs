@@ -128,23 +128,21 @@ impl PresampleOutput {
     }
 }
 
-/// Runs `epochs` sampling-only epochs starting at `first_epoch`, each
-/// shuffled by `(seed, epoch)` and sampled by [`presample_epoch`]. The
-/// result is bit-identical at every thread count.
-#[expect(clippy::too_many_arguments)]
+/// Runs sampling-only epochs `0..epochs`, each shuffled by `(seed,
+/// epoch)` and sampled by [`presample_epoch`] — a training run's first
+/// epochs. The result is bit-identical at every thread count.
 pub fn presample_epochs(
     csr: &Csr,
     train_set: &[VertexId],
     algo: &dyn SamplingAlgorithm,
     batch_size: usize,
     seed: u64,
-    first_epoch: u64,
     epochs: u32,
     pool: &ThreadPool,
 ) -> PresampleOutput {
     let mut out = PresampleOutput::empty(csr.num_vertices());
     let mut order = Vec::new();
-    for epoch in first_epoch..first_epoch + u64::from(epochs) {
+    for epoch in 0..u64::from(epochs) {
         MinibatchIter::shuffle_into(train_set, seed, epoch, &mut order);
         out.absorb(presample_epoch(
             csr, &order, algo, batch_size, seed, epoch, 0, pool,
@@ -333,7 +331,7 @@ mod tests {
         let train: Vec<VertexId> = (0..120).collect();
         let run = |threads: usize| {
             let pool = ThreadPool::new(threads);
-            presample_epochs(&g, &train, &algo, 32, 7, 0, 3, &pool)
+            presample_epochs(&g, &train, &algo, 32, 7, 3, &pool)
         };
         let base = run(1);
         assert_eq!(base.recorder.epochs(), 3);

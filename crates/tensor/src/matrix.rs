@@ -581,11 +581,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Frobenius norm (used in gradient tests).
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]
