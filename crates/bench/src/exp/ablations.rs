@@ -35,7 +35,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Ablation: Trainer pipelining on/off (GCN on PA, 2S6T).
 fn pipelining(gcn_pa: &mut Recorded) -> Table {
-    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
+    let (ctx, epoch) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: Extract/Train pipelining (GCN on PA, 2S6T)",
         &["Pipelining", "Epoch (s)"],
@@ -44,7 +44,7 @@ fn pipelining(gcn_pa: &mut Recorded) -> Table {
         let mut opts = FactoredOptions::new(2, 6);
         opts.pipelining = on;
         opts.enable_switching = false;
-        let rep = run_factored_epoch_opts(&ctx, trace, &opts).expect("PA fits");
+        let rep = run_factored_epoch_opts(&ctx, &epoch, &opts).expect("PA fits");
         table.row(vec![label.to_string(), secs(rep.epoch_time)]);
     }
     table
@@ -53,7 +53,7 @@ fn pipelining(gcn_pa: &mut Recorded) -> Table {
 /// Ablation: one Trainer contended 4× (multi-tenant cluster, §5.3), with
 /// and without dynamic switching absorbing the straggler.
 fn multitenant(gcn_pa: &mut Recorded) -> Table {
-    let (ctx, trace) = gcn_pa.cell(SystemKind::GnnLab, 8);
+    let (ctx, epoch) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: contended Trainer (4x slower) in a shared cluster (GCN on PA, 2S6T)",
         &["Scenario", "Epoch (s)", "Switched batches"],
@@ -68,7 +68,7 @@ fn multitenant(gcn_pa: &mut Recorded) -> Table {
         let mut opts = FactoredOptions::new(2, 6);
         opts.faults = faults;
         opts.enable_switching = ds;
-        let rep = run_factored_epoch_opts(&ctx, trace, &opts).expect("PA fits");
+        let rep = run_factored_epoch_opts(&ctx, &epoch, &opts).expect("PA fits");
         table.row(vec![
             label.to_string(),
             secs(rep.epoch_time),

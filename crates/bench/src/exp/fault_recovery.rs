@@ -11,7 +11,7 @@ use crate::exp::Recorded;
 use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch_opts, FactoredOptions, SimContext};
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::trace::Epoch;
 use gnnlab_core::{FaultPlan, SystemKind};
 use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
@@ -21,7 +21,7 @@ const NT: usize = 3;
 
 fn run_with_failure(
     ctx: &SimContext<'_>,
-    trace: &EpochTrace,
+    epoch: &dyn Epoch,
     seed: u64,
     fail: Option<(u64, usize)>,
 ) -> Result<gnnlab_core::EpochReport, gnnlab_core::RunError> {
@@ -32,18 +32,18 @@ fn run_with_failure(
             .with_device_failure(at_ns, device),
         None => FaultPlan::none().with_seed(seed),
     };
-    run_factored_epoch_opts(ctx, trace, &opts)
+    run_factored_epoch_opts(ctx, epoch, &opts)
 }
 
 /// GraphSAGE on PR, 1 Sampler + 3 Trainers: kill one device at three
 /// points of the epoch and report the recovery cost.
 pub fn run(cfg: &ExpConfig) -> Table {
     let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Products, cfg);
-    let (ctx, trace) = w.cell(SystemKind::GnnLab, NS + NT);
+    let (ctx, epoch) = w.cell(SystemKind::GnnLab, NS + NT);
     let ctx = ctx.with_obs(cfg.obs());
 
     cfg.begin_run("fault_recovery healthy");
-    let healthy = run_with_failure(&ctx, trace, cfg.seed, None).expect("healthy baseline runs");
+    let healthy = run_with_failure(&ctx, &epoch, cfg.seed, None).expect("healthy baseline runs");
 
     let mut table = Table::new(
         format!(
@@ -72,7 +72,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         for &frac in fractions {
             let at_ns = (healthy.epoch_time * frac * 1e9) as u64;
             cfg.begin_run(&format!("fault_recovery {label} @{:.0}%", frac * 100.0));
-            match run_with_failure(&ctx, trace, cfg.seed, Some((at_ns, device))) {
+            match run_with_failure(&ctx, &epoch, cfg.seed, Some((at_ns, device))) {
                 Ok(r) => table.row(vec![
                     label.to_string(),
                     format!("{:.0}%", frac * 100.0),

@@ -6,7 +6,7 @@ use crate::exp::{cache_stats_on_trace, dataset, transferred_bytes_paper, workloa
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::build_cache_table;
+use gnnlab_core::runtime::{build_cache_table, Rankings};
 use gnnlab_core::Workload;
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::{AlgorithmKind, Kernel};
@@ -22,6 +22,7 @@ fn run_a(cfg: &ExpConfig) -> Table {
     let mut w = Recorded::new(w);
     // Measurement epoch 5: outside every pre-sampling window (K <= 3).
     let (w, trace) = w.trace(Kernel::FisherYates, 5);
+    let rankings = Rankings::default();
     let mut table = Table::new(
         "Fig. 11a: PreSC#K on Twitter (weighted sampling): hit rate vs cache ratio",
         &[
@@ -43,7 +44,7 @@ fn run_a(cfg: &ExpConfig) -> Table {
     for alpha in [0.05, 0.10, 0.20] {
         let mut row = vec![pct(alpha)];
         for policy in policies {
-            let cache = build_cache_table(w, policy, alpha);
+            let cache = rankings.table(w, policy, alpha);
             row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);
@@ -55,6 +56,7 @@ fn run_a(cfg: &ExpConfig) -> Table {
 fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
     let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
     let (w, trace) = w.trace(Kernel::FisherYates, 2);
+    let rankings = Rankings::default();
     let mut table = Table::new(
         "Fig. 11b: hit rate vs cache ratio, OGB-Papers, 3-hop uniform",
         &["Cache ratio", "Random", "Degree", "PreSC#1", "Optimal"],
@@ -62,7 +64,7 @@ fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
     for alpha in [0.01, 0.03, 0.05, 0.10, 0.15, 0.20, 0.30] {
         let mut row = vec![pct(alpha)];
         for policy in super::fig10::POLICIES {
-            let cache = build_cache_table(w, policy, alpha);
+            let cache = rankings.table(w, policy, alpha);
             row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);

@@ -31,8 +31,8 @@ pub(crate) fn gnnlab_with_policy(
     w: &mut Recorded,
     policy: PolicyKind,
 ) -> Result<EpochReport, RunError> {
-    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
-    run_system_on(&ctx.with_policy(policy), trace)
+    let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
+    run_system_on(&ctx.with_policy(policy), &epoch)
 }
 
 /// Figs. 12 and 13 are two readings of one sweep — the four workload

@@ -29,12 +29,15 @@ fn sweep(ds: DatasetKind, title: &str, cfg: &ExpConfig) -> Table {
         for system in [SystemKind::DglLike, SystemKind::TSota] {
             row.push(cell(&w.run_system(system, gpus), epoch));
         }
-        let (ctx, trace) = w.cell(SystemKind::GnnLab, gpus);
+        let (ctx, gnnlab) = w.cell(SystemKind::GnnLab, gpus);
         for ns in 1..=3usize {
             row.push(if ns >= gpus {
                 "-".to_string()
             } else {
-                cell(&run_factored_epoch(&ctx, trace, ns, gpus - ns, true), epoch)
+                cell(
+                    &run_factored_epoch(&ctx, &gnnlab, ns, gpus - ns, true),
+                    epoch,
+                )
             });
         }
         table.row(row);

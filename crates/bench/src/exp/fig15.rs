@@ -14,14 +14,14 @@ use gnnlab_tensor::ModelKind;
 /// m+n ≤ 8, plus the allocation the rule of §5.3 picks.
 pub fn run(cfg: &ExpConfig) -> Table {
     let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
-    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
+    let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Fig. 15: GNNLab epoch time (s), GCN on PA, by (mS, nT)",
         &["Config", "Sample S", "Extract E", "Train T", "Epoch"],
     );
     for m in 1..=3usize {
         for n in 1..=(8 - m) {
-            let rep = run_factored_epoch(&ctx, trace, m, n, false).expect("PA fits");
+            let rep = run_factored_epoch(&ctx, &epoch, m, n, false).expect("PA fits");
             table.row(vec![
                 format!("{m}S{n}T"),
                 secs(rep.stages.sample_total()),
@@ -32,7 +32,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
         }
     }
     // The engine's own choice on the full machine.
-    let ns = run_system_on(&ctx, trace).expect("PA fits").num_samplers;
+    let ns = run_system_on(&ctx, &epoch).expect("PA fits").num_samplers;
     table.row(vec![
         format!("rule picks {ns}S{}T", 8 - ns),
         String::new(),

@@ -6,13 +6,13 @@ use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
 use gnnlab_core::SystemKind;
-use gnnlab_graph::DatasetKind;
+use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_tensor::ModelKind;
 
 /// Fig. 17a: PinSAGE on PA, 1 Sampler, n Trainers, switching on/off.
-pub fn run_a(cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Papers, cfg);
-    let (ctx, trace) = w.cell(SystemKind::GnnLab, 8);
+fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
+    let mut w = Recorded::new(workload_on(ModelKind::PinSage, papers.clone(), cfg));
+    let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
     let ctx = ctx.with_obs(cfg.obs());
     let mut table = Table::new(
         "Fig. 17a: PinSAGE on PA, 1 Sampler: dynamic switching on/off",
@@ -20,9 +20,9 @@ pub fn run_a(cfg: &ExpConfig) -> Table {
     );
     for n in 1..=6usize {
         cfg.begin_run(&format!("fig17a 1S{n}T w/o DS"));
-        let without = run_factored_epoch(&ctx, trace, 1, n, false).expect("PA fits");
+        let without = run_factored_epoch(&ctx, &epoch, 1, n, false).expect("PA fits");
         cfg.begin_run(&format!("fig17a 1S{n}T w/ DS"));
-        let with = run_factored_epoch(&ctx, trace, 1, n, true).expect("PA fits");
+        let with = run_factored_epoch(&ctx, &epoch, 1, n, true).expect("PA fits");
         table.row(vec![
             n.to_string(),
             secs(without.epoch_time),
@@ -34,19 +34,19 @@ pub fn run_a(cfg: &ExpConfig) -> Table {
 }
 
 /// Fig. 17b: one GPU, GCN on all datasets: DGL vs T_SOTA vs GNNLab.
-pub fn run_b(cfg: &ExpConfig) -> Table {
+fn run_b(cfg: &ExpConfig, datasets: [Dataset; 4]) -> Table {
     let mut table = Table::new(
         "Fig. 17b: epoch time (s) on a single GPU, GCN",
         &["Dataset", "DGL", "T_SOTA", "GNNLab"],
     );
-    for dataset in datasets(cfg) {
+    for dataset in datasets {
         let ds = dataset.spec.kind;
         let mut w = Recorded::new(workload_on(ModelKind::Gcn, dataset, cfg));
         let mut row = vec![ds.abbrev().to_string()];
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             cfg.begin_run(&format!("fig17b {} {}", ds.abbrev(), system.label()));
-            let (ctx, trace) = w.cell(system, 1);
-            let report = run_system_on(&ctx.with_obs(cfg.obs()), trace);
+            let (ctx, epoch) = w.cell(system, 1);
+            let report = run_system_on(&ctx.with_obs(cfg.obs()), &epoch);
             row.push(cell(&report, |r| secs(r.epoch_time)));
         }
         table.row(row);
@@ -54,14 +54,18 @@ pub fn run_b(cfg: &ExpConfig) -> Table {
     table
 }
 
-/// Both panels.
+/// Both panels, over one instance of each dataset.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    vec![run_a(cfg), run_b(cfg)]
+    let datasets = datasets(cfg);
+    let papers = datasets.iter().find(|d| d.spec.kind == DatasetKind::Papers);
+    let a = run_a(cfg, gnnlab_par::invariant!(papers, "Table 3 lists PA"));
+    vec![a, run_b(cfg, datasets)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::dataset;
     use gnnlab_graph::Scale;
 
     fn config() -> ExpConfig {
@@ -74,7 +78,8 @@ mod tests {
 
     #[test]
     fn switching_gain_shrinks_as_trainers_grow() {
-        let t = run_a(&config());
+        let cfg = config();
+        let t = run_a(&cfg, &dataset(DatasetKind::Papers, &cfg));
         let gain = |r: usize| -> f64 {
             let without: f64 = t.rows[r][1].parse().unwrap();
             let with: f64 = t.rows[r][2].parse().unwrap();
@@ -91,7 +96,8 @@ mod tests {
 
     #[test]
     fn single_gpu_gnnlab_wins_off_products() {
-        let t = run_b(&config());
+        let cfg = config();
+        let t = run_b(&cfg, datasets(&cfg));
         for row in &t.rows {
             let ds = &row[0];
             let gnnlab: f64 = row[3].parse().unwrap();

@@ -22,7 +22,7 @@ const GB: f64 = 1e9;
 /// §3 motivation setting).
 fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
     let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
-    let (ctx, trace) = w.cell(SystemKind::TSota, 1);
+    let (ctx, epoch) = w.cell(SystemKind::TSota, 1);
     let gpu = Placement::timeshare(SystemKind::TSota, 1).expect("T_SOTA time-shares");
     let mut table = Table::new(
         "Fig. 4a: cache ratio sweep, GCN on OGB-Papers (Degree policy)",
@@ -30,7 +30,7 @@ fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
     );
     for alpha in [0.0, 0.02, 0.05, 0.07, 0.10, 0.14, 0.21, 0.30] {
         let cache = build_cache_table(ctx.workload, PolicyKind::Degree, alpha);
-        let rep = run_epoch_with_cache(&ctx, trace, &gpu, cache).expect("nothing is planned");
+        let rep = run_epoch_with_cache(&ctx, &epoch, &gpu, cache).expect("nothing is planned");
         table.row(vec![
             pct(alpha),
             pct(rep.hit_rate),

@@ -9,7 +9,7 @@ use crate::exp::{transferred_bytes_paper, Recorded};
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::build_cache_table;
+use gnnlab_core::runtime::Rankings;
 use gnnlab_core::Workload;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
@@ -18,13 +18,14 @@ use gnnlab_tensor::ModelKind;
 fn sweep(w: Workload, title: &str) -> Table {
     let mut w = Recorded::new(w);
     let (w, trace) = w.trace(Kernel::FisherYates, 2);
+    let rankings = Rankings::default();
     let mut table = Table::new(
         title,
         &["Cache ratio", "Degree", "Optimal", "Degree/Optimal"],
     );
     for alpha in [0.01, 0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30] {
-        let deg = build_cache_table(w, PolicyKind::Degree, alpha);
-        let opt = build_cache_table(w, PolicyKind::Optimal { epochs: 3 }, alpha);
+        let deg = rankings.table(w, PolicyKind::Degree, alpha);
+        let opt = rankings.table(w, PolicyKind::Optimal { epochs: 3 }, alpha);
         let deg_bytes = transferred_bytes_paper(w, trace, &deg);
         let opt_bytes = transferred_bytes_paper(w, trace, &opt);
         let ratio = if opt_bytes > 0.0 {

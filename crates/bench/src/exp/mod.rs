@@ -8,17 +8,23 @@
 //!
 //! Every co-simulated cell of every table goes through one door:
 //!
-//! 1. `datasets` / `dataset` instantiate each graph a table uses once;
-//!    `workload_on` builds the table's workloads over clones.
-//! 2. A `Recorded` owns its workload's epoch traces, one per distinct
-//!    (kernel, epoch), recorded on first use. `Recorded::cell` hands out
-//!    the `SimContext` for a system and GPU count together with the trace
-//!    that system's kernel draws.
+//! 1. `datasets` / `dataset` instantiate each graph a table uses once
+//!    (`datasets` generates the four concurrently); `workload_on` builds
+//!    the table's workloads over clones.
+//! 2. A `Recorded` owns its workload's epoch slots, one per distinct
+//!    (kernel, epoch), and its cache `Rankings`, one per policy.
+//!    `Recorded::cell` hands out the `SimContext` for a system and GPU
+//!    count (carrying the rankings) together with a `LazyEpoch` over the
+//!    slot that system's kernel draws. Nothing is recorded yet.
 //! 3. The pair goes to `gnnlab_core::runtime`: `run_system_on` when the
 //!    engine is to pick the placement (time-sharing baselines, GNNLab's
-//!    allocation rule, the solo GPU; `Recorded::run_system` is that call), `run_factored_epoch` / `run_epoch`
-//!    when the table pins one, `run_epoch_with_cache` when it forces a
-//!    cache ratio. Nothing here costs a stage or plans a GPU itself.
+//!    allocation rule, the solo GPU; `Recorded::run_system` is that
+//!    call), `run_factored_epoch` / `run_epoch` when the table pins one,
+//!    `run_epoch_with_cache` when it forces a cache ratio. The runtime
+//!    plans the placement first and asks for the epoch only if every
+//!    GPU fits, so an `OOM` or `x` cell records nothing; a planned cache
+//!    is a prefix of the policy's ranking, pre-sampled once per
+//!    workload. Nothing here costs a stage or plans a GPU itself.
 //! 4. `table::cell` turns the `Result<EpochReport, RunError>` into text:
 //!    the table's reading of the report, or `OOM` / `x` / `LOST`.
 //!
@@ -50,12 +56,15 @@ pub mod table6;
 use crate::{ExpConfig, Table};
 use gnnlab_cache::{CacheStats, CacheTable};
 use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::{run_system_on, SimContext};
-use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::runtime::{run_system_on, Rankings, SimContext};
+use gnnlab_core::trace::{EpochTrace, LazyEpoch};
 use gnnlab_core::{SystemKind, Workload};
 use gnnlab_graph::{Dataset, DatasetKind};
+use gnnlab_par::sync::{AtomicUsize, Ordering};
 use gnnlab_sampling::Kernel;
 use gnnlab_tensor::ModelKind;
+use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// One entry of [`EXPERIMENTS`].
 pub struct Experiment {
@@ -156,9 +165,25 @@ pub(crate) fn dataset(kind: DatasetKind, cfg: &ExpConfig) -> Dataset {
 /// The four datasets of Table 3, in table order. A table that sweeps models
 /// or algorithms instantiates them once and builds each workload over a
 /// clone: cloning a CSR is a `memcpy`, generating one draws and sorts every
-/// edge again.
+/// edge again. They generate concurrently on [`gnnlab_par::host_pool`],
+/// each worker taking the next kind left from the back of Table 3 (it
+/// lists them by growing edge count, so the slowest starts first).
+/// Generation uses no pool itself and is a pure function of
+/// `(kind, scale, seed)`, so each graph is the one [`dataset`] makes.
 pub(crate) fn datasets(cfg: &ExpConfig) -> [Dataset; 4] {
-    DatasetKind::ALL.map(|kind| dataset(kind, cfg))
+    let kinds = DatasetKind::ALL;
+    let slots = kinds.map(|_| OnceLock::new());
+    let taken = AtomicUsize::new(0);
+    let pool = gnnlab_par::host_pool();
+    pool.run_ranges(pool.partitions(kinds.len()), |_, _| {
+        while let Some(i) = kinds
+            .len()
+            .checked_sub(1 + taken.fetch_add(1, Ordering::Relaxed))
+        {
+            slots[i].get_or_init(|| dataset(kinds[i], cfg));
+        }
+    });
+    slots.map(|s| gnnlab_par::invariant!(s.into_inner(), "every kind generates once"))
 }
 
 /// What [`Workload::new`] builds, over an already instantiated dataset.
@@ -167,13 +192,17 @@ pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -
     Workload::with_dataset(model, dataset, classes, cfg.seed)
 }
 
-/// A workload and the epoch traces recorded for it so far: one per distinct
-/// (kernel, epoch), recorded the first time a cell needs it. T_SOTA, GNNLab
-/// and PyG all draw with Fisher–Yates, so a row of systems, a GPU sweep or
-/// a policy sweep over one workload records twice at most.
+/// A workload, the epoch traces recorded for it so far and its cache
+/// rankings. A trace is kept per distinct (kernel, epoch) and recorded the
+/// first time a planned cell asks for it: T_SOTA, GNNLab and PyG all draw
+/// with Fisher–Yates, so a row of systems, a GPU sweep or a policy sweep
+/// over one workload records twice at most, and a cell that does not fit
+/// records nothing. A ranking is kept per policy, so every placement's
+/// cache is a prefix of one pre-sampling pass.
 pub(crate) struct Recorded {
     pub workload: Workload,
-    traces: Vec<(Kernel, u64, EpochTrace)>,
+    traces: Vec<(Kernel, u64, OnceCell<EpochTrace>)>,
+    rankings: Rankings,
 }
 
 impl Recorded {
@@ -181,6 +210,7 @@ impl Recorded {
         Recorded {
             workload,
             traces: Vec::new(),
+            rankings: Rankings::default(),
         }
     }
 
@@ -190,31 +220,49 @@ impl Recorded {
         Self::new(Workload::new(model, kind, cfg.scale, cfg.seed))
     }
 
-    /// The workload's epoch `epoch` as `kernel` draws it.
-    pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
-        let Recorded { workload, traces } = self;
-        let held = traces.iter().position(|t| (t.0, t.1) == (kernel, epoch));
+    /// The workload, its epoch `epoch` as `kernel` draws it (recorded on
+    /// first use) and its rankings.
+    fn parts(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, LazyEpoch<'_>, &Rankings) {
+        let held = self
+            .traces
+            .iter()
+            .position(|t| (t.0, t.1) == (kernel, epoch));
         let at = held.unwrap_or_else(|| {
-            traces.push((kernel, epoch, EpochTrace::record(workload, kernel, epoch)));
-            traces.len() - 1
+            self.traces.push((kernel, epoch, OnceCell::new()));
+            self.traces.len() - 1
         });
-        (workload, &traces[at].2)
+        let Recorded {
+            workload,
+            traces,
+            rankings,
+        } = &*self;
+        let lazy = LazyEpoch::new(workload, kernel, epoch, &traces[at].2);
+        (workload, lazy, rankings)
+    }
+
+    /// The workload's epoch `epoch` as `kernel` draws it, recorded now if
+    /// no cell has asked for it yet.
+    pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
+        let (workload, lazy, _) = self.parts(kernel, epoch);
+        (workload, lazy.get())
     }
 
     /// What one cell runs on: the standard context of `system` on `gpus`
-    /// GPUs (its default policy, epoch 2, no hub) and the trace that
-    /// system's kernel draws for that epoch.
-    pub fn cell(&mut self, system: SystemKind, gpus: usize) -> (SimContext<'_>, &EpochTrace) {
+    /// GPUs (its default policy, epoch 2, no hub, the workload's
+    /// rankings) and the epoch that system's kernel draws, recorded only
+    /// when a planned placement asks for it.
+    pub fn cell(&mut self, system: SystemKind, gpus: usize) -> (SimContext<'_>, LazyEpoch<'_>) {
         let epoch = SimContext::new(&self.workload, system).epoch;
-        let (workload, trace) = self.trace(system.kernel(), epoch);
-        (SimContext::new(workload, system).with_gpus(gpus), trace)
+        let (workload, lazy, rankings) = self.parts(system.kernel(), epoch);
+        let ctx = SimContext::new(workload, system).with_gpus(gpus);
+        (ctx.with_rankings(rankings), lazy)
     }
 
     /// One epoch of `system` on `gpus` GPUs under the engine's own
     /// system → placement rule.
     pub fn run_system(&mut self, system: SystemKind, gpus: usize) -> Result<EpochReport, RunError> {
-        let (ctx, trace) = self.cell(system, gpus);
-        run_system_on(&ctx, trace)
+        let (ctx, epoch) = self.cell(system, gpus);
+        run_system_on(&ctx, &epoch)
     }
 }
 
@@ -311,6 +359,28 @@ mod tests {
             select(&["fig13", "fig12"]).unwrap(),
             [(sweep, Some(1)), (sweep, Some(0))]
         );
+    }
+
+    /// How many of `w`'s epochs `kernel` draws have been recorded.
+    fn recorded(w: &Recorded, kernel: Kernel) -> usize {
+        let drawn = |t: &&(_, _, OnceCell<_>)| t.0 == kernel && t.2.get().is_some();
+        w.traces.iter().filter(drawn).count()
+    }
+
+    #[test]
+    fn a_cell_that_cannot_fit_records_no_trace() {
+        let cfg = ExpConfig {
+            scale: gnnlab_graph::Scale::new(8192),
+            seed: 42,
+            obs: None,
+        };
+        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Uk, &cfg);
+        let dgl = w.run_system(SystemKind::DglLike, 2);
+        assert!(matches!(dgl, Err(RunError::Oom { .. })), "{dgl:?}");
+        assert_eq!(recorded(&w, Kernel::Reservoir), 0);
+        w.run_system(SystemKind::GnnLab, 2).expect("GNNLab fits UK");
+        assert_eq!(recorded(&w, Kernel::FisherYates), 1);
+        assert_eq!(recorded(&w, Kernel::Reservoir), 0);
     }
 
     #[test]

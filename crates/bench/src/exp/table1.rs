@@ -71,8 +71,8 @@ pub fn run(cfg: &ExpConfig) -> Table {
     );
     for (name, system, device, gather, resident) in VARIANTS {
         let placement = Placement::solo(system, device, gather, resident);
-        let (ctx, trace) = w.cell(system, 1);
-        let r = run_epoch(&ctx, trace, &placement).expect("PA fits one GPU in every variant");
+        let (ctx, epoch) = w.cell(system, 1);
+        let r = run_epoch(&ctx, &epoch, &placement).expect("PA fits one GPU in every variant");
         table.row(vec![
             name.to_string(),
             secs(r.stages.sample_total()),

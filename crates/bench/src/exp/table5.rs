@@ -35,11 +35,11 @@ fn breakdown(
     system: SystemKind,
     obs: Option<&Obs>,
 ) -> Result<EpochReport, RunError> {
-    let (ctx, trace) = w.cell(system, 2);
+    let (ctx, epoch) = w.cell(system, 2);
     let ctx = ctx.with_obs(obs);
     match system {
-        SystemKind::GnnLab => run_factored_epoch(&ctx, trace, 1, 1, false),
-        _ => run_timeshare_epoch(&ctx, trace),
+        SystemKind::GnnLab => run_factored_epoch(&ctx, &epoch, 1, 1, false),
+        _ => run_timeshare_epoch(&ctx, &epoch),
     }
 }
 

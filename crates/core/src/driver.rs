@@ -8,7 +8,8 @@
 
 use crate::report::{EpochReport, RunError};
 use crate::runtime::{preprocess_report, run_system_on, PreprocessReport, SimContext};
-use crate::trace::EpochTrace;
+use crate::trace::LazyEpoch;
+use std::cell::OnceCell;
 
 /// Summary of a full training job (preprocessing + `epochs` epochs).
 #[derive(Debug, Clone)]
@@ -33,8 +34,10 @@ pub struct RunSummary {
 /// pipeline. The returned fractions quantify the §7.6 amortization.
 pub fn run_job(ctx: &SimContext<'_>, epochs: usize) -> Result<RunSummary, RunError> {
     assert!(epochs > 0, "a job needs at least one epoch");
-    // One recorded epoch serves both the pre-sampling charge and the run.
-    let trace = EpochTrace::record(ctx.workload, ctx.system.kernel(), ctx.epoch);
+    // One epoch serves both the pre-sampling charge and the run, recorded
+    // once the Trainer GPU is planned.
+    let slot = OnceCell::new();
+    let trace = LazyEpoch::new(ctx.workload, ctx.system.kernel(), ctx.epoch, &slot);
     let preprocess = preprocess_report(ctx, &trace)?;
     let epoch = run_system_on(ctx, &trace)?;
     let total_time = preprocess.total() + epoch.epoch_time * epochs as f64;

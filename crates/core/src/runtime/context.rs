@@ -1,14 +1,16 @@
 //! Shared simulation context and helpers: a batch's cost inputs, and
-//! [`build_cache_table`], the one ranking a placement's caches come from
-//! (a standby's smaller cache is a prefix of it, cut in `Sim::plan`).
+//! the cache tables a placement plans: [`build_cache_table`] ranks the
+//! workload's vertices for one table, [`Rankings`] keeps one ranking per
+//! policy so every table of a workload is a prefix of it.
 
 use crate::systems::SystemKind;
 use crate::trace::BatchTrace;
 use crate::workload::Workload;
-use gnnlab_cache::{load_cache, CachePolicy, CacheTable, PolicyKind};
+use gnnlab_cache::{cache_rows, load_cache, load_cache_topk, CachePolicy, CacheTable, PolicyKind};
 use gnnlab_obs::Obs;
 use gnnlab_sampling::Kernel;
 use gnnlab_sim::{CostModel, SampleCost, Testbed};
+use std::cell::RefCell;
 
 /// Everything an epoch simulation needs besides the trace.
 pub struct SimContext<'a> {
@@ -28,6 +30,10 @@ pub struct SimContext<'a> {
     /// Optional observability hub: when set, the runtimes record
     /// per-stage spans (in virtual time) and metrics into it.
     pub obs: Option<&'a Obs>,
+    /// Rankings of this workload's vertices kept across contexts: when
+    /// set, a planned cache is a prefix of the policy's ranking there,
+    /// otherwise it is ranked afresh ([`build_cache_table`]).
+    pub rankings: Option<&'a Rankings>,
 }
 
 impl<'a> SimContext<'a> {
@@ -47,6 +53,7 @@ impl<'a> SimContext<'a> {
             policy,
             epoch: 2,
             obs: None,
+            rankings: None,
         }
     }
 
@@ -67,6 +74,21 @@ impl<'a> SimContext<'a> {
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
+    }
+
+    /// Cuts planned caches from `rankings`, which must rank this
+    /// context's workload.
+    pub fn with_rankings(mut self, rankings: &'a Rankings) -> Self {
+        self.rankings = Some(rankings);
+        self
+    }
+
+    /// The cache of the context's policy at ratio `alpha`.
+    pub(super) fn cache_table(&self, alpha: f64) -> CacheTable {
+        match self.rankings {
+            Some(r) => r.table(self.workload, self.policy, alpha),
+            None => build_cache_table(self.workload, self.policy, alpha),
+        }
     }
 
     /// Paper-scale sampling cost inputs for one batch of `trace`.
@@ -112,8 +134,13 @@ pub fn build_cache_table(workload: &Workload, policy: PolicyKind, alpha: f64) ->
     if alpha <= 0.0 {
         return CacheTable::empty(n);
     }
+    load_cache(&hotness(workload, policy), alpha, n)
+}
+
+/// The hotness map `policy` gives the workload's vertices.
+fn hotness(workload: &Workload, policy: PolicyKind) -> Vec<f64> {
     let algo = workload.sampler(Kernel::FisherYates);
-    let hotness = CachePolicy::hotness(
+    CachePolicy::hotness(
         policy,
         &workload.dataset.csr,
         &workload.dataset.train_set,
@@ -121,8 +148,32 @@ pub fn build_cache_table(workload: &Workload, policy: PolicyKind, alpha: f64) ->
         workload.batch_size(),
         workload.seed,
     )
-    .hotness;
-    load_cache(&hotness, alpha, n)
+    .hotness
+}
+
+/// One workload's vertices ranked under each policy asked for so far,
+/// hottest first — what the paper's preprocessing computes once per run
+/// (Table 6, P3). Each ranking is computed (and, under PreSC or Optimal,
+/// pre-sampled) the first time a table needs it; every table after that
+/// is its prefix, the same table [`build_cache_table`] would build.
+#[derive(Default)]
+pub struct Rankings(RefCell<Vec<(PolicyKind, CacheTable)>>);
+
+impl Rankings {
+    /// The cache `policy` loads at ratio `alpha` on `workload`, cut from
+    /// its ranking. At `alpha <= 0` nothing is ranked.
+    pub fn table(&self, workload: &Workload, policy: PolicyKind, alpha: f64) -> CacheTable {
+        let n = workload.dataset.csr.num_vertices();
+        if alpha <= 0.0 {
+            return CacheTable::empty(n);
+        }
+        let mut held = self.0.borrow_mut();
+        let at = held.iter().position(|r| r.0 == policy).unwrap_or_else(|| {
+            held.push((policy, load_cache_topk(&hotness(workload, policy), n, n)));
+            held.len() - 1
+        });
+        held[at].1.prefix(cache_rows(alpha, n))
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
 //! The one Sample → Extract → Train engine.
 //!
-//! [`run_epoch`] list-schedules a recorded epoch over the lanes a
-//! [`Placement`] describes, one per-lane clock pair at a time. Costs,
+//! [`run_epoch`] plans a [`Placement`]'s GPUs, then list-schedules a
+//! recorded epoch over the lanes it describes, one per-lane clock pair at
+//! a time. The epoch is asked for only once the plan fits. Costs,
 //! faults, slowdowns, spans, metrics and the report are handled here
 //! once; nothing in this file knows which system it is simulating.
 
-use super::context::{build_cache_table, SimContext};
+use super::context::SimContext;
 use super::placement::{Assign, Link, Phase, Placement};
 use crate::faults::{ExecutorRole, FaultPlan};
 use crate::memory::{plan_gpu, Residency};
 use crate::report::{EpochReport, RunError, StageBreakdown};
 use crate::schedule::switch_profit;
-use crate::trace::{BatchTrace, EpochTrace};
+use crate::trace::{BatchTrace, Epoch, EpochTrace};
 use gnnlab_cache::{cache_rows, CacheStats, CacheTable};
 use gnnlab_obs::{names, Executor, Obs, Stage};
 use gnnlab_sim::{ns_to_secs, SimTime};
@@ -28,13 +29,12 @@ pub struct StageTimes {
     pub t_standby: f64,
 }
 
-/// One placement over one recorded epoch, planned: the memory plans of
-/// its roles and the cache tables they afford. These depend on the
-/// residencies only, not on the lane counts, so [`Sim::with`] reuses them
-/// for profiling and for every split of the same GPUs.
+/// One placement, planned: the memory plans of its roles and the cache
+/// tables they afford. These depend on the residencies only, not on the
+/// lane counts or the epoch, so [`Sim::with`] reuses them for profiling
+/// and for every split of the same GPUs.
 pub(super) struct Sim<'a, 'c> {
     ctx: &'a SimContext<'c>,
-    trace: &'a EpochTrace,
     p: &'a Placement,
     /// Cache ratio of the consuming phase's lanes.
     alpha: f64,
@@ -42,6 +42,12 @@ pub(super) struct Sim<'a, 'c> {
     cache: Option<CacheTable>,
     /// The standby lanes' (smaller) cache, if standby is on and fits.
     standby: Option<CacheTable>,
+}
+
+/// A planned placement laid over one recorded epoch.
+struct Laid<'s, 'a, 'c> {
+    sim: &'s Sim<'a, 'c>,
+    trace: &'s EpochTrace,
 }
 
 /// One executor: a device with a clock for the stages before Train and a
@@ -106,19 +112,17 @@ fn record_queue_depth(obs: &Obs, enqueues: &[(SimTime, usize)], dequeues: &[SimT
 impl<'a, 'c> Sim<'a, 'c> {
     /// Plans every phase's GPUs in order — each must fit — and builds
     /// the cache tables from one ranking (one pre-sampling pass under
-    /// PreSC, however many tables).
-    pub(super) fn plan(
-        ctx: &'a SimContext<'c>,
-        trace: &'a EpochTrace,
-        p: &'a Placement,
-    ) -> Result<Self, RunError> {
+    /// PreSC, however many tables; none if the context keeps
+    /// [`Rankings`](super::Rankings) that already hold the policy's).
+    /// Nothing here reads an epoch.
+    pub(super) fn plan(ctx: &'a SimContext<'c>, p: &'a Placement) -> Result<Self, RunError> {
         let plan = |r| plan_gpu(&ctx.testbed, ctx.workload, p.system, r).map(|g| g.cache_alpha);
         let mut alpha = 0.0;
         for phase in &p.phases {
             alpha = plan(phase.resident)?;
         }
         let cached = (p.phases.last()).is_some_and(|c| c.resident.holds(Residency::CACHE));
-        let cache = cached.then(|| build_cache_table(ctx.workload, ctx.policy, alpha));
+        let cache = cached.then(|| ctx.cache_table(alpha));
         // A standby's device keeps everything a Trainer's does and more,
         // so its α is no larger: its table is the top of the Trainer's.
         let n = ctx.workload.dataset.csr.num_vertices();
@@ -131,7 +135,6 @@ impl<'a, 'c> Sim<'a, 'c> {
         });
         Ok(Sim {
             ctx,
-            trace,
             p,
             alpha,
             cache,
@@ -145,6 +148,27 @@ impl<'a, 'c> Sim<'a, 'c> {
         Sim { p, ..self }
     }
 
+    /// `T_s`, `T_t`, `T_t'` of a two-phase placement from a recorded
+    /// epoch — the paper's "training an epoch in advance" (§5.3): one lane
+    /// of each role alone on the host path.
+    pub(super) fn profile(&self, trace: &EpochTrace) -> StageTimes {
+        let laid = Laid { sim: self, trace };
+        let mean = |k: usize, standby| laid.mean_batch_secs(&self.p.phases[k], standby, 1);
+        let fits = self.standby.is_some();
+        StageTimes {
+            t_sample: mean(0, false),
+            t_trainer: mean(1, false),
+            t_standby: if fits { mean(1, true) } else { f64::INFINITY },
+        }
+    }
+
+    /// Simulates `trace`'s epoch.
+    pub(super) fn run(&self, trace: &EpochTrace) -> Result<EpochReport, RunError> {
+        Laid { sim: self, trace }.run()
+    }
+}
+
+impl Laid<'_, '_, '_> {
     /// The one place a stage's cost for one batch is derived. Extract
     /// also leaves the paper-scale (miss, hit) bytes behind it in `bytes`.
     fn stage_cost(
@@ -155,17 +179,16 @@ impl<'a, 'c> Sim<'a, 'c> {
         contention: usize,
         bytes: &mut (f64, f64),
     ) -> SimTime {
-        let (cost, trace, factor) = (&self.ctx.cost, self.trace, self.trace.factor);
+        let (sim, trace) = (self.sim, self.trace);
+        let (cost, factor) = (&sim.ctx.cost, trace.factor);
         match stage {
-            Stage::SampleG => {
-                cost.sample_time(&self.ctx.sample_cost(b, trace), self.p.sample_device)
-            }
+            Stage::SampleG => cost.sample_time(&sim.ctx.sample_cost(b, trace), sim.p.sample_device),
             Stage::SampleM => cost.mark_time(b.input_nodes.len() as f64 * factor),
             Stage::SampleC => cost.queue_time(b.queue_bytes as f64 * factor),
             Stage::Extract => {
-                let cache = if standby { &self.standby } else { &self.cache };
-                *bytes = self.ctx.extract_bytes(b, cache.as_ref(), factor);
-                cost.extract_time(bytes.0, bytes.1, self.p.gather, contention)
+                let cache = if standby { &sim.standby } else { &sim.cache };
+                *bytes = sim.ctx.extract_bytes(b, cache.as_ref(), factor);
+                cost.extract_time(bytes.0, bytes.1, sim.p.gather, contention)
             }
             Stage::Train => cost.train_time(b.flops * factor),
             other => unreachable!("{other:?} is not a per-batch stage"),
@@ -218,26 +241,14 @@ impl<'a, 'c> Sim<'a, 'c> {
         batches.iter().map(secs).sum::<f64>() / batches.len().max(1) as f64
     }
 
-    /// `T_s`, `T_t`, `T_t'` of a two-phase placement from a recorded
-    /// epoch — the paper's "training an epoch in advance" (§5.3): one lane
-    /// of each role alone on the host path.
-    pub(super) fn profile(&self) -> StageTimes {
-        let mean = |k: usize, standby| self.mean_batch_secs(&self.p.phases[k], standby, 1);
-        let fits = self.standby.is_some();
-        StageTimes {
-            t_sample: mean(0, false),
-            t_trainer: mean(1, false),
-            t_standby: if fits { mean(1, true) } else { f64::INFINITY },
-        }
-    }
-
     /// Simulates the epoch.
-    pub(super) fn run(&self) -> Result<EpochReport, RunError> {
-        let (ctx, trace, p) = (self.ctx, self.trace, self.p);
+    fn run(&self) -> Result<EpochReport, RunError> {
+        let (sim, trace) = (self.sim, self.trace);
+        let (ctx, p) = (sim.ctx, sim.p);
         let total = trace.num_batches();
         let row_bytes = ctx.workload.dataset.row_bytes();
         let mut report = EpochReport::new(p.system);
-        report.cache_ratio = self.alpha;
+        report.cache_ratio = sim.alpha;
         report.num_trainers = p.phases.last().map_or(0, |c| c.lanes);
         if p.phases.len() > 1 && p.link != Link::Swap {
             report.num_samplers = p.phases[0].lanes;
@@ -262,7 +273,7 @@ impl<'a, 'c> Sim<'a, 'c> {
             let load = match phase.load {
                 None => 0,
                 Some(Stage::LoadTopology) => cost.topo_load_time(ds.topo_bytes_paper() as f64),
-                Some(_) => cost.cache_load_time(self.alpha * ds.feature_bytes_paper() as f64),
+                Some(_) => cost.cache_load_time(sim.alpha * ds.feature_bytes_paper() as f64),
             };
             let begin = base + load * phase.lanes as u64;
             // Streaming consumers have GPUs of their own, numbered after
@@ -278,7 +289,7 @@ impl<'a, 'c> Sim<'a, 'c> {
             // Standby consumers ride on the producing lanes that survived,
             // from the moment each finished (never on a dead device).
             let mut mean_t = 0.0;
-            if linked && self.standby.is_some() {
+            if linked && sim.standby.is_some() {
                 lanes.extend(prev.iter().filter(|l| l.alive).map(|l| Lane {
                     executor: Executor::Standby,
                     slowdown: 1.0,
@@ -385,7 +396,7 @@ impl<'a, 'c> Sim<'a, 'c> {
                 if extracts {
                     report.transferred_bytes += miss;
                     // The reported hit rate is the phase's own cache's.
-                    if let (false, Some(cache)) = (lane.standby, &self.cache) {
+                    if let (false, Some(cache)) = (lane.standby, &sim.cache) {
                         stats.record(cache, &b.input_nodes, row_bytes);
                     }
                 }
@@ -452,13 +463,14 @@ impl Lane {
     }
 }
 
-/// Simulates one epoch of `p` over the recorded `trace`.
+/// Simulates one epoch of `p`: plans it, then asks `epoch` for its trace
+/// (a placement that does not fit records nothing).
 pub fn run_epoch(
     ctx: &SimContext<'_>,
-    trace: &EpochTrace,
+    epoch: &dyn Epoch,
     p: &Placement,
 ) -> Result<EpochReport, RunError> {
-    Sim::plan(ctx, trace, p)?.run()
+    Sim::plan(ctx, p)?.run(epoch.trace())
 }
 
 /// Simulates one epoch of `p` with the consuming phase's lanes extracting
@@ -468,17 +480,16 @@ pub fn run_epoch(
 /// the report carries `cache`'s own ratio.
 pub fn run_epoch_with_cache(
     ctx: &SimContext<'_>,
-    trace: &EpochTrace,
+    epoch: &dyn Epoch,
     p: &Placement,
     cache: CacheTable,
 ) -> Result<EpochReport, RunError> {
     let sim = Sim {
         ctx,
-        trace,
         p,
         alpha: cache.alpha(),
         cache: Some(cache),
         standby: None,
     };
-    sim.run()
+    sim.run(epoch.trace())
 }

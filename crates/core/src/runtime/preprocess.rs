@@ -4,7 +4,7 @@ use super::context::SimContext;
 use crate::memory::{plan_gpu, Residency};
 use crate::report::RunError;
 use crate::systems::SystemKind;
-use crate::trace::EpochTrace;
+use crate::trace::Epoch;
 use gnnlab_obs::{names, Executor, Stage, HOST_DEVICE};
 use gnnlab_sim::{ns_to_secs, SampleDevice};
 
@@ -35,16 +35,18 @@ impl PreprocessReport {
 }
 
 /// Computes the Table 6 row for the context's workload: preprocessing for
-/// a GNNLab run with a PreSC#1 cache on the trainer GPUs.
+/// a GNNLab run with a PreSC#1 cache on the trainer GPUs. `epoch` is
+/// asked for its trace only if the Trainer GPU fits.
 pub fn preprocess_report(
     ctx: &SimContext<'_>,
-    trace: &EpochTrace,
+    epoch: &dyn Epoch,
 ) -> Result<PreprocessReport, RunError> {
     let topo = ctx.workload.dataset.topo_bytes_paper() as f64;
     let feat = ctx.workload.dataset.feature_bytes_paper() as f64;
     let gnnlab = SystemKind::GnnLab;
     let plan = plan_gpu(&ctx.testbed, ctx.workload, gnnlab, Residency::TRAINER)?;
     let cache_bytes = plan.cache_alpha * feat;
+    let trace = epoch.trace();
 
     // P3: one epoch of GPU sampling plus hotness-map construction,
     // modeled as the paper's measured 1.4x of one sampling epoch.
@@ -88,6 +90,7 @@ pub fn preprocess_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EpochTrace;
     use crate::workload::Workload;
     use gnnlab_graph::{DatasetKind, Scale};
     use gnnlab_sampling::Kernel;

@@ -6,6 +6,7 @@
 use super::*;
 use crate::faults::FaultPlan;
 use crate::memory::{plan_gpu, Residency};
+use crate::trace::EpochTrace;
 
 mod factored {
     use super::*;

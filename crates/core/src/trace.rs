@@ -6,12 +6,18 @@
 //! another, and [`EpochTrace::record_with_batch`] fans the batches out
 //! over [`gnnlab_par::host_pool`] the way `presample_epoch` does. Every
 //! field of a trace is the same at every pool width.
+//!
+//! The co-simulations ask for their epoch through [`Epoch`] only once a
+//! placement has planned, so a cell that does not fit records nothing:
+//! an [`EpochTrace`] is its own epoch, a [`LazyEpoch`] records on first
+//! use.
 
 use crate::workload::Workload;
 use gnnlab_graph::VertexId;
 use gnnlab_par::{host_pool, ThreadPool};
 use gnnlab_sampling::{presample_rng, Kernel, MinibatchIter, Sample, SampleBuffers, SampleWork};
 use gnnlab_tensor::flops::train_flops;
+use std::cell::OnceCell;
 
 /// Measured quantities of one mini-batch's sampling.
 #[derive(Debug, Clone)]
@@ -146,6 +152,59 @@ impl EpochTrace {
             .iter()
             .map(|b| b.input_nodes.len() as u64)
             .sum()
+    }
+}
+
+/// A recorded epoch, or the means to record it when it is first asked
+/// for.
+pub trait Epoch {
+    /// The recorded epoch.
+    fn trace(&self) -> &EpochTrace;
+}
+
+impl Epoch for EpochTrace {
+    fn trace(&self) -> &EpochTrace {
+        self
+    }
+}
+
+/// Epoch `epoch` of `workload` as `kernel` draws it, recorded into `slot`
+/// the first time [`Epoch::trace`] is called. The slot outlives the
+/// handle, so one recording serves every later handle over it.
+#[derive(Clone, Copy)]
+pub struct LazyEpoch<'a> {
+    workload: &'a Workload,
+    kernel: Kernel,
+    epoch: u64,
+    slot: &'a OnceCell<EpochTrace>,
+}
+
+impl<'a> LazyEpoch<'a> {
+    /// A handle on `slot`, which holds (or will hold) that epoch.
+    pub fn new(
+        workload: &'a Workload,
+        kernel: Kernel,
+        epoch: u64,
+        slot: &'a OnceCell<EpochTrace>,
+    ) -> Self {
+        LazyEpoch {
+            workload,
+            kernel,
+            epoch,
+            slot,
+        }
+    }
+
+    /// The epoch, recorded now if no handle over the slot has yet.
+    pub fn get(self) -> &'a EpochTrace {
+        self.slot
+            .get_or_init(|| EpochTrace::record(self.workload, self.kernel, self.epoch))
+    }
+}
+
+impl Epoch for LazyEpoch<'_> {
+    fn trace(&self) -> &EpochTrace {
+        self.get()
     }
 }
 

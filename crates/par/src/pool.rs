@@ -147,15 +147,16 @@ impl ThreadPool {
             return;
         }
         let chunks = self.partitions(tasks);
+        let range_of = |c: usize| (c * tasks / chunks)..((c + 1) * tasks / chunks);
         // Inline path: a 1-thread pool, a single task, or a nested call
         // from inside a pool worker (which must not wait on its own
-        // queue). Results are identical by construction — chunking only
-        // affects scheduling, never output.
+        // queue). It visits the same `(chunk, range)` sequence as the
+        // parallel path, in chunk order, so a caller that keys state by
+        // chunk index sees every chunk either way.
         if chunks <= 1 || IN_POOL_WORKER.with(Cell::get) {
-            f(0, 0..tasks);
+            (0..chunks).for_each(|c| f(c, range_of(c)));
             return;
         }
-        let range_of = |c: usize| (c * tasks / chunks)..((c + 1) * tasks / chunks);
 
         let f_ref: &(dyn Fn(usize, Range<usize>) + Sync) = &f;
         // SAFETY: lifetime erasure of the borrowed closure. The WaitGuard
@@ -398,5 +399,18 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 20);
+    }
+
+    #[test]
+    fn nested_map_ranges_returns_every_chunk() {
+        let pool = std::sync::Arc::new(ThreadPool::new(2));
+        let inner_pool = std::sync::Arc::clone(&pool);
+        let outer = pool.map_ranges(2, move |_, _| {
+            inner_pool.map_ranges(7, |c, range| (c, range))
+        });
+        let expect: Vec<_> = (0..2).map(|c| (c, c * 7 / 2..(c + 1) * 7 / 2)).collect();
+        for inner in outer {
+            assert_eq!(inner, expect);
+        }
     }
 }
