@@ -8,7 +8,6 @@ use crate::exp::{cache_stats_on_trace, datasets, workload_on, Recorded};
 use crate::table::pct;
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::build_cache_table;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
@@ -31,12 +30,13 @@ pub fn run(cfg: &ExpConfig) -> Table {
         for dataset in &datasets {
             let w = workload_on(ModelKind::Gcn, dataset.clone(), cfg).with_algorithm(algo);
             let mut w = Recorded::new(w);
+            // PreSC#1 and Optimal share the pre-sampled epoch 0.
+            let caches = POLICIES.map(|policy| w.cache(policy, 0.10));
             let (w, trace) = w.trace(Kernel::FisherYates, 2);
             let ds = dataset.spec.kind;
             let mut row = vec![format!("{} / {}", algo.label(), ds.abbrev())];
-            for policy in POLICIES {
-                let cache = build_cache_table(w, policy, 0.10);
-                let hr = cache_stats_on_trace(w, trace, &cache).hit_rate();
+            for cache in &caches {
+                let hr = cache_stats_on_trace(w, trace, cache).hit_rate();
                 row.push(pct(hr));
             }
             table.row(row);

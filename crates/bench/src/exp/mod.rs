@@ -12,7 +12,8 @@
 //!    (`datasets` generates the four concurrently); `workload_on` builds
 //!    the table's workloads over clones.
 //! 2. A `Recorded` owns its workload's epoch slots, one per distinct
-//!    (kernel, epoch), and its cache `Rankings`, one per policy.
+//!    (kernel, epoch) — per epoch alone for a sampler that takes no
+//!    kernel — and its cache `Rankings`.
 //!    `Recorded::cell` hands out the `SimContext` for a system and GPU
 //!    count (carrying the rankings) together with a `LazyEpoch` over the
 //!    slot that system's kernel draws. Nothing is recorded yet.
@@ -54,7 +55,7 @@ pub mod table5;
 pub mod table6;
 
 use crate::{ExpConfig, Table};
-use gnnlab_cache::{CacheStats, CacheTable};
+use gnnlab_cache::{CacheStats, CacheTable, PolicyKind};
 use gnnlab_core::report::{EpochReport, RunError};
 use gnnlab_core::runtime::{run_system_on, Rankings, SimContext};
 use gnnlab_core::trace::{EpochTrace, LazyEpoch};
@@ -197,11 +198,13 @@ pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -
 /// first time a planned cell asks for it: T_SOTA, GNNLab and PyG all draw
 /// with Fisher–Yates, so a row of systems, a GPU sweep or a policy sweep
 /// over one workload records twice at most, and a cell that does not fit
-/// records nothing. A ranking is kept per policy, so every placement's
-/// cache is a prefix of one pre-sampling pass.
+/// records nothing. A sampler that takes no kernel (random walks) keys its
+/// traces by epoch alone, so every system shares one recording. The
+/// rankings keep each policy's hotness and each pre-sampled epoch, so a
+/// workload pre-samples an epoch once for every policy and placement.
 pub(crate) struct Recorded {
     pub workload: Workload,
-    traces: Vec<(Kernel, u64, OnceCell<EpochTrace>)>,
+    traces: Vec<(Option<Kernel>, u64, OnceCell<EpochTrace>)>,
     rankings: Rankings,
 }
 
@@ -223,12 +226,10 @@ impl Recorded {
     /// The workload, its epoch `epoch` as `kernel` draws it (recorded on
     /// first use) and its rankings.
     fn parts(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, LazyEpoch<'_>, &Rankings) {
-        let held = self
-            .traces
-            .iter()
-            .position(|t| (t.0, t.1) == (kernel, epoch));
+        let key = self.workload.algorithm.uses_kernel().then_some(kernel);
+        let held = self.traces.iter().position(|t| (t.0, t.1) == (key, epoch));
         let at = held.unwrap_or_else(|| {
-            self.traces.push((kernel, epoch, OnceCell::new()));
+            self.traces.push((key, epoch, OnceCell::new()));
             self.traces.len() - 1
         });
         let Recorded {
@@ -245,6 +246,12 @@ impl Recorded {
     pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
         let (workload, lazy, _) = self.parts(kernel, epoch);
         (workload, lazy.get())
+    }
+
+    /// The cache `policy` loads at ratio `alpha`, cut from the workload's
+    /// rankings.
+    pub fn cache(&self, policy: PolicyKind, alpha: f64) -> CacheTable {
+        self.rankings.table(&self.workload, policy, alpha)
     }
 
     /// What one cell runs on: the standard context of `system` on `gpus`
@@ -361,26 +368,42 @@ mod tests {
         );
     }
 
-    /// How many of `w`'s epochs `kernel` draws have been recorded.
-    fn recorded(w: &Recorded, kernel: Kernel) -> usize {
+    /// How many of `w`'s epochs `kernel` draws have been recorded (`None`:
+    /// of those keyed by epoch alone).
+    fn recorded(w: &Recorded, kernel: Option<Kernel>) -> usize {
         let drawn = |t: &&(_, _, OnceCell<_>)| t.0 == kernel && t.2.get().is_some();
         w.traces.iter().filter(drawn).count()
     }
 
-    #[test]
-    fn a_cell_that_cannot_fit_records_no_trace() {
-        let cfg = ExpConfig {
+    fn scale_8192() -> ExpConfig {
+        ExpConfig {
             scale: gnnlab_graph::Scale::new(8192),
             seed: 42,
             obs: None,
-        };
-        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Uk, &cfg);
+        }
+    }
+
+    #[test]
+    fn a_cell_that_cannot_fit_records_no_trace() {
+        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Uk, &scale_8192());
         let dgl = w.run_system(SystemKind::DglLike, 2);
         assert!(matches!(dgl, Err(RunError::Oom { .. })), "{dgl:?}");
-        assert_eq!(recorded(&w, Kernel::Reservoir), 0);
+        assert_eq!(recorded(&w, Some(Kernel::Reservoir)), 0);
         w.run_system(SystemKind::GnnLab, 2).expect("GNNLab fits UK");
-        assert_eq!(recorded(&w, Kernel::FisherYates), 1);
-        assert_eq!(recorded(&w, Kernel::Reservoir), 0);
+        assert_eq!(recorded(&w, Some(Kernel::FisherYates)), 1);
+        assert_eq!(recorded(&w, Some(Kernel::Reservoir)), 0);
+    }
+
+    #[test]
+    fn a_sampler_that_takes_no_kernel_records_one_trace_for_every_system() {
+        let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Products, &scale_8192());
+        assert!(!w.workload.algorithm.uses_kernel());
+        for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
+            let rep = w.run_system(system, 2);
+            assert!(rep.is_ok(), "{system:?} on PinSAGE/PA: {rep:?}");
+        }
+        assert_eq!(w.traces.len(), 1);
+        assert_eq!(recorded(&w, None), 1);
     }
 
     #[test]

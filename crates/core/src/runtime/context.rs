@@ -1,14 +1,15 @@
 //! Shared simulation context and helpers: a batch's cost inputs, and
 //! the cache tables a placement plans: [`build_cache_table`] ranks the
 //! workload's vertices for one table, [`Rankings`] keeps one ranking per
-//! policy so every table of a workload is a prefix of it.
+//! policy so every table of a workload is a prefix of it, and each
+//! pre-sampled epoch's visit counts so PreSC#K and Optimal#E share them.
 
 use crate::systems::SystemKind;
 use crate::trace::BatchTrace;
 use crate::workload::Workload;
 use gnnlab_cache::{cache_rows, load_cache, load_cache_topk, CachePolicy, CacheTable, PolicyKind};
 use gnnlab_obs::Obs;
-use gnnlab_sampling::Kernel;
+use gnnlab_sampling::{presample_epoch, FootprintRecorder, Kernel, MinibatchIter};
 use gnnlab_sim::{CostModel, SampleCost, Testbed};
 use std::cell::RefCell;
 
@@ -153,11 +154,23 @@ fn hotness(workload: &Workload, policy: PolicyKind) -> Vec<f64> {
 
 /// One workload's vertices ranked under each policy asked for so far,
 /// hottest first — what the paper's preprocessing computes once per run
-/// (Table 6, P3). Each ranking is computed (and, under PreSC or Optimal,
-/// pre-sampled) the first time a table needs it; every table after that
-/// is its prefix, the same table [`build_cache_table`] would build.
+/// (Table 6, P3). A policy's hotness is computed the first time a table
+/// needs it, and ranked as deep as the largest table asked for so far:
+/// a smaller table is a prefix of that ranking, a larger one ranks deeper
+/// (a table of `k` rows sorts `k` vertices, not all of them). Every table
+/// is the one [`build_cache_table`] would build. PreSC#K and Optimal#E
+/// rank by the mean visit count over epochs `0..K` (`0..E`): each epoch
+/// is pre-sampled once and its counts kept, so PreSC#1 and Optimal#3
+/// pre-sample three epochs between them, not four. The counts merge as
+/// integer sums before the one division, so every hotness bit is the one
+/// [`CachePolicy::hotness`] computes.
 #[derive(Default)]
-pub struct Rankings(RefCell<Vec<(PolicyKind, CacheTable)>>);
+pub struct Rankings {
+    /// Per policy: its hotness map and its deepest ranking so far.
+    ranked: RefCell<Vec<(PolicyKind, Vec<f64>, CacheTable)>>,
+    /// Epoch `e`'s visit counts at index `e`.
+    epochs: RefCell<Vec<FootprintRecorder>>,
+}
 
 impl Rankings {
     /// The cache `policy` loads at ratio `alpha` on `workload`, cut from
@@ -167,12 +180,61 @@ impl Rankings {
         if alpha <= 0.0 {
             return CacheTable::empty(n);
         }
-        let mut held = self.0.borrow_mut();
-        let at = held.iter().position(|r| r.0 == policy).unwrap_or_else(|| {
-            held.push((policy, load_cache_topk(&hotness(workload, policy), n, n)));
-            held.len() - 1
-        });
-        held[at].1.prefix(cache_rows(alpha, n))
+        let rows = cache_rows(alpha, n);
+        let mut ranked = self.ranked.borrow_mut();
+        let at = ranked
+            .iter()
+            .position(|r| r.0 == policy)
+            .unwrap_or_else(|| {
+                let hotness = self.hotness(workload, policy);
+                ranked.push((policy, hotness, CacheTable::empty(n)));
+                ranked.len() - 1
+            });
+        let (_, hotness, top) = &mut ranked[at];
+        if top.len() < rows {
+            *top = load_cache_topk(hotness, rows, n);
+        }
+        top.prefix(rows)
+    }
+
+    /// The hotness map `policy` gives the workload's vertices, from the
+    /// held epochs where it pre-samples.
+    fn hotness(&self, workload: &Workload, policy: PolicyKind) -> Vec<f64> {
+        match policy {
+            PolicyKind::PreSC { k: count } | PolicyKind::Optimal { epochs: count } => {
+                self.mean_visits(workload, count as usize)
+            }
+            _ => hotness(workload, policy),
+        }
+    }
+
+    /// The mean visit count of each vertex over epochs `0..count`,
+    /// pre-sampling on the host pool those not yet held — the epochs
+    /// `CachePolicy::hotness` would pre-sample, batch for batch.
+    fn mean_visits(&self, workload: &Workload, count: usize) -> Vec<f64> {
+        let mut epochs = self.epochs.borrow_mut();
+        let algo = workload.sampler(Kernel::FisherYates);
+        let ds = &workload.dataset;
+        let mut order = Vec::new();
+        for epoch in epochs.len() as u64..count as u64 {
+            MinibatchIter::shuffle_into(&ds.train_set, workload.seed, epoch, &mut order);
+            let out = presample_epoch(
+                &ds.csr,
+                &order,
+                algo.as_ref(),
+                workload.batch_size(),
+                workload.seed,
+                epoch,
+                0,
+                gnnlab_par::host_pool(),
+            );
+            epochs.push(out.recorder);
+        }
+        let mut visits = FootprintRecorder::new(ds.csr.num_vertices());
+        for epoch in &epochs[..count] {
+            visits.merge(epoch);
+        }
+        visits.hotness()
     }
 }
 
@@ -211,6 +273,38 @@ mod tests {
         let t = build_cache_table(&w, PolicyKind::Degree, 0.25);
         assert_eq!(t.len(), (n as f64 * 0.25).ceil() as usize);
         assert!(build_cache_table(&w, PolicyKind::Degree, 0.0).is_empty());
+    }
+
+    #[test]
+    fn rankings_presample_each_epoch_once_and_keep_every_hotness_bit() {
+        let w = workload();
+        let rankings = Rankings::default();
+        let policies = [
+            PolicyKind::PreSC { k: 1 },
+            PolicyKind::Optimal { epochs: 3 },
+            PolicyKind::PreSC { k: 2 },
+            PolicyKind::Degree,
+            PolicyKind::Random,
+        ];
+        for policy in policies {
+            // Ranked to 30 %, cut to 5 %, ranked again to all vertices.
+            for alpha in [0.3, 0.05, 1.0] {
+                let cut = rankings.table(&w, policy, alpha);
+                let fresh = build_cache_table(&w, policy, alpha);
+                assert_eq!(cut.cached_vertices(), fresh.cached_vertices(), "{policy:?}");
+            }
+        }
+        assert_eq!(
+            rankings.epochs.borrow().len(),
+            3,
+            "epochs 0, 1, 2 once each"
+        );
+        for count in [0, 1, 3] {
+            let bits = |h: Vec<f64>| h.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let shared = rankings.mean_visits(&w, count as usize);
+            let fresh = hotness(&w, PolicyKind::PreSC { k: count });
+            assert_eq!(bits(shared), bits(fresh), "PreSC#{count}");
+        }
     }
 
     #[test]

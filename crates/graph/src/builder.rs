@@ -104,12 +104,21 @@ impl GraphBuilder {
     pub fn build(self) -> Result<Csr> {
         let mut indptr = self.row_offsets()?;
         if self.weights.is_empty() {
+            // Equal bare destinations cannot be told apart, so the row
+            // sort need not be stable.
             let mut indices = self.place(&indptr, |i| self.edges[i].1);
-            finish_rows(&mut indptr, &mut indices, self.dedup, |dst| dst);
+            finish_rows(
+                &mut indptr,
+                &mut indices,
+                self.dedup,
+                |dst| dst,
+                <[_]>::sort_unstable,
+            );
             Csr::from_parts(indptr, indices)
         } else {
             let mut pairs = self.place(&indptr, |i| (self.edges[i].1, self.weights[i]));
-            finish_rows(&mut indptr, &mut pairs, self.dedup, |(dst, _)| dst);
+            let by_dst = |row: &mut [(VertexId, f32)]| row.sort_by_key(|&(dst, _)| dst);
+            finish_rows(&mut indptr, &mut pairs, self.dedup, |(dst, _)| dst, by_dst);
             let (indices, weights) = pairs.into_iter().unzip();
             Csr::from_parts(indptr, indices)?.with_weights(weights)
         }
@@ -151,20 +160,22 @@ impl GraphBuilder {
     }
 }
 
-/// Sorts every row by destination (`dst` reads an entry's) — stably, so
-/// parallel edges keep their insertion order — and, with `dedup`, keeps the
-/// first entry of each run of equal destinations, compacting `items` and
-/// `indptr` in place.
+/// Sorts every row by destination (`dst` reads an entry's) with `sort` —
+/// which must be stable where entries with one destination differ, so
+/// parallel edges keep their insertion order — and, with `dedup`, keeps
+/// the first entry of each run of equal destinations, compacting `items`
+/// and `indptr` in place.
 fn finish_rows<T: Copy>(
     indptr: &mut [u64],
     items: &mut Vec<T>,
     dedup: bool,
     dst: impl Fn(T) -> VertexId,
+    sort: impl Fn(&mut [T]),
 ) {
     let mut kept = 0usize;
     for v in 0..indptr.len() - 1 {
         let (lo, hi) = (indptr[v] as usize, indptr[v + 1] as usize);
-        items[lo..hi].sort_by_key(|&item| dst(item));
+        sort(&mut items[lo..hi]);
         if !dedup {
             continue;
         }

@@ -121,7 +121,7 @@ impl KHop {
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
         out: &mut Vec<VertexId>,
-        floyd: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
         probe: &mut ProbeSet,
     ) {
         let nbrs = csr.neighbors(v);
@@ -149,9 +149,9 @@ impl KHop {
                     }
                 }
                 // No weights / zero total: uniform fallback.
-                self.select_uniform(nbrs, fanout, rng, work, out, floyd, probe);
+                self.select_uniform(nbrs, fanout, rng, work, out, scratch, probe);
             }
-            Selection::Uniform => self.select_uniform(nbrs, fanout, rng, work, out, floyd, probe),
+            Selection::Uniform => self.select_uniform(nbrs, fanout, rng, work, out, scratch, probe),
         }
     }
 
@@ -163,7 +163,7 @@ impl KHop {
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
         out: &mut Vec<VertexId>,
-        floyd: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
         probe: &mut ProbeSet,
     ) {
         let deg = nbrs.len();
@@ -181,14 +181,14 @@ impl KHop {
                 // each vertex" (§7.3): a hub with millions of neighbors
                 // costs the same as a leaf.
                 if fanout <= FLOYD_LINEAR_MAX {
-                    floyd.clear();
+                    scratch.clear();
                     for j in (deg - fanout)..deg {
                         let t = rng.gen_range(0..=j) as u32;
-                        if floyd.contains(&t) {
-                            floyd.push(j as u32);
+                        if scratch.contains(&t) {
+                            scratch.push(j as u32);
                             out.push(nbrs[j]);
                         } else {
-                            floyd.push(t);
+                            scratch.push(t);
                             out.push(nbrs[t as usize]);
                         }
                     }
@@ -219,12 +219,7 @@ impl KHop {
                 // blames): cost = clamp(deg/8, k, 64k) lane-steps.
                 let base = out.len();
                 out.extend_from_slice(&nbrs[..fanout]);
-                for (i, &nbr) in nbrs.iter().enumerate().skip(fanout) {
-                    let j = rng.gen_range(0..=i);
-                    if j < fanout {
-                        out[base + j] = nbr;
-                    }
-                }
+                reservoir(nbrs, rng, &mut out[base..], scratch);
                 let lane_steps = (deg as u64 / 8).clamp(fanout as u64, 64 * fanout as u64);
                 work.rng_draws += lane_steps;
                 work.edges_scanned += lane_steps;
@@ -232,6 +227,168 @@ impl KHop {
         }
         work.sampled_vertices += fanout as u64;
     }
+}
+
+/// Draws per bulk word read in [`reservoir`]: four words each, so one
+/// read is at most a quarter of the generator's 256-word buffer.
+const RESERVOIR_CHUNK: usize = 64;
+
+/// Largest divisor [`reduce8`] reduces exactly: every Horner step's
+/// `r · 2³² + limb` is below `d · 2³² ≤ 2⁵³`, an integer `f64` holds.
+const MAX_F64_DIVISOR: usize = 1 << 21;
+
+/// Algorithm R over `nbrs` into `reservoir`, which holds its first
+/// `reservoir.len()` entries: neighbour `i` past them replaces entry
+/// `gen_range(0..=i)` when that is in range. The draws are the ones the
+/// per-neighbour `gen_range` loop makes — the same four words each, the
+/// same `x mod (i + 1)` — taken [`RESERVOIR_CHUNK`] at a time from one
+/// [`ChaCha8Rng::fill_words`] and reduced eight at a time by [`reduce8`]
+/// where the CPU has AVX-512F and every divisor of the eight is at most
+/// [`MAX_F64_DIVISOR`]; the rest take the scalar `u128 %`. `words` is
+/// scratch space for the draws' words.
+fn reservoir(
+    nbrs: &[VertexId],
+    rng: &mut ChaCha8Rng,
+    reservoir: &mut [VertexId],
+    words: &mut Vec<u32>,
+) {
+    let k = reservoir.len();
+    let wide = avx512f();
+    words.resize(4 * RESERVOIR_CHUNK, 0);
+    let mut first = k;
+    while first < nbrs.len() {
+        let chunk = &nbrs[first..nbrs.len().min(first + RESERVOIR_CHUNK)];
+        let words = &mut words[..4 * chunk.len()];
+        rng.fill_words(words);
+        let mut t = 0;
+        while wide && t + 8 <= chunk.len() && first + t + 8 <= MAX_F64_DIVISOR {
+            let eight = words[4 * t..4 * t + 32].try_into().expect("32 words");
+            let (mut hits, j) = reduce8(eight, first + t + 1, k);
+            while hits != 0 {
+                let lane = hits.trailing_zeros() as usize;
+                reservoir[j[lane] as usize] = chunk[t + lane];
+                hits &= hits - 1;
+            }
+            t += 8;
+        }
+        for (t, (&nbr, w)) in chunk.iter().zip(words.chunks_exact(4)).enumerate().skip(t) {
+            let j = draw(w) % (first + t + 1) as u128;
+            if j < k as u128 {
+                reservoir[j as usize] = nbr;
+            }
+        }
+        first += chunk.len();
+    }
+}
+
+/// The `u128` that `next_u128` makes of four consecutive words: two
+/// `u64`s, the first in the high half, each low word first.
+#[inline]
+fn draw(w: &[u32]) -> u128 {
+    let hi = u64::from(w[0]) | u64::from(w[1]) << 32;
+    let lo = u64::from(w[2]) | u64::from(w[3]) << 32;
+    u128::from(hi) << 64 | u128::from(lo)
+}
+
+/// Whether the running CPU has AVX-512F, which [`reduce8`] needs.
+fn avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// `x_t mod (d0 + t)` for the eight draws `x_t` in `words` (four words
+/// each, as [`draw`] reads them), and the mask of lanes whose remainder is
+/// below `k`: in `f64` lanes where the CPU has AVX-512F, by the scalar
+/// `u128 %` elsewhere. Every divisor must be at most [`MAX_F64_DIVISOR`].
+///
+/// The lanes are exact: the limbs of `x` most significant first are words
+/// 1, 0, 3, 2, and Horner's `n = r · 2³² + limb` (one exact FMA, below
+/// `2⁵³`) is reduced by `q = ⌊n · (1/d)⌋` with a `rcp14` estimate sharpened
+/// by two Newton steps to a relative error near `2⁻⁵⁰`. `n/d < 2³²`, so
+/// the product is within `2⁻¹⁸` of `n/d` and `q` is off by at most one;
+/// `r = n − q · d` is one FMA whose exact result (an integer in `(−d, 2d)`)
+/// needs no rounding, and one `±d` step brings it into `[0, d)`.
+fn reduce8(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
+    debug_assert!((1..=MAX_F64_DIVISOR - 7).contains(&d0), "divisor {d0}");
+    #[cfg(target_arch = "x86_64")]
+    if avx512f() {
+        // SAFETY: `reduce8_avx512`'s one requirement is AVX-512F, detected
+        // on the running CPU by the line above.
+        return unsafe { reduce8_avx512(words, d0, k) };
+    }
+    let mut hits = 0u8;
+    let j: [u32; 8] = std::array::from_fn(|t| {
+        let j = (draw(&words[4 * t..]) % (d0 + t) as u128) as u32;
+        hits |= u8::from((j as usize) < k) << t;
+        j
+    });
+    (hits, j)
+}
+
+/// [`reduce8`] in the eight `f64` lanes of AVX-512F registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn reduce8_avx512(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
+    use std::arch::x86_64::*;
+
+    // SAFETY: `words` is 32 `u32`s, so both unaligned 64-byte loads are in
+    // bounds.
+    let (a, b) = unsafe {
+        let p = words.as_ptr();
+        (
+            _mm512_loadu_si512(p.cast()),
+            _mm512_loadu_si512(p.add(16).cast()),
+        )
+    };
+    // Element `4t + w` of `a ++ b` is word `w` of draw `t`. The limbs, most
+    // significant first, are words 1, 0, 3, 2: gather limb pairs (0, 1) and
+    // (2, 3) of all eight draws, one limb per 256-bit half.
+    let limbs01 = _mm512_permutex2var_epi32(
+        a,
+        _mm512_setr_epi32(1, 5, 9, 13, 17, 21, 25, 29, 0, 4, 8, 12, 16, 20, 24, 28),
+        b,
+    );
+    let limbs23 = _mm512_permutex2var_epi32(
+        a,
+        _mm512_setr_epi32(3, 7, 11, 15, 19, 23, 27, 31, 2, 6, 10, 14, 18, 22, 26, 30),
+        b,
+    );
+    let limbs = [
+        _mm512_castsi512_si256(limbs01),
+        _mm512_extracti64x4_epi64::<1>(limbs01),
+        _mm512_castsi512_si256(limbs23),
+        _mm512_extracti64x4_epi64::<1>(limbs23),
+    ];
+
+    let d = _mm512_add_pd(
+        _mm512_set1_pd(d0 as f64),
+        _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
+    );
+    let one = _mm512_set1_pd(1.0);
+    let mut rcp = _mm512_rcp14_pd(d);
+    for _ in 0..2 {
+        rcp = _mm512_fmadd_pd(rcp, _mm512_fnmadd_pd(d, rcp, one), rcp);
+    }
+    let two32 = _mm512_set1_pd(4_294_967_296.0);
+    let zero = _mm512_setzero_pd();
+    let mut r = zero;
+    for limb in limbs {
+        let n = _mm512_fmadd_pd(r, two32, _mm512_cvtepu32_pd(limb));
+        let q = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(
+            _mm512_mul_pd(n, rcp),
+        );
+        r = _mm512_fnmadd_pd(q, d, n);
+        r = _mm512_mask_add_pd(r, _mm512_cmp_pd_mask::<_CMP_LT_OQ>(r, zero), r, d);
+        r = _mm512_mask_sub_pd(r, _mm512_cmp_pd_mask::<_CMP_GE_OQ>(r, d), r, d);
+    }
+    let hits = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(r, _mm512_set1_pd(k as f64));
+    let mut j = [0u32; 8];
+    // SAFETY: `j` is eight `u32`s, 32 writable bytes; the store is the
+    // unaligned form.
+    unsafe { _mm256_storeu_si256(j.as_mut_ptr().cast(), _mm512_cvttpd_epu32(r)) };
+    (hits, j)
 }
 
 impl SamplingAlgorithm for KHop {
@@ -259,7 +416,7 @@ impl SamplingAlgorithm for KHop {
                     rng,
                     &mut out.work,
                     &mut bufs.selected,
-                    &mut bufs.floyd,
+                    &mut bufs.scratch,
                     &mut bufs.probe,
                 );
                 bufs.ranges.push((start, bufs.selected.len()));
@@ -447,6 +604,104 @@ mod tests {
     #[should_panic(expected = "at least one hop")]
     fn empty_fanouts_panic() {
         let _ = KHop::new(vec![], Kernel::FisherYates, Selection::Uniform);
+    }
+
+    /// The four words [`draw`] reads back as `x`.
+    fn words_of(x: u128) -> [u32; 4] {
+        let (hi, lo) = ((x >> 64) as u64, x as u64);
+        [hi as u32, (hi >> 32) as u32, lo as u32, (lo >> 32) as u32]
+    }
+
+    /// Holds [`reduce8`] to `u128 %` on eight draws at divisors `d0..d0 + 8`.
+    fn check_reduce8(xs: [u128; 8], d0: usize, k: usize) {
+        let mut words = [0u32; 32];
+        for (w, x) in words.chunks_exact_mut(4).zip(xs) {
+            w.copy_from_slice(&words_of(x));
+            assert_eq!(draw(w), x);
+        }
+        let (hits, j) = reduce8(&words, d0, k);
+        for (t, x) in xs.into_iter().enumerate() {
+            let want = x % (d0 + t) as u128;
+            assert_eq!(u128::from(j[t]), want, "x {x:#x} mod {}", d0 + t);
+            assert_eq!(hits >> t & 1 == 1, want < k as u128, "hit {t}, d0 {d0}");
+        }
+    }
+
+    /// The eight-lane reduction (AVX-512F where the CPU has it, the scalar
+    /// form elsewhere) against `u128 %`: random words at small, middling
+    /// and largest divisors, and words that are multiples of their
+    /// divisor, one below and one above.
+    #[test]
+    fn reduce8_matches_u128_remainder() {
+        let mut r = rng();
+        let top = MAX_F64_DIVISOR - 7;
+        let d0s = [1, 2, 3, 9, 1000, 65_536, top - 100, top - 1, top];
+        for d0 in d0s {
+            for k in [1, 5, 15, 1 << 21] {
+                for _ in 0..50 {
+                    check_reduce8(std::array::from_fn(|_| r.gen::<u128>()), d0, k);
+                }
+                for offset in [0u128, 1, u128::MAX] {
+                    let xs = std::array::from_fn(|t| {
+                        let d = (d0 + t) as u128;
+                        let m = (r.gen::<u128>() / d).max(1);
+                        (m * d).wrapping_add(offset)
+                    });
+                    check_reduce8(xs, d0, k);
+                }
+            }
+            check_reduce8([0; 8], d0, 1);
+            check_reduce8([u128::MAX; 8], d0, 1);
+        }
+    }
+
+    /// The reservoir loop the chunked one replaces: one `gen_range(0..=i)`
+    /// per neighbour past the first `k`.
+    fn per_neighbour_reservoir(nbrs: &[VertexId], k: usize, r: &mut ChaCha8Rng) -> Vec<u32> {
+        let mut out = nbrs[..k].to_vec();
+        for (i, &nbr) in nbrs.iter().enumerate().skip(k) {
+            let j = r.gen_range(0..=i);
+            if j < k {
+                out[j] = nbr;
+            }
+        }
+        out
+    }
+
+    /// [`reservoir`] against [`per_neighbour_reservoir`] on one stream:
+    /// the same selections, and the stream left at the same word.
+    fn check_reservoir(nbrs: &[VertexId], k: usize, seed: u64) {
+        let mut chunked = ChaCha8Rng::seed_from_u64(seed);
+        let mut oracle = chunked.clone();
+        let mut got = nbrs[..k].to_vec();
+        reservoir(nbrs, &mut chunked, &mut got, &mut Vec::new());
+        let want = per_neighbour_reservoir(nbrs, k, &mut oracle);
+        assert_eq!(got, want, "degree {}, k {k}, seed {seed}", nbrs.len());
+        assert_eq!(chunked.gen::<u64>(), oracle.gen::<u64>(), "stream position");
+    }
+
+    #[test]
+    fn chunked_reservoir_matches_the_per_neighbour_loop() {
+        let nbrs: Vec<VertexId> = (0..5000).map(|v| v * 3 + 1).collect();
+        let mut r = rng();
+        for k in [1, 5, 10, 15, 25] {
+            // Draws `deg − k` below, at and above the eight-lane crossover,
+            // at and around a chunk, then random degrees.
+            let fixed = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129];
+            let random = (0..20).map(|_| r.gen_range(0..3000usize));
+            for (at, draws) in fixed.into_iter().chain(random).enumerate() {
+                check_reservoir(&nbrs[..k + draws], k, at as u64);
+            }
+        }
+    }
+
+    /// A vertex with more than 2²¹ neighbours: its first draws reduce in
+    /// `f64` lanes, the ones past [`MAX_F64_DIVISOR`] take the scalar
+    /// path, one chunk straddling the bound.
+    #[test]
+    fn chunked_reservoir_matches_past_the_f64_divisor_bound() {
+        let nbrs: Vec<VertexId> = (0..MAX_F64_DIVISOR as u32 + 300).collect();
+        check_reservoir(&nbrs, 10, 11);
     }
 
     fn assert_samples_equal(a: &Sample, b: &Sample) {

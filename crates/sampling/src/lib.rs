@@ -120,6 +120,13 @@ impl AlgorithmKind {
         }
     }
 
+    /// Whether the sample depends on the uniform-selection kernel passed to
+    /// [`AlgorithmKind::sampler`]. Random walks take none: every system
+    /// draws the same walks.
+    pub fn uses_kernel(&self) -> bool {
+        !matches!(self, AlgorithmKind::RandomWalks)
+    }
+
     /// Whether this algorithm requires edge weights on the graph.
     pub fn needs_weights(&self) -> bool {
         matches!(self, AlgorithmKind::Khop3Weighted)

@@ -336,7 +336,9 @@ pub struct SampleBuffers {
     /// two uses never overlap: a hop's selections all finish before its
     /// remap starts.
     pub(crate) remap: RemapTable,
-    pub(crate) floyd: Vec<u32>,
+    /// A vertex's selection scratch: Floyd's chosen indices under
+    /// Fisher–Yates, the words of its bounded draws under Reservoir.
+    pub(crate) scratch: Vec<u32>,
     pub(crate) probe: ProbeSet,
     /// Random walks: `(vertex, visit count)` for the vertex being walked.
     pub(crate) ranked: Vec<(VertexId, u32)>,
