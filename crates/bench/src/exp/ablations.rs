@@ -15,14 +15,14 @@
 //!   ClusterGCN's uniform footprint gives PreSC nothing to exploit, while
 //!   the capacity benefit of the factored design remains.
 
-use crate::exp::{dataset, workload_on, Recorded};
+use crate::exp::{dataset, workload_on};
 use crate::table::{error_cell, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::faults::{ExecutorRole, FaultPlan};
 use gnnlab_core::memory::Residency;
 use gnnlab_core::runtime::{
-    build_cache_table, run_epoch_with_cache, run_factored_epoch_opts, FactoredOptions, Placement,
+    run_epoch_with_cache, run_factored_epoch_opts, EpochStore, FactoredOptions, Placement,
     SimContext,
 };
 use gnnlab_core::trace::EpochTrace;
@@ -34,7 +34,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Ablation: Trainer pipelining on/off (GCN on PA, 2S6T).
-fn pipelining(gcn_pa: &mut Recorded) -> Table {
+fn pipelining(gcn_pa: &EpochStore<'_>) -> Table {
     let (ctx, epoch) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: Extract/Train pipelining (GCN on PA, 2S6T)",
@@ -52,7 +52,7 @@ fn pipelining(gcn_pa: &mut Recorded) -> Table {
 
 /// Ablation: one Trainer contended 4× (multi-tenant cluster, §5.3), with
 /// and without dynamic switching absorbing the straggler.
-fn multitenant(gcn_pa: &mut Recorded) -> Table {
+fn multitenant(gcn_pa: &EpochStore<'_>) -> Table {
     let (ctx, epoch) = gcn_pa.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Ablation: contended Trainer (4x slower) in a shared cluster (GCN on PA, 2S6T)",
@@ -80,9 +80,10 @@ fn multitenant(gcn_pa: &mut Recorded) -> Table {
 
 /// Ablation: mini-batch size (§8). Epoch time falls with batch size;
 /// PreSC's hit rate does not move.
-fn batch_size(cfg: &ExpConfig, w: &Workload) -> Table {
+fn batch_size(cfg: &ExpConfig, gcn_pa: &EpochStore<'_>) -> Table {
+    let w = gcn_pa.workload();
     let base = w.batch_size();
-    let cache = build_cache_table(w, PolicyKind::PreSC { k: 1 }, 0.15);
+    let cache = gcn_pa.cache(PolicyKind::PreSC { k: 1 }, 0.15);
     // One GNNLab-class GPU doing all three stages against the forced cache.
     let ctx = SimContext::new(w, SystemKind::GnnLab);
     let gpu = Placement::solo(
@@ -124,7 +125,7 @@ fn trainset_size(cfg: &ExpConfig, papers: &Dataset) -> Table {
         let n = w.dataset.csr.num_vertices();
         let size = ((w.dataset.train_set.len() as f64 * mult) as usize).clamp(8, n);
         w.dataset.train_set = trainset::recent_train_set(n, size);
-        let mut w = Recorded::new(w);
+        let w = EpochStore::new(w);
         let (tsota, gnnlab) = (SystemKind::TSota, SystemKind::GnnLab);
         table.row(match (w.run_system(tsota, 8), w.run_system(gnnlab, 8)) {
             (Ok(t), Ok(g)) => vec![
@@ -146,7 +147,7 @@ fn trainset_size(cfg: &ExpConfig, papers: &Dataset) -> Table {
 
 /// Ablation: the §8 partitioning alternative. Topology split across the 8
 /// GPUs; 7/8 of neighbor accesses are remote at ~74× local latency.
-fn partitioning(gcn_pa: &mut Recorded) -> Table {
+fn partitioning(gcn_pa: &EpochStore<'_>) -> Table {
     // GNNLab baseline.
     let gnnlab = gcn_pa.run_system(SystemKind::GnnLab, 8).expect("PA fits");
     // Partitioned sampling: every GPU samples its share — the same kernel
@@ -253,13 +254,13 @@ fn subgraph_presc(cfg: &ExpConfig) -> Table {
 /// All ablations.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let papers = dataset(DatasetKind::Papers, cfg);
-    let mut gcn_pa = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
+    let gcn_pa = EpochStore::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
     vec![
-        pipelining(&mut gcn_pa),
-        multitenant(&mut gcn_pa),
-        batch_size(cfg, &gcn_pa.workload),
+        pipelining(&gcn_pa),
+        multitenant(&gcn_pa),
+        batch_size(cfg, &gcn_pa),
         trainset_size(cfg, &papers),
-        partitioning(&mut gcn_pa),
+        partitioning(&gcn_pa),
         subgraph_presc(cfg),
     ]
 }
@@ -267,6 +268,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::generate;
     use gnnlab_graph::Scale;
 
     fn config() -> ExpConfig {
@@ -277,8 +279,8 @@ mod tests {
         }
     }
 
-    fn gcn_pa() -> Recorded {
-        Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, &config())
+    fn gcn_pa() -> EpochStore<'static> {
+        generate(ModelKind::Gcn, DatasetKind::Papers, &config())
     }
 
     fn val(t: &Table, r: usize, c: usize) -> f64 {
@@ -291,13 +293,13 @@ mod tests {
 
     #[test]
     fn pipelining_helps() {
-        let t = pipelining(&mut gcn_pa());
+        let t = pipelining(&gcn_pa());
         assert!(val(&t, 0, 1) <= val(&t, 1, 1), "{t:?}");
     }
 
     #[test]
     fn switching_absorbs_stragglers() {
-        let t = multitenant(&mut gcn_pa());
+        let t = multitenant(&gcn_pa());
         let clean = val(&t, 0, 1);
         let slow_no_ds = val(&t, 1, 1);
         let slow_ds = val(&t, 2, 1);
@@ -312,7 +314,8 @@ mod tests {
         // stable under batch-size changes (per-lookup hit rates shift a
         // little because dedup shifts the lookup mix).
         use gnnlab_cache::{CachePolicy, PolicyKind};
-        let w = gcn_pa().workload;
+        let gcn_pa = gcn_pa();
+        let w = gcn_pa.workload();
         let top_set = |batch: usize| -> std::collections::HashSet<u32> {
             let out = CachePolicy::hotness(
                 PolicyKind::PreSC { k: 1 },
@@ -333,13 +336,13 @@ mod tests {
         let overlap = small.intersection(&large).count() as f64 / small.len().max(1) as f64;
         assert!(overlap > 0.7, "top-10% overlap only {overlap:.2}");
         // And the informative sweep still runs.
-        let t = batch_size(&config(), &w);
+        let t = batch_size(&config(), &gcn_pa);
         assert_eq!(t.rows.len(), 4);
     }
 
     #[test]
     fn partitioned_sampling_is_catastrophic() {
-        let t = partitioning(&mut gcn_pa());
+        let t = partitioning(&gcn_pa());
         assert!(val(&t, 1, 1) > 3.0 * val(&t, 0, 1), "{t:?}");
     }
 

@@ -7,7 +7,7 @@
 //! — the table quantifies the degraded-mode slowdown the recovery
 //! machinery buys.
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch_opts, FactoredOptions, SimContext};
@@ -38,7 +38,7 @@ fn run_with_failure(
 /// GraphSAGE on PR, 1 Sampler + 3 Trainers: kill one device at three
 /// points of the epoch and report the recovery cost.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Products, cfg);
+    let w = generate(ModelKind::GraphSage, DatasetKind::Products, cfg);
     let (ctx, epoch) = w.cell(SystemKind::GnnLab, NS + NT);
     let ctx = ctx.with_obs(cfg.obs());
 

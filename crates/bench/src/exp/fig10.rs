@@ -4,10 +4,11 @@
 //! The headline PreSC result: near-Optimal everywhere; Degree collapses on
 //! the low-skew citation graph and under weighted sampling.
 
-use crate::exp::{cache_stats_on_trace, datasets, workload_on, Recorded};
+use crate::exp::{datasets, workload_on};
 use crate::table::pct;
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
+use gnnlab_core::runtime::{cache_stats_on_trace, EpochStore};
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
@@ -29,10 +30,11 @@ pub fn run(cfg: &ExpConfig) -> Table {
     for algo in AlgorithmKind::TABLE2 {
         for dataset in &datasets {
             let w = workload_on(ModelKind::Gcn, dataset.clone(), cfg).with_algorithm(algo);
-            let mut w = Recorded::new(w);
-            // PreSC#1 and Optimal share the pre-sampled epoch 0.
+            let w = EpochStore::new(w);
+            // PreSC#1 and Optimal share the pre-sampled epoch 0, and
+            // Optimal's epoch 2 is the measured one.
             let caches = POLICIES.map(|policy| w.cache(policy, 0.10));
-            let (w, trace) = w.trace(Kernel::FisherYates, 2);
+            let (w, trace) = (w.workload(), w.trace(Kernel::FisherYates, 2));
             let ds = dataset.spec.kind;
             let mut row = vec![format!("{} / {}", algo.label(), ds.abbrev())];
             for cache in &caches {

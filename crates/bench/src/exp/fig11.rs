@@ -2,11 +2,11 @@
 //! needed, (b) hit rate vs cache ratio on OGB-Papers, (c) transferred data
 //! vs feature dimension with a fixed 5 GB cache.
 
-use crate::exp::{cache_stats_on_trace, dataset, transferred_bytes_paper, workload_on, Recorded};
+use crate::exp::{dataset, transferred_bytes_paper, workload_on};
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::{build_cache_table, Rankings};
+use gnnlab_core::runtime::{cache_stats_on_trace, EpochStore};
 use gnnlab_core::Workload;
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::{AlgorithmKind, Kernel};
@@ -19,10 +19,9 @@ const GB: f64 = 1e9;
 fn run_a(cfg: &ExpConfig) -> Table {
     let w = Workload::new(ModelKind::Gcn, DatasetKind::Twitter, cfg.scale, cfg.seed)
         .with_algorithm(AlgorithmKind::Khop3Weighted);
-    let mut w = Recorded::new(w);
+    let store = EpochStore::new(w);
     // Measurement epoch 5: outside every pre-sampling window (K <= 3).
-    let (w, trace) = w.trace(Kernel::FisherYates, 5);
-    let rankings = Rankings::default();
+    let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 5));
     let mut table = Table::new(
         "Fig. 11a: PreSC#K on Twitter (weighted sampling): hit rate vs cache ratio",
         &[
@@ -44,7 +43,7 @@ fn run_a(cfg: &ExpConfig) -> Table {
     for alpha in [0.05, 0.10, 0.20] {
         let mut row = vec![pct(alpha)];
         for policy in policies {
-            let cache = rankings.table(w, policy, alpha);
+            let cache = store.cache(policy, alpha);
             row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);
@@ -54,9 +53,8 @@ fn run_a(cfg: &ExpConfig) -> Table {
 
 /// Fig. 11b: hit rate vs cache ratio on OGB-Papers (uniform 3-hop).
 fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
-    let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
-    let (w, trace) = w.trace(Kernel::FisherYates, 2);
-    let rankings = Rankings::default();
+    let store = EpochStore::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
+    let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 2));
     let mut table = Table::new(
         "Fig. 11b: hit rate vs cache ratio, OGB-Papers, 3-hop uniform",
         &["Cache ratio", "Random", "Degree", "PreSC#1", "Optimal"],
@@ -64,7 +62,7 @@ fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
     for alpha in [0.01, 0.03, 0.05, 0.10, 0.15, 0.20, 0.30] {
         let mut row = vec![pct(alpha)];
         for policy in super::fig10::POLICIES {
-            let cache = rankings.table(w, policy, alpha);
+            let cache = store.cache(policy, alpha);
             row.push(pct(cache_stats_on_trace(w, trace, &cache).hit_rate()));
         }
         table.row(row);
@@ -80,8 +78,8 @@ fn run_c(cfg: &ExpConfig, papers: &Dataset) -> Table {
     );
     for dim in [100usize, 300, 500, 700, 900] {
         let w = workload_on(ModelKind::Gcn, papers.clone().with_feat_dim(dim), cfg);
-        let mut w = Recorded::new(w);
-        let (w, trace) = w.trace(Kernel::FisherYates, 2);
+        let store = EpochStore::new(w);
+        let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 2));
         let alpha = (5.0 * GB / w.dataset.feature_bytes_paper() as f64).min(1.0);
         let mut row = vec![dim.to_string()];
         for policy in [
@@ -89,7 +87,7 @@ fn run_c(cfg: &ExpConfig, papers: &Dataset) -> Table {
             PolicyKind::Degree,
             PolicyKind::PreSC { k: 1 },
         ] {
-            let cache = build_cache_table(w, policy, alpha);
+            let cache = store.cache(policy, alpha);
             row.push(bytes(transferred_bytes_paper(w, trace, &cache)));
         }
         table.row(row);

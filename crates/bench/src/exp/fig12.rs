@@ -7,12 +7,12 @@
 //! large for compute-light models (GCN/GraphSAGE) and limited for PinSAGE,
 //! whose Train stage dominates.
 
-use crate::exp::{dataset, workload_on, Recorded};
+use crate::exp::{dataset, workload_on};
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
 use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::run_system_on;
+use gnnlab_core::runtime::{run_system_on, EpochStore};
 use gnnlab_core::SystemKind;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::AlgorithmKind;
@@ -28,7 +28,7 @@ pub const POLICIES: [PolicyKind; 3] = [
 /// Runs GNNLab (8 GPUs, allocation from profiling) with an explicit
 /// caching policy.
 pub(crate) fn gnnlab_with_policy(
-    w: &mut Recorded,
+    w: &EpochStore<'_>,
     policy: PolicyKind,
 ) -> Result<EpochReport, RunError> {
     let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
@@ -61,11 +61,11 @@ pub fn tables(cfg: &ExpConfig) -> Vec<Table> {
             ),
         ];
         for (name, workload) in columns {
-            let mut w = Recorded::new(workload);
+            let w = EpochStore::new(workload);
             let label = format!("{name}/{}", ds.abbrev());
             let (mut extract_row, mut epoch_row) = (vec![label.clone()], vec![label]);
             for policy in POLICIES {
-                let rep = gnnlab_with_policy(&mut w, policy);
+                let rep = gnnlab_with_policy(&w, policy);
                 extract_row.push(cell(&rep, |r| secs(r.stages.extract)));
                 epoch_row.push(cell(&rep, |r| secs(r.epoch_time)));
             }
@@ -79,6 +79,7 @@ pub fn tables(cfg: &ExpConfig) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::generate;
     use gnnlab_graph::Scale;
 
     #[test]
@@ -88,10 +89,10 @@ mod tests {
             seed: 1,
             obs: None,
         };
-        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, &cfg);
-        let degree = gnnlab_with_policy(&mut w, PolicyKind::Degree).unwrap();
-        let random = gnnlab_with_policy(&mut w, PolicyKind::Random).unwrap();
-        let presc = gnnlab_with_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
+        let w = generate(ModelKind::Gcn, DatasetKind::Papers, &cfg);
+        let degree = gnnlab_with_policy(&w, PolicyKind::Degree).unwrap();
+        let random = gnnlab_with_policy(&w, PolicyKind::Random).unwrap();
+        let presc = gnnlab_with_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(
             presc.stages.extract < degree.stages.extract,
             "presc {} degree {}",
@@ -114,9 +115,9 @@ mod tests {
             obs: None,
         };
         // GraphSAGE on PA: compute-light, PreSC should clearly win vs Random.
-        let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, &cfg);
-        let random = gnnlab_with_policy(&mut w, PolicyKind::Random).unwrap();
-        let presc = gnnlab_with_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
+        let w = generate(ModelKind::GraphSage, DatasetKind::Papers, &cfg);
+        let random = gnnlab_with_policy(&w, PolicyKind::Random).unwrap();
+        let presc = gnnlab_with_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(
             presc.epoch_time < random.epoch_time,
             "presc {} random {}",
@@ -126,9 +127,9 @@ mod tests {
 
         // PinSAGE on PA: train-dominated, improvement is limited (paper:
         // 1-40 %) — PreSC is not *worse*, but the gap narrows.
-        let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Papers, &cfg);
-        let random = gnnlab_with_policy(&mut w, PolicyKind::Random).unwrap();
-        let presc = gnnlab_with_policy(&mut w, PolicyKind::PreSC { k: 1 }).unwrap();
+        let w = generate(ModelKind::PinSage, DatasetKind::Papers, &cfg);
+        let random = gnnlab_with_policy(&w, PolicyKind::Random).unwrap();
+        let presc = gnnlab_with_policy(&w, PolicyKind::PreSC { k: 1 }).unwrap();
         assert!(presc.epoch_time <= random.epoch_time * 1.02);
     }
 }

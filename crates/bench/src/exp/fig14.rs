@@ -1,7 +1,7 @@
 //! Fig. 14: scalability of DGL, T_SOTA and GNNLab with the number of GPUs
 //! (GCN on PA and TW). GNNLab is shown with fixed Sampler counts 1S/2S/3S.
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::EpochReport;
@@ -11,7 +11,7 @@ use gnnlab_graph::DatasetKind;
 use gnnlab_tensor::ModelKind;
 
 fn sweep(ds: DatasetKind, title: &str, cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::generate(ModelKind::Gcn, ds, cfg);
+    let w = generate(ModelKind::Gcn, ds, cfg);
     let mut table = Table::new(
         title,
         &[

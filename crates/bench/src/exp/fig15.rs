@@ -2,7 +2,7 @@
 //! and Trainer (n) counts vary — shows where the epoch-time floor is and
 //! that flexible scheduling picks the optimum.
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
@@ -13,7 +13,7 @@ use gnnlab_tensor::ModelKind;
 /// Regenerates Fig. 15: epoch time for every (mS, nT), m ∈ 1..=3,
 /// m+n ≤ 8, plus the allocation the rule of §5.3 picks.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
+    let w = generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
     let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
     let mut table = Table::new(
         "Fig. 15: GNNLab epoch time (s), GCN on PA, by (mS, nT)",

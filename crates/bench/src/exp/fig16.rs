@@ -8,7 +8,7 @@
 //! gradient updates per epoch and needs fewer epochs — the paper's Fig. 16b
 //! effect — while also having the fastest epochs.
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::{error_cell, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::train_real::{train_to_accuracy, ConvergenceConfig};
@@ -35,7 +35,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
 
     // Epoch times from the performance simulators (GSG on PA; 8 GPUs
     // here, 2, 4 and 8 in the scalability table).
-    let mut w = Recorded::generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
+    let w = generate(ModelKind::GraphSage, DatasetKind::Papers, cfg);
     let gnnlab_rep = w.run_system(SystemKind::GnnLab, 8).expect("PA fits");
 
     let systems = [

@@ -1,17 +1,17 @@
 //! Fig. 17: (a) dynamic switching on a skewed workload; (b) all systems on
 //! a single GPU.
 
-use crate::exp::{datasets, workload_on, Recorded};
+use crate::exp::{datasets, workload_on};
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
-use gnnlab_core::runtime::{run_factored_epoch, run_system_on};
+use gnnlab_core::runtime::{run_factored_epoch, run_system_on, EpochStore};
 use gnnlab_core::SystemKind;
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_tensor::ModelKind;
 
 /// Fig. 17a: PinSAGE on PA, 1 Sampler, n Trainers, switching on/off.
 fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
-    let mut w = Recorded::new(workload_on(ModelKind::PinSage, papers.clone(), cfg));
+    let w = EpochStore::new(workload_on(ModelKind::PinSage, papers.clone(), cfg));
     let (ctx, epoch) = w.cell(SystemKind::GnnLab, 8);
     let ctx = ctx.with_obs(cfg.obs());
     let mut table = Table::new(
@@ -41,7 +41,7 @@ fn run_b(cfg: &ExpConfig, datasets: [Dataset; 4]) -> Table {
     );
     for dataset in datasets {
         let ds = dataset.spec.kind;
-        let mut w = Recorded::new(workload_on(ModelKind::Gcn, dataset, cfg));
+        let w = EpochStore::new(workload_on(ModelKind::Gcn, dataset, cfg));
         let mut row = vec![ds.abbrev().to_string()];
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             cfg.begin_run(&format!("fig17b {} {}", ds.abbrev(), system.label()));

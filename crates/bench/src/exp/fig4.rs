@@ -6,11 +6,11 @@
 //! (b) Cache hit rate and transferred data vs feature dimension with a
 //!     fixed 5 GB cache.
 
-use crate::exp::{cache_stats_on_trace, dataset, transferred_bytes_paper, workload_on, Recorded};
+use crate::exp::{dataset, transferred_bytes_paper, workload_on};
 use crate::table::{bytes, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::{build_cache_table, run_epoch_with_cache, Placement};
+use gnnlab_core::runtime::{cache_stats_on_trace, run_epoch_with_cache, EpochStore, Placement};
 use gnnlab_core::SystemKind;
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_sampling::Kernel;
@@ -21,7 +21,7 @@ const GB: f64 = 1e9;
 /// Fig. 4a: hit rate + Extract time vs cache ratio (degree policy, the
 /// §3 motivation setting).
 fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
-    let mut w = Recorded::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
+    let w = EpochStore::new(workload_on(ModelKind::Gcn, papers.clone(), cfg));
     let (ctx, epoch) = w.cell(SystemKind::TSota, 1);
     let gpu = Placement::timeshare(SystemKind::TSota, 1).expect("T_SOTA time-shares");
     let mut table = Table::new(
@@ -29,7 +29,7 @@ fn run_a(cfg: &ExpConfig, papers: &Dataset) -> Table {
         &["Cache ratio", "Hit rate", "Extract time (s/epoch)"],
     );
     for alpha in [0.0, 0.02, 0.05, 0.07, 0.10, 0.14, 0.21, 0.30] {
-        let cache = build_cache_table(ctx.workload, PolicyKind::Degree, alpha);
+        let cache = w.cache(PolicyKind::Degree, alpha);
         let rep = run_epoch_with_cache(&ctx, &epoch, &gpu, cache).expect("nothing is planned");
         table.row(vec![
             pct(alpha),
@@ -53,11 +53,11 @@ fn run_b(cfg: &ExpConfig, papers: &Dataset) -> Table {
     );
     for dim in [128usize, 256, 384, 512, 640, 768] {
         let w = workload_on(ModelKind::Gcn, papers.clone().with_feat_dim(dim), cfg);
-        let mut w = Recorded::new(w);
-        let (w, trace) = w.trace(Kernel::FisherYates, 2);
+        let store = EpochStore::new(w);
+        let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 2));
         let feat = w.dataset.feature_bytes_paper() as f64;
         let alpha = (5.0 * GB / feat).min(1.0);
-        let cache = build_cache_table(w, PolicyKind::Degree, alpha);
+        let cache = store.cache(PolicyKind::Degree, alpha);
         let stats = cache_stats_on_trace(w, trace, &cache);
         let moved = transferred_bytes_paper(w, trace, &cache);
         table.row(vec![

@@ -5,27 +5,26 @@
 //! The §3 efficiency gap: Degree is far from Optimal on a low-skew graph
 //! (a) and under weighted sampling even on a power-law graph (b).
 
-use crate::exp::{transferred_bytes_paper, Recorded};
+use crate::exp::transferred_bytes_paper;
 use crate::table::{bytes, pct};
 use crate::{ExpConfig, Table};
 use gnnlab_cache::PolicyKind;
-use gnnlab_core::runtime::Rankings;
+use gnnlab_core::runtime::EpochStore;
 use gnnlab_core::Workload;
 use gnnlab_graph::DatasetKind;
 use gnnlab_sampling::{AlgorithmKind, Kernel};
 use gnnlab_tensor::ModelKind;
 
 fn sweep(w: Workload, title: &str) -> Table {
-    let mut w = Recorded::new(w);
-    let (w, trace) = w.trace(Kernel::FisherYates, 2);
-    let rankings = Rankings::default();
+    let store = EpochStore::new(w);
+    let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 2));
     let mut table = Table::new(
         title,
         &["Cache ratio", "Degree", "Optimal", "Degree/Optimal"],
     );
     for alpha in [0.01, 0.03, 0.05, 0.07, 0.10, 0.15, 0.20, 0.30] {
-        let deg = rankings.table(w, PolicyKind::Degree, alpha);
-        let opt = rankings.table(w, PolicyKind::Optimal { epochs: 3 }, alpha);
+        let deg = store.cache(PolicyKind::Degree, alpha);
+        let opt = store.cache(PolicyKind::Optimal { epochs: 3 }, alpha);
         let deg_bytes = transferred_bytes_paper(w, trace, &deg);
         let opt_bytes = transferred_bytes_paper(w, trace, &opt);
         let ratio = if opt_bytes > 0.0 {

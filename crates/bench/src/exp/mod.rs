@@ -10,28 +10,29 @@
 //!
 //! 1. `datasets` / `dataset` instantiate each graph a table uses once
 //!    (`datasets` generates the four concurrently); `workload_on` builds
-//!    the table's workloads over clones.
-//! 2. A `Recorded` owns its workload's epoch slots, one per distinct
-//!    (kernel, epoch) — per epoch alone for a sampler that takes no
-//!    kernel — and its cache `Rankings`.
-//!    `Recorded::cell` hands out the `SimContext` for a system and GPU
-//!    count (carrying the rankings) together with a `LazyEpoch` over the
-//!    slot that system's kernel draws. Nothing is recorded yet.
+//!    the table's workloads over clones, `generate` one workload on a
+//!    graph of its own.
+//! 2. Each workload sits in a `gnnlab_core::runtime::EpochStore`: its
+//!    sampled epochs (one pass per kernel and epoch, the Fisher–Yates
+//!    pass also counting visits) and its cache rankings, cut from those
+//!    counts. `EpochStore::cell` hands out the `SimContext` for a system
+//!    and GPU count, planning its caches from the store, together with a
+//!    `LazyEpoch` over the epoch that system's kernel draws. Nothing is
+//!    sampled yet.
 //! 3. The pair goes to `gnnlab_core::runtime`: `run_system_on` when the
 //!    engine is to pick the placement (time-sharing baselines, GNNLab's
-//!    allocation rule, the solo GPU; `Recorded::run_system` is that
+//!    allocation rule, the solo GPU; `EpochStore::run_system` is that
 //!    call), `run_factored_epoch` / `run_epoch` when the table pins one,
 //!    `run_epoch_with_cache` when it forces a cache ratio. The runtime
 //!    plans the placement first and asks for the epoch only if every
-//!    GPU fits, so an `OOM` or `x` cell records nothing; a planned cache
-//!    is a prefix of the policy's ranking, pre-sampled once per
-//!    workload. Nothing here costs a stage or plans a GPU itself.
+//!    GPU fits, so an `OOM` or `x` cell samples nothing. Nothing here
+//!    costs a stage or plans a GPU itself.
 //! 4. `table::cell` turns the `Result<EpochReport, RunError>` into text:
 //!    the table's reading of the report, or `OOM` / `x` / `LOST`.
 //!
-//! The experiments that never run an epoch (hit-rate and footprint sweeps)
-//! take their traces from `Recorded::trace`; Table 2 and the subgraph
-//! ablation sample directly because they need visit counts, not traces.
+//! The hit-rate and footprint sweeps that run no epoch take their traces
+//! (`EpochStore::trace`) and caches (`EpochStore::cache`) from the same
+//! store. Table 2 and the subgraph ablation sample their own streams.
 
 pub mod ablations;
 pub mod fault_recovery;
@@ -55,16 +56,13 @@ pub mod table5;
 pub mod table6;
 
 use crate::{ExpConfig, Table};
-use gnnlab_cache::{CacheStats, CacheTable, PolicyKind};
-use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::{run_system_on, Rankings, SimContext};
-use gnnlab_core::trace::{EpochTrace, LazyEpoch};
-use gnnlab_core::{SystemKind, Workload};
+use gnnlab_cache::CacheTable;
+use gnnlab_core::runtime::{cache_stats_on_trace, EpochStore};
+use gnnlab_core::trace::EpochTrace;
+use gnnlab_core::Workload;
 use gnnlab_graph::{Dataset, DatasetKind};
 use gnnlab_par::sync::{AtomicUsize, Ordering};
-use gnnlab_sampling::Kernel;
 use gnnlab_tensor::ModelKind;
-use std::cell::OnceCell;
 use std::sync::OnceLock;
 
 /// One entry of [`EXPERIMENTS`].
@@ -193,98 +191,15 @@ pub(crate) fn workload_on(model: ModelKind, dataset: Dataset, cfg: &ExpConfig) -
     Workload::with_dataset(model, dataset, classes, cfg.seed)
 }
 
-/// A workload, the epoch traces recorded for it so far and its cache
-/// rankings. A trace is kept per distinct (kernel, epoch) and recorded the
-/// first time a planned cell asks for it: T_SOTA, GNNLab and PyG all draw
-/// with Fisher–Yates, so a row of systems, a GPU sweep or a policy sweep
-/// over one workload records twice at most, and a cell that does not fit
-/// records nothing. A sampler that takes no kernel (random walks) keys its
-/// traces by epoch alone, so every system shares one recording. The
-/// rankings keep each policy's hotness and each pre-sampled epoch, so a
-/// workload pre-samples an epoch once for every policy and placement.
-pub(crate) struct Recorded {
-    pub workload: Workload,
-    traces: Vec<(Option<Kernel>, u64, OnceCell<EpochTrace>)>,
-    rankings: Rankings,
-}
-
-impl Recorded {
-    pub fn new(workload: Workload) -> Self {
-        Recorded {
-            workload,
-            traces: Vec::new(),
-            rankings: Rankings::default(),
-        }
-    }
-
-    /// The standard workload of `model` on a freshly instantiated `kind`,
-    /// for a table that uses that dataset for nothing else.
-    pub fn generate(model: ModelKind, kind: DatasetKind, cfg: &ExpConfig) -> Self {
-        Self::new(Workload::new(model, kind, cfg.scale, cfg.seed))
-    }
-
-    /// The workload, its epoch `epoch` as `kernel` draws it (recorded on
-    /// first use) and its rankings.
-    fn parts(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, LazyEpoch<'_>, &Rankings) {
-        let key = self.workload.algorithm.uses_kernel().then_some(kernel);
-        let held = self.traces.iter().position(|t| (t.0, t.1) == (key, epoch));
-        let at = held.unwrap_or_else(|| {
-            self.traces.push((key, epoch, OnceCell::new()));
-            self.traces.len() - 1
-        });
-        let Recorded {
-            workload,
-            traces,
-            rankings,
-        } = &*self;
-        let lazy = LazyEpoch::new(workload, kernel, epoch, &traces[at].2);
-        (workload, lazy, rankings)
-    }
-
-    /// The workload's epoch `epoch` as `kernel` draws it, recorded now if
-    /// no cell has asked for it yet.
-    pub fn trace(&mut self, kernel: Kernel, epoch: u64) -> (&Workload, &EpochTrace) {
-        let (workload, lazy, _) = self.parts(kernel, epoch);
-        (workload, lazy.get())
-    }
-
-    /// The cache `policy` loads at ratio `alpha`, cut from the workload's
-    /// rankings.
-    pub fn cache(&self, policy: PolicyKind, alpha: f64) -> CacheTable {
-        self.rankings.table(&self.workload, policy, alpha)
-    }
-
-    /// What one cell runs on: the standard context of `system` on `gpus`
-    /// GPUs (its default policy, epoch 2, no hub, the workload's
-    /// rankings) and the epoch that system's kernel draws, recorded only
-    /// when a planned placement asks for it.
-    pub fn cell(&mut self, system: SystemKind, gpus: usize) -> (SimContext<'_>, LazyEpoch<'_>) {
-        let epoch = SimContext::new(&self.workload, system).epoch;
-        let (workload, lazy, rankings) = self.parts(system.kernel(), epoch);
-        let ctx = SimContext::new(workload, system).with_gpus(gpus);
-        (ctx.with_rankings(rankings), lazy)
-    }
-
-    /// One epoch of `system` on `gpus` GPUs under the engine's own
-    /// system → placement rule.
-    pub fn run_system(&mut self, system: SystemKind, gpus: usize) -> Result<EpochReport, RunError> {
-        let (ctx, epoch) = self.cell(system, gpus);
-        run_system_on(&ctx, &epoch)
-    }
-}
-
-/// Accumulates cache statistics of `table` over a recorded epoch trace.
-pub fn cache_stats_on_trace(
-    workload: &Workload,
-    trace: &EpochTrace,
-    table: &CacheTable,
-) -> CacheStats {
-    let row_bytes = workload.dataset.row_bytes();
-    let mut stats = CacheStats::default();
-    for b in &trace.batches {
-        stats.record(table, &b.input_nodes, row_bytes);
-    }
-    stats
+/// The standard workload of `model` on a freshly instantiated `kind`, in
+/// a store of its own, for a table that uses that dataset for nothing
+/// else.
+pub(crate) fn generate(
+    model: ModelKind,
+    kind: DatasetKind,
+    cfg: &ExpConfig,
+) -> EpochStore<'static> {
+    EpochStore::new(Workload::new(model, kind, cfg.scale, cfg.seed))
 }
 
 /// Paper-scale transferred bytes of an epoch trace against a cache.
@@ -366,44 +281,6 @@ mod tests {
             select(&["fig13", "fig12"]).unwrap(),
             [(sweep, Some(1)), (sweep, Some(0))]
         );
-    }
-
-    /// How many of `w`'s epochs `kernel` draws have been recorded (`None`:
-    /// of those keyed by epoch alone).
-    fn recorded(w: &Recorded, kernel: Option<Kernel>) -> usize {
-        let drawn = |t: &&(_, _, OnceCell<_>)| t.0 == kernel && t.2.get().is_some();
-        w.traces.iter().filter(drawn).count()
-    }
-
-    fn scale_8192() -> ExpConfig {
-        ExpConfig {
-            scale: gnnlab_graph::Scale::new(8192),
-            seed: 42,
-            obs: None,
-        }
-    }
-
-    #[test]
-    fn a_cell_that_cannot_fit_records_no_trace() {
-        let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Uk, &scale_8192());
-        let dgl = w.run_system(SystemKind::DglLike, 2);
-        assert!(matches!(dgl, Err(RunError::Oom { .. })), "{dgl:?}");
-        assert_eq!(recorded(&w, Some(Kernel::Reservoir)), 0);
-        w.run_system(SystemKind::GnnLab, 2).expect("GNNLab fits UK");
-        assert_eq!(recorded(&w, Some(Kernel::FisherYates)), 1);
-        assert_eq!(recorded(&w, Some(Kernel::Reservoir)), 0);
-    }
-
-    #[test]
-    fn a_sampler_that_takes_no_kernel_records_one_trace_for_every_system() {
-        let mut w = Recorded::generate(ModelKind::PinSage, DatasetKind::Products, &scale_8192());
-        assert!(!w.workload.algorithm.uses_kernel());
-        for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
-            let rep = w.run_system(system, 2);
-            assert!(rep.is_ok(), "{system:?} on PinSAGE/PA: {rep:?}");
-        }
-        assert_eq!(w.traces.len(), 1);
-        assert_eq!(recorded(&w, None), 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! time-sharing design cannot get full benefit from both (cache ratio
 //! collapses when topology moves onto the GPU).
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::memory::Residency;
@@ -57,7 +57,7 @@ const VARIANTS: [(&str, SystemKind, SampleDevice, GatherPath, Residency); 6] = [
 
 /// Regenerates Table 1: six single-GPU placements over one workload.
 pub fn run(cfg: &ExpConfig) -> Table {
-    let mut w = Recorded::generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
+    let w = generate(ModelKind::Gcn, DatasetKind::Papers, cfg);
     let mut table = Table::new(
         "Table 1: runtime breakdown (s) of one epoch, GCN on OGB-Papers, 1 GPU",
         &[

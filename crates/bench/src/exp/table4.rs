@@ -1,9 +1,10 @@
 //! Table 4: end-to-end epoch time of every system on every workload
 //! (3 models × 4 datasets, 8 GPUs).
 
-use crate::exp::{datasets, workload_on, Recorded};
+use crate::exp::{datasets, workload_on};
 use crate::table::{cell, secs};
 use crate::{ExpConfig, Table};
+use gnnlab_core::runtime::EpochStore;
 use gnnlab_core::SystemKind;
 use gnnlab_tensor::ModelKind;
 
@@ -18,7 +19,7 @@ pub fn run(cfg: &ExpConfig) -> Table {
     for model in ModelKind::ALL {
         for dataset in &datasets {
             let ds = dataset.spec.kind;
-            let mut w = Recorded::new(workload_on(model, dataset.clone(), cfg));
+            let w = EpochStore::new(workload_on(model, dataset.clone(), cfg));
             let mut row = vec![model.abbrev().to_string(), ds.abbrev().to_string()];
             for system in SystemKind::ALL {
                 row.push(cell(&w.run_system(system, 8), |rep| match system {

@@ -1,11 +1,11 @@
 //! Table 5: stage-level runtime breakdown on two GPUs (DGL, T_SOTA
 //! time-sharing; GNNLab as 1 Sampler + 1 Trainer).
 
-use crate::exp::{datasets, workload_on, Recorded};
+use crate::exp::{datasets, workload_on};
 use crate::table::{error_cell, pct, secs};
 use crate::{ExpConfig, Table};
 use gnnlab_core::report::{EpochReport, RunError};
-use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch};
+use gnnlab_core::runtime::{run_factored_epoch, run_timeshare_epoch, EpochStore};
 use gnnlab_core::SystemKind;
 use gnnlab_obs::Obs;
 use gnnlab_tensor::ModelKind;
@@ -31,7 +31,7 @@ fn breakdown_cells(rep: &Result<EpochReport, RunError>) -> Vec<String> {
 /// without switching, so each column is one role's time — the one
 /// system → placement choice this crate makes itself.
 fn breakdown(
-    w: &mut Recorded,
+    w: &EpochStore<'_>,
     system: SystemKind,
     obs: Option<&Obs>,
 ) -> Result<EpochReport, RunError> {
@@ -54,11 +54,11 @@ pub fn run(cfg: &ExpConfig) -> Table {
     let datasets = datasets(cfg);
     for model in ModelKind::ALL {
         for dataset in &datasets {
-            let mut w = Recorded::new(workload_on(model, dataset.clone(), cfg));
-            let label = w.workload.label();
+            let w = EpochStore::new(workload_on(model, dataset.clone(), cfg));
+            let label = w.workload().label();
             for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
                 cfg.begin_run(&format!("table5 {label} {}", system.label()));
-                let rep = breakdown(&mut w, system, cfg.obs());
+                let rep = breakdown(&w, system, cfg.obs());
                 let mut row = vec![label.clone(), system.label().to_string()];
                 row.extend(breakdown_cells(&rep));
                 table.row(row);
@@ -71,10 +71,11 @@ pub fn run(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::generate;
     use gnnlab_graph::{DatasetKind, Scale};
 
-    fn workload(model: ModelKind, ds: DatasetKind) -> Recorded {
-        Recorded::generate(model, ds, &config())
+    fn workload(model: ModelKind, ds: DatasetKind) -> EpochStore<'static> {
+        generate(model, ds, &config())
     }
 
     fn config() -> ExpConfig {
@@ -87,9 +88,9 @@ mod tests {
 
     #[test]
     fn gnnlab_extract_beats_tsota_on_papers() {
-        let mut w = workload(ModelKind::Gcn, DatasetKind::Papers);
-        let tsota = breakdown(&mut w, SystemKind::TSota, None).unwrap();
-        let gnnlab = breakdown(&mut w, SystemKind::GnnLab, None).unwrap();
+        let w = workload(ModelKind::Gcn, DatasetKind::Papers);
+        let tsota = breakdown(&w, SystemKind::TSota, None).unwrap();
+        let gnnlab = breakdown(&w, SystemKind::GnnLab, None).unwrap();
         // Paper: 4.2x average Extract advantage (except PR).
         assert!(
             gnnlab.stages.extract < tsota.stages.extract / 2.0,
@@ -107,9 +108,9 @@ mod tests {
 
     #[test]
     fn dgl_sample_is_slower_than_fisher_yates_systems() {
-        let mut w = workload(ModelKind::PinSage, DatasetKind::Papers);
-        let dgl = breakdown(&mut w, SystemKind::DglLike, None).unwrap();
-        let tsota = breakdown(&mut w, SystemKind::TSota, None).unwrap();
+        let w = workload(ModelKind::PinSage, DatasetKind::Papers);
+        let dgl = breakdown(&w, SystemKind::DglLike, None).unwrap();
+        let tsota = breakdown(&w, SystemKind::TSota, None).unwrap();
         // §7.3: the gap is largest on PinSAGE (Python launch overheads).
         assert!(
             dgl.stages.sample_g > 1.5 * tsota.stages.sample_g,
@@ -122,10 +123,10 @@ mod tests {
     #[test]
     fn recorded_spans_reproduce_stage_breakdown() {
         use gnnlab_obs::{stage_secs, Obs, Stage};
-        let mut w = workload(ModelKind::Gcn, DatasetKind::Papers);
+        let w = workload(ModelKind::Gcn, DatasetKind::Papers);
         for system in [SystemKind::DglLike, SystemKind::TSota, SystemKind::GnnLab] {
             let obs = Obs::virtual_time();
-            let rep = breakdown(&mut w, system, Some(&obs)).unwrap();
+            let rep = breakdown(&w, system, Some(&obs)).unwrap();
             let sums = stage_secs(&obs.spans());
             let sum = |st: Stage| sums.get(&st).copied().unwrap_or(0.0);
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 + 1e-6 * b.abs();
@@ -158,9 +159,9 @@ mod tests {
 
     #[test]
     fn train_times_agree_across_systems() {
-        let mut w = workload(ModelKind::GraphSage, DatasetKind::Twitter);
-        let dgl = breakdown(&mut w, SystemKind::DglLike, None).unwrap();
-        let gnnlab = breakdown(&mut w, SystemKind::GnnLab, None).unwrap();
+        let w = workload(ModelKind::GraphSage, DatasetKind::Twitter);
+        let dgl = breakdown(&w, SystemKind::DglLike, None).unwrap();
+        let gnnlab = breakdown(&w, SystemKind::GnnLab, None).unwrap();
         let ratio = dgl.stages.train / gnnlab.stages.train;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     }

@@ -1,6 +1,6 @@
 //! Table 6: preprocessing time for training GCN in GNNLab.
 
-use crate::exp::Recorded;
+use crate::exp::generate;
 use crate::table::secs;
 use crate::{ExpConfig, Table};
 use gnnlab_core::runtime::{preprocess_report, SimContext};
@@ -23,10 +23,10 @@ pub fn run(cfg: &ExpConfig) -> Table {
         vec!["Pre-sampling for PreSC#1".to_string()],
     ];
     for ds in DatasetKind::ALL {
-        let mut w = Recorded::generate(ModelKind::Gcn, ds, cfg);
+        let w = generate(ModelKind::Gcn, ds, cfg);
         cfg.begin_run(&format!("table6 {}", ds.abbrev()));
         // Pre-sampling sees epoch 0, the first shuffle of the run.
-        let (w, trace) = w.trace(Kernel::FisherYates, 0);
+        let (w, trace) = (w.workload(), w.trace(Kernel::FisherYates, 0));
         let ctx = SimContext::new(w, SystemKind::GnnLab).with_obs(cfg.obs());
         let rep = preprocess_report(&ctx, trace).expect("GNNLab plans fit all datasets");
         rows[0].push(secs(rep.disk_to_dram));

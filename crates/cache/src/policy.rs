@@ -2,7 +2,9 @@
 
 use gnnlab_graph::{Csr, VertexId};
 use gnnlab_par::ThreadPool;
-use gnnlab_sampling::{presample_epochs, SampleWork, SamplingAlgorithm};
+use gnnlab_sampling::{
+    presample_epoch, FootprintRecorder, MinibatchIter, SampleWork, SamplingAlgorithm,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -115,27 +117,31 @@ impl CachePolicy {
             // RNG streams, so recording epochs 0..epochs reproduces the
             // run's footprint exactly.
             PolicyKind::PreSC { k: count } | PolicyKind::Optimal { epochs: count } => {
-                Self::sampled_hotness(csr, train_set, algo, batch_size, seed, count, pool)
+                let mut visits = FootprintRecorder::new(csr.num_vertices());
+                let mut presample_work = SampleWork::default();
+                let mut order = Vec::new();
+                for epoch in 0..u64::from(count) {
+                    MinibatchIter::shuffle_into(train_set, seed, epoch, &mut order);
+                    let pass = presample_epoch(
+                        csr,
+                        &order,
+                        algo,
+                        batch_size,
+                        seed,
+                        epoch,
+                        true,
+                        pool,
+                        |_, _| None::<()>,
+                    );
+                    visits.merge(&pass.recorder);
+                    presample_work.add(&pass.work);
+                }
+                PolicyOutput {
+                    hotness: visits.hotness(),
+                    presample_work,
+                    presample_epochs: count,
+                }
             }
-        }
-    }
-
-    /// Runs `count` sampling-only epochs from epoch 0 (fanned across
-    /// `pool`) and returns average visit counts.
-    fn sampled_hotness(
-        csr: &Csr,
-        train_set: &[VertexId],
-        algo: &dyn SamplingAlgorithm,
-        batch_size: usize,
-        seed: u64,
-        count: u32,
-        pool: &ThreadPool,
-    ) -> PolicyOutput {
-        let out = presample_epochs(csr, train_set, algo, batch_size, seed, count, pool);
-        PolicyOutput {
-            hotness: out.recorder.hotness(),
-            presample_work: out.work,
-            presample_epochs: count,
         }
     }
 }
@@ -145,7 +151,7 @@ mod tests {
     use super::*;
     use crate::table::load_cache;
     use gnnlab_graph::gen::{chung_lu, citation};
-    use gnnlab_sampling::{presample_rng, KHop, Kernel, MinibatchIter, Selection};
+    use gnnlab_sampling::{presample_rng, KHop, Kernel, Selection};
 
     fn khop() -> KHop {
         KHop::new(vec![5, 5], Kernel::FisherYates, Selection::Uniform)

@@ -7,9 +7,7 @@
 //! not a sentence.
 
 use crate::report::{EpochReport, RunError};
-use crate::runtime::{preprocess_report, run_system_on, PreprocessReport, SimContext};
-use crate::trace::LazyEpoch;
-use std::cell::OnceCell;
+use crate::runtime::{preprocess_report, run_system_on, EpochStore, PreprocessReport, SimContext};
 
 /// Summary of a full training job (preprocessing + `epochs` epochs).
 #[derive(Debug, Clone)]
@@ -36,8 +34,8 @@ pub fn run_job(ctx: &SimContext<'_>, epochs: usize) -> Result<RunSummary, RunErr
     assert!(epochs > 0, "a job needs at least one epoch");
     // One epoch serves both the pre-sampling charge and the run, recorded
     // once the Trainer GPU is planned.
-    let slot = OnceCell::new();
-    let trace = LazyEpoch::new(ctx.workload, ctx.system.kernel(), ctx.epoch, &slot);
+    let store = EpochStore::over(ctx.workload);
+    let trace = store.epoch(ctx.system.kernel(), ctx.epoch);
     let preprocess = preprocess_report(ctx, &trace)?;
     let epoch = run_system_on(ctx, &trace)?;
     let total_time = preprocess.total() + epoch.epoch_time * epochs as f64;

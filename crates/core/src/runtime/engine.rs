@@ -111,9 +111,9 @@ fn record_queue_depth(obs: &Obs, enqueues: &[(SimTime, usize)], dequeues: &[SimT
 
 impl<'a, 'c> Sim<'a, 'c> {
     /// Plans every phase's GPUs in order — each must fit — and builds
-    /// the cache tables from one ranking (one pre-sampling pass under
-    /// PreSC, however many tables; none if the context keeps
-    /// [`Rankings`](super::Rankings) that already hold the policy's).
+    /// the cache tables from one ranking of the context's store (see
+    /// [`EpochStore`](super::EpochStore): each pre-sampled epoch once,
+    /// however many tables and placements).
     /// Nothing here reads an epoch.
     pub(super) fn plan(ctx: &'a SimContext<'c>, p: &'a Placement) -> Result<Self, RunError> {
         let plan = |r| plan_gpu(&ctx.testbed, ctx.workload, p.system, r).map(|g| g.cache_alpha);

@@ -10,33 +10,34 @@
 //! [`Placement`]s; the `run_*_epoch` functions below are its rows.
 //!
 //! Every entry point plans before it samples: it takes an [`Epoch`] —
-//! a recorded trace, or a [`LazyEpoch`]
-//! that records on first use — and asks it for the trace only once the
+//! a recorded trace, or a [`LazyEpoch`] of an [`EpochStore`] that
+//! samples on first use — and asks it for the trace only once the
 //! placement's GPUs are planned, so a cell that prints `OOM` records
 //! nothing.
 //!
-//! [`run_system`] is the front door: over a lazy epoch,
+//! [`run_system`] is the front door: over a one-off store's epoch,
 //! [`run_system_on`] plans, profiles, allocates GPUs (for GNNLab), and
-//! picks the placement. A caller that runs several systems over one
-//! workload keeps the epoch and calls [`run_system_on`] itself.
+//! picks the placement. A caller that runs several cells over one
+//! workload keeps an [`EpochStore`] and asks it for each cell.
 
 mod context;
 mod engine;
 mod placement;
 mod preprocess;
+mod store;
 
-pub use context::{build_cache_table, Rankings, SimContext};
+pub use context::SimContext;
 pub use engine::{run_epoch, run_epoch_with_cache, StageTimes};
 pub use placement::{Assign, FactoredOptions, Link, Phase, Placement};
 pub use preprocess::{preprocess_report, PreprocessReport};
+pub use store::{cache_stats_on_trace, EpochStore, LazyEpoch};
 
 use crate::report::{EpochReport, RunError};
 use crate::schedule::num_samplers;
 use crate::systems::SystemKind;
-use crate::trace::{Epoch, LazyEpoch};
+use crate::trace::Epoch;
 use engine::Sim;
 use gnnlab_tensor::ModelKind;
-use std::cell::OnceCell;
 
 /// Simulates one time-sharing epoch (PyG-like, DGL-like, T_SOTA) over
 /// `ctx.testbed.num_gpus` GPUs.
@@ -94,14 +95,13 @@ pub fn profile_stage_times(
 }
 
 /// Runs one epoch of `system` on the context's workload and GPU count:
-/// [`run_system_on`] over the epoch its sampling kernel draws, recorded
-/// only if the system fits.
+/// [`run_system_on`] over the epoch its sampling kernel draws, held in a
+/// one-off store and recorded only if the system fits.
 ///
 /// Returns the Table 4 entry: an [`EpochReport`] or the `OOM`/`×` error.
 pub fn run_system(ctx: &SimContext<'_>) -> Result<EpochReport, RunError> {
-    let slot = OnceCell::new();
-    let epoch = LazyEpoch::new(ctx.workload, ctx.system.kernel(), ctx.epoch, &slot);
-    run_system_on(ctx, &epoch)
+    let store = EpochStore::over(ctx.workload);
+    run_system_on(ctx, &store.epoch(ctx.system.kernel(), ctx.epoch))
 }
 
 /// [`run_system`] over a given epoch. This is the one place a system and

@@ -455,7 +455,8 @@ mod front_door {
         let trace = EpochTrace::record(&w, ctx.system.kernel(), ctx.epoch);
         let p = Placement::timeshare(ctx.system, 1).unwrap();
         let planned = run_epoch(&ctx, &trace, &p).unwrap();
-        let table = |alpha| build_cache_table(&w, ctx.policy, alpha);
+        let store = EpochStore::over(&w);
+        let table = |alpha| store.cache(ctx.policy, alpha);
         let same = run_epoch_with_cache(&ctx, &trace, &p, table(planned.cache_ratio)).unwrap();
         assert_eq!(same.epoch_time, planned.epoch_time);
         assert_eq!(same.hit_rate, planned.hit_rate);
@@ -473,7 +474,7 @@ mod front_door {
             run_epoch(&ctx, &trace, &p),
             Err(RunError::Oom { .. })
         ));
-        let cache = build_cache_table(&uk, PolicyKind::Degree, 0.1);
+        let cache = EpochStore::over(&uk).cache(PolicyKind::Degree, 0.1);
         assert!(run_epoch_with_cache(&ctx, &trace, &p, cache).is_ok());
     }
 }

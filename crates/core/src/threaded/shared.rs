@@ -585,6 +585,7 @@ impl<'a> Shared<'a> {
         let presampled = (plan.trainer_rows > 0).then(|| {
             let mut order = Vec::new();
             MinibatchIter::shuffle_into(train_set, shuffle_seed, 0, &mut order);
+            let keep = batches_per_epoch.min(cfg.queue_capacity);
             presample_epoch(
                 &graph.csr,
                 &order,
@@ -592,8 +593,9 @@ impl<'a> Shared<'a> {
                 cfg.batch_size,
                 cfg.seed,
                 0,
-                batches_per_epoch.min(cfg.queue_capacity),
+                true,
                 &bookends,
+                |b, sample| (b < keep).then(|| std::mem::take(sample)),
             )
         });
         // The pass's mean batch time is the first `T_s` reading: a Sampler

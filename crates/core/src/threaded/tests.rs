@@ -761,7 +761,17 @@ fn every_store_table_is_a_fresh_top_of_the_same_hotness() {
     MinibatchIter::shuffle_into(&train, shared.shuffle_seed, 0, &mut order);
     let algo = sampler_for(kind);
     let pool = ThreadPool::new(1);
-    let pass = presample_epoch(&g.csr, &order, algo.as_ref(), 25, cfg.seed, 0, 0, &pool);
+    let pass = presample_epoch(
+        &g.csr,
+        &order,
+        algo.as_ref(),
+        25,
+        cfg.seed,
+        0,
+        true,
+        &pool,
+        |_, _| None::<()>,
+    );
     let hotness = pass.recorder.hotness();
     for (table, rows) in [
         (shared.trainer_table.clone(), plan.trainer_rows),

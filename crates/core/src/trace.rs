@@ -1,23 +1,22 @@
 //! Recorded sampling epochs: the measured quantities every simulation
 //! consumes.
 //!
-//! Recording samples real mini-batches. Batch `b` of epoch `e` draws from
-//! its own `presample_rng(seed, e, b)` stream, so no batch depends on
-//! another, and [`EpochTrace::record_with_batch`] fans the batches out
-//! over [`gnnlab_par::host_pool`] the way `presample_epoch` does. Every
-//! field of a trace is the same at every pool width.
+//! Recording samples real mini-batches through `presample_epoch`, the one
+//! sampling pass over an epoch: batch `b` of epoch `e` draws from its own
+//! `presample_rng(seed, e, b)` stream, so no batch depends on another and
+//! the batches fan out over [`gnnlab_par::host_pool`]. Every field of a
+//! trace is the same at every pool width.
 //!
 //! The co-simulations ask for their epoch through [`Epoch`] only once a
 //! placement has planned, so a cell that does not fit records nothing:
-//! an [`EpochTrace`] is its own epoch, a [`LazyEpoch`] records on first
-//! use.
+//! an [`EpochTrace`] is its own epoch, a `runtime::LazyEpoch` records
+//! into its store's slot on first use.
 
 use crate::workload::Workload;
 use gnnlab_graph::VertexId;
 use gnnlab_par::{host_pool, ThreadPool};
-use gnnlab_sampling::{presample_rng, Kernel, MinibatchIter, Sample, SampleBuffers, SampleWork};
+use gnnlab_sampling::{presample_epoch, FootprintRecorder, Kernel, MinibatchIter, SampleWork};
 use gnnlab_tensor::flops::train_flops;
-use std::cell::OnceCell;
 
 /// Measured quantities of one mini-batch's sampling.
 #[derive(Debug, Clone)]
@@ -63,63 +62,57 @@ impl EpochTrace {
         epoch: u64,
         batch_size: usize,
     ) -> EpochTrace {
-        Self::record_with_pool(workload, kernel, epoch, batch_size, host_pool())
+        Self::record_with_pool(workload, kernel, epoch, batch_size, false, host_pool()).0
     }
 
-    /// [`EpochTrace::record_with_batch`] on an explicit pool. The trace is
-    /// the same at every pool width: batch `b` is the shuffled training
-    /// set's `b`-th chunk, sampled from `presample_rng(seed, epoch, b)` —
-    /// the derivation PreSC's pre-sampling uses, so a recorded epoch and a
-    /// pre-sampled epoch see identical draws batch for batch — and the
-    /// chunks' batches concatenate in chunk order.
+    /// [`EpochTrace::record_with_batch`] on an explicit pool, with the
+    /// epoch's visit counts (of no vertex unless `count`): one
+    /// [`presample_epoch`] pass over the shuffled training set, batch `b`
+    /// sampled from `presample_rng(seed, epoch, b)` — the pass PreSC
+    /// pre-samples an epoch with, so a recorded epoch and a pre-sampled
+    /// one are the same draws batch for batch. The trace and the counts
+    /// are the same at every pool width.
     pub fn record_with_pool(
         workload: &Workload,
         kernel: Kernel,
         epoch: u64,
         batch_size: usize,
+        count: bool,
         pool: &ThreadPool,
-    ) -> EpochTrace {
-        let algo = workload.sampler(kernel);
-        let csr = &workload.dataset.csr;
-        let size = batch_size.max(1);
+    ) -> (EpochTrace, FootprintRecorder) {
+        let ds = &workload.dataset;
         let mut order = Vec::new();
-        MinibatchIter::shuffle_into(
-            &workload.dataset.train_set,
+        MinibatchIter::shuffle_into(&ds.train_set, workload.seed, epoch, &mut order);
+        let algo = workload.sampler(kernel);
+        let pass = presample_epoch(
+            &ds.csr,
+            &order,
+            algo.as_ref(),
+            batch_size,
             workload.seed,
             epoch,
-            &mut order,
-        );
-        let chunks = pool.map_ranges(order.len().div_ceil(size), |_, range| {
-            // One scratch set per worker: recording reuses sampling buffers
-            // batch to batch just like the executed runtime (buffer reuse
-            // preserves the exact RNG sequence).
-            let mut bufs = SampleBuffers::new();
-            let mut s = Sample::default();
-            range
-                .map(|b| {
-                    let seeds = &order[b * size..((b + 1) * size).min(order.len())];
-                    let mut rng = presample_rng(workload.seed, epoch, b as u64);
-                    algo.sample_into(csr, seeds, &mut rng, &mut bufs, &mut s);
-                    BatchTrace {
-                        work: s.work,
-                        queue_bytes: s.queue_bytes(),
-                        flops: train_flops(
-                            workload.model,
-                            &s,
-                            workload.dataset.features.dim(),
-                            workload.hidden_dim,
-                            workload.num_classes,
-                        ),
-                        input_nodes: s
-                            .blocks
-                            .first()
-                            .map(|b| b.src_globals.clone())
-                            .unwrap_or_default(),
-                    }
+            count,
+            pool,
+            |_, s| {
+                Some(BatchTrace {
+                    work: s.work,
+                    queue_bytes: s.queue_bytes(),
+                    flops: train_flops(
+                        workload.model,
+                        s,
+                        ds.features.dim(),
+                        workload.hidden_dim,
+                        workload.num_classes,
+                    ),
+                    input_nodes: s
+                        .blocks
+                        .first()
+                        .map(|b| b.src_globals.clone())
+                        .unwrap_or_default(),
                 })
-                .collect::<Vec<_>>()
-        });
-        let batches: Vec<BatchTrace> = chunks.into_iter().flatten().collect();
+            },
+        );
+        let batches = pass.kept;
         // Intended paper-scale batch count: the default path targets the
         // paper's 8000-seed batches (compensating the small-scale batch
         // floor); a custom batch size targets its own scaled-up size.
@@ -134,11 +127,12 @@ impl EpochTrace {
                 .div_ceil((batch_size as u64).saturating_mul(factor).max(1))
         };
         let launch_scale = intended as f64 / batches.len().max(1) as f64;
-        EpochTrace {
+        let trace = EpochTrace {
             batches,
             factor: factor as f64,
             launch_scale,
-        }
+        };
+        (trace, pass.recorder)
     }
 
     /// Number of batches.
@@ -165,46 +159,6 @@ pub trait Epoch {
 impl Epoch for EpochTrace {
     fn trace(&self) -> &EpochTrace {
         self
-    }
-}
-
-/// Epoch `epoch` of `workload` as `kernel` draws it, recorded into `slot`
-/// the first time [`Epoch::trace`] is called. The slot outlives the
-/// handle, so one recording serves every later handle over it.
-#[derive(Clone, Copy)]
-pub struct LazyEpoch<'a> {
-    workload: &'a Workload,
-    kernel: Kernel,
-    epoch: u64,
-    slot: &'a OnceCell<EpochTrace>,
-}
-
-impl<'a> LazyEpoch<'a> {
-    /// A handle on `slot`, which holds (or will hold) that epoch.
-    pub fn new(
-        workload: &'a Workload,
-        kernel: Kernel,
-        epoch: u64,
-        slot: &'a OnceCell<EpochTrace>,
-    ) -> Self {
-        LazyEpoch {
-            workload,
-            kernel,
-            epoch,
-            slot,
-        }
-    }
-
-    /// The epoch, recorded now if no handle over the slot has yet.
-    pub fn get(self) -> &'a EpochTrace {
-        self.slot
-            .get_or_init(|| EpochTrace::record(self.workload, self.kernel, self.epoch))
-    }
-}
-
-impl Epoch for LazyEpoch<'_> {
-    fn trace(&self) -> &EpochTrace {
-        self.get()
     }
 }
 

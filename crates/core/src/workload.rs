@@ -6,6 +6,7 @@ use gnnlab_tensor::ModelKind;
 
 /// One GNN training workload with the paper's hyper-parameters (§7.1):
 /// mini-batch size 8000, hidden dim 256, model-specific fan-outs.
+#[derive(Clone)]
 pub struct Workload {
     /// The GNN model.
     pub model: ModelKind,

@@ -1,6 +1,5 @@
 //! Access-footprint recording: the substrate of PreSC and Table 2.
 
-use crate::minibatch::MinibatchIter;
 use crate::sample::{Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
@@ -91,24 +90,24 @@ pub fn presample_rng(seed: u64, epoch: u64, batch: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(splitmix64(splitmix64(seed ^ PRESAMPLE_TAG) ^ epoch) ^ batch)
 }
 
-/// What a pre-sampling run produced: the merged footprint, the exact
+/// What a sampling pass produced: the merged footprint, the exact
 /// sampling work it cost (Table 6's P3 row), the time the sampling took,
-/// and the samples the caller asked to keep.
+/// and what the pass kept of each batch.
 #[derive(Debug, Clone)]
-pub struct PresampleOutput {
-    /// Merged visit counts over all pre-sampled epochs.
+pub struct PresampleOutput<T> {
+    /// Merged visit counts over all sampled epochs (no vertices when the
+    /// pass counted none).
     pub recorder: FootprintRecorder,
     /// Total sampling work across every batch.
     pub work: SampleWork,
     /// Wall nanoseconds spent sampling, summed over every batch (each
     /// worker times its own batches).
     pub sample_ns: u64,
-    /// The samples of the batches [`presample_epoch`] was asked to keep,
-    /// in batch order.
-    pub kept: Vec<Sample>,
+    /// What [`presample_epoch`] kept of its batches, in batch order.
+    pub kept: Vec<T>,
 }
 
-impl PresampleOutput {
+impl<T> PresampleOutput<T> {
     fn empty(num_vertices: usize) -> Self {
         PresampleOutput {
             recorder: FootprintRecorder::new(num_vertices),
@@ -119,8 +118,8 @@ impl PresampleOutput {
     }
 
     /// Adds `other`'s counts, epochs, work and time to this output, and
-    /// appends its kept samples after this one's.
-    fn absorb(&mut self, other: PresampleOutput) {
+    /// appends what it kept after this one's.
+    fn absorb(&mut self, other: PresampleOutput<T>) {
         self.recorder.merge(&other.recorder);
         self.work.add(&other.work);
         self.sample_ns += other.sample_ns;
@@ -128,55 +127,37 @@ impl PresampleOutput {
     }
 }
 
-/// Runs sampling-only epochs `0..epochs`, each shuffled by `(seed,
-/// epoch)` and sampled by [`presample_epoch`] — a training run's first
-/// epochs. The result is bit-identical at every thread count.
-pub fn presample_epochs(
-    csr: &Csr,
-    train_set: &[VertexId],
-    algo: &dyn SamplingAlgorithm,
-    batch_size: usize,
-    seed: u64,
-    epochs: u32,
-    pool: &ThreadPool,
-) -> PresampleOutput {
-    let mut out = PresampleOutput::empty(csr.num_vertices());
-    let mut order = Vec::new();
-    for epoch in 0..u64::from(epochs) {
-        MinibatchIter::shuffle_into(train_set, seed, epoch, &mut order);
-        out.absorb(presample_epoch(
-            csr, &order, algo, batch_size, seed, epoch, 0, pool,
-        ));
-    }
-    out
-}
-
-/// Pre-samples one epoch whose shuffled training set is `order`: batch `b`
-/// is `order`'s `b`-th `batch_size` chunk, drawn from
+/// The one sampling pass over an epoch whose shuffled training set is
+/// `order`: batch `b` is `order`'s `b`-th `batch_size` chunk, drawn from
 /// [`presample_rng`]`(seed, epoch, b)` — the very sample a training run
-/// with that shuffle and seed draws for the batch.
+/// with that shuffle and seed draws for the batch. PreSC's pre-sampling,
+/// the co-sim's trace recorder and the threaded runtime's first batches
+/// all sample through it.
 ///
-/// Batches fan out across `pool`'s workers. Each worker records into a
-/// private [`FootprintRecorder`] with reusable [`SampleBuffers`], and the
-/// partials merge in chunk-index order. Per-vertex counts and work
-/// counters are `u64` sums, so the result is bit-identical at every
-/// thread count. The samples of batches `b < keep` are returned in
-/// [`PresampleOutput::kept`]; the others sample into a per-worker scratch.
+/// Batches fan out across `pool`'s workers. Each worker samples into one
+/// reusable [`Sample`] with reusable [`SampleBuffers`] and, if `count`,
+/// records visits into a private [`FootprintRecorder`]; the partials merge
+/// in chunk-index order. `keep(b, sample)` returns what the pass keeps of
+/// batch `b` (taking the sample leaves the next batch a fresh scratch).
+/// Per-vertex counts and work counters are `u64` sums and the kept values
+/// concatenate in batch order, so the result is bit-identical at every
+/// thread count.
 #[expect(clippy::too_many_arguments)]
-pub fn presample_epoch(
+pub fn presample_epoch<T: Send>(
     csr: &Csr,
     order: &[VertexId],
     algo: &dyn SamplingAlgorithm,
     batch_size: usize,
     seed: u64,
     epoch: u64,
-    keep: usize,
+    count: bool,
     pool: &ThreadPool,
-) -> PresampleOutput {
-    let num_vertices = csr.num_vertices();
+    keep: impl Fn(usize, &mut Sample) -> Option<T> + Sync,
+) -> PresampleOutput<T> {
+    let counted = if count { csr.num_vertices() } else { 0 };
     let batch_size = batch_size.max(1);
     let partials = pool.map_ranges(order.len().div_ceil(batch_size), |_, range| {
-        let mut part = PresampleOutput::empty(num_vertices);
+        let mut part = PresampleOutput::empty(counted);
         let mut bufs = SampleBuffers::new();
         let mut sample = Sample::default();
         for b in range {
@@ -186,15 +167,14 @@ pub fn presample_epoch(
             algo.sample_into(csr, seeds, &mut rng, &mut bufs, &mut sample);
             part.sample_ns += started.elapsed().as_nanos() as u64;
             part.work.add(&sample.work);
-            part.recorder.record_sample(&sample);
-            if b < keep {
-                // The next batch samples into a fresh scratch.
-                part.kept.push(std::mem::take(&mut sample));
+            if count {
+                part.recorder.record_sample(&sample);
             }
+            part.kept.extend(keep(b, &mut sample));
         }
         part
     });
-    let mut out = PresampleOutput::empty(num_vertices);
+    let mut out = PresampleOutput::empty(counted);
     for part in partials {
         out.absorb(part); // partials carry zero epochs
     }
@@ -325,26 +305,34 @@ mod tests {
     #[test]
     fn presample_is_bit_identical_across_thread_counts() {
         use crate::khop::{KHop, Kernel, Selection};
+        use crate::minibatch::MinibatchIter;
         use gnnlab_graph::gen::chung_lu;
         let g = chung_lu(300, 6000, 2.0, 3).unwrap();
         let algo = KHop::new(vec![15, 10, 5], Kernel::FisherYates, Selection::Uniform);
         let train: Vec<VertexId> = (0..120).collect();
-        let run = |threads: usize| {
+        let run = |threads: usize, epoch: u64| {
             let pool = ThreadPool::new(threads);
-            presample_epochs(&g, &train, &algo, 32, 7, 3, &pool)
+            let mut order = Vec::new();
+            MinibatchIter::shuffle_into(&train, 7, epoch, &mut order);
+            let keep = |b: usize, s: &mut Sample| (b < 2).then(|| s.visit_list.clone());
+            presample_epoch(&g, &order, &algo, 32, 7, epoch, true, &pool, keep)
         };
-        let base = run(1);
-        assert_eq!(base.recorder.epochs(), 3);
-        assert!(base.work.rng_draws > 0);
-        for threads in [2, 4, 8] {
-            let out = run(threads);
-            assert_eq!(
-                out.recorder.counts(),
-                base.recorder.counts(),
-                "{threads} threads"
-            );
-            assert_eq!(out.recorder.epochs(), base.recorder.epochs());
-            assert_eq!(out.work, base.work);
+        for epoch in 0..3 {
+            let base = run(1, epoch);
+            assert_eq!(base.recorder.epochs(), 1);
+            assert!(base.work.rng_draws > 0);
+            assert_eq!(base.kept.len(), 2);
+            for threads in [2, 4, 8] {
+                let out = run(threads, epoch);
+                assert_eq!(
+                    out.recorder.counts(),
+                    base.recorder.counts(),
+                    "{threads} threads"
+                );
+                assert_eq!(out.recorder.epochs(), base.recorder.epochs());
+                assert_eq!(out.work, base.work);
+                assert_eq!(out.kept, base.kept);
+            }
         }
     }
 }

@@ -25,8 +25,7 @@ pub mod sample;
 pub mod subgraph;
 
 pub use footprint::{
-    footprint_similarity, presample_epoch, presample_epochs, presample_rng, FootprintRecorder,
-    PresampleOutput,
+    footprint_similarity, presample_epoch, presample_rng, FootprintRecorder, PresampleOutput,
 };
 pub use khop::{KHop, Kernel, Selection};
 pub use minibatch::MinibatchIter;

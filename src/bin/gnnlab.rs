@@ -54,9 +54,8 @@
 use gnnlab::cache::PolicyKind;
 use gnnlab::core::driver::run_job;
 use gnnlab::core::report::RunError;
-use gnnlab::core::runtime::{build_cache_table, run_system, SimContext};
+use gnnlab::core::runtime::{cache_stats_on_trace, run_system, EpochStore, SimContext};
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig};
-use gnnlab::core::trace::EpochTrace;
 use gnnlab::core::{ExecutorRole, FaultPlan, SystemKind, Workload};
 use gnnlab::graph::gen::{sbm, SbmParams};
 use gnnlab::graph::{io, Dataset, DatasetKind, Scale};
@@ -160,8 +159,8 @@ fn cmd_policies(args: &[String]) -> ExitCode {
         return usage();
     };
     let scale = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(1024);
-    let w = Workload::new(ModelKind::Gcn, kind, Scale::new(scale), 42);
-    let trace = EpochTrace::record(&w, Kernel::FisherYates, 5);
+    let store = EpochStore::new(Workload::new(ModelKind::Gcn, kind, Scale::new(scale), 42));
+    let (w, trace) = (store.workload(), store.trace(Kernel::FisherYates, 5));
     println!(
         "{}: 3-hop uniform sampling, hit rates by cache ratio\n",
         w.dataset.spec.name
@@ -180,11 +179,7 @@ fn cmd_policies(args: &[String]) -> ExitCode {
     for alpha in [0.02, 0.05, 0.10, 0.20] {
         print!("{:<8}", format!("{:.0}%", alpha * 100.0));
         for p in policies {
-            let table = build_cache_table(&w, p, alpha);
-            let mut stats = gnnlab::cache::CacheStats::default();
-            for b in &trace.batches {
-                stats.record(&table, &b.input_nodes, w.dataset.row_bytes());
-            }
+            let stats = cache_stats_on_trace(w, trace, &store.cache(p, alpha));
             print!("{:>10}", format!("{:.0}%", stats.hit_rate() * 100.0));
         }
         println!();

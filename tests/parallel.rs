@@ -119,8 +119,10 @@ proptest! {
     /// for every sampler the co-sim records: uniform k-hop under both
     /// kernels, weighted k-hop and random walks. Each batch draws from its
     /// own `(seed, epoch, batch)` stream and the chunks concatenate in
-    /// order. The training set has 101 vertices, a prime, so every epoch
-    /// ends on a short batch.
+    /// order. So are the visit counts the same pass yields for a
+    /// Fisher–Yates or kernel-free slot (what PreSC ranks by); a Reservoir
+    /// pass counts none. The training set has 101 vertices, a prime, so
+    /// every epoch ends on a short batch.
     #[test]
     fn parallel_trace_recording_matches_sequential(
         batch_size in 8usize..40,
@@ -141,13 +143,21 @@ proptest! {
         for (model, algorithm, kernel) in recorders {
             let w = Workload::with_dataset(model, dataset.clone(), 8, seed)
                 .with_algorithm(algorithm);
-            let record =
-                |pool: &ThreadPool| EpochTrace::record_with_pool(&w, kernel, epoch, batch_size, pool);
-            let want = record(&ThreadPool::new(1));
+            let count = kernel == Kernel::FisherYates;
+            let record = |pool: &ThreadPool| {
+                EpochTrace::record_with_pool(&w, kernel, epoch, batch_size, count, pool)
+            };
+            let (want, want_counts) = record(&ThreadPool::new(1));
             prop_assert_eq!(want.num_batches(), 101usize.div_ceil(batch_size));
+            prop_assert_eq!(want_counts.counts().is_empty(), !count);
             for pool in &pools {
-                let got = record(pool);
+                let (got, got_counts) = record(pool);
                 let t = pool.threads();
+                prop_assert_eq!(
+                    got_counts.counts(),
+                    want_counts.counts(),
+                    "{:?} visit counts at {} threads", algorithm, t
+                );
                 prop_assert_eq!(got.factor.to_bits(), want.factor.to_bits());
                 prop_assert_eq!(got.launch_scale.to_bits(), want.launch_scale.to_bits());
                 prop_assert_eq!(got.num_batches(), want.num_batches());
