@@ -1,17 +1,30 @@
 //! K-hop neighborhood sampling with Fisher–Yates and Reservoir kernels.
 
-use crate::sample::{ProbeSet, Sample, SampleBuffers, SampleWork};
+use crate::sample::{Sample, SampleBuffers, SampleWork};
 use crate::SamplingAlgorithm;
 use gnnlab_graph::{Csr, VertexId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-/// Largest fan-out for which the Fisher–Yates duplicate probe stays a
-/// linear scan. Below this a `Vec` scan beats hashing (tiny, cache-hot);
-/// above it the O(k²) scan loses to the O(k) hashed [`ProbeSet`]. The
-/// draw sequence is identical either way: exactly one `gen_range` per
-/// selected index, regardless of the probe structure.
+/// Largest fan-out for which the per-vertex Fisher–Yates loop
+/// ([`KHop::select_hop`]) probes for duplicates by a linear scan. Below
+/// this a `Vec` scan beats hashing (tiny, cache-hot); above it the O(k²)
+/// scan loses to the O(k) hashed
+/// [`ProbeSet`](crate::sample::ProbeSet). The draw sequence is
+/// identical either way: exactly one `gen_range` per selected index,
+/// regardless of the probe structure.
 const FLOYD_LINEAR_MAX: usize = 16;
+
+/// Largest fan-out the hop-wide Fisher–Yates ([`fisher_yates_hop`])
+/// selects: it keeps a vertex's chosen indices in AVX-512 registers,
+/// sixteen lanes each, one register up to 16, two up to 32. A hop with a
+/// larger fan-out takes the per-vertex loop.
+const FLOYD_REGISTER_MAX: usize = 32;
+
+/// Frontier vertices whose draws [`fisher_yates_hop`] takes and reduces
+/// in one run: about `32 · k` draws, enough for sixteen-draw reduction
+/// steps, few enough that the prefetched neighbour lists stay in cache.
+const FY_CHUNK: usize = 32;
 
 /// How many frontier vertices ahead of the one selecting the k-hop loop
 /// prefetches a neighbor list. A list is a random read into the CSR's
@@ -111,8 +124,61 @@ impl KHop {
         &self.fanouts
     }
 
-    /// Selects up to `fanout` neighbors of `v`, appending to `out`.
-    #[expect(clippy::too_many_arguments)]
+    /// Whether [`fisher_yates_hop`] can select this sampler's hops on
+    /// `csr`: uniform Fisher–Yates on a CPU with AVX-512F, and every degree
+    /// an `i32` (a gather lane's offset).
+    fn hop_wide(&self, csr: &Csr) -> bool {
+        self.kernel == Kernel::FisherYates
+            && self.selection == Selection::Uniform
+            && avx512f()
+            && csr.num_edges() <= i32::MAX as usize
+    }
+
+    /// One hop over `bufs.frontier`: [`fisher_yates_hop`] where
+    /// [`KHop::hop_wide`] holds and the fan-out fits its registers, the
+    /// per-vertex loop otherwise.
+    fn hop(
+        &self,
+        csr: &Csr,
+        fanout: usize,
+        rng: &mut ChaCha8Rng,
+        work: &mut SampleWork,
+        bufs: &mut SampleBuffers,
+    ) {
+        if fanout <= FLOYD_REGISTER_MAX && self.hop_wide(csr) {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `hop_wide` holds only where the CPU has AVX-512F,
+            // `fisher_yates_hop`'s one requirement.
+            unsafe {
+                fisher_yates_hop(csr, fanout, rng, work, bufs)
+            };
+        } else {
+            self.select_hop(csr, fanout, rng, work, bufs);
+        }
+    }
+
+    /// One hop, vertex by vertex: frontier vertex `i` draws as it selects
+    /// `selected[ranges[i]]`.
+    fn select_hop(
+        &self,
+        csr: &Csr,
+        fanout: usize,
+        rng: &mut ChaCha8Rng,
+        work: &mut SampleWork,
+        bufs: &mut SampleBuffers,
+    ) {
+        for i in 0..bufs.frontier.len() {
+            if let Some(&ahead) = bufs.frontier.get(i + PREFETCH_AHEAD) {
+                prefetch(csr.neighbors(ahead));
+            }
+            let start = bufs.selected.len();
+            self.select(csr, bufs.frontier[i], fanout, rng, work, bufs);
+            bufs.ranges.push((start, bufs.selected.len()));
+        }
+    }
+
+    /// Selects up to `fanout` neighbors of `v`, appending to
+    /// `bufs.selected`.
     fn select(
         &self,
         csr: &Csr,
@@ -120,9 +186,7 @@ impl KHop {
         fanout: usize,
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
-        out: &mut Vec<VertexId>,
-        scratch: &mut Vec<u32>,
-        probe: &mut ProbeSet,
+        bufs: &mut SampleBuffers,
     ) {
         let nbrs = csr.neighbors(v);
         let deg = nbrs.len();
@@ -140,7 +204,7 @@ impl KHop {
                         for _ in 0..fanout {
                             let x: f32 = rng.gen::<f32>() * total;
                             let idx = cum.partition_point(|&c| c <= x).min(deg - 1);
-                            out.push(nbrs[idx]);
+                            bufs.selected.push(nbrs[idx]);
                         }
                         work.rng_draws += fanout as u64;
                         work.edges_scanned += (fanout as u64) * u64::from(log_deg.max(1));
@@ -149,24 +213,22 @@ impl KHop {
                     }
                 }
                 // No weights / zero total: uniform fallback.
-                self.select_uniform(nbrs, fanout, rng, work, out, scratch, probe);
+                self.select_uniform(nbrs, fanout, rng, work, bufs);
             }
-            Selection::Uniform => self.select_uniform(nbrs, fanout, rng, work, out, scratch, probe),
+            Selection::Uniform => self.select_uniform(nbrs, fanout, rng, work, bufs),
         }
     }
 
-    #[expect(clippy::too_many_arguments)]
     fn select_uniform(
         &self,
         nbrs: &[VertexId],
         fanout: usize,
         rng: &mut ChaCha8Rng,
         work: &mut SampleWork,
-        out: &mut Vec<VertexId>,
-        scratch: &mut Vec<u32>,
-        probe: &mut ProbeSet,
+        bufs: &mut SampleBuffers,
     ) {
         let deg = nbrs.len();
+        let out = &mut bufs.selected;
         if deg <= fanout {
             out.extend_from_slice(nbrs);
             work.edges_scanned += deg as u64;
@@ -181,6 +243,7 @@ impl KHop {
                 // each vertex" (§7.3): a hub with millions of neighbors
                 // costs the same as a leaf.
                 if fanout <= FLOYD_LINEAR_MAX {
+                    let scratch = &mut bufs.scratch;
                     scratch.clear();
                     for j in (deg - fanout)..deg {
                         let t = rng.gen_range(0..=j) as u32;
@@ -196,6 +259,7 @@ impl KHop {
                     // Same draw sequence, O(1) duplicate probe. `j` can
                     // never already be a member (every prior member is
                     // ≤ the previous j < j), matching the linear path.
+                    let probe = &mut bufs.probe;
                     probe.reset(fanout);
                     for j in (deg - fanout)..deg {
                         let t = rng.gen_range(0..=j) as u32;
@@ -219,13 +283,146 @@ impl KHop {
                 // blames): cost = clamp(deg/8, k, 64k) lane-steps.
                 let base = out.len();
                 out.extend_from_slice(&nbrs[..fanout]);
-                reservoir(nbrs, rng, &mut out[base..], scratch);
+                reservoir(nbrs, rng, &mut out[base..], &mut bufs.draws);
                 let lane_steps = (deg as u64 / 8).clamp(fanout as u64, 64 * fanout as u64);
                 work.rng_draws += lane_steps;
                 work.edges_scanned += lane_steps;
             }
         }
         work.sampled_vertices += fanout as u64;
+    }
+}
+
+/// One hop of uniform Fisher–Yates over `bufs.frontier` at AVX-512
+/// width. It selects exactly what [`KHop::select_hop`] selects from the
+/// same stream position, leaves the stream at the same word and counts
+/// the same work. [`FY_CHUNK`] frontier vertices at a time, it
+/// 1. reads their degrees and lists the divisors `deg − k + 1 ..= deg`
+///    of each vertex with `deg > k`: the per-vertex loop draws
+///    `gen_range(0..=j)` for `j` in `deg − k .. deg` there, and nothing
+///    where `deg ≤ k`;
+/// 2. takes all those draws' words in one [`ChaCha8Rng::fill_words`] and
+///    reduces them by their divisors ([`Draws::draw`]);
+/// 3. runs Floyd's selection per vertex on its `k` remainders, in
+///    registers ([`floyd_lanes`]); hence `k ≤` [`FLOYD_REGISTER_MAX`].
+///
+/// The degree pass prefetches each neighbour list; the draws and the
+/// reduction between it and the selection hide the misses.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fisher_yates_hop(
+    csr: &Csr,
+    k: usize,
+    rng: &mut ChaCha8Rng,
+    work: &mut SampleWork,
+    bufs: &mut SampleBuffers,
+) {
+    debug_assert!(k <= FLOYD_REGISTER_MAX);
+    let SampleBuffers {
+        selected,
+        ranges,
+        frontier,
+        draws,
+        ..
+    } = bufs;
+    let before = selected.len();
+    for chunk in frontier.chunks(FY_CHUNK) {
+        draws.divisors.clear();
+        for &v in chunk {
+            let nbrs = csr.neighbors(v);
+            prefetch(nbrs);
+            if nbrs.len() > k {
+                draws
+                    .divisors
+                    .extend((nbrs.len() - k + 1..=nbrs.len()).map(divisor));
+            }
+        }
+        draws.draw(rng);
+        work.rng_draws += draws.picks.len() as u64;
+        let mut picks = draws.picks.chunks_exact(k);
+        for &v in chunk {
+            let nbrs = csr.neighbors(v);
+            let start = selected.len();
+            if nbrs.len() <= k {
+                selected.extend_from_slice(nbrs);
+            } else {
+                let picks = picks.next().expect("k draws per vertex of degree above k");
+                if k <= 16 {
+                    floyd_lanes::<1>(picks, nbrs, selected);
+                } else {
+                    floyd_lanes::<2>(picks, nbrs, selected);
+                }
+            }
+            ranges.push((start, selected.len()));
+        }
+    }
+    // Each vertex selects `min(deg, k)` neighbours, one edge read each.
+    let picked = (selected.len() - before) as u64;
+    work.edges_scanned += picked;
+    work.sampled_vertices += picked;
+}
+
+/// Floyd's selection from a vertex's `k ≤ 16·R` remainders, the chosen
+/// indices kept in the lanes of `R` AVX-512 registers. Remainder `m` is
+/// `t` drawn from `0..=j`, `j = deg − k + m`: lane `m` takes `t`, or `j`
+/// when an earlier lane holds `t` (a compare against lanes `< m`, then a
+/// masked insert). One masked gather of `nbrs` at the chosen indices
+/// and one masked store per register append the picks to `selected`, in
+/// lane order: the per-vertex loop's order. Lane `m`'s index is capped at
+/// its `j`, a no-op on remainders, so no input reads outside `nbrs`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn floyd_lanes<const R: usize>(picks: &[u32], nbrs: &[VertexId], selected: &mut Vec<VertexId>) {
+    use std::arch::x86_64::*;
+
+    let k = picks.len();
+    assert!(k <= 16 * R && k < nbrs.len() && nbrs.len() <= i32::MAX as usize);
+    // Register `r`'s sixteen bits of a mask over lanes `0..32`.
+    let part = |lanes: u32, r: usize| (lanes >> (16 * r)) as u16;
+    let first = nbrs.len() - k;
+    let mut chosen = [_mm512_setzero_si512(); R];
+    for (m, &t) in picks.iter().enumerate() {
+        let (earlier, lane) = ((1u32 << m) - 1, 1u32 << m);
+        let t = _mm512_set1_epi32(t as i32);
+        let mut dup = 0;
+        for (r, &c) in chosen.iter().enumerate() {
+            dup |= _mm512_mask_cmpeq_epi32_mask(part(earlier, r), c, t);
+        }
+        let j = _mm512_set1_epi32((first + m) as i32);
+        let insert = _mm512_mask_blend_epi32(0u16.wrapping_sub(u16::from(dup != 0)), t, j);
+        for (r, c) in chosen.iter_mut().enumerate() {
+            *c = _mm512_mask_mov_epi32(*c, part(lane, r), insert);
+        }
+    }
+    for (r, c) in chosen.iter_mut().enumerate() {
+        let j = _mm512_add_epi32(
+            _mm512_set1_epi32((first + 16 * r) as i32),
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        );
+        *c = _mm512_min_epu32(*c, j);
+    }
+    let all = ((1u64 << k) - 1) as u32;
+    let len = selected.len();
+    selected.reserve(k);
+    // SAFETY: lane `m`'s index is capped at `first + m < deg ≤ i32::MAX`
+    // (asserted above), so the gathers read inside `nbrs`; lanes past `k`
+    // are masked off. The stores write `k ≤ 16·R` elements into the
+    // capacity just reserved past `len`, and `set_len` exposes exactly
+    // those.
+    unsafe {
+        let out = selected.as_mut_ptr().add(len);
+        for (r, &c) in chosen.iter().enumerate() {
+            let lanes = part(all, r);
+            let v = _mm512_mask_i32gather_epi32::<4>(
+                _mm512_setzero_si512(),
+                lanes,
+                c,
+                nbrs.as_ptr().cast(),
+            );
+            _mm512_mask_storeu_epi32(out.add(16 * r).cast(), lanes, v);
+        }
+        selected.set_len(len + k);
     }
 }
 
@@ -237,43 +434,56 @@ const RESERVOIR_CHUNK: usize = 64;
 /// `r · 2³² + limb` is below `d · 2³² ≤ 2⁵³`, an integer `f64` holds.
 const MAX_F64_DIVISOR: usize = 1 << 21;
 
+/// Scratch for a run of bounded draws `gen_range(0..=d − 1)`: their
+/// words (four each), their divisors `d` and their remainders.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Draws {
+    words: Vec<u32>,
+    divisors: Vec<u32>,
+    picks: Vec<u32>,
+}
+
+impl Draws {
+    /// Takes one draw per divisor from `rng` — the words as many
+    /// `gen_range` calls would read, in one [`ChaCha8Rng::fill_words`] —
+    /// and reduces each by its divisor into `picks` ([`reduce`]).
+    fn draw(&mut self, rng: &mut ChaCha8Rng) {
+        let n = self.divisors.len();
+        self.words.resize(4 * n, 0);
+        rng.fill_words(&mut self.words);
+        self.picks.resize(n, 0);
+        reduce(&self.words, &self.divisors, &mut self.picks);
+    }
+}
+
+/// The divisor `d` of a draw `gen_range(0..=d − 1)`: a degree or less.
+fn divisor(d: usize) -> u32 {
+    u32::try_from(d).expect("degrees fit in u32")
+}
+
 /// Algorithm R over `nbrs` into `reservoir`, which holds its first
 /// `reservoir.len()` entries: neighbour `i` past them replaces entry
 /// `gen_range(0..=i)` when that is in range. The draws are the ones the
 /// per-neighbour `gen_range` loop makes — the same four words each, the
-/// same `x mod (i + 1)` — taken [`RESERVOIR_CHUNK`] at a time from one
-/// [`ChaCha8Rng::fill_words`] and reduced eight at a time by [`reduce8`]
-/// where the CPU has AVX-512F and every divisor of the eight is at most
-/// [`MAX_F64_DIVISOR`]; the rest take the scalar `u128 %`. `words` is
-/// scratch space for the draws' words.
+/// same `x mod (i + 1)` — taken [`RESERVOIR_CHUNK`] at a time by
+/// [`Draws::draw`].
 fn reservoir(
     nbrs: &[VertexId],
     rng: &mut ChaCha8Rng,
     reservoir: &mut [VertexId],
-    words: &mut Vec<u32>,
+    draws: &mut Draws,
 ) {
     let k = reservoir.len();
-    let wide = avx512f();
-    words.resize(4 * RESERVOIR_CHUNK, 0);
     let mut first = k;
     while first < nbrs.len() {
         let chunk = &nbrs[first..nbrs.len().min(first + RESERVOIR_CHUNK)];
-        let words = &mut words[..4 * chunk.len()];
-        rng.fill_words(words);
-        let mut t = 0;
-        while wide && t + 8 <= chunk.len() && first + t + 8 <= MAX_F64_DIVISOR {
-            let eight = words[4 * t..4 * t + 32].try_into().expect("32 words");
-            let (mut hits, j) = reduce8(eight, first + t + 1, k);
-            while hits != 0 {
-                let lane = hits.trailing_zeros() as usize;
-                reservoir[j[lane] as usize] = chunk[t + lane];
-                hits &= hits - 1;
-            }
-            t += 8;
-        }
-        for (t, (&nbr, w)) in chunk.iter().zip(words.chunks_exact(4)).enumerate().skip(t) {
-            let j = draw(w) % (first + t + 1) as u128;
-            if j < k as u128 {
+        draws.divisors.clear();
+        draws
+            .divisors
+            .extend((first + 1..=first + chunk.len()).map(divisor));
+        draws.draw(rng);
+        for (&nbr, &j) in chunk.iter().zip(&draws.picks) {
+            if (j as usize) < k {
                 reservoir[j as usize] = nbr;
             }
         }
@@ -290,7 +500,14 @@ fn draw(w: &[u32]) -> u128 {
     u128::from(hi) << 64 | u128::from(lo)
 }
 
-/// Whether the running CPU has AVX-512F, which [`reduce8`] needs.
+/// The draw in `w` modulo `d`, by the `u128 %` that `gen_range` computes.
+#[inline]
+fn remainder(w: &[u32], d: u32) -> u32 {
+    (draw(w) % u128::from(d)) as u32
+}
+
+/// Whether the running CPU has AVX-512F, which [`reduce8`],
+/// [`floyd_lanes`] and [`fisher_yates_hop`] need.
 fn avx512f() -> bool {
     #[cfg(target_arch = "x86_64")]
     return is_x86_feature_detected!("avx512f");
@@ -298,10 +515,51 @@ fn avx512f() -> bool {
     false
 }
 
-/// `x_t mod (d0 + t)` for the eight draws `x_t` in `words` (four words
-/// each, as [`draw`] reads them), and the mask of lanes whose remainder is
-/// below `k`: in `f64` lanes where the CPU has AVX-512F, by the scalar
-/// `u128 %` elsewhere. Every divisor must be at most [`MAX_F64_DIVISOR`].
+/// `picks[t] = x_t mod divisors[t]` for every draw `x_t` in `words` (four
+/// words each, as [`draw`] reads them): whole groups of eight by
+/// [`reduce8`] where the CPU has AVX-512F, the rest and everything
+/// elsewhere by the scalar `u128 %`.
+fn reduce(words: &[u32], divisors: &[u32], picks: &mut [u32]) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if avx512f() {
+        done = divisors.len() / 8 * 8;
+        // SAFETY: `reduce_lanes`' one requirement is AVX-512F, detected on
+        // the running CPU by the line above.
+        unsafe { reduce_lanes(&words[..4 * done], &divisors[..done], &mut picks[..done]) };
+    }
+    for t in done..divisors.len() {
+        picks[t] = remainder(&words[4 * t..], divisors[t]);
+    }
+}
+
+/// [`reduce`] on whole groups of eight draws, two independent
+/// [`reduce8`] chains per step so that one's latency hides the other's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn reduce_lanes(words: &[u32], divisors: &[u32], picks: &mut [u32]) {
+    let eight = |t: usize| -> (&[u32; 32], &[u32; 8]) {
+        let w = words[4 * t..4 * t + 32].try_into().expect("32 words");
+        (w, divisors[t..t + 8].try_into().expect("8 divisors"))
+    };
+    let mut t = 0;
+    while t + 16 <= divisors.len() {
+        let (a, b) = (eight(t), eight(t + 8));
+        let (a, b) = (reduce8(a.0, a.1), reduce8(b.0, b.1));
+        picks[t..t + 8].copy_from_slice(&a);
+        picks[t + 8..t + 16].copy_from_slice(&b);
+        t += 16;
+    }
+    if t < divisors.len() {
+        let (w, d) = eight(t);
+        picks[t..t + 8].copy_from_slice(&reduce8(w, d));
+    }
+}
+
+/// `x_t mod d_t` for the eight draws `x_t` in `words` (four words each,
+/// as [`draw`] reads them) and the eight divisors `d_t`, in `f64` lanes;
+/// a lane whose divisor is above [`MAX_F64_DIVISOR`] is redone by the
+/// scalar `u128 %`.
 ///
 /// The lanes are exact: the limbs of `x` most significant first are words
 /// 1, 0, 3, 2, and Horner's `n = r · 2³² + limb` (one exact FMA, below
@@ -309,37 +567,22 @@ fn avx512f() -> bool {
 /// by two Newton steps to a relative error near `2⁻⁵⁰`. `n/d < 2³²`, so
 /// the product is within `2⁻¹⁸` of `n/d` and `q` is off by at most one;
 /// `r = n − q · d` is one FMA whose exact result (an integer in `(−d, 2d)`)
-/// needs no rounding, and one `±d` step brings it into `[0, d)`.
-fn reduce8(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
-    debug_assert!((1..=MAX_F64_DIVISOR - 7).contains(&d0), "divisor {d0}");
-    #[cfg(target_arch = "x86_64")]
-    if avx512f() {
-        // SAFETY: `reduce8_avx512`'s one requirement is AVX-512F, detected
-        // on the running CPU by the line above.
-        return unsafe { reduce8_avx512(words, d0, k) };
-    }
-    let mut hits = 0u8;
-    let j: [u32; 8] = std::array::from_fn(|t| {
-        let j = (draw(&words[4 * t..]) % (d0 + t) as u128) as u32;
-        hits |= u8::from((j as usize) < k) << t;
-        j
-    });
-    (hits, j)
-}
-
-/// [`reduce8`] in the eight `f64` lanes of AVX-512F registers.
+/// needs no rounding, and one `±d` step brings it into `[0, d)`. Each lane
+/// reads only its own divisor, so the argument holds lane by lane.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn reduce8_avx512(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
+#[inline]
+fn reduce8(words: &[u32; 32], divisors: &[u32; 8]) -> [u32; 8] {
     use std::arch::x86_64::*;
 
-    // SAFETY: `words` is 32 `u32`s, so both unaligned 64-byte loads are in
-    // bounds.
-    let (a, b) = unsafe {
+    // SAFETY: `words` is 32 `u32`s and `divisors` eight, so both unaligned
+    // 64-byte loads and the 32-byte one are in bounds.
+    let (a, b, d) = unsafe {
         let p = words.as_ptr();
         (
             _mm512_loadu_si512(p.cast()),
             _mm512_loadu_si512(p.add(16).cast()),
+            _mm256_loadu_si256(divisors.as_ptr().cast()),
         )
     };
     // Element `4t + w` of `a ++ b` is word `w` of draw `t`. The limbs, most
@@ -362,10 +605,7 @@ fn reduce8_avx512(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
         _mm512_extracti64x4_epi64::<1>(limbs23),
     ];
 
-    let d = _mm512_add_pd(
-        _mm512_set1_pd(d0 as f64),
-        _mm512_setr_pd(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0),
-    );
+    let d = _mm512_cvtepu32_pd(d);
     let one = _mm512_set1_pd(1.0);
     let mut rcp = _mm512_rcp14_pd(d);
     for _ in 0..2 {
@@ -383,12 +623,17 @@ fn reduce8_avx512(words: &[u32; 32], d0: usize, k: usize) -> (u8, [u32; 8]) {
         r = _mm512_mask_add_pd(r, _mm512_cmp_pd_mask::<_CMP_LT_OQ>(r, zero), r, d);
         r = _mm512_mask_sub_pd(r, _mm512_cmp_pd_mask::<_CMP_GE_OQ>(r, d), r, d);
     }
-    let hits = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(r, _mm512_set1_pd(k as f64));
     let mut j = [0u32; 8];
     // SAFETY: `j` is eight `u32`s, 32 writable bytes; the store is the
     // unaligned form.
     unsafe { _mm256_storeu_si256(j.as_mut_ptr().cast(), _mm512_cvttpd_epu32(r)) };
-    (hits, j)
+    let mut wide = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(d, _mm512_set1_pd(MAX_F64_DIVISOR as f64));
+    while wide != 0 {
+        let t = wide.trailing_zeros() as usize;
+        j[t] = remainder(&words[4 * t..], divisors[t]);
+        wide &= wide - 1;
+    }
+    j
 }
 
 impl SamplingAlgorithm for KHop {
@@ -403,24 +648,7 @@ impl SamplingAlgorithm for KHop {
         let hops = self.fanouts.len();
         bufs.begin(csr, seeds, hops, out);
         for (hop, &fanout) in self.fanouts.iter().enumerate() {
-            for i in 0..bufs.frontier.len() {
-                if let Some(&ahead) = bufs.frontier.get(i + PREFETCH_AHEAD) {
-                    prefetch(csr.neighbors(ahead));
-                }
-                let v = bufs.frontier[i];
-                let start = bufs.selected.len();
-                self.select(
-                    csr,
-                    v,
-                    fanout,
-                    rng,
-                    &mut out.work,
-                    &mut bufs.selected,
-                    &mut bufs.scratch,
-                    &mut bufs.probe,
-                );
-                bufs.ranges.push((start, bufs.selected.len()));
-            }
+            self.hop(csr, fanout, rng, &mut out.work, bufs);
             out.work.kernel_launches += 1;
             // Hop `h` outward is block `hops - 1 - h`: blocks are stored
             // innermost first.
@@ -445,7 +673,7 @@ mod tests {
     use super::*;
     use gnnlab_graph::gen::{chung_lu, recency_weights};
     use gnnlab_graph::GraphBuilder;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn star(center_deg: usize) -> Csr {
         // Vertex 0 points at 1..=center_deg.
@@ -612,46 +840,69 @@ mod tests {
         [hi as u32, (hi >> 32) as u32, lo as u32, (lo >> 32) as u32]
     }
 
-    /// Holds [`reduce8`] to `u128 %` on eight draws at divisors `d0..d0 + 8`.
-    fn check_reduce8(xs: [u128; 8], d0: usize, k: usize) {
-        let mut words = [0u32; 32];
-        for (w, x) in words.chunks_exact_mut(4).zip(xs) {
-            w.copy_from_slice(&words_of(x));
+    /// Holds [`reduce`] to `u128 %` on the draws `xs` and their
+    /// divisors, and [`reduce8`] on each whole group of eight where the
+    /// CPU has AVX-512F.
+    fn check_reduce(xs: &[u128], divisors: &[u32]) {
+        let words: Vec<u32> = xs.iter().flat_map(|&x| words_of(x)).collect();
+        for (w, &x) in words.chunks_exact(4).zip(xs) {
             assert_eq!(draw(w), x);
         }
-        let (hits, j) = reduce8(&words, d0, k);
-        for (t, x) in xs.into_iter().enumerate() {
-            let want = x % (d0 + t) as u128;
-            assert_eq!(u128::from(j[t]), want, "x {x:#x} mod {}", d0 + t);
-            assert_eq!(hits >> t & 1 == 1, want < k as u128, "hit {t}, d0 {d0}");
+        let want: Vec<u32> = xs
+            .iter()
+            .zip(divisors)
+            .map(|(&x, &d)| (x % u128::from(d)) as u32)
+            .collect();
+        let mut got = vec![0; xs.len()];
+        reduce(&words, divisors, &mut got);
+        assert_eq!(got, want, "divisors {divisors:?}");
+        #[cfg(target_arch = "x86_64")]
+        if avx512f() {
+            let groups = words.chunks_exact(32).zip(divisors.chunks_exact(8));
+            for ((w, d), want) in groups.zip(want.chunks_exact(8)) {
+                // SAFETY: the CPU has AVX-512F, checked above.
+                let got = unsafe { reduce8(w.try_into().unwrap(), d.try_into().unwrap()) };
+                assert_eq!(got, want, "divisors {d:?}");
+            }
         }
     }
 
-    /// The eight-lane reduction (AVX-512F where the CPU has it, the scalar
-    /// form elsewhere) against `u128 %`: random words at small, middling
-    /// and largest divisors, and words that are multiples of their
-    /// divisor, one below and one above.
+    /// The reduction against `u128 %`, one divisor per lane: divisors
+    /// mixed from 1, 2, 3, 2²¹ and its neighbours, random ones up to 2²¹
+    /// and random `u32`s (lanes the scalar path redoes), on random words
+    /// and on multiples of each divisor, one below and one above. 29
+    /// draws make a sixteen-draw step, an eight-draw one and a scalar
+    /// tail.
     #[test]
     fn reduce8_matches_u128_remainder() {
         let mut r = rng();
-        let top = MAX_F64_DIVISOR - 7;
-        let d0s = [1, 2, 3, 9, 1000, 65_536, top - 100, top - 1, top];
-        for d0 in d0s {
-            for k in [1, 5, 15, 1 << 21] {
-                for _ in 0..50 {
-                    check_reduce8(std::array::from_fn(|_| r.gen::<u128>()), d0, k);
-                }
-                for offset in [0u128, 1, u128::MAX] {
-                    let xs = std::array::from_fn(|t| {
-                        let d = (d0 + t) as u128;
-                        let m = (r.gen::<u128>() / d).max(1);
-                        (m * d).wrapping_add(offset)
-                    });
-                    check_reduce8(xs, d0, k);
-                }
+        let top = MAX_F64_DIVISOR as u32;
+        for round in 0..300 {
+            // Even rounds keep every lane within the `f64` bound.
+            let cap = if round % 2 == 0 { top } else { u32::MAX };
+            let fixed = [1, 2, 3, 9, 1000, 65_536, top - 1, top, top + 1, u32::MAX];
+            let fixed: Vec<u32> = fixed.into_iter().filter(|&d| d <= cap).collect();
+            let divisors: Vec<u32> = (0..29)
+                .map(|_| match r.gen_range(0..3) {
+                    0 => fixed[r.gen_range(0..fixed.len())],
+                    1 => r.gen_range(1..=top),
+                    _ => r.gen_range(1..=cap),
+                })
+                .collect();
+            let xs: Vec<u128> = divisors.iter().map(|_| r.gen::<u128>()).collect();
+            check_reduce(&xs, &divisors);
+            for offset in [0u128, 1, u128::MAX] {
+                let xs: Vec<u128> = divisors
+                    .iter()
+                    .map(|&d| {
+                        let d = u128::from(d);
+                        ((r.gen::<u128>() / d).max(1) * d).wrapping_add(offset)
+                    })
+                    .collect();
+                check_reduce(&xs, &divisors);
             }
-            check_reduce8([0; 8], d0, 1);
-            check_reduce8([u128::MAX; 8], d0, 1);
+            check_reduce(&[0; 29], &divisors);
+            check_reduce(&[u128::MAX; 29], &divisors);
         }
     }
 
@@ -674,7 +925,7 @@ mod tests {
         let mut chunked = ChaCha8Rng::seed_from_u64(seed);
         let mut oracle = chunked.clone();
         let mut got = nbrs[..k].to_vec();
-        reservoir(nbrs, &mut chunked, &mut got, &mut Vec::new());
+        reservoir(nbrs, &mut chunked, &mut got, &mut Draws::default());
         let want = per_neighbour_reservoir(nbrs, k, &mut oracle);
         assert_eq!(got, want, "degree {}, k {k}, seed {seed}", nbrs.len());
         assert_eq!(chunked.gen::<u64>(), oracle.gen::<u64>(), "stream position");
@@ -735,9 +986,10 @@ mod tests {
 
     #[test]
     fn hashed_probe_matches_linear_scan_reference() {
-        // fanout 25 > FLOYD_LINEAR_MAX takes the hashed-probe branch;
-        // replay the draw loop with the original linear scan and the same
-        // stream — selections must agree index for index.
+        // fanout 25 > FLOYD_LINEAR_MAX takes the hashed-probe branch of
+        // the per-vertex loop (two registers of the hop-wide one where the
+        // CPU has AVX-512F); replay the draw loop with the original linear
+        // scan and the same stream — selections must agree index for index.
         let deg = 500usize;
         let fanout = 25usize;
         assert!(fanout > FLOYD_LINEAR_MAX);
@@ -768,5 +1020,144 @@ mod tests {
         }
         assert_eq!(&s.blocks[0].src_globals[1..], &dedup[..]);
         assert_eq!(s.work.rng_draws, fanout as u64);
+    }
+
+    /// Floyd's selection by the per-vertex loop's linear scan, from a
+    /// vertex's precomputed remainders.
+    fn floyd_linear(picks: &[u32], nbrs: &[VertexId]) -> Vec<VertexId> {
+        let mut chosen: Vec<u32> = Vec::new();
+        for (j, &t) in ((nbrs.len() - picks.len()) as u32..).zip(picks) {
+            chosen.push(if chosen.contains(&t) { j } else { t });
+        }
+        chosen.iter().map(|&c| nbrs[c as usize]).collect()
+    }
+
+    /// [`floyd_lanes`] at every register count that holds `picks`, where
+    /// the CPU has AVX-512F, against [`floyd_linear`]. The register form
+    /// appends after what `selected` already holds.
+    fn check_floyd(picks: &[u32], nbrs: &[VertexId]) {
+        let want = floyd_linear(picks, nbrs);
+        #[cfg(target_arch = "x86_64")]
+        if avx512f() {
+            for registers in [1, 2].into_iter().filter(|r| picks.len() <= 16 * r) {
+                let mut got = vec![u32::MAX];
+                // SAFETY: the CPU has AVX-512F, checked above.
+                unsafe {
+                    match registers {
+                        1 => floyd_lanes::<1>(picks, nbrs, &mut got),
+                        _ => floyd_lanes::<2>(picks, nbrs, &mut got),
+                    }
+                }
+                assert_eq!(got[0], u32::MAX);
+                assert_eq!(got[1..], want, "{registers} registers, picks {picks:?}");
+            }
+        }
+    }
+
+    /// The register Floyd against the linear scan at fan-outs 1–32, on
+    /// remainders that are all equal, that each name
+    /// the previous draw's `j` (every draw after the first a duplicate),
+    /// that each name their own `j`, and random ones at degrees just above
+    /// the fan-out, where duplicates are common.
+    #[test]
+    fn register_floyd_matches_linear_scan() {
+        let mut r = rng();
+        for k in 1..=FLOYD_REGISTER_MAX as u32 {
+            for deg in [k + 1, k + 2, 2 * k, 5 * k + 3, 1000] {
+                let nbrs: Vec<VertexId> = (0..deg).map(|v| v * 7 + 3).collect();
+                let first = deg - k;
+                for c in [0, first / 2, first] {
+                    check_floyd(&vec![c; k as usize], &nbrs);
+                }
+                let previous_j: Vec<u32> = (0..k).map(|m| first + m.saturating_sub(1)).collect();
+                check_floyd(&previous_j, &nbrs);
+                let own_j: Vec<u32> = (0..k).map(|m| first + m).collect();
+                check_floyd(&own_j, &nbrs);
+                for _ in 0..20 {
+                    let picks: Vec<u32> = (0..k).map(|m| r.gen_range(0..=first + m)).collect();
+                    check_floyd(&picks, &nbrs);
+                }
+            }
+        }
+    }
+
+    /// A graph whose vertices `0..=40` have those degrees, followed by a
+    /// power-law graph's vertices and, last, one vertex with three times
+    /// [`MAX_F64_DIVISOR`] neighbours: far enough past it that reducing
+    /// its draws in `f64` lanes would round.
+    fn mixed_degree_graph() -> Csr {
+        let tail = chung_lu(2000, 40_000, 2.0, 9).unwrap();
+        let n = 41 + tail.num_vertices() + 1;
+        let mut indptr = vec![0u64];
+        let mut indices: Vec<VertexId> = Vec::new();
+        let mut push = |list: &mut dyn Iterator<Item = VertexId>| {
+            indices.extend(list);
+            indptr.push(indices.len() as u64);
+        };
+        for deg in 0..=40 {
+            push(&mut (0..deg).map(|i| (i * 13 + deg) % n as u32));
+        }
+        for v in 0..tail.num_vertices() {
+            push(&mut tail.neighbors(v as VertexId).iter().map(|&u| u + 41));
+        }
+        push(&mut (0..3 * MAX_F64_DIVISOR as u32).map(|i| i % n as u32));
+        Csr::from_parts(indptr, indices).unwrap()
+    }
+
+    /// One hop as [`KHop::sample_into`] selects it ([`fisher_yates_hop`]
+    /// where the CPU has AVX-512F and `k` fits its registers) and one of
+    /// the per-vertex loop over `frontier` from `rng`'s position: the same
+    /// selections, ranges and work counters, and the stream left at the
+    /// same word.
+    fn check_hop(csr: &Csr, frontier: &[VertexId], k: usize, rng: &ChaCha8Rng) {
+        let khop = KHop::new(vec![k], Kernel::FisherYates, Selection::Uniform);
+        let hop = |per_vertex: bool| {
+            let mut bufs = SampleBuffers::new();
+            bufs.frontier.extend_from_slice(frontier);
+            let (mut r, mut work) = (rng.clone(), SampleWork::default());
+            if per_vertex {
+                khop.select_hop(csr, k, &mut r, &mut work, &mut bufs);
+            } else {
+                khop.hop(csr, k, &mut r, &mut work, &mut bufs);
+            }
+            (bufs.selected, bufs.ranges, work, r.next_u32())
+        };
+        let want = hop(true);
+        assert_eq!(want.1.len(), frontier.len());
+        assert_eq!(hop(false), want, "k {k}, frontier {frontier:?}");
+    }
+
+    /// The hop-wide Fisher–Yates against the per-vertex loop: fan-outs
+    /// 1–33 (one register, two, and the per-vertex loop), frontiers of 1 to
+    /// 100 vertices of degree 0, up to and just past the fan-out and on a
+    /// power-law tail, starting at each of the generator's 256 buffer
+    /// offsets; then frontiers holding the vertex past [`MAX_F64_DIVISOR`].
+    #[test]
+    fn hop_wide_selection_equals_the_per_vertex_loop() {
+        let g = mixed_degree_graph();
+        let n = g.num_vertices() as u32;
+        let mut r = rng();
+        for offset in 0..256 {
+            let k = 1 + offset % 33;
+            let len = [1, 31, 32, 33, 64, 100][offset % 6];
+            let frontier: Vec<VertexId> = (0..len)
+                .map(|_| match r.gen_range(0..3) {
+                    0 => r.gen_range(0..=40),
+                    1 => r.gen_range(k.saturating_sub(1)..=k + 1).min(40) as VertexId,
+                    _ => r.gen_range(41..n - 1),
+                })
+                .collect();
+            let mut start = ChaCha8Rng::seed_from_u64(offset as u64);
+            for _ in 0..offset {
+                start.next_u32();
+            }
+            check_hop(&g, &frontier, k, &start);
+        }
+        for k in [1, 5, 15, 16, 17, 32, 33] {
+            let frontier: Vec<VertexId> = (0..40)
+                .map(|i| [n - 1, i, 41 + i][i as usize % 3])
+                .collect();
+            check_hop(&g, &frontier, k, &rng());
+        }
     }
 }

@@ -336,10 +336,12 @@ pub struct SampleBuffers {
     /// two uses never overlap: a hop's selections all finish before its
     /// remap starts.
     pub(crate) remap: RemapTable,
-    /// A vertex's selection scratch: Floyd's chosen indices under
-    /// Fisher–Yates, the words of its bounded draws under Reservoir.
+    /// Floyd's chosen indices in the per-vertex Fisher–Yates loop.
     pub(crate) scratch: Vec<u32>,
     pub(crate) probe: ProbeSet,
+    /// A run of bounded draws: the hop-wide Fisher–Yates' and the
+    /// Reservoir's words, divisors and remainders.
+    pub(crate) draws: crate::khop::Draws,
     /// Random walks: `(vertex, visit count)` for the vertex being walked.
     pub(crate) ranked: Vec<(VertexId, u32)>,
 }
