@@ -3,123 +3,42 @@
 //! that turns a finished Sampler into a standby.
 
 use super::config::{ExecutorCacheReport, ThreadedError, ThreadedErrorKind};
-use super::shared::{new_model, BatchClock, Shared, TrainTask};
+use super::ledger::FirstLease;
+use super::sched::BatchClock;
+use super::shared::{new_model, Shared, TrainTask};
 use crate::checkpoint::BatchRecord;
 use crate::faults::ExecutorRole;
-use crate::schedule::{seed_standby_estimate, switch_profit};
-use crate::sync::Ordering;
 use gnnlab_cache::{CacheStats, CachedFeatureStore};
 use gnnlab_obs::{names, Executor, Stage};
 use gnnlab_tensor::{GnnModel, Matrix};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// A Trainer's whole life: build its own memory-planned cache and
-/// replica, then consume until the queue drains.
-pub(super) fn trainer_phase(
-    sh: &Shared<'_>,
-    slot: usize,
-    exec: usize,
-) -> Result<(), ThreadedError> {
-    Consumer::new(sh, exec, slot, false).run()
-}
-
-/// A dedicated Trainer's place in [`Shared::await_first_leases`]' count:
-/// released at the Trainer's first lease, or when dropped before one —
-/// the Trainer exited, or unwound while loading or consuming — so no
-/// consumer waits on a Trainer that will never lease.
-struct FirstLease<'s, 'a>(Option<&'s Shared<'a>>);
-
-impl FirstLease<'_, '_> {
-    fn release(&mut self) {
-        if let Some(sh) = self.0.take() {
-            // Saturating: a respawned Trainer holds a place too, after
-            // the starting fleet's count has run out.
-            let mut left = sh.unleased.lock();
-            *left = left.saturating_sub(1);
-            if *left == 0 {
-                sh.all_leased.notify_all();
-            }
-        }
-    }
-}
-
-impl Drop for FirstLease<'_, '_> {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
-/// The §5.3 switching decision a Sampler takes once its sampling work is
-/// done: evaluate the live profit metric and, if positive, pay the
-/// replica-init and cache-refresh cost, re-check, and train as a standby
-/// Trainer until the queue drains. For as long as it trains, the
+/// A consumer's whole life on `slot` as executor `exec`. A Trainer's:
+/// build its own memory-planned cache and replica, then consume until the
+/// queue drains. A finished Sampler's (`standby`) is first the §5.3
+/// switching decision: evaluate the live profit metric and, if positive,
+/// pay the replica-init and cache-refresh cost, re-check, and train as a
+/// standby Trainer until the queue drains. For as long as it trains, the
 /// parameter server takes updates in rounds (see
-/// [`ParamServer`](super::shared::ParamServer)): the switch may only buy
+/// [`ParamServer`](super::server::ParamServer)): the switch may only buy
 /// time, not move what the run converges to.
-pub(super) fn standby_phase(
-    sh: &Shared<'_>,
-    slot: usize,
-    exec: usize,
-) -> Result<(), ThreadedError> {
-    let obs = &*sh.obs;
-    let remaining = sh.queue.remaining();
-    // Until estimates exist, fall back T_t ≈ T_s (same order of work per
-    // batch here).
-    let t_train = sh
-        .t_train
-        .get()
-        .or_else(|| sh.t_sample.get())
-        .unwrap_or(0.0);
-    // T_t' is the measured standby EWMA once one exists; before that it
-    // is *seeded* from the standby's planned cache shape and the measured
-    // refresh cost (§5.3: the standby keeps topology, so its cache is
-    // smaller and T_t' > T_t) — no hard-coded prior.
-    let refresh = sh.refresh_secs.get().unwrap_or(0.0);
-    let t_standby = sh.t_standby.get().unwrap_or_else(|| {
-        seed_standby_estimate(t_train, sh.standby_miss_ratio, refresh, remaining)
-    });
-    let n_t = sh.consuming.lock().len();
-    obs.metrics
-        .gauge_set(names::SCHEDULER_SWITCH_TRAINERS, n_t as f64);
-    let profit = switch_profit(remaining, t_train, n_t, t_standby);
-    obs.metrics
-        .sample(names::SCHEDULER_SWITCH_PROFIT, obs.now_ns(), profit);
-    obs.metrics.observe(names::SCHEDULER_SWITCH_PROFIT, profit);
-    if profit <= 0.0 {
-        obs.metrics.counter_inc(names::SCHEDULER_SWITCH_DENIED);
-        return Ok(());
+pub(super) fn consumer_phase(sh: &Shared<'_>, slot: usize, exec: usize, standby: bool) -> Outcome {
+    if !standby {
+        return Consumer::new(sh, exec, slot, false).run();
     }
-    // Tentatively switch: register as a consumer, pay the replica init
-    // and the cache refresh, then re-check the profit on a fresh queue
-    // read — committing on the stale pre-init read both wasted the init
-    // cost on a drained queue and overcounted `scheduler.switches`.
-    sh.consuming.lock().insert(exec);
+    let (sched, samples) = (sh.sched(), sh.ledger().samples());
+    let Some(first_read) = sched.offer_switch(exec, samples.remaining()) else {
+        return Ok(());
+    };
     let consumer = Consumer::new(sh, exec, slot, true);
-    let remaining_now = sh.queue.remaining();
-    let peers = sh.consuming.lock().len().saturating_sub(1);
-    let t_standby_now = sh.t_standby.get().unwrap_or(t_standby);
-    let profit_now = switch_profit(
-        remaining_now,
-        sh.t_train.get().unwrap_or(t_train),
-        peers,
-        t_standby_now,
-    );
-    if profit_now <= 0.0 {
-        // The queue drained (or peers multiplied) while this standby was
-        // initializing: a futile wake, not a switch.
-        obs.metrics.counter_inc(names::SCHEDULER_SWITCH_FUTILE);
+    if !sched.confirm_switch(first_read, samples.remaining()) {
         return Ok(());
     }
-    obs.metrics.counter_inc(names::SCHEDULER_SWITCHES);
-    sh.switches.fetch_add(1, Ordering::Relaxed);
-    // Rounds stay on if this standby unwinds instead of returning: the
-    // safe side, and what is left of the run is its tail.
-    sh.server.lock().standbys += 1;
-    let res = consumer.run();
-    sh.server.lock().standbys -= 1;
-    res
+    sh.server().in_rounds(|| consumer.run())
 }
+
+/// How a consumer's life ended: drained, or with an unrecoverable error.
+type Outcome = Result<(), ThreadedError>;
 
 /// One consuming executor — a dedicated Trainer or a switched standby —
 /// and everything it owns for the length of its [`Consumer::run`] loop.
@@ -143,9 +62,8 @@ struct Consumer<'a> {
     /// Feeds the role's scheduler EWMA (`T_t` or `T_t'`) and this
     /// executor's own straggler-alert gauge.
     clock: BatchClock<'a>,
-    /// A dedicated Trainer's place in the first-lease count (`None` for a
-    /// standby, and once released).
-    first_lease: FirstLease<'a, 'a>,
+    /// A dedicated Trainer's place in the first-lease barrier.
+    first_lease: FirstLease<'a>,
     /// `cache.<role>.<slot>.{lookups,hits,misses,hit_rate}`.
     cache_names: [String; 4],
     /// Last published cache snapshot, so the per-executor counters stream
@@ -161,65 +79,40 @@ impl<'a> Consumer<'a> {
     /// span-instrumented fill of its role's cut of the run's cache ranking.
     fn new(sh: &'a Shared<'a>, exec: usize, slot: usize, standby: bool) -> Self {
         // First, so a panic while loading releases it.
-        let first_lease = FirstLease((!standby).then_some(sh));
+        let first_lease = sh.ledger().first_lease(!standby);
         let cfg = sh.cfg;
         // A standby runs on its Sampler's device and inherits that
         // device's straggler factor; only dedicated Trainers take
         // injected Trainer crashes.
-        let (role, name, title, device, table, fault_role, cell, series) = if standby {
-            (
-                Executor::Standby,
-                "standby",
-                "Standby",
-                slot,
-                sh.standby_table(),
-                ExecutorRole::Sampler,
-                &sh.t_standby,
-                names::SCHEDULER_EWMA_T_STANDBY,
-            )
-        } else {
-            (
-                Executor::Trainer,
-                "trainer",
-                "Trainer",
-                cfg.num_samplers + slot,
-                sh.trainer_table.clone(),
-                ExecutorRole::Trainer,
-                &sh.t_train,
-                names::SCHEDULER_EWMA_T_TRAIN,
-            )
+        let trainer_crash = cfg.faults.crash_for(ExecutorRole::Trainer, slot);
+        let (role, fault_role, crash) = match standby {
+            true => (Executor::Standby, ExecutorRole::Sampler, None),
+            false => (Executor::Trainer, ExecutorRole::Trainer, trainer_crash),
         };
-        let device = device as u32;
+        let (device, table) = match standby {
+            true => (slot, sh.standby_table()),
+            false => (cfg.num_samplers + slot, sh.trainer_table.clone()),
+        };
+        let (device, slowdown) = (device as u32, cfg.faults.slowdown(fault_role, slot));
         let replica = new_model(sh.graph, sh.kind, cfg);
         let (store, refresh_ns) = sh.build_store(table, device, role);
         Consumer {
             sh,
             exec,
             slot,
-            who: format!("{title} {slot}"),
+            who: format!("{role:?} {slot}"),
             replica,
             store,
             device,
             role,
             refresh_ns,
-            crash: if standby {
-                None
-            } else {
-                cfg.faults.crash_for(ExecutorRole::Trainer, slot)
-            },
+            crash,
             // Published before the first batch, so the slot shows up even
-            // if it trains none. Before any `T_t` exists a Trainer starts
-            // at the `T_t ≈ T_s` the scheduler reads in its place.
-            clock: BatchClock::new(
-                cell,
-                series,
-                names::executor_ewma(name, slot),
-                cfg.faults.slowdown(fault_role, slot),
-            )
-            .starting_at_role(if standby { None } else { sh.t_sample.get() }, &sh.obs),
+            // if it trains none.
+            clock: sh.sched().clock(role, slot, slowdown),
             first_lease,
             cache_names: ["lookups", "hits", "misses", "hit_rate"]
-                .map(|leaf| names::executor_cache(name, slot, leaf)),
+                .map(|leaf| names::executor_cache(role.metric_role(), slot, leaf)),
             last_cache: CacheStats::default(),
             free_buf: Vec::new(),
         }
@@ -228,7 +121,7 @@ impl<'a> Consumer<'a> {
     /// Consumes until the queue drains, then files this executor's
     /// [`ExecutorCacheReport`] — whether the loop exited cleanly or with
     /// an unrecoverable error.
-    fn run(mut self) -> Result<(), ThreadedError> {
+    fn run(mut self) -> Outcome {
         let outcome = self.consume();
         self.sh.cache_reports.lock().push(ExecutorCacheReport {
             role: self.role,
@@ -249,22 +142,22 @@ impl<'a> Consumer<'a> {
     /// close or poison, so an idle consumer costs no CPU; an error means
     /// drained, or poisoned by a peer that crashed beyond recovery — its
     /// thread records the error, so just unwind quietly.
-    fn consume(&mut self) -> Result<(), ThreadedError> {
-        let sh = self.sh;
+    fn consume(&mut self) -> Outcome {
+        let (sh, ledger) = (self.sh, self.sh.ledger());
         let mut done = 0usize;
         loop {
             // One batch each before any consumer takes a second.
             if done == 1 {
-                sh.await_first_leases();
+                ledger.await_first_leases();
             }
-            let Ok(lease) = sh.queue.dequeue_leased(self.exec as u32) else {
+            let Ok(lease) = ledger.samples().dequeue_leased(self.exec as u32) else {
                 break;
             };
             self.first_lease.release();
             // Injected crash (at most once): fires while the lease is held
             // and before the batch trains, so the supervisor reclaims it
             // and a survivor trains it exactly once.
-            sh.crash_point(self.crash, done, &self.who);
+            sh.faults().crash_point(self.crash, done, &self.who);
             let task = &*lease.task;
             self.retry_transients(task.id)?;
             // The per-batch time the EWMAs track: the gather plus the train.
@@ -272,13 +165,7 @@ impl<'a> Consumer<'a> {
             let feats = self.extract(task);
             self.train(task, feats);
             self.publish(started.elapsed().as_secs_f64());
-            sh.queue.complete(lease.id);
-            // The unwrap succeeds only for the sole owner, so a task the
-            // queue still holds — one a reclaim could replay — is never
-            // reused.
-            if let Ok(task) = Arc::try_unwrap(lease.task) {
-                sh.returned.lock().push(task);
-            }
+            ledger.give_back(lease);
             done += 1;
             if let Some(k) = sh.ckpt_after_batch() {
                 return Err(ThreadedError::new(
@@ -296,7 +183,7 @@ impl<'a> Consumer<'a> {
     /// exponential + jitter). Exceeding the retry budget is unrecoverable
     /// and fails the run through the poison path (no respawn would help
     /// a deterministic fault).
-    fn retry_transients(&self, batch: u64) -> Result<(), ThreadedError> {
+    fn retry_transients(&self, batch: u64) -> Outcome {
         let (sh, faults) = (self.sh, &self.sh.cfg.faults);
         for attempt in 0..faults.transient_failures(batch) {
             if attempt >= faults.retry.max_attempts {
@@ -308,13 +195,8 @@ impl<'a> Consumer<'a> {
                     ),
                 ));
             }
-            sh.note_fault();
-            sh.recovery.lock().retries += 1;
-            sh.obs.metrics.counter_inc(names::RETRY_ATTEMPTS);
             let backoff = faults.backoff(attempt, batch);
-            sh.obs
-                .metrics
-                .counter_add(names::RETRY_BACKOFF_NS, backoff.as_nanos() as f64);
+            sh.faults().retried(backoff);
             std::thread::sleep(backoff);
         }
         Ok(())
@@ -338,12 +220,10 @@ impl<'a> Consumer<'a> {
     /// gradients with the batch's record; the feature buffer goes back to
     /// `free_buf`, so the steady state allocates none.
     fn train(&mut self, task: &TrainTask, feats: Matrix) {
-        let sh = self.sh;
-        let pulled = sh.pull_params(&mut self.replica);
+        let (sh, obs) = (self.sh, &self.sh.obs);
+        let pulled = sh.server().pull(&mut self.replica);
         {
-            let _g = sh
-                .obs
-                .start_span(self.device, self.role, Stage::Train, task.id);
+            let _g = obs.start_span(self.device, self.role, Stage::Train, task.id);
             let (loss, acc) = self.replica.train_batch(&task.sample, &feats, &task.labels);
             let record = BatchRecord {
                 id: task.id,
@@ -355,7 +235,7 @@ impl<'a> Consumer<'a> {
             // gradient the values do not hold.
             pulled.push_grads(&mut self.replica, record);
         }
-        sh.trained.fetch_add(1, Ordering::Relaxed);
+        sh.ledger().trained_one();
         self.free_buf = feats.into_vec();
     }
 
@@ -364,7 +244,7 @@ impl<'a> Consumer<'a> {
     /// store, not the fleet average.
     fn publish(&mut self, secs: f64) {
         let m = &self.sh.obs.metrics;
-        self.clock.record(secs, &self.sh.obs);
+        self.clock.record(secs);
         let snap = self.store.stats();
         let d_lookups = snap.lookups - self.last_cache.lookups;
         let d_hits = snap.hits - self.last_cache.hits;

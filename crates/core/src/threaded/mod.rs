@@ -19,7 +19,7 @@
 //! must not cost accuracy: while a standby consumes, the parameter server
 //! takes updates in rounds — one optimizer step per set of overlapping
 //! consumers, on their mean gradient — so no gradient is applied to
-//! parameters it was not computed on (`shared::ParamServer` has the why).
+//! parameters it was not computed on (`server::ParamServer` has the why).
 //!
 //! # Fault tolerance
 //!
@@ -60,10 +60,23 @@
 //!
 //! * `config` — [`ThreadedConfig`], [`ThreadedError`] and its exit codes,
 //!   the result and report structs.
-//! * `shared` — the run state every executor borrows: the sample queue
-//!   and the Samplers' id queue, parameter server, live EWMAs, RNG stream
-//!   seeds, fault/recovery counters, the run's one cache ranking and the
-//!   stores filled from its prefixes.
+//! * `shared` — [`Shared`](shared::Shared), what every executor borrows:
+//!   the run's immutable plan (config, graph, seeds, memory plan, the one
+//!   cache ranking, pools, sampler), the stores filled from the ranking's
+//!   prefixes, and the four parts below, each behind its own methods.
+//! * `server` — `ParamServer`: pull, push, rounds while a standby
+//!   consumes, the trained ids, checkpoint snapshot and restore, the
+//!   end-of-run master and history.
+//! * `sched` — `Scheduler`: the `T_s`/`T_t`/`T_t'` EWMAs and per-executor
+//!   clocks, the `N_t` set, §5.2's allocation rule (`ideal_trainers`) and
+//!   §5.3's switch decision (offer, then confirm after the standby's
+//!   init).
+//! * `ledger` — `Ledgers`: the id and sample queues, returned tasks,
+//!   kept pre-samples, the executor and batch counts, the first-lease
+//!   barrier.
+//! * `fault` — `Faults`: fired crashes, the respawn budget, the first
+//!   error, and one method per recovery event that moves its
+//!   [`RecoveryReport`] field and its metric together.
 //! * `snapshot` — checkpoints: the consumer whose batch makes a generation
 //!   due snapshots the parameter server and writes it; resume splices a
 //!   loaded generation back in.
@@ -78,7 +91,11 @@
 
 mod config;
 mod consumer;
+mod fault;
+mod ledger;
 mod sampler;
+mod sched;
+mod server;
 mod shared;
 mod snapshot;
 mod supervisor;
@@ -89,7 +106,6 @@ pub use config::{
 };
 
 use crate::sync::{AtomicUsize, Ordering};
-use crate::train_real::sampler_for;
 use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
@@ -103,7 +119,7 @@ use rand_chacha::ChaCha8Rng;
 use shared::{stream_seed, Shared, StreamRole};
 use snapshot::CkptRuntime;
 use std::sync::Arc;
-use supervisor::{spawn_sampler, spawn_trainer};
+use supervisor::Supervisor;
 
 /// Runs the factored architecture with real threads on real data.
 ///
@@ -165,29 +181,28 @@ pub fn run_threaded_obs(
     let telemetry = Telemetry::start(Arc::clone(obs), cfg.telemetry);
 
     let resumed_from = shared.resume_latest()?;
-    shared.post_untrained_ids();
+    // Every batch id the master has not stepped on — all of them on a
+    // fresh run — for the Samplers.
+    let total = shared.batches_per_epoch * cfg.epochs;
+    shared.ledger().post_ids(shared.server().untrained(total));
 
     std::thread::scope(|scope| {
-        let sh = &shared;
+        let (sup, s) = (Supervisor { scope, sh: &shared }, cfg.num_samplers);
         // Executor ids: the Samplers', then the Trainers'. Every Trainer
         // is a registered consumer before any thread runs, so a Sampler
         // that finishes first still counts it in `N_t`.
-        let trainers = cfg.num_samplers..cfg.num_samplers + cfg.num_trainers;
-        sh.consuming.lock().extend(trainers.clone());
-        for s in 0..cfg.num_samplers {
-            spawn_sampler(scope, sh, s, s);
-        }
-        for (t, exec) in trainers.enumerate() {
-            spawn_trainer(scope, sh, t, exec);
-        }
+        let (trainers, sched) = (s..s + cfg.num_trainers, shared.sched());
+        trainers.clone().for_each(|exec| sched.enlist(exec));
+        (0..s).for_each(|slot| sup.spawn_sampler(slot, slot));
+        trainers.for_each(|exec| sup.spawn_trainer(exec - s, exec));
     });
 
-    if let Some(err) = shared.first_error.lock().take() {
+    if let Some(err) = shared.faults().take_error() {
         return Err(err);
     }
 
-    // The lock is held only for the clone; evaluation runs on the snapshot.
-    let mut master = shared.server.lock().master.clone();
+    // The lock is held only for the copy; evaluation runs on it.
+    let (mut master, history) = shared.server().finish();
     let (correct, eval_report) = evaluate(&shared, &master, &test_set, &shared.bookends);
     shared.cache_reports.lock().push(eval_report);
 
@@ -198,34 +213,27 @@ pub fn run_threaded_obs(
     // anything else host-side) last: `Executor`'s own order.
     caches.sort_by_key(|c| (c.role, c.slot));
     let mut cache_stats = CacheStats::default();
-    for c in &caches {
-        cache_stats.add(&c.stats);
-    }
+    caches.iter().for_each(|c| cache_stats.add(&c.stats));
     cache_stats.publish(&obs.metrics);
     telemetry.stop();
-    let mut history = std::mem::take(&mut shared.server.lock().history);
-    history.sort_by_key(|r| r.id);
     // The master's flattened parameters, in stable layer order — the
     // chaos harness compares these bit-for-bit across kill–resume runs.
     let final_params: Vec<f32> = master
         .params_iter_mut()
         .flat_map(|p| p.value.data().iter().copied())
         .collect();
-    let recovery = *shared.recovery.lock();
+    let ledger = shared.ledger();
     Ok(ThreadedResult {
-        batches_trained: shared.trained.load(Ordering::Relaxed),
-        samples_produced: shared.produced.load(Ordering::Relaxed),
-        final_accuracy: if test_set.is_empty() {
-            0.0
-        } else {
-            correct as f64 / test_set.len() as f64
-        },
-        peak_queue_depth: shared.queue.peak_depth(),
+        batches_trained: ledger.trained(),
+        samples_produced: ledger.produced(),
+        // An empty test set has no correct prediction: 0.
+        final_accuracy: correct as f64 / test_set.len().max(1) as f64,
+        peak_queue_depth: ledger.samples().peak_depth(),
         cache_hit_rate: cache_stats.hit_rate(),
         caches,
-        switches: shared.switches.load(Ordering::Relaxed),
-        queue_blocked_ns: shared.queue.blocked_ns(),
-        recovery,
+        switches: shared.sched().switches(),
+        queue_blocked_ns: ledger.samples().blocked_ns(),
+        recovery: shared.faults().report(),
         history,
         final_params,
         checkpoints_written: shared.ckpt.as_ref().map_or(0, CkptRuntime::writes),
@@ -274,18 +282,15 @@ fn evaluate(
     test_set: &[VertexId],
     pool: &ThreadPool,
 ) -> (usize, ExecutorCacheReport) {
-    let (graph, cfg) = (shared.graph, shared.cfg);
-    let algo = sampler_for(shared.kind);
+    let (graph, cfg, algo) = (shared.graph, shared.cfg, &shared.sampler);
     let (store, refresh_ns) = shared.fill_store(shared.trainer_table.clone());
     let chunks: Vec<&[VertexId]> = test_set.chunks(cfg.batch_size.max(1)).collect();
     let cursor = AtomicUsize::new(0);
     let correct: usize = pool
         .map_ranges(pool.partitions(chunks.len()), |_, _| {
-            let mut model = master.clone();
-            let mut bufs = SampleBuffers::new();
-            let mut sample = Sample::default();
-            let mut feat_buf = Vec::new();
-            let mut labels = Vec::new();
+            let (mut model, mut bufs) = (master.clone(), SampleBuffers::new());
+            let (mut sample, mut feat_buf, mut labels) =
+                (Sample::default(), Vec::new(), Vec::new());
             let mut correct = 0;
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);

@@ -4,11 +4,10 @@
 //! M step: the consumer's gather looks each vertex up in its own table
 //! with one load, the same load a mark would have cost (DESIGN §1).
 
-use super::shared::{BatchClock, Shared, TrainTask};
+use super::sched::BatchClock;
+use super::shared::{Shared, TrainTask};
 use crate::faults::ExecutorRole;
 use crate::queue::DequeueError;
-use crate::sync::Ordering;
-use crate::train_real::sampler_for;
 use gnnlab_graph::VertexId;
 use gnnlab_obs::{names, Executor, Stage};
 use gnnlab_sampling::{presample_rng, MinibatchIter, SampleBuffers};
@@ -23,29 +22,21 @@ const SAMPLER_BURST: usize = 4;
 /// The clock a Sampler on `slot` feeds `T_s` through, its own estimate
 /// started — and published — at the role's.
 pub(super) fn sampler_clock<'a>(sh: &'a Shared<'_>, slot: usize) -> BatchClock<'a> {
-    BatchClock::new(
-        &sh.t_sample,
-        names::SCHEDULER_EWMA_T_SAMPLE,
-        names::executor_ewma("sampler", slot),
-        sh.cfg.faults.slowdown(ExecutorRole::Sampler, slot),
-    )
-    .starting_at_role(None, &sh.obs)
+    let slowdown = sh.cfg.faults.slowdown(ExecutorRole::Sampler, slot);
+    sh.sched().clock(Executor::Sampler, slot, slowdown)
 }
 
 /// One Sampler's main loop: lease the next [`SAMPLER_BURST`] batch ids
-/// from [`Shared::ids`], take back as many trained tasks as the burst
+/// from the id queue, take back as many trained tasks as the burst
 /// needs, refill each in place — sample (or take the pre-sampled epoch-0
 /// sample), label — then enqueue the burst in one round-trip
 /// (blocking at the queue's capacity) and complete its leases. Once the
 /// id queue is drained — every id delivered, none leased — it closes the
 /// sample queue and exits.
 pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock: BatchClock<'_>) {
-    let cfg = sh.cfg;
-    let algo = sampler_for(sh.kind);
-    let device = slot as u32;
+    let (cfg, ledger, obs) = (sh.cfg, sh.ledger(), &*sh.obs);
+    let (device, who) = (slot as u32, format!("Sampler {slot}"));
     let crash = cfg.faults.crash_for(ExecutorRole::Sampler, slot);
-    let who = format!("Sampler {slot}");
-    let obs = &*sh.obs;
     // The cached epoch's shuffled training set; batch `b` of the epoch is
     // its `b`-th `batch_size` chunk.
     let mut cached_epoch = u64::MAX;
@@ -58,13 +49,13 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
     // capacity.
     let mut tasks: Vec<TrainTask> = Vec::new();
     loop {
-        let leases = match sh.ids.dequeue_leased_many(exec as u32, SAMPLER_BURST) {
+        let leases = match ledger.ids().dequeue_leased_many(exec as u32, SAMPLER_BURST) {
             Ok(leases) => leases,
             // Every sample is in the queue: close it so blocked consumers
             // drain what remains and exit instead of spinning. Idempotent,
             // so every Sampler that gets here may.
             Err(DequeueError::Drained) => {
-                sh.queue.close();
+                ledger.samples().close();
                 return;
             }
             // A peer crashed beyond recovery: stop producing.
@@ -72,11 +63,7 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
         };
         // Refill trained tasks the consumers gave back; make new ones only
         // for what the return list cannot cover.
-        {
-            let mut returned = sh.returned.lock();
-            let from = returned.len().saturating_sub(leases.len());
-            tasks.extend(returned.drain(from..));
-        }
+        ledger.take_returned(leases.len(), &mut tasks);
         tasks.resize_with(leases.len(), TrainTask::default);
         for (k, (task, lease)) in tasks.iter_mut().zip(&leases).enumerate() {
             // If the injected crash fires here the whole burst stays
@@ -84,7 +71,7 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
             // queue, in order, and a survivor re-samples each batch
             // (nothing sampled here was enqueued yet, so exactly-once
             // holds).
-            sh.crash_point(crash, sampled + k, &who);
+            sh.faults().crash_point(crash, sampled + k, &who);
             let i = *lease.task as usize;
             let (epoch, b) = ((i / sh.batches_per_epoch) as u64, i % sh.batches_per_epoch);
             if epoch != cached_epoch {
@@ -98,7 +85,7 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
             task.id = i as u64;
             // Pre-sampling already drew the first batches of epoch 0: the G
             // step of a kept one is done, and its time seeded T_s.
-            if let Some(sample) = sh.take_presampled(i) {
+            if let Some(sample) = ledger.take_presampled(i) {
                 task.sample = sample;
             } else {
                 let work_started = Instant::now();
@@ -110,31 +97,28 @@ pub(super) fn sampler_phase(sh: &Shared<'_>, slot: usize, exec: usize, mut clock
                 let mut rng = presample_rng(cfg.seed, epoch, b as u64);
                 {
                     let _g = obs.start_span(device, Executor::Sampler, Stage::SampleG, task.id);
-                    algo.sample_into(&sh.graph.csr, batch, &mut rng, &mut bufs, &mut task.sample);
+                    let (csr, out) = (&sh.graph.csr, &mut task.sample);
+                    sh.sampler.sample_into(csr, batch, &mut rng, &mut bufs, out);
                 }
                 // T_s counts sampling *work* (G, stretched by any straggler
                 // factor); the C step below may block on backpressure,
                 // which is waiting, not work.
-                clock.record(work_started.elapsed().as_secs_f64(), obs);
+                clock.record(work_started.elapsed().as_secs_f64());
             }
             task.labels.clear();
             task.labels
                 .extend(batch.iter().map(|&v| sh.graph.labels[v as usize]));
         }
-        let n = tasks.len();
-        let first_id = tasks[0].id;
+        let (n, first_id) = (tasks.len(), tasks[0].id);
         let enqueued = {
             let _g = obs.start_span(device, Executor::Sampler, Stage::SampleC, first_id);
-            sh.queue.enqueue_many(tasks.drain(..))
+            ledger.samples().enqueue_many(tasks.drain(..))
         };
         // Poisoned (a peer crashed beyond recovery): stop producing.
         if enqueued.is_err() {
             return;
         }
-        for lease in &leases {
-            sh.ids.complete(lease.id);
-        }
-        sh.produced.fetch_add(n, Ordering::Relaxed);
+        ledger.delivered(&leases);
         sampled += n;
         obs.metrics
             .counter_add(names::THREADED_SAMPLES_PRODUCED, n as f64);

@@ -4,14 +4,12 @@
 //! running; plus splicing a loaded one back in on resume.
 
 use super::config::{ThreadedError, ThreadedErrorKind};
-use super::shared::{ParamServer, Shared};
+use super::shared::Shared;
 use crate::checkpoint::{
     self, CheckpointError, CheckpointMeta, CheckpointPolicy, CheckpointState, RngCursor,
-    SchedSnapshot,
 };
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use gnnlab_obs::names;
-use gnnlab_tensor::Adam;
 use std::path::Path;
 use std::time::Instant;
 
@@ -76,9 +74,9 @@ impl Shared<'_> {
     /// the one caller that must die.
     pub(super) fn ckpt_after_batch(&self) -> Option<usize> {
         let c = self.ckpt.as_ref()?;
-        let trained = self.trained.load(Ordering::Relaxed);
+        let trained = self.ledger().trained();
         if c.due(trained)
-            && self.queue.poison_reason().is_none()
+            && self.ledger().samples().poison_reason().is_none()
             && !c.writing.swap(true, Ordering::Acquire)
         {
             // A peer may have written this generation between the check
@@ -88,10 +86,8 @@ impl Shared<'_> {
             }
             c.writing.store(false, Ordering::Release);
         }
-        c.policy
-            .chaos
-            .kill_after_batches
-            .filter(|&k| trained >= k && !c.kill_fired.swap(true, Ordering::AcqRel))
+        let kill_after = c.policy.chaos.kill_after_batches;
+        kill_after.filter(|&k| trained >= k && !c.kill_fired.swap(true, Ordering::AcqRel))
     }
 
     /// Assembles and durably writes the next checkpoint generation.
@@ -99,13 +95,8 @@ impl Shared<'_> {
         let started = Instant::now();
         let state = self.assemble_checkpoint();
         let generation = c.generation.load(Ordering::Relaxed);
-        match checkpoint::write_generation(
-            c.dir(),
-            generation,
-            &state,
-            checkpoint::DEFAULT_KEEP,
-            &c.policy.chaos,
-        ) {
+        let (dir, keep, chaos) = (c.dir(), checkpoint::DEFAULT_KEEP, &c.policy.chaos);
+        match checkpoint::write_generation(dir, generation, &state, keep, chaos) {
             Ok(bytes) => {
                 let ns = started.elapsed().as_nanos() as f64;
                 let m = &self.obs.metrics;
@@ -132,37 +123,27 @@ impl Shared<'_> {
     }
 
     /// Snapshots every piece of live run state the checkpoint format
-    /// persists. Values, Adam state and history are read under the one
-    /// `server` lock, so they agree: the history names exactly the batches
-    /// the values have stepped on. Whatever is queued, leased, claimed or
-    /// pending in a round is not in it, and a resume trains it again.
+    /// persists, each part its own piece. Values, Adam state and history
+    /// come from one locked read of the parameter server, so they agree:
+    /// the history names exactly the batches the values have stepped on.
+    /// Whatever is queued, leased, claimed or pending in a round is not in
+    /// it, and a resume trains it again.
     fn assemble_checkpoint(&self) -> CheckpointState {
-        let (params, opt, mut history) = {
-            let mut guard = self.server.lock();
-            let history = guard.history.clone();
-            (guard.values(), guard.opt.export_state(), history)
-        };
-        history.sort_by_key(|r| r.id);
+        let (params, opt, history) = self.server().snapshot();
         let cursor = history.len() as u64;
         let bpe = self.batches_per_epoch.max(1) as u64;
         CheckpointState {
             meta: self.checkpoint_meta(),
             params,
             opt,
-            sched: SchedSnapshot {
-                t_sample: self.t_sample.get(),
-                t_train: self.t_train.get(),
-                t_standby: self.t_standby.get(),
-                refresh_secs: self.refresh_secs.get(),
-                switches: self.switches.load(Ordering::Relaxed) as u64,
-            },
+            sched: self.sched().snapshot(),
             rng: RngCursor {
                 seed: self.cfg.seed,
                 next_epoch: cursor / bpe,
                 next_batch: cursor % bpe,
             },
             cursor,
-            recovery: *self.recovery.lock(),
+            recovery: self.faults().report(),
             history,
         }
     }
@@ -219,72 +200,30 @@ impl Shared<'_> {
     }
 
     /// Restores a loaded checkpoint's state into the freshly-built shared
-    /// state, before any executor spawns. Refuses (typed error) when the
-    /// stored meta doesn't match the live run. The history's ids are the
-    /// trained set; [`Shared::post_untrained_ids`] queues every other id.
+    /// state, each part its own piece, before any executor spawns. Refuses
+    /// (typed error) when the stored meta or the parameter shapes don't
+    /// match the live run. The history's ids are the trained set;
+    /// `run_threaded_obs` queues every other id.
     fn apply_resume(&self, generation: u64, state: CheckpointState) -> Result<(), ThreadedError> {
-        let refuse = |why: String| {
-            Err(ThreadedError::new(
-                ThreadedErrorKind::Checkpoint,
-                "resume",
-                why,
-            ))
+        let refuse = |why: &str| {
+            let why = format!("checkpoint generation {generation} {why}");
+            let err = ThreadedError::new(ThreadedErrorKind::Checkpoint, "resume", why);
+            Err(err)
         };
-        let expect = self.checkpoint_meta();
-        if state.meta != expect {
-            return refuse(format!(
-                "checkpoint generation {generation} belongs to a different run \
-                 configuration (seed/model/graph/topology mismatch)"
-            ));
+        if state.meta != self.checkpoint_meta() {
+            return refuse(
+                "belongs to a different run configuration \
+                 (seed/model/graph/topology mismatch)",
+            );
         }
         let trained: Vec<usize> = state.history.iter().map(|r| r.id as usize).collect();
-        {
-            let mut guard = self.server.lock();
-            let ParamServer {
-                master,
-                opt,
-                history,
-                ..
-            } = &mut *guard;
-            let mut params = master.params_mut();
-            if params.len() != state.params.len() {
-                return refuse(format!(
-                    "checkpoint generation {generation} holds {} parameter \
-                     tensors, the live model has {}",
-                    state.params.len(),
-                    params.len()
-                ));
-            }
-            for (p, saved) in params.iter_mut().zip(&state.params) {
-                if (p.value.rows(), p.value.cols()) != (saved.rows(), saved.cols()) {
-                    return refuse(format!(
-                        "checkpoint generation {generation} has a parameter \
-                         shape mismatch"
-                    ));
-                }
-                p.value = saved.clone();
-            }
-            drop(params);
-            *opt = Adam::from_state(state.opt);
-            *history = state.history;
+        let server = self.server();
+        if let Err(why) = server.restore((state.params, state.opt, state.history)) {
+            return refuse(&why);
         }
-        // The trained batches' kept samples would never be leased.
-        let mut kept = self.presampled.lock();
-        for &i in &trained {
-            if let Some(slot) = kept.get_mut(i) {
-                *slot = None;
-            }
-        }
-        drop(kept);
-        self.trained.store(trained.len(), Ordering::Relaxed);
-        self.produced.store(trained.len(), Ordering::Relaxed);
-        self.switches
-            .store(state.sched.switches as usize, Ordering::Relaxed);
-        self.t_sample.set(state.sched.t_sample);
-        self.t_train.set(state.sched.t_train);
-        self.t_standby.set(state.sched.t_standby);
-        self.refresh_secs.set(state.sched.refresh_secs);
-        *self.recovery.lock() = state.recovery;
+        self.ledger().restore(&trained);
+        self.sched().restore(&state.sched);
+        self.faults().restore(state.recovery);
         Ok(())
     }
 }

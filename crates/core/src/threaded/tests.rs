@@ -1,9 +1,10 @@
 //! End-to-end unit tests of the threaded runtime (moved verbatim from the
 //! old single-file `threaded.rs`).
 
-use super::shared::{stream_seed, untrained_ids, Shared, StreamRole};
+use super::server::untrained_ids;
+use super::shared::{stream_seed, Shared, StreamRole};
 use super::*;
-use crate::checkpoint::{self, BatchRecord, ChaosPlan, CheckpointPolicy};
+use crate::checkpoint::{self, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
 use gnnlab_cache::load_cache_topk;
 use gnnlab_graph::gen::{sbm, SbmParams};
@@ -635,10 +636,10 @@ fn evaluation_is_identical_at_every_width() {
             ..Default::default()
         };
         let shared = Shared::new(&g, kind, &cfg, &obs, &train);
-        let master = shared.server.lock().master.clone();
+        let master = shared.server().finish().0;
         // Every chunk exactly once, in order, on one thread, through a
         // dense host gather.
-        let algo = sampler_for(kind);
+        let algo = crate::train_real::sampler_for(kind);
         let mut model = master.clone();
         let (mut want, mut want_stats) = (0, CacheStats::default());
         for (i, chunk) in test.chunks(batch_size).enumerate() {
@@ -687,7 +688,7 @@ fn sample_fields(s: &Sample) -> SampleFields {
 }
 
 fn kept_fields(shared: &Shared<'_>) -> Vec<Option<SampleFields>> {
-    let slots = shared.presampled.lock();
+    let slots = shared.ledger().kept();
     slots
         .iter()
         .map(|s| s.as_ref().map(sample_fields))
@@ -713,7 +714,7 @@ fn presampling_is_identical_at_every_fleet_width() {
         // The ranking, and the standby's share of the hotness mass, which
         // `planned_miss_ratio` sums along it.
         let table = shared.trainer_table.cached_vertices().to_vec();
-        let miss_ratio = shared.standby_miss_ratio.to_bits();
+        let miss_ratio = shared.sched().standby_miss_ratio().to_bits();
         (table, miss_ratio, kept_fields(&shared))
     };
     let narrow = build(1, 1, 0.3);
@@ -759,7 +760,7 @@ fn every_store_table_is_a_fresh_top_of_the_same_hotness() {
     // The run's epoch 0, as pre-sampling draws it.
     let mut order = Vec::new();
     MinibatchIter::shuffle_into(&train, shared.shuffle_seed, 0, &mut order);
-    let algo = sampler_for(kind);
+    let algo = crate::train_real::sampler_for(kind);
     let pool = ThreadPool::new(1);
     let pass = presample_epoch(
         &g.csr,
@@ -800,7 +801,7 @@ fn presampling_keeps_the_runs_own_first_batches() {
     let g = graph();
     let (train, _) = split(g.csr.num_vertices(), 4);
     let obs = Arc::new(Obs::wall());
-    let algo = sampler_for(ModelKind::Gcn);
+    let algo = crate::train_real::sampler_for(ModelKind::Gcn);
     for (queue_capacity, kept) in [(5, 5), (64, 12)] {
         let cfg = ThreadedConfig {
             batch_size: 25,
@@ -822,15 +823,15 @@ fn presampling_keeps_the_runs_own_first_batches() {
             algo.sample_into(&g.csr, batch, &mut rng, &mut bufs, &mut fresh);
             assert_eq!(slot, Some(sample_fields(&fresh)), "batch {b}");
         }
-        assert!(shared.t_sample.get().is_some_and(|t| t > 0.0));
+        assert!(shared.sched().snapshot().t_sample.is_some_and(|t| t > 0.0));
     }
     let cfg = ThreadedConfig {
         cache_alpha: 0.0,
         ..Default::default()
     };
     let shared = Shared::new(&g, ModelKind::Gcn, &cfg, &obs, &train);
-    assert!(shared.presampled.lock().is_empty());
-    assert_eq!(shared.t_sample.get(), None);
+    assert!(shared.ledger().kept().is_empty());
+    assert_eq!(shared.sched().snapshot().t_sample, None);
 }
 
 /// What training produced, bit for bit: the history and the parameters.
@@ -916,12 +917,7 @@ fn a_resume_inside_the_kept_prefix_drops_what_trained() {
     let obs = Arc::new(Obs::wall());
     let shared = Shared::new(&g, ModelKind::GraphSage, &resumed_cfg, &obs, &train);
     assert_eq!(shared.resume_latest().unwrap(), Some(0));
-    let kept: Vec<bool> = shared
-        .presampled
-        .lock()
-        .iter()
-        .map(Option::is_some)
-        .collect();
+    let kept: Vec<bool> = shared.ledger().kept().iter().map(Option::is_some).collect();
     assert_eq!(kept, [false, false, false, true, true, true, true, true]);
 
     let kept_run = run_threaded(
@@ -998,141 +994,4 @@ fn resume_with_holes_resamples_them_first_in_ascending_order() {
     assert_eq!(untrained_ids(4, [0, 3]), vec![1, 2]);
     assert_eq!(untrained_ids(3, []), vec![0, 1, 2]);
     assert_eq!(untrained_ids(3, [2, 1, 0]), Vec::<u64>::new());
-}
-
-/// What the parameter-server tests below share: a run's shared state, two
-/// replicas holding the constant gradients `g[0]` and `g[1]`, and the
-/// master's starting values.
-fn server_fixture<'a>(
-    g: &'a SbmGraph,
-    cfg: &'a ThreadedConfig,
-    train: &'a [VertexId],
-    grads: [f32; 2],
-) -> (Shared<'a>, [GnnModel; 2], GnnModel) {
-    let shared = Shared::new(g, ModelKind::Gcn, cfg, &Arc::new(Obs::wall()), train);
-    let start = shared.server.lock().master.clone();
-    let replicas = grads.map(|value| {
-        let mut replica = start.clone();
-        for p in replica.params_mut() {
-            p.grad.data_mut().fill(value);
-        }
-        replica
-    });
-    (shared, replicas, start)
-}
-
-fn record(id: u64) -> BatchRecord {
-    BatchRecord {
-        id,
-        loss: 0.0,
-        acc: 0.0,
-    }
-}
-
-fn history_ids(shared: &Shared<'_>) -> Vec<u64> {
-    shared.server.lock().history.iter().map(|r| r.id).collect()
-}
-
-fn adam_steps(shared: &Shared<'_>) -> i32 {
-    shared.server.lock().opt.export_state().t
-}
-
-fn value_bits(model: &mut GnnModel) -> Vec<u32> {
-    let params = model.params_mut();
-    let values = params.iter().flat_map(|p| p.value.data());
-    values.map(|x| x.to_bits()).collect()
-}
-
-#[test]
-fn without_a_standby_every_push_steps_at_once() {
-    let (g, cfg) = (graph(), ThreadedConfig::default());
-    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
-    let (shared, [mut a, mut b], mut start) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
-    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
-    pa.push_grads(&mut a, record(0));
-    assert_eq!(adam_steps(&shared), 1);
-    assert_eq!(history_ids(&shared), [0]);
-    pb.push_grads(&mut b, record(1));
-    assert_eq!(adam_steps(&shared), 2);
-    assert_eq!(history_ids(&shared), [0, 1]);
-    // Exactly the two plain steps a lone optimizer takes.
-    let mut opt = gnnlab_tensor::Adam::new(cfg.lr);
-    for value in [0.5, -0.25] {
-        let mut params = start.params_mut();
-        for p in &mut params {
-            p.grad.data_mut().fill(value);
-        }
-        gnnlab_tensor::Optimizer::step(&mut opt, &mut params);
-    }
-    assert_eq!(
-        value_bits(&mut shared.server.lock().master),
-        value_bits(&mut start)
-    );
-}
-
-#[test]
-fn a_round_steps_once_on_the_mean_gradient_when_its_last_consumer_pushes() {
-    let (g, cfg) = (graph(), ThreadedConfig::default());
-    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
-    let (shared, [mut a, mut b], mut start) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
-    shared.server.lock().standbys = 1;
-    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
-    std::thread::scope(|scope| {
-        let first = scope.spawn(|| pa.push_grads(&mut a, record(4)));
-        // The first push lands in the master's gradients and waits there:
-        // no step while a peer still trains on the parameters it pulled,
-        // and no record in the history before the step that applies it.
-        let landed = || shared.server.lock().master.params_mut()[0].grad.data()[0] != 0.0;
-        while !landed() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!first.is_finished(), "the first pusher did not wait");
-        assert_eq!(adam_steps(&shared), 0);
-        assert!(history_ids(&shared).is_empty());
-        pb.push_grads(&mut b, record(3));
-    });
-    assert_eq!(adam_steps(&shared), 1);
-    assert_eq!(
-        history_ids(&shared),
-        [4, 3],
-        "both records join at the step"
-    );
-    // One step on the mean of the two gradients, twice as long.
-    for p in start.params_iter_mut() {
-        p.grad.data_mut().fill((0.5 - 0.25) / 2.0);
-    }
-    gnnlab_tensor::Adam::new(cfg.lr).step_scaled(start.params_iter_mut(), 2.0);
-    assert_eq!(
-        value_bits(&mut shared.server.lock().master),
-        value_bits(&mut start)
-    );
-}
-
-#[test]
-fn a_consumer_that_dies_mid_train_does_not_hold_the_round() {
-    let (g, cfg) = (graph(), ThreadedConfig::default());
-    let (train, _) = split(g.csr.num_vertices(), cfg.seed);
-    let (shared, [mut a, mut b], _) = server_fixture(&g, &cfg, &train, [0.5, -0.25]);
-    shared.server.lock().standbys = 1;
-    let (pa, pb) = (shared.pull_params(&mut a), shared.pull_params(&mut b));
-    std::thread::scope(|scope| {
-        scope.spawn(|| pa.push_grads(&mut a, record(0)));
-        while shared.server.lock().master.params_mut()[0].grad.data()[0] == 0.0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // The peer unwinds without pushing: the round closes on the one
-        // gradient it has and the waiting pusher returns (the scope joins).
-        drop(pb);
-    });
-    assert_eq!(adam_steps(&shared), 1);
-    assert_eq!(
-        history_ids(&shared),
-        [0],
-        "the dead peer's batch is not in it"
-    );
-    // A lone consumer after that is not in anyone's way.
-    let pb = shared.pull_params(&mut b);
-    pb.push_grads(&mut b, record(1));
-    assert_eq!(adam_steps(&shared), 2);
 }

@@ -22,6 +22,19 @@ pub enum Executor {
     Host,
 }
 
+impl Executor {
+    /// The `<role>` segment of the per-executor metric names
+    /// ([`names::executor_ewma`], [`names::executor_cache`]).
+    pub fn metric_role(self) -> &'static str {
+        match self {
+            Executor::Sampler => "sampler",
+            Executor::Trainer => "trainer",
+            Executor::Standby => "standby",
+            Executor::Host => "host",
+        }
+    }
+}
+
 /// The pipeline stage a span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
 pub enum Stage {
