@@ -18,17 +18,8 @@
 //! retry jitter derive from `(seed, batch, attempt)` via SplitMix64, so
 //! two runs with the same plan inject byte-identical fault sequences.
 
+use gnnlab_par::splitmix64;
 use std::time::Duration;
-
-/// SplitMix64 finalizer: a bijective avalanche mix (Steele et al.), so
-/// nearby inputs map to uncorrelated outputs. Shared with the threaded
-/// runtime's per-(role, index) RNG stream derivation.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Which kind of executor a fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -176,8 +176,8 @@ impl<T> GlobalQueue<T> {
 
     /// Publishes the current depth as a gauge only — cheap enough for
     /// every enqueue/dequeue, and `Gauge::max` keeps the exact peak. The
-    /// `queue.depth` *series* is filled on a wall-clock interval by the
-    /// telemetry thread (or explicit virtual-time samples in the
+    /// `queue.depth` *series* is filled on a wall-clock interval by a
+    /// telemetry thread a reader starts (or explicit virtual-time samples in the
     /// co-simulations), not per operation, so series memory no longer
     /// scales with traffic.
     fn note_depth(&self, depth: usize) {

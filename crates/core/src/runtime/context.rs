@@ -1,6 +1,5 @@
 //! Shared simulation context and helpers: a batch's cost inputs, and
-//! the cache tables a placement plans, cut from the context's
-//! [`EpochStore`].
+//! the [`EpochStore`] a placement's cache tables are cut from.
 
 use super::EpochStore;
 use crate::systems::SystemKind;
@@ -9,6 +8,7 @@ use crate::workload::Workload;
 use gnnlab_cache::{CacheTable, PolicyKind};
 use gnnlab_obs::Obs;
 use gnnlab_sim::{CostModel, SampleCost, Testbed};
+use std::cell::OnceCell;
 
 /// Everything an epoch simulation needs besides the trace.
 pub struct SimContext<'a> {
@@ -30,8 +30,11 @@ pub struct SimContext<'a> {
     pub obs: Option<&'a Obs>,
     /// The store that made this context ([`EpochStore::cell`]), over
     /// this context's workload: a planned cache is cut from its
-    /// rankings. Without one, a throwaway store ranks each table.
+    /// rankings. Without one, the context's own store below is.
     pub(super) store: Option<&'a EpochStore<'a>>,
+    /// The context's own store over its workload, built on first use, so
+    /// every run planned over the context ranks (and pre-samples) once.
+    own: OnceCell<EpochStore<'a>>,
 }
 
 impl<'a> SimContext<'a> {
@@ -52,6 +55,7 @@ impl<'a> SimContext<'a> {
             epoch: 2,
             obs: None,
             store: None,
+            own: OnceCell::new(),
         }
     }
 
@@ -74,11 +78,11 @@ impl<'a> SimContext<'a> {
         self
     }
 
-    /// The cache of the context's policy at ratio `alpha`.
-    pub(super) fn cache_table(&self, alpha: f64) -> CacheTable {
+    /// The store the context's epochs and cache rankings come from.
+    pub(super) fn store(&self) -> &EpochStore<'a> {
         match self.store {
-            Some(store) => store.cache(self.policy, alpha),
-            None => EpochStore::over(self.workload).cache(self.policy, alpha),
+            Some(store) => store,
+            None => self.own.get_or_init(|| EpochStore::over(self.workload)),
         }
     }
 

@@ -122,7 +122,7 @@ impl<'a, 'c> Sim<'a, 'c> {
             alpha = plan(phase.resident)?;
         }
         let cached = (p.phases.last()).is_some_and(|c| c.resident.holds(Residency::CACHE));
-        let cache = cached.then(|| ctx.cache_table(alpha));
+        let cache = cached.then(|| ctx.store().cache(ctx.policy, alpha));
         // A standby's device keeps everything a Trainer's does and more,
         // so its α is no larger: its table is the top of the Trainer's.
         let n = ctx.workload.dataset.csr.num_vertices();

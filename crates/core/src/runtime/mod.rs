@@ -15,9 +15,9 @@
 //! placement's GPUs are planned, so a cell that prints `OOM` records
 //! nothing.
 //!
-//! [`run_system`] is the front door: over a one-off store's epoch,
-//! [`run_system_on`] plans, profiles, allocates GPUs (for GNNLab), and
-//! picks the placement. A caller that runs several cells over one
+//! [`run_system`] is the front door: over an epoch of the context's
+//! store, [`run_system_on`] plans, profiles, allocates GPUs (for GNNLab),
+//! and picks the placement. A caller that runs several cells over one
 //! workload keeps an [`EpochStore`] and asks it for each cell.
 
 mod context;
@@ -95,13 +95,12 @@ pub fn profile_stage_times(
 }
 
 /// Runs one epoch of `system` on the context's workload and GPU count:
-/// [`run_system_on`] over the epoch its sampling kernel draws, held in a
-/// one-off store and recorded only if the system fits.
+/// [`run_system_on`] over the epoch its sampling kernel draws, held in
+/// the context's store and recorded only if the system fits.
 ///
 /// Returns the Table 4 entry: an [`EpochReport`] or the `OOM`/`×` error.
 pub fn run_system(ctx: &SimContext<'_>) -> Result<EpochReport, RunError> {
-    let store = EpochStore::over(ctx.workload);
-    run_system_on(ctx, &store.epoch(ctx.system.kernel(), ctx.epoch))
+    run_system_on(ctx, &ctx.store().epoch(ctx.system.kernel(), ctx.epoch))
 }
 
 /// [`run_system`] over a given epoch. This is the one place a system and

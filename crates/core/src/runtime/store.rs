@@ -172,10 +172,10 @@ impl<'w> EpochStore<'w> {
     /// from this store's rankings, and the epoch that system's kernel
     /// draws, sampled only when a planned placement asks for it.
     pub fn cell(&self, system: SystemKind, gpus: usize) -> (SimContext<'_>, LazyEpoch<'_>) {
-        let ctx = SimContext::new(&self.workload, system).with_gpus(gpus);
+        let mut ctx = SimContext::new(&self.workload, system).with_gpus(gpus);
+        ctx.store = Some(self);
         let epoch = self.epoch(system.kernel(), ctx.epoch);
-        let store = Some(self);
-        (SimContext { store, ..ctx }, epoch)
+        (ctx, epoch)
     }
 
     /// One epoch of `system` on `gpus` GPUs under the engine's own
@@ -226,6 +226,7 @@ pub fn cache_stats_on_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{run_agl_epoch, run_factored_epoch, run_single_gpu_epoch};
     use gnnlab_cache::load_cache;
     use gnnlab_graph::{DatasetKind, Scale};
     use gnnlab_tensor::ModelKind;
@@ -329,6 +330,20 @@ mod tests {
             assert_eq!(x.flops.to_bits(), y.flops.to_bits());
             assert_eq!(x.queue_bytes, y.queue_bytes);
         }
+    }
+
+    /// A context from `SimContext::new` keeps one store across the runs
+    /// planned over it: PreSC#1 pre-samples epoch 0 once, not per run.
+    #[test]
+    fn runs_planned_over_one_context_presample_once() {
+        let w = workload();
+        let ctx = SimContext::new(&w, SystemKind::GnnLab);
+        let trace = EpochTrace::record(&w, Kernel::FisherYates, 2);
+        run_factored_epoch(&ctx, &trace, 1, 7, true).expect("factored fits");
+        run_single_gpu_epoch(&ctx, &trace).expect("single GPU fits");
+        run_agl_epoch(&ctx, &trace).expect("AGL fits");
+        let fy = Some(Kernel::FisherYates);
+        assert_eq!(slots(ctx.store()), [(fy, 0, true)]);
     }
 
     fn scale_8192(model: ModelKind, kind: DatasetKind) -> EpochStore<'static> {

@@ -6,7 +6,7 @@ use crate::checkpoint::{BatchRecord, CheckpointPolicy};
 use crate::faults::FaultPlan;
 use crate::queue::DEFAULT_CAPACITY;
 use gnnlab_cache::CacheStats;
-use gnnlab_obs::{Executor, TelemetryConfig};
+use gnnlab_obs::Executor;
 
 /// Configuration of a threaded training run.
 #[derive(Debug, Clone)]
@@ -54,10 +54,6 @@ pub struct ThreadedConfig {
     /// bookends pool, `num_samplers + num_trainers` wide, on the fleet
     /// that is idle before and after the executor scope.
     pub threads: usize,
-    /// Live-telemetry configuration: the wall-clock gauge-sampling
-    /// interval and the alert-rule thresholds. Every run gets a telemetry
-    /// thread; this only tunes it.
-    pub telemetry: TelemetryConfig,
     /// Durable checkpoint/resume policy: where and how often to snapshot,
     /// whether to resume from the latest valid generation, and any chaos
     /// injection. The default is fully disabled.
@@ -79,7 +75,6 @@ impl Default for ThreadedConfig {
             dynamic_switching: true,
             faults: FaultPlan::none(),
             threads: 1,
-            telemetry: TelemetryConfig::default(),
             checkpoint: CheckpointPolicy::default(),
         }
     }

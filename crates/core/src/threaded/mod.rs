@@ -109,7 +109,7 @@ use crate::sync::{AtomicUsize, Ordering};
 use gnnlab_cache::CacheStats;
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::VertexId;
-use gnnlab_obs::{names, Executor, Obs, Telemetry};
+use gnnlab_obs::{names, Executor, Obs};
 use gnnlab_par::ThreadPool;
 use gnnlab_sampling::{Sample, SampleBuffers};
 use gnnlab_tensor::loss::correct_predictions;
@@ -147,14 +147,13 @@ pub fn run_threaded(
 /// [`run_threaded`] with a caller-supplied observability hub: every
 /// Sampler/Trainer records wall-clock spans (feeding the `stage.*.ns`
 /// latency histograms), the global queue keeps a `queue.depth` gauge
-/// plus blocked time, the live EWMA stage-time estimates publish under
+/// plus blocked time, the live EWMA stage-time estimates publish as
 /// `scheduler.ewma_*` and per-executor `executor.ewma.*` gauges, the
 /// Trainers' cache statistics are published under `cache.*`, and fault
-/// handling under `faults.*` / `recovery.*` / `retry.*`. A telemetry
-/// thread ([`ThreadedConfig::telemetry`]) samples gauges into
-/// bounded series on a wall-clock interval and evaluates the alert
-/// rules; alerts land in the registry (`alerts.*` counters + structured
-/// events in the snapshot).
+/// handling under `faults.*` / `recovery.*` / `retry.*`. The run itself
+/// records no series but `scheduler.switch_profit` and evaluates no
+/// alert rule: a caller that reads series or alerts runs `gnnlab_obs`'s
+/// telemetry watcher on `obs` around the run and stops it before reading.
 ///
 /// # Errors
 ///
@@ -174,12 +173,6 @@ pub fn run_threaded_obs(
     obs.metrics.gauge_set(names::TENSOR_KERNEL_LANES, lanes);
 
     let shared = Shared::new(graph, kind, cfg, obs, &train_set);
-    // Live telemetry for the whole run: periodic gauge→series sampling
-    // and alert evaluation. Stopped explicitly after the final cache
-    // publish so the closing evaluation sees the complete end state
-    // (dropped — and thus still joined — on the early error return).
-    let telemetry = Telemetry::start(Arc::clone(obs), cfg.telemetry);
-
     let resumed_from = shared.resume_latest()?;
     // Every batch id the master has not stepped on — all of them on a
     // fresh run — for the Samplers.
@@ -215,7 +208,6 @@ pub fn run_threaded_obs(
     let mut cache_stats = CacheStats::default();
     caches.iter().for_each(|c| cache_stats.add(&c.stats));
     cache_stats.publish(&obs.metrics);
-    telemetry.stop();
     // The master's flattened parameters, in stable layer order — the
     // chaos harness compares these bit-for-bit across kill–resume runs.
     let final_params: Vec<f32> = master

@@ -7,7 +7,7 @@ use crate::checkpoint::SchedSnapshot;
 use crate::schedule::{num_samplers, seed_standby_estimate, switch_profit};
 use crate::sync::Ordering::Relaxed;
 use crate::sync::{AtomicU64, AtomicUsize, Mutex};
-use gnnlab_obs::{names, Executor, Obs};
+use gnnlab_obs::{names, Executor, MetricsRegistry, Obs};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -58,10 +58,10 @@ impl AtomicEwma {
 /// One executor's feed into the live estimates: where its per-batch work
 /// times go.
 pub(super) struct BatchClock<'a> {
-    obs: &'a Obs,
-    /// The scheduler EWMA this executor's role feeds, and its obs series.
+    metrics: &'a MetricsRegistry,
+    /// The scheduler EWMA this executor's role feeds, and its gauge.
     cell: &'a AtomicEwma,
-    series: &'static str,
+    cell_gauge: &'static str,
     /// The slot's straggler factor (1.0 = healthy).
     slowdown: f64,
     /// This executor's own batch-time EWMA, published as a gauge so the
@@ -80,11 +80,10 @@ impl BatchClock<'_> {
             std::thread::sleep(Duration::from_secs_f64(secs * (self.slowdown - 1.0)));
             secs *= self.slowdown;
         }
-        let est = self.cell.update(secs);
-        let obs = self.obs;
-        obs.metrics.sample(self.series, obs.now_ns(), est);
+        let m = self.metrics;
+        m.gauge_set(self.cell_gauge, self.cell.update(secs));
         let own = *self.own.insert(ewma(self.own, secs));
-        obs.metrics.gauge_set(&self.gauge, own);
+        m.gauge_set(&self.gauge, own);
     }
 }
 
@@ -126,7 +125,7 @@ impl Scheduler {
 
     /// The clock an executor of `role` on `slot` feeds its role's estimate
     /// through. Its own estimate starts at the role's and is published as
-    /// the slot's gauge and a point of the role's series, so the slot shows
+    /// the slot's gauge and the role's, so the slot shows
     /// up before it records a batch — which a Sampler whose claims all come
     /// pre-sampled, or a Trainer on a run with fewer batches than
     /// consumers, never does. Before any `T_t` exists a Trainer starts at
@@ -135,7 +134,7 @@ impl Scheduler {
     /// publish yet.
     pub(super) fn clock(&self, role: Executor, slot: usize, slowdown: f64) -> BatchClock<'_> {
         let t_s = self.t_sample.get();
-        let (cell, series, fallback) = match role {
+        let (cell, cell_gauge, fallback) = match role {
             Executor::Sampler => (&self.t_sample, names::SCHEDULER_EWMA_T_SAMPLE, None),
             Executor::Standby => (&self.t_standby, names::SCHEDULER_EWMA_T_STANDBY, None),
             _ => (&self.t_train, names::SCHEDULER_EWMA_T_TRAIN, t_s),
@@ -144,12 +143,12 @@ impl Scheduler {
         let gauge = names::executor_ewma(role.metric_role(), slot);
         if let Some(start) = own.or(fallback) {
             m.gauge_set(&gauge, start);
-            m.sample(series, self.obs.now_ns(), start);
+            m.gauge_set(cell_gauge, start);
         }
         BatchClock {
-            obs: &self.obs,
+            metrics: m,
             cell,
-            series,
+            cell_gauge,
             slowdown,
             own,
             gauge,

@@ -11,14 +11,13 @@ use super::ledger::Ledgers;
 use super::sched::Scheduler;
 use super::server::ParamServer;
 use super::snapshot::CkptRuntime;
-use crate::faults::splitmix64;
 use crate::memory::{live_sample_workspace_bytes, plan_live_run, LiveCachePlan, LiveGraphBytes};
 use crate::sync::Mutex;
 use gnnlab_cache::{load_cache_topk, CacheTable, CachedFeatureStore};
 use gnnlab_graph::gen::SbmGraph;
 use gnnlab_graph::{FeatureStore, VertexId};
 use gnnlab_obs::{names, Executor, Obs, Stage};
-use gnnlab_par::ThreadPool;
+use gnnlab_par::{splitmix64, ThreadPool};
 use gnnlab_sampling::{presample_epoch, Kernel, MinibatchIter, Sample, SamplingAlgorithm};
 use gnnlab_tensor::{Adam, GnnModel, ModelConfig, ModelKind};
 use std::sync::Arc;
@@ -234,7 +233,7 @@ impl<'a> Shared<'a> {
         let (trainer_table, standby_miss_ratio, t_sample, presampled) = match presampled {
             Some(p) => {
                 let secs = p.sample_ns as f64 / 1e9 / batches_per_epoch.max(1) as f64;
-                m.sample(names::SCHEDULER_EWMA_T_SAMPLE, obs.now_ns(), secs);
+                m.gauge_set(names::SCHEDULER_EWMA_T_SAMPLE, secs);
                 // The run's one ranking (`load_cache`, §6.1): every store's
                 // table is a prefix of it.
                 let hotness = p.recorder.hotness();

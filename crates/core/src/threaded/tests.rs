@@ -8,7 +8,7 @@ use crate::checkpoint::{self, ChaosPlan, CheckpointPolicy};
 use crate::faults::{ExecutorRole, FaultPlan};
 use gnnlab_cache::load_cache_topk;
 use gnnlab_graph::gen::{sbm, SbmParams};
-use gnnlab_obs::names;
+use gnnlab_obs::{names, Telemetry, TelemetryConfig};
 use gnnlab_sampling::{presample_epoch, presample_rng, MinibatchIter, SampleWork};
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,19 @@ fn graph() -> SbmGraph {
         seed: 3,
     })
     .unwrap()
+}
+
+/// [`run_threaded_obs`] inside a telemetry watcher, stopped before the
+/// caller reads `obs`'s series.
+fn watched_run(
+    g: &SbmGraph,
+    cfg: &ThreadedConfig,
+    obs: &Arc<Obs>,
+) -> Result<ThreadedResult, ThreadedError> {
+    let telemetry = Telemetry::start(Arc::clone(obs), TelemetryConfig::default());
+    let res = run_threaded_obs(g, ModelKind::GraphSage, cfg, obs);
+    telemetry.stop();
+    res
 }
 
 #[test]
@@ -107,7 +120,7 @@ fn threaded_run_populates_observability() {
         cache_alpha: 0.5,
         ..Default::default()
     };
-    let res = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs).unwrap();
+    let res = watched_run(&g, &cfg, &obs).unwrap();
 
     // The telemetry thread sampled the depth gauge into a series (at
     // least the final stop-time tick), and the capacity gauge
@@ -214,6 +227,47 @@ fn threaded_run_populates_observability() {
     assert!(obs.span_count() > 0);
     assert!(gnnlab_obs::find_overlap(&spans).is_none());
     assert!(spans.iter().all(|s| s.stage != gnnlab_obs::Stage::SampleM));
+}
+
+/// The run keeps levels in gauges and records no series of its own but
+/// the switch-profit events; a watcher's ticks turn the gauges, the
+/// scheduler's EWMAs among them, into series.
+#[test]
+fn series_come_from_a_watcher_not_from_the_run() {
+    let g = graph();
+    let cfg = ThreadedConfig {
+        epochs: 2,
+        ..Default::default()
+    };
+    let unwatched = Arc::new(Obs::wall());
+    run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &unwatched).unwrap();
+    for (name, points) in unwatched.metrics.snapshot().series {
+        assert!(
+            name == names::SCHEDULER_SWITCH_PROFIT || points.is_empty(),
+            "unwatched run recorded {} points on {name}",
+            points.len()
+        );
+    }
+    assert!(unwatched.metrics.alerts().is_empty());
+    for gauge in [
+        names::SCHEDULER_EWMA_T_SAMPLE,
+        names::SCHEDULER_EWMA_T_TRAIN,
+    ] {
+        assert!(unwatched.metrics.gauge(gauge).is_some(), "no {gauge} gauge");
+    }
+
+    let watched = Arc::new(Obs::wall());
+    watched_run(&g, &cfg, &watched).unwrap();
+    for series in [
+        names::QUEUE_DEPTH,
+        names::SCHEDULER_EWMA_T_SAMPLE,
+        names::SCHEDULER_EWMA_T_TRAIN,
+    ] {
+        assert!(
+            watched.metrics.series_len(series) >= 1,
+            "watched run has no {series} series"
+        );
+    }
 }
 
 #[test]
@@ -604,12 +658,14 @@ fn stragglers_stretch_the_observed_stage_times() {
     // The straggling Trainer's EWMA saw the stretched times.
     let t_t = obs
         .metrics
-        .series_max(names::SCHEDULER_EWMA_T_TRAIN)
-        .unwrap();
+        .gauge(names::SCHEDULER_EWMA_T_TRAIN)
+        .unwrap()
+        .max;
     let t_s = obs
         .metrics
-        .series_max(names::SCHEDULER_EWMA_T_SAMPLE)
-        .unwrap();
+        .gauge(names::SCHEDULER_EWMA_T_SAMPLE)
+        .unwrap()
+        .max;
     assert!(
         t_t > t_s * 2.0,
         "straggler not visible: T_t={t_t:.6} vs T_s={t_s:.6}"

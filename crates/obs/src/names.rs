@@ -6,10 +6,10 @@
 //! queue; older call sites still use string literals with the same
 //! values (`queue.depth`, `cache.hits`, …).
 
-/// Gauge (+ series via the telemetry sampler): queue occupancy. The
-/// gauge is updated on every enqueue/dequeue and tracks the exact peak;
-/// the series is filled by the periodic telemetry thread (threaded
-/// runtime) or explicit virtual-time samples (co-simulations).
+/// Gauge: queue occupancy, updated on every enqueue/dequeue, tracking
+/// the exact peak. Its series is filled by a [`crate::Telemetry`]
+/// watcher a reader starts around a threaded run, or by explicit
+/// virtual-time samples (co-simulations).
 pub const QUEUE_DEPTH: &str = "queue.depth";
 /// Counter: tasks ever enqueued.
 pub const QUEUE_ENQUEUED: &str = "queue.enqueued";
@@ -41,11 +41,14 @@ pub const SCHEDULER_SWITCH_PROFIT: &str = "scheduler.switch_profit";
 /// Gauge: the consumer count `N_t` a switching decision divided the
 /// backlog by.
 pub const SCHEDULER_SWITCH_TRAINERS: &str = "scheduler.switch_trainers";
-/// Series: live EWMA estimate of the Sampler per-batch time `T_s` (secs).
+/// Gauge: live EWMA estimate of the Sampler per-batch time `T_s` (secs);
+/// a [`crate::Telemetry`] watcher's ticks make it a series.
 pub const SCHEDULER_EWMA_T_SAMPLE: &str = "scheduler.ewma_t_sample";
-/// Series: live EWMA estimate of the Trainer per-batch time `T_t` (secs).
+/// Gauge: live EWMA estimate of the Trainer per-batch time `T_t` (secs);
+/// a [`crate::Telemetry`] watcher's ticks make it a series.
 pub const SCHEDULER_EWMA_T_TRAIN: &str = "scheduler.ewma_t_train";
-/// Series: live EWMA estimate of the standby time `T_t'` (secs).
+/// Gauge: live EWMA estimate of the standby time `T_t'` (secs); a
+/// [`crate::Telemetry`] watcher's ticks make it a series.
 pub const SCHEDULER_EWMA_T_STANDBY: &str = "scheduler.ewma_t_standby";
 
 /// Counter: faults actually injected by a fault plan (crash firings,

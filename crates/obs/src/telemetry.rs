@@ -11,8 +11,10 @@
 //! per gauge and see alerts for end-state pathologies.
 //!
 //! Co-simulations keep their explicit virtual-time samples (a wall
-//! interval is meaningless in virtual time); the threaded runtime runs
-//! one of these for every run.
+//! interval is meaningless in virtual time). The threaded runtime starts
+//! none: whoever reads a hub's series or alerts starts one on it around
+//! the run and stops it before reading — `gnnlab threaded`, and the
+//! tests that assert series or alerts.
 
 use crate::alerts::{AlertEngine, AlertRules};
 use crate::Obs;

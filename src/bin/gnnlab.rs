@@ -31,11 +31,11 @@
 //!                             --checkpoint-dir (torn files are skipped)
 //! ```
 //!
-//! A telemetry thread samples gauges (queue depth, per-executor EWMAs)
-//! into bounded series and evaluates alert rules (straggler, queue
-//! saturation, cache collapse, respawn-budget burn, checkpoint stall);
-//! fired alerts print after the recovery report and land in
-//! `--metrics-out`.
+//! The command runs a telemetry thread around the run: it samples gauges
+//! (queue depth, the scheduler's and each executor's EWMAs) into bounded
+//! series and evaluates alert rules (straggler, queue saturation, cache
+//! collapse, respawn-budget burn, checkpoint stall); fired alerts print
+//! after the recovery report and land in `--metrics-out`.
 //!
 //! `gnnlab threaded` exit codes:
 //!
@@ -59,7 +59,7 @@ use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig};
 use gnnlab::core::{ExecutorRole, FaultPlan, SystemKind, Workload};
 use gnnlab::graph::gen::{sbm, SbmParams};
 use gnnlab::graph::{io, Dataset, DatasetKind, Scale};
-use gnnlab::obs::{MetricsServer, Obs};
+use gnnlab::obs::{MetricsServer, Obs, Telemetry, TelemetryConfig};
 use gnnlab::sampling::Kernel;
 use gnnlab::tensor::ModelKind;
 use std::path::Path;
@@ -418,7 +418,11 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
         },
         None => None,
     };
+    // The watcher this command prints alerts and writes series from:
+    // stopped before either, so its final tick sees the run's end state.
+    let telemetry = Telemetry::start(Arc::clone(&obs), TelemetryConfig::default());
     let outcome = run_threaded_obs(&g, ModelKind::GraphSage, &cfg, &obs);
+    telemetry.stop();
     let code = match outcome {
         Ok(res) => {
             println!("  produced:      {:>8} batches", res.samples_produced);

@@ -19,7 +19,7 @@ use gnnlab::core::checkpoint::ChaosPlan;
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig, ThreadedErrorKind, ThreadedResult};
 use gnnlab::core::CheckpointPolicy;
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
-use gnnlab::obs::{names, AlertRules, MetricsServer, Obs, TelemetryConfig};
+use gnnlab::obs::{names, AlertRules, MetricsServer, Obs, Telemetry, TelemetryConfig};
 use gnnlab::tensor::ModelKind;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -338,8 +338,8 @@ fn ckpt_metrics_appear_in_prometheus_scrape() {
 }
 
 /// An injected slow disk pushes checkpoint writes past the stall
-/// threshold: the `checkpoint_stall` alert fires through the live
-/// telemetry thread.
+/// threshold: the `checkpoint_stall` alert fires through a live
+/// telemetry thread watching the run.
 #[test]
 fn checkpoint_stall_alert_fires_under_slow_disk() {
     let seed = 31u64;
@@ -348,15 +348,19 @@ fn checkpoint_stall_alert_fires_under_slow_disk() {
     let mut policy = policy_at(&dir);
     policy.chaos.slow_disk = Some(Duration::from_millis(30));
     let obs = Arc::new(Obs::wall());
-    let mut cfg = cfg_with(seed, policy);
-    cfg.telemetry = TelemetryConfig {
-        interval: Duration::from_millis(2),
-        rules: AlertRules {
-            ckpt_stall_secs: 0.005,
-            ..AlertRules::default()
+    let cfg = cfg_with(seed, policy);
+    let telemetry = Telemetry::start(
+        Arc::clone(&obs),
+        TelemetryConfig {
+            interval: Duration::from_millis(2),
+            rules: AlertRules {
+                ckpt_stall_secs: 0.005,
+                ..AlertRules::default()
+            },
         },
-    };
+    );
     let res = run(&graph, &cfg, &obs);
+    telemetry.stop();
     assert!(res.checkpoints_written >= 1);
     let fired = obs.metrics.counter(&format!(
         "{}{}",

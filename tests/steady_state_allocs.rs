@@ -16,12 +16,10 @@
 
 use gnnlab::core::threaded::{run_threaded, ThreadedConfig};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
-use gnnlab::obs::TelemetryConfig;
 use gnnlab::tensor::ModelKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
 /// Counts every allocation and reallocation of the process.
 struct Counting;
@@ -92,12 +90,6 @@ fn count_run(shape: &Shape, graph: &SbmGraph, epochs: usize) -> (u64, u64) {
         queue_capacity: shape.queue,
         dynamic_switching: true,
         threads: 1,
-        // Only the tick every run takes when it stops: an interval tick
-        // would land in one run and not the other.
-        telemetry: TelemetryConfig {
-            interval: Duration::from_secs(3600),
-            ..TelemetryConfig::default()
-        },
         ..ThreadedConfig::default()
     };
     let before = ALLOCS.load(Ordering::Relaxed);

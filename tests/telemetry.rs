@@ -7,7 +7,7 @@
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig};
 use gnnlab::core::{ExecutorRole, FaultPlan};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
-use gnnlab::obs::{Histogram, MetricsServer, Obs, TelemetryConfig};
+use gnnlab::obs::{Histogram, MetricsServer, Obs, Telemetry, TelemetryConfig};
 use gnnlab::tensor::ModelKind;
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -70,12 +70,15 @@ fn live_scrape_during_a_fault_recovery_run_serves_depth_and_p99() {
             .with_straggler(ExecutorRole::Trainer, 0, 20.0)
             .with_straggler(ExecutorRole::Trainer, 1, 20.0)
             .with_max_respawns(2),
-        telemetry: TelemetryConfig {
+        ..Default::default()
+    };
+    let telemetry = Telemetry::start(
+        Arc::clone(&obs),
+        TelemetryConfig {
             interval: Duration::from_millis(1),
             ..Default::default()
         },
-        ..Default::default()
-    };
+    );
     let obs_run = Arc::clone(&obs);
     let worker =
         std::thread::spawn(move || run_threaded_obs(graph(), ModelKind::GraphSage, &cfg, &obs_run));
@@ -93,6 +96,7 @@ fn live_scrape_during_a_fault_recovery_run_serves_depth_and_p99() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let res = worker.join().expect("run thread").expect("recoverable run");
+    telemetry.stop();
     assert_eq!(res.batches_trained, res.samples_produced);
     assert!(res.recovery.faults_injected >= 1, "crash was injected");
 
@@ -125,7 +129,8 @@ fn live_scrape_during_a_fault_recovery_run_serves_depth_and_p99() {
 /// An injected straggler must surface as `alerts.straggler >= 1` in the
 /// final metrics JSON: trainer 0 runs ~12x slower than its two healthy
 /// peers, so its batch-time EWMA gauge sits far above the fleet median
-/// and the telemetry thread's final evaluation fires the rule.
+/// and the final evaluation of the telemetry thread watching the run
+/// fires the rule.
 #[test]
 fn injected_straggler_raises_an_alert_in_the_metrics_json() {
     let obs = Arc::new(Obs::wall());
@@ -137,13 +142,17 @@ fn injected_straggler_raises_an_alert_in_the_metrics_json() {
         queue_capacity: 4,
         dynamic_switching: false,
         faults: FaultPlan::none().with_straggler(ExecutorRole::Trainer, 0, 12.0),
-        telemetry: TelemetryConfig {
+        ..Default::default()
+    };
+    let telemetry = Telemetry::start(
+        Arc::clone(&obs),
+        TelemetryConfig {
             interval: Duration::from_millis(1),
             ..Default::default()
         },
-        ..Default::default()
-    };
+    );
     let res = run_threaded_obs(graph(), ModelKind::GraphSage, &cfg, &obs).expect("healthy run");
+    telemetry.stop();
     assert_eq!(res.batches_trained, res.samples_produced);
 
     assert!(

@@ -4,7 +4,7 @@
 use gnnlab::core::threaded::{run_threaded, run_threaded_obs, ThreadedConfig};
 use gnnlab::core::{ExecutorRole, FaultPlan};
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
-use gnnlab::obs::Obs;
+use gnnlab::obs::{Obs, Telemetry, TelemetryConfig};
 use gnnlab::tensor::ModelKind;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -152,7 +152,9 @@ fn acceptance_backpressure_switching_and_metrics() {
         dynamic_switching: true,
         ..Default::default()
     };
+    let telemetry = Telemetry::start(Arc::clone(&obs), TelemetryConfig::default());
     let res = run_threaded_obs(graph(), ModelKind::GraphSage, &cfg, &obs).expect("healthy run");
+    telemetry.stop();
 
     // Samplers hit the bound: depth max == capacity, real blocked time.
     assert_eq!(res.peak_queue_depth, cfg.queue_capacity);
