@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! experiments [--json] [--trace-out PATH] [--metrics-out PATH]
-//!             [--metrics-addr ADDR] [--serve-secs N]
 //!             [--exp NAME | name ...]
 //! Environment: GNNLAB_SCALE=<divisor> (default 1024)
 //! ```
@@ -16,19 +15,12 @@
 //! `--trace-out` writes a Chrome trace-event JSON (open in Perfetto or
 //! `chrome://tracing`) with one track per simulated GPU; `--metrics-out`
 //! writes the structured metrics dump (counters, gauges, histograms with
-//! p50/p90/p99, bounded series, alerts). Both attach a shared
-//! virtual-time observability hub to every experiment that supports one.
-//!
-//! `--metrics-addr HOST:PORT` additionally serves the live hub over
-//! HTTP while the experiments run: `GET /metrics` returns Prometheus
-//! text exposition, `GET /metrics.json` the structured dump. Scrape it
-//! mid-run (e.g. during `--exp fault_recovery`) to watch counters and
-//! per-stage latency quantiles move. `--serve-secs N` keeps the
-//! endpoint up N extra seconds after the experiments finish, so
-//! one-shot scrapers (CI smoke jobs) always find the final state.
+//! p50/p90/p99, bounded series, alerts) once the experiments finish. Both
+//! attach a shared virtual-time observability hub to every experiment
+//! that supports one.
 
 use gnnlab_bench::{exp, ExpConfig, Table};
-use gnnlab_obs::{MetricsServer, Obs};
+use gnnlab_obs::Obs;
 use std::sync::Arc;
 
 /// Removes `--flag VALUE` (or `--flag=VALUE`) from `args`, returning VALUE.
@@ -61,41 +53,14 @@ fn main() {
     args.retain(|a| a != "--json");
     let trace_out = take_flag(&mut args, "--trace-out");
     let metrics_out = take_flag(&mut args, "--metrics-out");
-    let metrics_addr = take_flag(&mut args, "--metrics-addr");
-    let serve_secs: u64 = take_flag(&mut args, "--serve-secs")
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("--serve-secs must be an integer, got '{s}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0);
     // `--exp NAME` is an alias for the positional form.
     while let Some(name) = take_flag(&mut args, "--exp") {
         args.push(name);
     }
-    if trace_out.is_some() || metrics_out.is_some() || metrics_addr.is_some() {
+    if trace_out.is_some() || metrics_out.is_some() {
         // The co-simulations record in virtual (simulated) time.
         cfg.obs = Some(Arc::new(Obs::virtual_time()));
     }
-    let server = metrics_addr.as_ref().map(|addr| {
-        let obs = Arc::clone(cfg.obs.as_ref().expect("obs exists when serving"));
-        match MetricsServer::bind(addr, obs) {
-            Ok(server) => {
-                eprintln!(
-                    "[serving live metrics on http://{}/metrics (and /metrics.json)]",
-                    server.local_addr()
-                );
-                server
-            }
-            Err(e) => {
-                // `ServerError` already names the address and OS error;
-                // exit code 3 = metrics endpoint, matching `gnnlab`.
-                eprintln!("{e}");
-                std::process::exit(3);
-            }
-        }
-    });
     let selected = exp::select(&args).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -139,12 +104,5 @@ fn main() {
                 }
             }
         }
-    }
-    if let Some(server) = server {
-        if serve_secs > 0 {
-            eprintln!("[holding metrics endpoint open for {serve_secs}s]");
-            std::thread::sleep(std::time::Duration::from_secs(serve_secs));
-        }
-        server.shutdown();
     }
 }

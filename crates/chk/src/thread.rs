@@ -2,8 +2,8 @@
 //! scheduler inside a model run and degrade to `std::thread` outside
 //! one.
 //!
-//! The thread-local [`Ctx`] is how every model sync primitive finds the
-//! active [`Execution`](crate::sched): a thread carrying a context is a
+//! The thread-local `Ctx` is how every model sync primitive finds the
+//! active `sched::Execution`: a thread carrying a context is a
 //! *model thread* and must ask the scheduler before it may run; a thread
 //! without one is an ordinary OS thread and every chk primitive behaves
 //! exactly like its `parking_lot`/`std` counterpart. That passthrough is

@@ -101,8 +101,7 @@ pub enum ThreadedErrorKind {
 
 impl ThreadedErrorKind {
     /// The documented `gnnlab threaded` exit code for this failure class:
-    /// its discriminant. (1 = generic failure, 2 = usage, 3 = metrics
-    /// endpoint.)
+    /// its discriminant. (1 = generic failure, 2 = usage.)
     pub fn exit_code(self) -> u8 {
         self as u8
     }

@@ -60,7 +60,7 @@
 //!
 //! * `config` — [`ThreadedConfig`], [`ThreadedError`] and its exit codes,
 //!   the result and report structs.
-//! * `shared` — [`Shared`](shared::Shared), what every executor borrows:
+//! * `shared` — `Shared`, what every executor borrows:
 //!   the run's immutable plan (config, graph, seeds, memory plan, the one
 //!   cache ranking, pools, sampler), the stores filled from the ranking's
 //!   prefixes, and the four parts below, each behind its own methods.

@@ -10,13 +10,13 @@
 //! * a [`MetricsRegistry`] for counters, gauges, streaming-quantile
 //!   histograms, bounded timestamped series and alert events (queue
 //!   depth, cache hits, switching profits, …);
-//! * live telemetry: a periodic sampler/alert thread ([`Telemetry`]), an
-//!   [`AlertEngine`] with straggler/saturation/cache/respawn rules, and
-//!   a dependency-free Prometheus scrape endpoint ([`MetricsServer`]);
-//! * exporters: Chrome trace-event JSON ([`Obs::chrome_trace`], loadable
-//!   in Perfetto, one track per simulated GPU), a structured metrics
-//!   dump ([`Obs::metrics_json`]), and Prometheus text exposition
-//!   ([`render_prometheus`]).
+//! * a watcher: a periodic sampler/alert thread ([`Telemetry`]) running
+//!   an [`AlertEngine`] with straggler/saturation/cache/respawn/
+//!   checkpoint-stall rules;
+//! * two exporters, both read after the run: Chrome trace-event JSON
+//!   ([`Obs::chrome_trace`], loadable in Perfetto, one track per
+//!   simulated GPU) and the structured metrics dump
+//!   ([`Obs::metrics_json`]) — the one metrics export.
 //!
 //! Everything is thread-safe; executors share one `Obs` behind `&` or
 //! `Arc`.
@@ -27,8 +27,6 @@ mod clock;
 mod hist;
 mod metrics;
 pub mod names;
-mod prom;
-mod server;
 mod span;
 mod telemetry;
 
@@ -39,8 +37,6 @@ pub use metrics::{
     BoundedSeries, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, SeriesPoint,
     DEFAULT_SERIES_CAP,
 };
-pub use prom::{render_prometheus, sanitize_name, PROMETHEUS_CONTENT_TYPE};
-pub use server::{MetricsServer, ServerError};
 pub use span::{Executor, Span, SpanRecorder, Stage, HOST_DEVICE};
 pub use telemetry::{Telemetry, TelemetryConfig};
 
@@ -116,7 +112,7 @@ impl Obs {
     /// Records a completed span with explicit timestamps (nanoseconds).
     /// Advances a virtual clock's high-water mark to `t_end`, and feeds
     /// the span's duration into the per-stage latency histogram
-    /// (`stage.<stage>.ns`), which is where live p50/p90/p99 come from.
+    /// (`stage.<stage>.ns`), which is where per-stage p50/p90/p99 come from.
     pub fn record_span(
         &self,
         device: u32,

@@ -8,19 +8,18 @@
 //! and byte totals share one code path.
 //!
 //! Series are retained in [`BoundedSeries`] ring buffers: each series
-//! keeps at most [`MetricsRegistry::series_cap`] points (default
-//! [`DEFAULT_SERIES_CAP`]) by stride downsampling — when the buffer
-//! fills, every other retained point is dropped and the sampling stride
-//! doubles, so memory stays bounded for arbitrarily long runs while the
-//! retained points stay evenly spaced over the full run.
+//! keeps fewer than [`DEFAULT_SERIES_CAP`] points by stride downsampling
+//! — when the buffer fills, every other retained point is dropped and
+//! the sampling stride doubles, so memory stays bounded for arbitrarily
+//! long runs while the retained points stay evenly spaced over the full
+//! run.
 
 use crate::alerts::AlertEvent;
 pub use crate::hist::Histogram;
 use gnnlab_par::sync::Mutex;
-use gnnlab_par::sync::{AtomicUsize, Ordering};
 use std::collections::BTreeMap;
 
-/// Default per-series retention cap (points kept per metric name).
+/// Per-series retention cap (points kept per metric name).
 pub const DEFAULT_SERIES_CAP: usize = 8192;
 
 /// A last-value gauge that also remembers its maximum.
@@ -44,11 +43,11 @@ pub struct SeriesPoint {
 /// A bounded series buffer with stride downsampling.
 ///
 /// Only every `stride`-th offered point is retained; when the retained
-/// points reach the cap, every other one is dropped and the stride
-/// doubles. The result is ≤ `cap` points that always span the whole
-/// recording, at a resolution that degrades gracefully (halves) as the
-/// run grows — instead of an unbounded `Vec` that eats memory one
-/// `queue.depth` point per enqueue.
+/// points reach [`DEFAULT_SERIES_CAP`], every other one is dropped and
+/// the stride doubles. The result is fewer than `DEFAULT_SERIES_CAP`
+/// points that always span the whole recording, at a resolution that
+/// degrades gracefully (halves) as the run grows — instead of an
+/// unbounded `Vec` that eats memory one `queue.depth` point per enqueue.
 #[derive(Debug, Clone)]
 pub struct BoundedSeries {
     points: Vec<SeriesPoint>,
@@ -73,10 +72,10 @@ impl Default for BoundedSeries {
 }
 
 impl BoundedSeries {
-    fn push(&mut self, p: SeriesPoint, cap: usize) {
+    fn push(&mut self, p: SeriesPoint) {
         if self.seen.is_multiple_of(self.stride.max(1)) {
             self.points.push(p);
-            if self.points.len() >= cap.max(2) {
+            if self.points.len() >= DEFAULT_SERIES_CAP {
                 let mut i = 0usize;
                 self.points.retain(|_| {
                     let keep = i.is_multiple_of(2);
@@ -140,7 +139,6 @@ pub struct MetricsRegistry {
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     series: Mutex<BTreeMap<String, BoundedSeries>>,
-    series_cap: AtomicUsize,
     alerts: Mutex<Vec<AlertEvent>>,
 }
 
@@ -151,7 +149,6 @@ impl Default for MetricsRegistry {
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             series: Mutex::new(BTreeMap::new()),
-            series_cap: AtomicUsize::new(DEFAULT_SERIES_CAP),
             alerts: Mutex::new(Vec::new()),
         }
     }
@@ -173,7 +170,7 @@ fn upsert<V>(
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry with the default series cap.
+    /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
     }
@@ -232,23 +229,11 @@ impl MetricsRegistry {
         self.histograms.lock().get(name).cloned()
     }
 
-    /// Maximum points retained per series before downsampling kicks in.
-    pub fn series_cap(&self) -> usize {
-        self.series_cap.load(Ordering::Relaxed)
-    }
-
-    /// Sets the per-series retention cap (min 2). Applies to future
-    /// samples; existing series shrink the next time they fill.
-    pub fn set_series_cap(&self, cap: usize) {
-        self.series_cap.store(cap.max(2), Ordering::Relaxed);
-    }
-
     /// Appends a timestamped sample to the series `name`, downsampling
-    /// to the cap as needed.
+    /// to [`DEFAULT_SERIES_CAP`] as needed.
     pub fn sample(&self, name: &str, t_ns: u64, value: f64) {
-        let cap = self.series_cap();
         upsert(&mut self.series.lock(), name, BoundedSeries::new, |s| {
-            s.push(SeriesPoint { t_ns, value }, cap)
+            s.push(SeriesPoint { t_ns, value })
         });
     }
 
@@ -376,19 +361,19 @@ mod tests {
         assert_eq!(reg.gauge("depth").unwrap().max, (per_thread - 1) as f64);
     }
 
-    /// The tentpole memory bound: a million samples never hold more than
-    /// `cap` points, and the survivors still span the whole run.
+    /// The memory bound: a million samples never hold more than the cap's
+    /// points, and the survivors still span the whole run.
     #[test]
     fn series_stays_bounded_under_a_million_samples() {
         let reg = MetricsRegistry::new();
-        reg.set_series_cap(256);
         let total = 1_000_000u64;
         for i in 0..total {
             reg.sample("queue.depth", i, (i % 7) as f64);
         }
         let len = reg.series_len("queue.depth");
-        assert!(len <= 256, "retained {len} > cap 256");
-        assert!(len >= 64, "downsampled too hard: {len}");
+        let cap = DEFAULT_SERIES_CAP;
+        assert!(len < cap, "retained {len} >= cap {cap}");
+        assert!(len >= cap / 4, "downsampled too hard: {len}");
         let snap = reg.snapshot();
         let pts = &snap.series["queue.depth"];
         assert_eq!(pts.first().unwrap().t_ns, 0, "lost the run's start");
@@ -401,16 +386,19 @@ mod tests {
         assert!(pts.windows(2).all(|w| w[0].t_ns < w[1].t_ns));
     }
 
+    /// A series keeps every point until the cap, then halves and doubles
+    /// its stride.
     #[test]
-    fn series_cap_is_configurable_and_clamped() {
-        let reg = MetricsRegistry::new();
-        assert_eq!(reg.series_cap(), DEFAULT_SERIES_CAP);
-        reg.set_series_cap(0);
-        assert_eq!(reg.series_cap(), 2);
-        for i in 0..100 {
-            reg.sample("s", i, i as f64);
+    fn series_halves_when_it_reaches_the_cap() {
+        let mut s = BoundedSeries::new();
+        let point = |t_ns| SeriesPoint { t_ns, value: 0.0 };
+        for t in 0..DEFAULT_SERIES_CAP as u64 - 1 {
+            s.push(point(t));
         }
-        assert!(reg.series_len("s") <= 2);
+        assert_eq!((s.len(), s.stride()), (DEFAULT_SERIES_CAP - 1, 1));
+        s.push(point(DEFAULT_SERIES_CAP as u64 - 1));
+        assert_eq!((s.len(), s.stride()), (DEFAULT_SERIES_CAP / 2, 2));
+        assert_eq!(s.seen(), DEFAULT_SERIES_CAP as u64);
     }
 
     /// Satellite: snapshots omit empty histograms, so the JSON dump never

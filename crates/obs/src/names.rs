@@ -167,11 +167,8 @@ pub const CKPT_TORN_DETECTED: &str = "ckpt.torn_detected";
 /// generation a resume loaded, until the first write of the new run).
 pub const CKPT_GENERATION: &str = "ckpt.generation";
 
-/// Prefix of per-stage latency histograms fed by span recording:
-/// `stage.<stage>.ns` (e.g. `stage.train.ns`), one observation per
-/// completed span. These carry the streaming p50/p90/p99 estimates the
-/// scrape endpoint exposes.
-pub const STAGE_NS_PREFIX: &str = "stage.";
+// Per-stage latency histograms, `stage.<stage>.ns`: one observation per
+// completed span (`Stage::histogram_name`).
 
 /// Histogram: GPU-sampling (sample_g) span durations.
 pub const STAGE_SAMPLE_G_NS: &str = "stage.sample_g.ns";

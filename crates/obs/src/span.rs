@@ -24,7 +24,7 @@ pub enum Executor {
 
 impl Executor {
     /// The `<role>` segment of the per-executor metric names
-    /// ([`names::executor_ewma`], [`names::executor_cache`]).
+    /// ([`crate::names::executor_ewma`], [`crate::names::executor_cache`]).
     pub fn metric_role(self) -> &'static str {
         match self {
             Executor::Sampler => "sampler",
@@ -84,7 +84,7 @@ impl Stage {
 
     /// The per-stage latency histogram this stage's spans feed
     /// (`stage.<stage>.ns`); every recorded span observes its duration
-    /// there, which is where the scrape endpoint's p50/p90/p99 come from.
+    /// there, which is where the metrics dump's p50/p90/p99 come from.
     pub fn histogram_name(self) -> &'static str {
         use crate::names;
         match self {

@@ -22,7 +22,7 @@
 //! site in runtime code names the invariant it relies on, and the lint
 //! can keep flagging the undocumented ones.
 
-/// What [`invariant!`](crate::invariant) can check: `Option<T>` and
+/// What [`invariant!`](macro@crate::invariant) can check: `Option<T>` and
 /// `Result<T, E: Debug>`.
 pub trait Invariant {
     /// The value when the invariant holds.
@@ -47,7 +47,7 @@ impl<T, E: core::fmt::Debug> Invariant for Result<T, E> {
 
 /// Unwraps an `Option`/`Result` whose failure the surrounding protocol
 /// rules out, panicking with the written justification if the invariant
-/// is ever broken. See the [module docs](crate::invariant) for when this
+/// is ever broken. See the [module docs](mod@crate::invariant) for when this
 /// is appropriate over a typed error.
 #[macro_export]
 macro_rules! invariant {

@@ -78,7 +78,7 @@ pub enum Selection {
 ///
 /// Starting from the mini-batch seeds, hop `i` selects `fanouts[i]`
 /// neighbors for every frontier vertex; the union (deduplicated, remapped)
-/// becomes the next frontier. Produces one [`LayerBlock`] per hop with
+/// becomes the next frontier. Produces one [`LayerBlock`](crate::LayerBlock) per hop with
 /// explicit self-loop edges so every dst aggregates at least itself.
 ///
 /// # Examples

@@ -203,7 +203,7 @@ fn mix32(x: u32) -> u32 {
 /// makes ~100 k inserts of at most `num_vertices` distinct keys, so a
 /// hash table sized for the inserts is both larger than the key set and
 /// out of cache. `reset` is O(1) (a generation bump), so the per-hop
-/// remap of [`SampleBuffers::finish_hop`] and the random walk's
+/// remap of `SampleBuffers::finish_hop` and the random walk's
 /// per-vertex visit counter allocate only when a bigger graph arrives.
 #[derive(Debug, Clone, Default)]
 pub struct RemapTable {

@@ -8,8 +8,8 @@
 //! # Block batching
 //!
 //! The stream is the concatenation of the 16-word blocks at counters
-//! `0, 1, 2, …`. A refill produces [`BLOCKS`] consecutive blocks into one
-//! [`BUF`]-word buffer (256 words, 1 KiB), laid out block after block, so
+//! `0, 1, 2, …`. A refill produces `BLOCKS` consecutive blocks into one
+//! `BUF`-word buffer (256 words, 1 KiB), laid out block after block, so
 //! the word order a caller sees is exactly the one-block-at-a-time order:
 //! batching moves *when* a block is computed, never *what* it holds. The
 //! price is the buffer per generator and up to fifteen blocks computed and
@@ -33,7 +33,7 @@
 //! word `i` of every block lives in vector `i`, the quarter rounds are
 //! plain lane-wise add/xor/rotate with no shuffles between the column and
 //! diagonal halves, and one transpose at the end restores block-major
-//! order. [`ChaCha8Rng::refill`] picks, by `is_x86_feature_detected!` (a
+//! order. `ChaCha8Rng::refill` picks, by `is_x86_feature_detected!` (a
 //! cached atomic load, once per 256 words):
 //!
 //! - AVX-512F: all sixteen blocks in one pass. Every rotate is one
@@ -42,11 +42,11 @@
 //!   lanes. About 0.53 ns per word on a 2-core Emerald Rapids host.
 //! - AVX2: two passes of eight blocks, rotates by 16 and 8 as byte
 //!   shuffles, an 8×8 transpose per half-block. About 1.27 ns per word.
-//! - Scalar: one [`block`] call per counter, everywhere else.
+//! - Scalar: one `block` call per counter, everywhere else.
 //!
 //! # Why the scalar path stays
 //!
-//! [`block`] is the block function this crate has always had. It is the
+//! `block` is the block function this crate has always had. It is the
 //! only path on a CPU without AVX2, and it is the oracle: the tests hold
 //! each wide refill the host can run against it word for word, and
 //! `known_answers_hold` pins the stream all three produce. An

@@ -20,10 +20,7 @@
 //! --straggler ROLE:IDX:FACTOR slow one executor (role `sampler`/`trainer`)
 //! --transient P               per-batch transient-fault probability
 //! --max-respawns N            supervisor respawn budget (0 = fail fast)
-//! --metrics-addr HOST:PORT    serve live metrics over HTTP during the run
-//!                             (GET /metrics = Prometheus text, /metrics.json)
 //! --metrics-out PATH          write the final metrics JSON (incl. alerts)
-//! --series-cap N              per-series retention cap (default 8192)
 //! --checkpoint-dir PATH       durable checkpoint directory (enables checkpointing)
 //! --checkpoint-every N        checkpoint every N trained batches
 //!                             (default: every epoch boundary)
@@ -43,7 +40,6 @@
 //!  0  success
 //!  1  generic failure (graph generation, metrics-out write)
 //!  2  usage error
-//!  3  metrics endpoint could not be bound
 //! 10  executor panic with no respawn budget
 //! 11  respawn budget exhausted
 //! 12  unrecoverable transient fault
@@ -59,7 +55,7 @@ use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig};
 use gnnlab::core::{ExecutorRole, FaultPlan, SystemKind, Workload};
 use gnnlab::graph::gen::{sbm, SbmParams};
 use gnnlab::graph::{io, Dataset, DatasetKind, Scale};
-use gnnlab::obs::{MetricsServer, Obs, Telemetry, TelemetryConfig};
+use gnnlab::obs::{Obs, Telemetry, TelemetryConfig};
 use gnnlab::sampling::Kernel;
 use gnnlab::tensor::ModelKind;
 use std::path::Path;
@@ -95,8 +91,8 @@ fn usage() -> ExitCode {
          gnnlab threaded [--samplers N] [--trainers N] [--epochs N] [--batch-size N]\n           \
          [--capacity N] [--seed S] [--threads N] [--crash-trainer IDX@BATCH]\n           \
          [--crash-sampler IDX@BATCH] [--straggler ROLE:IDX:FACTOR] [--transient P]\n           \
-         [--max-respawns N] [--metrics-addr HOST:PORT] [--metrics-out PATH]\n           \
-         [--series-cap N] [--checkpoint-dir PATH] [--checkpoint-every N] [--resume]"
+         [--max-respawns N] [--metrics-out PATH] [--checkpoint-dir PATH]\n           \
+         [--checkpoint-every N] [--resume]"
     );
     ExitCode::from(2)
 }
@@ -293,9 +289,7 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
         ..Default::default()
     };
     let mut plan = FaultPlan::none();
-    let mut metrics_addr: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut series_cap: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -346,9 +340,7 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
                 }
                 _ => ok = false,
             },
-            "--metrics-addr" => metrics_addr = Some(value.clone()),
             "--metrics-out" => metrics_out = Some(value.clone()),
-            "--series-cap" => ok = value.parse().map(|v| series_cap = Some(v)).is_ok(),
             "--checkpoint-dir" => {
                 cfg.checkpoint.dir = Some(std::path::PathBuf::from(value));
             }
@@ -397,27 +389,6 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
         cfg.num_samplers, cfg.num_trainers, cfg.epochs, cfg.batch_size, cfg.queue_capacity
     );
     let obs = Arc::new(Obs::wall());
-    if let Some(cap) = series_cap {
-        obs.metrics.set_series_cap(cap);
-    }
-    let server = match metrics_addr.as_ref() {
-        Some(addr) => match MetricsServer::bind(addr, Arc::clone(&obs)) {
-            Ok(server) => {
-                eprintln!(
-                    "[serving live metrics on http://{}/metrics (and /metrics.json)]",
-                    server.local_addr()
-                );
-                Some(server)
-            }
-            // Typed endpoint failure: report and exit 3 through the
-            // normal return path (no process::exit, so Drop impls run).
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(3);
-            }
-        },
-        None => None,
-    };
     // The watcher this command prints alerts and writes series from:
     // stopped before either, so its final tick sees the run's end state.
     let telemetry = Telemetry::start(Arc::clone(&obs), TelemetryConfig::default());
@@ -476,9 +447,6 @@ fn cmd_threaded(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if let Some(server) = server {
-        server.shutdown();
     }
     code
 }

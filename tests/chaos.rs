@@ -19,10 +19,8 @@ use gnnlab::core::checkpoint::ChaosPlan;
 use gnnlab::core::threaded::{run_threaded_obs, ThreadedConfig, ThreadedErrorKind, ThreadedResult};
 use gnnlab::core::CheckpointPolicy;
 use gnnlab::graph::gen::{sbm, SbmGraph, SbmParams};
-use gnnlab::obs::{names, AlertRules, MetricsServer, Obs, Telemetry, TelemetryConfig};
+use gnnlab::obs::{names, AlertRules, Obs, Telemetry, TelemetryConfig};
 use gnnlab::tensor::ModelKind;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -286,27 +284,14 @@ fn one_byte_flip_is_rejected_with_fallback() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// One `GET path` against the metrics server; returns the response body.
-fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics server");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut body = String::new();
-    stream.read_to_string(&mut body).expect("read response");
-    body
-}
-
-/// The `ckpt.*` family lands in the Prometheus exposition: write latency,
-/// bytes, generation after a checkpointing run; resume latency and the
-/// torn counter after a kill–resume.
+/// The `ckpt.*` family lands in the metrics JSON: write latency, bytes,
+/// generation after a checkpointing run; resume latency and the torn
+/// counter after a kill–resume.
 #[test]
-fn ckpt_metrics_appear_in_prometheus_scrape() {
+fn ckpt_metrics_appear_in_the_metrics_json() {
     let seed = 21u64;
     let graph = graph_for(seed);
-    let dir = chaos_dir("scrape");
+    let dir = chaos_dir("metrics-json");
     let (_, resume_obs, resumed) = kill_then_resume(
         &graph,
         seed,
@@ -318,22 +303,22 @@ fn ckpt_metrics_appear_in_prometheus_scrape() {
     );
     assert!(resumed.checkpoints_written >= 1);
 
-    let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&resume_obs)).expect("bind");
-    let body = scrape(server.local_addr(), "/metrics");
-    for family in [
-        "ckpt_write_ns",
-        "ckpt_last_write_ns",
-        "ckpt_bytes_total",
-        "ckpt_resume_ns",
-        "ckpt_torn_detected_total",
-        "ckpt_generation",
+    let doc = resume_obs.metrics_json();
+    let metrics = doc.get("metrics").expect("metrics section");
+    for (section, family) in [
+        ("histograms", names::CKPT_WRITE_NS),
+        ("gauges", names::CKPT_LAST_WRITE_NS),
+        ("counters", names::CKPT_BYTES),
+        ("histograms", names::CKPT_RESUME_NS),
+        ("counters", names::CKPT_TORN_DETECTED),
+        ("gauges", names::CKPT_GENERATION),
     ] {
         assert!(
-            body.contains(family),
-            "{family} missing from scrape:\n{body}"
+            metrics.get(section).and_then(|s| s.get(family)).is_some(),
+            "{family} missing from the metrics JSON's {section}:\n{}",
+            serde_json::to_string_pretty(&doc).unwrap()
         );
     }
-    server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
